@@ -5,7 +5,7 @@ from .masks import BinaryMask, iou, point_noise, resize_nearest, scale_noise, \
 from .synth import FeaturePyramid, Scene, SynthConfig, generate_scene, synth_features
 from .tensor import Tensor
 from .decoder import DecoderParams, ForwardSpec, LayerOutputs, full_forward, \
-    forward_plain, init_params
+    init_params
 from .mp import MPConfig, MPPart, build_mp_part, build_self_block, dynamic_groups
 from .losses import Assignment, LossWeights, hungarian, layer_losses, mask_losses
 from .metrics import MetricsReport, ap_lite, miou_layerwise, refinement_bounds, \

@@ -1,32 +1,32 @@
 """Command-line entry points.
 
 Verbs: gen-data, train, eval, analyze, grad-check, refine-study.
-Exit codes: 0 ok, 1 check failure, 2 config error, 3 I/O error,
-4 numeric failure, 5 compatibility mismatch.
+Exit codes: 0 ok, 1 check failure, 2 config error, 3 I/O error or a
+malformed checkpoint or dataset, 4 numeric failure, 5 compatibility mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 
 import numpy as np
 
-from .config import ConfigError, VARIANTS, apply_variant, load_run_config
+from .config import (ConfigError, VARIANTS, apply_variant, load_config_json,
+                     parse_run_config, parse_synth, validate_run_config)
 from .decoder import full_forward, load_checkpoint, plain_spec, save_checkpoint
 from .losses import LossWeights
 from .metrics import (compute_matching_vectors, config_hash,
                       sample_refinement_instance, save_layer_csv, save_report,
                       miou_layerwise, util_layerwise, util_mp_bipartite,
                       util_mp_hard)
+from .masks import FormatError
 from .mp import MPConfig
-from .synth import (SchemaVersionError, SynthConfig, generate_scene,
-                    load_dataset, save_dataset, synth_features)
-from .trainer import (NumericError, evaluate, layer_scale_table, mp_forward,
-                      run_training)
+from .synth import generate_scene, load_dataset, save_dataset, synth_features
+from .trainer import (NumericError, detach_params, evaluate, layer_scale_table,
+                      mp_forward_spec, run_training)
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -40,24 +40,9 @@ class CompatibilityError(RuntimeError):
     pass
 
 
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-
-
 def cmd_gen_data(args) -> int:
-    raw = _load_json(args.config)
-    synth_d = dict(raw.get("synth", {}))
-    for key in ("shape_kinds", "instance_range", "size_range"):
-        if key in synth_d:
-            synth_d[key] = tuple(synth_d[key])
-    try:
-        cfg = SynthConfig(**synth_d)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad synth config: {exc}") from exc
+    raw = load_config_json(args.config)
+    cfg = parse_synth(raw)
     count = int(raw.get("count", 200))
     if count < 1:
         raise ConfigError("count must be >= 1")
@@ -75,15 +60,15 @@ def cmd_gen_data(args) -> int:
 
 
 def _resolved_run_config(args):
-    cfg = load_run_config(args.config)
+    raw = load_config_json(args.config)
+    cfg = parse_run_config(raw)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out:
         cfg.out_dir = args.out
     if getattr(args, "variant", None):
         cfg.variant = args.variant
-        from .config import validate_run_config
-        validate_run_config(cfg, _load_json(args.config))
+        validate_run_config(cfg, raw)
     apply_variant(cfg)
     if cfg.dataset_path and not os.path.exists(cfg.dataset_path):
         raise FileNotFoundError(f"dataset not found: {cfg.dataset_path}")
@@ -151,7 +136,6 @@ def cmd_analyze(args) -> int:
 def analyze_dataset(params, scenes, synth_cfg, seed: int = 0):
     """Per-layer diagnostics: matching part (MP disabled) plus MP-part
     utilization under hard assignment and under bipartite matching."""
-    from .trainer import detach_params
     weights = LossWeights()
     frozen = detach_params(params)
     mp_cfg = MPConfig(n_q=params.n_queries)
@@ -164,11 +148,12 @@ def analyze_dataset(params, scenes, synth_cfg, seed: int = 0):
         miou_rows.append(miou_layerwise(plain_out))
         vectors = compute_matching_vectors(plain_out, scene, weights)
         util_rows.append(util_layerwise(vectors, scene.num_instances))
-        mp_out, mp_part = mp_forward(pyramid, scene, frozen, mp_cfg, scale_table,
-                                     [seed, 3, scene.index])
+        spec, mp_part = mp_forward_spec(pyramid, scene, frozen, mp_cfg, scale_table,
+                                        [seed, 3, scene.index])
         if mp_part is not None:
             mp_hard_rows.append(util_mp_hard(mp_part))
-            mp_bi_rows.append(util_mp_bipartite(mp_out, scene, weights))
+            mp_bi_rows.append(util_mp_bipartite(full_forward(spec, frozen), scene,
+                                                weights))
     return {
         "miou_l": np.mean(miou_rows, axis=0),
         "util": np.mean(util_rows, axis=0),
@@ -214,7 +199,7 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_refine_study(args) -> int:
-    raw = _load_json(args.config)
+    raw = load_config_json(args.config)
     dim = int(raw.get("dim", 8))
     sigmas = raw.get("sigmas", [0.0, 0.1, 0.25, 0.5])
     per_sigma = int(raw.get("instances_per_sigma", 250))
@@ -290,8 +275,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SchemaVersionError as exc:
-        print(f"dataset error: {exc}", file=sys.stderr)
+    except FormatError as exc:
+        print(f"format error: {exc}", file=sys.stderr)
         return EXIT_IO
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

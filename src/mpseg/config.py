@@ -84,13 +84,17 @@ def _build(cls, d: dict, what: str):
         raise ConfigError(f"bad {what} section: {exc}") from exc
 
 
-def parse_run_config(raw: dict) -> RunConfig:
+def parse_synth(raw: dict) -> SynthConfig:
+    """The "synth" section of a config file."""
     synth_d = dict(raw.get("synth", {}))
     for key in ("shape_kinds", "instance_range", "size_range"):
         if key in synth_d:
             synth_d[key] = tuple(synth_d[key])
-    synth = _build(SynthConfig, synth_d, "synth")
+    return _build(SynthConfig, synth_d, "synth")
 
+
+def parse_run_config(raw: dict) -> RunConfig:
+    synth = parse_synth(raw)
     model = _build(ModelSettings, dict(raw.get("model", {})), "model")
     loss_d = dict(raw.get("loss", {}))
     loss_mode = loss_d.pop("mode", raw.get("loss_mode", "per-layer-bipartite"))
@@ -176,12 +180,13 @@ def apply_variant(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-def load_run_config(path) -> RunConfig:
+def load_config_json(path) -> dict:
+    """The top-level JSON object of a config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top-level JSON object expected")
-    return parse_run_config(raw)
+    return raw

@@ -6,15 +6,21 @@ feed-forward block, each with residual + layer norm. Shared mask and
 classification heads produce per-layer predictions, and each layer's
 binarized masks become the next layer's cross-attention blocking grids.
 Single attention head, no positional encodings.
+
+full_forward is the only forward path. Its queries form one part (the
+matching queries) or two (matching, then mask-piloted); a plain forward
+is the one-part case, with no extra work or tape nodes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .masks import FormatError, _nearest_indices
 from .tensor import (NEG_BIG, Tensor, concat_rows, layernorm_lastdim, masked_fill,
                      softmax_lastdim, _sigmoid)
 
@@ -118,17 +124,17 @@ def init_params(seed: int, n_queries: int = 20, n_layers: int = 9, dim: int = 32
         num_categories=num_categories, ffn_hidden=ffn_hidden)
 
 
+def _tensor_fields(obj, prefix: str = ""):
+    return [(prefix + f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)
+            if isinstance(getattr(obj, f.name), Tensor)]
+
+
 def named_parameters(params: DecoderParams):
-    """Stable (name, Tensor) list; order defines checkpoint layout."""
-    pairs = [("query_embed", params.query_embed), ("class_embed", params.class_embed),
-             ("mask_w1", params.mask_w1), ("mask_b1", params.mask_b1),
-             ("mask_w2", params.mask_w2), ("mask_b2", params.mask_b2),
-             ("cls_w", params.cls_w), ("cls_b", params.cls_b)]
+    """Stable (name, Tensor) list in dataclass field order; the order
+    defines the checkpoint layout."""
+    pairs = _tensor_fields(params)
     for i, lp in enumerate(params.layers):
-        for fname in ("wq", "wk", "wv", "wo", "sq", "sk", "sv", "so",
-                      "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2",
-                      "ln1_g", "ln1_b", "ln2_g", "ln2_b", "ln3_g", "ln3_b"):
-            pairs.append((f"layer{i}.{fname}", getattr(lp, fname)))
+        pairs += _tensor_fields(lp, f"layer{i}.")
     return pairs
 
 
@@ -163,169 +169,112 @@ def binarize_for_attention(mask_logit_values: np.ndarray, h2: int, w2: int) -> n
     bits = binarize_masks(mask_logit_values)
     n, h, w = bits.shape
     if (h, w) != (h2, w2):
-        ri = np.minimum((np.arange(h2) + 0.5) * (h / h2), h - 1).astype(np.intp)
-        ci = np.minimum((np.arange(w2) + 0.5) * (w / w2), w - 1).astype(np.intp)
-        bits = bits[:, ri][:, :, ci]
+        bits = bits[:, _nearest_indices(h, h2)][:, :, _nearest_indices(w, w2)]
     block = ~bits
     empty = ~bits.any(axis=(1, 2))
     block[empty] = False
     return block.reshape(n, h2 * w2)
 
 
-def masked_cross_attention(x: Tensor, feats: Tensor, cross_block: np.ndarray,
-                           lp: LayerParams, dim: int) -> Tensor:
-    """Pre-residual cross-attention: softmax over unblocked pixels only."""
-    q = x @ lp.wq
-    k = feats @ lp.wk
-    v = feats @ lp.wv
-    logits = (q @ k.T) * (1.0 / np.sqrt(dim))
-    logits = masked_fill(logits, cross_block, NEG_BIG)
-    return softmax_lastdim(logits) @ v @ lp.wo
+def attention(x: Tensor, keys: Tensor, values: Tensor, block, wq: Tensor, wo: Tensor,
+              dim: int) -> Tensor:
+    """Pre-residual single-head attention of the rows of x over projected
+    keys and values; softmax over the entries `block` leaves unblocked
+    (None blocks nothing)."""
+    logits = ((x @ wq) @ keys.T) * (1.0 / np.sqrt(dim))
+    if block is not None:
+        logits = masked_fill(logits, block, NEG_BIG)
+    return softmax_lastdim(logits) @ values @ wo
 
 
-def masked_self_attention(x: Tensor, self_block, lp: LayerParams, dim: int) -> Tensor:
-    """Pre-residual self-attention among queries under an optional block grid."""
-    sq = x @ lp.sq
-    sk = x @ lp.sk
-    sv = x @ lp.sv
-    slogits = (sq @ sk.T) * (1.0 / np.sqrt(dim))
-    if self_block is not None:
-        slogits = masked_fill(slogits, self_block, NEG_BIG)
-    return softmax_lastdim(slogits) @ sv @ lp.so
+def _add_norm(x: Tensor, update: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    return layernorm_lastdim(x + update) * gain + bias
 
 
-def decoder_layer(x: Tensor, feats: Tensor, cross_block: np.ndarray,
-                  self_block, lp: LayerParams, dim: int) -> Tensor:
-    """One decoder layer: masked cross-attention, self-attention, FFN,
-    each with residual connection and layer normalization."""
-    x = layernorm_lastdim(x + masked_cross_attention(x, feats, cross_block, lp, dim)) \
-        * lp.ln1_g + lp.ln1_b
-    x = layernorm_lastdim(x + masked_self_attention(x, self_block, lp, dim)) \
-        * lp.ln2_g + lp.ln2_b
-    ffn = (x @ lp.ffn_w1 + lp.ffn_b1).relu() @ lp.ffn_w2 + lp.ffn_b2
-    return layernorm_lastdim(x + ffn) * lp.ln3_g + lp.ln3_b
+def decoder_layer(parts, feats: Tensor, cross_blocks, self_blocks, lp: LayerParams,
+                  dim: int) -> list:
+    """One decoder layer over the query parts, [matching] or [matching, MP]:
+    masked cross-attention, self-attention and FFN, each with residual
+    connection and layer normalization. Returns the updated parts.
 
-
-def _require_leakage_grid(self_block: np.ndarray, n_match: int):
-    """The partitioned layer is only valid when matching queries attend
-    exactly the matching part; anything else would leak."""
-    if self_block is None:
-        raise ValueError("a query partition requires a self-attention blocking grid")
-    if self_block[:n_match, :n_match].any() or not self_block[:n_match, n_match:].all():
-        raise ValueError("self block must isolate the matching part "
-                         "(top-left free, top-right fully blocked)")
-
-
-def decoder_layer_partitioned(x_match: Tensor, x_mp: Tensor, feats: Tensor,
-                              block_match: np.ndarray, block_mp: np.ndarray,
-                              self_block: np.ndarray, lp: LayerParams,
-                              dim: int):
-    """decoder_layer with the query axis split into matching and MP blocks.
-
-    Under the leakage-blocking self grid the matching rows never read the
-    MP rows, so the two blocks can be computed as separate matrices. That
-    keeps the matching part's float operations identical to a forward
-    with no MP part at all, making the isolation guarantee bitwise, not
-    just mathematical.
+    Part j's self-attention reads the pre-self-attention rows of parts
+    0..j under self_blocks[j], so the matching part never reads the MP
+    part. Computing each part as its own matrices keeps the matching
+    part's float operations identical to a forward with no MP part at
+    all, which makes the isolation guarantee bitwise, not just
+    mathematical.
     """
-    n_match = x_match.values.shape[0]
-    _require_leakage_grid(self_block, n_match)
-    scale = 1.0 / np.sqrt(dim)
     k = feats @ lp.wk
     v = feats @ lp.wv
-
-    def cross(x, block):
-        logits = ((x @ lp.wq) @ k.T) * scale
-        return softmax_lastdim(masked_fill(logits, block, NEG_BIG)) @ v @ lp.wo
-
-    xm = layernorm_lastdim(x_match + cross(x_match, block_match)) * lp.ln1_g + lp.ln1_b
-    xp = layernorm_lastdim(x_mp + cross(x_mp, block_mp)) * lp.ln1_g + lp.ln1_b
-
-    # MP self-attention reads the pre-self-attention context of all queries
-    ctx = concat_rows([xm, xp])
-    keys = ctx @ lp.sk
-    vals = ctx @ lp.sv
-    slogits = ((xp @ lp.sq) @ keys.T) * scale
-    slogits = masked_fill(slogits, self_block[n_match:, :], NEG_BIG)
-    mp_attended = softmax_lastdim(slogits) @ vals @ lp.so
-    xp = layernorm_lastdim(xp + mp_attended) * lp.ln2_g + lp.ln2_b
-
-    xm = layernorm_lastdim(xm + masked_self_attention(xm, None, lp, dim)) \
-        * lp.ln2_g + lp.ln2_b
-
-    def ffn(x):
-        return (x @ lp.ffn_w1 + lp.ffn_b1).relu() @ lp.ffn_w2 + lp.ffn_b2
-
-    xm = layernorm_lastdim(xm + ffn(xm)) * lp.ln3_g + lp.ln3_b
-    xp = layernorm_lastdim(xp + ffn(xp)) * lp.ln3_g + lp.ln3_b
-    return xm, xp
-
-
-def _scale_order(pyramid):
-    """(h, w, flattened-features Tensor) per scale, coarse to fine."""
+    parts = [_add_norm(x, attention(x, k, v, block, lp.wq, lp.wo, dim), lp.ln1_g, lp.ln1_b)
+             for x, block in zip(parts, cross_blocks)]
     out = []
-    for grid in pyramid.scales:
-        h, w, d = grid.shape
-        out.append((h, w, Tensor(grid.reshape(h * w, d))))
+    for j, (x, block) in enumerate(zip(parts, self_blocks)):
+        ctx = concat_rows(parts[:j + 1]) if j else x
+        x = _add_norm(x, attention(x, ctx @ lp.sk, ctx @ lp.sv, block, lp.sq, lp.so, dim),
+                      lp.ln2_g, lp.ln2_b)
+        ffn = (x @ lp.ffn_w1 + lp.ffn_b1).relu() @ lp.ffn_w2 + lp.ffn_b2
+        out.append(_add_norm(x, ffn, lp.ln3_g, lp.ln3_b))
     return out
 
 
-def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
-    """Run all layers; layer i attends to scale (i-1) mod num_scales.
+def layer_scale(layer: int, num_scales: int) -> int:
+    """Index of the pyramid scale (0 = coarsest) that decoder layer
+    `layer` (1-based) attends to: coarse to fine, cycling."""
+    return (layer - 1) % num_scales
 
-    Matching-part blocking grids always come from the previous layer's
-    own predictions; rows past n_match take the override table's grids
-    where a layer has an entry and fall back to their own predictions
-    elsewhere. With a partition present the two parts are computed as
-    separate blocks so the matching part stays bitwise independent of
-    the MP part.
+
+def _join_rows(parts) -> Tensor:
+    return parts[0] if len(parts) == 1 else concat_rows(parts)
+
+
+def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
+    """Run all layers; layer i attends to pyramid scale layer_scale(i).
+
+    The queries form one part, or two when rows past n_match (the MP
+    part) are present. Matching-part blocking grids always come from the
+    previous layer's own predictions; the MP part takes the override
+    table's grids where a layer has an entry and falls back to its own
+    predictions elsewhere.
     """
-    scales = _scale_order(spec.pyramid)
+    feats = [Tensor(grid.reshape(-1, grid.shape[-1])) for grid in spec.pyramid.scales]
     embed = spec.pyramid.embed
     n_match = spec.n_match
-    n_total = spec.init_queries.values.shape[0]
-
-    if n_total == n_match:
-        x = spec.init_queries
-        mask_logits = [mask_head(params, x, embed)]
-        class_logits = [class_head(params, x)]
-        for i in range(1, params.num_layers + 1):
-            h, w, feats = scales[(i - 1) % len(scales)]
-            cross_block = binarize_for_attention(mask_logits[-1].values, h, w)
-            x = decoder_layer(x, feats, cross_block, spec.self_block,
-                              params.layers[i - 1], params.dim)
-            mask_logits.append(mask_head(params, x, embed))
-            class_logits.append(class_head(params, x))
-        return LayerOutputs(mask_logits=mask_logits, class_logits=class_logits,
-                            n_match=n_match)
-
-    n_mp = n_total - n_match
-    xm = spec.init_queries.take_rows(np.arange(n_match))
-    xp = spec.init_queries.take_rows(n_match + np.arange(n_mp))
-    mask_m = [mask_head(params, xm, embed)]
-    mask_p = [mask_head(params, xp, embed)]
-    cls_m = [class_head(params, xm)]
-    cls_p = [class_head(params, xp)]
+    n_mp = spec.init_queries.values.shape[0] - n_match
+    if n_mp:
+        # matching queries must attend exactly the matching part, or the MP part leaks
+        if spec.self_block is None:
+            raise ValueError("a query partition requires a self-attention blocking grid")
+        if (spec.self_block[:n_match, :n_match].any()
+                or not spec.self_block[:n_match, n_match:].all()):
+            raise ValueError("self block must isolate the matching part "
+                             "(top-left free, top-right fully blocked)")
+        parts = [spec.init_queries.take_rows(np.arange(n_match)),
+                 spec.init_queries.take_rows(n_match + np.arange(n_mp))]
+        self_blocks = [None, spec.self_block[n_match:]]
+    else:
+        parts = [spec.init_queries]
+        self_blocks = [spec.self_block]
+    mask_logits = [[mask_head(params, x, embed) for x in parts]]
+    class_logits = [[class_head(params, x) for x in parts]]
     for i in range(1, params.num_layers + 1):
-        h, w, feats = scales[(i - 1) % len(scales)]
-        block_match = binarize_for_attention(mask_m[-1].values, h, w)
-        if i in spec.overrides:
-            block_mp = spec.overrides[i]
-            if block_mp.shape != (n_mp, h * w):
-                raise ValueError(f"override for layer {i} has shape {block_mp.shape}, "
+        s = layer_scale(i, len(feats))
+        h, w = spec.pyramid.scales[s].shape[:2]
+        cross_blocks = []
+        for j, logits in enumerate(mask_logits[-1]):
+            block = spec.overrides.get(i) if j else None
+            if block is None:
+                block = binarize_for_attention(logits.values, h, w)
+            elif block.shape != (n_mp, h * w):
+                raise ValueError(f"override for layer {i} has shape {block.shape}, "
                                  f"expected {(n_mp, h * w)}")
-        else:
-            block_mp = binarize_for_attention(mask_p[-1].values, h, w)
-        xm, xp = decoder_layer_partitioned(xm, xp, feats, block_match, block_mp,
-                                           spec.self_block, params.layers[i - 1],
-                                           params.dim)
-        mask_m.append(mask_head(params, xm, embed))
-        mask_p.append(mask_head(params, xp, embed))
-        cls_m.append(class_head(params, xm))
-        cls_p.append(class_head(params, xp))
-    mask_logits = [concat_rows([a, b]) for a, b in zip(mask_m, mask_p)]
-    class_logits = [concat_rows([a, b]) for a, b in zip(cls_m, cls_p)]
-    return LayerOutputs(mask_logits=mask_logits, class_logits=class_logits,
+            cross_blocks.append(block)
+        parts = decoder_layer(parts, feats[s], cross_blocks, self_blocks,
+                              params.layers[i - 1], params.dim)
+        mask_logits.append([mask_head(params, x, embed) for x in parts])
+        class_logits.append([class_head(params, x) for x in parts])
+    return LayerOutputs(mask_logits=[_join_rows(p) for p in mask_logits],
+                        class_logits=[_join_rows(p) for p in class_logits],
                         n_match=n_match)
 
 
@@ -335,25 +284,8 @@ def plain_spec(pyramid, params: DecoderParams) -> ForwardSpec:
                        n_match=params.n_queries, overrides={}, self_block=None)
 
 
-def forward_plain(pyramid, params: DecoderParams) -> LayerOutputs:
-    """Decoder forward with no auxiliary-query machinery at all.
-
-    Kept as an independent code path so inference equality against
-    full_forward-with-nothing-enabled can be asserted bitwise.
-    """
-    scales = _scale_order(pyramid)
-    embed = pyramid.embed
-    x = params.query_embed
-    mask_logits = [mask_head(params, x, embed)]
-    class_logits = [class_head(params, x)]
-    for i in range(1, params.num_layers + 1):
-        h, w, feats = scales[(i - 1) % len(scales)]
-        cross_block = binarize_for_attention(mask_logits[-1].values, h, w)
-        x = decoder_layer(x, feats, cross_block, None, params.layers[i - 1], params.dim)
-        mask_logits.append(mask_head(params, x, embed))
-        class_logits.append(class_head(params, x))
-    return LayerOutputs(mask_logits=mask_logits, class_logits=class_logits,
-                        n_match=params.n_queries)
+def _array_header(name: str, shape) -> bytes:
+    return f"{name} {','.join(str(s) for s in shape)}\n".encode("ascii")
 
 
 def save_checkpoint(path, params: DecoderParams, extra_meta: dict | None = None):
@@ -370,41 +302,48 @@ def save_checkpoint(path, params: DecoderParams, extra_meta: dict | None = None)
         fh.write(f"{len(pairs)}\n".encode("ascii"))
         for name, t in pairs:
             arr = np.ascontiguousarray(t.values, dtype="<f8")
-            shape = ",".join(str(s) for s in arr.shape)
-            fh.write(f"{name} {shape}\n".encode("ascii"))
+            fh.write(_array_header(name, arr.shape))
             fh.write(arr.tobytes())
 
 
 def load_checkpoint(path):
-    """Returns (DecoderParams, meta dict)."""
+    """Returns (DecoderParams, meta dict). Raises FormatError unless the
+    file holds the header and every parameter array, in layout order,
+    with nothing after the last one."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").rstrip("\n")
-        magic, version, meta_json = header.split(" ", 2)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        if int(version) != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: checkpoint version {version} unsupported")
-        meta = json.loads(meta_json)
-        count = int(fh.readline().decode("ascii"))
-        params = init_params(seed=0, n_queries=meta["n_queries"],
-                             n_layers=meta["num_layers"], dim=meta["dim"],
-                             num_categories=meta["num_categories"],
-                             ffn_hidden=meta["ffn_hidden"])
-        pairs = named_parameters(params)
-        if count != len(pairs):
-            raise ValueError(f"{path}: has {count} arrays, expected {len(pairs)}")
-        by_name = dict(pairs)
-        for _ in range(count):
-            name_shape = fh.readline().decode("ascii").rstrip("\n")
-            name, shape_s = name_shape.split(" ")
-            shape = tuple(int(s) for s in shape_s.split(",")) if shape_s else ()
-            n_bytes = 8 * int(np.prod(shape)) if shape else 8
-            raw = fh.read(n_bytes)
-            arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-            if name not in by_name:
-                raise ValueError(f"{path}: unknown parameter {name!r}")
-            if by_name[name].values.shape != arr.shape:
-                raise ValueError(f"{path}: parameter {name!r} shape {arr.shape} != "
-                                 f"{by_name[name].values.shape}")
-            by_name[name].values = arr
+        try:
+            return _read_checkpoint(fh)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FormatError(f"{path}: malformed checkpoint ({exc})") from exc
+
+
+def _read_checkpoint(fh):
+    magic, version, meta_json = fh.readline().decode("ascii").rstrip("\n").split(" ", 2)
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError("not a checkpoint file")
+    if int(version) != CHECKPOINT_VERSION:
+        raise ValueError(f"version {version} unsupported")
+    meta = json.loads(meta_json)
+    extents = [meta[k] for k in ("n_queries", "num_layers", "dim", "num_categories",
+                                 "ffn_hidden")]
+    if not all(isinstance(v, int) and v >= 1 for v in extents):
+        raise ValueError(f"model extents must be positive integers, got {extents}")
+    count = int(fh.readline().decode("ascii"))
+    params = init_params(seed=0, n_queries=meta["n_queries"],
+                         n_layers=meta["num_layers"], dim=meta["dim"],
+                         num_categories=meta["num_categories"],
+                         ffn_hidden=meta["ffn_hidden"])
+    pairs = named_parameters(params)
+    if count != len(pairs):
+        raise ValueError(f"has {count} arrays, expected {len(pairs)}")
+    for name, t in pairs:
+        header, expected = fh.readline(), _array_header(name, t.values.shape)
+        if header != expected:
+            raise ValueError(f"array header {header[:60]!r}, expected {expected!r}")
+        raw = fh.read(t.values.nbytes)
+        if len(raw) != t.values.nbytes:
+            raise ValueError(f"{name}: {len(raw)} of {t.values.nbytes} bytes")
+        t.values = np.frombuffer(raw, dtype="<f8").reshape(t.values.shape).astype(np.float64)
+    if fh.read(1):
+        raise ValueError("trailing bytes after the last array")
     return params, meta

@@ -10,6 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 
+class FormatError(ValueError):
+    """A dataset or checkpoint file that does not parse. Defined here, next
+    to the run-length codec, because both file loaders import this module."""
+
+
 class BinaryMask:
     """H x W boolean grid."""
 
@@ -86,15 +91,6 @@ def resize_nearest(m: BinaryMask, h2: int, w2: int) -> BinaryMask:
     ri = _nearest_indices(m.height, h2)
     ci = _nearest_indices(m.width, w2)
     return BinaryMask(m.bits[np.ix_(ri, ci)])
-
-
-def resize_bits_nearest(bits: np.ndarray, h2: int, w2: int) -> np.ndarray:
-    """resize_nearest for a raw boolean array (hot path helper)."""
-    if bits.shape == (h2, w2):
-        return bits
-    ri = _nearest_indices(bits.shape[0], h2)
-    ci = _nearest_indices(bits.shape[1], w2)
-    return bits[np.ix_(ri, ci)]
 
 
 def _rng(seed) -> np.random.Generator:

@@ -324,12 +324,6 @@ def config_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def report_from_dict(d: dict) -> MetricsReport:
-    return MetricsReport(miou_l=np.array(d["miou_l"]), util=np.array(d["util"]),
-                         ap=d["ap"], losses=d.get("losses", []),
-                         config_hash=d.get("config_hash", ""), seed=d.get("seed", 0))
-
-
 def save_report(path, report: MetricsReport):
     with open(path, "w", encoding="ascii") as fh:
         fh.write(report.to_text())

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .masks import BinaryMask, rle_decode, rle_encode
+from .masks import BinaryMask, FormatError, rle_decode, rle_encode
 
 DATASET_MAGIC = "mpseg-dataset"
 DATASET_VERSION = 1
 
 
-class SchemaVersionError(ValueError):
+class SchemaVersionError(FormatError):
     pass
 
 
@@ -183,6 +183,11 @@ def _pool2x2(grid: np.ndarray) -> np.ndarray:
     return grid.reshape(h // 2, 2, w // 2, 2, d).mean(axis=(1, 3))
 
 
+def pyramid_extents(height: int, width: int) -> list:
+    """(h, w) of each scale synth_features builds, coarse to fine."""
+    return [(height // 4, width // 4), (height // 2, width // 2), (height, width)]
+
+
 def synth_features(scene: Scene, cfg: SynthConfig) -> FeaturePyramid:
     """Base features = prototype(category at pixel) + N(0, sigma^2 I);
     coarser scales by successive 2x2 mean pooling; embedding grid = base."""
@@ -212,8 +217,21 @@ def save_dataset(path, scenes, cfg: SynthConfig):
 
 
 def load_dataset(path):
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    """Returns (scenes, SynthConfig). A file that does not parse as a
+    dataset raises FormatError (SchemaVersionError for a foreign header)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data and not data.endswith(b"\n"):
+        raise FormatError(f"{path}: truncated dataset (no newline at the end)")
+    try:
+        return _parse_dataset(path, data.decode("ascii").splitlines())
+    except FormatError:
+        raise
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise FormatError(f"{path}: malformed dataset ({exc})") from exc
+
+
+def _parse_dataset(path, lines):
     if not lines:
         raise SchemaVersionError(f"{path}: empty dataset file")
     magic, version, cfg_json = lines[0].split(" ", 2)
@@ -229,13 +247,16 @@ def load_dataset(path):
             continue
         fields = line.split(" ")
         if fields[0] != "scene":
-            raise ValueError(f"{path}: bad scene line {line[:40]!r}")
+            raise ValueError(f"bad scene line {line[:40]!r}")
         index = int(fields[1])
         instances = []
         for part in fields[2:]:
             cat_s, runs_s = part.split(":")
+            cat = int(cat_s)
+            if not 0 <= cat < cfg.num_categories:
+                raise ValueError(f"scene {index}: category {cat} out of range")
             runs = [int(x) for x in runs_s.split(",")]
-            instances.append((int(cat_s), rle_decode(runs, cfg.height, cfg.width)))
+            instances.append((cat, rle_decode(runs, cfg.height, cfg.width)))
         scenes.append(Scene(index=index, height=cfg.height, width=cfg.width,
                             instances=instances))
     return scenes, cfg

@@ -4,20 +4,18 @@ multistep learning-rate drops, deterministic per-step noise seeding.
 
 from __future__ import annotations
 
-import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
+import copy
 
 import numpy as np
 
 from .config import RunConfig
-from .decoder import (DecoderParams, ForwardSpec, LayerParams, full_forward,
-                      init_params, named_parameters, plain_spec)
+from .decoder import (DecoderParams, ForwardSpec, full_forward, init_params,
+                      layer_scale, named_parameters, plain_spec)
 from .losses import layer_losses
 from .metrics import (MetricsReport, compute_matching_vectors, config_hash,
                       extract_predictions, ap_lite, miou_layerwise, util_layerwise)
 from .mp import build_mp_part, build_self_block
-from .synth import generate_scene, load_dataset, synth_features
+from .synth import generate_scene, load_dataset, pyramid_extents, synth_features
 from .tensor import Tensor, concat_rows
 
 
@@ -68,26 +66,18 @@ class AdamW:
 
 
 def layer_scale_table(height: int, width: int, num_layers: int) -> dict:
-    """Layer index (1-based) -> attention extents; scales cycle coarse to fine."""
-    scales = [(height // 4, width // 4), (height // 2, width // 2), (height, width)]
-    return {i: scales[(i - 1) % 3] for i in range(1, num_layers + 1)}
+    """Layer index (1-based) -> the (h, w) extents of the pyramid scale
+    that full_forward attends to at that layer."""
+    extents = pyramid_extents(height, width)
+    return {i: extents[layer_scale(i, len(extents))] for i in range(1, num_layers + 1)}
 
 
 def detach_params(params: DecoderParams) -> DecoderParams:
-    def d(t):
-        return Tensor(t.values)
-
-    layers = [LayerParams(**{f.name: d(getattr(lp, f.name))
-                             for f in dataclasses.fields(LayerParams)})
-              for lp in params.layers]
-    return DecoderParams(
-        layers=layers, query_embed=d(params.query_embed),
-        class_embed=d(params.class_embed),
-        mask_w1=d(params.mask_w1), mask_b1=d(params.mask_b1),
-        mask_w2=d(params.mask_w2), mask_b2=d(params.mask_b2),
-        cls_w=d(params.cls_w), cls_b=d(params.cls_b),
-        n_queries=params.n_queries, num_layers=params.num_layers, dim=params.dim,
-        num_categories=params.num_categories, ffn_hidden=params.ffn_hidden)
+    """A copy of params whose tensors share the values but track no
+    gradient; the source is left as it is."""
+    # deepcopy rebuilds the dataclasses and takes each parameter from the memo
+    memo = {id(t): Tensor(t.values) for _, t in named_parameters(params)}
+    return copy.deepcopy(params, memo)
 
 
 def load_or_generate_scenes(cfg: RunConfig):
@@ -118,12 +108,6 @@ def mp_forward_spec(pyramid, scene, params: DecoderParams, mp_cfg, scale_table,
                        n_match=params.n_queries, overrides=mp_part.overrides,
                        self_block=self_block)
     return spec, mp_part
-
-
-def mp_forward(pyramid, scene, params: DecoderParams, mp_cfg, scale_table, seed):
-    """Training-style forward with the MP part attached; returns (outputs, mp_part)."""
-    spec, mp_part = mp_forward_spec(pyramid, scene, params, mp_cfg, scale_table, seed)
-    return full_forward(spec, params), mp_part
 
 
 def run_training(cfg: RunConfig, log=None):
@@ -178,40 +162,18 @@ def run_training(cfg: RunConfig, log=None):
     return params, report, synth_cfg
 
 
-def _disabled_mp_forward(pyramid, params):
-    return full_forward(plain_spec(pyramid, params), params)
-
-
-def _eval_one(args):
-    params, scene, synth_cfg, weights, forward_fn = args
-    pyramid = synth_features(scene, synth_cfg)
-    outputs = forward_fn(pyramid, params)
-    miou = miou_layerwise(outputs)
-    vectors = compute_matching_vectors(outputs, scene, weights)
-    util = util_layerwise(vectors, scene.num_instances)
-    preds = extract_predictions(outputs)
-    return miou, util, preds
-
-
-def evaluate(params: DecoderParams, scenes, synth_cfg, weights,
-             forward_fn=_disabled_mp_forward) -> MetricsReport:
-    """MP-free evaluation over scenes; per-scene metrics averaged in order.
-
-    forward_fn defaults to the full decoder entry point with the MP part
-    absent; passing decoder.forward_plain instead runs the machinery-free
-    twin (the two must agree bitwise).
-    """
+def evaluate(params: DecoderParams, scenes, synth_cfg, weights) -> MetricsReport:
+    """MP-free evaluation over scenes; per-scene metrics averaged in order."""
     if not scenes:
         raise ValueError("empty evaluation scene set")
     frozen = detach_params(params)
-    jobs = [(frozen, s, synth_cfg, weights, forward_fn) for s in scenes]
-    threads = int(os.environ.get("MPSEG_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_eval_one, jobs))
-    else:
-        rows = [_eval_one(j) for j in jobs]
-    miou = np.mean([r[0] for r in rows], axis=0)
-    util = np.mean([r[1] for r in rows], axis=0)
-    ap = ap_lite([r[2] for r in rows], scenes)
-    return MetricsReport(miou_l=miou, util=util, ap=ap)
+    mious, utils, preds = [], [], []
+    for scene in scenes:
+        pyramid = synth_features(scene, synth_cfg)
+        outputs = full_forward(plain_spec(pyramid, frozen), frozen)
+        mious.append(miou_layerwise(outputs))
+        vectors = compute_matching_vectors(outputs, scene, weights)
+        utils.append(util_layerwise(vectors, scene.num_instances))
+        preds.append(extract_predictions(outputs))
+    return MetricsReport(miou_l=np.mean(mious, axis=0), util=np.mean(utils, axis=0),
+                         ap=ap_lite(preds, scenes))

@@ -1,13 +1,20 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mpseg.decoder import (binarize_for_attention, decoder_layer, forward_plain,
+from mpseg import decoder
+from mpseg.decoder import (ForwardSpec, attention, binarize_for_attention, decoder_layer,
                            full_forward, init_params, load_checkpoint, mask_head,
-                           masked_cross_attention, masked_self_attention,
                            named_parameters, plain_spec, save_checkpoint)
 from mpseg.gradcheck import check_gradient
+from mpseg.masks import FormatError
+from mpseg.mp import build_self_block
 from mpseg.synth import SynthConfig, generate_scene, synth_features
-from mpseg.tensor import Tensor
+from mpseg.tensor import Tensor, concat_rows
+from mpseg.trainer import detach_params, layer_scale_table
+
+BENCH_CHECKPOINT = Path(__file__).resolve().parent.parent / "bench" / "data" / "checkpoint.bin"
 
 
 def identity_mask_head_params(d=2, num_categories=2):
@@ -90,7 +97,7 @@ def test_cross_attention_single_pixel_support():
     block = np.ones((1, 6), dtype=bool)
     block[0, 2] = False
     x = Tensor(rng.uniform(-1, 1, size=(1, d)))
-    out = masked_cross_attention(x, feats, block, lp, d)
+    out = attention(x, feats @ lp.wk, feats @ lp.wv, block, lp.wq, lp.wo, d)
     expected = feats.values[2] @ lp.wv.values
     assert np.allclose(out.values[0], expected, atol=1e-12)
 
@@ -102,7 +109,7 @@ def test_self_attention_single_query_identity():
     lp = p.layers[0]
     lp.so.values = np.eye(d)
     x = Tensor(np.random.default_rng(6).uniform(-1, 1, size=(1, d)))
-    out = masked_self_attention(x, np.zeros((1, 1), dtype=bool), lp, d)
+    out = attention(x, x @ lp.sk, x @ lp.sv, np.zeros((1, 1), dtype=bool), lp.sq, lp.so, d)
     assert np.allclose(out.values[0], x.values[0] @ lp.sv.values, atol=1e-12)
 
 
@@ -120,11 +127,35 @@ def test_decoder_layer_gradient():
         lp.wq = xs[1]
         lp.ffn_w1 = xs[2]
         lp.ln1_g = xs[3]
-        out = decoder_layer(xs[0], Tensor(feats_v), block, None, lp, d)
+        [out] = decoder_layer([xs[0]], Tensor(feats_v), [block], [None], lp, d)
         return (out * w).sum()
 
     err = check_gradient(f, [rng.uniform(-1, 1, size=(2, d)), lp.wq.values.copy(),
                              lp.ffn_w1.values.copy(), lp.ln1_g.values.copy()])
+    assert err < 1e-4
+
+
+def test_decoder_layer_two_part_gradient():
+    """The MP part's self-attention reads the matching rows through a
+    row concatenation; gradients must flow through it to both parts."""
+    d = 4
+    p = init_params(seed=7, n_queries=2, n_layers=1, dim=d, num_categories=2,
+                    ffn_hidden=8)
+    lp = p.layers[0]
+    rng = np.random.default_rng(9)
+    feats_v = rng.uniform(-1, 1, size=(4, d))
+    cross = [rng.uniform(size=(2, 4)) < 0.3, rng.uniform(size=(3, 4)) < 0.3]
+    mp_self = build_self_block(2, [1, 2])[2:]
+    w = rng.uniform(-1, 1, size=(5, d))
+
+    def f(xs):
+        lp.sk = xs[2]
+        parts = decoder_layer([xs[0], xs[1]], Tensor(feats_v), cross, [None, mp_self],
+                              lp, d)
+        return (concat_rows(parts) * w).sum()
+
+    err = check_gradient(f, [rng.uniform(-1, 1, size=(2, d)),
+                             rng.uniform(-1, 1, size=(3, d)), lp.sk.values.copy()])
     assert err < 1e-4
 
 
@@ -158,16 +189,6 @@ def test_full_forward_deterministic():
         assert np.array_equal(x.values, y.values)
 
 
-def test_forward_plain_matches_full_forward_bitwise():
-    _, pyramid, cfg = scene_and_pyramid(seed=2)
-    params = init_params(seed=11, n_queries=6, n_layers=9, dim=32,
-                         num_categories=cfg.num_categories)
-    a = full_forward(plain_spec(pyramid, params), params)
-    b = forward_plain(pyramid, params)
-    for x, y in zip(a.mask_logits + a.class_logits, b.mask_logits + b.class_logits):
-        assert np.array_equal(x.values, y.values)
-
-
 def test_checkpoint_roundtrip_and_byte_stability(tmp_path):
     params = init_params(seed=12, n_queries=3, n_layers=2, dim=8, num_categories=2,
                          ffn_hidden=16)
@@ -188,3 +209,98 @@ def test_checkpoint_rejects_garbage(tmp_path):
     p.write_bytes(b"not a checkpoint\n")
     with pytest.raises(ValueError):
         load_checkpoint(p)
+
+
+def test_checkpoint_every_prefix_is_format_error(tmp_path):
+    params = init_params(seed=14, n_queries=2, n_layers=1, dim=4, num_categories=2,
+                         ffn_hidden=4)
+    full = tmp_path / "full.bin"
+    save_checkpoint(full, params)
+    data = full.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(FormatError):
+            load_checkpoint(cut)
+    cut.write_bytes(data + b"\0")
+    with pytest.raises(FormatError, match="trailing"):
+        load_checkpoint(cut)
+
+
+def test_committed_checkpoint_resaves_byte_identical(tmp_path):
+    """Pins the checkpoint layout: named_parameters order must not move."""
+    params, meta = load_checkpoint(BENCH_CHECKPOINT)
+    out = tmp_path / "resaved.bin"
+    save_checkpoint(out, params, extra_meta=meta)
+    assert out.read_bytes() == BENCH_CHECKPOINT.read_bytes()
+
+
+def test_detach_params_shares_values_and_tracks_nothing():
+    params = init_params(seed=15, n_queries=2, n_layers=2, dim=4, num_categories=2,
+                         ffn_hidden=4)
+    for _, t in named_parameters(params):
+        t.grad = np.full(t.values.shape, 7.0)
+    frozen = detach_params(params)
+    assert frozen.layers is not params.layers
+    assert (frozen.n_queries, frozen.num_layers, frozen.dim) == (2, 2, 4)
+    for (n1, src), (n2, dst) in zip(named_parameters(params), named_parameters(frozen)):
+        assert n1 == n2 and dst is not src
+        assert not dst.requires_grad and dst.grad is None
+        assert np.array_equal(dst.values, src.values)
+        assert src.requires_grad
+        assert np.array_equal(src.grad, np.full(src.values.shape, 7.0))
+
+
+def small_pyramid_and_params(n_queries=2):
+    cfg = SynthConfig(height=8, width=8, num_categories=2, feat_dim=8,
+                      instance_range=(1, 2), size_range=(2, 3), seed=16)
+    pyramid = synth_features(generate_scene(cfg, 0), cfg)
+    params = init_params(seed=17, n_queries=n_queries, n_layers=2, dim=8,
+                         num_categories=2, ffn_hidden=8)
+    return pyramid, params
+
+
+def mp_spec(pyramid, params, n_mp=3, **kw):
+    rows = Tensor(np.random.default_rng(18).uniform(-1, 1, size=(n_mp, params.dim)))
+    kw.setdefault("self_block", build_self_block(params.n_queries, [n_mp]))
+    return ForwardSpec(pyramid=pyramid, init_queries=concat_rows([params.query_embed, rows]),
+                       n_match=params.n_queries, **kw)
+
+
+def test_mp_spec_without_self_block_rejected():
+    pyramid, params = small_pyramid_and_params()
+    with pytest.raises(ValueError, match="blocking grid"):
+        full_forward(mp_spec(pyramid, params, self_block=None), params)
+
+
+def test_mp_spec_matching_rows_seeing_mp_rows_rejected():
+    pyramid, params = small_pyramid_and_params()
+    block = build_self_block(params.n_queries, [3])
+    block[0, params.n_queries + 1] = False
+    with pytest.raises(ValueError, match="isolate"):
+        full_forward(mp_spec(pyramid, params, self_block=block), params)
+
+
+def test_mp_spec_override_of_wrong_shape_rejected():
+    pyramid, params = small_pyramid_and_params()
+    spec = mp_spec(pyramid, params, overrides={2: np.zeros((3, 5), dtype=bool)})
+    with pytest.raises(ValueError, match="override for layer 2"):
+        full_forward(spec, params)
+
+
+@pytest.mark.parametrize("height,width", [(32, 32), (16, 8)])
+def test_layer_scale_table_is_the_scale_full_forward_uses(monkeypatch, height, width):
+    cfg = SynthConfig(height=height, width=width, instance_range=(1, 2),
+                      size_range=(2, 4), seed=19)
+    pyramid = synth_features(generate_scene(cfg, 0), cfg)
+    params = init_params(seed=20, n_queries=3, num_categories=cfg.num_categories)
+    used = []
+
+    def recording(logits, h, w):
+        used.append((h, w))
+        return binarize_for_attention(logits, h, w)
+
+    monkeypatch.setattr(decoder, "binarize_for_attention", recording)
+    full_forward(plain_spec(pyramid, params), params)
+    table = layer_scale_table(height, width, params.num_layers)
+    assert [table[i] for i in range(1, params.num_layers + 1)] == used

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from mpseg.masks import FormatError
 from mpseg.synth import (GenerationError, SchemaVersionError, Scene, SynthConfig,
                          basis_prototypes, generate_scene, load_dataset,
                          random_unit_prototypes, save_dataset, synth_features)
@@ -115,6 +116,37 @@ def test_dataset_wrong_version(tmp_path):
     text = path.read_text()
     path.write_text(text.replace("mpseg-dataset 1", "mpseg-dataset 99", 1))
     with pytest.raises(SchemaVersionError):
+        load_dataset(path)
+
+
+def test_dataset_every_prefix_loads_or_raises_format_error(tmp_path):
+    """A cut at a line end leaves a shorter valid dataset; any other cut
+    must fail as a format error, never with another exception."""
+    cfg = small_cfg()
+    scenes = [generate_scene(cfg, i) for i in range(3)]
+    path = tmp_path / "ds.txt"
+    text = save_dataset(path, scenes, cfg)
+    failures = 0
+    for n in range(len(text)):
+        path.write_text(text[:n])
+        try:
+            loaded, _ = load_dataset(path)
+        except FormatError:
+            failures += 1
+        else:
+            assert loaded == scenes[:len(loaded)]
+    assert failures > len(text) // 2
+
+
+def test_dataset_bad_category_rejected(tmp_path):
+    cfg = small_cfg()
+    path = tmp_path / "ds.txt"
+    text = save_dataset(path, [generate_scene(cfg, 0)], cfg)
+    head, scene_line = text.rstrip("\n").split("\n")
+    fields = scene_line.split(" ")
+    fields[2] = "7:" + fields[2].split(":")[1]
+    path.write_text(head + "\n" + " ".join(fields) + "\n")
+    with pytest.raises(FormatError, match="category 7"):
         load_dataset(path)
 
 
