@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from .config import (ConfigError, VARIANTS, apply_variant, load_config_json,
-                     parse_run_config, parse_synth, validate_run_config)
+from .config import (ConfigError, VARIANTS, check_keys, load_config_json,
+                     parse_run_config, parse_synth)
 from .decoder import full_forward, load_checkpoint, plain_spec, save_checkpoint
 from .losses import LossWeights
 from .metrics import (compute_matching_vectors, config_hash,
@@ -24,9 +24,9 @@ from .metrics import (compute_matching_vectors, config_hash,
                       util_mp_hard)
 from .masks import FormatError
 from .mp import MPConfig
-from .synth import generate_scene, load_dataset, save_dataset, synth_features
-from .trainer import (NumericError, detach_params, evaluate, layer_scale_table,
-                      mp_forward_spec, run_training)
+from .synth import GenerationError, generate_scene, save_dataset, synth_features
+from .trainer import (CompatibilityError, NumericError, detach_params, evaluate,
+                      layer_scale_table, load_scenes, mp_forward_spec, run_training)
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -36,16 +36,13 @@ EXIT_NUMERIC = 4
 EXIT_COMPAT = 5
 
 
-class CompatibilityError(RuntimeError):
-    pass
-
-
 def cmd_gen_data(args) -> int:
     raw = load_config_json(args.config)
+    check_keys(raw, ("synth", "count", "out"))
     cfg = parse_synth(raw)
-    count = int(raw.get("count", 200))
-    if count < 1:
-        raise ConfigError("count must be >= 1")
+    count = raw.get("count", 200)
+    if type(count) is not int or count < 1:
+        raise ConfigError(f"count must be an integer >= 1, got {count!r}")
     out = args.out or raw.get("out")
     if not out:
         raise ConfigError("no output path (set 'out' in the config or pass --out)")
@@ -61,15 +58,13 @@ def cmd_gen_data(args) -> int:
 
 def _resolved_run_config(args):
     raw = load_config_json(args.config)
-    cfg = parse_run_config(raw)
     if args.seed is not None:
-        cfg.seed = args.seed
+        raw["seed"] = args.seed
     if args.out:
-        cfg.out_dir = args.out
-    if getattr(args, "variant", None):
-        cfg.variant = args.variant
-        validate_run_config(cfg, raw)
-    apply_variant(cfg)
+        raw["out_dir"] = args.out
+    if args.variant:
+        raw["variant"] = args.variant
+    cfg = parse_run_config(raw)
     if cfg.dataset_path and not os.path.exists(cfg.dataset_path):
         raise FileNotFoundError(f"dataset not found: {cfg.dataset_path}")
     return cfg
@@ -93,9 +88,7 @@ def cmd_train(args) -> int:
 
 def _load_compatible(checkpoint_path, dataset_path):
     params, meta = load_checkpoint(checkpoint_path)
-    scenes, synth_cfg = load_dataset(dataset_path)
-    if not scenes:
-        raise CompatibilityError(f"{dataset_path}: dataset holds no scenes")
+    scenes, synth_cfg = load_scenes(dataset_path)
     if synth_cfg.feat_dim != params.dim:
         raise CompatibilityError(
             f"checkpoint dim {params.dim} != dataset feature dim {synth_cfg.feat_dim}")
@@ -200,6 +193,7 @@ def cmd_grad_check(args) -> int:
 
 def cmd_refine_study(args) -> int:
     raw = load_config_json(args.config)
+    check_keys(raw, ("dim", "sigmas", "instances_per_sigma", "seed", "out"))
     dim = int(raw.get("dim", 8))
     sigmas = raw.get("sigmas", [0.0, 0.1, 0.25, 0.5])
     per_sigma = int(raw.get("instances_per_sigma", 250))
@@ -272,7 +266,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return HANDLERS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, GenerationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FormatError as exc:

@@ -1,15 +1,27 @@
 """Run configuration: JSON file in, validated dataclasses out.
 
+A variant is a preset. VARIANTS maps each variant to whether the MP part
+is on, the loss mode, and an MP preset that holds only the MP keys the
+variant changes. parse_run_config builds the "mp" section from the preset
+with the file's explicit keys on top, so an explicit key always wins and
+the RunConfig it returns is final.
+
+The variant owns two keys, loss_mode and mp.enabled. A config file may
+repeat them with the values the variant gives them (config-resolved.json
+does, so it can be fed back in); any other value is a ConfigError. So is
+a key that no section or RunConfig field names.
+
 Every command echoes its fully-resolved configuration into the output
 directory so runs can be reproduced from artifacts alone.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from .losses import MODES, LossWeights
+from .losses import LossWeights
 from .mp import MPConfig
 from .synth import SynthConfig
 
@@ -18,8 +30,18 @@ class ConfigError(ValueError):
     pass
 
 
-VARIANTS = ("baseline", "mp-first-layer", "mp-first-3", "mp-all-layers",
-            "mp-all+noises", "naive-fixed-matching", "naive-aux-loss")
+_NO_NOISE = {"noise_kind": "none", "lambda_label": 0.0}
+
+# variant -> (MP on, loss mode, MP preset)
+VARIANTS = {
+    "baseline": (False, "per-layer-bipartite", {}),
+    "mp-first-layer": (True, "per-layer-bipartite", {"mp_layers": (1,), **_NO_NOISE}),
+    "mp-first-3": (True, "per-layer-bipartite", {"mp_layers": (1, 2, 3), **_NO_NOISE}),
+    "mp-all-layers": (True, "per-layer-bipartite", _NO_NOISE),
+    "mp-all+noises": (True, "per-layer-bipartite", {}),
+    "naive-fixed-matching": (False, "fixed-last-layer", {}),
+    "naive-aux-loss": (False, "consistency-aux", {}),
+}
 
 
 @dataclass
@@ -56,79 +78,67 @@ class RunConfig:
     out_dir: str = "run-out"
 
     def to_json(self) -> str:
-        d = {
-            "synth": json.loads(self.synth.to_json()),
-            "dataset_path": self.dataset_path,
-            "num_scenes": self.num_scenes,
-            "model": self.model.__dict__,
-            "loss": self.loss.__dict__,
-            "loss_mode": self.loss_mode,
-            "mp": {**self.mp.__dict__,
-                   "mp_layers": list(self.mp.mp_layers) if self.mp.mp_layers else None,
-                   "scale_range": list(self.mp.scale_range)},
-            "train": {**self.train.__dict__,
-                      "decay_points": list(self.train.decay_points)},
-            "variant": self.variant,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-        }
+        d = {**dataclasses.asdict(self), "synth": json.loads(self.synth.to_json())}
         return json.dumps(d, sort_keys=True, indent=1)
 
 
-def _build(cls, d: dict, what: str):
+def check_keys(raw: dict, allowed):
+    """Reject top-level keys of a config file outside `allowed`."""
+    unknown = sorted(set(raw) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown top-level keys {unknown} (allowed: {sorted(allowed)})")
+
+
+def _section(cls, raw: dict, what: str, preset=None):
+    """cls built from `preset` with the raw[what] keys on top; every JSON
+    list becomes a tuple."""
+    d = raw.get(what, {})
+    if not isinstance(d, dict):
+        raise ConfigError(f"the {what} section must be a JSON object")
+    d = {**(preset or {}), **d}
     try:
-        return cls(**d)
-    except TypeError as exc:
-        raise ConfigError(f"bad {what} section: {exc}") from exc
-    except ValueError as exc:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {what} section: {exc}") from exc
 
 
 def parse_synth(raw: dict) -> SynthConfig:
     """The "synth" section of a config file."""
-    synth_d = dict(raw.get("synth", {}))
-    for key in ("shape_kinds", "instance_range", "size_range"):
-        if key in synth_d:
-            synth_d[key] = tuple(synth_d[key])
-    return _build(SynthConfig, synth_d, "synth")
+    return _section(SynthConfig, raw, "synth")
 
 
 def parse_run_config(raw: dict) -> RunConfig:
-    synth = parse_synth(raw)
-    model = _build(ModelSettings, dict(raw.get("model", {})), "model")
-    loss_d = dict(raw.get("loss", {}))
-    loss_mode = loss_d.pop("mode", raw.get("loss_mode", "per-layer-bipartite"))
-    loss = _build(LossWeights, loss_d, "loss")
-
-    mp_d = dict(raw.get("mp", {}))
-    if mp_d.get("mp_layers") is not None:
-        mp_d["mp_layers"] = tuple(mp_d["mp_layers"])
-    if "scale_range" in mp_d:
-        mp_d["scale_range"] = tuple(mp_d["scale_range"])
-    mp = _build(MPConfig, mp_d, "mp")
-
-    train_d = dict(raw.get("train", {}))
-    if "decay_points" in train_d:
-        train_d["decay_points"] = tuple(train_d["decay_points"])
-    train = _build(TrainSettings, train_d, "train")
-
-    cfg = RunConfig(synth=synth, dataset_path=raw.get("dataset_path"),
-                    num_scenes=int(raw.get("num_scenes", 200)),
-                    model=model, loss=loss, loss_mode=loss_mode, mp=mp, train=train,
-                    variant=raw.get("variant", "baseline"),
-                    seed=int(raw.get("seed", 0)),
-                    out_dir=raw.get("out_dir", "run-out"))
-    validate_run_config(cfg, raw)
+    check_keys(raw, [f.name for f in dataclasses.fields(RunConfig)])
+    variant = raw.get("variant", RunConfig.variant)
+    if not isinstance(variant, str) or variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r} (choose from {tuple(VARIANTS)})")
+    mp_on, loss_mode, preset = VARIANTS[variant]
+    mp = _section(MPConfig, raw, "mp", {**preset, "enabled": mp_on})
+    given_mode = raw.get("loss_mode", loss_mode)
+    if given_mode != loss_mode or mp.enabled is not mp_on:
+        raise ConfigError(
+            f"variant {variant!r} sets loss_mode {loss_mode!r} and mp.enabled "
+            f"{json.dumps(mp_on)}; the config gives {given_mode!r} and "
+            f"{json.dumps(mp.enabled)}")
+    cfg = RunConfig(**{**raw, "loss_mode": loss_mode, "mp": mp,
+                       "synth": parse_synth(raw),
+                       "model": _section(ModelSettings, raw, "model"),
+                       "loss": _section(LossWeights, raw, "loss"),
+                       "train": _section(TrainSettings, raw, "train")})
+    validate_run_config(cfg)
     return cfg
 
 
-def validate_run_config(cfg: RunConfig, raw: dict | None = None):
-    if cfg.variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {cfg.variant!r} (choose from {VARIANTS})")
-    if cfg.loss_mode not in MODES:
-        raise ConfigError(f"unknown loss_mode {cfg.loss_mode!r}")
-    if cfg.train.steps < 1:
-        raise ConfigError("train.steps must be >= 1")
+def validate_run_config(cfg: RunConfig):
+    if type(cfg.seed) is not int or cfg.seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {cfg.seed!r}")
+    for name, value in (("num_scenes", cfg.num_scenes), ("train.steps", cfg.train.steps),
+                        ("train.log_every", cfg.train.log_every),
+                        ("model.n_queries", cfg.model.n_queries),
+                        ("model.num_layers", cfg.model.num_layers),
+                        ("model.ffn_hidden", cfg.model.ffn_hidden)):
+        if type(value) is not int or value < 1:
+            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
     dp = cfg.train.decay_points
     if any(b <= a for a, b in zip(dp, dp[1:])):
         raise ConfigError(f"decay_points must be strictly increasing, got {dp}")
@@ -136,47 +146,18 @@ def validate_run_config(cfg: RunConfig, raw: dict | None = None):
         raise ConfigError(f"model.dim ({cfg.model.dim}) must equal "
                           f"synth.feat_dim ({cfg.synth.feat_dim})")
     if cfg.mp.mp_layers is not None:
-        bad = [l for l in cfg.mp.mp_layers if not 1 <= l <= cfg.model.num_layers]
+        bad = [l for l in cfg.mp.mp_layers
+               if type(l) is not int or not 1 <= l <= cfg.model.num_layers]
         if bad:
-            raise ConfigError(f"mp_layers entries out of range [1,{cfg.model.num_layers}]: {bad}")
+            raise ConfigError(f"mp_layers entries must be integers in "
+                              f"[1,{cfg.model.num_layers}]: {bad}")
     if not 0.0 <= cfg.train.holdout_frac < 1.0:
         raise ConfigError("train.holdout_frac must be in [0, 1)")
-    raw_mp = (raw or {}).get("mp", {})
-    if cfg.variant.startswith("mp-") and raw_mp.get("enabled") is False:
-        raise ConfigError(f"variant {cfg.variant!r} requires the MP part, but "
-                          f"mp.enabled is false in the config")
 
 
 def apply_variant(cfg: RunConfig) -> RunConfig:
-    """Resolve the variant into concrete MP/loss settings (in place)."""
-    v = cfg.variant
-    if v == "baseline":
-        cfg.mp.enabled = False
-        cfg.loss_mode = "per-layer-bipartite"
-    elif v == "naive-fixed-matching":
-        cfg.mp.enabled = False
-        cfg.loss_mode = "fixed-last-layer"
-    elif v == "naive-aux-loss":
-        cfg.mp.enabled = False
-        cfg.loss_mode = "consistency-aux"
-    else:
-        cfg.mp.enabled = True
-        cfg.loss_mode = "per-layer-bipartite"
-        if v == "mp-first-layer":
-            cfg.mp.mp_layers = (1,)
-            cfg.mp.noise_kind = "none"
-            cfg.mp.lambda_label = 0.0
-        elif v == "mp-first-3":
-            cfg.mp.mp_layers = tuple(range(1, min(3, cfg.model.num_layers) + 1))
-            cfg.mp.noise_kind = "none"
-            cfg.mp.lambda_label = 0.0
-        elif v == "mp-all-layers":
-            cfg.mp.mp_layers = None
-            cfg.mp.noise_kind = "none"
-            cfg.mp.lambda_label = 0.0
-        elif v == "mp-all+noises":
-            cfg.mp.mp_layers = None
-            cfg.mp.noise_kind = "point"
+    """Returns cfg unchanged: parse_run_config already resolves the
+    variant. Kept only for callers written against the old two-step API."""
     return cfg
 
 

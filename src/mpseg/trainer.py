@@ -25,6 +25,10 @@ class NumericError(RuntimeError):
         self.step = step
 
 
+class CompatibilityError(RuntimeError):
+    pass
+
+
 class AdamW:
     """Adam with decoupled weight decay; embeddings are decay-exempt."""
 
@@ -80,9 +84,17 @@ def detach_params(params: DecoderParams) -> DecoderParams:
     return copy.deepcopy(params, memo)
 
 
+def load_scenes(path):
+    """(scenes, synth config) of a dataset file that holds at least one scene."""
+    scenes, synth_cfg = load_dataset(path)
+    if not scenes:
+        raise CompatibilityError(f"{path}: dataset holds no scenes")
+    return scenes, synth_cfg
+
+
 def load_or_generate_scenes(cfg: RunConfig):
     if cfg.dataset_path:
-        scenes, synth_cfg = load_dataset(cfg.dataset_path)
+        scenes, synth_cfg = load_scenes(cfg.dataset_path)
     else:
         synth_cfg = cfg.synth
         scenes = [generate_scene(synth_cfg, i) for i in range(cfg.num_scenes)]

@@ -1,8 +1,12 @@
+import json
+
+import numpy as np
 import pytest
 
-from mpseg import cli
+from mpseg import cli, mp, trainer
 from mpseg.decoder import init_params, save_checkpoint
 from mpseg.synth import SynthConfig, generate_scene, save_dataset
+from mpseg.tensor import Tensor
 
 
 @pytest.fixture
@@ -44,3 +48,103 @@ def test_gen_data_config_that_is_no_json_object_exits_config(tmp_path, capsys, t
     assert cli.main(["gen-data", "--config", str(config), "--out", str(out)]) \
         == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+SMALL_RUN = {"synth": {"height": 8, "width": 8, "feat_dim": 8, "instance_range": [1, 2],
+                       "size_range": [2, 3]},
+             "model": {"n_queries": 3, "num_layers": 2, "dim": 8, "ffn_hidden": 4},
+             "num_scenes": 3, "train": {"steps": 2}}
+
+
+def write_config(tmp_path, raw):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def run_train(config, out, *extra):
+    return cli.main(["train", "--config", config, "--out", str(out), *extra])
+
+
+def assert_one_line(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_train_variant_flag_applies_its_preset_under_explicit_keys(tmp_path):
+    config = write_config(tmp_path, {**SMALL_RUN, "variant": "mp-all+noises",
+                                     "mp": {"noise_kind": "shift"}})
+    assert run_train(config, tmp_path / "run", "--variant", "mp-first-layer") == cli.EXIT_OK
+    resolved = json.loads((tmp_path / "run" / "config-resolved.json").read_text())
+    assert resolved["variant"] == "mp-first-layer"
+    assert resolved["mp"]["noise_kind"] == "shift"
+    assert (resolved["mp"]["mp_layers"], resolved["mp"]["lambda_label"]) == ([1], 0.0)
+
+
+@pytest.mark.parametrize("kind", ["shift", "scale"])
+def test_train_noises_masks_with_the_configured_kind(tmp_path, monkeypatch, kind):
+    kinds = set()
+    real = mp.apply_noise
+
+    def recording(mask, noise_kind, *args):
+        kinds.add(noise_kind)
+        return real(mask, noise_kind, *args)
+
+    monkeypatch.setattr(mp, "apply_noise", recording)
+    config = write_config(tmp_path, {**SMALL_RUN, "variant": "mp-all+noises",
+                                     "mp": {"noise_kind": kind}})
+    assert run_train(config, tmp_path / "run") == cli.EXIT_OK
+    assert kinds == {kind}
+    resolved = json.loads((tmp_path / "run" / "config-resolved.json").read_text())
+    assert resolved["mp"]["noise_kind"] == kind
+
+
+@pytest.mark.parametrize("raw", [
+    {"loss": {"mode": "consistency-aux"}},
+    {"loss_mode": "consistency-aux"},
+    {"bogus": 1},
+    {"num_scenes": 0},
+    {"train": {"log_every": 0}},
+    {"seed": "abc"},
+    {"model": {"n_queries": 0}},
+], ids=["loss.mode", "loss_mode", "unknown-key", "num_scenes-0", "log_every-0",
+        "seed-str", "n_queries-0"])
+def test_train_rejected_config_exits_config_with_one_line(tmp_path, capsys, raw):
+    assert run_train(write_config(tmp_path, raw), tmp_path / "run") == cli.EXIT_CONFIG
+    assert_one_line(capsys, "config error: ")
+
+
+@pytest.mark.parametrize("raw", [{"seed": 1}, {"count": 0}, {"count": "5"}],
+                         ids=["unknown-key", "count-0", "count-str"])
+def test_gen_data_rejected_config_exits_config(tmp_path, capsys, raw):
+    config = write_config(tmp_path, raw)
+    out = tmp_path / "data.txt"
+    assert cli.main(["gen-data", "--config", config, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert_one_line(capsys, "config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["gen-data", "train"])
+def test_unplaceable_instances_exit_config_with_one_line(tmp_path, capsys, verb):
+    config = write_config(tmp_path, {"synth": {"height": 8, "width": 8,
+                                               "instance_range": [30, 30],
+                                               "size_range": [4, 6]}})
+    assert cli.main([verb, "--config", config, "--out", str(tmp_path / "out")]) \
+        == cli.EXIT_CONFIG
+    assert_one_line(capsys, "config error: could not place instance")
+
+
+def test_train_non_finite_loss_exits_numeric(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(trainer, "layer_losses",
+                        lambda *args: (Tensor(np.array(np.nan)), None))
+    assert run_train(write_config(tmp_path, SMALL_RUN), tmp_path / "run") \
+        == cli.EXIT_NUMERIC
+    assert_one_line(capsys, "numeric failure: non-finite loss at step 0")
+
+
+def test_train_on_a_dataset_without_scenes_exits_compat(tmp_path, capsys):
+    data = tmp_path / "empty.txt"
+    save_dataset(data, [], SynthConfig())
+    config = write_config(tmp_path, {"dataset_path": str(data)})
+    assert run_train(config, tmp_path / "run") == cli.EXIT_COMPAT
+    assert_one_line(capsys, "compatibility error: ")

@@ -1,0 +1,102 @@
+import json
+import re
+
+import pytest
+
+from mpseg.config import VARIANTS, ConfigError, parse_run_config
+from mpseg.metrics import config_hash
+
+# What each variant resolved to when variants were applied as overrides
+# after parsing: (mp.enabled, loss_mode, mp_layers, noise_kind, lambda_label).
+RESOLVED = {
+    "baseline": (False, "per-layer-bipartite", None, "point", 0.2),
+    "mp-first-layer": (True, "per-layer-bipartite", (1,), "none", 0.0),
+    "mp-first-3": (True, "per-layer-bipartite", (1, 2, 3), "none", 0.0),
+    "mp-all-layers": (True, "per-layer-bipartite", None, "none", 0.0),
+    "mp-all+noises": (True, "per-layer-bipartite", None, "point", 0.2),
+    "naive-fixed-matching": (False, "fixed-last-layer", None, "point", 0.2),
+    "naive-aux-loss": (False, "consistency-aux", None, "point", 0.2),
+}
+MP_VARIANTS = [v for v in RESOLVED if RESOLVED[v][0]]
+
+
+def resolved(cfg):
+    return (cfg.mp.enabled, cfg.loss_mode, cfg.mp.mp_layers, cfg.mp.noise_kind,
+            cfg.mp.lambda_label)
+
+
+def test_variant_table_holds_the_pinned_variants():
+    assert sorted(VARIANTS) == sorted(RESOLVED)
+
+
+@pytest.mark.parametrize("variant", sorted(RESOLVED))
+def test_variant_resolves_as_pinned(variant):
+    assert resolved(parse_run_config({"variant": variant})) == RESOLVED[variant]
+
+
+def test_default_config_json_is_stable():
+    # config_hash of the default config, as written into every report
+    assert config_hash(parse_run_config({}).to_json()) == "7d2c342a24ee77ba"
+
+
+@pytest.mark.parametrize("mp", [{"noise_kind": "shift"}, {"noise_kind": "scale"},
+                                {"mp_layers": [2, 4]}, {"lambda_label": 0.5}],
+                         ids=["shift", "scale", "mp_layers", "lambda_label"])
+@pytest.mark.parametrize("variant", MP_VARIANTS)
+def test_explicit_mp_keys_win_over_the_preset(variant, mp):
+    expected = dict(zip(("mp_layers", "noise_kind", "lambda_label"),
+                        RESOLVED[variant][2:]))
+    expected.update({k: tuple(v) if isinstance(v, list) else v for k, v in mp.items()})
+    cfg = parse_run_config({"variant": variant, "mp": mp})
+    assert {k: getattr(cfg.mp, k) for k in expected} == expected
+    assert cfg.mp.enabled is True
+
+
+def test_variant_owned_keys_that_agree_are_accepted():
+    cfg = parse_run_config({"variant": "naive-aux-loss", "loss_mode": "consistency-aux",
+                            "mp": {"enabled": False}})
+    assert resolved(cfg) == RESOLVED["naive-aux-loss"]
+
+
+@pytest.mark.parametrize("raw", [
+    {"loss_mode": "consistency-aux"},
+    {"variant": "naive-aux-loss", "loss_mode": "per-layer-bipartite"},
+    {"variant": "mp-all+noises", "mp": {"enabled": False}},
+    {"mp": {"enabled": True}},
+], ids=["loss_mode", "loss_mode-naive", "enabled-off", "enabled-on"])
+def test_variant_owned_key_that_disagrees_names_the_variant(raw):
+    variant = raw.get("variant", "baseline")
+    with pytest.raises(ConfigError, match=re.escape(f"variant {variant!r}")):
+        parse_run_config(raw)
+
+
+@pytest.mark.parametrize("raw", [
+    {"loss": {"mode": "fixed-last-layer"}},
+    {"bogus": 1},
+    {"variant": "mp-first-3", "model": {"num_layers": 2}},
+    {"variant": "mp-everything"},
+    {"variant": ["baseline"]},
+    {"mp": [1]},
+    {"mp": {"mp_layers": ["a"]}},
+    {"num_scenes": 0},
+    {"num_scenes": 2.5},
+    {"train": {"log_every": 0}},
+    {"train": {"steps": 0}},
+    {"seed": "abc"},
+    {"seed": -1},
+    {"model": {"n_queries": 0}},
+    {"model": {"num_layers": 0}},
+    {"model": {"ffn_hidden": 0}},
+], ids=["loss.mode", "unknown-key", "mp-first-3-on-2-layers", "unknown-variant",
+        "variant-list", "mp-not-object", "mp_layers-str",
+        "num_scenes-0", "num_scenes-float", "log_every-0", "steps-0",
+        "seed-str", "seed-negative", "n_queries-0", "num_layers-0", "ffn_hidden-0"])
+def test_rejected(raw):
+    with pytest.raises(ConfigError):
+        parse_run_config(raw)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_to_json_round_trips(variant):
+    cfg = parse_run_config({"variant": variant, "seed": 4})
+    assert parse_run_config(json.loads(cfg.to_json())).to_json() == cfg.to_json()
