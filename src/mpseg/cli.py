@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .config import (ConfigError, VARIANTS, check_keys, load_config_json,
+from .config import (ConfigError, VARIANTS, check_int, check_keys, load_config_json,
                      parse_run_config, parse_synth)
 from .decoder import full_forward, load_checkpoint, plain_spec, save_checkpoint
 from .losses import LossWeights
@@ -41,8 +41,7 @@ def cmd_gen_data(args) -> int:
     check_keys(raw, ("synth", "count", "out"))
     cfg = parse_synth(raw)
     count = raw.get("count", 200)
-    if type(count) is not int or count < 1:
-        raise ConfigError(f"count must be an integer >= 1, got {count!r}")
+    check_int("count", count, 1)
     out = args.out or raw.get("out")
     if not out:
         raise ConfigError("no output path (set 'out' in the config or pass --out)")
@@ -194,13 +193,20 @@ def cmd_grad_check(args) -> int:
 def cmd_refine_study(args) -> int:
     raw = load_config_json(args.config)
     check_keys(raw, ("dim", "sigmas", "instances_per_sigma", "seed", "out"))
-    dim = int(raw.get("dim", 8))
+    dim = raw.get("dim", 8)
     sigmas = raw.get("sigmas", [0.0, 0.1, 0.25, 0.5])
-    per_sigma = int(raw.get("instances_per_sigma", 250))
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+    per_sigma = raw.get("instances_per_sigma", 250)
+    seed = args.seed if args.seed is not None else raw.get("seed", 0)
+    check_int("dim", dim, 1)
+    check_int("instances_per_sigma", per_sigma, 1)
+    check_int("seed", seed, 0)
+    if not (isinstance(sigmas, list)
+            and all(type(s) in (int, float) and s >= 0 for s in sigmas)):
+        raise ConfigError(f"sigmas must be a list of numbers >= 0, got {sigmas!r}")
     out = args.out or raw.get("out")
-    if not out:
-        raise ConfigError("no output path (set 'out' in the config or pass --out)")
+    if not out or not isinstance(out, str):
+        raise ConfigError(f"no output path (set 'out' to a path in the config or pass "
+                          f"--out), got {out!r}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
     lines = ["sigma,intra_min,intra_max,inter_min,inter_max,sum_alpha,sum_beta,"
              "ratio_bound,condition_holds,threshold_lo,threshold_hi,"

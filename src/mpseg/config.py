@@ -89,16 +89,58 @@ def check_keys(raw: dict, allowed):
         raise ConfigError(f"unknown top-level keys {unknown} (allowed: {sorted(allowed)})")
 
 
+# (Python type of a field's default, test of a JSON value, what it must be)
+_JSON_KINDS = (
+    (bool, lambda v: isinstance(v, bool), "true or false", "booleans"),
+    (int, lambda v: type(v) is int, "an integer", "integers"),
+    (float, lambda v: type(v) in (int, float), "a number", "numbers"),
+    (str, lambda v: isinstance(v, str), "a string", "strings"),
+)
+# a default that stands for the JSON values a field defaulting to None takes
+# besides null, by the field's annotation; other such fields are unchecked
+_NONE_DEFAULT_KINDS = {"tuple": (0,), "str": ""}
+
+
+def _json_kind(default):
+    """(test, description) of the JSON values a field with this default
+    takes, or None when the field is not checked here."""
+    for py_type, test, one, many in _JSON_KINDS:
+        if isinstance(default, py_type):
+            return test, one
+        if isinstance(default, tuple) and default and isinstance(default[0], py_type):
+            return (lambda v: isinstance(v, list) and all(map(test, v))), f"a list of {many}"
+    return None
+
+
+def _check_json_types(cls, d: dict, prefix: str = ""):
+    """Reject a value in `d` whose JSON type differs from that of the
+    default of the cls field it sets. A field defaulting to None also
+    takes null."""
+    for f in dataclasses.fields(cls):
+        if f.name not in d or f.default is dataclasses.MISSING:
+            continue
+        value, default = d[f.name], f.default
+        if default is None:
+            if value is None:
+                continue
+            default = _NONE_DEFAULT_KINDS.get(f.type)
+        kind = _json_kind(default)
+        if kind is not None and not kind[0](value):
+            null = " or null" if f.default is None else ""
+            raise ConfigError(f"{prefix}{f.name} must be {kind[1]}{null}, got {value!r}")
+
+
 def _section(cls, raw: dict, what: str, preset=None):
-    """cls built from `preset` with the raw[what] keys on top; every JSON
-    list becomes a tuple."""
+    """cls built from `preset` with the raw[what] keys on top; every value
+    must have its field's JSON type, and every JSON list becomes a tuple."""
     d = raw.get(what, {})
     if not isinstance(d, dict):
         raise ConfigError(f"the {what} section must be a JSON object")
+    _check_json_types(cls, d, f"{what}.")
     d = {**(preset or {}), **d}
     try:
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"bad {what} section: {exc}") from exc
 
 
@@ -109,6 +151,7 @@ def parse_synth(raw: dict) -> SynthConfig:
 
 def parse_run_config(raw: dict) -> RunConfig:
     check_keys(raw, [f.name for f in dataclasses.fields(RunConfig)])
+    _check_json_types(RunConfig, raw)
     variant = raw.get("variant", RunConfig.variant)
     if not isinstance(variant, str) or variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r} (choose from {tuple(VARIANTS)})")
@@ -129,16 +172,20 @@ def parse_run_config(raw: dict) -> RunConfig:
     return cfg
 
 
+def check_int(name: str, value, low: int):
+    """Reject a value that is not an integer >= low; nothing is coerced."""
+    if type(value) is not int or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def validate_run_config(cfg: RunConfig):
-    if type(cfg.seed) is not int or cfg.seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {cfg.seed!r}")
+    check_int("seed", cfg.seed, 0)
     for name, value in (("num_scenes", cfg.num_scenes), ("train.steps", cfg.train.steps),
                         ("train.log_every", cfg.train.log_every),
                         ("model.n_queries", cfg.model.n_queries),
                         ("model.num_layers", cfg.model.num_layers),
                         ("model.ffn_hidden", cfg.model.ffn_hidden)):
-        if type(value) is not int or value < 1:
-            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        check_int(name, value, 1)
     dp = cfg.train.decay_points
     if any(b <= a for a, b in zip(dp, dp[1:])):
         raise ConfigError(f"decay_points must be strictly increasing, got {dp}")

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .masks import FormatError, _nearest_indices
-from .tensor import (NEG_BIG, Tensor, concat_rows, layernorm_lastdim, masked_fill,
-                     softmax_lastdim, _sigmoid)
+from .tensor import (Tensor, add_norm_affine, concat_rows, fused_attention, mlp2,
+                     _sigmoid)
 
 CHECKPOINT_MAGIC = "mpseg-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -146,7 +146,7 @@ def mask_head(params: DecoderParams, queries: Tensor, embed_grid) -> Tensor:
     if params.mask_w2.values.shape[1] != d:
         raise ValueError(f"mask head output dim {params.mask_w2.values.shape[1]} "
                          f"!= embedding dim {d}")
-    e = (queries @ params.mask_w1 + params.mask_b1).relu() @ params.mask_w2 + params.mask_b2
+    e = mlp2(queries, params.mask_w1, params.mask_b1, params.mask_w2, params.mask_b2)
     flat = Tensor(embed_grid.reshape(h * w, d).T)
     return (e @ flat).reshape(-1, h, w)
 
@@ -180,15 +180,8 @@ def attention(x: Tensor, keys: Tensor, values: Tensor, block, wq: Tensor, wo: Te
               dim: int) -> Tensor:
     """Pre-residual single-head attention of the rows of x over projected
     keys and values; softmax over the entries `block` leaves unblocked
-    (None blocks nothing)."""
-    logits = ((x @ wq) @ keys.T) * (1.0 / np.sqrt(dim))
-    if block is not None:
-        logits = masked_fill(logits, block, NEG_BIG)
-    return softmax_lastdim(logits) @ values @ wo
-
-
-def _add_norm(x: Tensor, update: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    return layernorm_lastdim(x + update) * gain + bias
+    (None blocks nothing). One tape node."""
+    return fused_attention(x, keys, values, block, wq, wo, 1.0 / np.sqrt(dim))
 
 
 def decoder_layer(parts, feats: Tensor, cross_blocks, self_blocks, lp: LayerParams,
@@ -206,15 +199,16 @@ def decoder_layer(parts, feats: Tensor, cross_blocks, self_blocks, lp: LayerPara
     """
     k = feats @ lp.wk
     v = feats @ lp.wv
-    parts = [_add_norm(x, attention(x, k, v, block, lp.wq, lp.wo, dim), lp.ln1_g, lp.ln1_b)
+    parts = [add_norm_affine(x, attention(x, k, v, block, lp.wq, lp.wo, dim),
+                             lp.ln1_g, lp.ln1_b)
              for x, block in zip(parts, cross_blocks)]
     out = []
     for j, (x, block) in enumerate(zip(parts, self_blocks)):
         ctx = concat_rows(parts[:j + 1]) if j else x
-        x = _add_norm(x, attention(x, ctx @ lp.sk, ctx @ lp.sv, block, lp.sq, lp.so, dim),
-                      lp.ln2_g, lp.ln2_b)
-        ffn = (x @ lp.ffn_w1 + lp.ffn_b1).relu() @ lp.ffn_w2 + lp.ffn_b2
-        out.append(_add_norm(x, ffn, lp.ln3_g, lp.ln3_b))
+        update = attention(x, ctx @ lp.sk, ctx @ lp.sv, block, lp.sq, lp.so, dim)
+        x = add_norm_affine(x, update, lp.ln2_g, lp.ln2_b)
+        ffn = mlp2(x, lp.ffn_w1, lp.ffn_b1, lp.ffn_w2, lp.ffn_b2)
+        out.append(add_norm_affine(x, ffn, lp.ln3_g, lp.ln3_b))
     return out
 
 

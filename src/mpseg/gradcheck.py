@@ -23,9 +23,10 @@ def check_gradient(f, inputs, eps: float = 1e-5, max_coords: int | None = None,
     max_coords is set, at most that many coordinates are probed per
     input (uniformly sampled with `rng`); otherwise every coordinate is.
     """
-    # C-contiguous copies so the flat perturbation view below aliases the values
-    tensors = [Tensor(np.ascontiguousarray(x.values if isinstance(x, Tensor) else x,
-                                           dtype=np.float64), requires_grad=True)
+    # C-contiguous copies so the flat perturbation view below aliases the values,
+    # and only them: f may also read the caller's arrays as constants
+    tensors = [Tensor(np.array(x.values if isinstance(x, Tensor) else x,
+                               dtype=np.float64, order="C"), requires_grad=True)
                for x in inputs]
     loss = f(tensors)
     loss.backward()
@@ -97,21 +98,51 @@ def run_gradient_suite(seed: int = 0):
     check("concat_rows", lambda xs: T.concat_rows(xs).mean(), [u, v.T])
     check("sum_lastdim", lambda xs: (xs[0].sum_lastdim() * np.array([1.0, -2.0, 0.5])).sum(), [u])
 
-    name, err, ok = _end_to_end_check(seed)
-    results.append((name, err, ok))
+    # fused ops; the attention's row 1 is fully blocked, row 0 partly
+    att_in = [rng.uniform(-1.0, 1.0, size=s) for s in
+              ((3, 4), (5, 4), (5, 4), (4, 4), (4, 4))]
+    att_block = np.zeros((3, 5), dtype=bool)
+    att_block[0, [1, 3]] = True
+    att_block[1] = True
+    for name, blk in (("fused_attention", att_block), ("fused_attention_unblocked", None)):
+        check(name, lambda xs, blk=blk: (T.fused_attention(xs[0], xs[1], xs[2], blk, xs[3],
+                                                            xs[4], 0.5) * w).sum(), att_in)
+    check("add_norm_affine", lambda xs: (T.add_norm_affine(*xs) * w).sum(),
+          [u, rng.uniform(-2.0, 2.0, size=(3, 4)), rng.uniform(0.5, 1.5, size=(4,)),
+           rng.uniform(-1, 1, size=(4,))])
+    mlp_in = [u, rng.uniform(-1, 1, size=(4, 5)), rng.uniform(-1, 1, size=(5,)),
+              rng.uniform(-1, 1, size=(5, 4)), rng.uniform(-1, 1, size=(4,))]
+    check("mlp2", lambda xs: (T.mlp2(*xs) * w).sum(), mlp_in)
+    ce_targets = np.array([3, 0, 3])
+    ce_weights = np.where(ce_targets == 3, 0.1, 1.0)
+    check("cross_entropy_rows",
+          lambda xs: T.cross_entropy_rows(xs[0], [2, 0, 1], ce_targets, ce_weights, 2.0), [u])
+    mask_in = rng.uniform(-2.0, 2.0, size=(4, 2, 3))
+    mask_tgt = (rng.uniform(size=(3, 6)) < 0.5).astype(float)
+    check("mask_loss_rows",
+          lambda xs: T.mask_loss_rows(xs[0], T._sigmoid(xs[0].values), [3, 0, 2], mask_tgt,
+                                      5.0, 5.0, 1.0), [mask_in])
+
+    results.append(_end_to_end_check(seed, with_mp=False))
+    results.append(_end_to_end_check(seed, with_mp=True))
     return results
 
 
-def _end_to_end_check(seed: int, eps: float = 1e-5, coords_per_param: int = 6):
+def _end_to_end_check(seed: int, with_mp: bool, eps: float = 1e-5,
+                      coords_per_param: int = 6):
     """Finite-difference check of a full 2-layer decoder loss on an 8x8 scene.
 
     Every parameter tensor is probed at a random subset of coordinates;
     the forward is the real pipeline (masked attention, heads, matching,
-    classification + mask losses).
+    classification + mask losses). With with_mp, the queries are the
+    matching part plus a two-group MP part built by mp_forward_spec, so
+    the MP rows of the loss are checked too.
     """
     from .decoder import full_forward, init_params, named_parameters, plain_spec
     from .losses import LossWeights, layer_losses
+    from .mp import MPConfig
     from .synth import SynthConfig, basis_prototypes, generate_scene, synth_features
+    from .trainer import layer_scale_table, mp_forward_spec
 
     protos, bg = basis_prototypes(2, 8)
     cfg = SynthConfig(height=8, width=8, num_categories=2, feat_dim=8,
@@ -125,9 +156,17 @@ def _end_to_end_check(seed: int, eps: float = 1e-5, coords_per_param: int = 6):
     pairs = named_parameters(params)
     weights = LossWeights()
 
+    mp_cfg = MPConfig(n_q=4)
+    scale_table = layer_scale_table(8, 8, params.num_layers)
+
     def loss_tensor():
-        outputs = full_forward(plain_spec(pyramid, params), params)
-        total, _ = layer_losses(outputs, scene, mp_part=None,
+        if with_mp:  # rebuilt per call: the MP queries are rows of class_embed
+            spec, mp_part = mp_forward_spec(pyramid, scene, params, mp_cfg, scale_table,
+                                            [seed, 2, 0])
+        else:
+            spec, mp_part = plain_spec(pyramid, params), None
+        outputs = full_forward(spec, params)
+        total, _ = layer_losses(outputs, scene, mp_part=mp_part,
                                 mode="per-layer-bipartite", weights=weights)
         return total
 
@@ -156,4 +195,4 @@ def _end_to_end_check(seed: int, eps: float = 1e-5, coords_per_param: int = 6):
             numeric = (hi - lo) / (2.0 * eps)
             err = abs(gflat[c] - numeric) / max(abs(gflat[c]), abs(numeric), 1e-3)
             worst = max(worst, err)
-    return "decoder_end_to_end", worst, worst < 1e-4
+    return "decoder_end_to_end" + ("_mp" if with_mp else ""), worst, worst < 1e-4

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, bce_with_logits, logsumexp_lastdim, _sigmoid
-from .decoder import LayerOutputs, binarize_masks
+from .tensor import Tensor, cross_entropy_rows, mask_loss_rows, _sigmoid
+from .decoder import LayerOutputs
 
 DICE_EPS = 1.0
 
@@ -109,8 +109,11 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def cost_matrix(mask_logit_values: np.ndarray, class_logit_values: np.ndarray,
-                scene, w: LossWeights) -> np.ndarray:
-    """(queries x GT) matching cost: -class prob + BCE + dice, dense."""
+                scene, w: LossWeights, probs: np.ndarray = None) -> np.ndarray:
+    """(queries x GT) matching cost: -class prob + BCE + dice, dense.
+
+    `probs` is sigmoid(mask_logit_values) when the caller has it already.
+    """
     n = mask_logit_values.shape[0]
     pred = mask_logit_values.reshape(n, -1)
     npix = pred.shape[1]
@@ -120,48 +123,40 @@ def cost_matrix(mask_logit_values: np.ndarray, class_logit_values: np.ndarray,
         raise ValueError(f"prediction has {npix} pixels, GT has {gt.shape[1]}")
     cats = np.array([c for c, _ in scene.instances], dtype=np.intp)
 
-    probs = _softmax_rows(class_logit_values)
-    cls_term = -probs[:, cats]
+    cls_term = -_softmax_rows(class_logit_values)[:, cats]
 
     softplus_mean = (np.maximum(pred, 0.0) + np.log1p(np.exp(-np.abs(pred)))).mean(axis=1)
     bce = softplus_mean[:, None] - (pred @ gt.T) / npix
 
-    p = _sigmoid(pred)
+    p = _sigmoid(pred) if probs is None else probs.reshape(n, -1)
     inter = p @ gt.T
     dice = 1.0 - (2.0 * inter + DICE_EPS) / (p.sum(axis=1)[:, None]
                                              + gt.sum(axis=1)[None, :] + DICE_EPS)
     return w.cls * cls_term + w.bce * bce + w.dice * dice
 
 
+def _mask_loss(logits: Tensor, probs: np.ndarray, rows, targets: np.ndarray,
+               w: LossWeights) -> Tensor:
+    """w.bce * mean BCE + w.dice * mean dice of logits[rows] against the
+    row-aligned (M, pixels) targets; one tape node."""
+    return mask_loss_rows(logits, probs, rows, targets, w.bce, w.dice, DICE_EPS)
+
+
+def _class_loss(logits: Tensor, rows, targets: np.ndarray, w: LossWeights) -> Tensor:
+    """w.cls * cross-entropy of logits[rows] with the no-object class
+    (the last one) down-weighted; one tape node."""
+    num_categories = logits.values.shape[1] - 1
+    row_weights = np.where(targets == num_categories, w.no_object, 1.0)
+    return cross_entropy_rows(logits, rows, targets, row_weights, w.cls)
+
+
 def mask_losses(pred_logits: Tensor, gt) -> tuple:
     """(bce, dice) scalars for one prediction against one binary mask."""
-    t = gt.bits.reshape(-1).astype(np.float64)
-    flat = pred_logits.reshape(-1)
-    bce = bce_with_logits(flat, t).mean()
-    p = flat.sigmoid()
-    inter = (p * t).sum()
-    dice = 1.0 - (2.0 * inter + DICE_EPS) / (p.sum() + float(t.sum()) + DICE_EPS)
-    return bce, dice
-
-
-def _batched_mask_loss(rows: Tensor, targets: np.ndarray):
-    """Mean BCE and mean dice for row-aligned (M, P) predictions/targets."""
-    bce = bce_with_logits(rows, targets).mean()
-    p = rows.sigmoid()
-    inter = (p * targets).sum_lastdim()
-    psum = p.sum_lastdim()
-    tsum = targets.sum(axis=1)
-    dice_each = 1.0 - (2.0 * inter + DICE_EPS) / (psum + Tensor(tsum + DICE_EPS))
-    return bce, dice_each.mean()
-
-
-def _class_loss(cls_rows: Tensor, targets: np.ndarray, num_categories: int,
-                no_object_weight: float) -> Tensor:
-    lse = logsumexp_lastdim(cls_rows)
-    picked = cls_rows.gather_cols(targets)
-    ce_each = lse - picked
-    wts = np.where(targets == num_categories, no_object_weight, 1.0)
-    return (ce_each * wts).sum() / float(wts.sum())
+    logits = pred_logits.reshape(1, -1)
+    probs = _sigmoid(logits.values)
+    t = gt.bits.reshape(1, -1).astype(np.float64)
+    return (mask_loss_rows(logits, probs, [0], t, 1.0, 0.0, DICE_EPS),
+            mask_loss_rows(logits, probs, [0], t, 0.0, 1.0, DICE_EPS))
 
 
 def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: LossWeights):
@@ -172,6 +167,10 @@ def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: Loss
     fixed matching computed at the last layer and reused everywhere, or
     default matching plus an adjacent-layer mask consistency term with
     the earlier layer detached.
+
+    Each layer's mask-logit sigmoid is computed once and shared by the
+    matching cost and every mask loss of that layer; each (layer, part)
+    adds one class-loss node and at most one mask-loss node to the tape.
     """
     if mode not in MODES:
         raise ValueError(f"unknown loss mode {mode!r} (choose from {MODES})")
@@ -183,50 +182,40 @@ def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: Loss
     cats = np.array([c for c, _ in scene.instances], dtype=np.intp)
     gt_flat = np.stack([inst.bits.reshape(-1).astype(np.float64)
                         for _, inst in scene.instances])
-    n_layers = len(outputs.mask_logits)
-    match_rows_idx = np.arange(n_match)
+    match_rows = np.arange(n_match)
+    probs = [_sigmoid(ml.values) for ml in outputs.mask_logits]
 
     fixed = None
     if mode == "fixed-last-layer":
-        ml, cl = outputs.mask_logits[-1], outputs.class_logits[-1]
-        fixed = hungarian(cost_matrix(ml.values[:n_match], cl.values[:n_match],
-                                      scene, weights))
+        fixed = hungarian(cost_matrix(outputs.mask_logits[-1].values[:n_match],
+                                      outputs.class_logits[-1].values[:n_match],
+                                      scene, weights, probs[-1][:n_match]))
 
     total = Tensor(0.0)
     assignments = []
-    for i in range(n_layers):
-        ml, cl = outputs.mask_logits[i], outputs.class_logits[i]
-        flat = ml.reshape(ml.values.shape[0], -1)
+    for i, (ml, cl) in enumerate(zip(outputs.mask_logits, outputs.class_logits)):
         if fixed is not None:
             assign = fixed
         else:
             assign = hungarian(cost_matrix(ml.values[:n_match], cl.values[:n_match],
-                                           scene, weights))
+                                           scene, weights, probs[i][:n_match]))
         assignments.append(assign)
         rows, gt_idx = assign.matched()
 
         targets = np.full(n_match, num_categories, dtype=np.intp)
         targets[rows] = cats[gt_idx]
-        cls_match = cl.take_rows(match_rows_idx)
-        ce = _class_loss(cls_match, targets, num_categories, weights.no_object)
-        total = total + weights.cls * ce
+        total = total + _class_loss(cl, match_rows, targets, weights)
         if rows.size:
-            bce, dice = _batched_mask_loss(flat.take_rows(rows), gt_flat[gt_idx])
-            total = total + weights.bce * bce + weights.dice * dice
+            total = total + _mask_loss(ml, probs[i], rows, gt_flat[gt_idx], weights)
 
         if mp_part is not None:
             mp_rows = n_match + np.arange(mp_part.num_queries)
-            mp_targets = mp_part.gt_categories
-            ce_mp = _class_loss(cl.take_rows(mp_rows), mp_targets, num_categories,
-                                weights.no_object)
-            bce_mp, dice_mp = _batched_mask_loss(flat.take_rows(mp_rows),
-                                                 gt_flat[mp_part.instance_index])
-            total = total + weights.cls * ce_mp + weights.bce * bce_mp \
-                + weights.dice * dice_mp
+            total = total + _class_loss(cl, mp_rows, mp_part.gt_categories, weights)
+            total = total + _mask_loss(ml, probs[i], mp_rows,
+                                       gt_flat[mp_part.instance_index], weights)
 
         if mode == "consistency-aux" and i >= 1:
-            prev_bits = binarize_masks(outputs.mask_logits[i - 1].values[:n_match])
-            prev = prev_bits.reshape(n_match, -1).astype(np.float64)
-            bce_aux, dice_aux = _batched_mask_loss(flat.take_rows(match_rows_idx), prev)
-            total = total + weights.bce * bce_aux + weights.dice * dice_aux
+            # binarize_masks of the earlier layer, from its shared sigmoid
+            prev = (probs[i - 1][:n_match] > 0.5).reshape(n_match, -1).astype(np.float64)
+            total = total + _mask_loss(ml, probs[i], match_rows, prev, weights)
     return total, assignments

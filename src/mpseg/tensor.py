@@ -6,6 +6,24 @@ tape in reverse topological order and accumulates gradients into every
 reachable Tensor that has requires_grad set. Values are never mutated by
 forward ops; the only sanctioned in-place write is an optimizer updating
 parameter .values between training steps.
+
+Two kinds of op live here. The primitives (matmul, softmax_lastdim,
+bce_with_logits, ...) each record one small node. The fused ops record one
+node for a whole block of the decoder or the loss, with a hand-written
+backward, because at this size the cost of a step is Python overhead per
+node, not arithmetic:
+
+- fused_attention: softmax(mask((x@wq)@keys.T * scale)) @ values @ wo;
+- add_norm_affine: layernorm(x + update) * gain + bias;
+- mlp2: relu(x@w1 + b1) @ w2 + b2;
+- cross_entropy_rows: weighted cross-entropy of some rows of class logits;
+- mask_loss_rows: weighted mean BCE plus mean dice of some rows of mask
+  logits, reading the sigmoid the caller computed once for the layer.
+
+Each fused forward runs the same numpy calls in the same order as its
+composition of primitives, so its value is bitwise equal to theirs; the
+tests use the primitives as the oracle for each fused op. The two loss
+ops write their gradient into the rows they read, by assignment.
 """
 
 from __future__ import annotations
@@ -262,7 +280,8 @@ def _unbroadcast(g, shape):
 
 def _sigmoid(x):
     ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    d = 1.0 + ex
+    return np.where(x >= 0, 1.0 / d, ex / d)
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
@@ -348,5 +367,162 @@ def concat_rows(tensors) -> Tensor:
             for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
                 if t.requires_grad:
                     t._accumulate(g[a:b])
+        out._backward = bw
+    return out
+
+
+# ----------------------------------------------------------------------
+# fused ops: one tape node each, hand-written backward
+
+
+def fused_attention(x: Tensor, keys: Tensor, values: Tensor, block, wq: Tensor,
+                    wo: Tensor, scale: float) -> Tensor:
+    """softmax(masked_fill((x@wq) @ keys.T * scale, block, NEG_BIG)) @ values @ wo.
+
+    `block` is a (rows of x, rows of keys) bool grid, or None to block
+    nothing. A fully blocked row attends uniformly and passes no gradient
+    to its logits.
+    """
+    q = x.values @ wq.values
+    kv = keys.values
+    logits = (q @ kv.T) * scale
+    if block is not None:
+        block = np.asarray(block, dtype=bool)
+        if block.shape != logits.shape:
+            raise ValueError(f"attention block shape {block.shape} != logits {logits.shape}")
+        logits = np.where(block, NEG_BIG, logits)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    ctx = p @ values.values
+    out = _make(ctx @ wo.values, (x, keys, values, wq, wo))
+    if out.requires_grad:
+        def bw(g):
+            if wo.requires_grad:
+                wo._accumulate(ctx.T @ g)
+            g_ctx = g @ wo.values.T
+            if values.requires_grad:
+                values._accumulate(p.T @ g_ctx)
+            if not (x.requires_grad or keys.requires_grad or wq.requires_grad):
+                return
+            g_p = g_ctx @ values.values.T
+            g_logits = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True))
+            if block is not None:
+                g_logits = np.where(block, 0.0, g_logits)
+            g_logits = g_logits * scale
+            if keys.requires_grad:
+                keys._accumulate((q.T @ g_logits).T)
+            g_q = g_logits @ kv
+            if wq.requires_grad:
+                wq._accumulate(x.values.T @ g_q)
+            if x.requires_grad:
+                x._accumulate(g_q @ wq.values.T)
+        out._backward = bw
+    return out
+
+
+def add_norm_affine(x: Tensor, update: Tensor, gain: Tensor, bias: Tensor,
+                    eps: float = 1e-5) -> Tensor:
+    """layernorm_lastdim(x + update) * gain + bias: a residual connection
+    followed by layer normalization with its affine."""
+    z = x.values + update.values
+    mu = z.mean(axis=-1, keepdims=True)
+    var = z.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    y = (z - mu) * inv
+    out = _make(y * gain.values + bias.values, (x, update, gain, bias))
+    if out.requires_grad:
+        def bw(g):
+            if bias.requires_grad:
+                bias._accumulate(_unbroadcast(g, bias.values.shape))
+            if gain.requires_grad:
+                gain._accumulate(_unbroadcast(g * y, gain.values.shape))
+            if x.requires_grad or update.requires_grad:
+                g_y = g * gain.values
+                g_z = inv * (g_y - g_y.mean(axis=-1, keepdims=True)
+                             - y * (g_y * y).mean(axis=-1, keepdims=True))
+                for t in (x, update):
+                    if t.requires_grad:
+                        t._accumulate(g_z)
+        out._backward = bw
+    return out
+
+
+def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """relu(x@w1 + b1) @ w2 + b2."""
+    h = x.values @ w1.values + b1.values
+    r = np.maximum(h, 0.0)
+    out = _make(r @ w2.values + b2.values, (x, w1, b1, w2, b2))
+    if out.requires_grad:
+        def bw(g):
+            if b2.requires_grad:
+                b2._accumulate(_unbroadcast(g, b2.values.shape))
+            if w2.requires_grad:
+                w2._accumulate(r.T @ g)
+            if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+                return
+            g_h = (g @ w2.values.T) * (h > 0.0)
+            if b1.requires_grad:
+                b1._accumulate(_unbroadcast(g_h, b1.values.shape))
+            if w1.requires_grad:
+                w1._accumulate(x.values.T @ g_h)
+            if x.requires_grad:
+                x._accumulate(g_h @ w1.values.T)
+        out._backward = bw
+    return out
+
+
+def cross_entropy_rows(logits: Tensor, rows, targets, row_weights, scale: float) -> Tensor:
+    """scale * sum_i w_i * CE(logits[rows[i]], targets[i]) / sum_i w_i.
+
+    `rows` must be unique: the gradient is written into them by assignment.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    targets = np.asarray(targets, dtype=np.intp)
+    v = logits.values[rows]
+    m = v.max(axis=-1, keepdims=True)
+    e = np.exp(v - m)
+    s = e.sum(axis=-1, keepdims=True)
+    lse = (np.log(s) + m).squeeze(-1)
+    picked = v[np.arange(rows.size), targets]
+    wsum = float(row_weights.sum())
+    out = _make((((lse - picked) * row_weights).sum() / wsum) * scale, (logits,))
+    if out.requires_grad:
+        def bw(g):
+            coef = (float(g) * scale) / wsum * row_weights
+            g_rows = coef[:, None] * (e / s)
+            g_rows[np.arange(rows.size), targets] -= coef
+            acc = np.zeros_like(logits.values)
+            acc[rows] = g_rows
+            logits._accumulate(acc)
+        out._backward = bw
+    return out
+
+
+def mask_loss_rows(logits: Tensor, probs: np.ndarray, rows, targets, w_bce: float,
+                   w_dice: float, dice_eps: float) -> Tensor:
+    """w_bce * mean sigmoid BCE + w_dice * mean smooth dice of the rows
+    `rows` of (n, ...) mask logits against (len(rows), pixels) targets.
+
+    `probs` is sigmoid(logits.values), computed once by the caller.
+    `rows` must be unique: the gradient is written into them by assignment.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    n = logits.values.shape[0]
+    v = logits.values.reshape(n, -1)[rows]
+    p = probs.reshape(n, -1)[rows]
+    t = targets
+    bce = (np.maximum(v, 0.0) - v * t + np.log1p(np.exp(-np.abs(v)))).mean()
+    num = 2.0 * (p * t).sum(axis=-1) + dice_eps
+    den = p.sum(axis=-1) + (t.sum(axis=1) + dice_eps)
+    dice = (1.0 - num / den).mean()
+    out = _make(w_bce * bce + w_dice * dice, (logits,))
+    if out.requires_grad:
+        def bw(g):
+            g_bce = float(g) * w_bce / v.size
+            g_num = -(float(g) * w_dice) / rows.size / den
+            g_p = (2.0 * g_num)[:, None] * t - (g_num * num / den)[:, None]
+            acc = np.zeros_like(logits.values)
+            acc.reshape(n, -1)[rows] = g_bce * (p - t) + g_p * p * (1.0 - p)
+            logits._accumulate(acc)
         out._backward = bw
     return out

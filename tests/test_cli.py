@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mpseg import cli, mp, trainer
+from mpseg import cli, gradcheck, mp, trainer
 from mpseg.decoder import init_params, save_checkpoint
 from mpseg.synth import SynthConfig, generate_scene, save_dataset
 from mpseg.tensor import Tensor
@@ -148,3 +149,62 @@ def test_train_on_a_dataset_without_scenes_exits_compat(tmp_path, capsys):
     config = write_config(tmp_path, {"dataset_path": str(data)})
     assert run_train(config, tmp_path / "run") == cli.EXIT_COMPAT
     assert_one_line(capsys, "compatibility error: ")
+
+
+@pytest.mark.parametrize("raw", [{"train": {"holdout_frac": "x"}},
+                                 {"train": {"decay_points": [1, "a"]}},
+                                 {"mp": {"mp_layers": 3}}, {"train": {"lr": "x"}}],
+                         ids=["holdout_frac", "decay_points", "mp_layers", "lr"])
+def test_train_value_of_the_wrong_type_exits_config_with_one_line(tmp_path, capsys, raw):
+    assert run_train(write_config(tmp_path, raw), tmp_path / "run") == cli.EXIT_CONFIG
+    assert_one_line(capsys, "config error: ")
+
+
+def run_refine_study(tmp_path, raw):
+    out = tmp_path / "study.csv"
+    return cli.main(["refine-study", "--config", write_config(tmp_path, raw),
+                     "--out", str(out)]), out
+
+
+def test_refine_study_ok(tmp_path, capsys):
+    code, out = run_refine_study(tmp_path, {"dim": 4, "sigmas": [0.0, 0.2],
+                                            "instances_per_sigma": 3, "seed": 1})
+    assert code == cli.EXIT_OK
+    assert len(out.read_text().splitlines()) == 1 + 2 * 3
+    assert capsys.readouterr().out.startswith("6 instances: ")
+
+
+@pytest.mark.parametrize("raw", [{"seed": -1}, {"dim": "x"}, {"instances_per_sigma": 2.0},
+                                 {"sigmas": 0.1}],
+                         ids=["seed-negative", "dim-str", "per_sigma-float", "sigmas-number"])
+def test_refine_study_rejected_config_exits_config_with_one_line(tmp_path, capsys, raw):
+    code, out = run_refine_study(tmp_path, raw)
+    assert code == cli.EXIT_CONFIG
+    assert_one_line(capsys, "config error: ")
+    assert not out.exists()
+
+
+BENCH_CHECKPOINT = Path(__file__).resolve().parent.parent / "bench" / "data" / "checkpoint.bin"
+
+
+def test_analyze_on_the_bench_checkpoint(tmp_path, capsys):
+    cfg = SynthConfig()
+    data = tmp_path / "data.txt"
+    save_dataset(data, [generate_scene(cfg, i) for i in range(2)], cfg)
+    assert cli.main(["analyze", "--checkpoint", str(BENCH_CHECKPOINT), "--dataset", str(data),
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["layer", "miou_l(%)", "util(%)",
+                                                   "mp_util_hard(%)", "mp_util_bipartite(%)"]
+    assert len(lines[0].split()) == 1 + 9
+    csv_lines = (tmp_path / "out" / "analysis.csv").read_text().splitlines()
+    assert len(csv_lines) == 1 + 9
+
+
+def test_grad_check_exits_check_when_a_row_fails(monkeypatch, capsys):
+    monkeypatch.setattr(gradcheck, "run_gradient_suite",
+                        lambda seed: [("matmul", 1e-9, True), ("broken", 0.5, False)])
+    assert cli.main(["grad-check"]) == cli.EXIT_CHECK
+    out = capsys.readouterr().out
+    assert "FAIL broken max_rel_err=5.000e-01" in out
+    assert out.endswith("gradient suite: FAIL\n")

@@ -96,6 +96,34 @@ def test_rejected(raw):
         parse_run_config(raw)
 
 
+WRONG_TYPES = {
+    "holdout_frac-str": ({"train": {"holdout_frac": "x"}}, "train.holdout_frac must be a number"),
+    "decay_points-str": ({"train": {"decay_points": [1, "a"]}},
+                         "train.decay_points must be a list of integers"),
+    "mp_layers-int": ({"mp": {"mp_layers": 3}}, "mp.mp_layers must be a list of integers or null"),
+    "lr-str": ({"train": {"lr": "x"}}, "train.lr must be a number"),
+    "enabled-int": ({"mp": {"enabled": 1}}, "mp.enabled must be true or false"),
+    "steps-bool": ({"train": {"steps": True}}, "train.steps must be an integer"),
+    "shape_kinds-int": ({"synth": {"shape_kinds": [1]}}, "synth.shape_kinds must be a list of strings"),
+    "dataset_path-int": ({"dataset_path": 3}, "dataset_path must be a string or null"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_value_of_the_wrong_json_type_is_rejected(case):
+    raw, message = WRONG_TYPES[case]
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_run_config(raw)
+
+
+@pytest.mark.parametrize("raw", [{"train": {"lr": 1}}, {"mp": {"scale_range": [1, 1.5]}},
+                                 {"mp": {"mp_layers": None}}, {"mp": {"mp_layers": [2]}},
+                                 {"dataset_path": None}],
+                         ids=["int-for-float", "ints-for-floats", "null", "list", "path-null"])
+def test_values_of_the_right_json_type_are_accepted(raw):
+    parse_run_config(raw)
+
+
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_to_json_round_trips(variant):
     cfg = parse_run_config({"variant": variant, "seed": 4})

@@ -3,12 +3,14 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from mpseg.decoder import LayerOutputs
-from mpseg.losses import (Assignment, LossWeights, cost_matrix, hungarian,
+from mpseg.decoder import LayerOutputs, binarize_masks
+from mpseg.losses import (DICE_EPS, Assignment, LossWeights, cost_matrix, hungarian,
                           layer_losses, mask_losses)
 from mpseg.masks import BinaryMask
+from mpseg.mp import MPPart
 from mpseg.synth import Scene
-from mpseg.tensor import Tensor
+from mpseg.tensor import (Tensor, _sigmoid, bce_with_logits, cross_entropy_rows,
+                          logsumexp_lastdim, mask_loss_rows)
 
 
 def brute_force_min_cost(cost: np.ndarray) -> float:
@@ -223,3 +225,164 @@ def test_assignment_matched_helper():
     rows, gts = a.matched()
     assert list(rows) == [0, 2]
     assert list(gts) == [2, 0]
+
+
+# ----------------------------------------------------------------------
+# the fused loss nodes against their compositions of primitives
+
+
+def composed_class_loss(cls_rows, targets, num_categories, no_object):
+    ce_each = logsumexp_lastdim(cls_rows) - cls_rows.gather_cols(targets)
+    wts = np.where(targets == num_categories, no_object, 1.0)
+    return (ce_each * wts).sum() / float(wts.sum())
+
+
+def composed_mask_loss(rows, targets):
+    """(mean BCE, mean dice) of row-aligned predictions and targets."""
+    bce = bce_with_logits(rows, targets).mean()
+    p = rows.sigmoid()
+    inter = (p * targets).sum_lastdim()
+    dice_each = 1.0 - (2.0 * inter + DICE_EPS) / (p.sum_lastdim()
+                                                  + Tensor(targets.sum(axis=1) + DICE_EPS))
+    return bce, dice_each.mean()
+
+
+def composed_layer_losses(outputs, scene, mp_part, mode, w):
+    """layer_losses written with one primitive per step."""
+    n_match = outputs.n_match
+    num_categories = outputs.class_logits[0].values.shape[1] - 1
+    cats = np.array([c for c, _ in scene.instances], dtype=np.intp)
+    gt_flat = np.stack([inst.bits.reshape(-1).astype(np.float64)
+                        for _, inst in scene.instances])
+    match_rows = np.arange(n_match)
+    fixed = None
+    if mode == "fixed-last-layer":
+        fixed = hungarian(cost_matrix(outputs.mask_logits[-1].values[:n_match],
+                                      outputs.class_logits[-1].values[:n_match], scene, w))
+    total = Tensor(0.0)
+    assignments = []
+    for i, (ml, cl) in enumerate(zip(outputs.mask_logits, outputs.class_logits)):
+        flat = ml.reshape(ml.values.shape[0], -1)
+        assign = fixed or hungarian(cost_matrix(ml.values[:n_match], cl.values[:n_match],
+                                                scene, w))
+        assignments.append(assign)
+        rows, gt_idx = assign.matched()
+        targets = np.full(n_match, num_categories, dtype=np.intp)
+        targets[rows] = cats[gt_idx]
+        total = total + w.cls * composed_class_loss(cl.take_rows(match_rows), targets,
+                                                    num_categories, w.no_object)
+        if rows.size:
+            bce, dice = composed_mask_loss(flat.take_rows(rows), gt_flat[gt_idx])
+            total = total + w.bce * bce + w.dice * dice
+        if mp_part is not None:
+            mp_rows = n_match + np.arange(mp_part.num_queries)
+            total = total + w.cls * composed_class_loss(
+                cl.take_rows(mp_rows), mp_part.gt_categories, num_categories, w.no_object)
+            bce, dice = composed_mask_loss(flat.take_rows(mp_rows),
+                                           gt_flat[mp_part.instance_index])
+            total = total + w.bce * bce + w.dice * dice
+        if mode == "consistency-aux" and i >= 1:
+            prev = binarize_masks(outputs.mask_logits[i - 1].values[:n_match])
+            bce, dice = composed_mask_loss(flat.take_rows(match_rows),
+                                           prev.reshape(n_match, -1).astype(np.float64))
+            total = total + w.bce * bce + w.dice * dice
+    return total, assignments
+
+
+def two_instance_scene():
+    bits1 = np.zeros((4, 4), dtype=bool)
+    bits1[0:2, 0:3] = True
+    bits2 = np.zeros((4, 4), dtype=bool)
+    bits2[2:4, 1:4] = True
+    return Scene(index=0, height=4, width=4,
+                 instances=[(2, BinaryMask(bits1)), (0, BinaryMask(bits2))])
+
+
+def assert_grads_close(got, want):
+    for g, r in zip(got, want):
+        assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
+
+
+@pytest.mark.parametrize("rows", [[0, 1, 2, 3], [5, 4, 6]], ids=["matching", "mp"])
+def test_cross_entropy_node_matches_composition(rows):
+    rng = np.random.default_rng(20)
+    values = rng.uniform(-3, 3, size=(7, 4))
+    targets = np.array([3, 1, 0, 3][:len(rows)])
+    w = LossWeights()
+    runs = []
+    for fused in (True, False):
+        cl = Tensor(values.copy(), requires_grad=True)
+        if fused:
+            wts = np.where(targets == 3, w.no_object, 1.0)
+            out = cross_entropy_rows(cl, rows, targets, wts, w.cls)
+        else:
+            out = w.cls * composed_class_loss(cl.take_rows(rows), targets, 3, w.no_object)
+        (out * 1.7).backward()
+        runs.append((out.values, cl.grad))
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert not runs[0][1][[r for r in range(7) if r not in rows]].any()
+    assert_grads_close([runs[0][1]], [runs[1][1]])
+
+
+@pytest.mark.parametrize("rows", [[2, 0], [4, 5, 6, 3]], ids=["matching", "mp"])
+def test_mask_node_matches_composition(rows):
+    rng = np.random.default_rng(21)
+    values = rng.uniform(-4, 4, size=(7, 4, 4))
+    targets = (rng.uniform(size=(len(rows), 16)) < 0.4).astype(np.float64)
+    w = LossWeights()
+    runs = []
+    for fused in (True, False):
+        ml = Tensor(values.copy(), requires_grad=True)
+        if fused:
+            out = mask_loss_rows(ml, _sigmoid(ml.values), rows, targets, w.bce, w.dice,
+                                 DICE_EPS)
+        else:
+            bce, dice = composed_mask_loss(ml.reshape(7, -1).take_rows(rows), targets)
+            out = w.bce * bce + w.dice * dice
+        (out * 0.6).backward()
+        runs.append((out.values, ml.grad))
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert_grads_close([runs[0][1]], [runs[1][1]])
+
+
+@pytest.mark.parametrize("mode,with_mp", [("per-layer-bipartite", True),
+                                          ("consistency-aux", False),
+                                          ("fixed-last-layer", False)],
+                         ids=["matching+mp", "consistency-aux", "fixed-last-layer"])
+def test_layer_losses_match_composition_of_primitives(mode, with_mp):
+    rng = np.random.default_rng(22)
+    scene = two_instance_scene()
+    n_match, n_mp, n_layers = 3, 4, 3
+    n = n_match + (n_mp if with_mp else 0)
+    mask_values = [rng.uniform(-3, 3, size=(n, 4, 4)) for _ in range(n_layers)]
+    class_values = [rng.uniform(-3, 3, size=(n, 4)) for _ in range(n_layers)]
+    mp_part = None
+    if with_mp:
+        instance_index = np.array([0, 1, 0, 1])
+        mp_part = MPPart(n_groups=2, group_id=np.array([0, 0, 1, 1]),
+                         instance_index=instance_index,
+                         gt_categories=np.array([2, 0, 2, 0]),
+                         query_categories=np.array([2, 0, 1, 0]),
+                         queries=Tensor(np.zeros((n_mp, 4))))
+    runs = []
+    for f in (layer_losses, composed_layer_losses):
+        mls = [Tensor(v.copy(), requires_grad=True) for v in mask_values]
+        cls = [Tensor(v.copy(), requires_grad=True) for v in class_values]
+        out = LayerOutputs(mask_logits=mls, class_logits=cls, n_match=n_match)
+        total, assigns = f(out, scene, mp_part, mode, LossWeights())
+        total.backward()
+        runs.append((float(total.values), [a.query_to_gt for a in assigns],
+                     [t.grad for t in mls + cls]))
+    (loss, assigns, grads), (ref_loss, ref_assigns, ref_grads) = runs
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert all(np.array_equal(a, b) for a, b in zip(assigns, ref_assigns))
+    assert_grads_close(grads, ref_grads)
+
+
+def test_cost_matrix_with_given_probabilities_is_bitwise_equal():
+    rng = np.random.default_rng(23)
+    ml = rng.uniform(-3, 3, size=(5, 4, 4))
+    cl = rng.uniform(-3, 3, size=(5, 4))
+    scene = two_instance_scene()
+    assert np.array_equal(cost_matrix(ml, cl, scene, LossWeights(), _sigmoid(ml)),
+                          cost_matrix(ml, cl, scene, LossWeights()))

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from mpseg.gradcheck import check_gradient
-from mpseg.tensor import (Tensor, bce_with_logits, concat_rows, layernorm_lastdim,
-                          logsumexp_lastdim, masked_fill, softmax_lastdim)
+from mpseg.tensor import (NEG_BIG, Tensor, add_norm_affine, bce_with_logits, concat_rows,
+                          fused_attention, layernorm_lastdim, logsumexp_lastdim,
+                          masked_fill, mlp2, softmax_lastdim)
 
 
 def test_matmul_identity():
@@ -31,6 +32,12 @@ def test_matmul_gradient_vs_finite_differences():
     w = rng.uniform(-1, 1, size=(3, 2))
     err = check_gradient(lambda xs: ((xs[0] @ xs[1]) * w).sum(), [a, b])
     assert err < 1e-6
+
+
+def test_check_gradient_perturbs_copies_of_its_inputs():
+    w = np.random.default_rng(9).uniform(-2, 2, size=(3, 4))
+    # w is both the input and a constant of f: d/dx sum(x * w) = w
+    assert check_gradient(lambda xs: (xs[0] * w).sum(), [w]) < 1e-6
 
 
 def test_softmax_symmetry():
@@ -172,3 +179,109 @@ def test_logsumexp_matches_numpy():
     out = logsumexp_lastdim(Tensor(x)).values
     expected = np.log(np.exp(x).sum(axis=-1))
     assert np.allclose(out, expected, atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# fused ops against their compositions of primitives
+
+
+def assert_same_as_composition(fused, composed, arrays, seed):
+    """fused and composed map a list of Tensors to one Tensor. Their
+    values must be bitwise equal and every input gradient equal to 1e-12
+    of its largest entry."""
+    weight = None
+    grads = []
+    for f in (fused, composed):
+        xs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = f(xs)
+        if weight is None:
+            weight = np.random.default_rng(seed).uniform(-1, 1, size=out.values.shape)
+            value = out.values
+        else:
+            assert np.array_equal(out.values, value)
+        (out * weight).sum().backward()
+        grads.append([x.grad for x in xs])
+    for g_fused, g_composed in zip(*grads):
+        scale = np.abs(g_composed).max()
+        assert scale > 0
+        assert np.abs(g_fused - g_composed).max() <= 1e-12 * scale
+
+
+def composed_attention(x, keys, values, block, wq, wo, scale):
+    logits = ((x @ wq) @ keys.T) * scale
+    if block is not None:
+        logits = masked_fill(logits, block, NEG_BIG)
+    return softmax_lastdim(logits) @ values @ wo
+
+
+@pytest.mark.parametrize("blocking", ["none", "partial", "full-row"])
+def test_fused_attention_matches_composition(blocking):
+    rng = np.random.default_rng(11)
+    arrays = [rng.uniform(-1, 1, size=s) for s in ((4, 6), (7, 6), (7, 6), (6, 6), (6, 6))]
+    block = None
+    if blocking != "none":
+        block = rng.uniform(size=(4, 7)) < 0.4
+        block[:, 0] = False
+        if blocking == "full-row":
+            block[2] = True
+    scale = 1.0 / np.sqrt(6)
+    assert_same_as_composition(
+        lambda xs: fused_attention(xs[0], xs[1], xs[2], block, xs[3], xs[4], scale),
+        lambda xs: composed_attention(xs[0], xs[1], xs[2], block, xs[3], xs[4], scale),
+        arrays, seed=1)
+
+
+def test_fused_attention_fully_blocked_row_is_uniform_and_passes_no_logit_gradient():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.uniform(-1, 1, size=(2, 3)), requires_grad=True)
+    keys = Tensor(rng.uniform(-1, 1, size=(4, 3)), requires_grad=True)
+    values = Tensor(rng.uniform(-1, 1, size=(4, 3)))
+    eye = Tensor(np.eye(3))
+    block = np.zeros((2, 4), dtype=bool)
+    block[1] = True
+    out = fused_attention(x, keys, values, block, eye, eye, 1.0)
+    np.testing.assert_allclose(out.values[1], values.values.mean(axis=0), rtol=0, atol=1e-15)
+    (out * np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])).sum().backward()
+    assert x.grad is not None and not x.grad[1].any()
+    assert not keys.grad.any()
+
+
+def test_fused_attention_block_shape_mismatch():
+    t = Tensor(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        fused_attention(t, t, t, np.zeros((2, 3), dtype=bool), Tensor(np.eye(3)),
+                        Tensor(np.eye(3)), 1.0)
+
+
+def test_add_norm_affine_matches_composition():
+    rng = np.random.default_rng(13)
+    arrays = [rng.uniform(-2, 2, size=(5, 8)), rng.uniform(-2, 2, size=(5, 8)),
+              rng.uniform(0.5, 1.5, size=(8,)), rng.uniform(-1, 1, size=(8,))]
+    assert_same_as_composition(
+        lambda xs: add_norm_affine(*xs),
+        lambda xs: layernorm_lastdim(xs[0] + xs[1]) * xs[2] + xs[3],
+        arrays, seed=2)
+
+
+def test_mlp2_matches_composition():
+    rng = np.random.default_rng(14)
+    arrays = [rng.uniform(-2, 2, size=(5, 8)), rng.uniform(-1, 1, size=(8, 16)),
+              rng.uniform(-1, 1, size=(16,)), rng.uniform(-1, 1, size=(16, 8)),
+              rng.uniform(-1, 1, size=(8,))]
+    assert_same_as_composition(
+        lambda xs: mlp2(*xs),
+        lambda xs: (xs[0] @ xs[1] + xs[2]).relu() @ xs[3] + xs[4],
+        arrays, seed=3)
+
+
+def test_fused_ops_record_one_node_and_none_without_grad():
+    rng = np.random.default_rng(15)
+    x = Tensor(rng.uniform(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.uniform(size=(4, 4)))
+    b = Tensor(np.zeros(4))
+    for out in (fused_attention(x, x, x, None, w, w, 0.5), add_norm_affine(x, x, b, b),
+                mlp2(x, w, b, w, b)):
+        assert out._parents and all(not p._parents for p in out._parents)
+    frozen = Tensor(x.values)
+    out = mlp2(frozen, w, b, w, b)
+    assert out._parents == () and out._backward is None
