@@ -39,14 +39,15 @@ EXIT_COMPAT = 5
 def cmd_gen_data(args) -> int:
     raw = load_config_json(args.config)
     check_keys(raw, ("synth", "count", "out"))
+    synth = raw.get("synth", {})
+    if args.seed is not None and isinstance(synth, dict):
+        raw["synth"] = {**synth, "seed": args.seed}
     cfg = parse_synth(raw)
     count = raw.get("count", 200)
     check_int("count", count, 1)
     out = args.out or raw.get("out")
     if not out:
         raise ConfigError("no output path (set 'out' in the config or pass --out)")
-    if args.seed is not None:
-        cfg.seed = args.seed
     scenes = [generate_scene(cfg, i) for i in range(count)]
     data = save_dataset(out, scenes, cfg)
     digest = hashlib.sha256(data.encode("ascii")).hexdigest()

@@ -4,8 +4,9 @@ Each layer runs masked cross-attention over one pyramid scale (coarse to
 fine, cycling), self-attention under an optional blocking grid, and a
 feed-forward block, each with residual + layer norm. Shared mask and
 classification heads produce per-layer predictions, and each layer's
-binarized masks become the next layer's cross-attention blocking grids.
-Single attention head, no positional encodings.
+masks, binarized by binarize_masks and resized by
+masks.to_attention_blocks, become the next layer's cross-attention
+blocking grids. Single attention head, no positional encodings.
 
 full_forward is the only forward path. Its queries form one part (the
 matching queries) or two (matching, then mask-piloted); a plain forward
@@ -20,9 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .masks import FormatError, _nearest_indices
-from .tensor import (Tensor, add_norm_affine, concat_rows, fused_attention, mlp2,
-                     _sigmoid)
+from .masks import FormatError, to_attention_blocks
+from .tensor import Tensor, add_norm_affine, concat_rows, fused_attention, mlp2
 
 CHECKPOINT_MAGIC = "mpseg-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -156,24 +156,9 @@ def class_head(params: DecoderParams, queries: Tensor) -> Tensor:
 
 
 def binarize_masks(mask_logit_values: np.ndarray) -> np.ndarray:
-    """sigmoid(logit) > 0.5 per pixel."""
-    return _sigmoid(mask_logit_values) > 0.5
-
-
-def binarize_for_attention(mask_logit_values: np.ndarray, h2: int, w2: int) -> np.ndarray:
-    """Per-query blocking grids at the target scale, flattened to (n, h2*w2).
-
-    Queries whose binarized mask is empty after resizing fall back to
-    no blocking so their softmax row keeps support.
-    """
-    bits = binarize_masks(mask_logit_values)
-    n, h, w = bits.shape
-    if (h, w) != (h2, w2):
-        bits = bits[:, _nearest_indices(h, h2)][:, :, _nearest_indices(w, w2)]
-    block = ~bits
-    empty = ~bits.any(axis=(1, 2))
-    block[empty] = False
-    return block.reshape(n, h2 * w2)
+    """The pixels a mask prediction turns on: sigmoid(logit) > 0.5, read
+    off the logit's sign with no sigmoid computed."""
+    return mask_logit_values > 0
 
 
 def attention(x: Tensor, keys: Tensor, values: Tensor, block, wq: Tensor, wo: Tensor,
@@ -258,7 +243,7 @@ def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
         for j, logits in enumerate(mask_logits[-1]):
             block = spec.overrides.get(i) if j else None
             if block is None:
-                block = binarize_for_attention(logits.values, h, w)
+                block = to_attention_blocks(binarize_masks(logits.values), h, w)
             elif block.shape != (n_mp, h * w):
                 raise ValueError(f"override for layer {i} has shape {block.shape}, "
                                  f"expected {(n_mp, h * w)}")

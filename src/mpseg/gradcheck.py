@@ -41,18 +41,26 @@ def check_gradient(f, inputs, eps: float = 1e-5, max_coords: int | None = None,
             coords = rng.choice(n, size=max_coords, replace=False)
         else:
             coords = range(n)
-        aflat = analytic.reshape(-1)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + eps
-            hi = float(f(tensors).values)
-            flat[c] = orig - eps
-            lo = float(f(tensors).values)
-            flat[c] = orig
-            numeric = (hi - lo) / (2.0 * eps)
-            err = abs(aflat[c] - numeric) / max(abs(aflat[c]), abs(numeric), 1e-3)
-            if err > worst:
-                worst = err
+        worst = max(worst, _probe(lambda: f(tensors), flat, analytic.reshape(-1),
+                                  coords, eps))
+    return worst
+
+
+def _probe(loss, flat, analytic, coords, eps: float) -> float:
+    """Worst error of analytic[c] against the central difference of the
+    scalar loss() over flat[c] +/- eps, for c in coords; flat, a view of
+    the values loss() reads, is restored after each probe."""
+    worst = 0.0
+    for c in coords:
+        orig = flat[c]
+        flat[c] = orig + eps
+        hi = float(loss().values)
+        flat[c] = orig - eps
+        lo = float(loss().values)
+        flat[c] = orig
+        numeric = (hi - lo) / (2.0 * eps)
+        err = abs(analytic[c] - numeric) / max(abs(analytic[c]), abs(numeric), 1e-3)
+        worst = max(worst, err)
     return worst
 
 
@@ -183,16 +191,6 @@ def _end_to_end_check(seed: int, with_mp: bool, eps: float = 1e-5,
     worst = 0.0
     for name, p in pairs:
         flat = p.values.reshape(-1)
-        gflat = grads[name].reshape(-1)
         coords = rng.choice(flat.size, size=min(coords_per_param, flat.size), replace=False)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + eps
-            hi = float(loss_tensor().values)
-            flat[c] = orig - eps
-            lo = float(loss_tensor().values)
-            flat[c] = orig
-            numeric = (hi - lo) / (2.0 * eps)
-            err = abs(gflat[c] - numeric) / max(abs(gflat[c]), abs(numeric), 1e-3)
-            worst = max(worst, err)
+        worst = max(worst, _probe(loss_tensor, flat, grads[name].reshape(-1), coords, eps))
     return "decoder_end_to_end" + ("_mp" if with_mp else ""), worst, worst < 1e-4

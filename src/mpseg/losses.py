@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import Tensor, cross_entropy_rows, mask_loss_rows, _sigmoid
-from .decoder import LayerOutputs
+from .decoder import LayerOutputs, binarize_masks
 
 DICE_EPS = 1.0
 
@@ -169,8 +169,10 @@ def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: Loss
     the earlier layer detached.
 
     Each layer's mask-logit sigmoid is computed once and shared by the
-    matching cost and every mask loss of that layer; each (layer, part)
-    adds one class-loss node and at most one mask-loss node to the tape.
+    dice terms of the matching cost and of every mask loss of that layer;
+    the consistency target is binarize_masks of the earlier layer's
+    logits. Each (layer, part) adds one class-loss node and at most one
+    mask-loss node to the tape.
     """
     if mode not in MODES:
         raise ValueError(f"unknown loss mode {mode!r} (choose from {MODES})")
@@ -215,7 +217,7 @@ def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: Loss
                                        gt_flat[mp_part.instance_index], weights)
 
         if mode == "consistency-aux" and i >= 1:
-            # binarize_masks of the earlier layer, from its shared sigmoid
-            prev = (probs[i - 1][:n_match] > 0.5).reshape(n_match, -1).astype(np.float64)
+            prev = binarize_masks(outputs.mask_logits[i - 1].values[:n_match])
+            prev = prev.reshape(n_match, -1).astype(np.float64)
             total = total + _mask_loss(ml, probs[i], match_rows, prev, weights)
     return total, assignments

@@ -1,5 +1,5 @@
 """Binary masks: IoU, nearest-neighbor resizing, the three GT-mask noise
-procedures, attention-blocking conversion, and run-length serialization.
+procedures, attention blocking grids, and run-length serialization.
 
 All noise procedures are pure functions of (mask, parameters, seed); the
 same seed always yields the same output.
@@ -190,12 +190,17 @@ def apply_noise(m: BinaryMask, kind: str, lambda_p: float, ratio_range, seed) ->
     raise ValueError(f"unknown noise kind {kind!r}")
 
 
-def to_attention_block(m: BinaryMask) -> np.ndarray:
-    """Blocking grid: true outside the mask. An empty mask blocks nothing,
-    so no attention row can end up fully blocked."""
-    if m.is_empty():
-        return np.zeros_like(m.bits)
-    return ~m.bits
+def to_attention_blocks(bits: np.ndarray, h2: int, w2: int) -> np.ndarray:
+    """Cross-attention blocking grids of a stack of (n, h, w) masks at the
+    target scale, flattened to (n, h2*w2): each mask is nearest-resized as
+    by resize_nearest and the grid is true outside it. A mask that is empty
+    after resizing blocks nothing, so no attention row ends up fully blocked."""
+    n, h, w = bits.shape
+    if (h, w) != (h2, w2):
+        bits = bits[:, _nearest_indices(h, h2)][:, :, _nearest_indices(w, w2)]
+    block = ~bits.reshape(n, h2 * w2)
+    block[~bits.any(axis=(1, 2))] = False
+    return block
 
 
 def rle_encode(m: BinaryMask) -> list[int]:

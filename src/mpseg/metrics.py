@@ -34,15 +34,19 @@ def miou_layerwise(outputs: LayerOutputs) -> np.ndarray:
     return np.array(vals)
 
 
+def _matching_vectors(outputs: LayerOutputs, rows: slice, scene,
+                      weights: LossWeights) -> np.ndarray:
+    """(L+1, len(rows)) GT index that bipartite matching gives each of the
+    query rows, per layer (-1 = unmatched)."""
+    return np.stack([hungarian(cost_matrix(ml.values[rows], cl.values[rows], scene,
+                                           weights)).query_to_gt
+                     for ml, cl in zip(outputs.mask_logits, outputs.class_logits)])
+
+
 def compute_matching_vectors(outputs: LayerOutputs, scene,
                              weights: LossWeights) -> np.ndarray:
     """(L+1, N) matched-GT index per query per layer (-1 = unmatched)."""
-    n = outputs.n_match
-    vecs = []
-    for ml, cl in zip(outputs.mask_logits, outputs.class_logits):
-        a = hungarian(cost_matrix(ml.values[:n], cl.values[:n], scene, weights))
-        vecs.append(a.query_to_gt)
-    return np.stack(vecs)
+    return _matching_vectors(outputs, slice(None, outputs.n_match), scene, weights)
 
 
 def util_layerwise(vectors: np.ndarray, num_gt: int) -> np.ndarray:
@@ -67,12 +71,8 @@ def util_mp_hard(mp_part) -> float:
 
 def util_mp_bipartite(outputs: LayerOutputs, scene, weights: LossWeights) -> np.ndarray:
     """Utilization of the MP rows when re-assigned by bipartite matching."""
-    n = outputs.n_match
-    vecs = []
-    for ml, cl in zip(outputs.mask_logits, outputs.class_logits):
-        a = hungarian(cost_matrix(ml.values[n:], cl.values[n:], scene, weights))
-        vecs.append(a.query_to_gt)
-    return util_layerwise(np.stack(vecs), scene.num_instances)
+    vectors = _matching_vectors(outputs, slice(outputs.n_match, None), scene, weights)
+    return util_layerwise(vectors, scene.num_instances)
 
 
 # ----------------------------------------------------------------------

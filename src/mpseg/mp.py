@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .masks import apply_noise, resize_nearest, to_attention_block
+from .masks import apply_noise, to_attention_blocks
 from .tensor import Tensor
 
 
@@ -38,6 +38,10 @@ class MPConfig:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
         if self.n_q < 1:
             raise ValueError("n_q must be >= 1")
+        if (len(self.scale_range) != 2
+                or not 0.0 < self.scale_range[0] <= self.scale_range[1] <= 2.0):
+            raise ValueError(f"scale_range must be two numbers lo, hi with "
+                             f"0 < lo <= hi <= 2, got {list(self.scale_range)}")
 
 
 @dataclass
@@ -121,18 +125,10 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layer_scales,
         mp_layer_set = tuple(layer_scales.keys())
     overrides = {}
     for layer in sorted(mp_layer_set):
-        h, w = layer_scales[layer]
-        blocks = np.zeros((len(instance_index), h * w), dtype=bool)
-        row = 0
-        for g in range(n_g):
-            for j, (_cat, mask) in enumerate(instances):
-                noised = apply_noise(mask, cfg.noise_kind, cfg.lambda_point,
-                                     cfg.scale_range,
-                                     _subseed(seed, 1, layer, g, j))
-                resized = resize_nearest(noised, h, w)
-                blocks[row] = to_attention_block(resized).reshape(-1)
-                row += 1
-        overrides[layer] = blocks
+        noised = np.stack([apply_noise(mask, cfg.noise_kind, cfg.lambda_point,
+                                       cfg.scale_range, _subseed(seed, 1, layer, g, j)).bits
+                           for g in range(n_g) for j, (_cat, mask) in enumerate(instances)])
+        overrides[layer] = to_attention_blocks(noised, *layer_scales[layer])
     return MPPart(n_groups=n_g, group_id=group_id, instance_index=instance_index,
                   gt_categories=gt_cats, query_categories=query_cats,
                   queries=queries, overrides=overrides)

@@ -19,6 +19,7 @@ from .masks import BinaryMask, FormatError, rle_decode, rle_encode
 
 DATASET_MAGIC = "mpseg-dataset"
 DATASET_VERSION = 1
+SHAPE_KINDS = ("rectangle", "disk")
 
 
 class SchemaVersionError(FormatError):
@@ -68,6 +69,15 @@ class SynthConfig:
             raise ValueError("noise_sigma must be >= 0")
         if self.instance_range[0] < 1 or self.instance_range[0] > self.instance_range[1]:
             raise ValueError(f"bad instance_range {self.instance_range}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not self.shape_kinds or not set(self.shape_kinds) <= set(SHAPE_KINDS):
+            raise ValueError(f"shape_kinds must be a non-empty list of {SHAPE_KINDS}, "
+                             f"got {list(self.shape_kinds)}")
+        if (len(self.size_range) != 2 or any(type(v) is not int for v in self.size_range)
+                or not 1 <= self.size_range[0] <= self.size_range[1]):
+            raise ValueError(f"size_range must be two integers lo, hi with 1 <= lo <= hi, "
+                             f"got {list(self.size_range)}")
         if self.prototypes is None:
             self.prototypes, self.background_proto = basis_prototypes(
                 self.num_categories, self.feat_dim)

@@ -100,6 +100,13 @@ def test_train_noises_masks_with_the_configured_kind(tmp_path, monkeypatch, kind
     assert resolved["mp"]["noise_kind"] == kind
 
 
+OUT_OF_RANGE_SYNTH = [{"synth": {"seed": -1}}, {"synth": {"shape_kinds": []}},
+                      {"synth": {"shape_kinds": ["triangle"]}},
+                      {"synth": {"size_range": [9, 3]}}]
+OUT_OF_RANGE_SYNTH_IDS = ["synth.seed-negative", "shape_kinds-empty", "shape_kinds-unknown",
+                          "size_range-reversed"]
+
+
 @pytest.mark.parametrize("raw", [
     {"loss": {"mode": "consistency-aux"}},
     {"loss_mode": "consistency-aux"},
@@ -108,19 +115,27 @@ def test_train_noises_masks_with_the_configured_kind(tmp_path, monkeypatch, kind
     {"train": {"log_every": 0}},
     {"seed": "abc"},
     {"model": {"n_queries": 0}},
+    *OUT_OF_RANGE_SYNTH,
+    {"mp": {"scale_range": [2]}},
+    {"mp": {"scale_range": [1.5, 0.5]}},
 ], ids=["loss.mode", "loss_mode", "unknown-key", "num_scenes-0", "log_every-0",
-        "seed-str", "n_queries-0"])
+        "seed-str", "n_queries-0", *OUT_OF_RANGE_SYNTH_IDS, "scale_range-short",
+        "scale_range-reversed"])
 def test_train_rejected_config_exits_config_with_one_line(tmp_path, capsys, raw):
     assert run_train(write_config(tmp_path, raw), tmp_path / "run") == cli.EXIT_CONFIG
     assert_one_line(capsys, "config error: ")
 
 
-@pytest.mark.parametrize("raw", [{"seed": 1}, {"count": 0}, {"count": "5"}],
-                         ids=["unknown-key", "count-0", "count-str"])
-def test_gen_data_rejected_config_exits_config(tmp_path, capsys, raw):
+@pytest.mark.parametrize("raw,flags", [({"seed": 1}, []), ({"count": 0}, []),
+                                       ({"count": "5"}, []), ({}, ["--seed", "-1"]),
+                                       *((raw, []) for raw in OUT_OF_RANGE_SYNTH)],
+                         ids=["unknown-key", "count-0", "count-str", "seed-flag-negative",
+                              *OUT_OF_RANGE_SYNTH_IDS])
+def test_gen_data_rejected_config_exits_config(tmp_path, capsys, raw, flags):
     config = write_config(tmp_path, raw)
     out = tmp_path / "data.txt"
-    assert cli.main(["gen-data", "--config", config, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert cli.main(["gen-data", "--config", config, "--out", str(out), *flags]) \
+        == cli.EXIT_CONFIG
     assert_one_line(capsys, "config error: ")
     assert not out.exists()
 

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from mpseg import decoder
-from mpseg.decoder import (ForwardSpec, attention, binarize_for_attention, decoder_layer,
+from mpseg.decoder import (ForwardSpec, attention, binarize_masks, decoder_layer,
                            full_forward, init_params, load_checkpoint, mask_head,
                            named_parameters, plain_spec, save_checkpoint)
 from mpseg.gradcheck import check_gradient
-from mpseg.masks import FormatError
+from mpseg.masks import FormatError, to_attention_blocks
 from mpseg.mp import build_self_block
 from mpseg.synth import SynthConfig, generate_scene, synth_features
-from mpseg.tensor import Tensor, concat_rows
+from mpseg.tensor import Tensor, _sigmoid, concat_rows
 from mpseg.trainer import detach_params, layer_scale_table
 
 BENCH_CHECKPOINT = Path(__file__).resolve().parent.parent / "bench" / "data" / "checkpoint.bin"
@@ -63,27 +63,43 @@ def test_mask_head_gradient():
     assert err < 1e-4
 
 
+def blocks_of_logits(logits, h, w):
+    """The forward's blocking grids of one layer's mask logits."""
+    return to_attention_blocks(binarize_masks(logits), h, w)
+
+
 def test_binarize_all_positive_no_blocking():
     logits = np.full((2, 8, 8), 10.0)
-    block = binarize_for_attention(logits, 4, 4)
+    block = blocks_of_logits(logits, 4, 4)
     assert not block.any()
 
 
 def test_binarize_all_negative_fallback():
     logits = np.full((2, 8, 8), -10.0)
-    block = binarize_for_attention(logits, 4, 4)
+    block = blocks_of_logits(logits, 4, 4)
     assert not block.any()
 
 
 def test_binarize_half_plane_downsample():
     logits = np.full((1, 32, 32), -1.0)
     logits[0, :, :16] = 1.0
-    block = binarize_for_attention(logits, 8, 8).reshape(8, 8)
+    block = blocks_of_logits(logits, 8, 8).reshape(8, 8)
     # nearest sampling at centers: target col c reads source col floor((c+.5)*4)
     src_cols = ((np.arange(8) + 0.5) * 4).astype(int)
     expected_mask = src_cols < 16
     expected_block = ~np.tile(expected_mask, (8, 1))
     assert np.array_equal(block, expected_block)
+
+
+def test_binarize_masks_is_the_sigmoid_rule_read_off_the_sign():
+    logits = np.random.default_rng(0).normal(scale=10.0, size=10 ** 6)
+    assert np.array_equal(binarize_masks(logits), _sigmoid(logits) > 0.5)
+    assert not binarize_masks(np.array([0.0, -0.0])).any()
+    # The one gap: for 0 < x < 1.6e-16 the float sigmoid rounds to exactly
+    # 0.5, so the sigmoid rule read "off" where the sign rule reads "on".
+    tiny = np.array([5e-324, 1e-16, 1.56e-16])
+    assert not (_sigmoid(tiny) > 0.5).any() and binarize_masks(tiny).all()
+    assert _sigmoid(np.array([1.57e-16]))[0] > 0.5
 
 
 def test_cross_attention_single_pixel_support():
@@ -296,11 +312,11 @@ def test_layer_scale_table_is_the_scale_full_forward_uses(monkeypatch, height, w
     params = init_params(seed=20, n_queries=3, num_categories=cfg.num_categories)
     used = []
 
-    def recording(logits, h, w):
+    def recording(bits, h, w):
         used.append((h, w))
-        return binarize_for_attention(logits, h, w)
+        return to_attention_blocks(bits, h, w)
 
-    monkeypatch.setattr(decoder, "binarize_for_attention", recording)
+    monkeypatch.setattr(decoder, "to_attention_blocks", recording)
     full_forward(plain_spec(pyramid, params), params)
     table = layer_scale_table(height, width, params.num_layers)
     assert [table[i] for i in range(1, params.num_layers + 1)] == used

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpseg.masks import (BinaryMask, iou, point_noise, resize_nearest, rle_decode,
-                         rle_encode, scale_noise, shift_noise, to_attention_block)
+                         rle_encode, scale_noise, shift_noise, to_attention_blocks)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -194,20 +194,45 @@ def test_scale_noise_area_ratio_bounds():
 
 
 def test_to_attention_block_full_mask():
-    m = BinaryMask(np.ones((4, 4), dtype=bool))
-    assert not to_attention_block(m).any()
+    bits = np.ones((1, 4, 4), dtype=bool)
+    assert not to_attention_blocks(bits, 4, 4).any()
 
 
 def test_to_attention_block_empty_fallback():
-    m = BinaryMask(np.zeros((4, 4), dtype=bool))
-    assert not to_attention_block(m).any()
+    bits = np.zeros((1, 4, 4), dtype=bool)
+    assert not to_attention_blocks(bits, 4, 4).any()
 
 
 def test_to_attention_block_half_mask_complement():
     bits = np.zeros((4, 4), dtype=bool)
     bits[:, :2] = True
-    block = to_attention_block(BinaryMask(bits))
-    assert np.array_equal(block, ~bits)
+    block = to_attention_blocks(bits[None], 4, 4)
+    assert np.array_equal(block, ~bits.reshape(1, -1))
+
+
+def per_mask_block(bits, h2, w2):
+    """Oracle: resize one mask, block outside it, and block nothing when
+    the resized mask is empty."""
+    resized = resize_nearest(BinaryMask(bits), h2, w2)
+    if resized.is_empty():
+        return np.zeros(h2 * w2, dtype=bool)
+    return ~resized.bits.reshape(-1)
+
+
+@pytest.mark.parametrize("h2,w2", [(16, 16), (4, 4), (8, 8), (2, 8), (8, 3)],
+                         ids=["up", "down", "same", "down-rows", "mixed"])
+def test_to_attention_blocks_equals_the_per_mask_oracle(h2, w2):
+    rng = np.random.default_rng(4)
+    bits = rng.uniform(size=(6, 8, 8)) < rng.uniform(0.05, 0.6, size=(6, 1, 1))
+    bits[0] = False                 # empty at every scale
+    bits[1] = False
+    bits[1, 0, 0] = True            # one pixel that downsampling drops
+    blocks = to_attention_blocks(bits, h2, w2)
+    assert blocks.shape == (6, h2 * w2) and blocks.dtype == bool
+    for row, mask in zip(blocks, bits):
+        assert np.array_equal(row, per_mask_block(mask, h2, w2))
+    if (h2, w2) == (4, 4):
+        assert not blocks[1].any()  # vanished, so unblocked
 
 
 def test_rle_roundtrip():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpseg.decoder import full_forward, init_params, plain_spec
-from mpseg.masks import resize_nearest, to_attention_block
+from mpseg.masks import resize_nearest
 from mpseg.mp import MPConfig, build_mp_part, build_self_block, dynamic_groups
 from mpseg.synth import SynthConfig, generate_scene, synth_features
 from mpseg.tensor import Tensor, concat_rows
@@ -52,7 +52,9 @@ def test_build_mp_part_noiseless_exact_gt():
         h, w = scale_table[layer]
         for row in range(part.num_queries):
             gt = scene.instances[part.instance_index[row]][1]
-            expected = to_attention_block(resize_nearest(gt, h, w)).reshape(-1)
+            resized = resize_nearest(gt, h, w)
+            expected = (np.zeros(h * w, dtype=bool) if resized.is_empty()
+                        else ~resized.bits.reshape(-1))
             assert np.array_equal(blocks[row], expected)
 
 

@@ -1,9 +1,15 @@
+import sys
+
 import numpy as np
 import pytest
 
-from mpseg import trainer
+from mpseg import tensor, trainer
 from mpseg.config import parse_run_config
+from mpseg.decoder import full_forward, init_params
 from mpseg.gradcheck import run_gradient_suite
+from mpseg.losses import LossWeights, layer_losses
+from mpseg.mp import MPConfig
+from mpseg.synth import SynthConfig, generate_scene, synth_features
 from mpseg.tensor import Tensor
 
 
@@ -76,3 +82,44 @@ def test_non_finite_loss_raises_numeric_error(monkeypatch):
 def test_gradient_suite_passes():
     rows = run_gradient_suite()
     assert rows and [name for name, _err, passed in rows if not passed] == []
+
+
+def count_sigmoid_calls(monkeypatch) -> list:
+    """Counts every call of tensor._sigmoid, under whatever name an mpseg
+    module imported it."""
+    calls = []
+    real = tensor._sigmoid
+
+    def counting(x):
+        calls.append(None)
+        return real(x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mpseg") and getattr(module, "_sigmoid", None) is real:
+            monkeypatch.setattr(module, "_sigmoid", counting)
+    return calls
+
+
+def default_scene_and_params():
+    cfg = SynthConfig(seed=3)
+    scene = generate_scene(cfg, 0)
+    return cfg, scene, init_params(seed=4, num_categories=cfg.num_categories)
+
+
+def test_an_evaluated_scene_computes_one_sigmoid_per_layer(monkeypatch):
+    cfg, scene, params = default_scene_and_params()
+    calls = count_sigmoid_calls(monkeypatch)
+    trainer.evaluate(params, [scene], cfg, LossWeights())
+    assert len(calls) == params.num_layers + 1
+
+
+def test_an_mp_step_computes_one_sigmoid_per_layer(monkeypatch):
+    cfg, scene, params = default_scene_and_params()
+    table = trainer.layer_scale_table(cfg.height, cfg.width, params.num_layers)
+    spec, mp_part = trainer.mp_forward_spec(synth_features(scene, cfg), scene, params,
+                                            MPConfig(), table, [0, 2, 0])
+    assert mp_part is not None
+    calls = count_sigmoid_calls(monkeypatch)
+    outputs = full_forward(spec, params)
+    layer_losses(outputs, scene, mp_part, "per-layer-bipartite", LossWeights())
+    assert len(calls) == params.num_layers + 1
