@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .losses import LossWeights
@@ -200,6 +201,15 @@ def validate_run_config(cfg: RunConfig):
                               f"[1,{cfg.model.num_layers}]: {bad}")
     if not 0.0 <= cfg.train.holdout_frac < 1.0:
         raise ConfigError("train.holdout_frac must be in [0, 1)")
+    for name, value in (("train.lr", cfg.train.lr),
+                        ("train.decay_factor", cfg.train.decay_factor)):
+        if not value > 0:
+            raise ConfigError(f"{name} must be > 0, got {value!r}")
+    non_negative = {"train.weight_decay": cfg.train.weight_decay,
+                    **{f"loss.{k}": v for k, v in dataclasses.asdict(cfg.loss).items()}}
+    for name, value in non_negative.items():
+        if not value >= 0:
+            raise ConfigError(f"{name} must be >= 0, got {value!r}")
 
 
 def apply_variant(cfg: RunConfig) -> RunConfig:
@@ -208,11 +218,19 @@ def apply_variant(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text}")
+    return value
+
+
 def load_config_json(path) -> dict:
-    """The top-level JSON object of a config file."""
+    """The top-level JSON object of a config file; NaN, Infinity and
+    numbers too large for a float are rejected."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):

@@ -3,7 +3,8 @@
 Each layer runs masked cross-attention over one pyramid scale (coarse to
 fine, cycling), self-attention under an optional blocking grid, and a
 feed-forward block, each with residual + layer norm. Shared mask and
-classification heads produce per-layer predictions, and each layer's
+classification heads produce per-layer predictions (one tape node each
+per layer, over all query parts), and each layer's
 masks, binarized by binarize_masks and resized by
 masks.to_attention_blocks, become the next layer's cross-attention
 blocking grids. Single attention head, no positional encodings.
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .masks import FormatError, to_attention_blocks
-from .tensor import Tensor, add_norm_affine, concat_rows, fused_attention, mlp2
+from .tensor import Tensor, add_norm_affine, concat_rows, fused_attention, fused_heads, mlp2
 
 CHECKPOINT_MAGIC = "mpseg-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -138,21 +139,13 @@ def named_parameters(params: DecoderParams):
     return pairs
 
 
-def mask_head(params: DecoderParams, queries: Tensor, embed_grid) -> Tensor:
-    """logits[n, y, x] = MLP(query_n) . embed[y, x]."""
-    if isinstance(embed_grid, Tensor):
-        embed_grid = embed_grid.values
-    h, w, d = embed_grid.shape
-    if params.mask_w2.values.shape[1] != d:
-        raise ValueError(f"mask head output dim {params.mask_w2.values.shape[1]} "
-                         f"!= embedding dim {d}")
-    e = mlp2(queries, params.mask_w1, params.mask_b1, params.mask_w2, params.mask_b2)
-    flat = Tensor(embed_grid.reshape(h * w, d).T)
-    return (e @ flat).reshape(-1, h, w)
-
-
-def class_head(params: DecoderParams, queries: Tensor) -> Tensor:
-    return queries @ params.cls_w + params.cls_b
+def heads(params: DecoderParams, parts, embed: np.ndarray) -> tuple:
+    """(mask logits (n, H, W), class logits (n, K+1)) of the query parts,
+    rows in part order, from the shared heads: mask logit [n, y, x] =
+    MLP(query_n) . embed[y, x], class logits = query_n @ cls_w + cls_b.
+    One tape node each."""
+    return fused_heads(parts, embed, params.mask_w1, params.mask_b1, params.mask_w2,
+                       params.mask_b2, params.cls_w, params.cls_b)
 
 
 def binarize_masks(mask_logit_values: np.ndarray) -> np.ndarray:
@@ -203,10 +196,6 @@ def layer_scale(layer: int, num_scales: int) -> int:
     return (layer - 1) % num_scales
 
 
-def _join_rows(parts) -> Tensor:
-    return parts[0] if len(parts) == 1 else concat_rows(parts)
-
-
 def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
     """Run all layers; layer i attends to pyramid scale layer_scale(i).
 
@@ -234,26 +223,27 @@ def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
     else:
         parts = [spec.init_queries]
         self_blocks = [spec.self_block]
-    mask_logits = [[mask_head(params, x, embed) for x in parts]]
-    class_logits = [[class_head(params, x) for x in parts]]
+    masks, classes = heads(params, parts, embed)
+    mask_logits, class_logits = [masks], [classes]
     for i in range(1, params.num_layers + 1):
         s = layer_scale(i, len(feats))
         h, w = spec.pyramid.scales[s].shape[:2]
-        cross_blocks = []
-        for j, logits in enumerate(mask_logits[-1]):
-            block = spec.overrides.get(i) if j else None
+        own = to_attention_blocks(binarize_masks(mask_logits[-1].values), h, w)
+        cross_blocks = [own[:n_match]]
+        if n_mp:
+            block = spec.overrides.get(i)
             if block is None:
-                block = to_attention_blocks(binarize_masks(logits.values), h, w)
+                block = own[n_match:]
             elif block.shape != (n_mp, h * w):
                 raise ValueError(f"override for layer {i} has shape {block.shape}, "
                                  f"expected {(n_mp, h * w)}")
             cross_blocks.append(block)
         parts = decoder_layer(parts, feats[s], cross_blocks, self_blocks,
                               params.layers[i - 1], params.dim)
-        mask_logits.append([mask_head(params, x, embed) for x in parts])
-        class_logits.append([class_head(params, x) for x in parts])
-    return LayerOutputs(mask_logits=[_join_rows(p) for p in mask_logits],
-                        class_logits=[_join_rows(p) for p in class_logits],
+        masks, classes = heads(params, parts, embed)
+        mask_logits.append(masks)
+        class_logits.append(classes)
+    return LayerOutputs(mask_logits=mask_logits, class_logits=class_logits,
                         n_match=n_match)
 
 

@@ -5,7 +5,8 @@ resulting slope against the tape's gradient. The error measure is
 |analytic - numeric| / max(|analytic|, |numeric|, 1e-3): a true relative
 error for gradients above 1e-3 and an absolute error (scaled by 1e3)
 below, which keeps finite-difference noise on near-zero gradients from
-producing spurious failures.
+producing spurious failures. A non-finite error counts as infinite, so it
+always fails.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ def _probe(loss, flat, analytic, coords, eps: float) -> float:
         flat[c] = orig
         numeric = (hi - lo) / (2.0 * eps)
         err = abs(analytic[c] - numeric) / max(abs(analytic[c]), abs(numeric), 1e-3)
+        if not np.isfinite(err):  # max() would drop a NaN
+            return float("inf")
         worst = max(worst, err)
     return worst
 
@@ -130,6 +133,17 @@ def run_gradient_suite(seed: int = 0):
     check("mask_loss_rows",
           lambda xs: T.mask_loss_rows(xs[0], T._sigmoid(xs[0].values), [3, 0, 2], mask_tgt,
                                       5.0, 5.0, 1.0), [mask_in])
+    # the heads over two query parts of 2 and 3 rows: 4-d queries, 5 hidden, 3 classes
+    head_in = [rng.uniform(-1, 1, size=s) for s in
+               ((2, 4), (3, 4), (4, 5), (5,), (5, 4), (4,), (4, 3), (3,))]
+    head_embed = rng.uniform(-1, 1, size=(2, 3, 4))
+    head_w = [rng.uniform(-1, 1, size=(5, 2, 3)), rng.uniform(-1, 1, size=(5, 3))]
+
+    def heads_loss(xs):
+        masks, classes = T.fused_heads(xs[:2], head_embed, *xs[2:])
+        return (masks * head_w[0]).sum() + (classes * head_w[1]).sum()
+
+    check("fused_heads_two_parts", heads_loss, head_in)
 
     results.append(_end_to_end_check(seed, with_mp=False))
     results.append(_end_to_end_check(seed, with_mp=True))

@@ -93,7 +93,12 @@ def resize_nearest(m: BinaryMask, h2: int, w2: int) -> BinaryMask:
     return BinaryMask(m.bits[np.ix_(ri, ci)])
 
 
-def _rng(seed) -> np.random.Generator:
+def seeded_rng(seed) -> np.random.Generator:
+    """PCG64 generator of SeedSequence(seed). A list of ints in [0, 2**32)
+    goes in as a uint32 array: SeedSequence makes the same entropy words of
+    both, and builds itself from the array about 5x faster."""
+    if isinstance(seed, list) and all(type(s) is int and 0 <= s < 2**32 for s in seed):
+        seed = np.array(seed, dtype=np.uint32)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
@@ -106,6 +111,26 @@ def _dilated_bbox(m: BinaryMask):
             max(0, c0 - pad_c), min(m.width - 1, c1 + pad_c))
 
 
+def point_noise_region(m: BinaryMask, lambda_p: float):
+    """(flip budget, dilated bbox) of point noise on m: the budget is
+    floor(lambda_p * area); it is 0, with no bbox, when nothing can flip."""
+    if m.is_empty():
+        return 0, None
+    c_max = int(np.floor(lambda_p * m.area))
+    return (c_max, _dilated_bbox(m)) if c_max else (0, None)
+
+
+def point_flips(c_max: int, bbox, seed):
+    """(rows, cols) of the pixels point noise flips: a count uniform on the
+    integers [0, c_max] of distinct positions, uniform over the bbox."""
+    rng = seeded_rng(seed)
+    count = int(rng.integers(0, c_max + 1))
+    r0, r1, c0, c1 = bbox
+    region_w = c1 - c0 + 1
+    picks = rng.choice((r1 - r0 + 1) * region_w, size=count, replace=False)
+    return r0 + picks // region_w, c0 + picks % region_w
+
+
 def point_noise(m: BinaryMask, lambda_p: float, seed) -> BinaryMask:
     """Flip a random number of pixels inside the dilated GT bbox.
 
@@ -115,20 +140,11 @@ def point_noise(m: BinaryMask, lambda_p: float, seed) -> BinaryMask:
     """
     if not 0.0 <= lambda_p <= 1.0:
         raise ValueError(f"lambda_p must be in [0,1], got {lambda_p}")
-    if m.is_empty():
-        return m.copy()
-    c_max = int(np.floor(lambda_p * m.area))
-    if c_max == 0:
-        return m.copy()
-    rng = _rng(seed)
-    count = int(rng.integers(0, c_max + 1))
-    r0, r1, c0, c1 = _dilated_bbox(m)
-    region_h, region_w = r1 - r0 + 1, c1 - c0 + 1
-    picks = rng.choice(region_h * region_w, size=count, replace=False)
+    c_max, bbox = point_noise_region(m, lambda_p)
     out = m.bits.copy()
-    rr = r0 + picks // region_w
-    cc = c0 + picks % region_w
-    out[rr, cc] = ~out[rr, cc]
+    if c_max:
+        rr, cc = point_flips(c_max, bbox, seed)
+        out[rr, cc] = ~out[rr, cc]
     return BinaryMask(out)
 
 
@@ -137,7 +153,7 @@ def shift_noise(m: BinaryMask, seed) -> BinaryMask:
     inside the original GT bbox; pixels pushed off the image are dropped."""
     if m.is_empty():
         raise ValueError("shift_noise on empty mask")
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     r0, r1, c0, c1 = m.bbox()
     cy, cx = m.centroid()
     # legal offsets: bbox covers [r0, r1+1) in continuous coords
@@ -163,7 +179,7 @@ def scale_noise(m: BinaryMask, ratio_range=(0.8, 1.2), seed=0) -> BinaryMask:
     lo, hi = ratio_range
     if not (0.0 < lo <= hi <= 2.0):
         raise ValueError(f"ratio range must lie in (0, 2], got {ratio_range}")
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     ratio = float(rng.uniform(lo, hi))
     cy, cx = m.centroid()
     r = np.arange(m.height) + 0.5

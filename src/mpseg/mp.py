@@ -4,7 +4,8 @@ MP queries are GT class embeddings (optionally flipped to a wrong class
 with probability lambda_label), repeated over dynamically-sized groups so
 the query budget is filled. Each configured layer gets an independently
 noised copy of every instance's GT mask, resized to that layer's
-attention scale and converted to a blocking grid. A self-attention
+attention scale and converted to a blocking grid. Point noise computes
+each instance's flip budget and region once per scene. A self-attention
 blocking grid stops information flow from MP queries to matching queries
 and between MP groups.
 """
@@ -15,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .masks import apply_noise, to_attention_blocks
+from .masks import (apply_noise, point_flips, point_noise_region, seeded_rng,
+                    to_attention_blocks)
 from .tensor import Tensor
 
 
@@ -104,8 +106,7 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layer_scales,
     num_categories = class_embed.values.shape[0]
     for g in range(n_g):
         for j, (cat, _mask) in enumerate(instances):
-            rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence(_subseed(seed, 0, g, j))))
+            rng = seeded_rng(_subseed(seed, 0, g, j))
             qcat = cat
             if rng.uniform() < cfg.lambda_label and num_categories > 1:
                 others = [c for c in range(num_categories) if c != cat]
@@ -123,15 +124,37 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layer_scales,
     mp_layer_set = cfg.mp_layers
     if mp_layer_set is None:
         mp_layer_set = tuple(layer_scales.keys())
+    # row g * per_group + j of each layer's stack is group g's copy of instance j
+    gt_bits = np.stack([mask.bits for _cat, mask in instances])
+    regions = None
+    if cfg.noise_kind == "point":
+        regions = [point_noise_region(mask, cfg.lambda_point) for _cat, mask in instances]
     overrides = {}
     for layer in sorted(mp_layer_set):
-        noised = np.stack([apply_noise(mask, cfg.noise_kind, cfg.lambda_point,
-                                       cfg.scale_range, _subseed(seed, 1, layer, g, j)).bits
-                           for g in range(n_g) for j, (_cat, mask) in enumerate(instances)])
+        if cfg.noise_kind in ("shift", "scale"):
+            noised = np.stack([apply_noise(mask, cfg.noise_kind, cfg.lambda_point,
+                                           cfg.scale_range, _subseed(seed, 1, layer, g, j)).bits
+                               for g in range(n_g) for j, (_cat, mask) in enumerate(instances)])
+        else:
+            noised = np.tile(gt_bits, (n_g, 1, 1))
+            if regions is not None:
+                _flip_points(noised, regions, layer, seed)
         overrides[layer] = to_attention_blocks(noised, *layer_scales[layer])
     return MPPart(n_groups=n_g, group_id=group_id, instance_index=instance_index,
                   gt_categories=gt_cats, query_categories=query_cats,
                   queries=queries, overrides=overrides)
+
+
+def _flip_points(noised: np.ndarray, regions, layer: int, seed):
+    """Point noise, in place, on a stack of tiled GT masks whose row
+    g * len(regions) + j is group g's copy of instance j: the flips
+    masks.point_noise makes with the (layer, group, instance) seed."""
+    for k in range(noised.shape[0]):
+        g, j = divmod(k, len(regions))
+        c_max, bbox = regions[j]
+        if c_max:
+            rr, cc = point_flips(c_max, bbox, _subseed(seed, 1, layer, g, j))
+            noised[k, rr, cc] = ~noised[k, rr, cc]
 
 
 def build_self_block(n_match: int, group_sizes) -> np.ndarray:

@@ -62,9 +62,9 @@ class SynthConfig:
     def __post_init__(self):
         if self.num_categories < 1:
             raise ValueError(f"num_categories must be >= 1, got {self.num_categories}")
-        if self.height % 4 or self.width % 4:
-            raise ValueError(f"extents must be divisible by 4 for the 3-scale pyramid, "
-                             f"got {self.height}x{self.width}")
+        if min(self.height, self.width) < 4 or self.height % 4 or self.width % 4:
+            raise ValueError(f"extents must be multiples of 4 and at least 4 for the "
+                             f"3-scale pyramid, got {self.height}x{self.width}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
         if self.instance_range[0] < 1 or self.instance_range[0] > self.instance_range[1]:

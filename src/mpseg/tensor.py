@@ -16,6 +16,9 @@ node, not arithmetic:
 - fused_attention: softmax(mask((x@wq)@keys.T * scale)) @ values @ wo;
 - add_norm_affine: layernorm(x + update) * gain + bias;
 - mlp2: relu(x@w1 + b1) @ w2 + b2;
+- fused_heads: the decoder's mask and class heads over all query parts,
+  one mask-logit node and one class-logit node, each part computed as its
+  own matrices;
 - cross_entropy_rows: weighted cross-entropy of some rows of class logits;
 - mask_loss_rows: weighted mean BCE plus mean dice of some rows of mask
   logits, reading the sigmoid the caller computed once for the layer.
@@ -24,6 +27,13 @@ Each fused forward runs the same numpy calls in the same order as its
 composition of primitives, so its value is bitwise equal to theirs; the
 tests use the primitives as the oracle for each fused op. The two loss
 ops write their gradient into the rows they read, by assignment.
+
+Gradient ownership: a backward passes _accumulate(g, owned=True) only for
+an array it has just allocated and keeps nowhere else, and then the first
+gradient a tensor receives is taken without a copy. A view of another
+array (concat_rows' g[a:b], reshape's g.reshape, transpose's g.T), the
+incoming g itself, and an array handed to two inputs (add_norm_affine's
+g_z, which x and update both read) are copied, except by the last reader.
 """
 
 from __future__ import annotations
@@ -56,8 +66,14 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, owned: bool = False):
+        """Add g to .grad. With owned, the caller hands over an array it
+        just allocated and keeps nowhere else, and the first gradient is
+        taken without a copy."""
         if self.grad is None:
+            if owned and isinstance(g, np.ndarray) and g.shape == self.values.shape:
+                self.grad = g
+                return
             self.grad = np.array(g, dtype=np.float64)
             if self.grad.shape != self.values.shape:
                 self.grad = np.broadcast_to(self.grad, self.values.shape).copy()
@@ -83,7 +99,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.values))
+        self._accumulate(np.ones_like(self.values), owned=True)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -96,10 +112,9 @@ class Tensor:
         out = _make(self.values + other.values, (self, other))
         if out.requires_grad:
             def bw(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g, self.values.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(g, other.values.shape))
+                for t in (self, other):
+                    if t.requires_grad:
+                        _accumulate_reduced(t, g)
             out._backward = bw
         return out
 
@@ -108,7 +123,7 @@ class Tensor:
     def __neg__(self):
         out = _make(-self.values, (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(-g)
+            out._backward = lambda g: self._accumulate(-g, owned=True)
         return out
 
     def __sub__(self, other):
@@ -123,9 +138,11 @@ class Tensor:
         if out.requires_grad:
             def bw(g):
                 if self.requires_grad:
-                    self._accumulate(_unbroadcast(g * other.values, self.values.shape))
+                    self._accumulate(_unbroadcast(g * other.values, self.values.shape),
+                                     owned=True)
                 if other.requires_grad:
-                    other._accumulate(_unbroadcast(g * self.values, other.values.shape))
+                    other._accumulate(_unbroadcast(g * self.values, other.values.shape),
+                                      owned=True)
             out._backward = bw
         return out
 
@@ -137,10 +154,11 @@ class Tensor:
         if out.requires_grad:
             def bw(g):
                 if self.requires_grad:
-                    self._accumulate(_unbroadcast(g / other.values, self.values.shape))
+                    self._accumulate(_unbroadcast(g / other.values, self.values.shape),
+                                     owned=True)
                 if other.requires_grad:
                     other._accumulate(_unbroadcast(-g * self.values / other.values ** 2,
-                                                   other.values.shape))
+                                                   other.values.shape), owned=True)
             out._backward = bw
         return out
 
@@ -156,9 +174,9 @@ class Tensor:
         if out.requires_grad:
             def bw(g):
                 if self.requires_grad:
-                    self._accumulate(g @ b.T)
+                    self._accumulate(g @ b.T, owned=True)
                 if other.requires_grad:
-                    other._accumulate(a.T @ g)
+                    other._accumulate(a.T @ g, owned=True)
             out._backward = bw
         return out
 
@@ -188,7 +206,7 @@ class Tensor:
             def bw(g):
                 acc = np.zeros_like(self.values)
                 np.add.at(acc, idx, g)
-                self._accumulate(acc)
+                self._accumulate(acc, owned=True)
             out._backward = bw
         return out
 
@@ -201,7 +219,7 @@ class Tensor:
             def bw(g):
                 acc = np.zeros_like(self.values)
                 np.add.at(acc, (rows, idx), g)
-                self._accumulate(acc)
+                self._accumulate(acc, owned=True)
             out._backward = bw
         return out
 
@@ -211,47 +229,49 @@ class Tensor:
     def relu(self) -> "Tensor":
         out = _make(np.maximum(self.values, 0.0), (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g * (self.values > 0.0))
+            out._backward = lambda g: self._accumulate(g * (self.values > 0.0), owned=True)
         return out
 
     def sigmoid(self) -> "Tensor":
         y = _sigmoid(self.values)
         out = _make(y, (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g * y * (1.0 - y))
+            out._backward = lambda g: self._accumulate(g * y * (1.0 - y), owned=True)
         return out
 
     def exp(self) -> "Tensor":
         y = np.exp(self.values)
         out = _make(y, (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g * y)
+            out._backward = lambda g: self._accumulate(g * y, owned=True)
         return out
 
     def log(self) -> "Tensor":
         out = _make(np.log(self.values), (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g / self.values)
+            out._backward = lambda g: self._accumulate(g / self.values, owned=True)
         return out
 
     def sum(self) -> "Tensor":
         out = _make(self.values.sum(), (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(np.full_like(self.values, float(g)))
+            out._backward = lambda g: self._accumulate(np.full_like(self.values, float(g)),
+                                                       owned=True)
         return out
 
     def mean(self) -> "Tensor":
         n = self.values.size
         out = _make(self.values.mean(), (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(np.full_like(self.values, float(g) / n))
+            out._backward = lambda g: self._accumulate(np.full_like(self.values, float(g) / n),
+                                                       owned=True)
         return out
 
     def sum_lastdim(self) -> "Tensor":
         out = _make(self.values.sum(axis=-1), (self,))
         if out.requires_grad:
             out._backward = lambda g: self._accumulate(
-                np.broadcast_to(np.expand_dims(g, -1), self.values.shape).copy())
+                np.broadcast_to(np.expand_dims(g, -1), self.values.shape).copy(), owned=True)
         return out
 
 
@@ -278,6 +298,25 @@ def _unbroadcast(g, shape):
     return g
 
 
+def _accumulate_reduced(t: Tensor, g):
+    """Add g, summed down to t's shape, to t.grad; g itself is not handed
+    over, since the caller may still read it."""
+    r = _unbroadcast(g, t.values.shape)
+    t._accumulate(r, owned=r is not g)
+
+
+# ndarray.mean and .var with the Python wrapper taken out: the same reductions
+# and divisions in the same order, so bitwise the same values
+
+
+def _mean_lastdim(a):
+    return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+
+
+def _mean_all(a):
+    return np.add.reduce(a, axis=None) / a.size
+
+
 def _sigmoid(x):
     ex = np.exp(-np.abs(x))
     d = 1.0 + ex
@@ -294,7 +333,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     if out.requires_grad:
         def bw(g):
             dot = (g * y).sum(axis=-1, keepdims=True)
-            x._accumulate(y * (g - dot))
+            x._accumulate(y * (g - dot), owned=True)
         out._backward = bw
     return out
 
@@ -308,7 +347,7 @@ def logsumexp_lastdim(x: Tensor) -> Tensor:
     out = _make((np.log(s) + m).squeeze(-1), (x,))
     if out.requires_grad:
         def bw(g):
-            x._accumulate(np.expand_dims(g, -1) * (e / s))
+            x._accumulate(np.expand_dims(g, -1) * (e / s), owned=True)
         out._backward = bw
     return out
 
@@ -325,7 +364,7 @@ def layernorm_lastdim(x: Tensor, eps: float = 1e-5) -> Tensor:
         def bw(g):
             gm = g.mean(axis=-1, keepdims=True)
             gy = (g * y).mean(axis=-1, keepdims=True)
-            x._accumulate(inv * (g - gm - y * gy))
+            x._accumulate(inv * (g - gm - y * gy), owned=True)
         out._backward = bw
     return out
 
@@ -337,7 +376,7 @@ def masked_fill(x: Tensor, block, fill: float) -> Tensor:
         raise ValueError(f"masked_fill shape mismatch: values {x.values.shape} vs block {block.shape}")
     out = _make(np.where(block, fill, x.values), (x,))
     if out.requires_grad:
-        out._backward = lambda g: x._accumulate(np.where(block, 0.0, g))
+        out._backward = lambda g: x._accumulate(np.where(block, 0.0, g), owned=True)
     return out
 
 
@@ -351,7 +390,7 @@ def bce_with_logits(x: Tensor, target) -> Tensor:
     loss = np.maximum(v, 0.0) - v * t + np.log1p(np.exp(-np.abs(v)))
     out = _make(loss, (x,))
     if out.requires_grad:
-        out._backward = lambda g: x._accumulate(g * (_sigmoid(v) - t))
+        out._backward = lambda g: x._accumulate(g * (_sigmoid(v) - t), owned=True)
     return out
 
 
@@ -398,10 +437,10 @@ def fused_attention(x: Tensor, keys: Tensor, values: Tensor, block, wq: Tensor,
     if out.requires_grad:
         def bw(g):
             if wo.requires_grad:
-                wo._accumulate(ctx.T @ g)
+                wo._accumulate(ctx.T @ g, owned=True)
             g_ctx = g @ wo.values.T
             if values.requires_grad:
-                values._accumulate(p.T @ g_ctx)
+                values._accumulate(p.T @ g_ctx, owned=True)
             if not (x.requires_grad or keys.requires_grad or wq.requires_grad):
                 return
             g_p = g_ctx @ values.values.T
@@ -410,12 +449,12 @@ def fused_attention(x: Tensor, keys: Tensor, values: Tensor, block, wq: Tensor,
                 g_logits = np.where(block, 0.0, g_logits)
             g_logits = g_logits * scale
             if keys.requires_grad:
-                keys._accumulate((q.T @ g_logits).T)
+                keys._accumulate((q.T @ g_logits).T, owned=True)
             g_q = g_logits @ kv
             if wq.requires_grad:
-                wq._accumulate(x.values.T @ g_q)
+                wq._accumulate(x.values.T @ g_q, owned=True)
             if x.requires_grad:
-                x._accumulate(g_q @ wq.values.T)
+                x._accumulate(g_q @ wq.values.T, owned=True)
         out._backward = bw
     return out
 
@@ -425,24 +464,24 @@ def add_norm_affine(x: Tensor, update: Tensor, gain: Tensor, bias: Tensor,
     """layernorm_lastdim(x + update) * gain + bias: a residual connection
     followed by layer normalization with its affine."""
     z = x.values + update.values
-    mu = z.mean(axis=-1, keepdims=True)
-    var = z.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (z - mu) * inv
+    zc = z - _mean_lastdim(z)
+    inv = 1.0 / np.sqrt(_mean_lastdim(zc * zc) + eps)
+    y = zc * inv
     out = _make(y * gain.values + bias.values, (x, update, gain, bias))
     if out.requires_grad:
         def bw(g):
             if bias.requires_grad:
-                bias._accumulate(_unbroadcast(g, bias.values.shape))
+                _accumulate_reduced(bias, g)
             if gain.requires_grad:
-                gain._accumulate(_unbroadcast(g * y, gain.values.shape))
+                gain._accumulate(_unbroadcast(g * y, gain.values.shape), owned=True)
             if x.requires_grad or update.requires_grad:
                 g_y = g * gain.values
-                g_z = inv * (g_y - g_y.mean(axis=-1, keepdims=True)
-                             - y * (g_y * y).mean(axis=-1, keepdims=True))
-                for t in (x, update):
-                    if t.requires_grad:
-                        t._accumulate(g_z)
+                g_z = inv * (g_y - _mean_lastdim(g_y) - y * _mean_lastdim(g_y * y))
+                # both read g_z, so only the last of them (x may be update) owns it
+                if x.requires_grad:
+                    x._accumulate(g_z)
+                if update.requires_grad:
+                    update._accumulate(g_z, owned=True)
         out._backward = bw
     return out
 
@@ -455,20 +494,79 @@ def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     if out.requires_grad:
         def bw(g):
             if b2.requires_grad:
-                b2._accumulate(_unbroadcast(g, b2.values.shape))
+                _accumulate_reduced(b2, g)
             if w2.requires_grad:
-                w2._accumulate(r.T @ g)
+                w2._accumulate(r.T @ g, owned=True)
             if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
                 return
             g_h = (g @ w2.values.T) * (h > 0.0)
             if b1.requires_grad:
-                b1._accumulate(_unbroadcast(g_h, b1.values.shape))
+                _accumulate_reduced(b1, g_h)
             if w1.requires_grad:
-                w1._accumulate(x.values.T @ g_h)
+                w1._accumulate(x.values.T @ g_h, owned=True)
             if x.requires_grad:
-                x._accumulate(g_h @ w1.values.T)
+                x._accumulate(g_h @ w1.values.T, owned=True)
         out._backward = bw
     return out
+
+
+def fused_heads(parts, embed: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                cls_w: Tensor, cls_b: Tensor) -> tuple:
+    """(mask logits (n, h, w), class logits (n, K+1)) of the query parts,
+    one node each, with the parts' rows in order, for an (h, w, d) embed:
+
+    - mask[n, y, x] = mlp2(x_n, w1, b1, w2, b2) . embed[y, x];
+    - class[n] = x_n @ cls_w + cls_b.
+
+    Each part is computed as its own matrices, so a part's rows do not
+    depend on the other parts, bit for bit.
+    """
+    h, w, d = embed.shape
+    if w2.values.shape[1] != d:
+        raise ValueError(f"mask head output dim {w2.values.shape[1]} != embedding dim {d}")
+    flat = embed.reshape(h * w, d).T
+    pre, relus, masks, classes = [], [], [], []
+    for x in parts:
+        pre.append(x.values @ w1.values + b1.values)
+        relus.append(np.maximum(pre[-1], 0.0))
+        masks.append((relus[-1] @ w2.values + b2.values) @ flat)
+        classes.append(x.values @ cls_w.values + cls_b.values)
+    joined = [np.concatenate(a) if len(a) > 1 else a[0] for a in (masks, classes)]
+    mask_out = _make(joined[0].reshape(-1, h, w), (*parts, w1, b1, w2, b2))
+    class_out = _make(joined[1], (*parts, cls_w, cls_b))
+    offsets = np.cumsum([0] + [x.values.shape[0] for x in parts])
+    spans = list(zip(parts, offsets[:-1], offsets[1:]))
+    if mask_out.requires_grad:
+        def mask_bw(g):
+            g = g.reshape(g.shape[0], h * w)
+            for (x, a, b), hp, r in zip(spans, pre, relus):
+                g_e = g[a:b] @ flat.T
+                if b2.requires_grad:
+                    _accumulate_reduced(b2, g_e)
+                if w2.requires_grad:
+                    w2._accumulate(r.T @ g_e, owned=True)
+                if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+                    continue
+                g_h = (g_e @ w2.values.T) * (hp > 0.0)
+                if b1.requires_grad:
+                    _accumulate_reduced(b1, g_h)
+                if w1.requires_grad:
+                    w1._accumulate(x.values.T @ g_h, owned=True)
+                if x.requires_grad:
+                    x._accumulate(g_h @ w1.values.T, owned=True)
+        mask_out._backward = mask_bw
+    if class_out.requires_grad:
+        def class_bw(g):
+            for x, a, b in spans:
+                g_c = g[a:b]
+                if cls_b.requires_grad:
+                    _accumulate_reduced(cls_b, g_c)
+                if x.requires_grad:
+                    x._accumulate(g_c @ cls_w.values.T, owned=True)
+                if cls_w.requires_grad:
+                    cls_w._accumulate(x.values.T @ g_c, owned=True)
+        class_out._backward = class_bw
+    return mask_out, class_out
 
 
 def cross_entropy_rows(logits: Tensor, rows, targets, row_weights, scale: float) -> Tensor:
@@ -493,7 +591,7 @@ def cross_entropy_rows(logits: Tensor, rows, targets, row_weights, scale: float)
             g_rows[np.arange(rows.size), targets] -= coef
             acc = np.zeros_like(logits.values)
             acc[rows] = g_rows
-            logits._accumulate(acc)
+            logits._accumulate(acc, owned=True)
         out._backward = bw
     return out
 
@@ -511,10 +609,10 @@ def mask_loss_rows(logits: Tensor, probs: np.ndarray, rows, targets, w_bce: floa
     v = logits.values.reshape(n, -1)[rows]
     p = probs.reshape(n, -1)[rows]
     t = targets
-    bce = (np.maximum(v, 0.0) - v * t + np.log1p(np.exp(-np.abs(v)))).mean()
+    bce = _mean_all(np.maximum(v, 0.0) - v * t + np.log1p(np.exp(-np.abs(v))))
     num = 2.0 * (p * t).sum(axis=-1) + dice_eps
     den = p.sum(axis=-1) + (t.sum(axis=1) + dice_eps)
-    dice = (1.0 - num / den).mean()
+    dice = _mean_all(1.0 - num / den)
     out = _make(w_bce * bce + w_dice * dice, (logits,))
     if out.requires_grad:
         def bw(g):
@@ -523,6 +621,6 @@ def mask_loss_rows(logits: Tensor, probs: np.ndarray, rows, targets, w_bce: floa
             g_p = (2.0 * g_num)[:, None] * t - (g_num * num / den)[:, None]
             acc = np.zeros_like(logits.values)
             acc.reshape(n, -1)[rows] = g_bce * (p - t) + g_p * p * (1.0 - p)
-            logits._accumulate(acc)
+            logits._accumulate(acc, owned=True)
         out._backward = bw
     return out

@@ -20,8 +20,8 @@ from .tensor import Tensor, concat_rows
 
 
 class NumericError(RuntimeError):
-    def __init__(self, step: int):
-        super().__init__(f"non-finite loss at step {step}")
+    def __init__(self, step: int, what: str = "loss"):
+        super().__init__(f"non-finite {what} at step {step}")
         self.step = step
 
 
@@ -30,7 +30,16 @@ class CompatibilityError(RuntimeError):
 
 
 class AdamW:
-    """Adam with decoupled weight decay; embeddings are decay-exempt."""
+    """Adam with decoupled weight decay; embeddings are decay-exempt.
+
+    At the first step() every parameter is copied into one flat buffer,
+    decayed parameters first, and its .values becomes a view of that
+    buffer; the moments and work arrays are allocated then too, not at
+    construction. Each step is a fixed sequence of whole-buffer ufunc
+    calls doing, elementwise, what per-array Adam does, so the values are
+    bitwise equal to it. A parameter whose .values was rebound since is
+    re-adopted: its new values are copied into the buffer.
+    """
 
     def __init__(self, pairs, lr=1e-4, betas=(0.9, 0.999), eps=1e-8,
                  weight_decay=0.05, exempt=("query_embed", "class_embed")):
@@ -41,32 +50,76 @@ class AdamW:
         self.weight_decay = weight_decay
         self.exempt = set(exempt)
         self.t = 0
-        self.m = {name: np.zeros_like(p.values) for name, p in pairs}
-        self.v = {name: np.zeros_like(p.values) for name, p in pairs}
+        self.flat = None        # every parameter's values, allocated at the first step
 
     def zero_grad(self):
         for _, p in self.pairs:
             p.grad = None
 
+    def _allocate(self):
+        order = sorted(self.pairs, key=lambda pair: pair[0] in self.exempt)
+        self._n_decay = sum(p.values.size for name, p in order if name not in self.exempt)
+        sizes = [p.values.size for _, p in order]
+        self.flat = np.empty(sum(sizes))
+        self.m, self.v, self._g, self._u = (np.zeros_like(self.flat) for _ in range(4))
+        ends = np.cumsum(sizes)
+        spans = {id(p): (end - size, end) for (_, p), size, end in zip(order, sizes, ends)}
+        self._views, self._grads = [], []
+        for _, p in self.pairs:  # views in pairs order, as _gather walks them
+            a, b = spans[id(p)]
+            view = self.flat[a:b].reshape(p.values.shape)
+            view[...] = p.values
+            p.values = view
+            self._views.append(view)
+            self._grads.append(self._g[a:b].reshape(p.values.shape))
+
+    def _gather(self):
+        """Copy every gradient into the flat gradient buffer (zero where
+        none) and re-adopt rebound values."""
+        for (name, p), view, grad in zip(self.pairs, self._views, self._grads):
+            if p.values is not view:
+                if p.values.shape != view.shape:
+                    raise ValueError(f"parameter {name} was rebound to shape "
+                                     f"{p.values.shape}, expected {view.shape}")
+                view[...] = p.values
+                p.values = view
+            if p.grad is None:
+                grad.fill(0.0)
+            else:
+                grad[...] = p.grad
+
     def step(self, lr=None):
         lr = self.lr if lr is None else lr
+        if self.flat is None:
+            self._allocate()
+        self._gather()
         self.t += 1
         c1 = 1.0 - self.b1 ** self.t
         c2 = 1.0 - self.b2 ** self.t
-        for name, p in self.pairs:
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.values)
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
-            if self.weight_decay and name not in self.exempt:
-                update = update + self.weight_decay * p.values
-            p.values = p.values - lr * update
+        g, m, v, u = self._g, self.m, self.v, self._u
+        m *= self.b1
+        np.multiply(g, 1.0 - self.b1, out=u)
+        m += u
+        v *= self.b2
+        np.multiply(g, 1.0 - self.b2, out=u)
+        u *= g
+        v += u
+        w = g                                   # the gradients are spent: reuse their buffer
+        np.divide(v, c2, out=w)
+        np.sqrt(w, out=w)
+        w += self.eps
+        np.divide(m, c1, out=u)
+        u /= w                                  # the Adam update
+        if self.weight_decay:
+            n = self._n_decay
+            np.multiply(self.flat[:n], self.weight_decay, out=w[:n])
+            u[:n] += w[:n]
+        u *= lr
+        self.flat -= u
+
+    def values_finite(self) -> bool:
+        """Whether every parameter value is finite (True before the first step)."""
+        return self.flat is None or bool(np.isfinite(self.flat).all())
 
 
 def layer_scale_table(height: int, width: int, num_layers: int) -> dict:
@@ -159,6 +212,8 @@ def run_training(cfg: RunConfig, log=None):
         opt.zero_grad()
         loss.backward()
         opt.step(lr)
+        if not opt.values_finite():
+            raise NumericError(step, "parameters")
         epoch_acc.append(loss_val)
         if len(epoch_acc) == n_train or step == cfg.train.steps - 1:
             epoch_losses.append(float(np.mean(epoch_acc)))

@@ -102,9 +102,11 @@ def test_train_noises_masks_with_the_configured_kind(tmp_path, monkeypatch, kind
 
 OUT_OF_RANGE_SYNTH = [{"synth": {"seed": -1}}, {"synth": {"shape_kinds": []}},
                       {"synth": {"shape_kinds": ["triangle"]}},
-                      {"synth": {"size_range": [9, 3]}}]
+                      {"synth": {"size_range": [9, 3]}}, {"synth": {"height": -4}},
+                      {"synth": {"width": 0}}, {"synth": {"noise_sigma": float("nan")}}]
 OUT_OF_RANGE_SYNTH_IDS = ["synth.seed-negative", "shape_kinds-empty", "shape_kinds-unknown",
-                          "size_range-reversed"]
+                          "size_range-reversed", "height-negative", "width-0",
+                          "noise_sigma-nan"]
 
 
 @pytest.mark.parametrize("raw", [
@@ -118,9 +120,20 @@ OUT_OF_RANGE_SYNTH_IDS = ["synth.seed-negative", "shape_kinds-empty", "shape_kin
     *OUT_OF_RANGE_SYNTH,
     {"mp": {"scale_range": [2]}},
     {"mp": {"scale_range": [1.5, 0.5]}},
+    {"train": {"lr": -1}},
+    {"train": {"lr": 0}},
+    {"train": {"decay_factor": -1}},
+    {"train": {"weight_decay": -0.5}},
+    {"loss": {"bce": -5}},
+    {"loss": {"no_object": -0.1}},
+    {"train": {"lr": float("nan")}},
+    {"train": {"lr": float("inf")}},
+    {"mp": {"scale_range": [0.8, float("-inf")]}},
 ], ids=["loss.mode", "loss_mode", "unknown-key", "num_scenes-0", "log_every-0",
         "seed-str", "n_queries-0", *OUT_OF_RANGE_SYNTH_IDS, "scale_range-short",
-        "scale_range-reversed"])
+        "scale_range-reversed", "lr-negative", "lr-0", "decay_factor-negative",
+        "weight_decay-negative", "loss.bce-negative", "loss.no_object-negative", "lr-nan",
+        "lr-infinity", "scale_range-minus-infinity"])
 def test_train_rejected_config_exits_config_with_one_line(tmp_path, capsys, raw):
     assert run_train(write_config(tmp_path, raw), tmp_path / "run") == cli.EXIT_CONFIG
     assert_one_line(capsys, "config error: ")
@@ -158,6 +171,27 @@ def test_train_non_finite_loss_exits_numeric(tmp_path, capsys, monkeypatch):
     assert_one_line(capsys, "numeric failure: non-finite loss at step 0")
 
 
+def test_train_number_too_large_for_a_float_exits_config(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"train": {"lr": 1e999}}')
+    assert run_train(str(config), tmp_path / "run") == cli.EXIT_CONFIG
+    assert_one_line(capsys, "config error: ")
+
+
+def test_train_non_finite_parameters_exit_numeric(tmp_path, capsys, monkeypatch):
+    real_step = trainer.AdamW.step
+
+    def step_on_a_nan_gradient(opt, lr=None):
+        param = opt.pairs[-1][1]
+        param.grad = np.full(param.values.shape, np.nan)
+        return real_step(opt, lr)
+
+    monkeypatch.setattr(trainer.AdamW, "step", step_on_a_nan_gradient)
+    assert run_train(write_config(tmp_path, SMALL_RUN), tmp_path / "run") \
+        == cli.EXIT_NUMERIC
+    assert_one_line(capsys, "numeric failure: non-finite parameters at step 0")
+
+
 def test_train_on_a_dataset_without_scenes_exits_compat(tmp_path, capsys):
     data = tmp_path / "empty.txt"
     save_dataset(data, [], SynthConfig())
@@ -190,8 +224,9 @@ def test_refine_study_ok(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("raw", [{"seed": -1}, {"dim": "x"}, {"instances_per_sigma": 2.0},
-                                 {"sigmas": 0.1}],
-                         ids=["seed-negative", "dim-str", "per_sigma-float", "sigmas-number"])
+                                 {"sigmas": 0.1}, {"sigmas": [0.1, float("inf")]}],
+                         ids=["seed-negative", "dim-str", "per_sigma-float", "sigmas-number",
+                              "sigmas-infinity"])
 def test_refine_study_rejected_config_exits_config_with_one_line(tmp_path, capsys, raw):
     code, out = run_refine_study(tmp_path, raw)
     assert code == cli.EXIT_CONFIG

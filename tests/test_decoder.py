@@ -5,13 +5,13 @@ import pytest
 
 from mpseg import decoder
 from mpseg.decoder import (ForwardSpec, attention, binarize_masks, decoder_layer,
-                           full_forward, init_params, load_checkpoint, mask_head,
+                           full_forward, heads, init_params, load_checkpoint,
                            named_parameters, plain_spec, save_checkpoint)
 from mpseg.gradcheck import check_gradient
 from mpseg.masks import FormatError, to_attention_blocks
 from mpseg.mp import build_self_block
 from mpseg.synth import SynthConfig, generate_scene, synth_features
-from mpseg.tensor import Tensor, _sigmoid, concat_rows
+from mpseg.tensor import Tensor, _sigmoid, concat_rows, mlp2
 from mpseg.trainer import detach_params, layer_scale_table
 
 BENCH_CHECKPOINT = Path(__file__).resolve().parent.parent / "bench" / "data" / "checkpoint.bin"
@@ -27,10 +27,27 @@ def identity_mask_head_params(d=2, num_categories=2):
     return p
 
 
+def mask_head(params, queries: Tensor, embed_grid) -> Tensor:
+    """The oracle of heads' mask logits, one part at a time:
+    logits[n, y, x] = MLP(query_n) . embed[y, x]."""
+    h, w, d = embed_grid.shape
+    e = mlp2(queries, params.mask_w1, params.mask_b1, params.mask_w2, params.mask_b2)
+    return (e @ Tensor(embed_grid.reshape(h * w, d).T)).reshape(-1, h, w)
+
+
+def class_head(params, queries: Tensor) -> Tensor:
+    """The oracle of heads' class logits, one part at a time."""
+    return queries @ params.cls_w + params.cls_b
+
+
+def mask_logits(params, queries, embed):
+    return heads(params, [queries], embed)[0]
+
+
 def test_mask_head_basis_case():
     p = identity_mask_head_params(d=2)
     embed = np.array([[[1.0, 0.0], [0.0, 1.0]]])  # 1x2 grid of 2-vectors
-    out = mask_head(p, Tensor([[1.0, 0.0]]), embed)
+    out = mask_logits(p, Tensor([[1.0, 0.0]]), embed)
     assert out.values.shape == (1, 1, 2)
     assert np.array_equal(out.values[0, 0], [1.0, 0.0])
 
@@ -38,14 +55,14 @@ def test_mask_head_basis_case():
 def test_mask_head_zero_query():
     p = identity_mask_head_params(d=2)
     embed = np.ones((3, 3, 2))
-    out = mask_head(p, Tensor([[0.0, 0.0]]), embed)
+    out = mask_logits(p, Tensor([[0.0, 0.0]]), embed)
     assert np.array_equal(out.values, np.zeros((1, 3, 3)))
 
 
 def test_mask_head_dimension_mismatch():
     p = identity_mask_head_params(d=2)
     with pytest.raises(ValueError):
-        mask_head(p, Tensor([[1.0, 0.0]]), np.ones((2, 2, 5)))
+        mask_logits(p, Tensor([[1.0, 0.0]]), np.ones((2, 2, 5)))
 
 
 def test_mask_head_gradient():
@@ -57,10 +74,50 @@ def test_mask_head_gradient():
 
     def f(xs):
         p.mask_w1 = xs[1]
-        return (mask_head(p, xs[0], embed) * w).sum()
+        return (mask_logits(p, xs[0], embed) * w).sum()
 
     err = check_gradient(f, [rng.uniform(-1, 1, size=(2, 4)), p.mask_w1.values.copy()])
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("part_rows", [[3], [3, 4]], ids=["one-part", "two-parts"])
+def test_heads_match_the_per_part_oracle(part_rows):
+    """Forward bitwise; every gradient within 1e-12 of its largest entry."""
+    rng = np.random.default_rng(3)
+    embed = rng.uniform(-1, 1, size=(4, 5, 6))
+    weights = [rng.uniform(-1, 1, size=(sum(part_rows), 4, 5)),
+               rng.uniform(-1, 1, size=(sum(part_rows), 3))]
+    queries = [rng.uniform(-1, 1, size=(n, 6)) for n in part_rows]
+
+    def run(forward):
+        p = init_params(seed=5, n_queries=1, n_layers=1, dim=6, num_categories=2,
+                        ffn_hidden=4)
+        parts = [Tensor(q, requires_grad=True) for q in queries]
+        outs = forward(p, parts)
+        ((outs[0] * weights[0]).sum() + (outs[1] * weights[1]).sum()).backward()
+        grads = [x.grad for x in parts] + [t.grad for _, t in named_parameters(p)
+                                           if t.grad is not None]
+        return [o.values for o in outs], grads
+
+    values, grads = run(lambda p, parts: heads(p, parts, embed))
+    oracle_values, oracle_grads = run(lambda p, parts: (
+        concat_rows([mask_head(p, x, embed) for x in parts]),
+        concat_rows([class_head(p, x) for x in parts])))
+    for v, o in zip(values, oracle_values):
+        assert np.array_equal(v, o)
+    assert len(grads) == len(oracle_grads) == len(part_rows) + 6
+    for g, o in zip(grads, oracle_grads):
+        assert np.abs(g - o).max() <= 1e-12 * np.abs(o).max()
+
+
+def test_heads_record_one_mask_and_one_class_node():
+    p = init_params(seed=5, n_queries=1, n_layers=1, dim=2, num_categories=2,
+                    ffn_hidden=4)
+    parts = [Tensor(np.ones((1, 2)), requires_grad=True),
+             Tensor(np.ones((2, 2)), requires_grad=True)]
+    masks, classes = heads(p, parts, np.ones((3, 3, 2)))
+    assert masks._parents == (*parts, p.mask_w1, p.mask_b1, p.mask_w2, p.mask_b2)
+    assert classes._parents == (*parts, p.cls_w, p.cls_b)
 
 
 def blocks_of_logits(logits, h, w):

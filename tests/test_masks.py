@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mpseg.masks import (BinaryMask, iou, point_noise, resize_nearest, rle_decode,
-                         rle_encode, scale_noise, shift_noise, to_attention_blocks)
+                         rle_encode, scale_noise, seeded_rng, shift_noise,
+                         to_attention_blocks)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -250,3 +251,12 @@ def test_rle_roundtrip():
 def test_rle_bad_length():
     with pytest.raises(ValueError):
         rle_decode([3, 3], 2, 2)
+
+
+@pytest.mark.parametrize("seed", [[0], [7, 1, 3, 0, 2], [2**32 - 1, 5], [2**32, 1],
+                                  [2**40, 0, 9]],
+                         ids=["zero", "small", "largest-word", "two-words", "wide"])
+def test_seeded_rng_draws_the_stream_of_the_seed_sequence_of_the_list(seed):
+    expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    assert np.array_equal(seeded_rng(list(seed)).integers(0, 2**62, size=8),
+                          expected.integers(0, 2**62, size=8))

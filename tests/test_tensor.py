@@ -285,3 +285,49 @@ def test_fused_ops_record_one_node_and_none_without_grad():
     frozen = Tensor(x.values)
     out = mlp2(frozen, w, b, w, b)
     assert out._parents == () and out._backward is None
+
+
+# one tensor in several input slots: every slot's gradient adds into one .grad
+
+
+def test_add_norm_affine_of_a_tensor_with_itself_matches_composition():
+    rng = np.random.default_rng(16)
+    arrays = [rng.uniform(-2, 2, size=(5, 8)), rng.uniform(0.5, 1.5, size=(8,)),
+              rng.uniform(-1, 1, size=(8,))]
+    assert_same_as_composition(
+        lambda xs: add_norm_affine(xs[0], xs[0], xs[1], xs[2]),
+        lambda xs: layernorm_lastdim(xs[0] + xs[0]) * xs[1] + xs[2],
+        arrays, seed=4)
+
+
+def test_fused_attention_of_a_tensor_over_itself_matches_composition():
+    rng = np.random.default_rng(17)
+    arrays = [rng.uniform(-1, 1, size=(5, 6)), rng.uniform(-1, 1, size=(6, 6)),
+              rng.uniform(-1, 1, size=(6, 6))]
+    block = rng.uniform(size=(5, 5)) < 0.4
+    block[:, 0] = False
+    assert_same_as_composition(
+        lambda xs: fused_attention(xs[0], xs[0], xs[0], block, xs[1], xs[2], 0.5),
+        lambda xs: composed_attention(xs[0], xs[0], xs[0], block, xs[1], xs[2], 0.5),
+        arrays, seed=5)
+
+
+def test_a_tensor_read_by_two_fused_ops_matches_composition():
+    rng = np.random.default_rng(18)
+    arrays = [rng.uniform(-2, 2, size=(5, 8)), rng.uniform(-1, 1, size=(8, 16)),
+              rng.uniform(-1, 1, size=(16,)), rng.uniform(-1, 1, size=(16, 8)),
+              rng.uniform(-1, 1, size=(8,)), rng.uniform(0.5, 1.5, size=(8,)),
+              rng.uniform(-1, 1, size=(8,))]
+    assert_same_as_composition(
+        lambda xs: add_norm_affine(xs[0], mlp2(*xs[:5]), xs[5], xs[6]),
+        lambda xs: layernorm_lastdim(
+            xs[0] + ((xs[0] @ xs[1] + xs[2]).relu() @ xs[3] + xs[4])) * xs[5] + xs[6],
+        arrays, seed=6)
+
+
+def test_check_gradient_fails_a_nan_error():
+    # log(-1) is NaN: the finite difference is NaN while the tape says -1
+    with np.errstate(invalid="ignore"):
+        err = check_gradient(lambda xs: xs[0].log().sum(), [[-1.0, 2.0]])
+    assert not err < 1e-4
+    assert err == np.inf

@@ -5,7 +5,7 @@ import pytest
 
 from mpseg import tensor, trainer
 from mpseg.config import parse_run_config
-from mpseg.decoder import full_forward, init_params
+from mpseg.decoder import full_forward, init_params, plain_spec
 from mpseg.gradcheck import run_gradient_suite
 from mpseg.losses import LossWeights, layer_losses
 from mpseg.mp import MPConfig
@@ -123,3 +123,159 @@ def test_an_mp_step_computes_one_sigmoid_per_layer(monkeypatch):
     outputs = full_forward(spec, params)
     layer_losses(outputs, scene, mp_part, "per-layer-bipartite", LossWeights())
     assert len(calls) == params.num_layers + 1
+
+
+def reference_adamw_step(state, pairs, lr, b1=0.9, b2=0.999, eps=1e-8, weight_decay=0.05,
+                         exempt=("query_embed",)):
+    """AdamW as per-array arithmetic: the oracle of the flat-buffer AdamW.
+    state holds t and the moments per name; values are rebound each step."""
+    state["t"] += 1
+    c1 = 1.0 - b1 ** state["t"]
+    c2 = 1.0 - b2 ** state["t"]
+    for name, p in pairs:
+        g = p.grad if p.grad is not None else np.zeros_like(p.values)
+        m = state.setdefault("m" + name, np.zeros_like(p.values))
+        v = state.setdefault("v" + name, np.zeros_like(p.values))
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        update = (m / c1) / (np.sqrt(v / c2) + eps)
+        if weight_decay and name not in exempt:
+            update = update + weight_decay * p.values
+        p.values = p.values - lr * update
+
+
+def adamw_pairs(seed):
+    """A decay-exempt parameter between decayed ones, and one that never
+    receives a gradient."""
+    rng = np.random.default_rng(seed)
+    return [("w", Tensor(rng.standard_normal((3, 4)))),
+            ("query_embed", Tensor(rng.standard_normal((2, 4)))),
+            ("b", Tensor(rng.standard_normal(4))),
+            ("idle", Tensor(rng.standard_normal((2, 2))))]
+
+
+def set_random_grads(pairs, rng):
+    for name, p in pairs:
+        p.grad = None if name == "idle" else rng.standard_normal(p.values.shape)
+
+
+def test_flat_adamw_is_bitwise_the_per_array_update():
+    flat_pairs, ref_pairs = adamw_pairs(0), adamw_pairs(0)
+    opt = trainer.AdamW(flat_pairs, lr=1e-2, weight_decay=0.05, exempt=("query_embed",))
+    state = {"t": 0}
+    rng = np.random.default_rng(1)
+    for step in range(60):
+        lr = 1e-2 if step < 30 else 1e-3
+        set_random_grads(flat_pairs, rng)
+        for (_, a), (_, b) in zip(flat_pairs, ref_pairs):
+            b.grad = a.grad
+        opt.step(lr)
+        reference_adamw_step(state, ref_pairs, lr)
+        for (_, a), (_, b) in zip(flat_pairs, ref_pairs):
+            assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_flat_adamw_allocates_at_the_first_step():
+    pairs = adamw_pairs(2)
+    before = [p.values for _, p in pairs]
+    opt = trainer.AdamW(pairs)
+    assert opt.flat is None
+    assert all(p.values is v for (_, p), v in zip(pairs, before))
+    opt.step()
+    assert opt.flat is not None
+    assert all(np.shares_memory(p.values, opt.flat) for _, p in pairs)
+
+
+def test_flat_adamw_readopts_rebound_values():
+    flat_pairs, ref_pairs = adamw_pairs(3), adamw_pairs(3)
+    opt = trainer.AdamW(flat_pairs, exempt=("query_embed",))
+    state = {"t": 0}
+    rng = np.random.default_rng(4)
+    for step in range(4):
+        if step == 2:
+            new = rng.standard_normal((2, 4))
+            flat_pairs[1][1].values = new.copy()
+            ref_pairs[1][1].values = new.copy()
+        set_random_grads(flat_pairs, rng)
+        for (_, a), (_, b) in zip(flat_pairs, ref_pairs):
+            b.grad = a.grad
+        opt.step(1e-2)
+        reference_adamw_step(state, ref_pairs, 1e-2)
+        for (_, a), (_, b) in zip(flat_pairs, ref_pairs):
+            assert a.values.tobytes() == b.values.tobytes()
+    assert np.shares_memory(flat_pairs[1][1].values, opt.flat)
+
+
+def test_flat_adamw_rejects_values_rebound_to_another_shape():
+    pairs = adamw_pairs(5)
+    opt = trainer.AdamW(pairs)
+    opt.step()
+    pairs[0][1].values = np.zeros((4, 3))
+    with pytest.raises(ValueError, match="rebound"):
+        opt.step()
+
+
+def test_non_finite_parameters_raise_numeric_error_before_matching(monkeypatch):
+    real_step = trainer.AdamW.step
+    steps = []
+
+    def nan_grad_at_step_1(opt, lr=None):
+        if len(steps) == 1:
+            opt.pairs[0][1].grad = np.full(opt.pairs[0][1].values.shape, np.nan)
+        steps.append(None)
+        return real_step(opt, lr)
+
+    monkeypatch.setattr(trainer.AdamW, "step", nan_grad_at_step_1)
+    with pytest.raises(trainer.NumericError, match="non-finite parameters at step 1") as info:
+        trainer.run_training(small_config(steps=5))
+    assert info.value.step == 1 and len(steps) == 2
+
+
+def tape_nodes(loss) -> int:
+    """Recorded operations reachable from the loss (leaves not counted)."""
+    seen, stack, recorded = {id(loss)}, [loss], 0
+    while stack:
+        parents = stack.pop()._parents
+        recorded += bool(parents)
+        for parent in parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return recorded
+
+
+def default_step_losses():
+    """(MP loss, plain loss) of one training step at the default model size."""
+    cfg, scene, params = default_scene_and_params()
+    pyramid = synth_features(scene, cfg)
+    table = trainer.layer_scale_table(cfg.height, cfg.width, params.num_layers)
+    spec, mp_part = trainer.mp_forward_spec(pyramid, scene, params, MPConfig(), table,
+                                            [0, 2, 0])
+    assert mp_part is not None
+    mp_loss, _ = layer_losses(full_forward(spec, params), scene, mp_part,
+                              "per-layer-bipartite", LossWeights())
+    plain_loss, _ = layer_losses(full_forward(plain_spec(pyramid, params), params), scene,
+                                 None, "per-layer-bipartite", LossWeights())
+    return mp_loss, plain_loss
+
+
+def test_tape_nodes_per_step_at_the_default_model_size():
+    mp_loss, plain_loss = default_step_losses()
+    assert (tape_nodes(mp_loss), tape_nodes(plain_loss)) == (275, 150)
+
+
+def test_no_two_tensors_share_gradient_memory_after_an_mp_backward():
+    mp_loss, _ = default_step_losses()
+    mp_loss.backward()
+    seen, stack, bases = {id(mp_loss)}, [mp_loss], []
+    while stack:
+        node = stack.pop()
+        if node.grad is not None:
+            bases.append(id(node.grad if node.grad.base is None else node.grad.base))
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    assert len(bases) > 300 and len(set(bases)) == len(bases)
