@@ -2,7 +2,8 @@
 
 Verbs: gen-data, train, eval, analyze, grad-check, refine-study.
 Exit codes: 0 ok, 1 check failure, 2 config error, 3 I/O error or a
-malformed checkpoint or dataset, 4 numeric failure, 5 compatibility mismatch.
+malformed checkpoint or dataset, 4 numeric failure (a non-finite loss,
+parameter or matching cost), 5 compatibility mismatch.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import sys
 
 import numpy as np
 
-from .config import (ConfigError, VARIANTS, check_int, check_keys, load_config_json,
-                     parse_run_config, parse_synth)
+from .config import (ConfigError, GenDataConfig, RefineStudyConfig, VARIANTS, build,
+                     load_config_json, parse_run_config)
 from .decoder import full_forward, load_checkpoint, plain_spec, save_checkpoint
-from .losses import LossWeights
+from .losses import LossWeights, NonFiniteError
 from .metrics import (compute_matching_vectors, config_hash,
                       sample_refinement_instance, save_layer_csv, save_report,
                       miou_layerwise, util_layerwise, util_mp_bipartite,
@@ -25,7 +26,7 @@ from .metrics import (compute_matching_vectors, config_hash,
 from .masks import FormatError
 from .mp import MPConfig
 from .synth import GenerationError, generate_scene, save_dataset, synth_features
-from .trainer import (CompatibilityError, NumericError, detach_params, evaluate,
+from .trainer import (CompatibilityError, detach_params, evaluate,
                       layer_scale_table, load_scenes, mp_forward_spec, run_training)
 
 EXIT_OK = 0
@@ -38,20 +39,17 @@ EXIT_COMPAT = 5
 
 def cmd_gen_data(args) -> int:
     raw = load_config_json(args.config)
-    check_keys(raw, ("synth", "count", "out"))
     synth = raw.get("synth", {})
     if args.seed is not None and isinstance(synth, dict):
         raw["synth"] = {**synth, "seed": args.seed}
-    cfg = parse_synth(raw)
-    count = raw.get("count", 200)
-    check_int("count", count, 1)
-    out = args.out or raw.get("out")
+    cfg = build(GenDataConfig, raw)
+    out = args.out or cfg.out
     if not out:
         raise ConfigError("no output path (set 'out' in the config or pass --out)")
-    scenes = [generate_scene(cfg, i) for i in range(count)]
-    data = save_dataset(out, scenes, cfg)
+    scenes = [generate_scene(cfg.synth, i) for i in range(cfg.count)]
+    data = save_dataset(out, scenes, cfg.synth)
     digest = hashlib.sha256(data.encode("ascii")).hexdigest()
-    print(f"wrote {count} scenes to {out}")
+    print(f"wrote {cfg.count} scenes to {out}")
     print(f"sha256 {digest}")
     return EXIT_OK
 
@@ -193,30 +191,21 @@ def cmd_grad_check(args) -> int:
 
 def cmd_refine_study(args) -> int:
     raw = load_config_json(args.config)
-    check_keys(raw, ("dim", "sigmas", "instances_per_sigma", "seed", "out"))
-    dim = raw.get("dim", 8)
-    sigmas = raw.get("sigmas", [0.0, 0.1, 0.25, 0.5])
-    per_sigma = raw.get("instances_per_sigma", 250)
-    seed = args.seed if args.seed is not None else raw.get("seed", 0)
-    check_int("dim", dim, 1)
-    check_int("instances_per_sigma", per_sigma, 1)
-    check_int("seed", seed, 0)
-    if not (isinstance(sigmas, list)
-            and all(type(s) in (int, float) and s >= 0 for s in sigmas)):
-        raise ConfigError(f"sigmas must be a list of numbers >= 0, got {sigmas!r}")
-    out = args.out or raw.get("out")
-    if not out or not isinstance(out, str):
-        raise ConfigError(f"no output path (set 'out' to a path in the config or pass "
-                          f"--out), got {out!r}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+    if args.seed is not None:
+        raw["seed"] = args.seed
+    cfg = build(RefineStudyConfig, raw)
+    out = args.out or cfg.out
+    if not out:
+        raise ConfigError("no output path (set 'out' in the config or pass --out)")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed])))
     lines = ["sigma,intra_min,intra_max,inter_min,inter_max,sum_alpha,sum_beta,"
              "ratio_bound,condition_holds,threshold_lo,threshold_hi,"
              "threshold_exists,separation"]
     n_guaranteed = 0
     n_exists = 0
-    for sigma in sigmas:
-        for _ in range(per_sigma):
-            b = sample_refinement_instance(rng, dim, float(sigma))
+    for sigma in cfg.sigmas:
+        for _ in range(cfg.instances_per_sigma):
+            b = sample_refinement_instance(rng, cfg.dim, float(sigma))
             lo, hi = b.threshold_interval if b.threshold_interval else (np.nan, np.nan)
             lines.append(
                 f"{sigma},{b.intra_min:.6f},{b.intra_max:.6f},{b.inter_min:.6f},"
@@ -227,7 +216,7 @@ def cmd_refine_study(args) -> int:
             n_exists += b.threshold_exists
     with open(out, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-    total = len(sigmas) * per_sigma
+    total = len(cfg.sigmas) * cfg.instances_per_sigma
     print(f"{total} instances: condition held on {n_guaranteed}, "
           f"threshold found on {n_exists}; csv at {out}")
     return EXIT_OK
@@ -279,7 +268,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except NumericError as exc:
+    except NonFiniteError as exc:  # NumericError among them
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except CompatibilityError as exc:

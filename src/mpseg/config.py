@@ -1,15 +1,19 @@
-"""Run configuration: JSON file in, validated dataclasses out.
+"""Run configuration: JSON file in, checked dataclasses out.
 
-A variant is a preset. VARIANTS maps each variant to whether the MP part
-is on, the loss mode, and an MP preset that holds only the MP keys the
-variant changes. parse_run_config builds the "mp" section from the preset
-with the file's explicit keys on top, so an explicit key always wins and
-the RunConfig it returns is final.
+Every field of a config dataclass (the ones here, SynthConfig, MPConfig
+and LossWeights) declares its domain next to it with fields.setting, and
+construction checks it (fields.Checked), so a config built in Python is
+held to the same domains as one read from a file. A rule relating two
+fields is an explicit line in the __post_init__ of the class holding
+both. Every JSON object comes in through one door, fields.build: config
+sections, gen-data and refine-study configs and dataset headers.
 
-The variant owns two keys, loss_mode and mp.enabled. A config file may
-repeat them with the values the variant gives them (config-resolved.json
-does, so it can be fed back in); any other value is a ConfigError. So is
-a key that no section or RunConfig field names.
+A variant is a preset: VARIANTS maps it to whether the MP part is on, the
+loss mode, and the MP keys it changes. parse_run_config puts the file's
+explicit mp keys on top of the preset, so an explicit key wins. The
+variant owns loss_mode and mp.enabled; a file may repeat them with the
+variant's values (config-resolved.json does) and any other value is a
+ConfigError.
 
 Every command echoes its fully-resolved configuration into the output
 directory so runs can be reproduced from artifacts alone.
@@ -20,16 +24,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .losses import LossWeights
+from .fields import MAX_HIDDEN, MAX_LAYERS, MAX_SIZE, Checked, ConfigError, build, setting
+from .losses import MODES, LossWeights
 from .mp import MPConfig
 from .synth import SynthConfig
-
-
-class ConfigError(ValueError):
-    pass
-
 
 _NO_NOISE = {"noise_kind": "none", "lambda_label": 0.0}
 
@@ -46,170 +46,83 @@ VARIANTS = {
 
 
 @dataclass
-class TrainSettings:
-    steps: int = 1000
-    lr: float = 1e-4
-    decay_points: tuple = (800, 950)
-    decay_factor: float = 0.1
-    weight_decay: float = 0.05
-    holdout_frac: float = 0.2
-    log_every: int = 10
+class TrainSettings(Checked):
+    steps: int = setting(1000, int, "[1, inf)")
+    lr: float = setting(1e-4, float, "(0, inf)")
+    decay_points: tuple = setting((800, 950), int, "[0, inf)", many=True, order="<")
+    decay_factor: float = setting(0.1, float, "(0, inf)")
+    weight_decay: float = setting(0.05, float, "[0, inf)")
+    holdout_frac: float = setting(0.2, float, "[0, 1)")
+    log_every: int = setting(10, int, "[1, inf)")
 
 
 @dataclass
-class ModelSettings:
-    n_queries: int = 20
-    num_layers: int = 9
-    dim: int = 32
-    ffn_hidden: int = 64
+class ModelSettings(Checked):
+    n_queries: int = setting(20, int, f"[1, {MAX_SIZE}]")
+    num_layers: int = setting(9, int, f"[1, {MAX_LAYERS}]")
+    dim: int = setting(32, int, f"[1, {MAX_SIZE}]")
+    ffn_hidden: int = setting(64, int, f"[1, {MAX_HIDDEN}]")
 
 
 @dataclass
-class RunConfig:
-    synth: SynthConfig
-    dataset_path: str = None
-    num_scenes: int = 200
-    model: ModelSettings = field(default_factory=ModelSettings)
-    loss: LossWeights = field(default_factory=LossWeights)
-    loss_mode: str = "per-layer-bipartite"
-    mp: MPConfig = field(default_factory=MPConfig)
-    train: TrainSettings = field(default_factory=TrainSettings)
-    variant: str = "baseline"
-    seed: int = 0
-    out_dir: str = "run-out"
+class RunConfig(Checked):
+    synth: SynthConfig = setting(kind=SynthConfig, factory=SynthConfig)
+    dataset_path: str = setting(None, str, nullable=True)
+    num_scenes: int = setting(200, int, "[1, inf)")
+    model: ModelSettings = setting(kind=ModelSettings, factory=ModelSettings)
+    loss: LossWeights = setting(kind=LossWeights, factory=LossWeights)
+    loss_mode: str = setting("per-layer-bipartite", str, MODES)
+    mp: MPConfig = setting(kind=MPConfig, factory=MPConfig)
+    train: TrainSettings = setting(kind=TrainSettings, factory=TrainSettings)
+    variant: str = setting("baseline", str, tuple(VARIANTS))
+    seed: int = setting(0, int, "[0, inf)")
+    out_dir: str = setting("run-out", str)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.model.dim != self.synth.feat_dim:
+            raise ConfigError(f"model.dim ({self.model.dim}) must equal "
+                              f"synth.feat_dim ({self.synth.feat_dim})")
+        if any(l > self.model.num_layers for l in self.mp.mp_layers or ()):
+            raise ConfigError(f"mp.mp_layers {list(self.mp.mp_layers)} must lie in "
+                              f"[1, model.num_layers = {self.model.num_layers}]")
 
     def to_json(self) -> str:
         d = {**dataclasses.asdict(self), "synth": json.loads(self.synth.to_json())}
         return json.dumps(d, sort_keys=True, indent=1)
 
 
-def check_keys(raw: dict, allowed):
-    """Reject top-level keys of a config file outside `allowed`."""
-    unknown = sorted(set(raw) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown top-level keys {unknown} (allowed: {sorted(allowed)})")
+@dataclass
+class GenDataConfig(Checked):
+    synth: SynthConfig = setting(kind=SynthConfig, factory=SynthConfig)
+    count: int = setting(200, int, "[1, inf)")
+    out: str = setting(None, str, nullable=True)
 
 
-# (Python type of a field's default, test of a JSON value, what it must be)
-_JSON_KINDS = (
-    (bool, lambda v: isinstance(v, bool), "true or false", "booleans"),
-    (int, lambda v: type(v) is int, "an integer", "integers"),
-    (float, lambda v: type(v) in (int, float), "a number", "numbers"),
-    (str, lambda v: isinstance(v, str), "a string", "strings"),
-)
-# a default that stands for the JSON values a field defaulting to None takes
-# besides null, by the field's annotation; other such fields are unchecked
-_NONE_DEFAULT_KINDS = {"tuple": (0,), "str": ""}
-
-
-def _json_kind(default):
-    """(test, description) of the JSON values a field with this default
-    takes, or None when the field is not checked here."""
-    for py_type, test, one, many in _JSON_KINDS:
-        if isinstance(default, py_type):
-            return test, one
-        if isinstance(default, tuple) and default and isinstance(default[0], py_type):
-            return (lambda v: isinstance(v, list) and all(map(test, v))), f"a list of {many}"
-    return None
-
-
-def _check_json_types(cls, d: dict, prefix: str = ""):
-    """Reject a value in `d` whose JSON type differs from that of the
-    default of the cls field it sets. A field defaulting to None also
-    takes null."""
-    for f in dataclasses.fields(cls):
-        if f.name not in d or f.default is dataclasses.MISSING:
-            continue
-        value, default = d[f.name], f.default
-        if default is None:
-            if value is None:
-                continue
-            default = _NONE_DEFAULT_KINDS.get(f.type)
-        kind = _json_kind(default)
-        if kind is not None and not kind[0](value):
-            null = " or null" if f.default is None else ""
-            raise ConfigError(f"{prefix}{f.name} must be {kind[1]}{null}, got {value!r}")
-
-
-def _section(cls, raw: dict, what: str, preset=None):
-    """cls built from `preset` with the raw[what] keys on top; every value
-    must have its field's JSON type, and every JSON list becomes a tuple."""
-    d = raw.get(what, {})
-    if not isinstance(d, dict):
-        raise ConfigError(f"the {what} section must be a JSON object")
-    _check_json_types(cls, d, f"{what}.")
-    d = {**(preset or {}), **d}
-    try:
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"bad {what} section: {exc}") from exc
-
-
-def parse_synth(raw: dict) -> SynthConfig:
-    """The "synth" section of a config file."""
-    return _section(SynthConfig, raw, "synth")
+@dataclass
+class RefineStudyConfig(Checked):
+    dim: int = setting(8, int, f"[1, {MAX_SIZE}]")
+    sigmas: tuple = setting((0.0, 0.1, 0.25, 0.5), float, "[0, inf)", many=True)
+    instances_per_sigma: int = setting(250, int, "[1, inf)")
+    seed: int = setting(0, int, "[0, inf)")
+    out: str = setting(None, str, nullable=True)
 
 
 def parse_run_config(raw: dict) -> RunConfig:
-    check_keys(raw, [f.name for f in dataclasses.fields(RunConfig)])
-    _check_json_types(RunConfig, raw)
     variant = raw.get("variant", RunConfig.variant)
-    if not isinstance(variant, str) or variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r} (choose from {tuple(VARIANTS)})")
-    mp_on, loss_mode, preset = VARIANTS[variant]
-    mp = _section(MPConfig, raw, "mp", {**preset, "enabled": mp_on})
+    # an unknown variant is rejected by RunConfig's domain
+    mp_on, loss_mode, preset = VARIANTS.get(str(variant), VARIANTS[RunConfig.variant])
+    mp = raw.get("mp", {})
+    if isinstance(mp, dict):
+        mp = {**preset, "enabled": mp_on, **mp}
+    cfg = build(RunConfig, {**raw, "loss_mode": loss_mode, "mp": mp})
     given_mode = raw.get("loss_mode", loss_mode)
-    if given_mode != loss_mode or mp.enabled is not mp_on:
+    if given_mode != loss_mode or cfg.mp.enabled is not mp_on:
         raise ConfigError(
             f"variant {variant!r} sets loss_mode {loss_mode!r} and mp.enabled "
             f"{json.dumps(mp_on)}; the config gives {given_mode!r} and "
-            f"{json.dumps(mp.enabled)}")
-    cfg = RunConfig(**{**raw, "loss_mode": loss_mode, "mp": mp,
-                       "synth": parse_synth(raw),
-                       "model": _section(ModelSettings, raw, "model"),
-                       "loss": _section(LossWeights, raw, "loss"),
-                       "train": _section(TrainSettings, raw, "train")})
-    validate_run_config(cfg)
+            f"{json.dumps(cfg.mp.enabled)}")
     return cfg
-
-
-def check_int(name: str, value, low: int):
-    """Reject a value that is not an integer >= low; nothing is coerced."""
-    if type(value) is not int or value < low:
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def validate_run_config(cfg: RunConfig):
-    check_int("seed", cfg.seed, 0)
-    for name, value in (("num_scenes", cfg.num_scenes), ("train.steps", cfg.train.steps),
-                        ("train.log_every", cfg.train.log_every),
-                        ("model.n_queries", cfg.model.n_queries),
-                        ("model.num_layers", cfg.model.num_layers),
-                        ("model.ffn_hidden", cfg.model.ffn_hidden)):
-        check_int(name, value, 1)
-    dp = cfg.train.decay_points
-    if any(b <= a for a, b in zip(dp, dp[1:])):
-        raise ConfigError(f"decay_points must be strictly increasing, got {dp}")
-    if cfg.model.dim != cfg.synth.feat_dim:
-        raise ConfigError(f"model.dim ({cfg.model.dim}) must equal "
-                          f"synth.feat_dim ({cfg.synth.feat_dim})")
-    if cfg.mp.mp_layers is not None:
-        bad = [l for l in cfg.mp.mp_layers
-               if type(l) is not int or not 1 <= l <= cfg.model.num_layers]
-        if bad:
-            raise ConfigError(f"mp_layers entries must be integers in "
-                              f"[1,{cfg.model.num_layers}]: {bad}")
-    if not 0.0 <= cfg.train.holdout_frac < 1.0:
-        raise ConfigError("train.holdout_frac must be in [0, 1)")
-    for name, value in (("train.lr", cfg.train.lr),
-                        ("train.decay_factor", cfg.train.decay_factor)):
-        if not value > 0:
-            raise ConfigError(f"{name} must be > 0, got {value!r}")
-    non_negative = {"train.weight_decay": cfg.train.weight_decay,
-                    **{f"loss.{k}": v for k, v in dataclasses.asdict(cfg.loss).items()}}
-    for name, value in non_negative.items():
-        if not value >= 0:
-            raise ConfigError(f"{name} must be >= 0, got {value!r}")
 
 
 def apply_variant(cfg: RunConfig) -> RunConfig:

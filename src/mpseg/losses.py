@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import Checked, setting
 from .tensor import Tensor, cross_entropy_rows, mask_loss_rows, _sigmoid
 from .decoder import LayerOutputs, binarize_masks
 
@@ -21,12 +22,16 @@ DICE_EPS = 1.0
 MODES = ("per-layer-bipartite", "fixed-last-layer", "consistency-aux")
 
 
+class NonFiniteError(ValueError):
+    """A non-finite number where the computation needs a finite one."""
+
+
 @dataclass
-class LossWeights:
-    cls: float = 2.0
-    bce: float = 5.0
-    dice: float = 5.0
-    no_object: float = 0.1
+class LossWeights(Checked):
+    cls: float = setting(2.0, float, "[0, inf)")
+    bce: float = setting(5.0, float, "[0, inf)")
+    dice: float = setting(5.0, float, "[0, inf)")
+    no_object: float = setting(0.1, float, "[0, inf)")
 
 
 @dataclass
@@ -89,7 +94,7 @@ def hungarian(cost: np.ndarray) -> Assignment:
     if cost.ndim != 2 or cost.size == 0:
         raise ValueError(f"cost matrix must be 2-D and non-empty, got shape {cost.shape}")
     if not np.isfinite(cost).all():
-        raise ValueError("cost matrix contains non-finite entries")
+        raise NonFiniteError("cost matrix contains non-finite entries")
     n, m = cost.shape
     if n <= m:
         row_to_col = _solve_rows_leq_cols(cost)

@@ -138,8 +138,6 @@ def point_noise(m: BinaryMask, lambda_p: float, seed) -> BinaryMask:
     flip positions are distinct and uniform over the noise region, and
     each chosen pixel is inverted (1->0 or 0->1).
     """
-    if not 0.0 <= lambda_p <= 1.0:
-        raise ValueError(f"lambda_p must be in [0,1], got {lambda_p}")
     c_max, bbox = point_noise_region(m, lambda_p)
     out = m.bits.copy()
     if c_max:
@@ -177,8 +175,6 @@ def scale_noise(m: BinaryMask, ratio_range=(0.8, 1.2), seed=0) -> BinaryMask:
     if m.is_empty():
         raise ValueError("scale_noise on empty mask")
     lo, hi = ratio_range
-    if not (0.0 < lo <= hi <= 2.0):
-        raise ValueError(f"ratio range must lie in (0, 2], got {ratio_range}")
     rng = seeded_rng(seed)
     ratio = float(rng.uniform(lo, hi))
     cy, cx = m.centroid()

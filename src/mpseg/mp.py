@@ -16,34 +16,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fields import MAX_LAYERS, MAX_SIZE, Checked, setting
 from .masks import (apply_noise, point_flips, point_noise_region, seeded_rng,
                     to_attention_blocks)
 from .tensor import Tensor
 
 
 @dataclass
-class MPConfig:
-    n_q: int = 20                 # MP query budget
-    lambda_point: float = 0.2
-    lambda_label: float = 0.2
-    mp_layers: tuple = None       # layers receiving GT overrides; None = all
-    noise_kind: str = "point"     # point | shift | scale | none
-    scale_range: tuple = (0.8, 1.2)
-    enabled: bool = True
-
-    def __post_init__(self):
-        if not 0.0 <= self.lambda_point <= 1.0:
-            raise ValueError(f"lambda_point must be in [0,1], got {self.lambda_point}")
-        if not 0.0 <= self.lambda_label <= 1.0:
-            raise ValueError(f"lambda_label must be in [0,1], got {self.lambda_label}")
-        if self.noise_kind not in ("point", "shift", "scale", "none"):
-            raise ValueError(f"unknown noise kind {self.noise_kind!r}")
-        if self.n_q < 1:
-            raise ValueError("n_q must be >= 1")
-        if (len(self.scale_range) != 2
-                or not 0.0 < self.scale_range[0] <= self.scale_range[1] <= 2.0):
-            raise ValueError(f"scale_range must be two numbers lo, hi with "
-                             f"0 < lo <= hi <= 2, got {list(self.scale_range)}")
+class MPConfig(Checked):
+    n_q: int = setting(20, int, f"[1, {MAX_SIZE}]")  # MP query budget
+    lambda_point: float = setting(0.2, float, "[0, 1]")
+    lambda_label: float = setting(0.2, float, "[0, 1]")
+    # layers receiving GT overrides; None = all
+    mp_layers: tuple = setting(None, int, f"[1, {MAX_LAYERS}]", many=True, nullable=True)
+    noise_kind: str = setting("point", str, ("point", "shift", "scale", "none"))
+    scale_range: tuple = setting((0.8, 1.2), float, "(0, 2]", many=True, length="[2, 2]",
+                                 order="<=")
+    enabled: bool = setting(True, bool)
 
 
 @dataclass

@@ -10,11 +10,13 @@ deterministically from (config seed, scene index).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fields import MAX_SIZE, Checked, ConfigError, build, setting
 from .masks import BinaryMask, FormatError, rle_decode, rle_encode
 
 DATASET_MAGIC = "mpseg-dataset"
@@ -33,7 +35,8 @@ class GenerationError(RuntimeError):
 def basis_prototypes(num_categories: int, dim: int):
     """Orthonormal one-hot prototypes; index num_categories is background."""
     if dim < num_categories + 1:
-        raise ValueError(f"dim {dim} too small for {num_categories} categories + background")
+        raise ValueError(f"feat_dim {dim} is too small for {num_categories} categories "
+                         f"+ background")
     eye = np.eye(dim, dtype=np.float64)
     return eye[:num_categories].copy(), eye[num_categories].copy()
 
@@ -46,75 +49,49 @@ def random_unit_prototypes(num_categories: int, dim: int, seed: int):
 
 
 @dataclass
-class SynthConfig:
-    height: int = 32
-    width: int = 32
-    num_categories: int = 4
-    feat_dim: int = 32
-    shape_kinds: tuple = ("rectangle", "disk")
-    instance_range: tuple = (2, 6)
-    size_range: tuple = (4, 10)
-    prototypes: np.ndarray = None
-    background_proto: np.ndarray = None
-    noise_sigma: float = 0.25
-    seed: int = 0
+class SynthConfig(Checked):
+    height: int = setting(32, int, f"[4, {MAX_SIZE}]")
+    width: int = setting(32, int, f"[4, {MAX_SIZE}]")
+    num_categories: int = setting(4, int, f"[1, {MAX_SIZE}]")
+    feat_dim: int = setting(32, int, f"[1, {MAX_SIZE}]")
+    shape_kinds: tuple = setting(SHAPE_KINDS, str, SHAPE_KINDS, many=True, length="[1, inf)")
+    instance_range: tuple = setting((2, 6), int, f"[1, {MAX_SIZE}]", many=True,
+                                    length="[2, 2]", order="<=")
+    size_range: tuple = setting((4, 10), int, f"[1, {MAX_SIZE}]", many=True,
+                                length="[2, 2]", order="<=")
+    # both or neither; None = basis_prototypes
+    prototypes: np.ndarray = setting(None, np.ndarray, nullable=True)
+    background_proto: np.ndarray = setting(None, np.ndarray, nullable=True)
+    noise_sigma: float = setting(0.25, float, "[0, inf)")
+    seed: int = setting(0, int, "[0, inf)")
 
     def __post_init__(self):
-        if self.num_categories < 1:
-            raise ValueError(f"num_categories must be >= 1, got {self.num_categories}")
-        if min(self.height, self.width) < 4 or self.height % 4 or self.width % 4:
-            raise ValueError(f"extents must be multiples of 4 and at least 4 for the "
-                             f"3-scale pyramid, got {self.height}x{self.width}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.instance_range[0] < 1 or self.instance_range[0] > self.instance_range[1]:
-            raise ValueError(f"bad instance_range {self.instance_range}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not self.shape_kinds or not set(self.shape_kinds) <= set(SHAPE_KINDS):
-            raise ValueError(f"shape_kinds must be a non-empty list of {SHAPE_KINDS}, "
-                             f"got {list(self.shape_kinds)}")
-        if (len(self.size_range) != 2 or any(type(v) is not int for v in self.size_range)
-                or not 1 <= self.size_range[0] <= self.size_range[1]):
-            raise ValueError(f"size_range must be two integers lo, hi with 1 <= lo <= hi, "
-                             f"got {list(self.size_range)}")
+        super().__post_init__()
+        if self.height % 4 or self.width % 4:
+            raise ConfigError(f"height and width must be multiples of 4 for the 3-scale "
+                              f"pyramid, got {self.height}x{self.width}")
+        if (self.prototypes is None) != (self.background_proto is None):
+            raise ConfigError("prototypes and background_proto must be given together")
         if self.prototypes is None:
             self.prototypes, self.background_proto = basis_prototypes(
                 self.num_categories, self.feat_dim)
         self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
         self.background_proto = np.asarray(self.background_proto, dtype=np.float64)
-        if self.prototypes.shape != (self.num_categories, self.feat_dim):
-            raise ValueError(f"prototypes shape {self.prototypes.shape} != "
-                             f"({self.num_categories}, {self.feat_dim})")
+        shapes = (self.prototypes.shape, self.background_proto.shape)
+        want = ((self.num_categories, self.feat_dim), (self.feat_dim,))
+        if shapes != want:
+            raise ConfigError(f"prototypes and background_proto shapes {shapes} != {want}")
         for i in range(self.num_categories):
             for j in range(i + 1, self.num_categories):
                 if np.array_equal(self.prototypes[i], self.prototypes[j]):
-                    raise ValueError(f"prototypes {i} and {j} are identical")
+                    raise ConfigError(f"prototypes {i} and {j} are identical")
 
     def to_json(self) -> str:
-        d = {
-            "height": self.height, "width": self.width,
-            "num_categories": self.num_categories, "feat_dim": self.feat_dim,
-            "shape_kinds": list(self.shape_kinds),
-            "instance_range": list(self.instance_range),
-            "size_range": list(self.size_range),
-            "prototypes": self.prototypes.tolist(),
-            "background_proto": self.background_proto.tolist(),
-            "noise_sigma": self.noise_sigma, "seed": self.seed,
-        }
-        return json.dumps(d, sort_keys=True)
+        return json.dumps(dataclasses.asdict(self), sort_keys=True, default=np.ndarray.tolist)
 
     @classmethod
     def from_json(cls, text: str) -> "SynthConfig":
-        d = json.loads(text)
-        return cls(height=d["height"], width=d["width"],
-                   num_categories=d["num_categories"], feat_dim=d["feat_dim"],
-                   shape_kinds=tuple(d["shape_kinds"]),
-                   instance_range=tuple(d["instance_range"]),
-                   size_range=tuple(d["size_range"]),
-                   prototypes=np.array(d["prototypes"]),
-                   background_proto=np.array(d["background_proto"]),
-                   noise_sigma=d["noise_sigma"], seed=d["seed"])
+        return build(cls, json.loads(text), require_all=True)
 
 
 @dataclass

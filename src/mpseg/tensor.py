@@ -486,27 +486,30 @@ def add_norm_affine(x: Tensor, update: Tensor, gain: Tensor, bias: Tensor,
     return out
 
 
+def _mlp2_backward(g, x: Tensor, h, r, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
+    """Accumulate mlp2's gradients for g, given h = x@w1 + b1 and r = relu(h)."""
+    if b2.requires_grad:
+        _accumulate_reduced(b2, g)
+    if w2.requires_grad:
+        w2._accumulate(r.T @ g, owned=True)
+    if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+        return
+    g_h = (g @ w2.values.T) * (h > 0.0)
+    if b1.requires_grad:
+        _accumulate_reduced(b1, g_h)
+    if w1.requires_grad:
+        w1._accumulate(x.values.T @ g_h, owned=True)
+    if x.requires_grad:
+        x._accumulate(g_h @ w1.values.T, owned=True)
+
+
 def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """relu(x@w1 + b1) @ w2 + b2."""
     h = x.values @ w1.values + b1.values
     r = np.maximum(h, 0.0)
     out = _make(r @ w2.values + b2.values, (x, w1, b1, w2, b2))
     if out.requires_grad:
-        def bw(g):
-            if b2.requires_grad:
-                _accumulate_reduced(b2, g)
-            if w2.requires_grad:
-                w2._accumulate(r.T @ g, owned=True)
-            if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
-                return
-            g_h = (g @ w2.values.T) * (h > 0.0)
-            if b1.requires_grad:
-                _accumulate_reduced(b1, g_h)
-            if w1.requires_grad:
-                w1._accumulate(x.values.T @ g_h, owned=True)
-            if x.requires_grad:
-                x._accumulate(g_h @ w1.values.T, owned=True)
-        out._backward = bw
+        out._backward = lambda g: _mlp2_backward(g, x, h, r, w1, b1, w2, b2)
     return out
 
 
@@ -540,20 +543,7 @@ def fused_heads(parts, embed: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2
         def mask_bw(g):
             g = g.reshape(g.shape[0], h * w)
             for (x, a, b), hp, r in zip(spans, pre, relus):
-                g_e = g[a:b] @ flat.T
-                if b2.requires_grad:
-                    _accumulate_reduced(b2, g_e)
-                if w2.requires_grad:
-                    w2._accumulate(r.T @ g_e, owned=True)
-                if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
-                    continue
-                g_h = (g_e @ w2.values.T) * (hp > 0.0)
-                if b1.requires_grad:
-                    _accumulate_reduced(b1, g_h)
-                if w1.requires_grad:
-                    w1._accumulate(x.values.T @ g_h, owned=True)
-                if x.requires_grad:
-                    x._accumulate(g_h @ w1.values.T, owned=True)
+                _mlp2_backward(g[a:b] @ flat.T, x, hp, r, w1, b1, w2, b2)
         mask_out._backward = mask_bw
     if class_out.requires_grad:
         def class_bw(g):

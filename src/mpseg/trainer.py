@@ -11,7 +11,7 @@ import numpy as np
 from .config import RunConfig
 from .decoder import (DecoderParams, ForwardSpec, full_forward, init_params,
                       layer_scale, named_parameters, plain_spec)
-from .losses import layer_losses
+from .losses import NonFiniteError, layer_losses
 from .metrics import (MetricsReport, compute_matching_vectors, config_hash,
                       extract_predictions, ap_lite, miou_layerwise, util_layerwise)
 from .mp import build_mp_part, build_self_block
@@ -19,7 +19,7 @@ from .synth import generate_scene, load_dataset, pyramid_extents, synth_features
 from .tensor import Tensor, concat_rows
 
 
-class NumericError(RuntimeError):
+class NumericError(NonFiniteError):
     def __init__(self, step: int, what: str = "loss"):
         super().__init__(f"non-finite {what} at step {step}")
         self.step = step

@@ -103,10 +103,12 @@ def test_train_noises_masks_with_the_configured_kind(tmp_path, monkeypatch, kind
 OUT_OF_RANGE_SYNTH = [{"synth": {"seed": -1}}, {"synth": {"shape_kinds": []}},
                       {"synth": {"shape_kinds": ["triangle"]}},
                       {"synth": {"size_range": [9, 3]}}, {"synth": {"height": -4}},
-                      {"synth": {"width": 0}}, {"synth": {"noise_sigma": float("nan")}}]
+                      {"synth": {"width": 0}}, {"synth": {"noise_sigma": float("nan")}},
+                      {"synth": {"prototypes": [[1.0] + [0.0] * 31] * 4}},
+                      {"synth": {"background_proto": [0.0] * 32}}]
 OUT_OF_RANGE_SYNTH_IDS = ["synth.seed-negative", "shape_kinds-empty", "shape_kinds-unknown",
                           "size_range-reversed", "height-negative", "width-0",
-                          "noise_sigma-nan"]
+                          "noise_sigma-nan", "prototypes-alone", "background_proto-alone"]
 
 
 @pytest.mark.parametrize("raw", [
@@ -190,6 +192,21 @@ def test_train_non_finite_parameters_exit_numeric(tmp_path, capsys, monkeypatch)
     assert run_train(write_config(tmp_path, SMALL_RUN), tmp_path / "run") \
         == cli.EXIT_NUMERIC
     assert_one_line(capsys, "numeric failure: non-finite parameters at step 0")
+
+
+@pytest.mark.parametrize("section,key", [("train", "lr"), ("train", "weight_decay"),
+                                         ("synth", "noise_sigma")])
+def test_train_non_finite_matching_cost_exits_numeric(tmp_path, capsys, section, key):
+    raw = {**SMALL_RUN, section: {**SMALL_RUN.get(section, {}), key: 1e308}}
+    assert run_train(write_config(tmp_path, raw), tmp_path / "run") == cli.EXIT_NUMERIC
+    assert_one_line(capsys, "numeric failure: ")
+
+
+def test_eval_on_a_dataset_header_with_a_nan_exits_io(artifacts, capsys):
+    data = artifacts[1]
+    data.write_text(data.read_text().replace('"noise_sigma": 0.25', '"noise_sigma": NaN'))
+    assert run_eval(*artifacts) == cli.EXIT_IO
+    assert_one_line(capsys, "format error: ")
 
 
 def test_train_on_a_dataset_without_scenes_exits_compat(tmp_path, capsys):

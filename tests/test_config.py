@@ -5,6 +5,8 @@ import pytest
 
 from mpseg.config import VARIANTS, ConfigError, parse_run_config
 from mpseg.metrics import config_hash
+from mpseg.mp import MPConfig
+from mpseg.synth import SynthConfig
 
 # What each variant resolved to when variants were applied as overrides
 # after parsing: (mp.enabled, loss_mode, mp_layers, noise_kind, lambda_label).
@@ -87,10 +89,16 @@ def test_variant_owned_key_that_disagrees_names_the_variant(raw):
     {"model": {"n_queries": 0}},
     {"model": {"num_layers": 0}},
     {"model": {"ffn_hidden": 0}},
+    {"synth": {"noise_sigma": float("nan")}},
+    {"synth": {"prototypes": [[1.0, 0.0]] * 4}},
+    {"synth": {"background_proto": "x"}},
+    {"train": {"decay_points": [-1, 5]}},
 ], ids=["loss.mode", "unknown-key", "mp-first-3-on-2-layers", "unknown-variant",
         "variant-list", "mp-not-object", "mp_layers-str",
         "num_scenes-0", "num_scenes-float", "log_every-0", "steps-0",
-        "seed-str", "seed-negative", "n_queries-0", "num_layers-0", "ffn_hidden-0"])
+        "seed-str", "seed-negative", "n_queries-0", "num_layers-0", "ffn_hidden-0",
+        "noise_sigma-nan", "prototypes-alone", "background_proto-alone",
+        "decay_points-negative"])
 def test_rejected(raw):
     with pytest.raises(ConfigError):
         parse_run_config(raw)
@@ -128,3 +136,23 @@ def test_values_of_the_right_json_type_are_accepted(raw):
 def test_to_json_round_trips(variant):
     cfg = parse_run_config({"variant": variant, "seed": 4})
     assert parse_run_config(json.loads(cfg.to_json())).to_json() == cfg.to_json()
+
+
+@pytest.mark.parametrize("make", [lambda: SynthConfig(noise_sigma=float("nan")),
+                                  lambda: SynthConfig(background_proto=[0.0] * 32),
+                                  lambda: MPConfig(n_q=257),
+                                  lambda: MPConfig(mp_layers=(0,))],
+                         ids=["noise_sigma-nan", "background_proto-alone", "n_q-above-cap",
+                              "mp_layers-0"])
+def test_a_config_built_in_python_is_checked_as_one_from_a_file(make):
+    with pytest.raises(ConfigError):
+        make()
+
+
+def test_prototypes_given_with_their_background_are_used():
+    protos = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    cfg = parse_run_config({"synth": {"num_categories": 2, "feat_dim": 3,
+                                      "prototypes": protos, "background_proto": [0, 0, 1]},
+                            "model": {"dim": 3}})
+    assert cfg.synth.prototypes.tolist() == protos
+    assert cfg.synth.background_proto.tolist() == [0.0, 0.0, 1.0]
