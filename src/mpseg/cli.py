@@ -261,7 +261,11 @@ HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return HANDLERS[args.command](args)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+        # a non-finite value ends the verb with its own one-line message
+        with np.errstate(all="ignore"):
+            return HANDLERS[args.command](args)
     except (ConfigError, GenerationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

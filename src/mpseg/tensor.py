@@ -28,12 +28,9 @@ composition of primitives, so its value is bitwise equal to theirs; the
 tests use the primitives as the oracle for each fused op. The two loss
 ops write their gradient into the rows they read, by assignment.
 
-Gradient ownership: a backward passes _accumulate(g, owned=True) only for
-an array it has just allocated and keeps nowhere else, and then the first
-gradient a tensor receives is taken without a copy. A view of another
-array (concat_rows' g[a:b], reshape's g.reshape, transpose's g.T), the
-incoming g itself, and an array handed to two inputs (add_norm_affine's
-g_z, which x and update both read) are copied, except by the last reader.
+No array is written in place once it is stored as a gradient, so a
+backward hands _accumulate any array as it is: one it just allocated, a
+view, the incoming g, or one it also hands to another input.
 """
 
 from __future__ import annotations
@@ -66,19 +63,10 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g, owned: bool = False):
-        """Add g to .grad. With owned, the caller hands over an array it
-        just allocated and keeps nowhere else, and the first gradient is
-        taken without a copy."""
-        if self.grad is None:
-            if owned and isinstance(g, np.ndarray) and g.shape == self.values.shape:
-                self.grad = g
-                return
-            self.grad = np.array(g, dtype=np.float64)
-            if self.grad.shape != self.values.shape:
-                self.grad = np.broadcast_to(self.grad, self.values.shape).copy()
-        else:
-            self.grad += g
+    def _accumulate(self, g):
+        """Add g to .grad: the first g is stored as it is, a later one
+        makes a new sum, and no stored gradient is written into."""
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self):
         """Populate .grad on every requires_grad ancestor of this scalar."""
@@ -99,7 +87,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.values), owned=True)
+        self._accumulate(np.ones_like(self.values))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -114,7 +102,7 @@ class Tensor:
             def bw(g):
                 for t in (self, other):
                     if t.requires_grad:
-                        _accumulate_reduced(t, g)
+                        t._accumulate(_unbroadcast(g, t.values.shape))
             out._backward = bw
         return out
 
@@ -123,7 +111,7 @@ class Tensor:
     def __neg__(self):
         out = _make(-self.values, (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(-g, owned=True)
+            out._backward = lambda g: self._accumulate(-g)
         return out
 
     def __sub__(self, other):
@@ -138,11 +126,9 @@ class Tensor:
         if out.requires_grad:
             def bw(g):
                 if self.requires_grad:
-                    self._accumulate(_unbroadcast(g * other.values, self.values.shape),
-                                     owned=True)
+                    self._accumulate(_unbroadcast(g * other.values, self.values.shape))
                 if other.requires_grad:
-                    other._accumulate(_unbroadcast(g * self.values, other.values.shape),
-                                      owned=True)
+                    other._accumulate(_unbroadcast(g * self.values, other.values.shape))
             out._backward = bw
         return out
 
@@ -154,11 +140,10 @@ class Tensor:
         if out.requires_grad:
             def bw(g):
                 if self.requires_grad:
-                    self._accumulate(_unbroadcast(g / other.values, self.values.shape),
-                                     owned=True)
+                    self._accumulate(_unbroadcast(g / other.values, self.values.shape))
                 if other.requires_grad:
                     other._accumulate(_unbroadcast(-g * self.values / other.values ** 2,
-                                                   other.values.shape), owned=True)
+                                                   other.values.shape))
             out._backward = bw
         return out
 
@@ -174,9 +159,9 @@ class Tensor:
         if out.requires_grad:
             def bw(g):
                 if self.requires_grad:
-                    self._accumulate(g @ b.T, owned=True)
+                    self._accumulate(g @ b.T)
                 if other.requires_grad:
-                    other._accumulate(a.T @ g, owned=True)
+                    other._accumulate(a.T @ g)
             out._backward = bw
         return out
 
@@ -206,7 +191,7 @@ class Tensor:
             def bw(g):
                 acc = np.zeros_like(self.values)
                 np.add.at(acc, idx, g)
-                self._accumulate(acc, owned=True)
+                self._accumulate(acc)
             out._backward = bw
         return out
 
@@ -219,7 +204,7 @@ class Tensor:
             def bw(g):
                 acc = np.zeros_like(self.values)
                 np.add.at(acc, (rows, idx), g)
-                self._accumulate(acc, owned=True)
+                self._accumulate(acc)
             out._backward = bw
         return out
 
@@ -229,49 +214,47 @@ class Tensor:
     def relu(self) -> "Tensor":
         out = _make(np.maximum(self.values, 0.0), (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g * (self.values > 0.0), owned=True)
+            out._backward = lambda g: self._accumulate(g * (self.values > 0.0))
         return out
 
     def sigmoid(self) -> "Tensor":
         y = _sigmoid(self.values)
         out = _make(y, (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g * y * (1.0 - y), owned=True)
+            out._backward = lambda g: self._accumulate(g * y * (1.0 - y))
         return out
 
     def exp(self) -> "Tensor":
         y = np.exp(self.values)
         out = _make(y, (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g * y, owned=True)
+            out._backward = lambda g: self._accumulate(g * y)
         return out
 
     def log(self) -> "Tensor":
         out = _make(np.log(self.values), (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g / self.values, owned=True)
+            out._backward = lambda g: self._accumulate(g / self.values)
         return out
 
     def sum(self) -> "Tensor":
         out = _make(self.values.sum(), (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(np.full_like(self.values, float(g)),
-                                                       owned=True)
+            out._backward = lambda g: self._accumulate(np.full_like(self.values, float(g)))
         return out
 
     def mean(self) -> "Tensor":
         n = self.values.size
         out = _make(self.values.mean(), (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(np.full_like(self.values, float(g) / n),
-                                                       owned=True)
+            out._backward = lambda g: self._accumulate(np.full_like(self.values, float(g) / n))
         return out
 
     def sum_lastdim(self) -> "Tensor":
         out = _make(self.values.sum(axis=-1), (self,))
         if out.requires_grad:
             out._backward = lambda g: self._accumulate(
-                np.broadcast_to(np.expand_dims(g, -1), self.values.shape).copy(), owned=True)
+                np.broadcast_to(np.expand_dims(g, -1), self.values.shape))
         return out
 
 
@@ -296,13 +279,6 @@ def _unbroadcast(g, shape):
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
-
-
-def _accumulate_reduced(t: Tensor, g):
-    """Add g, summed down to t's shape, to t.grad; g itself is not handed
-    over, since the caller may still read it."""
-    r = _unbroadcast(g, t.values.shape)
-    t._accumulate(r, owned=r is not g)
 
 
 # ndarray.mean and .var with the Python wrapper taken out: the same reductions
@@ -333,7 +309,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     if out.requires_grad:
         def bw(g):
             dot = (g * y).sum(axis=-1, keepdims=True)
-            x._accumulate(y * (g - dot), owned=True)
+            x._accumulate(y * (g - dot))
         out._backward = bw
     return out
 
@@ -347,7 +323,7 @@ def logsumexp_lastdim(x: Tensor) -> Tensor:
     out = _make((np.log(s) + m).squeeze(-1), (x,))
     if out.requires_grad:
         def bw(g):
-            x._accumulate(np.expand_dims(g, -1) * (e / s), owned=True)
+            x._accumulate(np.expand_dims(g, -1) * (e / s))
         out._backward = bw
     return out
 
@@ -364,7 +340,7 @@ def layernorm_lastdim(x: Tensor, eps: float = 1e-5) -> Tensor:
         def bw(g):
             gm = g.mean(axis=-1, keepdims=True)
             gy = (g * y).mean(axis=-1, keepdims=True)
-            x._accumulate(inv * (g - gm - y * gy), owned=True)
+            x._accumulate(inv * (g - gm - y * gy))
         out._backward = bw
     return out
 
@@ -376,7 +352,7 @@ def masked_fill(x: Tensor, block, fill: float) -> Tensor:
         raise ValueError(f"masked_fill shape mismatch: values {x.values.shape} vs block {block.shape}")
     out = _make(np.where(block, fill, x.values), (x,))
     if out.requires_grad:
-        out._backward = lambda g: x._accumulate(np.where(block, 0.0, g), owned=True)
+        out._backward = lambda g: x._accumulate(np.where(block, 0.0, g))
     return out
 
 
@@ -390,7 +366,7 @@ def bce_with_logits(x: Tensor, target) -> Tensor:
     loss = np.maximum(v, 0.0) - v * t + np.log1p(np.exp(-np.abs(v)))
     out = _make(loss, (x,))
     if out.requires_grad:
-        out._backward = lambda g: x._accumulate(g * (_sigmoid(v) - t), owned=True)
+        out._backward = lambda g: x._accumulate(g * (_sigmoid(v) - t))
     return out
 
 
@@ -437,10 +413,10 @@ def fused_attention(x: Tensor, keys: Tensor, values: Tensor, block, wq: Tensor,
     if out.requires_grad:
         def bw(g):
             if wo.requires_grad:
-                wo._accumulate(ctx.T @ g, owned=True)
+                wo._accumulate(ctx.T @ g)
             g_ctx = g @ wo.values.T
             if values.requires_grad:
-                values._accumulate(p.T @ g_ctx, owned=True)
+                values._accumulate(p.T @ g_ctx)
             if not (x.requires_grad or keys.requires_grad or wq.requires_grad):
                 return
             g_p = g_ctx @ values.values.T
@@ -449,12 +425,12 @@ def fused_attention(x: Tensor, keys: Tensor, values: Tensor, block, wq: Tensor,
                 g_logits = np.where(block, 0.0, g_logits)
             g_logits = g_logits * scale
             if keys.requires_grad:
-                keys._accumulate((q.T @ g_logits).T, owned=True)
+                keys._accumulate((q.T @ g_logits).T)
             g_q = g_logits @ kv
             if wq.requires_grad:
-                wq._accumulate(x.values.T @ g_q, owned=True)
+                wq._accumulate(x.values.T @ g_q)
             if x.requires_grad:
-                x._accumulate(g_q @ wq.values.T, owned=True)
+                x._accumulate(g_q @ wq.values.T)
         out._backward = bw
     return out
 
@@ -471,17 +447,16 @@ def add_norm_affine(x: Tensor, update: Tensor, gain: Tensor, bias: Tensor,
     if out.requires_grad:
         def bw(g):
             if bias.requires_grad:
-                _accumulate_reduced(bias, g)
+                bias._accumulate(_unbroadcast(g, bias.values.shape))
             if gain.requires_grad:
-                gain._accumulate(_unbroadcast(g * y, gain.values.shape), owned=True)
+                gain._accumulate(_unbroadcast(g * y, gain.values.shape))
             if x.requires_grad or update.requires_grad:
                 g_y = g * gain.values
                 g_z = inv * (g_y - _mean_lastdim(g_y) - y * _mean_lastdim(g_y * y))
-                # both read g_z, so only the last of them (x may be update) owns it
                 if x.requires_grad:
                     x._accumulate(g_z)
                 if update.requires_grad:
-                    update._accumulate(g_z, owned=True)
+                    update._accumulate(g_z)
         out._backward = bw
     return out
 
@@ -489,18 +464,18 @@ def add_norm_affine(x: Tensor, update: Tensor, gain: Tensor, bias: Tensor,
 def _mlp2_backward(g, x: Tensor, h, r, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
     """Accumulate mlp2's gradients for g, given h = x@w1 + b1 and r = relu(h)."""
     if b2.requires_grad:
-        _accumulate_reduced(b2, g)
+        b2._accumulate(_unbroadcast(g, b2.values.shape))
     if w2.requires_grad:
-        w2._accumulate(r.T @ g, owned=True)
+        w2._accumulate(r.T @ g)
     if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
         return
     g_h = (g @ w2.values.T) * (h > 0.0)
     if b1.requires_grad:
-        _accumulate_reduced(b1, g_h)
+        b1._accumulate(_unbroadcast(g_h, b1.values.shape))
     if w1.requires_grad:
-        w1._accumulate(x.values.T @ g_h, owned=True)
+        w1._accumulate(x.values.T @ g_h)
     if x.requires_grad:
-        x._accumulate(g_h @ w1.values.T, owned=True)
+        x._accumulate(g_h @ w1.values.T)
 
 
 def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -550,11 +525,11 @@ def fused_heads(parts, embed: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2
             for x, a, b in spans:
                 g_c = g[a:b]
                 if cls_b.requires_grad:
-                    _accumulate_reduced(cls_b, g_c)
+                    cls_b._accumulate(_unbroadcast(g_c, cls_b.values.shape))
                 if x.requires_grad:
-                    x._accumulate(g_c @ cls_w.values.T, owned=True)
+                    x._accumulate(g_c @ cls_w.values.T)
                 if cls_w.requires_grad:
-                    cls_w._accumulate(x.values.T @ g_c, owned=True)
+                    cls_w._accumulate(x.values.T @ g_c)
         class_out._backward = class_bw
     return mask_out, class_out
 
@@ -581,7 +556,7 @@ def cross_entropy_rows(logits: Tensor, rows, targets, row_weights, scale: float)
             g_rows[np.arange(rows.size), targets] -= coef
             acc = np.zeros_like(logits.values)
             acc[rows] = g_rows
-            logits._accumulate(acc, owned=True)
+            logits._accumulate(acc)
         out._backward = bw
     return out
 
@@ -611,6 +586,6 @@ def mask_loss_rows(logits: Tensor, probs: np.ndarray, rows, targets, w_bce: floa
             g_p = (2.0 * g_num)[:, None] * t - (g_num * num / den)[:, None]
             acc = np.zeros_like(logits.values)
             acc.reshape(n, -1)[rows] = g_bce * (p - t) + g_p * p * (1.0 - p)
-            logits._accumulate(acc, owned=True)
+            logits._accumulate(acc)
         out._backward = bw
     return out

@@ -148,6 +148,9 @@ def load_scenes(path):
 def load_or_generate_scenes(cfg: RunConfig):
     if cfg.dataset_path:
         scenes, synth_cfg = load_scenes(cfg.dataset_path)
+        if synth_cfg.feat_dim != cfg.model.dim:
+            raise CompatibilityError(f"model dim {cfg.model.dim} != dataset feature dim "
+                                     f"{synth_cfg.feat_dim}")
     else:
         synth_cfg = cfg.synth
         scenes = [generate_scene(synth_cfg, i) for i in range(cfg.num_scenes)]

@@ -217,6 +217,28 @@ def test_train_on_a_dataset_without_scenes_exits_compat(tmp_path, capsys):
     assert_one_line(capsys, "compatibility error: ")
 
 
+def test_train_on_a_dataset_of_another_feature_dim_exits_compat(tmp_path, capsys):
+    cfg = SynthConfig(height=16, width=16, feat_dim=16)
+    data = tmp_path / "data.txt"
+    save_dataset(data, [generate_scene(cfg, i) for i in range(2)], cfg)
+    config = write_config(tmp_path, {"dataset_path": str(data)})
+    assert run_train(config, tmp_path / "run") == cli.EXIT_COMPAT
+    assert_one_line(capsys, "compatibility error: model dim 32 != dataset feature dim 16")
+
+
+@pytest.mark.parametrize("verb", list(cli.HANDLERS))
+def test_negative_seed_exits_config_with_one_line_on_every_verb(artifacts, tmp_path, capsys,
+                                                                verb):
+    ckpt, data = (str(path) for path in artifacts)
+    inputs = {"eval": ["--checkpoint", ckpt, "--dataset", data],
+              "analyze": ["--checkpoint", ckpt, "--dataset", data],
+              "grad-check": []}.get(verb, ["--config", write_config(tmp_path, {})])
+    out = tmp_path / "out"
+    assert cli.main([verb, *inputs, "--seed", "-1", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert_one_line(capsys, "config error: --seed must be a non-negative integer, got -1")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("raw", [{"train": {"holdout_frac": "x"}},
                                  {"train": {"decay_points": [1, "a"]}},
                                  {"mp": {"mp_layers": 3}}, {"train": {"lr": "x"}}],

@@ -140,6 +140,16 @@ def test_backward_accumulates_without_reset():
     assert np.array_equal(x.grad, 2 * first)
 
 
+def test_a_later_gradient_leaves_a_shared_first_gradient_unchanged():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = Tensor([3.0, 4.0], requires_grad=True)
+    (x + y).sum().backward()
+    assert x.grad is y.grad
+    x._accumulate(np.array([10.0, 20.0]))
+    assert np.array_equal(x.grad, [11.0, 21.0])
+    assert np.array_equal(y.grad, [1.0, 1.0])
+
+
 def test_forward_bit_identical_across_evaluations():
     rng = np.random.default_rng(6)
     x = Tensor(rng.uniform(-2, 2, size=(4, 6)), requires_grad=True)

@@ -5,7 +5,7 @@ import pytest
 
 from mpseg import tensor, trainer
 from mpseg.config import parse_run_config
-from mpseg.decoder import full_forward, init_params, plain_spec
+from mpseg.decoder import full_forward, init_params, named_parameters, plain_spec
 from mpseg.gradcheck import run_gradient_suite
 from mpseg.losses import LossWeights, layer_losses
 from mpseg.mp import MPConfig
@@ -266,16 +266,34 @@ def test_tape_nodes_per_step_at_the_default_model_size():
     assert (tape_nodes(mp_loss), tape_nodes(plain_loss)) == (275, 150)
 
 
-def test_no_two_tensors_share_gradient_memory_after_an_mp_backward():
-    mp_loss, _ = default_step_losses()
-    mp_loss.backward()
-    seen, stack, bases = {id(mp_loss)}, [mp_loss], []
-    while stack:
-        node = stack.pop()
-        if node.grad is not None:
-            bases.append(id(node.grad if node.grad.base is None else node.grad.base))
-        for parent in node._parents:
-            if id(parent) not in seen:
-                seen.add(id(parent))
-                stack.append(parent)
-    assert len(bases) > 300 and len(set(bases)) == len(bases)
+def params_after_an_mp_and_a_plain_step() -> list:
+    """Parameter bytes after one MP and then one plain training step at
+    the default model size: forward, layer_losses, backward, AdamW."""
+    cfg, scene, params = default_scene_and_params()
+    pyramid = synth_features(scene, cfg)
+    table = trainer.layer_scale_table(cfg.height, cfg.width, params.num_layers)
+    pairs = named_parameters(params)
+    opt = trainer.AdamW(pairs)
+    mp_spec, mp_part = trainer.mp_forward_spec(pyramid, scene, params, MPConfig(), table,
+                                               [0, 2, 0])
+    assert mp_part is not None
+    for spec, part in ((mp_spec, mp_part), (plain_spec(pyramid, params), None)):
+        loss, _ = layer_losses(full_forward(spec, params), scene, part,
+                               "per-layer-bipartite", LossWeights())
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+    return [p.values.tobytes() for _, p in pairs]
+
+
+def test_training_steps_never_write_into_a_stored_gradient(monkeypatch):
+    expected = params_after_an_mp_and_a_plain_step()
+    real = Tensor._accumulate
+
+    def read_only(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        if isinstance(self.grad, np.ndarray):  # a numpy scalar is immutable anyway
+            self.grad.flags.writeable = False
+
+    monkeypatch.setattr(Tensor, "_accumulate", read_only)
+    assert params_after_an_mp_and_a_plain_step() == expected
