@@ -1,27 +1,30 @@
 """Masked-attention transformer decoder.
 
 Each layer runs masked cross-attention over one pyramid scale (coarse to
-fine, cycling), self-attention under an optional blocking grid, and a
-feed-forward block, each with residual + layer norm. Shared mask and
-classification heads produce per-layer predictions (one tape node each
-per layer, over all query parts), and each layer's
-masks, binarized by binarize_masks and resized by
-masks.to_attention_blocks, become the next layer's cross-attention
+fine, cycling), self-attention, and a feed-forward block, each with
+residual + layer norm. Shared mask and classification heads produce
+per-layer predictions (one tape node each per layer, over all query
+parts), and each layer's masks, binarized by binarize_masks and resized
+by masks.to_attention_blocks, become the next layer's cross-attention
 blocking grids. Single attention head, no positional encodings.
 
 full_forward is the only forward path. Its queries form one part (the
-matching queries) or two (matching, then mask-piloted); a plain forward
-is the one-part case, with no extra work or tape nodes.
+matching queries) or two: the matching queries, then the mask-piloted
+(MP) part's queries, handed over as the MPPart that the loss reads too.
+A plain forward is the one-part case, with no extra work or tape nodes.
+The matching part's self-attention reads only its own rows; the MP
+rows read the matching rows and their own group.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import MAX_HIDDEN, MAX_LAYERS, MAX_SIZE
 from .masks import FormatError, to_attention_blocks
 from .tensor import Tensor, add_norm_affine, concat_rows, fused_attention, fused_heads, mlp2
 
@@ -79,11 +82,9 @@ class LayerOutputs:
 
 @dataclass
 class ForwardSpec:
-    pyramid: object                 # FeaturePyramid
-    init_queries: Tensor            # (n_match + n_mp, d)
-    n_match: int
-    overrides: dict = field(default_factory=dict)  # layer -> (n_mp, h*w) bool blocks
-    self_block: np.ndarray = None   # (n_q, n_q) bool or None
+    pyramid: object       # FeaturePyramid
+    queries: Tensor       # (n_match, d) matching queries
+    mp: object = None     # MPPart or None
 
 
 def init_params(seed: int, n_queries: int = 20, n_layers: int = 9, dim: int = 32,
@@ -199,30 +200,23 @@ def layer_scale(layer: int, num_scales: int) -> int:
 def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
     """Run all layers; layer i attends to pyramid scale layer_scale(i).
 
-    The queries form one part, or two when rows past n_match (the MP
-    part) are present. Matching-part blocking grids always come from the
-    previous layer's own predictions; the MP part takes the override
-    table's grids where a layer has an entry and falls back to its own
-    predictions elsewhere.
+    The queries form one part, the matching queries, or two when the
+    spec carries an MP part. Matching-part cross-attention blocking grids
+    always come from the previous layer's own predictions; the MP part
+    takes its override table's grids where a layer has an entry and falls
+    back to its own predictions elsewhere. The MP rows' self-attention
+    grid blocks every row of another MP group and nothing else.
     """
     feats = [Tensor(grid.reshape(-1, grid.shape[-1])) for grid in spec.pyramid.scales]
     embed = spec.pyramid.embed
-    n_match = spec.n_match
-    n_mp = spec.init_queries.values.shape[0] - n_match
-    if n_mp:
-        # matching queries must attend exactly the matching part, or the MP part leaks
-        if spec.self_block is None:
-            raise ValueError("a query partition requires a self-attention blocking grid")
-        if (spec.self_block[:n_match, :n_match].any()
-                or not spec.self_block[:n_match, n_match:].all()):
-            raise ValueError("self block must isolate the matching part "
-                             "(top-left free, top-right fully blocked)")
-        parts = [spec.init_queries.take_rows(np.arange(n_match)),
-                 spec.init_queries.take_rows(n_match + np.arange(n_mp))]
-        self_blocks = [None, spec.self_block[n_match:]]
-    else:
-        parts = [spec.init_queries]
-        self_blocks = [spec.self_block]
+    mp = spec.mp
+    n_match = spec.queries.values.shape[0]
+    parts, self_blocks = [spec.queries], [None]
+    if mp is not None:
+        gid = mp.group_id
+        parts.append(mp.queries)
+        self_blocks.append(np.hstack([np.zeros((gid.size, n_match), dtype=bool),
+                                      gid[:, None] != gid[None, :]]))
     masks, classes = heads(params, parts, embed)
     mask_logits, class_logits = [masks], [classes]
     for i in range(1, params.num_layers + 1):
@@ -230,13 +224,13 @@ def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
         h, w = spec.pyramid.scales[s].shape[:2]
         own = to_attention_blocks(binarize_masks(mask_logits[-1].values), h, w)
         cross_blocks = [own[:n_match]]
-        if n_mp:
-            block = spec.overrides.get(i)
+        if mp is not None:
+            block = mp.overrides.get(i)
             if block is None:
                 block = own[n_match:]
-            elif block.shape != (n_mp, h * w):
+            elif block.shape != (mp.num_queries, h * w):
                 raise ValueError(f"override for layer {i} has shape {block.shape}, "
-                                 f"expected {(n_mp, h * w)}")
+                                 f"expected {(mp.num_queries, h * w)}")
             cross_blocks.append(block)
         parts = decoder_layer(parts, feats[s], cross_blocks, self_blocks,
                               params.layers[i - 1], params.dim)
@@ -248,9 +242,8 @@ def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
 
 
 def plain_spec(pyramid, params: DecoderParams) -> ForwardSpec:
-    """Matching part only: learnable queries, no overrides, no self blocking."""
-    return ForwardSpec(pyramid=pyramid, init_queries=params.query_embed,
-                       n_match=params.n_queries, overrides={}, self_block=None)
+    """Matching part only: the learnable queries, no MP part."""
+    return ForwardSpec(pyramid, params.query_embed)
 
 
 def _array_header(name: str, shape) -> bytes:
@@ -293,10 +286,12 @@ def _read_checkpoint(fh):
     if int(version) != CHECKPOINT_VERSION:
         raise ValueError(f"version {version} unsupported")
     meta = json.loads(meta_json)
-    extents = [meta[k] for k in ("n_queries", "num_layers", "dim", "num_categories",
-                                 "ffn_hidden")]
-    if not all(isinstance(v, int) and v >= 1 for v in extents):
-        raise ValueError(f"model extents must be positive integers, got {extents}")
+    # the caps the config puts on these extents, checked before anything is allocated
+    caps = {"n_queries": MAX_SIZE, "num_layers": MAX_LAYERS, "dim": MAX_SIZE,
+            "num_categories": MAX_SIZE, "ffn_hidden": MAX_HIDDEN}
+    for key, cap in caps.items():
+        if not (isinstance(meta[key], int) and 1 <= meta[key] <= cap):
+            raise ValueError(f"{key} {meta[key]!r} is not an integer in [1, {cap}]")
     count = int(fh.readline().decode("ascii"))
     params = init_params(seed=0, n_queries=meta["n_queries"],
                          n_layers=meta["num_layers"], dim=meta["dim"],

@@ -5,9 +5,10 @@ with probability lambda_label), repeated over dynamically-sized groups so
 the query budget is filled. Each configured layer gets an independently
 noised copy of every instance's GT mask, resized to that layer's
 attention scale and converted to a blocking grid. Point noise computes
-each instance's flip budget and region once per scene. A self-attention
-blocking grid stops information flow from MP queries to matching queries
-and between MP groups.
+each instance's flip budget and region once per scene. The part reaches
+the decoder as its own query part (decoder.ForwardSpec.mp): the matching
+queries never read it, and its group ids keep the MP groups from reading
+each other.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ class MPPart:
     def num_queries(self) -> int:
         return int(self.instance_index.shape[0])
 
-    @property
-    def group_sizes(self):
-        return [int((self.group_id == g).sum()) for g in range(self.n_groups)]
-
 
 def dynamic_groups(n_q: int, n_o: int) -> int:
     """floor(n_q / n_o) groups; 0 objects -> no groups; more objects than
@@ -68,7 +65,7 @@ def dynamic_groups(n_q: int, n_o: int) -> int:
 
 def _subseed(seed, *tags) -> list:
     base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    return [int(s) & 0xFFFFFFFFFFFFFFFF for s in base] + [int(t) for t in tags]
+    return [int(s) for s in base] + [int(t) for t in tags]
 
 
 def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layer_scales,
@@ -91,29 +88,23 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layer_scales,
         instances = instances[:cfg.n_q]
     per_group = len(instances)
 
-    group_id, instance_index, gt_cats, query_cats = [], [], [], []
+    # row g * per_group + j is group g's copy of instance j
+    group_id = np.repeat(np.arange(n_g, dtype=np.intp), per_group)
+    instance_index = np.tile(np.arange(per_group, dtype=np.intp), n_g)
+    gt_cats = np.array([cat for cat, _mask in instances], dtype=np.intp)[instance_index]
+    query_cats = gt_cats.copy()
     num_categories = class_embed.values.shape[0]
-    for g in range(n_g):
-        for j, (cat, _mask) in enumerate(instances):
-            rng = seeded_rng(_subseed(seed, 0, g, j))
-            qcat = cat
-            if rng.uniform() < cfg.lambda_label and num_categories > 1:
-                others = [c for c in range(num_categories) if c != cat]
-                qcat = int(others[rng.integers(0, len(others))])
-            group_id.append(g)
-            instance_index.append(j)
-            gt_cats.append(cat)
-            query_cats.append(qcat)
-    group_id = np.array(group_id, dtype=np.intp)
-    instance_index = np.array(instance_index, dtype=np.intp)
-    gt_cats = np.array(gt_cats, dtype=np.intp)
-    query_cats = np.array(query_cats, dtype=np.intp)
+    for k, (g, j, cat) in enumerate(zip(group_id, instance_index, gt_cats)):
+        rng = seeded_rng(_subseed(seed, 0, g, j))
+        if rng.uniform() < cfg.lambda_label and num_categories > 1:
+            others = [c for c in range(num_categories) if c != cat]
+            query_cats[k] = others[rng.integers(0, len(others))]
     queries = class_embed.take_rows(query_cats)
 
     mp_layer_set = cfg.mp_layers
     if mp_layer_set is None:
         mp_layer_set = tuple(layer_scales.keys())
-    # row g * per_group + j of each layer's stack is group g's copy of instance j
+    # each layer's stack holds the MP part's rows in the same order
     gt_bits = np.stack([mask.bits for _cat, mask in instances])
     regions = None
     if cfg.noise_kind == "point":
@@ -144,19 +135,3 @@ def _flip_points(noised: np.ndarray, regions, layer: int, seed):
         if c_max:
             rr, cc = point_flips(c_max, bbox, _subseed(seed, 1, layer, g, j))
             noised[k, rr, cc] = ~noised[k, rr, cc]
-
-
-def build_self_block(n_match: int, group_sizes) -> np.ndarray:
-    """Blocking grid over all queries: matching rows see only matching
-    columns; MP rows see matching columns and their own group."""
-    n_mp = int(sum(group_sizes))
-    n = n_match + n_mp
-    block = np.zeros((n, n), dtype=bool)
-    if n_mp == 0:
-        return block
-    block[:n_match, n_match:] = True
-    offsets = np.cumsum([0] + list(group_sizes))
-    for a, b in zip(offsets[:-1], offsets[1:]):
-        block[n_match + a:n_match + b, n_match:n_match + a] = True
-        block[n_match + a:n_match + b, n_match + b:] = True
-    return block

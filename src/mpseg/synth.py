@@ -236,6 +236,8 @@ def _parse_dataset(path, lines):
         if fields[0] != "scene":
             raise ValueError(f"bad scene line {line[:40]!r}")
         index = int(fields[1])
+        if len(fields) < 3:  # generate_scene places at least one instance
+            raise ValueError(f"scene {index} has no instances")
         instances = []
         for part in fields[2:]:
             cat_s, runs_s = part.split(":")

@@ -14,9 +14,9 @@ from .decoder import (DecoderParams, ForwardSpec, full_forward, init_params,
 from .losses import NonFiniteError, layer_losses
 from .metrics import (MetricsReport, compute_matching_vectors, config_hash,
                       extract_predictions, ap_lite, miou_layerwise, util_layerwise)
-from .mp import build_mp_part, build_self_block
+from .mp import build_mp_part
 from .synth import generate_scene, load_dataset, pyramid_extents, synth_features
-from .tensor import Tensor, concat_rows
+from .tensor import Tensor
 
 
 class NumericError(NonFiniteError):
@@ -168,14 +168,7 @@ def mp_forward_spec(pyramid, scene, params: DecoderParams, mp_cfg, scale_table,
                     seed) -> tuple:
     """(ForwardSpec, MPPart-or-None) with the MP part attached when possible."""
     mp_part = build_mp_part(scene, params.class_embed, mp_cfg, scale_table, seed)
-    if mp_part is None:
-        return plain_spec(pyramid, params), None
-    init_q = concat_rows([params.query_embed, mp_part.queries])
-    self_block = build_self_block(params.n_queries, mp_part.group_sizes)
-    spec = ForwardSpec(pyramid=pyramid, init_queries=init_q,
-                       n_match=params.n_queries, overrides=mp_part.overrides,
-                       self_block=self_block)
-    return spec, mp_part
+    return ForwardSpec(pyramid, params.query_embed, mp_part), mp_part
 
 
 def run_training(cfg: RunConfig, log=None):

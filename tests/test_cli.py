@@ -209,6 +209,21 @@ def test_eval_on_a_dataset_header_with_a_nan_exits_io(artifacts, capsys):
     assert_one_line(capsys, "format error: ")
 
 
+@pytest.mark.parametrize("verb", ["train", "eval", "analyze"])
+def test_scene_without_instances_exits_io_with_one_line(artifacts, tmp_path, capsys, verb):
+    ckpt, data = artifacts
+    lines = data.read_text().splitlines()
+    lines[-1] = " ".join(lines[-1].split(" ")[:2])  # "scene <index>" and nothing else
+    data.write_text("\n".join(lines) + "\n")
+    if verb == "train":
+        config = write_config(tmp_path, {**SMALL_RUN, "dataset_path": str(data)})
+        argv = ["--config", config, "--out", str(tmp_path / "run")]
+    else:
+        argv = ["--checkpoint", str(ckpt), "--dataset", str(data)]
+    assert cli.main([verb, *argv]) == cli.EXIT_IO
+    assert_one_line(capsys, "format error: ")
+
+
 def test_train_on_a_dataset_without_scenes_exits_compat(tmp_path, capsys):
     data = tmp_path / "empty.txt"
     save_dataset(data, [], SynthConfig())

@@ -1,15 +1,17 @@
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mpseg import decoder
+from mpseg.fields import MAX_HIDDEN, MAX_LAYERS, MAX_SIZE
 from mpseg.decoder import (ForwardSpec, attention, binarize_masks, decoder_layer,
                            full_forward, heads, init_params, load_checkpoint,
                            named_parameters, plain_spec, save_checkpoint)
 from mpseg.gradcheck import check_gradient
 from mpseg.masks import FormatError, to_attention_blocks
-from mpseg.mp import build_self_block
+from mpseg.mp import MPPart
 from mpseg.synth import SynthConfig, generate_scene, synth_features
 from mpseg.tensor import Tensor, _sigmoid, concat_rows, mlp2
 from mpseg.trainer import detach_params, layer_scale_table
@@ -218,7 +220,8 @@ def test_decoder_layer_two_part_gradient():
     rng = np.random.default_rng(9)
     feats_v = rng.uniform(-1, 1, size=(4, d))
     cross = [rng.uniform(size=(2, 4)) < 0.3, rng.uniform(size=(3, 4)) < 0.3]
-    mp_self = build_self_block(2, [1, 2])[2:]
+    # MP rows in groups [0, 1, 1]: each sees the matching rows and its own group
+    mp_self = np.array([[0, 0, 0, 1, 1], [0, 0, 1, 0, 0], [0, 0, 1, 0, 0]], dtype=bool)
     w = rng.uniform(-1, 1, size=(5, d))
 
     def f(xs):
@@ -300,6 +303,43 @@ def test_checkpoint_every_prefix_is_format_error(tmp_path):
         load_checkpoint(cut)
 
 
+def checkpoint_with_extent(tmp_path, monkeypatch, key, value):
+    """A small checkpoint whose header gives `value` for `key`, with
+    init_params stubbed so that reaching it raises instead of allocating."""
+    params = init_params(seed=21, n_queries=2, n_layers=1, dim=4, num_categories=2,
+                         ffn_hidden=4)
+    path = tmp_path / "extent.bin"
+    save_checkpoint(path, params)
+    header, rest = path.read_bytes().split(b"\n", 1)
+    magic, version, meta = header.decode("ascii").split(" ", 2)
+    meta = json.dumps({**json.loads(meta), key: value})
+    path.write_bytes(f"{magic} {version} {meta}\n".encode("ascii") + rest)
+
+    def reached(**kw):
+        raise AssertionError("init_params reached")
+
+    monkeypatch.setattr(decoder, "init_params", reached)
+    return path
+
+
+CAPS = [("n_queries", MAX_SIZE), ("num_layers", MAX_LAYERS), ("dim", MAX_SIZE),
+        ("num_categories", MAX_SIZE), ("ffn_hidden", MAX_HIDDEN)]
+
+
+@pytest.mark.parametrize("key,value", [(key, cap + 1) for key, cap in CAPS] + [("dim", 10**6)])
+def test_checkpoint_extent_above_its_cap_is_format_error(tmp_path, monkeypatch, key, value):
+    path = checkpoint_with_extent(tmp_path, monkeypatch, key, value)
+    with pytest.raises(FormatError, match=key):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key,cap", CAPS)
+def test_checkpoint_extent_at_its_cap_reaches_init_params(tmp_path, monkeypatch, key, cap):
+    path = checkpoint_with_extent(tmp_path, monkeypatch, key, cap)
+    with pytest.raises(AssertionError, match="init_params reached"):
+        load_checkpoint(path)
+
+
 def test_committed_checkpoint_resaves_byte_identical(tmp_path):
     """Pins the checkpoint layout: named_parameters order must not move."""
     params, meta = load_checkpoint(BENCH_CHECKPOINT)
@@ -333,25 +373,41 @@ def small_pyramid_and_params(n_queries=2):
     return pyramid, params
 
 
-def mp_spec(pyramid, params, n_mp=3, **kw):
-    rows = Tensor(np.random.default_rng(18).uniform(-1, 1, size=(n_mp, params.dim)))
-    kw.setdefault("self_block", build_self_block(params.n_queries, [n_mp]))
-    return ForwardSpec(pyramid=pyramid, init_queries=concat_rows([params.query_embed, rows]),
-                       n_match=params.n_queries, **kw)
+def mp_spec(pyramid, params, group_id=(0, 0, 0), overrides=None):
+    """A spec whose MP part is random query rows in the given groups."""
+    group_id = np.array(group_id, dtype=np.intp)
+    rows = Tensor(np.random.default_rng(18).uniform(-1, 1, size=(group_id.size, params.dim)))
+    zeros = np.zeros(group_id.size, dtype=np.intp)
+    part = MPPart(n_groups=int(group_id.max()) + 1, group_id=group_id,
+                  instance_index=zeros, gt_categories=zeros, query_categories=zeros,
+                  queries=rows, overrides=overrides or {})
+    return ForwardSpec(pyramid, params.query_embed, part)
 
 
-def test_mp_spec_without_self_block_rejected():
-    pyramid, params = small_pyramid_and_params()
-    with pytest.raises(ValueError, match="blocking grid"):
-        full_forward(mp_spec(pyramid, params, self_block=None), params)
+@pytest.mark.parametrize("group_id,expected", [
+    ((0, 0, 1, 1), [[0, 0, 0, 0, 1, 1],
+                    [0, 0, 0, 0, 1, 1],
+                    [0, 0, 1, 1, 0, 0],
+                    [0, 0, 1, 1, 0, 0]]),
+    ((0,), [[0, 0, 0]]),
+], ids=["two-groups-of-two", "one-group-of-one"])
+def test_mp_self_block_is_the_mp_rows_of_the_group_grid(monkeypatch, group_id, expected):
+    """`expected` is the MP rows of the full (n_match + n_mp)-square grid:
+    MP rows see the 2 matching columns and their own group's columns."""
+    pyramid, params = small_pyramid_and_params(n_queries=2)
+    seen = []
 
+    def recording(parts, feats, cross_blocks, self_blocks, lp, dim):
+        seen.append(self_blocks)
+        return decoder_layer(parts, feats, cross_blocks, self_blocks, lp, dim)
 
-def test_mp_spec_matching_rows_seeing_mp_rows_rejected():
-    pyramid, params = small_pyramid_and_params()
-    block = build_self_block(params.n_queries, [3])
-    block[0, params.n_queries + 1] = False
-    with pytest.raises(ValueError, match="isolate"):
-        full_forward(mp_spec(pyramid, params, self_block=block), params)
+    monkeypatch.setattr(decoder, "decoder_layer", recording)
+    full_forward(mp_spec(pyramid, params, group_id), params)
+    assert len(seen) == params.num_layers
+    for matching_block, mp_block in seen:
+        assert matching_block is None
+        assert mp_block.dtype == bool
+        assert np.array_equal(mp_block, np.array(expected, dtype=bool))
 
 
 def test_mp_spec_override_of_wrong_shape_rejected():

@@ -5,7 +5,7 @@ import pytest
 
 from mpseg.decoder import full_forward, init_params, plain_spec
 from mpseg.masks import resize_nearest
-from mpseg.mp import MPConfig, build_mp_part, build_self_block, dynamic_groups
+from mpseg.mp import MPConfig, build_mp_part, dynamic_groups
 from mpseg.synth import SynthConfig, generate_scene, synth_features
 from mpseg.tensor import Tensor, concat_rows
 from mpseg.trainer import layer_scale_table, mp_forward_spec
@@ -113,24 +113,31 @@ def test_build_mp_part_more_objects_than_budget():
     assert list(part.instance_index) == [0, 1, 2]
 
 
-def test_build_self_block_enumerated():
-    block = build_self_block(2, [2, 2])
-    expected = np.zeros((6, 6), dtype=bool)
-    expected[0:2, 2:6] = True   # matching rows blocked from MP columns
-    expected[2:4, 4:6] = True   # group 0 blocked from group 1
-    expected[4:6, 2:4] = True   # group 1 blocked from group 0
-    assert np.array_equal(block, expected)
+def test_label_flip_draws_are_pinned():
+    """Label flips of a fixed scene and seed, recorded as literals: a
+    changed draw order or sub-seed changes them."""
+    cfg = SynthConfig(num_categories=4, seed=21, instance_range=(3, 3))
+    scene = generate_scene(cfg, 0)
+    params = init_params(seed=2, num_categories=4)
+    mp_cfg = MPConfig(n_q=10, lambda_label=0.5, noise_kind="none")
+    part = build_mp_part(scene, params.class_embed, mp_cfg,
+                         layer_scale_table(32, 32, 9), seed=[4, 2, 1])
+    assert part.gt_categories.tolist() == [1, 2, 0, 1, 2, 0, 1, 2, 0]
+    assert part.query_categories.tolist() == [1, 2, 2, 2, 0, 0, 2, 2, 3]
+    assert part.group_id.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    assert part.instance_index.tolist() == [0, 1, 2, 0, 1, 2, 0, 1, 2]
 
 
-def test_build_self_block_no_mp():
-    assert not build_self_block(3, []).any()
-
-
-def test_build_self_block_single_group_of_one():
-    block = build_self_block(2, [1])
-    expected = np.zeros((3, 3), dtype=bool)
-    expected[0:2, 2] = True
-    assert np.array_equal(block, expected)
+def test_seeds_past_64_bits_draw_their_own_mp_part():
+    cfg, scene = scene_setup(seed=3)
+    params = init_params(seed=4, num_categories=4)
+    mp_cfg = MPConfig(n_q=20, lambda_label=0.5)
+    table = layer_scale_table(32, 32, 9)
+    big, small = (build_mp_part(scene, params.class_embed, mp_cfg, table, seed=[s, 3, 0])
+                  for s in (2**64, 0))
+    assert not np.array_equal(big.query_categories, small.query_categories)
+    assert not all(np.array_equal(big.overrides[l], small.overrides[l])
+                   for l in big.overrides)
 
 
 def test_matching_part_isolation_bitwise():

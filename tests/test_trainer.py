@@ -263,7 +263,7 @@ def default_step_losses():
 
 def test_tape_nodes_per_step_at_the_default_model_size():
     mp_loss, plain_loss = default_step_losses()
-    assert (tape_nodes(mp_loss), tape_nodes(plain_loss)) == (275, 150)
+    assert (tape_nodes(mp_loss), tape_nodes(plain_loss)) == (272, 150)
 
 
 def params_after_an_mp_and_a_plain_step() -> list:
