@@ -7,7 +7,7 @@ from .tensor import Tensor
 from .decoder import DecoderParams, ForwardSpec, LayerOutputs, binarize_masks, \
     full_forward, init_params
 from .mp import MPConfig, MPPart, build_mp_part, dynamic_groups
-from .losses import Assignment, LossWeights, hungarian, layer_losses, mask_losses
+from .losses import Assignment, LossWeights, hungarian, layer_losses
 from .metrics import MetricsReport, ap_lite, miou_layerwise, refinement_bounds, \
     unbiased_weight_ratio, util_layerwise, util_mp_hard
 

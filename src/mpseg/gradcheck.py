@@ -1,12 +1,12 @@
 """Central finite-difference checking of reverse-mode gradients.
 
-check_gradient perturbs input coordinates by +/-eps and compares the
-resulting slope against the tape's gradient. The error measure is
+check_gradient perturbs every input coordinate by +/-EPS and compares
+the resulting slope against the tape's gradient. The error measure is
 |analytic - numeric| / max(|analytic|, |numeric|, 1e-3): a true relative
 error for gradients above 1e-3 and an absolute error (scaled by 1e3)
 below, which keeps finite-difference noise on near-zero gradients from
 producing spurious failures. A non-finite error counts as infinite, so it
-always fails.
+always fails. A check passes when its error is below TOL.
 """
 
 from __future__ import annotations
@@ -16,14 +16,15 @@ import numpy as np
 from .tensor import Tensor
 
 
-def check_gradient(f, inputs, eps: float = 1e-5, max_coords: int | None = None,
-                   rng: np.random.Generator | None = None) -> float:
-    """Return the worst finite-difference error for scalar f over `inputs`.
+EPS = 1e-5               # the central difference's step
+TOL = 1e-4               # a check passes below this error
+COORDS_PER_PARAM = 6     # coordinates probed per parameter by the end-to-end rows
 
-    f takes the list of Tensors and returns a scalar Tensor. When
-    max_coords is set, at most that many coordinates are probed per
-    input (uniformly sampled with `rng`); otherwise every coordinate is.
-    """
+
+def check_gradient(f, inputs) -> float:
+    """Return the worst finite-difference error for scalar f over every
+    coordinate of `inputs`; f takes the list of Tensors and returns a
+    scalar Tensor."""
     # C-contiguous copies so the flat perturbation view below aliases the values,
     # and only them: f may also read the caller's arrays as constants
     tensors = [Tensor(np.array(x.values if isinstance(x, Tensor) else x,
@@ -35,31 +36,24 @@ def check_gradient(f, inputs, eps: float = 1e-5, max_coords: int | None = None,
     for t in tensors:
         analytic = t.grad if t.grad is not None else np.zeros_like(t.values)
         flat = t.values.reshape(-1)
-        n = flat.size
-        if max_coords is not None and n > max_coords:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            coords = rng.choice(n, size=max_coords, replace=False)
-        else:
-            coords = range(n)
         worst = max(worst, _probe(lambda: f(tensors), flat, analytic.reshape(-1),
-                                  coords, eps))
+                                  range(flat.size)))
     return worst
 
 
-def _probe(loss, flat, analytic, coords, eps: float) -> float:
+def _probe(loss, flat, analytic, coords) -> float:
     """Worst error of analytic[c] against the central difference of the
-    scalar loss() over flat[c] +/- eps, for c in coords; flat, a view of
+    scalar loss() over flat[c] +/- EPS, for c in coords; flat, a view of
     the values loss() reads, is restored after each probe."""
     worst = 0.0
     for c in coords:
         orig = flat[c]
-        flat[c] = orig + eps
+        flat[c] = orig + EPS
         hi = float(loss().values)
-        flat[c] = orig - eps
+        flat[c] = orig - EPS
         lo = float(loss().values)
         flat[c] = orig
-        numeric = (hi - lo) / (2.0 * eps)
+        numeric = (hi - lo) / (2.0 * EPS)
         err = abs(analytic[c] - numeric) / max(abs(analytic[c]), abs(numeric), 1e-3)
         if not np.isfinite(err):  # max() would drop a NaN
             return float("inf")
@@ -68,19 +62,20 @@ def _probe(loss, flat, analytic, coords, eps: float) -> float:
 
 
 def run_gradient_suite(seed: int = 0):
-    """Check every differentiable op plus a small end-to-end decoder loss.
+    """Check the arithmetic operators, every op the model records and a
+    small end-to-end decoder loss.
 
     Returns a list of (name, worst_error, passed) rows; the suite passes
-    when every row passes at 1e-4.
+    when every row passes.
     """
     from . import tensor as T
 
     rng = np.random.default_rng(seed)
     results = []
 
-    def check(name, f, inputs, max_coords=None, tol=1e-4):
-        err = check_gradient(f, inputs, max_coords=max_coords, rng=rng)
-        results.append((name, err, err < tol))
+    def check(name, f, inputs):
+        err = check_gradient(f, inputs)
+        results.append((name, err, err < TOL))
 
     u = rng.uniform(-2.0, 2.0, size=(3, 4))
     v = rng.uniform(-2.0, 2.0, size=(4, 2))
@@ -90,24 +85,8 @@ def run_gradient_suite(seed: int = 0):
     check("mul_broadcast", lambda xs: (xs[0] * xs[1]).mean(), [u, rng.uniform(-2, 2, size=(4,))])
     check("sub", lambda xs: (xs[0] - xs[1]).sum(), [u, w])
     check("div", lambda xs: (xs[0] / xs[1]).sum(), [u, rng.uniform(1.0, 2.0, size=(3, 4))])
-    relu_in = rng.uniform(-2.0, 2.0, size=(3, 4))
-    relu_in[np.abs(relu_in) < 0.1] = 0.5  # keep probes away from the kink
-    check("relu", lambda xs: xs[0].relu().sum(), [relu_in])
-    check("sigmoid", lambda xs: xs[0].sigmoid().sum(), [u])
-    check("exp", lambda xs: xs[0].exp().sum(), [u])
-    check("log", lambda xs: xs[0].log().sum(), [rng.uniform(0.5, 2.0, size=(3, 4))])
-    check("softmax", lambda xs: (T.softmax_lastdim(xs[0]) * w).sum(), [u])
-    check("logsumexp", lambda xs: T.logsumexp_lastdim(xs[0]).sum(), [u])
-    check("layernorm", lambda xs: (T.layernorm_lastdim(xs[0]) * w).sum(), [u])
-    block = rng.uniform(size=(3, 4)) < 0.5
-    check("masked_fill", lambda xs: T.masked_fill(xs[0], block, -5.0).sum(), [u])
-    tgt = (rng.uniform(size=(3, 4)) < 0.5).astype(float)
-    check("bce_with_logits", lambda xs: T.bce_with_logits(xs[0], tgt).mean(), [u])
     check("take_rows", lambda xs: xs[0].take_rows([2, 0, 0]).sum(), [u])
-    check("gather_cols", lambda xs: xs[0].gather_cols([1, 3, 0]).sum(), [u])
-    check("transpose_reshape", lambda xs: (xs[0].T.reshape(2, 6) * 1.5).sum(), [u])
     check("concat_rows", lambda xs: T.concat_rows(xs).mean(), [u, v.T])
-    check("sum_lastdim", lambda xs: (xs[0].sum_lastdim() * np.array([1.0, -2.0, 0.5])).sum(), [u])
 
     # fused ops; the attention's row 1 is fully blocked, row 0 partly
     att_in = [rng.uniform(-1.0, 1.0, size=s) for s in
@@ -150,11 +129,10 @@ def run_gradient_suite(seed: int = 0):
     return results
 
 
-def _end_to_end_check(seed: int, with_mp: bool, eps: float = 1e-5,
-                      coords_per_param: int = 6):
+def _end_to_end_check(seed: int, with_mp: bool):
     """Finite-difference check of a full 2-layer decoder loss on an 8x8 scene.
 
-    Every parameter tensor is probed at a random subset of coordinates;
+    Every parameter tensor is probed at COORDS_PER_PARAM random coordinates;
     the forward is the real pipeline (masked attention, heads, matching,
     classification + mask losses). With with_mp, the queries are the
     matching part plus a two-group MP part built by mp_forward_spec, so
@@ -205,6 +183,6 @@ def _end_to_end_check(seed: int, with_mp: bool, eps: float = 1e-5,
     worst = 0.0
     for name, p in pairs:
         flat = p.values.reshape(-1)
-        coords = rng.choice(flat.size, size=min(coords_per_param, flat.size), replace=False)
-        worst = max(worst, _probe(loss_tensor, flat, grads[name].reshape(-1), coords, eps))
-    return "decoder_end_to_end" + ("_mp" if with_mp else ""), worst, worst < 1e-4
+        coords = rng.choice(flat.size, size=min(COORDS_PER_PARAM, flat.size), replace=False)
+        worst = max(worst, _probe(loss_tensor, flat, grads[name].reshape(-1), coords))
+    return "decoder_end_to_end" + ("_mp" if with_mp else ""), worst, worst < TOL

@@ -155,15 +155,6 @@ def _class_loss(logits: Tensor, rows, targets: np.ndarray, w: LossWeights) -> Te
     return cross_entropy_rows(logits, rows, targets, row_weights, w.cls)
 
 
-def mask_losses(pred_logits: Tensor, gt) -> tuple:
-    """(bce, dice) scalars for one prediction against one binary mask."""
-    logits = pred_logits.reshape(1, -1)
-    probs = _sigmoid(logits.values)
-    t = gt.bits.reshape(1, -1).astype(np.float64)
-    return (mask_loss_rows(logits, probs, [0], t, 1.0, 0.0, DICE_EPS),
-            mask_loss_rows(logits, probs, [0], t, 0.0, 1.0, DICE_EPS))
-
-
 def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: LossWeights):
     """Total loss over layers 0..L for both query parts.
 

@@ -190,11 +190,8 @@ def scale_noise(m: BinaryMask, ratio_range=(0.8, 1.2), seed=0) -> BinaryMask:
     return BinaryMask(out)
 
 
-def apply_noise(m: BinaryMask, kind: str, lambda_p: float, ratio_range, seed) -> BinaryMask:
-    if kind == "none":
-        return m.copy()
-    if kind == "point":
-        return point_noise(m, lambda_p, seed)
+def apply_noise(m: BinaryMask, kind: str, ratio_range, seed) -> BinaryMask:
+    """m noised by the "shift" or "scale" kind."""
     if kind == "shift":
         return shift_noise(m, seed)
     if kind == "scale":

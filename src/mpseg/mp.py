@@ -112,8 +112,8 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layer_scales,
     overrides = {}
     for layer in sorted(mp_layer_set):
         if cfg.noise_kind in ("shift", "scale"):
-            noised = np.stack([apply_noise(mask, cfg.noise_kind, cfg.lambda_point,
-                                           cfg.scale_range, _subseed(seed, 1, layer, g, j)).bits
+            noised = np.stack([apply_noise(mask, cfg.noise_kind, cfg.scale_range,
+                                           _subseed(seed, 1, layer, g, j)).bits
                                for g in range(n_g) for j, (_cat, mask) in enumerate(instances)])
         else:
             noised = np.tile(gt_bits, (n_g, 1, 1))

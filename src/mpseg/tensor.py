@@ -7,11 +7,11 @@ reachable Tensor that has requires_grad set. Values are never mutated by
 forward ops; the only sanctioned in-place write is an optimizer updating
 parameter .values between training steps.
 
-Two kinds of op live here. The primitives (matmul, softmax_lastdim,
-bce_with_logits, ...) each record one small node. The fused ops record one
-node for a whole block of the decoder or the loss, with a hand-written
-backward, because at this size the cost of a step is Python overhead per
-node, not arithmetic:
+Besides the arithmetic operators, sum and mean, the ops here are the ones
+the model records: matmul, take_rows, concat_rows and the fused ops. A
+fused op records one node for a whole block of the decoder or the loss,
+with a hand-written backward, because at this size the cost of a step is
+Python overhead per node, not arithmetic:
 
 - fused_attention: softmax(mask((x@wq)@keys.T * scale)) @ values @ wo;
 - add_norm_affine: layernorm(x + update) * gain + bias;
@@ -24,9 +24,9 @@ node, not arithmetic:
   logits, reading the sigmoid the caller computed once for the layer.
 
 Each fused forward runs the same numpy calls in the same order as its
-composition of primitives, so its value is bitwise equal to theirs; the
-tests use the primitives as the oracle for each fused op. The two loss
-ops write their gradient into the rows they read, by assignment.
+composition of primitives (tests/oracle.py, the tests' oracle), so its
+value is bitwise equal to theirs. The two loss ops write their gradient
+into the rows they read, by assignment.
 
 No array is written in place once it is stored as a gradient, so a
 backward hands _accumulate any array as it is: one it just allocated, a
@@ -50,18 +50,8 @@ class Tensor:
         self._parents = ()
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.values.shape
-
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.values)
-
-    def zero_grad(self):
-        self.grad = None
 
     def _accumulate(self, g):
         """Add g to .grad: the first g is stored as it is, a later one
@@ -148,7 +138,7 @@ class Tensor:
         return out
 
     # ------------------------------------------------------------------
-    # structural ops
+    # structural ops and reductions
 
     def matmul(self, other: "Tensor") -> "Tensor":
         other = _as_tensor(other)
@@ -167,23 +157,6 @@ class Tensor:
 
     __matmul__ = matmul
 
-    def transpose(self) -> "Tensor":
-        out = _make(self.values.T, (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g.T)
-        return out
-
-    @property
-    def T(self):
-        return self.transpose()
-
-    def reshape(self, *shape) -> "Tensor":
-        old = self.values.shape
-        out = _make(self.values.reshape(*shape), (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g.reshape(old))
-        return out
-
     def take_rows(self, idx) -> "Tensor":
         idx = np.asarray(idx, dtype=np.intp)
         out = _make(self.values[idx], (self,))
@@ -193,48 +166,6 @@ class Tensor:
                 np.add.at(acc, idx, g)
                 self._accumulate(acc)
             out._backward = bw
-        return out
-
-    def gather_cols(self, idx) -> "Tensor":
-        """out[i] = self[i, idx[i]] for a 2-D tensor."""
-        idx = np.asarray(idx, dtype=np.intp)
-        rows = np.arange(self.values.shape[0])
-        out = _make(self.values[rows, idx], (self,))
-        if out.requires_grad:
-            def bw(g):
-                acc = np.zeros_like(self.values)
-                np.add.at(acc, (rows, idx), g)
-                self._accumulate(acc)
-            out._backward = bw
-        return out
-
-    # ------------------------------------------------------------------
-    # nonlinearities and reductions
-
-    def relu(self) -> "Tensor":
-        out = _make(np.maximum(self.values, 0.0), (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g * (self.values > 0.0))
-        return out
-
-    def sigmoid(self) -> "Tensor":
-        y = _sigmoid(self.values)
-        out = _make(y, (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g * y * (1.0 - y))
-        return out
-
-    def exp(self) -> "Tensor":
-        y = np.exp(self.values)
-        out = _make(y, (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g * y)
-        return out
-
-    def log(self) -> "Tensor":
-        out = _make(np.log(self.values), (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g / self.values)
         return out
 
     def sum(self) -> "Tensor":
@@ -248,13 +179,6 @@ class Tensor:
         out = _make(self.values.mean(), (self,))
         if out.requires_grad:
             out._backward = lambda g: self._accumulate(np.full_like(self.values, float(g) / n))
-        return out
-
-    def sum_lastdim(self) -> "Tensor":
-        out = _make(self.values.sum(axis=-1), (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(
-                np.broadcast_to(np.expand_dims(g, -1), self.values.shape))
         return out
 
 
@@ -297,77 +221,6 @@ def _sigmoid(x):
     ex = np.exp(-np.abs(x))
     d = 1.0 + ex
     return np.where(x >= 0, 1.0 / d, ex / d)
-
-
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilized by max subtraction."""
-    v = x.values
-    shifted = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = _make(y, (x,))
-    if out.requires_grad:
-        def bw(g):
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            x._accumulate(y * (g - dot))
-        out._backward = bw
-    return out
-
-
-def logsumexp_lastdim(x: Tensor) -> Tensor:
-    """log(sum(exp(x))) over the last axis; gradient is the softmax."""
-    v = x.values
-    m = v.max(axis=-1, keepdims=True)
-    e = np.exp(v - m)
-    s = e.sum(axis=-1, keepdims=True)
-    out = _make((np.log(s) + m).squeeze(-1), (x,))
-    if out.requires_grad:
-        def bw(g):
-            x._accumulate(np.expand_dims(g, -1) * (e / s))
-        out._backward = bw
-    return out
-
-
-def layernorm_lastdim(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each last-axis slice to mean 0, variance 1 (no affine)."""
-    v = x.values
-    mu = v.mean(axis=-1, keepdims=True)
-    var = v.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (v - mu) * inv
-    out = _make(y, (x,))
-    if out.requires_grad:
-        def bw(g):
-            gm = g.mean(axis=-1, keepdims=True)
-            gy = (g * y).mean(axis=-1, keepdims=True)
-            x._accumulate(inv * (g - gm - y * gy))
-        out._backward = bw
-    return out
-
-
-def masked_fill(x: Tensor, block, fill: float) -> Tensor:
-    """Replace entries where `block` is true with `fill`; gradient flows only elsewhere."""
-    block = np.asarray(block, dtype=bool)
-    if block.shape != x.values.shape:
-        raise ValueError(f"masked_fill shape mismatch: values {x.values.shape} vs block {block.shape}")
-    out = _make(np.where(block, fill, x.values), (x,))
-    if out.requires_grad:
-        out._backward = lambda g: x._accumulate(np.where(block, 0.0, g))
-    return out
-
-
-def bce_with_logits(x: Tensor, target) -> Tensor:
-    """Elementwise sigmoid cross-entropy against a constant target in [0,1].
-
-    Computed as max(x,0) - x*t + log1p(exp(-|x|)) for stability at large |x|.
-    """
-    t = np.asarray(target, dtype=np.float64)
-    v = x.values
-    loss = np.maximum(v, 0.0) - v * t + np.log1p(np.exp(-np.abs(v)))
-    out = _make(loss, (x,))
-    if out.requires_grad:
-        out._backward = lambda g: x._accumulate(g * (_sigmoid(v) - t))
-    return out
 
 
 def concat_rows(tensors) -> Tensor:

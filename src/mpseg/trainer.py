@@ -29,6 +29,10 @@ class CompatibilityError(RuntimeError):
     pass
 
 
+BETA1, BETA2 = 0.9, 0.999   # Adam's decay rates of the first and second moments
+ADAM_EPS = 1e-8             # added to the root of the second moment
+
+
 class AdamW:
     """Adam with decoupled weight decay; embeddings are decay-exempt.
 
@@ -41,12 +45,10 @@ class AdamW:
     re-adopted: its new values are copied into the buffer.
     """
 
-    def __init__(self, pairs, lr=1e-4, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=0.05, exempt=("query_embed", "class_embed")):
+    def __init__(self, pairs, lr=1e-4, weight_decay=0.05,
+                 exempt=("query_embed", "class_embed")):
         self.pairs = pairs
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.exempt = set(exempt)
         self.t = 0
@@ -94,20 +96,20 @@ class AdamW:
             self._allocate()
         self._gather()
         self.t += 1
-        c1 = 1.0 - self.b1 ** self.t
-        c2 = 1.0 - self.b2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         g, m, v, u = self._g, self.m, self.v, self._u
-        m *= self.b1
-        np.multiply(g, 1.0 - self.b1, out=u)
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=u)
         m += u
-        v *= self.b2
-        np.multiply(g, 1.0 - self.b2, out=u)
+        v *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=u)
         u *= g
         v += u
         w = g                                   # the gradients are spent: reuse their buffer
         np.divide(v, c2, out=w)
         np.sqrt(w, out=w)
-        w += self.eps
+        w += ADAM_EPS
         np.divide(m, c1, out=u)
         u /= w                                  # the Adam update
         if self.weight_decay:

@@ -1,0 +1,136 @@
+"""Primitive ops, one small tape node each, that the tests compose as the
+oracle of mpseg.tensor's fused ops; the model records none of them."""
+
+import numpy as np
+
+from mpseg.tensor import Tensor, _make, _sigmoid
+
+
+def transpose(x: Tensor) -> Tensor:
+    out = _make(x.values.T, (x,))
+    if out.requires_grad:
+        out._backward = lambda g: x._accumulate(g.T)
+    return out
+
+
+def reshape(x: Tensor, *shape) -> Tensor:
+    old = x.values.shape
+    out = _make(x.values.reshape(*shape), (x,))
+    if out.requires_grad:
+        out._backward = lambda g: x._accumulate(g.reshape(old))
+    return out
+
+
+def gather_cols(x: Tensor, idx) -> Tensor:
+    """out[i] = x[i, idx[i]] for a 2-D tensor."""
+    idx = np.asarray(idx, dtype=np.intp)
+    rows = np.arange(x.values.shape[0])
+    out = _make(x.values[rows, idx], (x,))
+    if out.requires_grad:
+        def bw(g):
+            acc = np.zeros_like(x.values)
+            np.add.at(acc, (rows, idx), g)
+            x._accumulate(acc)
+        out._backward = bw
+    return out
+
+
+def relu(x: Tensor) -> Tensor:
+    out = _make(np.maximum(x.values, 0.0), (x,))
+    if out.requires_grad:
+        out._backward = lambda g: x._accumulate(g * (x.values > 0.0))
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    y = _sigmoid(x.values)
+    out = _make(y, (x,))
+    if out.requires_grad:
+        out._backward = lambda g: x._accumulate(g * y * (1.0 - y))
+    return out
+
+
+def log(x: Tensor) -> Tensor:
+    out = _make(np.log(x.values), (x,))
+    if out.requires_grad:
+        out._backward = lambda g: x._accumulate(g / x.values)
+    return out
+
+
+def sum_lastdim(x: Tensor) -> Tensor:
+    out = _make(x.values.sum(axis=-1), (x,))
+    if out.requires_grad:
+        out._backward = lambda g: x._accumulate(
+            np.broadcast_to(np.expand_dims(g, -1), x.values.shape))
+    return out
+
+
+def softmax_lastdim(x: Tensor) -> Tensor:
+    """Softmax over the last axis, stabilized by max subtraction."""
+    v = x.values
+    shifted = v - v.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=-1, keepdims=True)
+    out = _make(y, (x,))
+    if out.requires_grad:
+        def bw(g):
+            dot = (g * y).sum(axis=-1, keepdims=True)
+            x._accumulate(y * (g - dot))
+        out._backward = bw
+    return out
+
+
+def logsumexp_lastdim(x: Tensor) -> Tensor:
+    """log(sum(exp(x))) over the last axis; gradient is the softmax."""
+    v = x.values
+    m = v.max(axis=-1, keepdims=True)
+    e = np.exp(v - m)
+    s = e.sum(axis=-1, keepdims=True)
+    out = _make((np.log(s) + m).squeeze(-1), (x,))
+    if out.requires_grad:
+        def bw(g):
+            x._accumulate(np.expand_dims(g, -1) * (e / s))
+        out._backward = bw
+    return out
+
+
+def layernorm_lastdim(x: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize each last-axis slice to mean 0, variance 1 (no affine)."""
+    v = x.values
+    mu = v.mean(axis=-1, keepdims=True)
+    var = v.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    y = (v - mu) * inv
+    out = _make(y, (x,))
+    if out.requires_grad:
+        def bw(g):
+            gm = g.mean(axis=-1, keepdims=True)
+            gy = (g * y).mean(axis=-1, keepdims=True)
+            x._accumulate(inv * (g - gm - y * gy))
+        out._backward = bw
+    return out
+
+
+def masked_fill(x: Tensor, block, fill: float) -> Tensor:
+    """Replace entries where `block` is true with `fill`; gradient flows only elsewhere."""
+    block = np.asarray(block, dtype=bool)
+    if block.shape != x.values.shape:
+        raise ValueError(f"masked_fill shape mismatch: values {x.values.shape} vs block {block.shape}")
+    out = _make(np.where(block, fill, x.values), (x,))
+    if out.requires_grad:
+        out._backward = lambda g: x._accumulate(np.where(block, 0.0, g))
+    return out
+
+
+def bce_with_logits(x: Tensor, target) -> Tensor:
+    """Elementwise sigmoid cross-entropy against a constant target in [0,1].
+
+    Computed as max(x,0) - x*t + log1p(exp(-|x|)) for stability at large |x|.
+    """
+    t = np.asarray(target, dtype=np.float64)
+    v = x.values
+    loss = np.maximum(v, 0.0) - v * t + np.log1p(np.exp(-np.abs(v)))
+    out = _make(loss, (x,))
+    if out.requires_grad:
+        out._backward = lambda g: x._accumulate(g * (_sigmoid(v) - t))
+    return out

@@ -15,6 +15,7 @@ from mpseg.mp import MPPart
 from mpseg.synth import SynthConfig, generate_scene, synth_features
 from mpseg.tensor import Tensor, _sigmoid, concat_rows, mlp2
 from mpseg.trainer import detach_params, layer_scale_table
+from oracle import reshape
 
 BENCH_CHECKPOINT = Path(__file__).resolve().parent.parent / "bench" / "data" / "checkpoint.bin"
 
@@ -34,7 +35,7 @@ def mask_head(params, queries: Tensor, embed_grid) -> Tensor:
     logits[n, y, x] = MLP(query_n) . embed[y, x]."""
     h, w, d = embed_grid.shape
     e = mlp2(queries, params.mask_w1, params.mask_b1, params.mask_w2, params.mask_b2)
-    return (e @ Tensor(embed_grid.reshape(h * w, d).T)).reshape(-1, h, w)
+    return reshape(e @ Tensor(embed_grid.reshape(h * w, d).T), -1, h, w)
 
 
 def class_head(params, queries: Tensor) -> Tensor:

@@ -5,12 +5,13 @@ import pytest
 
 from mpseg.decoder import LayerOutputs, binarize_masks
 from mpseg.losses import (DICE_EPS, Assignment, LossWeights, cost_matrix, hungarian,
-                          layer_losses, mask_losses)
+                          layer_losses)
 from mpseg.masks import BinaryMask
 from mpseg.mp import MPPart
 from mpseg.synth import Scene
-from mpseg.tensor import (Tensor, _sigmoid, bce_with_logits, cross_entropy_rows,
-                          logsumexp_lastdim, mask_loss_rows)
+from mpseg.tensor import Tensor, _sigmoid, cross_entropy_rows, mask_loss_rows
+from oracle import (bce_with_logits, gather_cols, logsumexp_lastdim, reshape, sigmoid,
+                    sum_lastdim)
 
 
 def brute_force_min_cost(cost: np.ndarray) -> float:
@@ -124,25 +125,32 @@ def test_cost_matrix_permutation_equivariant():
     assert np.array_equal(a, b[:, [1, 0]])
 
 
+def bce_and_dice(logits: np.ndarray, gt: BinaryMask) -> tuple:
+    """(BCE, dice): mask_loss_rows of (1, H, W) logits, weights (1, 0) and (0, 1)."""
+    ml = Tensor(logits[None])
+    t = gt.bits.reshape(1, -1).astype(np.float64)
+    return tuple(mask_loss_rows(ml, _sigmoid(ml.values), [0], t, w_bce, w_dice, DICE_EPS)
+                 for w_bce, w_dice in ((1.0, 0.0), (0.0, 1.0)))
+
+
 def test_mask_losses_saturated():
     scene = one_query_scene()
     _, gt = scene.instances[0]
-    logits = Tensor(np.where(gt.bits, 20.0, -20.0))
-    bce, dice = mask_losses(logits, gt)
+    bce, dice = bce_and_dice(np.where(gt.bits, 20.0, -20.0), gt)
     assert bce.values < 1e-6
     assert dice.values < 1e-2
 
 
 def test_mask_losses_half_probability_hand_value():
     gt = BinaryMask(np.array([[True, True], [False, False]]))
-    bce, dice = mask_losses(Tensor(np.zeros((2, 2))), gt)
+    bce, dice = bce_and_dice(np.zeros((2, 2)), gt)
     assert abs(dice.values - 0.4) < 1e-12
     assert abs(bce.values - np.log(2.0)) < 1e-12
 
 
 def test_mask_losses_all_negative_hand_value():
     gt = BinaryMask(np.array([[True, True], [False, False]]))
-    _, dice = mask_losses(Tensor(np.full((2, 2), -20.0)), gt)
+    _, dice = bce_and_dice(np.full((2, 2), -20.0), gt)
     assert abs(dice.values - 2.0 / 3.0) < 1e-6
 
 
@@ -232,7 +240,7 @@ def test_assignment_matched_helper():
 
 
 def composed_class_loss(cls_rows, targets, num_categories, no_object):
-    ce_each = logsumexp_lastdim(cls_rows) - cls_rows.gather_cols(targets)
+    ce_each = logsumexp_lastdim(cls_rows) - gather_cols(cls_rows, targets)
     wts = np.where(targets == num_categories, no_object, 1.0)
     return (ce_each * wts).sum() / float(wts.sum())
 
@@ -240,9 +248,9 @@ def composed_class_loss(cls_rows, targets, num_categories, no_object):
 def composed_mask_loss(rows, targets):
     """(mean BCE, mean dice) of row-aligned predictions and targets."""
     bce = bce_with_logits(rows, targets).mean()
-    p = rows.sigmoid()
-    inter = (p * targets).sum_lastdim()
-    dice_each = 1.0 - (2.0 * inter + DICE_EPS) / (p.sum_lastdim()
+    p = sigmoid(rows)
+    inter = sum_lastdim(p * targets)
+    dice_each = 1.0 - (2.0 * inter + DICE_EPS) / (sum_lastdim(p)
                                                   + Tensor(targets.sum(axis=1) + DICE_EPS))
     return bce, dice_each.mean()
 
@@ -262,7 +270,7 @@ def composed_layer_losses(outputs, scene, mp_part, mode, w):
     total = Tensor(0.0)
     assignments = []
     for i, (ml, cl) in enumerate(zip(outputs.mask_logits, outputs.class_logits)):
-        flat = ml.reshape(ml.values.shape[0], -1)
+        flat = reshape(ml, ml.values.shape[0], -1)
         assign = fixed or hungarian(cost_matrix(ml.values[:n_match], cl.values[:n_match],
                                                 scene, w))
         assignments.append(assign)
@@ -337,7 +345,7 @@ def test_mask_node_matches_composition(rows):
             out = mask_loss_rows(ml, _sigmoid(ml.values), rows, targets, w.bce, w.dice,
                                  DICE_EPS)
         else:
-            bce, dice = composed_mask_loss(ml.reshape(7, -1).take_rows(rows), targets)
+            bce, dice = composed_mask_loss(reshape(ml, 7, -1).take_rows(rows), targets)
             out = w.bce * bce + w.dice * dice
         (out * 0.6).backward()
         runs.append((out.values, ml.grad))

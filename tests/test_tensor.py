@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from mpseg.gradcheck import check_gradient
-from mpseg.tensor import (NEG_BIG, Tensor, add_norm_affine, bce_with_logits, concat_rows,
-                          fused_attention, layernorm_lastdim, logsumexp_lastdim,
-                          masked_fill, mlp2, softmax_lastdim)
+from mpseg.tensor import NEG_BIG, Tensor, add_norm_affine, concat_rows, fused_attention, mlp2
+from oracle import (bce_with_logits, gather_cols, layernorm_lastdim, log, logsumexp_lastdim,
+                    masked_fill, relu, reshape, sigmoid, softmax_lastdim, sum_lastdim,
+                    transpose)
 
 
 def test_matmul_identity():
@@ -66,9 +67,9 @@ def test_softmax_jacobian_vs_finite_differences():
 
 
 def test_sigmoid_relu_values():
-    assert Tensor([0.0]).sigmoid().values[0] == 0.5
-    assert Tensor([-3.0]).relu().values[0] == 0.0
-    assert Tensor([3.0]).relu().values[0] == 3.0
+    assert sigmoid(Tensor([0.0])).values[0] == 0.5
+    assert relu(Tensor([-3.0])).values[0] == 0.0
+    assert relu(Tensor([3.0])).values[0] == 3.0
 
 
 def test_layernorm_hand_case():
@@ -103,7 +104,7 @@ def test_masked_fill_mixed_gradient():
     masked_fill(x, block, -7.0).sum().backward()
     assert np.array_equal(x.grad, np.where(block, 0.0, 1.0))
     rng = np.random.default_rng(5)
-    err = check_gradient(lambda xs: (masked_fill(xs[0], block, -7.0).sigmoid()).sum(),
+    err = check_gradient(lambda xs: sigmoid(masked_fill(xs[0], block, -7.0)).sum(),
                          [rng.uniform(-2, 2, size=(2, 2))])
     assert err < 1e-6
 
@@ -121,7 +122,7 @@ def test_backward_sum_of_squares():
 
 def test_backward_detached_constant_gives_zero_grads():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    loss = (x.detach() * x.detach()).sum() + Tensor(0.0)
+    loss = (Tensor(x.values) * Tensor(x.values)).sum() + Tensor(0.0)
     loss.backward()
     assert x.grad is None
 
@@ -156,7 +157,7 @@ def test_forward_bit_identical_across_evaluations():
     w = Tensor(rng.uniform(-2, 2, size=(6, 3)), requires_grad=True)
 
     def run():
-        return (softmax_lastdim(layernorm_lastdim(x @ w)).sigmoid()).sum().values.copy()
+        return sigmoid(softmax_lastdim(layernorm_lastdim(x @ w))).sum().values.copy()
 
     assert np.array_equal(run(), run())
 
@@ -191,6 +192,36 @@ def test_logsumexp_matches_numpy():
     assert np.allclose(out, expected, atol=1e-12)
 
 
+def oracle_gradient_rows(rng) -> dict:
+    """name -> (f, inputs): a finite-difference row for each oracle primitive."""
+    u = rng.uniform(-2.0, 2.0, size=(3, 4))
+    w = rng.uniform(-2.0, 2.0, size=(3, 4))
+    relu_in = rng.uniform(-2.0, 2.0, size=(3, 4))
+    relu_in[np.abs(relu_in) < 0.1] = 0.5  # keep probes away from the kink
+    block = rng.uniform(size=(3, 4)) < 0.5
+    tgt = (rng.uniform(size=(3, 4)) < 0.5).astype(float)
+    return {
+        "relu": (lambda xs: relu(xs[0]).sum(), [relu_in]),
+        "sigmoid": (lambda xs: sigmoid(xs[0]).sum(), [u]),
+        "log": (lambda xs: log(xs[0]).sum(), [rng.uniform(0.5, 2.0, size=(3, 4))]),
+        "softmax": (lambda xs: (softmax_lastdim(xs[0]) * w).sum(), [u]),
+        "logsumexp": (lambda xs: logsumexp_lastdim(xs[0]).sum(), [u]),
+        "layernorm": (lambda xs: (layernorm_lastdim(xs[0]) * w).sum(), [u]),
+        "masked_fill": (lambda xs: masked_fill(xs[0], block, -5.0).sum(), [u]),
+        "bce_with_logits": (lambda xs: bce_with_logits(xs[0], tgt).mean(), [u]),
+        "gather_cols": (lambda xs: gather_cols(xs[0], [1, 3, 0]).sum(), [u]),
+        "transpose_reshape": (lambda xs: (reshape(transpose(xs[0]), 2, 6) * 1.5).sum(), [u]),
+        "sum_lastdim": (lambda xs: (sum_lastdim(xs[0]) * np.array([1.0, -2.0, 0.5])).sum(),
+                        [u]),
+    }
+
+
+@pytest.mark.parametrize("name", list(oracle_gradient_rows(np.random.default_rng(0))))
+def test_oracle_primitive_gradient(name):
+    f, inputs = oracle_gradient_rows(np.random.default_rng(0))[name]
+    assert check_gradient(f, inputs) < 1e-4
+
+
 # ----------------------------------------------------------------------
 # fused ops against their compositions of primitives
 
@@ -218,7 +249,7 @@ def assert_same_as_composition(fused, composed, arrays, seed):
 
 
 def composed_attention(x, keys, values, block, wq, wo, scale):
-    logits = ((x @ wq) @ keys.T) * scale
+    logits = ((x @ wq) @ transpose(keys)) * scale
     if block is not None:
         logits = masked_fill(logits, block, NEG_BIG)
     return softmax_lastdim(logits) @ values @ wo
@@ -280,7 +311,7 @@ def test_mlp2_matches_composition():
               rng.uniform(-1, 1, size=(8,))]
     assert_same_as_composition(
         lambda xs: mlp2(*xs),
-        lambda xs: (xs[0] @ xs[1] + xs[2]).relu() @ xs[3] + xs[4],
+        lambda xs: relu(xs[0] @ xs[1] + xs[2]) @ xs[3] + xs[4],
         arrays, seed=3)
 
 
@@ -331,13 +362,13 @@ def test_a_tensor_read_by_two_fused_ops_matches_composition():
     assert_same_as_composition(
         lambda xs: add_norm_affine(xs[0], mlp2(*xs[:5]), xs[5], xs[6]),
         lambda xs: layernorm_lastdim(
-            xs[0] + ((xs[0] @ xs[1] + xs[2]).relu() @ xs[3] + xs[4])) * xs[5] + xs[6],
+            xs[0] + (relu(xs[0] @ xs[1] + xs[2]) @ xs[3] + xs[4])) * xs[5] + xs[6],
         arrays, seed=6)
 
 
 def test_check_gradient_fails_a_nan_error():
     # log(-1) is NaN: the finite difference is NaN while the tape says -1
     with np.errstate(invalid="ignore"):
-        err = check_gradient(lambda xs: xs[0].log().sum(), [[-1.0, 2.0]])
+        err = check_gradient(lambda xs: log(xs[0]).sum(), [[-1.0, 2.0]])
     assert not err < 1e-4
     assert err == np.inf

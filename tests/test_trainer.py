@@ -3,8 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from mpseg import tensor, trainer
-from mpseg.config import parse_run_config
+from mpseg import gradcheck, tensor, trainer
+from mpseg.config import VARIANTS, parse_run_config
 from mpseg.decoder import full_forward, init_params, named_parameters, plain_spec
 from mpseg.gradcheck import run_gradient_suite
 from mpseg.losses import LossWeights, layer_losses
@@ -13,11 +13,12 @@ from mpseg.synth import SynthConfig, generate_scene, synth_features
 from mpseg.tensor import Tensor
 
 
-def small_config(**train):
+def small_config(variant="baseline", mp=None, num_layers=2, **train):
     return parse_run_config({
+        "variant": variant, "mp": mp or {},
         "synth": {"height": 8, "width": 8, "feat_dim": 8, "instance_range": [1, 2],
                   "size_range": [2, 3]},
-        "model": {"n_queries": 3, "num_layers": 2, "dim": 8, "ffn_hidden": 4},
+        "model": {"n_queries": 3, "num_layers": num_layers, "dim": 8, "ffn_hidden": 4},
         "num_scenes": 5, "train": {"lr": 1e-3, **train}})
 
 
@@ -82,6 +83,29 @@ def test_non_finite_loss_raises_numeric_error(monkeypatch):
 def test_gradient_suite_passes():
     rows = run_gradient_suite()
     assert rows and [name for name, _err, passed in rows if not passed] == []
+
+
+def test_grad_check_rows_cover_every_op_a_training_step_records(monkeypatch):
+    kinds = set()
+    real = Tensor.backward
+
+    def recording(self):
+        # an op's kind is the function that defines its backward, e.g. Tensor.matmul
+        kinds.update(node._backward.__qualname__.split(".<locals>")[0]
+                     for node in recorded_nodes(self))
+        real(self)
+
+    monkeypatch.setattr(Tensor, "backward", recording)
+    # the end-to-end rows probe a whole loss at a few coordinates; each op
+    # kind needs a row of its own
+    monkeypatch.setattr(gradcheck, "_end_to_end_check", lambda seed, with_mp: ("", 0.0, True))
+    run_gradient_suite(0)
+    suite_kinds, kinds = kinds, set()
+    runs = [(v, None) for v in VARIANTS] + [("mp-all+noises", {"noise_kind": k})
+                                            for k in ("shift", "scale")]
+    for variant, mp in runs:  # on three layers, as mp-first-3 needs
+        trainer.run_training(small_config(variant, mp, num_layers=3, steps=1))
+    assert kinds and kinds <= suite_kinds, kinds - suite_kinds
 
 
 def count_sigmoid_calls(monkeypatch) -> list:
@@ -233,13 +257,14 @@ def test_non_finite_parameters_raise_numeric_error_before_matching(monkeypatch):
     assert info.value.step == 1 and len(steps) == 2
 
 
-def tape_nodes(loss) -> int:
-    """Recorded operations reachable from the loss (leaves not counted)."""
-    seen, stack, recorded = {id(loss)}, [loss], 0
+def recorded_nodes(loss) -> list:
+    """Recorded operations reachable from the loss (leaves not included)."""
+    seen, stack, recorded = {id(loss)}, [loss], []
     while stack:
-        parents = stack.pop()._parents
-        recorded += bool(parents)
-        for parent in parents:
+        node = stack.pop()
+        if node._parents:
+            recorded.append(node)
+        for parent in node._parents:
             if id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append(parent)
@@ -263,7 +288,7 @@ def default_step_losses():
 
 def test_tape_nodes_per_step_at_the_default_model_size():
     mp_loss, plain_loss = default_step_losses()
-    assert (tape_nodes(mp_loss), tape_nodes(plain_loss)) == (272, 150)
+    assert (len(recorded_nodes(mp_loss)), len(recorded_nodes(plain_loss))) == (272, 150)
 
 
 def params_after_an_mp_and_a_plain_step() -> list:
