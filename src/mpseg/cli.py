@@ -21,8 +21,7 @@ from .decoder import full_forward, load_checkpoint, plain_spec, save_checkpoint
 from .losses import LossWeights, NonFiniteError
 from .metrics import (compute_matching_vectors, config_hash,
                       sample_refinement_instance, save_layer_csv, save_report,
-                      miou_layerwise, util_layerwise, util_mp_bipartite,
-                      util_mp_hard)
+                      miou_layerwise, util_layerwise, util_mp_bipartite)
 from .masks import FormatError
 from .mp import MPConfig
 from .synth import GenerationError, generate_scene, save_dataset, synth_features
@@ -126,13 +125,13 @@ def cmd_analyze(args) -> int:
 
 def analyze_dataset(params, scenes, synth_cfg, seed: int = 0):
     """Per-layer diagnostics: matching part (MP disabled) plus MP-part
-    utilization under hard assignment and under bipartite matching."""
+    utilization under bipartite matching."""
     weights = LossWeights()
     frozen = detach_params(params)
     mp_cfg = MPConfig(n_q=params.n_queries)
     scale_table = layer_scale_table(synth_cfg.height, synth_cfg.width,
                                     params.num_layers)
-    miou_rows, util_rows, mp_hard_rows, mp_bi_rows = [], [], [], []
+    miou_rows, util_rows, mp_bi_rows = [], [], []
     for scene in scenes:
         pyramid = synth_features(scene, synth_cfg)
         plain_out = full_forward(plain_spec(pyramid, frozen), frozen)
@@ -142,13 +141,11 @@ def analyze_dataset(params, scenes, synth_cfg, seed: int = 0):
         spec, mp_part = mp_forward_spec(pyramid, scene, frozen, mp_cfg, scale_table,
                                         [seed, 3, scene.index])
         if mp_part is not None:
-            mp_hard_rows.append(util_mp_hard(mp_part))
             mp_bi_rows.append(util_mp_bipartite(full_forward(spec, frozen), scene,
                                                 weights))
     return {
         "miou_l": np.mean(miou_rows, axis=0),
         "util": np.mean(util_rows, axis=0),
-        "mp_util_hard": float(np.mean(mp_hard_rows)) if mp_hard_rows else float("nan"),
         "mp_util_bipartite": (np.mean(mp_bi_rows, axis=0) if mp_bi_rows
                               else np.full(1, np.nan)),
     }
@@ -158,23 +155,21 @@ def format_analysis(rows: dict, num_layers: int):
     header = ["layer"] + [str(i) for i in range(1, num_layers + 1)]
     miou = ["miou_l(%)"] + [f"{100 * v:.1f}" for v in rows["miou_l"]]
     util = ["util(%)"] + [f"{100 * v:.1f}" for v in rows["util"][1:]]
-    hard = ["mp_util_hard(%)"] + [f"{100 * rows['mp_util_hard']:.1f}"] * num_layers
     bi = ["mp_util_bipartite(%)"] + [f"{100 * v:.1f}"
                                      for v in rows["mp_util_bipartite"][1:]]
-    widths = [max(len(r[i]) for r in (header, miou, util, hard, bi))
+    widths = [max(len(r[i]) for r in (header, miou, util, bi))
               for i in range(len(header))]
     lines = []
-    for r in (header, miou, util, hard, bi):
+    for r in (header, miou, util, bi):
         lines.append("  ".join(s.rjust(w) for s, w in zip(r, widths)))
     text = "\n".join(lines) + "\n"
 
-    csv_lines = ["layer,miou_l,util,mp_util_hard,mp_util_bipartite"]
+    csv_lines = ["layer,miou_l,util,mp_util_bipartite"]
     for i in range(1, num_layers + 1):
         bi_v = rows["mp_util_bipartite"][i] if i < len(rows["mp_util_bipartite"]) \
             else float("nan")
         csv_lines.append(f"{i},{100 * rows['miou_l'][i - 1]:.6f},"
-                         f"{100 * rows['util'][i]:.6f},"
-                         f"{100 * rows['mp_util_hard']:.6f},{100 * bi_v:.6f}")
+                         f"{100 * rows['util'][i]:.6f},{100 * bi_v:.6f}")
     return text, "\n".join(csv_lines) + "\n"
 
 

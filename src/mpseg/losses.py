@@ -122,13 +122,11 @@ def cost_matrix(mask_logit_values: np.ndarray, class_logit_values: np.ndarray,
     n = mask_logit_values.shape[0]
     pred = mask_logit_values.reshape(n, -1)
     npix = pred.shape[1]
-    gt = np.stack([inst.bits.reshape(-1).astype(np.float64)
-                   for _, inst in scene.instances])
+    gt = scene.masks.reshape(scene.num_instances, -1).astype(np.float64)
     if gt.shape[1] != npix:
         raise ValueError(f"prediction has {npix} pixels, GT has {gt.shape[1]}")
-    cats = np.array([c for c, _ in scene.instances], dtype=np.intp)
 
-    cls_term = -_softmax_rows(class_logit_values)[:, cats]
+    cls_term = -_softmax_rows(class_logit_values)[:, scene.categories]
 
     softplus_mean = (np.maximum(pred, 0.0) + np.log1p(np.exp(-np.abs(pred)))).mean(axis=1)
     bce = softplus_mean[:, None] - (pred @ gt.T) / npix
@@ -177,9 +175,8 @@ def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: Loss
                          f"combined with an auxiliary query part")
     n_match = outputs.n_match
     num_categories = outputs.class_logits[0].values.shape[1] - 1
-    cats = np.array([c for c, _ in scene.instances], dtype=np.intp)
-    gt_flat = np.stack([inst.bits.reshape(-1).astype(np.float64)
-                        for _, inst in scene.instances])
+    cats = scene.categories
+    gt_flat = scene.masks.reshape(scene.num_instances, -1).astype(np.float64)
     match_rows = np.arange(n_match)
     probs = [_sigmoid(ml.values) for ml in outputs.mask_logits]
 

@@ -1,5 +1,8 @@
-"""Binary masks: IoU, nearest-neighbor resizing, the three GT-mask noise
-procedures, attention blocking grids, and run-length serialization.
+"""Masks as numpy bool arrays: an (H, W) array is one mask, an (n, H, W)
+array a stack of them. IoU, the shift and scale GT-mask noise, the flip
+budget and flips of point noise (its whole procedure is
+tests/oracle.py's point_noise; mp._flip_points applies it to a stack),
+attention blocking grids, and run-length serialization.
 
 All noise procedures are pure functions of (mask, parameters, seed); the
 same seed always yields the same output.
@@ -15,82 +18,18 @@ class FormatError(ValueError):
     to the run-length codec, because both file loaders import this module."""
 
 
-class BinaryMask:
-    """H x W boolean grid."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits):
-        bits = np.asarray(bits, dtype=bool)
-        if bits.ndim != 2:
-            raise ValueError(f"mask must be 2-D, got shape {bits.shape}")
-        self.bits = bits
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def area(self) -> int:
-        return int(self.bits.sum())
-
-    def is_empty(self) -> bool:
-        return not self.bits.any()
-
-    def bbox(self):
-        """(r0, r1, c0, c1) inclusive bounds of true pixels; None when empty."""
-        rows = np.flatnonzero(self.bits.any(axis=1))
-        cols = np.flatnonzero(self.bits.any(axis=0))
-        if rows.size == 0:
-            return None
-        return int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1])
-
-    def centroid(self):
-        """Center of mass in continuous coordinates (cell r spans [r, r+1))."""
-        rr, cc = np.nonzero(self.bits)
-        if rr.size == 0:
-            raise ValueError("centroid of empty mask")
-        return float(rr.mean()) + 0.5, float(cc.mean()) + 0.5
-
-    def copy(self) -> "BinaryMask":
-        return BinaryMask(self.bits.copy())
-
-    def __eq__(self, other):
-        return isinstance(other, BinaryMask) and np.array_equal(self.bits, other.bits)
-
-    def __repr__(self):
-        return f"BinaryMask({self.height}x{self.width}, area={self.area})"
-
-
-def iou(a: BinaryMask, b: BinaryMask) -> float:
-    """|a∩b| / |a∪b|; 1.0 when both empty, 0.0 when exactly one is."""
-    if a.bits.shape != b.bits.shape:
-        raise ValueError(f"iou extent mismatch: {a.bits.shape} vs {b.bits.shape}")
-    union = np.logical_or(a.bits, b.bits).sum()
-    if union == 0:
-        return 1.0
-    inter = np.logical_and(a.bits, b.bits).sum()
-    return float(inter) / float(union)
+def iou(a: np.ndarray, b: np.ndarray):
+    """|a∩b| / |a∪b| over the last two axes of (..., H, W) bool arrays,
+    broadcast against each other: 1.0 where both are empty, 0.0 where
+    exactly one is. A float for two single masks, else an array."""
+    union = np.logical_or(a, b).sum(axis=(-2, -1))
+    inter = np.logical_and(a, b).sum(axis=(-2, -1))
+    return np.divide(inter, union, out=np.ones(union.shape), where=union > 0)[()]
 
 
 def _nearest_indices(n_src: int, n_dst: int) -> np.ndarray:
     # sample at destination cell centers
     return np.minimum((np.arange(n_dst) + 0.5) * (n_src / n_dst), n_src - 1).astype(np.intp)
-
-
-def resize_nearest(m: BinaryMask, h2: int, w2: int) -> BinaryMask:
-    """Nearest-neighbor resize sampling source values at destination cell centers."""
-    if h2 < 1 or w2 < 1:
-        raise ValueError(f"target extents must be positive, got {h2}x{w2}")
-    if (h2, w2) == (m.height, m.width):
-        return m.copy()
-    ri = _nearest_indices(m.height, h2)
-    ci = _nearest_indices(m.width, w2)
-    return BinaryMask(m.bits[np.ix_(ri, ci)])
 
 
 def seeded_rng(seed) -> np.random.Generator:
@@ -102,21 +41,34 @@ def seeded_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def _dilated_bbox(m: BinaryMask):
+def _bbox(m: np.ndarray):
+    """(r0, r1, c0, c1) inclusive bounds of the true pixels of a nonempty mask."""
+    rows = np.flatnonzero(m.any(axis=1))
+    cols = np.flatnonzero(m.any(axis=0))
+    return int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1])
+
+
+def _centroid(m: np.ndarray):
+    """Center of mass of a nonempty mask in continuous coordinates (cell r
+    spans [r, r+1))."""
+    rr, cc = np.nonzero(m)
+    return float(rr.mean()) + 0.5, float(cc.mean()) + 0.5
+
+
+def _dilated_bbox(m: np.ndarray):
     """GT bbox grown by 10% of its extent per side (ceil), clipped to the image."""
-    r0, r1, c0, c1 = m.bbox()
+    r0, r1, c0, c1 = _bbox(m)
     pad_r = int(np.ceil(0.1 * (r1 - r0 + 1)))
     pad_c = int(np.ceil(0.1 * (c1 - c0 + 1)))
-    return (max(0, r0 - pad_r), min(m.height - 1, r1 + pad_r),
-            max(0, c0 - pad_c), min(m.width - 1, c1 + pad_c))
+    h, w = m.shape
+    return (max(0, r0 - pad_r), min(h - 1, r1 + pad_r),
+            max(0, c0 - pad_c), min(w - 1, c1 + pad_c))
 
 
-def point_noise_region(m: BinaryMask, lambda_p: float):
-    """(flip budget, dilated bbox) of point noise on m: the budget is
+def point_noise_region(m: np.ndarray, lambda_p: float):
+    """(flip budget, dilated bbox) of point noise on mask m: the budget is
     floor(lambda_p * area); it is 0, with no bbox, when nothing can flip."""
-    if m.is_empty():
-        return 0, None
-    c_max = int(np.floor(lambda_p * m.area))
+    c_max = int(np.floor(lambda_p * int(m.sum())))
     return (c_max, _dilated_bbox(m)) if c_max else (0, None)
 
 
@@ -131,29 +83,14 @@ def point_flips(c_max: int, bbox, seed):
     return r0 + picks // region_w, c0 + picks % region_w
 
 
-def point_noise(m: BinaryMask, lambda_p: float, seed) -> BinaryMask:
-    """Flip a random number of pixels inside the dilated GT bbox.
-
-    The flip count is uniform on the integers [0, floor(lambda_p * area)];
-    flip positions are distinct and uniform over the noise region, and
-    each chosen pixel is inverted (1->0 or 0->1).
-    """
-    c_max, bbox = point_noise_region(m, lambda_p)
-    out = m.bits.copy()
-    if c_max:
-        rr, cc = point_flips(c_max, bbox, seed)
-        out[rr, cc] = ~out[rr, cc]
-    return BinaryMask(out)
-
-
-def shift_noise(m: BinaryMask, seed) -> BinaryMask:
+def shift_noise(m: np.ndarray, seed) -> np.ndarray:
     """Translate by a uniform integer offset keeping the centroid strictly
     inside the original GT bbox; pixels pushed off the image are dropped."""
-    if m.is_empty():
+    if not m.any():
         raise ValueError("shift_noise on empty mask")
     rng = seeded_rng(seed)
-    r0, r1, c0, c1 = m.bbox()
-    cy, cx = m.centroid()
+    r0, r1, c0, c1 = _bbox(m)
+    cy, cx = _centroid(m)
     # legal offsets: bbox covers [r0, r1+1) in continuous coords
     dy_lo = int(np.floor(r0 - cy)) + 1
     dy_hi = int(np.ceil(r1 + 1 - cy)) - 1
@@ -161,37 +98,38 @@ def shift_noise(m: BinaryMask, seed) -> BinaryMask:
     dx_hi = int(np.ceil(c1 + 1 - cx)) - 1
     dy = int(rng.integers(dy_lo, dy_hi + 1))
     dx = int(rng.integers(dx_lo, dx_hi + 1))
-    out = np.zeros_like(m.bits)
-    rr, cc = np.nonzero(m.bits)
+    h, w = m.shape
+    out = np.zeros_like(m)
+    rr, cc = np.nonzero(m)
     rr = rr + dy
     cc = cc + dx
-    keep = (rr >= 0) & (rr < m.height) & (cc >= 0) & (cc < m.width)
+    keep = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
     out[rr[keep], cc[keep]] = True
-    return BinaryMask(out)
+    return out
 
 
-def scale_noise(m: BinaryMask, ratio_range=(0.8, 1.2), seed=0) -> BinaryMask:
+def scale_noise(m: np.ndarray, ratio_range=(0.8, 1.2), seed=0) -> np.ndarray:
     """Rescale about the centroid by a uniform ratio, nearest-neighbor resampled."""
-    if m.is_empty():
+    if not m.any():
         raise ValueError("scale_noise on empty mask")
     lo, hi = ratio_range
     rng = seeded_rng(seed)
     ratio = float(rng.uniform(lo, hi))
-    cy, cx = m.centroid()
-    r = np.arange(m.height) + 0.5
-    c = np.arange(m.width) + 0.5
+    cy, cx = _centroid(m)
+    h, w = m.shape
+    r = np.arange(h) + 0.5
+    c = np.arange(w) + 0.5
     src_r = np.floor(cy + (r - cy) / ratio).astype(np.intp)
     src_c = np.floor(cx + (c - cx) / ratio).astype(np.intp)
-    ok_r = (src_r >= 0) & (src_r < m.height)
-    ok_c = (src_c >= 0) & (src_c < m.width)
-    out = np.zeros_like(m.bits)
-    sub = m.bits[np.ix_(src_r[ok_r], src_c[ok_c])]
-    out[np.ix_(ok_r, ok_c)] = sub
-    return BinaryMask(out)
+    ok_r = (src_r >= 0) & (src_r < h)
+    ok_c = (src_c >= 0) & (src_c < w)
+    out = np.zeros_like(m)
+    out[np.ix_(ok_r, ok_c)] = m[np.ix_(src_r[ok_r], src_c[ok_c])]
+    return out
 
 
-def apply_noise(m: BinaryMask, kind: str, ratio_range, seed) -> BinaryMask:
-    """m noised by the "shift" or "scale" kind."""
+def apply_noise(m: np.ndarray, kind: str, ratio_range, seed) -> np.ndarray:
+    """Mask m noised by the "shift" or "scale" kind."""
     if kind == "shift":
         return shift_noise(m, seed)
     if kind == "scale":
@@ -201,9 +139,10 @@ def apply_noise(m: BinaryMask, kind: str, ratio_range, seed) -> BinaryMask:
 
 def to_attention_blocks(bits: np.ndarray, h2: int, w2: int) -> np.ndarray:
     """Cross-attention blocking grids of a stack of (n, h, w) masks at the
-    target scale, flattened to (n, h2*w2): each mask is nearest-resized as
-    by resize_nearest and the grid is true outside it. A mask that is empty
-    after resizing blocks nothing, so no attention row ends up fully blocked."""
+    target scale, flattened to (n, h2*w2): each mask is nearest-resized,
+    sampled at the target cell centers, and the grid is true outside it. A
+    mask that is empty after resizing blocks nothing, so no attention row
+    ends up fully blocked."""
     n, h, w = bits.shape
     if (h, w) != (h2, w2):
         bits = bits[:, _nearest_indices(h, h2)][:, :, _nearest_indices(w, w2)]
@@ -212,9 +151,9 @@ def to_attention_blocks(bits: np.ndarray, h2: int, w2: int) -> np.ndarray:
     return block
 
 
-def rle_encode(m: BinaryMask) -> list[int]:
-    """Row-major run lengths, alternating and starting with a zero-run."""
-    flat = m.bits.reshape(-1)
+def rle_encode(m: np.ndarray) -> list[int]:
+    """Row-major run lengths of a mask, alternating and starting with a zero-run."""
+    flat = m.reshape(-1)
     changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
     boundaries = np.concatenate([[0], changes, [flat.size]])
     runs = [0] if flat.size and flat[0] else []
@@ -222,7 +161,8 @@ def rle_encode(m: BinaryMask) -> list[int]:
     return runs
 
 
-def rle_decode(runs, height: int, width: int) -> BinaryMask:
+def rle_decode(runs, height: int, width: int) -> np.ndarray:
+    """The (height, width) mask of rle_encode's run lengths."""
     total = height * width
     flat = np.zeros(total, dtype=bool)
     pos = 0
@@ -234,4 +174,4 @@ def rle_decode(runs, height: int, width: int) -> BinaryMask:
         val = not val
     if pos != total:
         raise ValueError(f"run lengths sum to {pos}, expected {total}")
-    return BinaryMask(flat.reshape(height, width))
+    return flat.reshape(height, width)

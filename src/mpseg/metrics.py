@@ -16,7 +16,7 @@ import numpy as np
 
 from .decoder import LayerOutputs, binarize_masks
 from .losses import LossWeights, cost_matrix, hungarian
-from .masks import BinaryMask, iou
+from .masks import iou
 
 
 def miou_layerwise(outputs: LayerOutputs) -> np.ndarray:
@@ -25,13 +25,8 @@ def miou_layerwise(outputs: LayerOutputs) -> np.ndarray:
     if len(outputs.mask_logits) < 2:
         raise ValueError("need at least two layer entries")
     n = outputs.n_match
-    bits = [binarize_masks(ml.values[:n]) for ml in outputs.mask_logits]
-    vals = []
-    for i in range(1, len(bits)):
-        per_query = [iou(BinaryMask(bits[i - 1][q]), BinaryMask(bits[i][q]))
-                     for q in range(n)]
-        vals.append(float(np.mean(per_query)))
-    return np.array(vals)
+    bits = np.stack([binarize_masks(ml.values[:n]) for ml in outputs.mask_logits])
+    return iou(bits[:-1], bits[1:]).mean(axis=1)
 
 
 def _matching_vectors(outputs: LayerOutputs, rows: slice, scene,
@@ -58,17 +53,6 @@ def util_layerwise(vectors: np.ndarray, num_gt: int) -> np.ndarray:
     return agree.sum(axis=1) / float(num_gt)
 
 
-def util_mp_hard(mp_part) -> float:
-    """Utilization under hard assignment: identically 1.0.
-
-    Every MP query maps to the same GT instance at every layer, so the
-    layer-i assignment trivially equals the final one.
-    """
-    if mp_part is None or mp_part.num_queries == 0:
-        raise ValueError("empty MP part")
-    return 1.0
-
-
 def util_mp_bipartite(outputs: LayerOutputs, scene, weights: LossWeights) -> np.ndarray:
     """Utilization of the MP rows when re-assigned by bipartite matching."""
     vectors = _matching_vectors(outputs, slice(outputs.n_match, None), scene, weights)
@@ -81,51 +65,45 @@ def util_mp_bipartite(outputs: LayerOutputs, scene, weights: LossWeights) -> np.
 def ap_lite(predictions, scenes, thresholds=(0.5, 0.75)) -> dict:
     """Average precision over a scene set at fixed IoU thresholds.
 
-    predictions: per scene, a list of (category, score, BinaryMask).
-    Ranked greedy matching per category, 101-point interpolated AP,
-    averaged over categories that appear in the GT.
+    predictions: per scene, the (categories, scores, masks) arrays of
+    extract_predictions. Ranked greedy matching per category: in order of
+    falling score (equal scores in scene order, then prediction order),
+    each detection takes the first untaken GT of highest positive IoU in
+    its scene.
+    101-point interpolated AP, averaged over categories that appear in the
+    GT.
     """
-    categories = sorted({cat for scene in scenes for cat, _ in scene.instances})
-    result = {}
-    for thr in thresholds:
-        aps = []
-        for cat in categories:
-            num_gt = sum(1 for scene in scenes for c, _ in scene.instances if c == cat)
-            dets = []  # (score, scene_idx, mask)
-            for si, preds in enumerate(predictions):
-                for c, score, mask in preds:
-                    if c == cat:
-                        dets.append((score, si, mask))
-            dets.sort(key=lambda d: -d[0])
+    aps = {thr: [] for thr in thresholds}
+    for cat in sorted({int(c) for scene in scenes for c in scene.categories}):
+        num_gt, scores, dets = 0, [], []  # dets: (scene, IoU row against its GT of cat)
+        for si, (preds, scene) in enumerate(zip(predictions, scenes, strict=True)):
+            cats, sc, masks = preds
+            det = cats == cat
+            gt = scene.masks[scene.categories == cat]
+            num_gt += len(gt)
+            scores.append(sc[det])
+            dets += [(si, row) for row in iou(masks[det][:, None], gt[None])]
+        order = np.argsort(-np.concatenate(scores), kind="stable")
+        for thr in thresholds:
+            if not dets:
+                aps[thr].append(0.0)
+                continue
             tp = np.zeros(len(dets))
-            fp = np.zeros(len(dets))
-            taken = {}  # scene_idx -> set of matched GT positions
-            for di, (_score, si, mask) in enumerate(dets):
-                gts = [(gi, m) for gi, (c, m) in enumerate(scenes[si].instances)
-                       if c == cat]
-                best, best_gi = 0.0, -1
-                for gi, gm in gts:
-                    if gi in taken.get(si, set()):
-                        continue
-                    v = iou(mask, gm)
-                    if v > best:
-                        best, best_gi = v, gi
-                if best >= thr and best_gi >= 0:
+            taken = {}  # scene -> which of its GT of cat are matched
+            for di, k in enumerate(order):
+                si, row = dets[k]
+                used = taken.setdefault(si, np.zeros(row.size, dtype=bool))
+                v = np.where(used, 0.0, row)
+                gi = int(np.argmax(v)) if v.size else -1
+                if gi >= 0 and v[gi] > 0.0 and v[gi] >= thr:
                     tp[di] = 1
-                    taken.setdefault(si, set()).add(best_gi)
-                else:
-                    fp[di] = 1
-            if num_gt == 0:
-                continue
-            if len(dets) == 0:
-                aps.append(0.0)
-                continue
+                    used[gi] = True
             ctp = np.cumsum(tp)
-            cfp = np.cumsum(fp)
+            cfp = np.cumsum(1.0 - tp)
             recall = ctp / num_gt
             precision = ctp / np.maximum(ctp + cfp, 1e-12)
-            aps.append(_interp101(recall, precision))
-        result[thr] = float(np.mean(aps)) if aps else 0.0
+            aps[thr].append(_interp101(recall, precision))
+    result = {thr: float(np.mean(aps[thr])) if aps[thr] else 0.0 for thr in thresholds}
     result["mean"] = float(np.mean([result[t] for t in thresholds]))
     return result
 
@@ -140,7 +118,8 @@ def _interp101(recall, precision) -> float:
 
 
 def extract_predictions(outputs: LayerOutputs):
-    """Final-layer (category, score, mask) triples for every matching query."""
+    """Final-layer (categories, scores, masks) arrays, one row per
+    matching query."""
     n = outputs.n_match
     cls = outputs.class_logits[-1].values[:n]
     e = np.exp(cls - cls.max(axis=1, keepdims=True))
@@ -148,8 +127,7 @@ def extract_predictions(outputs: LayerOutputs):
     real = probs[:, :-1]
     cats = real.argmax(axis=1)
     scores = real[np.arange(n), cats]
-    bits = binarize_masks(outputs.mask_logits[-1].values[:n])
-    return [(int(cats[q]), float(scores[q]), BinaryMask(bits[q])) for q in range(n)]
+    return cats, scores, binarize_masks(outputs.mask_logits[-1].values[:n])
 
 
 # ----------------------------------------------------------------------
@@ -260,32 +238,6 @@ def sample_refinement_instance(rng, dim: int, sigma: float,
     w = rng.uniform(0.1, 1.0, size=n0 + n1)
     w /= w[in_m0].sum()
     return refinement_bounds(feats, cats, in_m0, w)
-
-
-@dataclass
-class WeightRatioRecord:
-    weight_ratio: float
-    area_ratio: float
-    equal: bool
-
-
-def unbiased_weight_ratio(alpha: np.ndarray, beta: np.ndarray,
-                          areas: tuple | None = None) -> WeightRatioRecord:
-    """Compare the attention-weight ratio sum(beta)/sum(alpha) with the
-    area ratio. Constant weights cancel, so the two are then exactly equal."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    if areas is None:
-        areas = (alpha.size, beta.size)
-    area_ratio = float(areas[1]) / float(areas[0])
-    allv = np.concatenate([alpha, beta])
-    if allv.size and np.all(allv == allv[0]):
-        weight_ratio = float(beta.size) / float(alpha.size)
-    else:
-        s = alpha.sum()
-        weight_ratio = float(beta.sum() / s) if s != 0 else np.inf
-    return WeightRatioRecord(weight_ratio=weight_ratio, area_ratio=area_ratio,
-                             equal=weight_ratio == area_ratio)
 
 
 # ----------------------------------------------------------------------

@@ -83,15 +83,13 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layer_scales,
     n_g = dynamic_groups(cfg.n_q, n_o)
     if n_g == 0:
         return None
-    instances = scene.instances
-    if n_o > cfg.n_q:
-        instances = instances[:cfg.n_q]
-    per_group = len(instances)
+    gt_masks = scene.masks[:cfg.n_q]  # the first n_q instances when there are more
+    per_group = len(gt_masks)
 
     # row g * per_group + j is group g's copy of instance j
     group_id = np.repeat(np.arange(n_g, dtype=np.intp), per_group)
     instance_index = np.tile(np.arange(per_group, dtype=np.intp), n_g)
-    gt_cats = np.array([cat for cat, _mask in instances], dtype=np.intp)[instance_index]
+    gt_cats = scene.categories[instance_index]
     query_cats = gt_cats.copy()
     num_categories = class_embed.values.shape[0]
     for k, (g, j, cat) in enumerate(zip(group_id, instance_index, gt_cats)):
@@ -105,18 +103,17 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layer_scales,
     if mp_layer_set is None:
         mp_layer_set = tuple(layer_scales.keys())
     # each layer's stack holds the MP part's rows in the same order
-    gt_bits = np.stack([mask.bits for _cat, mask in instances])
     regions = None
     if cfg.noise_kind == "point":
-        regions = [point_noise_region(mask, cfg.lambda_point) for _cat, mask in instances]
+        regions = [point_noise_region(mask, cfg.lambda_point) for mask in gt_masks]
     overrides = {}
     for layer in sorted(mp_layer_set):
         if cfg.noise_kind in ("shift", "scale"):
             noised = np.stack([apply_noise(mask, cfg.noise_kind, cfg.scale_range,
-                                           _subseed(seed, 1, layer, g, j)).bits
-                               for g in range(n_g) for j, (_cat, mask) in enumerate(instances)])
+                                           _subseed(seed, 1, layer, g, j))
+                               for g in range(n_g) for j, mask in enumerate(gt_masks)])
         else:
-            noised = np.tile(gt_bits, (n_g, 1, 1))
+            noised = np.tile(gt_masks, (n_g, 1, 1))  # a copy, so no flip reaches the scene
             if regions is not None:
                 _flip_points(noised, regions, layer, seed)
         overrides[layer] = to_attention_blocks(noised, *layer_scales[layer])
@@ -128,7 +125,8 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layer_scales,
 def _flip_points(noised: np.ndarray, regions, layer: int, seed):
     """Point noise, in place, on a stack of tiled GT masks whose row
     g * len(regions) + j is group g's copy of instance j: the flips
-    masks.point_noise makes with the (layer, group, instance) seed."""
+    tests/oracle.py's point_noise makes with the (layer, group, instance)
+    seed."""
     for k in range(noised.shape[0]):
         g, j = divmod(k, len(regions))
         c_max, bbox = regions[j]

@@ -1,10 +1,13 @@
 """Synthetic segmentation scenes with a controllable category-prototype
 feature model.
 
-Each scene holds disjoint shape instances (rectangles / disks) with
-category ids. Features are category prototypes plus Gaussian noise at
-base resolution; coarser pyramid scales are 2x2 mean pools. Datasets
-store only geometry (config + RLE masks); features are regenerated
+Each scene holds disjoint shape instances (rectangles / disks) as two
+arrays: their category ids, (n,) intp, and their masks, one (n, H, W)
+bool stack in the same order. Every reader (matching cost, losses, MP
+part, metrics) takes the arrays as they are and writes into neither.
+Features are category prototypes plus Gaussian noise at base
+resolution; coarser pyramid scales are 2x2 mean pools. Datasets store
+only geometry (config + RLE masks); features are regenerated
 deterministically from (config seed, scene index).
 """
 
@@ -12,12 +15,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import MAX_SIZE, Checked, ConfigError, build, setting
-from .masks import BinaryMask, FormatError, rle_decode, rle_encode
+from .masks import FormatError, rle_decode, rle_encode
 
 DATASET_MAGIC = "mpseg-dataset"
 DATASET_VERSION = 1
@@ -96,27 +99,29 @@ class SynthConfig(Checked):
 
 @dataclass
 class Scene:
+    """Instance j has category categories[j] and mask masks[j]."""
     index: int
-    height: int
-    width: int
-    instances: list = field(default_factory=list)  # [(category_id, BinaryMask)]
+    categories: np.ndarray  # (n,) intp
+    masks: np.ndarray       # (n, H, W) bool
+
+    def __post_init__(self):
+        self.categories = np.asarray(self.categories, dtype=np.intp)
+        self.masks = np.asarray(self.masks, dtype=bool)
 
     @property
     def num_instances(self) -> int:
-        return len(self.instances)
+        return len(self.categories)
 
     def category_grid(self, background_id: int) -> np.ndarray:
-        grid = np.full((self.height, self.width), background_id, dtype=np.intp)
-        for cat, mask in self.instances:
-            grid[mask.bits] = cat
+        grid = np.full(self.masks.shape[1:], background_id, dtype=np.intp)
+        for cat, mask in zip(self.categories, self.masks):
+            grid[mask] = cat
         return grid
 
     def __eq__(self, other):
         return (isinstance(other, Scene) and self.index == other.index
-                and self.height == other.height and self.width == other.width
-                and len(self.instances) == len(other.instances)
-                and all(c1 == c2 and m1 == m2 for (c1, m1), (c2, m2)
-                        in zip(self.instances, other.instances)))
+                and np.array_equal(self.categories, other.categories)
+                and np.array_equal(self.masks, other.masks))
 
 
 @dataclass
@@ -149,7 +154,7 @@ def generate_scene(cfg: SynthConfig, index: int) -> Scene:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, index])))
     n = int(rng.integers(cfg.instance_range[0], cfg.instance_range[1] + 1))
     occupied = np.zeros((cfg.height, cfg.width), dtype=bool)
-    instances = []
+    cats, masks = [], []
     for _ in range(n):
         cat = int(rng.integers(0, cfg.num_categories))
         for attempt in range(1000):
@@ -161,8 +166,9 @@ def generate_scene(cfg: SynthConfig, index: int) -> Scene:
             raise GenerationError(f"could not place instance after 1000 attempts "
                                   f"(scene index {index})")
         occupied |= bits
-        instances.append((cat, BinaryMask(bits)))
-    return Scene(index=index, height=cfg.height, width=cfg.width, instances=instances)
+        cats.append(cat)
+        masks.append(bits)
+    return Scene(index=index, categories=cats, masks=np.stack(masks))
 
 
 def _pool2x2(grid: np.ndarray) -> np.ndarray:
@@ -194,7 +200,7 @@ def save_dataset(path, scenes, cfg: SynthConfig):
     lines = [f"{DATASET_MAGIC} {DATASET_VERSION} {cfg.to_json()}"]
     for scene in scenes:
         parts = []
-        for cat, mask in scene.instances:
+        for cat, mask in zip(scene.categories, scene.masks):
             parts.append(f"{cat}:{','.join(str(r) for r in rle_encode(mask))}")
         lines.append(f"scene {scene.index} {' '.join(parts)}")
     data = "\n".join(lines) + "\n"
@@ -238,14 +244,14 @@ def _parse_dataset(path, lines):
         index = int(fields[1])
         if len(fields) < 3:  # generate_scene places at least one instance
             raise ValueError(f"scene {index} has no instances")
-        instances = []
+        cats, masks = [], []
         for part in fields[2:]:
             cat_s, runs_s = part.split(":")
             cat = int(cat_s)
             if not 0 <= cat < cfg.num_categories:
                 raise ValueError(f"scene {index}: category {cat} out of range")
             runs = [int(x) for x in runs_s.split(",")]
-            instances.append((cat, rle_decode(runs, cfg.height, cfg.width)))
-        scenes.append(Scene(index=index, height=cfg.height, width=cfg.width,
-                            instances=instances))
+            cats.append(cat)
+            masks.append(rle_decode(runs, cfg.height, cfg.width))
+        scenes.append(Scene(index=index, categories=cats, masks=np.stack(masks)))
     return scenes, cfg

@@ -38,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 NEG_BIG = -1e9  # attention-blocking sentinel; finite so fully-blocked rows stay NaN-free
+LN_EPS = 1e-5   # added to the variance in add_norm_affine's layer normalization
 
 
 class Tensor:
@@ -288,13 +289,12 @@ def fused_attention(x: Tensor, keys: Tensor, values: Tensor, block, wq: Tensor,
     return out
 
 
-def add_norm_affine(x: Tensor, update: Tensor, gain: Tensor, bias: Tensor,
-                    eps: float = 1e-5) -> Tensor:
+def add_norm_affine(x: Tensor, update: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """layernorm_lastdim(x + update) * gain + bias: a residual connection
     followed by layer normalization with its affine."""
     z = x.values + update.values
     zc = z - _mean_lastdim(z)
-    inv = 1.0 / np.sqrt(_mean_lastdim(zc * zc) + eps)
+    inv = 1.0 / np.sqrt(_mean_lastdim(zc * zc) + LN_EPS)
     y = zc * inv
     out = _make(y * gain.values + bias.values, (x, update, gain, bias))
     if out.requires_grad:

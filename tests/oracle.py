@@ -1,8 +1,11 @@
-"""Primitive ops, one small tape node each, that the tests compose as the
-oracle of mpseg.tensor's fused ops; the model records none of them."""
+"""The tests' oracles, which the model itself never runs: primitive ops,
+one small tape node each, that the tests compose as the oracle of
+mpseg.tensor's fused ops; and one-mask point noise and nearest resizing,
+the oracles of mp._flip_points and masks.to_attention_blocks."""
 
 import numpy as np
 
+from mpseg.masks import _nearest_indices, point_flips, point_noise_region
 from mpseg.tensor import Tensor, _make, _sigmoid
 
 
@@ -133,4 +136,31 @@ def bce_with_logits(x: Tensor, target) -> Tensor:
     out = _make(loss, (x,))
     if out.requires_grad:
         out._backward = lambda g: x._accumulate(g * (_sigmoid(v) - t))
+    return out
+
+
+def resize_nearest(m: np.ndarray, h2: int, w2: int) -> np.ndarray:
+    """Nearest-neighbor resize of an (h, w) mask, sampling source values at
+    destination cell centers."""
+    if h2 < 1 or w2 < 1:
+        raise ValueError(f"target extents must be positive, got {h2}x{w2}")
+    if (h2, w2) == m.shape:
+        return m.copy()
+    ri = _nearest_indices(m.shape[0], h2)
+    ci = _nearest_indices(m.shape[1], w2)
+    return m[np.ix_(ri, ci)]
+
+
+def point_noise(m: np.ndarray, lambda_p: float, seed) -> np.ndarray:
+    """Flip a random number of pixels of an (h, w) mask inside its dilated bbox.
+
+    The flip count is uniform on the integers [0, floor(lambda_p * area)];
+    flip positions are distinct and uniform over the noise region, and
+    each chosen pixel is inverted (1->0 or 0->1).
+    """
+    c_max, bbox = point_noise_region(m, lambda_p)
+    out = m.copy()
+    if c_max:
+        rr, cc = point_flips(c_max, bbox, seed)
+        out[rr, cc] = ~out[rr, cc]
     return out

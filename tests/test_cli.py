@@ -299,9 +299,10 @@ def test_analyze_on_the_bench_checkpoint(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == cli.EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["layer", "miou_l(%)", "util(%)",
-                                                   "mp_util_hard(%)", "mp_util_bipartite(%)"]
+                                                   "mp_util_bipartite(%)"]
     assert len(lines[0].split()) == 1 + 9
     csv_lines = (tmp_path / "out" / "analysis.csv").read_text().splitlines()
+    assert csv_lines[0] == "layer,miou_l,util,mp_util_bipartite"
     assert len(csv_lines) == 1 + 9
 
 

@@ -6,7 +6,6 @@ import pytest
 from mpseg.decoder import LayerOutputs, binarize_masks
 from mpseg.losses import (DICE_EPS, Assignment, LossWeights, cost_matrix, hungarian,
                           layer_losses)
-from mpseg.masks import BinaryMask
 from mpseg.mp import MPPart
 from mpseg.synth import Scene
 from mpseg.tensor import Tensor, _sigmoid, cross_entropy_rows, mask_loss_rows
@@ -66,15 +65,15 @@ def test_hungarian_matches_brute_force():
 def one_query_scene(h=4, w=4):
     bits = np.zeros((h, w), dtype=bool)
     bits[1:3, 1:3] = True
-    return Scene(index=0, height=h, width=w, instances=[(1, BinaryMask(bits))])
+    return Scene(index=0, categories=[1], masks=bits[None])
 
 
 def saturated_outputs(scene, n_queries=1, n_layers=2, num_categories=3):
     """Predictions that exactly hit the single GT at every layer."""
-    cat, gt = scene.instances[0]
+    cat, gt = scene.categories[0], scene.masks[0]
     mask_logits = []
     class_logits = []
-    ml = np.where(gt.bits, 20.0, -20.0)[None].repeat(n_queries, axis=0)
+    ml = np.where(gt, 20.0, -20.0)[None].repeat(n_queries, axis=0)
     cl = np.full((n_queries, num_categories + 1), -20.0)
     cl[:, cat] = 20.0
     for _ in range(n_layers + 1):
@@ -102,7 +101,7 @@ def test_cost_matrix_uniform_closed_form():
     cm = cost_matrix(ml, cl, scene, w)
     cls_term = -1.0 / (num_categories + 1)
     bce_term = np.log(2.0)
-    area = scene.instances[0][1].area
+    area = scene.masks[0].sum()
     dice_term = 1.0 - (2 * 0.5 * area + 1.0) / (0.5 * 16 + area + 1.0)
     expected = w.cls * cls_term + w.bce * bce_term + w.dice * dice_term
     assert abs(cm[0, 0] - expected) < 1e-12
@@ -114,10 +113,8 @@ def test_cost_matrix_permutation_equivariant():
     bits1[0, :2] = True
     bits2 = np.zeros((4, 4), dtype=bool)
     bits2[3, 2:] = True
-    scene = Scene(index=0, height=4, width=4,
-                  instances=[(0, BinaryMask(bits1)), (2, BinaryMask(bits2))])
-    swapped = Scene(index=0, height=4, width=4,
-                    instances=[(2, BinaryMask(bits2)), (0, BinaryMask(bits1))])
+    scene = Scene(index=0, categories=[0, 2], masks=np.stack([bits1, bits2]))
+    swapped = Scene(index=0, categories=[2, 0], masks=np.stack([bits2, bits1]))
     ml = rng.uniform(-2, 2, size=(3, 4, 4))
     cl = rng.uniform(-2, 2, size=(3, 4))
     a = cost_matrix(ml, cl, scene, LossWeights())
@@ -125,31 +122,31 @@ def test_cost_matrix_permutation_equivariant():
     assert np.array_equal(a, b[:, [1, 0]])
 
 
-def bce_and_dice(logits: np.ndarray, gt: BinaryMask) -> tuple:
+def bce_and_dice(logits: np.ndarray, gt: np.ndarray) -> tuple:
     """(BCE, dice): mask_loss_rows of (1, H, W) logits, weights (1, 0) and (0, 1)."""
     ml = Tensor(logits[None])
-    t = gt.bits.reshape(1, -1).astype(np.float64)
+    t = gt.reshape(1, -1).astype(np.float64)
     return tuple(mask_loss_rows(ml, _sigmoid(ml.values), [0], t, w_bce, w_dice, DICE_EPS)
                  for w_bce, w_dice in ((1.0, 0.0), (0.0, 1.0)))
 
 
 def test_mask_losses_saturated():
     scene = one_query_scene()
-    _, gt = scene.instances[0]
-    bce, dice = bce_and_dice(np.where(gt.bits, 20.0, -20.0), gt)
+    gt = scene.masks[0]
+    bce, dice = bce_and_dice(np.where(gt, 20.0, -20.0), gt)
     assert bce.values < 1e-6
     assert dice.values < 1e-2
 
 
 def test_mask_losses_half_probability_hand_value():
-    gt = BinaryMask(np.array([[True, True], [False, False]]))
+    gt = np.array([[True, True], [False, False]])
     bce, dice = bce_and_dice(np.zeros((2, 2)), gt)
     assert abs(dice.values - 0.4) < 1e-12
     assert abs(bce.values - np.log(2.0)) < 1e-12
 
 
 def test_mask_losses_all_negative_hand_value():
-    gt = BinaryMask(np.array([[True, True], [False, False]]))
+    gt = np.array([[True, True], [False, False]])
     _, dice = bce_and_dice(np.full((2, 2), -20.0), gt)
     assert abs(dice.values - 2.0 / 3.0) < 1e-6
 
@@ -192,10 +189,8 @@ def test_layer_losses_gt_permutation_invariant():
     bits1[0:2, 0:2] = True
     bits2 = np.zeros((4, 4), dtype=bool)
     bits2[2:4, 2:4] = True
-    scene = Scene(index=0, height=4, width=4,
-                  instances=[(0, BinaryMask(bits1)), (1, BinaryMask(bits2))])
-    swapped = Scene(index=0, height=4, width=4,
-                    instances=[(1, BinaryMask(bits2)), (0, BinaryMask(bits1))])
+    scene = Scene(index=0, categories=[0, 1], masks=np.stack([bits1, bits2]))
+    swapped = Scene(index=0, categories=[1, 0], masks=np.stack([bits2, bits1]))
     mask_logits = [Tensor(rng.uniform(-2, 2, size=(3, 4, 4))) for _ in range(3)]
     class_logits = [Tensor(rng.uniform(-2, 2, size=(3, 3))) for _ in range(3)]
     out = LayerOutputs(mask_logits=mask_logits, class_logits=class_logits, n_match=3)
@@ -259,9 +254,8 @@ def composed_layer_losses(outputs, scene, mp_part, mode, w):
     """layer_losses written with one primitive per step."""
     n_match = outputs.n_match
     num_categories = outputs.class_logits[0].values.shape[1] - 1
-    cats = np.array([c for c, _ in scene.instances], dtype=np.intp)
-    gt_flat = np.stack([inst.bits.reshape(-1).astype(np.float64)
-                        for _, inst in scene.instances])
+    cats = scene.categories
+    gt_flat = np.stack([m.reshape(-1).astype(np.float64) for m in scene.masks])
     match_rows = np.arange(n_match)
     fixed = None
     if mode == "fixed-last-layer":
@@ -302,8 +296,7 @@ def two_instance_scene():
     bits1[0:2, 0:3] = True
     bits2 = np.zeros((4, 4), dtype=bool)
     bits2[2:4, 1:4] = True
-    return Scene(index=0, height=4, width=4,
-                 instances=[(2, BinaryMask(bits1)), (0, BinaryMask(bits2))])
+    return Scene(index=0, categories=[2, 0], masks=np.stack([bits1, bits2]))
 
 
 def assert_grads_close(got, want):

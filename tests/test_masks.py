@@ -3,16 +3,16 @@ import os
 import numpy as np
 import pytest
 
-from mpseg.masks import (BinaryMask, iou, point_noise, resize_nearest, rle_decode,
-                         rle_encode, scale_noise, seeded_rng, shift_noise,
-                         to_attention_blocks)
+from mpseg.masks import (_bbox, _centroid, iou, rle_decode, rle_encode, scale_noise,
+                         seeded_rng, shift_noise, to_attention_blocks)
+from oracle import point_noise, resize_nearest
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def disk_mask(h, w, cy, cx, r):
     rr, cc = np.mgrid[0:h, 0:w]
-    return BinaryMask((rr - cy) ** 2 + (cc - cx) ** 2 <= r ** 2)
+    return (rr - cy) ** 2 + (cc - cx) ** 2 <= r ** 2
 
 
 def test_iou_identity():
@@ -25,7 +25,7 @@ def test_iou_disjoint():
     b = np.zeros((4, 4), dtype=bool)
     a[0] = True
     b[3] = True
-    assert iou(BinaryMask(a), BinaryMask(b)) == 0.0
+    assert iou(a, b) == 0.0
 
 
 def test_iou_hand_count():
@@ -33,80 +33,93 @@ def test_iou_hand_count():
     b = np.zeros((4, 4), dtype=bool)
     a[0:2] = True
     b[1:3] = True
-    assert abs(iou(BinaryMask(a), BinaryMask(b)) - 4 / 12) < 1e-12
+    assert abs(iou(a, b) - 4 / 12) < 1e-12
 
 
 def test_iou_empty_conventions():
-    e = BinaryMask(np.zeros((3, 3), dtype=bool))
-    f = BinaryMask(np.ones((3, 3), dtype=bool))
+    e = np.zeros((3, 3), dtype=bool)
+    f = np.ones((3, 3), dtype=bool)
     assert iou(e, e) == 1.0
     assert iou(e, f) == 0.0
 
 
 def test_iou_extent_mismatch():
     with pytest.raises(ValueError):
-        iou(BinaryMask(np.zeros((2, 2), dtype=bool)),
-            BinaryMask(np.zeros((3, 3), dtype=bool)))
+        iou(np.zeros((2, 2), dtype=bool), np.zeros((3, 3), dtype=bool))
 
 
 def test_iou_symmetric_random():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        a = BinaryMask(rng.uniform(size=(6, 6)) < 0.4)
-        b = BinaryMask(rng.uniform(size=(6, 6)) < 0.4)
+        a = rng.uniform(size=(6, 6)) < 0.4
+        b = rng.uniform(size=(6, 6)) < 0.4
         assert iou(a, b) == iou(b, a)
         assert 0.0 <= iou(a, b) <= 1.0
 
 
+def test_iou_broadcasts_over_stacks_as_per_pair_iou():
+    rng = np.random.default_rng(5)
+    a = rng.uniform(size=(3, 1, 6, 6)) < rng.uniform(0.0, 0.5, size=(3, 1, 1, 1))
+    b = rng.uniform(size=(1, 4, 6, 6)) < rng.uniform(0.0, 0.5, size=(1, 4, 1, 1))
+    a[0] = False                    # empty against nonempty, and against empty
+    b[0, 1] = False
+    stacked = iou(a, b)
+    assert stacked.shape == (3, 4) and stacked.dtype == np.float64
+    for i in range(3):
+        for j in range(4):
+            assert stacked[i, j] == iou(a[i, 0], b[0, j])
+    assert stacked[0, 1] == 1.0 and stacked[0, 0] == 0.0
+
+
 def test_resize_same_extents_identity():
     m = disk_mask(8, 8, 3, 4, 2)
-    assert resize_nearest(m, 8, 8) == m
+    assert np.array_equal(resize_nearest(m, 8, 8), m)
 
 
 def test_resize_downsample_left_half():
     bits = np.zeros((4, 4), dtype=bool)
     bits[:, 0:2] = True
-    out = resize_nearest(BinaryMask(bits), 2, 2)
-    assert np.array_equal(out.bits, [[True, False], [True, False]])
+    out = resize_nearest(bits, 2, 2)
+    assert np.array_equal(out, [[True, False], [True, False]])
 
 
 def test_resize_upsample_corner_pixel():
     bits = np.zeros((2, 2), dtype=bool)
     bits[0, 0] = True
-    out = resize_nearest(BinaryMask(bits), 4, 4)
+    out = resize_nearest(bits, 4, 4)
     expected = np.zeros((4, 4), dtype=bool)
     expected[0:2, 0:2] = True
-    assert np.array_equal(out.bits, expected)
+    assert np.array_equal(out, expected)
 
 
 def test_resize_integer_factor_idempotent():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        m = BinaryMask(rng.uniform(size=(8, 8)) < 0.5)
+        m = rng.uniform(size=(8, 8)) < 0.5
         down = resize_nearest(m, 4, 4)
         up = resize_nearest(down, 8, 8)
         down2 = resize_nearest(up, 4, 4)
-        assert down == down2
+        assert np.array_equal(down, down2)
 
 
 def test_point_noise_zero_ratio_is_identity():
     m = disk_mask(8, 8, 4, 4, 2)
-    assert point_noise(m, 0.0, seed=11) == m
+    assert np.array_equal(point_noise(m, 0.0, seed=11), m)
 
 
 def test_point_noise_empty_mask_unchanged():
-    e = BinaryMask(np.zeros((5, 5), dtype=bool))
-    assert point_noise(e, 0.5, seed=3) == e
+    e = np.zeros((5, 5), dtype=bool)
+    assert np.array_equal(point_noise(e, 0.5, seed=3), e)
 
 
 def test_point_noise_flip_count_range():
     bits = np.zeros((16, 16), dtype=bool)
     bits[3:13, 3:8] = True  # area 50
-    m = BinaryMask(bits)
+    m = bits
     seen = set()
     for seed in range(2000):
         out = point_noise(m, 0.2, seed=seed)
-        flips = int((out.bits != m.bits).sum())
+        flips = int((out != m).sum())
         assert 0 <= flips <= 10
         seen.add(flips)
     assert seen == set(range(11))
@@ -116,7 +129,7 @@ def test_point_noise_deterministic_and_golden():
     m = disk_mask(8, 8, 4, 4, 3)
     out1 = point_noise(m, 0.2, seed=7)
     out2 = point_noise(m, 0.2, seed=7)
-    assert out1 == out2
+    assert np.array_equal(out1, out2)
     encoded = ",".join(str(r) for r in rle_encode(out1))
     path = os.path.join(GOLDEN, "point_noise_disk8_seed7.txt")
     with open(path) as fh:
@@ -129,68 +142,68 @@ def test_point_noise_hamming_bound():
         bits = rng.uniform(size=(12, 12)) < 0.4
         if not bits.any():
             continue
-        m = BinaryMask(bits)
+        m = bits
         out = point_noise(m, 0.3, seed=seed)
-        assert (out.bits != m.bits).sum() <= int(0.3 * m.area)
+        assert (out != m).sum() <= int(0.3 * m.sum())
 
 
 def test_shift_noise_degenerate_single_pixel():
     bits = np.zeros((5, 5), dtype=bool)
     bits[2, 3] = True
-    m = BinaryMask(bits)
+    m = bits
     for seed in range(20):
-        assert shift_noise(m, seed=seed) == m
+        assert np.array_equal(shift_noise(m, seed=seed), m)
 
 
 def test_shift_noise_empty_raises():
     with pytest.raises(ValueError):
-        shift_noise(BinaryMask(np.zeros((3, 3), dtype=bool)), seed=0)
+        shift_noise(np.zeros((3, 3), dtype=bool), seed=0)
 
 
 def test_shift_noise_zero_offset_identity():
     m = disk_mask(16, 16, 8, 8, 3)
     hits = 0
     for seed in range(200):
-        if shift_noise(m, seed=seed) == m:
+        if np.array_equal(shift_noise(m, seed=seed), m):
             hits += 1
     assert hits > 0  # the zero offset is drawn and reproduces the input
 
 
 def test_shift_noise_centroid_stays_in_bbox():
     m = disk_mask(32, 32, 16, 16, 4)  # interior: no pixels get clipped
-    r0, r1, c0, c1 = m.bbox()
-    area = m.area
+    r0, r1, c0, c1 = _bbox(m)
+    area = m.sum()
     for seed in range(10000):
         out = shift_noise(m, seed=seed)
-        assert out.area == area
-        cy, cx = out.centroid()
+        assert out.sum() == area
+        cy, cx = _centroid(out)
         assert r0 < cy < r1 + 1
         assert c0 < cx < c1 + 1
 
 
 def test_scale_noise_identity_ratio():
     m = disk_mask(10, 10, 5, 5, 3)
-    assert scale_noise(m, (1.0, 1.0), seed=4) == m
+    assert np.array_equal(scale_noise(m, (1.0, 1.0), seed=4), m)
 
 
 def test_scale_noise_exact_double():
     bits = np.zeros((4, 4), dtype=bool)
     bits[1:3, 1:3] = True
-    out = scale_noise(BinaryMask(bits), (2.0, 2.0), seed=0)
-    assert out.bits.all()
+    out = scale_noise(bits, (2.0, 2.0), seed=0)
+    assert out.all()
 
 
 def test_scale_noise_empty_raises():
     with pytest.raises(ValueError):
-        scale_noise(BinaryMask(np.zeros((3, 3), dtype=bool)), (0.8, 1.2), seed=0)
+        scale_noise(np.zeros((3, 3), dtype=bool), (0.8, 1.2), seed=0)
 
 
 def test_scale_noise_area_ratio_bounds():
     m = disk_mask(32, 32, 16, 16, 5)
-    area = m.area
+    area = m.sum()
     for seed in range(10000):
         out = scale_noise(m, (0.8, 1.2), seed=seed)
-        ratio = out.area / area
+        ratio = out.sum() / area
         assert 0.5 <= ratio <= 2.0
 
 
@@ -214,10 +227,10 @@ def test_to_attention_block_half_mask_complement():
 def per_mask_block(bits, h2, w2):
     """Oracle: resize one mask, block outside it, and block nothing when
     the resized mask is empty."""
-    resized = resize_nearest(BinaryMask(bits), h2, w2)
-    if resized.is_empty():
+    resized = resize_nearest(bits, h2, w2)
+    if not resized.any():
         return np.zeros(h2 * w2, dtype=bool)
-    return ~resized.bits.reshape(-1)
+    return ~resized.reshape(-1)
 
 
 @pytest.mark.parametrize("h2,w2", [(16, 16), (4, 4), (8, 8), (2, 8), (8, 3)],
@@ -239,12 +252,12 @@ def test_to_attention_blocks_equals_the_per_mask_oracle(h2, w2):
 def test_rle_roundtrip():
     rng = np.random.default_rng(3)
     for _ in range(100):
-        m = BinaryMask(rng.uniform(size=(7, 9)) < 0.5)
+        m = rng.uniform(size=(7, 9)) < 0.5
         runs = rle_encode(m)
-        assert rle_decode(runs, 7, 9) == m
+        assert np.array_equal(rle_decode(runs, 7, 9), m)
         # alternating runs starting with a zero-run
         assert sum(runs) == 63
-        if m.bits.reshape(-1)[0]:
+        if m.reshape(-1)[0]:
             assert runs[0] == 0
 
 

@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 
 from mpseg.decoder import LayerOutputs
-from mpseg.masks import BinaryMask
-from mpseg.metrics import (MetricsReport, ap_lite, miou_layerwise,
-                           refinement_bounds, sample_refinement_instance,
-                           unbiased_weight_ratio, util_layerwise, util_mp_hard)
-from mpseg.mp import MPPart
+from mpseg.metrics import (MetricsReport, ap_lite, extract_predictions, miou_layerwise,
+                           refinement_bounds, sample_refinement_instance, util_layerwise)
 from mpseg.synth import Scene
 from mpseg.tensor import Tensor
 
@@ -70,28 +67,31 @@ def test_util_hand_case():
     assert abs(util_layerwise(v, 3)[0] - 1 / 3) < 1e-12
 
 
-def test_util_mp_hard_constant():
-    part = MPPart(n_groups=1, group_id=np.array([0]), instance_index=np.array([0]),
-                  gt_categories=np.array([1]), query_categories=np.array([1]),
-                  queries=Tensor(np.zeros((1, 4))), overrides={})
-    assert util_mp_hard(part) == 1.0
-    with pytest.raises(ValueError):
-        util_mp_hard(None)
-
-
 def square_mask(h, w, r, c, size):
     bits = np.zeros((h, w), dtype=bool)
     bits[r:r + size, c:c + size] = True
-    return BinaryMask(bits)
+    return bits
+
+
+def scene_of(index, instances):
+    """A Scene of (category, mask) pairs."""
+    return Scene(index=index, categories=[c for c, _ in instances],
+                 masks=np.stack([m for _, m in instances]))
+
+
+def predictions_of(triples, h=8, w=8):
+    """extract_predictions' arrays of (category, score, mask) triples."""
+    return (np.array([c for c, _, _ in triples], dtype=np.intp),
+            np.array([s for _, s, _ in triples], dtype=np.float64),
+            np.array([m for _, _, m in triples], dtype=bool).reshape(-1, h, w))
 
 
 def test_ap_perfect_predictions():
-    scenes = [Scene(index=i, height=8, width=8,
-                    instances=[(0, square_mask(8, 8, 0, 0, 3)),
-                               (1, square_mask(8, 8, 4, 4, 3))])
+    scenes = [scene_of(i, [(0, square_mask(8, 8, 0, 0, 3)),
+                           (1, square_mask(8, 8, 4, 4, 3))])
               for i in range(3)]
-    preds = [[(0, 0.9, square_mask(8, 8, 0, 0, 3)),
-              (1, 0.8, square_mask(8, 8, 4, 4, 3))] for _ in scenes]
+    preds = [predictions_of([(0, 0.9, square_mask(8, 8, 0, 0, 3)),
+                             (1, 0.8, square_mask(8, 8, 4, 4, 3))]) for _ in scenes]
     ap = ap_lite(preds, scenes)
     assert ap[0.5] == 1.0
     assert ap[0.75] == 1.0
@@ -99,20 +99,44 @@ def test_ap_perfect_predictions():
 
 
 def test_ap_zero_predictions():
-    scenes = [Scene(index=0, height=8, width=8,
-                    instances=[(0, square_mask(8, 8, 0, 0, 3))])]
-    ap = ap_lite([[]], scenes)
+    scenes = [scene_of(0, [(0, square_mask(8, 8, 0, 0, 3))])]
+    ap = ap_lite([predictions_of([])], scenes)
     assert ap[0.5] == 0.0 and ap[0.75] == 0.0
 
 
 def test_ap_two_gt_one_detection_hand_curve():
-    scenes = [Scene(index=0, height=8, width=8,
-                    instances=[(0, square_mask(8, 8, 0, 0, 3)),
-                               (0, square_mask(8, 8, 4, 4, 3))])]
-    preds = [[(0, 0.9, square_mask(8, 8, 0, 0, 3))]]
+    scenes = [scene_of(0, [(0, square_mask(8, 8, 0, 0, 3)),
+                           (0, square_mask(8, 8, 4, 4, 3))])]
+    preds = [predictions_of([(0, 0.9, square_mask(8, 8, 0, 0, 3))])]
     ap = ap_lite(preds, scenes)
     # 101-point interpolation: precision 1 up to recall 0.5 -> 51 of 101 points
     assert abs(ap[0.5] - 51 / 101) < 1e-12
+
+
+def test_ap_greedy_ties_take_the_first_gt_and_the_earlier_scene():
+    top, bottom, middle = (np.zeros((4, 4), dtype=bool) for _ in range(3))
+    top[:2], bottom[2:], middle[1:3] = True, True, True  # middle: IoU 1/3 with both
+    scenes = [scene_of(0, [(0, top), (0, bottom)]), scene_of(1, [(1, bottom)])]
+    preds = [predictions_of([(0, 0.9, middle), (0, 0.8, top), (1, 0.5, top)], 4, 4),
+             predictions_of([(1, 0.5, bottom)], 4, 4)]
+    ap = ap_lite(preds, scenes, thresholds=(0.3,))
+    # category 0: middle takes top, the first of its equal IoUs, so the exact
+    # top prediction misses: AP 51/101. Category 1: of the two 0.5 scores,
+    # scene 0's miss ranks first: precision 0.5 at every recall
+    assert abs(ap[0.3] - (51 / 101 + 0.5) / 2) < 1e-12
+
+
+def test_extract_predictions_arrays():
+    bits = np.zeros((2, 4, 4), dtype=bool)
+    bits[1, 0] = True
+    out = outputs_from_bits([bits, bits])
+    out.class_logits[-1] = Tensor(np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0]]))
+    cats, scores, masks = extract_predictions(out)
+    assert np.array_equal(cats, [1, 0]) and cats.dtype == np.intp
+    e = np.exp([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0]])
+    np.testing.assert_allclose(scores, [e[0, 1] / e[0].sum(), e[1, 0] / e[1].sum()],
+                               rtol=1e-12)
+    assert masks.dtype == bool and np.array_equal(masks, bits)
 
 
 def test_ap_monotone_in_threshold():
@@ -121,9 +145,9 @@ def test_ap_monotone_in_threshold():
     preds = []
     for i in range(5):
         gt = square_mask(8, 8, int(rng.integers(0, 4)), int(rng.integers(0, 4)), 4)
-        scenes.append(Scene(index=i, height=8, width=8, instances=[(0, gt)]))
+        scenes.append(scene_of(i, [(0, gt)]))
         jitter = square_mask(8, 8, int(rng.integers(0, 4)), int(rng.integers(0, 4)), 4)
-        preds.append([(0, float(rng.uniform()), jitter)])
+        preds.append(predictions_of([(0, float(rng.uniform()), jitter)]))
     ap = ap_lite(preds, scenes, thresholds=(0.5, 0.75))
     assert ap[0.5] >= ap[0.75]
 
@@ -173,33 +197,6 @@ def test_refinement_implication_monte_carlo():
             n_condition += 1
             assert b.threshold_exists, f"counterexample at instance {i}"
     assert n_condition > 50  # the antecedent is exercised, not vacuous
-
-
-def test_weight_ratio_uniform_exact():
-    rec = unbiased_weight_ratio(np.full(10, 1.0), np.full(5, 1.0))
-    assert rec.weight_ratio == 0.5
-    assert rec.area_ratio == 0.5
-    assert rec.equal
-
-
-def test_weight_ratio_uniform_nondyadic_still_exact():
-    rec = unbiased_weight_ratio(np.full(3, 1 / 3), np.full(7, 1 / 3))
-    assert rec.weight_ratio == 7.0 / 3.0
-    assert rec.equal
-
-
-def test_weight_ratio_all_on_alpha():
-    rec = unbiased_weight_ratio(np.array([0.4, 0.6]), np.array([0.0, 0.0]))
-    assert rec.weight_ratio == 0.0
-
-
-def test_weight_ratio_softmax_record_only():
-    rng = np.random.default_rng(3)
-    logits = rng.uniform(-1, 1, size=8)
-    w = np.exp(logits) / np.exp(logits).sum()
-    rec = unbiased_weight_ratio(w[:5], w[5:])
-    assert np.isfinite(rec.weight_ratio)
-    assert not rec.equal
 
 
 def test_report_text_stable_and_percentages():

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from mpseg.decoder import full_forward, init_params, plain_spec
-from mpseg.masks import resize_nearest
-from mpseg.mp import MPConfig, build_mp_part, dynamic_groups
+from mpseg.masks import to_attention_blocks
+from mpseg.mp import MPConfig, _subseed, build_mp_part, dynamic_groups
 from mpseg.synth import SynthConfig, generate_scene, synth_features
 from mpseg.tensor import Tensor, concat_rows
 from mpseg.trainer import layer_scale_table, mp_forward_spec
+from oracle import point_noise, resize_nearest
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -42,7 +43,7 @@ def test_build_mp_part_noiseless_exact_gt():
     assert part.num_queries == part.n_groups * n_o
     # queries are exactly the class embeddings of the true categories
     for row in range(part.num_queries):
-        cat = scene.instances[part.instance_index[row]][0]
+        cat = scene.categories[part.instance_index[row]]
         assert part.gt_categories[row] == cat
         assert part.query_categories[row] == cat
         assert np.array_equal(part.queries.values[row], params.class_embed.values[cat])
@@ -51,10 +52,10 @@ def test_build_mp_part_noiseless_exact_gt():
     for layer, blocks in part.overrides.items():
         h, w = scale_table[layer]
         for row in range(part.num_queries):
-            gt = scene.instances[part.instance_index[row]][1]
+            gt = scene.masks[part.instance_index[row]]
             resized = resize_nearest(gt, h, w)
-            expected = (np.zeros(h * w, dtype=bool) if resized.is_empty()
-                        else ~resized.bits.reshape(-1))
+            expected = (np.zeros(h * w, dtype=bool) if not resized.any()
+                        else ~resized.reshape(-1))
             assert np.array_equal(blocks[row], expected)
 
 
@@ -86,6 +87,26 @@ def test_build_mp_part_independent_layer_noise_golden():
     text = "\n".join(lines) + "\n"
     with open(os.path.join(GOLDEN, "mp_overrides_seed7.txt")) as fh:
         assert fh.read() == text
+
+
+@pytest.mark.parametrize("lambda_point", [0.2, 0.5])
+def test_point_noise_overrides_are_the_oracle_row_by_row(lambda_point):
+    """Every layer's row for group g's copy of instance j is the blocking
+    grid of oracle.point_noise on that GT mask with the (layer, g, j) sub-seed."""
+    cfg = SynthConfig(num_categories=4, seed=9)
+    params = init_params(seed=4, num_categories=4)
+    mp_cfg = MPConfig(n_q=20, lambda_point=lambda_point, lambda_label=0.0)
+    table = layer_scale_table(32, 32, 9)
+    for index in range(3):
+        scene = generate_scene(cfg, index)
+        seed = [12, index]
+        part = build_mp_part(scene, params.class_embed, mp_cfg, table, seed)
+        assert part.n_groups > 1 and sorted(part.overrides) == list(range(1, 10))
+        for layer, blocks in part.overrides.items():
+            noised = np.stack([point_noise(scene.masks[j], lambda_point,
+                                           _subseed(seed, 1, layer, g, j))
+                               for g, j in zip(part.group_id, part.instance_index)])
+            assert np.array_equal(blocks, to_attention_blocks(noised, *table[layer]))
 
 
 def test_build_mp_part_deterministic():

@@ -322,3 +322,23 @@ def test_training_steps_never_write_into_a_stored_gradient(monkeypatch):
 
     monkeypatch.setattr(Tensor, "_accumulate", read_only)
     assert params_after_an_mp_and_a_plain_step() == expected
+
+
+def test_training_and_evaluation_never_write_into_the_scene_arrays(monkeypatch):
+    """layer_losses, cost_matrix and build_mp_part read scene.masks and
+    scene.categories as they are; _flip_points flips in place, so it must
+    only ever get a copy, also when the MP part has a single group."""
+    synth_cfg = SynthConfig(seed=5)
+    scenes = [generate_scene(synth_cfg, i) for i in range(3)]
+    before = [(s.categories.copy(), s.masks.copy()) for s in scenes]
+    monkeypatch.setattr(trainer, "load_or_generate_scenes", lambda cfg: (scenes, synth_cfg))
+    runs = [("mp-all+noises", {"noise_kind": k}) for k in ("point", "shift", "scale")]
+    runs += [("mp-all+noises", {"n_q": 2}), ("mp-all-layers", {})]
+    for variant, mp in runs:
+        params, _, _ = trainer.run_training(parse_run_config({
+            "variant": variant, "mp": mp, "train": {"steps": 1},
+            "model": {"n_queries": 4, "num_layers": 2, "ffn_hidden": 8}}))
+    trainer.evaluate(params, scenes, synth_cfg, LossWeights())
+    for scene, (categories, masks) in zip(scenes, before):
+        assert np.array_equal(scene.categories, categories)
+        assert np.array_equal(scene.masks, masks)
