@@ -17,12 +17,11 @@ import numpy as np
 
 from .config import (ConfigError, GenDataConfig, RefineStudyConfig, VARIANTS, build,
                      load_config_json, parse_run_config)
-from .decoder import full_forward, load_checkpoint, plain_spec, save_checkpoint
+from .decoder import full_forward, load_checkpoint, save_checkpoint
 from .losses import LossWeights, NonFiniteError
-from .metrics import (compute_matching_vectors, config_hash,
-                      sample_refinement_instance, save_layer_csv, save_report,
-                      miou_layerwise, util_layerwise, util_mp_bipartite)
-from .masks import FormatError
+from .metrics import (config_hash, sample_refinement_instance, save_layer_csv, save_report,
+                      util_mp_bipartite)
+from .masks import FormatError, seeded_rng
 from .mp import MPConfig
 from .synth import GenerationError, generate_scene, save_dataset, synth_features
 from .trainer import (CompatibilityError, detach_params, evaluate,
@@ -124,28 +123,25 @@ def cmd_analyze(args) -> int:
 
 
 def analyze_dataset(params, scenes, synth_cfg, seed: int = 0):
-    """Per-layer diagnostics: matching part (MP disabled) plus MP-part
-    utilization under bipartite matching."""
+    """Per-layer diagnostics: the matching part's mIoU-L and util (MP
+    disabled, as evaluate scores them) plus MP-part utilization under
+    bipartite matching."""
     weights = LossWeights()
+    report = evaluate(params, scenes, synth_cfg, weights)
     frozen = detach_params(params)
     mp_cfg = MPConfig(n_q=params.n_queries)
     scale_table = layer_scale_table(synth_cfg.height, synth_cfg.width,
                                     params.num_layers)
-    miou_rows, util_rows, mp_bi_rows = [], [], []
+    mp_bi_rows = []
     for scene in scenes:
-        pyramid = synth_features(scene, synth_cfg)
-        plain_out = full_forward(plain_spec(pyramid, frozen), frozen)
-        miou_rows.append(miou_layerwise(plain_out))
-        vectors = compute_matching_vectors(plain_out, scene, weights)
-        util_rows.append(util_layerwise(vectors, scene.num_instances))
-        spec, mp_part = mp_forward_spec(pyramid, scene, frozen, mp_cfg, scale_table,
-                                        [seed, 3, scene.index])
+        spec, mp_part = mp_forward_spec(synth_features(scene, synth_cfg), scene, frozen,
+                                        mp_cfg, scale_table, [seed, 3, scene.index])
         if mp_part is not None:
             mp_bi_rows.append(util_mp_bipartite(full_forward(spec, frozen), scene,
                                                 weights))
     return {
-        "miou_l": np.mean(miou_rows, axis=0),
-        "util": np.mean(util_rows, axis=0),
+        "miou_l": report.miou_l,
+        "util": report.util,
         "mp_util_bipartite": (np.mean(mp_bi_rows, axis=0) if mp_bi_rows
                               else np.full(1, np.nan)),
     }
@@ -192,7 +188,7 @@ def cmd_refine_study(args) -> int:
     out = args.out or cfg.out
     if not out:
         raise ConfigError("no output path (set 'out' in the config or pass --out)")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed])))
+    rng = seeded_rng([cfg.seed])
     lines = ["sigma,intra_min,intra_max,inter_min,inter_max,sum_alpha,sum_beta,"
              "ratio_bound,condition_holds,threshold_lo,threshold_hi,"
              "threshold_exists,separation"]
@@ -229,7 +225,8 @@ def build_parser():
             sp.add_argument("--checkpoint", required=True)
             sp.add_argument("--dataset", required=True)
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument("--out", default=None, help="override output path")
+        if config or ckpt:  # grad-check, the verb with neither, writes no file
+            sp.add_argument("--out", default=None, help="override output path")
 
     common(sub.add_parser("gen-data", help="write a synthetic dataset"), config=True)
     tr = sub.add_parser("train", help="train a decoder")

@@ -88,8 +88,7 @@ class RunConfig(Checked):
                               f"[1, model.num_layers = {self.model.num_layers}]")
 
     def to_json(self) -> str:
-        d = {**dataclasses.asdict(self), "synth": json.loads(self.synth.to_json())}
-        return json.dumps(d, sort_keys=True, indent=1)
+        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=1)
 
 
 @dataclass

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import MAX_HIDDEN, MAX_LAYERS, MAX_SIZE
-from .masks import FormatError, to_attention_blocks
+from .masks import FormatError, seeded_rng, to_attention_blocks
 from .tensor import Tensor, add_norm_affine, concat_rows, fused_attention, fused_heads, mlp2
 
 CHECKPOINT_MAGIC = "mpseg-checkpoint"
@@ -89,7 +89,7 @@ class ForwardSpec:
 
 def init_params(seed: int, n_queries: int = 20, n_layers: int = 9, dim: int = 32,
                 num_categories: int = 4, ffn_hidden: int = 64) -> DecoderParams:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+    rng = seeded_rng([seed])
 
     def xavier(n_in, n_out):
         limit = np.sqrt(6.0 / (n_in + n_out))

@@ -8,8 +8,6 @@ import dataclasses
 import math
 import operator
 
-import numpy as np
-
 # Caps on sizes, so that one training step with any one size at its cap
 # fits in a few GB.
 MAX_SIZE = 256      # extents, feature dims, category and query counts
@@ -28,21 +26,12 @@ def _is_number(v) -> bool:
         return False
 
 
-def _is_array(v) -> bool:
-    try:
-        a = np.asarray(v)
-    except ValueError:  # ragged nesting
-        return False
-    return a.dtype.kind in "iuf" and bool(np.isfinite(a).all())
-
-
 # kind -> (test of one value, name of one, name of many)
 _KINDS = {
     bool: (lambda v: isinstance(v, bool), "true or false", "booleans"),
     int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", "integers"),
     float: (_is_number, "a number", "numbers"),
     str: (lambda v: isinstance(v, str), "a string", "strings"),
-    np.ndarray: (_is_array, "an array of finite numbers", None),
 }
 _ORDERS = {"<=": (operator.le, "ascending"), "<": (operator.lt, "strictly increasing")}
 
@@ -62,7 +51,7 @@ def _within(v, interval: str) -> bool:
 @dataclasses.dataclass(frozen=True)
 class Domain:
     """The values a config field may hold."""
-    kind: type              # a key of _KINDS, or a Checked dataclass
+    kind: type              # bool, int, float or str (the keys of _KINDS), or a Checked dataclass
     within: object = None   # an interval such as "[0, 1)", or a tuple of choices
     many: bool = False      # a tuple (a JSON list) of values, each of kind and within
     length: str = None      # interval of the number of entries
@@ -102,9 +91,8 @@ def setting(default=dataclasses.MISSING, kind=None, within=None, *,
 
 
 def _show(value) -> str:
-    """A one-line repr, sequences shown as JSON lists."""
-    return repr(value.tolist() if isinstance(value, np.ndarray)
-                else list(value) if isinstance(value, tuple) else value)
+    """A one-line repr, tuples shown as JSON lists."""
+    return repr(list(value) if isinstance(value, tuple) else value)
 
 
 class Checked:

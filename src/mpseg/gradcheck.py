@@ -141,14 +141,11 @@ def _end_to_end_check(seed: int, with_mp: bool):
     from .decoder import full_forward, init_params, named_parameters, plain_spec
     from .losses import LossWeights, layer_losses
     from .mp import MPConfig
-    from .synth import SynthConfig, basis_prototypes, generate_scene, synth_features
+    from .synth import SynthConfig, generate_scene, synth_features
     from .trainer import layer_scale_table, mp_forward_spec
 
-    protos, bg = basis_prototypes(2, 8)
     cfg = SynthConfig(height=8, width=8, num_categories=2, feat_dim=8,
-                      instance_range=(2, 2), size_range=(2, 3),
-                      prototypes=protos, background_proto=bg,
-                      noise_sigma=0.1, seed=seed)
+                      instance_range=(2, 2), size_range=(2, 3), noise_sigma=0.1, seed=seed)
     scene = generate_scene(cfg, 0)
     pyramid = synth_features(scene, cfg)
     params = init_params(seed=seed + 1, n_queries=3, n_layers=2, dim=8,

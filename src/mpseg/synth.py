@@ -1,14 +1,14 @@
-"""Synthetic segmentation scenes with a controllable category-prototype
-feature model.
+"""Synthetic segmentation scenes with one-hot category features.
 
 Each scene holds disjoint shape instances (rectangles / disks) as two
 arrays: their category ids, (n,) intp, and their masks, one (n, H, W)
 bool stack in the same order. Every reader (matching cost, losses, MP
 part, metrics) takes the arrays as they are and writes into neither.
-Features are category prototypes plus Gaussian noise at base
-resolution; coarser pyramid scales are 2x2 mean pools. Datasets store
-only geometry (config + RLE masks); features are regenerated
-deterministically from (config seed, scene index).
+Base features are the one-hot vector of the pixel's category (index
+num_categories is background) plus Gaussian noise; coarser pyramid
+scales are 2x2 mean pools. Datasets store only geometry (config, scene
+count and RLE masks); features are regenerated deterministically from
+(config seed, scene index).
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import MAX_SIZE, Checked, ConfigError, build, setting
-from .masks import FormatError, rle_decode, rle_encode
+from .masks import FormatError, rle_decode, rle_encode, seeded_rng
 
 DATASET_MAGIC = "mpseg-dataset"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 SHAPE_KINDS = ("rectangle", "disk")
 
 
@@ -33,22 +33,6 @@ class SchemaVersionError(FormatError):
 
 class GenerationError(RuntimeError):
     pass
-
-
-def basis_prototypes(num_categories: int, dim: int):
-    """Orthonormal one-hot prototypes; index num_categories is background."""
-    if dim < num_categories + 1:
-        raise ValueError(f"feat_dim {dim} is too small for {num_categories} categories "
-                         f"+ background")
-    eye = np.eye(dim, dtype=np.float64)
-    return eye[:num_categories].copy(), eye[num_categories].copy()
-
-
-def random_unit_prototypes(num_categories: int, dim: int, seed: int):
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
-    vecs = rng.standard_normal((num_categories + 1, dim))
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    return vecs[:num_categories].copy(), vecs[num_categories].copy()
 
 
 @dataclass
@@ -62,9 +46,6 @@ class SynthConfig(Checked):
                                     length="[2, 2]", order="<=")
     size_range: tuple = setting((4, 10), int, f"[1, {MAX_SIZE}]", many=True,
                                 length="[2, 2]", order="<=")
-    # both or neither; None = basis_prototypes
-    prototypes: np.ndarray = setting(None, np.ndarray, nullable=True)
-    background_proto: np.ndarray = setting(None, np.ndarray, nullable=True)
     noise_sigma: float = setting(0.25, float, "[0, inf)")
     seed: int = setting(0, int, "[0, inf)")
 
@@ -73,24 +54,12 @@ class SynthConfig(Checked):
         if self.height % 4 or self.width % 4:
             raise ConfigError(f"height and width must be multiples of 4 for the 3-scale "
                               f"pyramid, got {self.height}x{self.width}")
-        if (self.prototypes is None) != (self.background_proto is None):
-            raise ConfigError("prototypes and background_proto must be given together")
-        if self.prototypes is None:
-            self.prototypes, self.background_proto = basis_prototypes(
-                self.num_categories, self.feat_dim)
-        self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
-        self.background_proto = np.asarray(self.background_proto, dtype=np.float64)
-        shapes = (self.prototypes.shape, self.background_proto.shape)
-        want = ((self.num_categories, self.feat_dim), (self.feat_dim,))
-        if shapes != want:
-            raise ConfigError(f"prototypes and background_proto shapes {shapes} != {want}")
-        for i in range(self.num_categories):
-            for j in range(i + 1, self.num_categories):
-                if np.array_equal(self.prototypes[i], self.prototypes[j]):
-                    raise ConfigError(f"prototypes {i} and {j} are identical")
+        if self.feat_dim < self.num_categories + 1:
+            raise ConfigError(f"feat_dim {self.feat_dim} is too small for "
+                              f"{self.num_categories} categories + background")
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, default=np.ndarray.tolist)
+        return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "SynthConfig":
@@ -151,7 +120,7 @@ def _shape_mask(rng, kind: str, h: int, w: int, size_range) -> np.ndarray:
 
 def generate_scene(cfg: SynthConfig, index: int) -> Scene:
     """Deterministic in (cfg.seed, index); rejection-samples disjoint shapes."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, index])))
+    rng = seeded_rng([cfg.seed, index])
     n = int(rng.integers(cfg.instance_range[0], cfg.instance_range[1] + 1))
     occupied = np.zeros((cfg.height, cfg.width), dtype=bool)
     cats, masks = [], []
@@ -182,13 +151,10 @@ def pyramid_extents(height: int, width: int) -> list:
 
 
 def synth_features(scene: Scene, cfg: SynthConfig) -> FeaturePyramid:
-    """Base features = prototype(category at pixel) + N(0, sigma^2 I);
+    """Base features = one-hot(category at pixel) + N(0, sigma^2 I);
     coarser scales by successive 2x2 mean pooling; embedding grid = base."""
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([cfg.seed, scene.index, 1])))
-    protos = np.vstack([cfg.prototypes, cfg.background_proto[None, :]])
-    grid = scene.category_grid(background_id=cfg.num_categories)
-    base = protos[grid]
+    rng = seeded_rng([cfg.seed, scene.index, 1])
+    base = np.eye(cfg.feat_dim)[scene.category_grid(background_id=cfg.num_categories)]
     if cfg.noise_sigma > 0:
         base = base + cfg.noise_sigma * rng.standard_normal(base.shape)
     half = _pool2x2(base)
@@ -197,7 +163,7 @@ def synth_features(scene: Scene, cfg: SynthConfig) -> FeaturePyramid:
 
 
 def save_dataset(path, scenes, cfg: SynthConfig):
-    lines = [f"{DATASET_MAGIC} {DATASET_VERSION} {cfg.to_json()}"]
+    lines = [f"{DATASET_MAGIC} {DATASET_VERSION} {len(scenes)} {cfg.to_json()}"]
     for scene in scenes:
         parts = []
         for cat, mask in zip(scene.categories, scene.masks):
@@ -211,7 +177,8 @@ def save_dataset(path, scenes, cfg: SynthConfig):
 
 def load_dataset(path):
     """Returns (scenes, SynthConfig). A file that does not parse as a
-    dataset raises FormatError (SchemaVersionError for a foreign header)."""
+    dataset, or holds another number of scenes than its header says,
+    raises FormatError (SchemaVersionError for a foreign header)."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data and not data.endswith(b"\n"):
@@ -227,12 +194,14 @@ def load_dataset(path):
 def _parse_dataset(path, lines):
     if not lines:
         raise SchemaVersionError(f"{path}: empty dataset file")
-    magic, version, cfg_json = lines[0].split(" ", 2)
+    magic, version, rest = lines[0].split(" ", 2)
     if magic != DATASET_MAGIC:
         raise SchemaVersionError(f"{path}: not a dataset file (header {magic!r})")
     if int(version) != DATASET_VERSION:
         raise SchemaVersionError(f"{path}: schema version {version} "
                                  f"(supported: {DATASET_VERSION})")
+    count, cfg_json = rest.split(" ", 1)
+    count = int(count)
     cfg = SynthConfig.from_json(cfg_json)
     scenes = []
     for line in lines[1:]:
@@ -254,4 +223,7 @@ def _parse_dataset(path, lines):
             cats.append(cat)
             masks.append(rle_decode(runs, cfg.height, cfg.width))
         scenes.append(Scene(index=index, categories=cats, masks=np.stack(masks)))
+    if len(scenes) != count:
+        raise FormatError(f"{path}: header says {count} scenes, the file holds "
+                          f"{len(scenes)}")
     return scenes, cfg

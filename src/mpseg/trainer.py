@@ -31,60 +31,46 @@ class CompatibilityError(RuntimeError):
 
 BETA1, BETA2 = 0.9, 0.999   # Adam's decay rates of the first and second moments
 ADAM_EPS = 1e-8             # added to the root of the second moment
+DECAY_EXEMPT = ("query_embed", "class_embed")  # Mask2Former's recipe: no decay on embeddings
 
 
 class AdamW:
-    """Adam with decoupled weight decay; embeddings are decay-exempt.
+    """Adam with decoupled weight decay; the DECAY_EXEMPT embeddings are
+    not decayed.
 
-    At the first step() every parameter is copied into one flat buffer,
-    decayed parameters first, and its .values becomes a view of that
-    buffer; the moments and work arrays are allocated then too, not at
-    construction. Each step is a fixed sequence of whole-buffer ufunc
-    calls doing, elementwise, what per-array Adam does, so the values are
-    bitwise equal to it. A parameter whose .values was rebound since is
-    re-adopted: its new values are copied into the buffer.
+    Construction copies every parameter into one flat buffer, decayed
+    parameters first, and rebinds its .values to a view of that buffer;
+    the moments and work arrays are allocated with it. Each step is a
+    fixed sequence of whole-buffer ufunc calls doing, elementwise, what
+    per-array Adam does, so the values are bitwise equal to it.
     """
 
-    def __init__(self, pairs, lr=1e-4, weight_decay=0.05,
-                 exempt=("query_embed", "class_embed")):
+    def __init__(self, pairs, lr=1e-4, weight_decay=0.05):
         self.pairs = pairs
         self.lr = lr
         self.weight_decay = weight_decay
-        self.exempt = set(exempt)
         self.t = 0
-        self.flat = None        # every parameter's values, allocated at the first step
+        order = sorted(pairs, key=lambda pair: pair[0] in DECAY_EXEMPT)
+        self._n_decay = sum(p.values.size for name, p in order if name not in DECAY_EXEMPT)
+        self.flat = np.empty(sum(p.values.size for _, p in order))
+        self.m, self.v, self._g, self._u = (np.zeros_like(self.flat) for _ in range(4))
+        self._grads = []        # (parameter, its view of the gradient buffer)
+        start = 0
+        for _, p in order:
+            end = start + p.values.size
+            view = self.flat[start:end].reshape(p.values.shape)
+            view[...] = p.values
+            p.values = view
+            self._grads.append((p, self._g[start:end].reshape(view.shape)))
+            start = end
 
     def zero_grad(self):
         for _, p in self.pairs:
             p.grad = None
 
-    def _allocate(self):
-        order = sorted(self.pairs, key=lambda pair: pair[0] in self.exempt)
-        self._n_decay = sum(p.values.size for name, p in order if name not in self.exempt)
-        sizes = [p.values.size for _, p in order]
-        self.flat = np.empty(sum(sizes))
-        self.m, self.v, self._g, self._u = (np.zeros_like(self.flat) for _ in range(4))
-        ends = np.cumsum(sizes)
-        spans = {id(p): (end - size, end) for (_, p), size, end in zip(order, sizes, ends)}
-        self._views, self._grads = [], []
-        for _, p in self.pairs:  # views in pairs order, as _gather walks them
-            a, b = spans[id(p)]
-            view = self.flat[a:b].reshape(p.values.shape)
-            view[...] = p.values
-            p.values = view
-            self._views.append(view)
-            self._grads.append(self._g[a:b].reshape(p.values.shape))
-
     def _gather(self):
-        """Copy every gradient into the flat gradient buffer (zero where
-        none) and re-adopt rebound values."""
-        for (name, p), view, grad in zip(self.pairs, self._views, self._grads):
-            if p.values is not view:
-                if p.values.shape != view.shape:
-                    raise ValueError(f"parameter {name} was rebound to shape "
-                                     f"{p.values.shape}, expected {view.shape}")
-                view[...] = p.values
-                p.values = view
+        """Copy every gradient into the flat gradient buffer (zero where none)."""
+        for p, grad in self._grads:
             if p.grad is None:
                 grad.fill(0.0)
             else:
@@ -92,8 +78,6 @@ class AdamW:
 
     def step(self, lr=None):
         lr = self.lr if lr is None else lr
-        if self.flat is None:
-            self._allocate()
         self._gather()
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
@@ -120,8 +104,8 @@ class AdamW:
         self.flat -= u
 
     def values_finite(self) -> bool:
-        """Whether every parameter value is finite (True before the first step)."""
-        return self.flat is None or bool(np.isfinite(self.flat).all())
+        """Whether every parameter value is finite."""
+        return bool(np.isfinite(self.flat).all())
 
 
 def layer_scale_table(height: int, width: int, num_layers: int) -> dict:

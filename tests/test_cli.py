@@ -35,7 +35,8 @@ def test_eval_ok(artifacts, capsys):
 @pytest.mark.parametrize("which", [0, 1], ids=["checkpoint", "dataset"])
 def test_eval_truncated_file_exits_io_with_one_line(artifacts, capsys, which):
     path = artifacts[which]
-    path.write_bytes(path.read_bytes()[:300])
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
     assert run_eval(*artifacts) == cli.EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("format error: ") and err.count("\n") == 1
@@ -104,6 +105,7 @@ OUT_OF_RANGE_SYNTH = [{"synth": {"seed": -1}}, {"synth": {"shape_kinds": []}},
                       {"synth": {"shape_kinds": ["triangle"]}},
                       {"synth": {"size_range": [9, 3]}}, {"synth": {"height": -4}},
                       {"synth": {"width": 0}}, {"synth": {"noise_sigma": float("nan")}},
+                      # keys SynthConfig no longer has, as an older config-resolved.json holds them
                       {"synth": {"prototypes": [[1.0] + [0.0] * 31] * 4}},
                       {"synth": {"background_proto": [0.0] * 32}}]
 OUT_OF_RANGE_SYNTH_IDS = ["synth.seed-negative", "shape_kinds-empty", "shape_kinds-unknown",
@@ -202,6 +204,24 @@ def test_train_non_finite_matching_cost_exits_numeric(tmp_path, capsys, section,
     assert_one_line(capsys, "numeric failure: ")
 
 
+def test_eval_on_a_dataset_cut_at_a_line_end_exits_io_with_one_line(artifacts, capsys):
+    data = artifacts[1]
+    lines = data.read_text().splitlines()
+    data.write_text("\n".join(lines[:-1]) + "\n")
+    assert run_eval(*artifacts) == cli.EXIT_IO
+    assert_one_line(capsys, f"format error: {data}: header says 2 scenes, the file holds 1")
+
+
+def test_eval_on_a_version_1_dataset_exits_io_with_one_line(artifacts, capsys):
+    data = artifacts[1]
+    lines = data.read_text().splitlines()
+    _magic, _version, _count, cfg_json = lines[0].split(" ", 3)
+    lines[0] = f"mpseg-dataset 1 {cfg_json}"  # the version 1 header held no scene count
+    data.write_text("\n".join(lines) + "\n")
+    assert run_eval(*artifacts) == cli.EXIT_IO
+    assert_one_line(capsys, f"format error: {data}: schema version 1 (supported: 2)")
+
+
 def test_eval_on_a_dataset_header_with_a_nan_exits_io(artifacts, capsys):
     data = artifacts[1]
     data.write_text(data.read_text().replace('"noise_sigma": 0.25', '"noise_sigma": NaN'))
@@ -249,7 +269,8 @@ def test_negative_seed_exits_config_with_one_line_on_every_verb(artifacts, tmp_p
               "analyze": ["--checkpoint", ckpt, "--dataset", data],
               "grad-check": []}.get(verb, ["--config", write_config(tmp_path, {})])
     out = tmp_path / "out"
-    assert cli.main([verb, *inputs, "--seed", "-1", "--out", str(out)]) == cli.EXIT_CONFIG
+    out_flag = [] if verb == "grad-check" else ["--out", str(out)]  # grad-check writes no file
+    assert cli.main([verb, *inputs, "--seed", "-1", *out_flag]) == cli.EXIT_CONFIG
     assert_one_line(capsys, "config error: --seed must be a non-negative integer, got -1")
     assert not out.exists()
 

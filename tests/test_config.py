@@ -38,7 +38,7 @@ def test_variant_resolves_as_pinned(variant):
 
 def test_default_config_json_is_stable():
     # config_hash of the default config, as written into every report
-    assert config_hash(parse_run_config({}).to_json()) == "7d2c342a24ee77ba"
+    assert config_hash(parse_run_config({}).to_json()) == "d14052aaf4bd1e06"
 
 
 @pytest.mark.parametrize("mp", [{"noise_kind": "shift"}, {"noise_kind": "scale"},
@@ -90,6 +90,7 @@ def test_variant_owned_key_that_disagrees_names_the_variant(raw):
     {"model": {"num_layers": 0}},
     {"model": {"ffn_hidden": 0}},
     {"synth": {"noise_sigma": float("nan")}},
+    # prototypes and background_proto are no longer keys: unknown, whatever the value
     {"synth": {"prototypes": [[1.0, 0.0]] * 4}},
     {"synth": {"background_proto": "x"}},
     {"train": {"decay_points": [-1, 5]}},
@@ -139,20 +140,9 @@ def test_to_json_round_trips(variant):
 
 
 @pytest.mark.parametrize("make", [lambda: SynthConfig(noise_sigma=float("nan")),
-                                  lambda: SynthConfig(background_proto=[0.0] * 32),
                                   lambda: MPConfig(n_q=257),
                                   lambda: MPConfig(mp_layers=(0,))],
-                         ids=["noise_sigma-nan", "background_proto-alone", "n_q-above-cap",
-                              "mp_layers-0"])
+                         ids=["noise_sigma-nan", "n_q-above-cap", "mp_layers-0"])
 def test_a_config_built_in_python_is_checked_as_one_from_a_file(make):
     with pytest.raises(ConfigError):
         make()
-
-
-def test_prototypes_given_with_their_background_are_used():
-    protos = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
-    cfg = parse_run_config({"synth": {"num_categories": 2, "feat_dim": 3,
-                                      "prototypes": protos, "background_proto": [0, 0, 1]},
-                            "model": {"dim": 3}})
-    assert cfg.synth.prototypes.tolist() == protos
-    assert cfg.synth.background_proto.tolist() == [0.0, 0.0, 1.0]

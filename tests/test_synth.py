@@ -4,10 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from mpseg.fields import ConfigError
 from mpseg.masks import FormatError
 from mpseg.synth import (GenerationError, SchemaVersionError, Scene, SynthConfig,
-                         basis_prototypes, generate_scene, load_dataset,
-                         random_unit_prototypes, save_dataset, synth_features)
+                         generate_scene, load_dataset, save_dataset, synth_features)
 
 
 def small_cfg(**kw):
@@ -53,8 +53,7 @@ def test_features_sigma_zero_exact_prototypes():
     scene = generate_scene(cfg, 0)
     pyr = synth_features(scene, cfg)
     grid = scene.category_grid(background_id=cfg.num_categories)
-    protos = np.vstack([cfg.prototypes, cfg.background_proto[None, :]])
-    assert np.array_equal(pyr.embed, protos[grid])
+    assert np.array_equal(pyr.embed, np.eye(cfg.feat_dim)[grid])
 
 
 def test_features_orthonormal_dots():
@@ -71,8 +70,7 @@ def test_features_orthonormal_dots():
 
 
 def test_features_noisy_intra_beats_inter():
-    protos, bg = random_unit_prototypes(3, 8, seed=9)
-    cfg = small_cfg(noise_sigma=0.1, prototypes=protos, background_proto=bg)
+    cfg = small_cfg(noise_sigma=0.1)
     intra, inter = [], []
     for i in range(100):
         scene = generate_scene(cfg, i)
@@ -114,28 +112,25 @@ def test_dataset_wrong_version(tmp_path):
     path = tmp_path / "ds.txt"
     save_dataset(path, [generate_scene(cfg, 0)], cfg)
     text = path.read_text()
-    path.write_text(text.replace("mpseg-dataset 1", "mpseg-dataset 99", 1))
+    path.write_text(text.replace("mpseg-dataset 2", "mpseg-dataset 99", 1))
     with pytest.raises(SchemaVersionError):
         load_dataset(path)
 
 
 def test_dataset_every_prefix_loads_or_raises_format_error(tmp_path):
-    """A cut at a line end leaves a shorter valid dataset; any other cut
-    must fail as a format error, never with another exception."""
+    """Every proper prefix fails as a format error, never with another
+    exception: a cut at a line end leaves fewer scenes than the header
+    names, any other cut leaves no newline at the end."""
     cfg = small_cfg()
     scenes = [generate_scene(cfg, i) for i in range(3)]
     path = tmp_path / "ds.txt"
     text = save_dataset(path, scenes, cfg)
-    failures = 0
     for n in range(len(text)):
         path.write_text(text[:n])
-        try:
-            loaded, _ = load_dataset(path)
-        except FormatError:
-            failures += 1
-        else:
-            assert loaded == scenes[:len(loaded)]
-    assert failures > len(text) // 2
+        with pytest.raises(FormatError):
+            load_dataset(path)
+    path.write_text(text)
+    assert load_dataset(path)[0] == scenes
 
 
 def test_dataset_bad_category_rejected(tmp_path):
@@ -160,7 +155,7 @@ def test_dataset_size_bound(tmp_path):
 
 # sha256 of the file below, pinned: a change to the Scene layout or to the
 # run-length codec must write the same bytes
-DATASET_SEED3_SHA256 = "52e614bc7405a9a183d51cd021ed53b718e51ea5c00b87874d16587d8e2c94b1"
+DATASET_SEED3_SHA256 = "355727acd570ab09204b1bc843e94d08cd649e305e5f2aad481f6424703d7d25"
 
 
 def test_dataset_bytes_pure_function_of_config(tmp_path):
@@ -186,7 +181,6 @@ def test_config_validation():
         SynthConfig(num_categories=0)
     with pytest.raises(ValueError):
         small_cfg(noise_sigma=-1.0)
-    protos, bg = basis_prototypes(3, 8)
-    protos[1] = protos[0]
-    with pytest.raises(ValueError):
-        small_cfg(prototypes=protos, background_proto=bg)
+    small_cfg(num_categories=7, feat_dim=8)
+    with pytest.raises(ConfigError, match="feat_dim 8 is too small for 8 categories"):
+        small_cfg(num_categories=8, feat_dim=8)
