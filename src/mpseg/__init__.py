@@ -6,7 +6,7 @@ from .tensor import Tensor
 from .decoder import DecoderParams, ForwardSpec, LayerOutputs, binarize_masks, \
     full_forward, init_params
 from .mp import MPConfig, MPPart, build_mp_part, dynamic_groups
-from .losses import Assignment, LossWeights, hungarian, layer_losses
+from .losses import LossWeights, hungarian, layer_losses
 from .metrics import MetricsReport, ap_lite, miou_layerwise, refinement_bounds, \
     util_layerwise
 

@@ -3,7 +3,7 @@
 Matching uses an exact Hungarian solve of the class+mask cost matrix.
 Losses are dense (no point sampling): weighted cross-entropy over K+1
 classes with a down-weighted no-object class, plus sigmoid BCE and
-smooth dice on the matched masks. Auxiliary-query predictions skip
+smooth dice on the assigned masks. Auxiliary-query predictions skip
 matching entirely and are scored against their assigned instances.
 """
 
@@ -34,23 +34,13 @@ class LossWeights(Checked):
     no_object: float = setting(0.1, float, "[0, inf)")
 
 
-@dataclass
-class Assignment:
-    query_to_gt: np.ndarray  # per query: GT index or -1
-    total_cost: float
-
-    def matched(self):
-        rows = np.flatnonzero(self.query_to_gt >= 0)
-        return rows, self.query_to_gt[rows]
-
-
-def _solve_rows_leq_cols(cost: np.ndarray):
-    """Potential-based Hungarian for n <= m; returns row -> col (all rows matched)."""
+def _solve_rows_leq_cols(cost: np.ndarray) -> np.ndarray:
+    """Potential-based Hungarian for n <= m; returns col -> row (-1 = unmatched)."""
     n, m = cost.shape
     INF = np.inf
     u = np.zeros(n + 1)
     v = np.zeros(m + 1)
-    p = np.zeros(m + 1, dtype=np.intp)   # p[j]: row matched to column j (1-based, 0=none)
+    p = np.zeros(m + 1, dtype=np.intp)   # p[j]: row assigned to column j (1-based, 0=none)
     way = np.zeros(m + 1, dtype=np.intp)
     for i in range(1, n + 1):
         p[0] = i
@@ -81,31 +71,25 @@ def _solve_rows_leq_cols(cost: np.ndarray):
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    row_to_col = np.full(n, -1, dtype=np.intp)
-    for j in range(1, m + 1):
-        if p[j]:
-            row_to_col[p[j] - 1] = j - 1
-    return row_to_col
+    return p[1:] - 1
 
 
-def hungarian(cost: np.ndarray) -> Assignment:
-    """Exact minimum-cost one-to-one assignment of min(n, m) pairs."""
+def hungarian(cost: np.ndarray) -> np.ndarray:
+    """Exact minimum-cost one-to-one assignment of min(n, m) pairs, as the
+    (n,) intp vector row -> column (-1 = unmatched)."""
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.size == 0:
         raise ValueError(f"cost matrix must be 2-D and non-empty, got shape {cost.shape}")
     if not np.isfinite(cost).all():
         raise NonFiniteError("cost matrix contains non-finite entries")
     n, m = cost.shape
-    if n <= m:
-        row_to_col = _solve_rows_leq_cols(cost)
-    else:
-        col_to_row = _solve_rows_leq_cols(cost.T)
-        row_to_col = np.full(n, -1, dtype=np.intp)
-        for col, row in enumerate(col_to_row):
-            row_to_col[row] = col
-    matched = row_to_col >= 0
-    total = float(cost[np.flatnonzero(matched), row_to_col[matched]].sum())
-    return Assignment(query_to_gt=row_to_col, total_cost=total)
+    if n > m:
+        return _solve_rows_leq_cols(cost.T)
+    col_to_row = _solve_rows_leq_cols(cost)
+    cols = np.flatnonzero(col_to_row >= 0)
+    row_to_col = np.full(n, -1, dtype=np.intp)
+    row_to_col[col_to_row[cols]] = cols
+    return row_to_col
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -156,17 +140,20 @@ def _class_loss(logits: Tensor, rows, targets: np.ndarray, w: LossWeights) -> Te
 def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: LossWeights):
     """Total loss over layers 0..L for both query parts.
 
-    Returns (total scalar Tensor, per-layer Assignment list for the
-    matching part). Modes: per-layer bipartite matching (default), a
-    fixed matching computed at the last layer and reused everywhere, or
-    default matching plus an adjacent-layer mask consistency term with
-    the earlier layer detached.
+    Returns (total scalar Tensor, (L+1, n_match) intp matching vectors:
+    each layer's GT index per matching query, -1 = unmatched). Modes:
+    per-layer bipartite matching (default), a fixed matching computed at
+    the last layer and reused everywhere, or default matching plus an
+    adjacent-layer mask consistency term with the earlier layer detached.
 
-    Each layer's mask-logit sigmoid is computed once and shared by the
-    dice terms of the matching cost and of every mask loss of that layer;
-    the consistency target is binarize_masks of the earlier layer's
-    logits. Each (layer, part) adds one class-loss node and at most one
-    mask-loss node to the tape.
+    Both parts are scored by one rule against a GT index per row (the
+    matching vector; the MP part's instance_index): class loss over all
+    rows, no-object where the index is -1, and mask loss over the rows
+    with an index. Each layer's mask-logit sigmoid is computed once and
+    shared by the dice terms of the matching cost and of every mask loss
+    of that layer; the consistency target is binarize_masks of the
+    earlier layer's logits. Each (layer, part) adds one class-loss node
+    and at most one mask-loss node to the tape.
     """
     if mode not in MODES:
         raise ValueError(f"unknown loss mode {mode!r} (choose from {MODES})")
@@ -180,37 +167,33 @@ def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: Loss
     match_rows = np.arange(n_match)
     probs = [_sigmoid(ml.values) for ml in outputs.mask_logits]
 
-    fixed = None
-    if mode == "fixed-last-layer":
-        fixed = hungarian(cost_matrix(outputs.mask_logits[-1].values[:n_match],
-                                      outputs.class_logits[-1].values[:n_match],
-                                      scene, weights, probs[-1][:n_match]))
+    def match(i):
+        return hungarian(cost_matrix(outputs.mask_logits[i].values[:n_match],
+                                     outputs.class_logits[i].values[:n_match],
+                                     scene, weights, probs[i][:n_match]))
+
+    layers = range(len(outputs.mask_logits))
+    vectors = ([match(-1)] * len(layers) if mode == "fixed-last-layer"
+               else [match(i) for i in layers])
+
+    def score(total, i, rows, vec):
+        hit = vec >= 0
+        targets = np.where(hit, cats[vec], num_categories)
+        total = total + _class_loss(outputs.class_logits[i], rows, targets, weights)
+        if hit.any():
+            total = total + _mask_loss(outputs.mask_logits[i], probs[i], rows[hit],
+                                       gt_flat[vec[hit]], weights)
+        return total
 
     total = Tensor(0.0)
-    assignments = []
-    for i, (ml, cl) in enumerate(zip(outputs.mask_logits, outputs.class_logits)):
-        if fixed is not None:
-            assign = fixed
-        else:
-            assign = hungarian(cost_matrix(ml.values[:n_match], cl.values[:n_match],
-                                           scene, weights, probs[i][:n_match]))
-        assignments.append(assign)
-        rows, gt_idx = assign.matched()
-
-        targets = np.full(n_match, num_categories, dtype=np.intp)
-        targets[rows] = cats[gt_idx]
-        total = total + _class_loss(cl, match_rows, targets, weights)
-        if rows.size:
-            total = total + _mask_loss(ml, probs[i], rows, gt_flat[gt_idx], weights)
-
+    for i, vec in enumerate(vectors):
+        total = score(total, i, match_rows, vec)
         if mp_part is not None:
-            mp_rows = n_match + np.arange(mp_part.num_queries)
-            total = total + _class_loss(cl, mp_rows, mp_part.gt_categories, weights)
-            total = total + _mask_loss(ml, probs[i], mp_rows,
-                                       gt_flat[mp_part.instance_index], weights)
-
+            total = score(total, i, n_match + np.arange(mp_part.num_queries),
+                          mp_part.instance_index)
         if mode == "consistency-aux" and i >= 1:
             prev = binarize_masks(outputs.mask_logits[i - 1].values[:n_match])
             prev = prev.reshape(n_match, -1).astype(np.float64)
-            total = total + _mask_loss(ml, probs[i], match_rows, prev, weights)
-    return total, assignments
+            total = total + _mask_loss(outputs.mask_logits[i], probs[i], match_rows, prev,
+                                       weights)
+    return total, np.stack(vectors)

@@ -3,7 +3,7 @@ refinement-threshold analysis.
 
 The two consistency diagnostics: per-layer mean IoU between a query's
 masks in adjacent layers, and per-layer utilization (fraction of GT
-instances matched at layer i to the same query that serves them at the
+instances assigned at layer i to the same query that serves them at the
 final layer). Both are computed over the matching part.
 """
 
@@ -33,19 +33,18 @@ def _matching_vectors(outputs: LayerOutputs, rows: slice, scene,
                       weights: LossWeights) -> np.ndarray:
     """(L+1, len(rows)) GT index that bipartite matching gives each of the
     query rows, per layer (-1 = unmatched)."""
-    return np.stack([hungarian(cost_matrix(ml.values[rows], cl.values[rows], scene,
-                                           weights)).query_to_gt
+    return np.stack([hungarian(cost_matrix(ml.values[rows], cl.values[rows], scene, weights))
                      for ml, cl in zip(outputs.mask_logits, outputs.class_logits)])
 
 
 def compute_matching_vectors(outputs: LayerOutputs, scene,
                              weights: LossWeights) -> np.ndarray:
-    """(L+1, N) matched-GT index per query per layer (-1 = unmatched)."""
+    """(L+1, N) GT index assigned to each query per layer (-1 = unmatched)."""
     return _matching_vectors(outputs, slice(None, outputs.n_match), scene, weights)
 
 
 def util_layerwise(vectors: np.ndarray, num_gt: int) -> np.ndarray:
-    """Per-layer fraction of GT matched to the same query as at the last layer."""
+    """Per-layer fraction of GT assigned to the same query as at the last layer."""
     if num_gt < 1:
         raise ValueError("num_gt must be >= 1")
     last = vectors[-1]
@@ -89,7 +88,7 @@ def ap_lite(predictions, scenes, thresholds=(0.5, 0.75)) -> dict:
                 aps[thr].append(0.0)
                 continue
             tp = np.zeros(len(dets))
-            taken = {}  # scene -> which of its GT of cat are matched
+            taken = {}  # scene -> which of its GT of cat are taken
             for di, k in enumerate(order):
                 si, row = dets[k]
                 used = taken.setdefault(si, np.zeros(row.size, dtype=bool))
@@ -144,7 +143,7 @@ class RefinementBounds:
     ratio_bound: float      # (T0 - t1) / (T1 - t0)
     condition_holds: bool
     threshold_interval: tuple | None
-    threshold_exists: bool  # brute-force scan outcome
+    threshold_exists: bool  # the actual scores separate the two categories
     separation: str         # "full" | "partial"
 
 
@@ -157,8 +156,8 @@ def refinement_bounds(features: np.ndarray, categories: np.ndarray,
     that query. Intra/inter-category dot-product ranges over all
     (mask member, any pixel) pairs give guaranteed score intervals per
     category; the interval gap, when the weight-ratio condition holds,
-    contains every separating threshold. A brute-force scan over the
-    actual scores reports whether separation really occurs.
+    contains every separating threshold. Whether the actual scores
+    separate is reported alongside.
     """
     features = np.asarray(features, dtype=np.float64)
     categories = np.asarray(categories)
@@ -191,7 +190,7 @@ def refinement_bounds(features: np.ndarray, categories: np.ndarray,
     interval = (lo, hi) if condition else None
 
     scores = w @ pair_dots                              # dot(q1, V_k) for all k
-    exists = _scan_for_threshold(scores, categories)
+    exists = _threshold_exists(scores, categories)
     return RefinementBounds(
         intra_min=intra_min, intra_max=intra_max,
         inter_min=inter_min, inter_max=inter_max,
@@ -201,14 +200,10 @@ def refinement_bounds(features: np.ndarray, categories: np.ndarray,
         separation="full" if exists else "partial")
 
 
-def _scan_for_threshold(scores: np.ndarray, categories: np.ndarray) -> bool:
-    """Any threshold with all C0 scores >= t and all C1 scores < t?"""
-    c0 = scores[categories == 0]
-    c1 = scores[categories == 1]
-    for t in np.sort(np.unique(scores)):
-        if (c0 >= t).all() and (c1 < t).all():
-            return True
-    return False
+def _threshold_exists(scores: np.ndarray, categories: np.ndarray) -> bool:
+    """Any threshold with all C0 scores >= t and all C1 scores < t? With
+    both categories present, t = the lowest C0 score answers it."""
+    return bool(scores[categories == 0].min() > scores[categories == 1].max())
 
 
 def sample_refinement_instance(rng, dim: int, sigma: float,

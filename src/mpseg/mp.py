@@ -38,10 +38,11 @@ class MPConfig(Checked):
 
 @dataclass
 class MPPart:
+    """One scene's MP queries. Row k pilots GT instance instance_index[k]
+    and is scored against it: that is its matching, with no solve."""
     n_groups: int
     group_id: np.ndarray          # (M,) group of each MP query
     instance_index: np.ndarray    # (M,) GT instance hard-assigned to each MP query
-    gt_categories: np.ndarray     # (M,) true category of that instance
     query_categories: np.ndarray  # (M,) category whose embedding seeds the query (post flip)
     queries: Tensor               # (M, d), rows of the class-embedding table
     overrides: dict = field(default_factory=dict)  # layer -> (M, h*w) bool blocks
@@ -118,7 +119,7 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layer_scales,
                 _flip_points(noised, regions, layer, seed)
         overrides[layer] = to_attention_blocks(noised, *layer_scales[layer])
     return MPPart(n_groups=n_g, group_id=group_id, instance_index=instance_index,
-                  gt_categories=gt_cats, query_categories=query_cats,
+                  query_categories=query_cats,
                   queries=queries, overrides=overrides)
 
 

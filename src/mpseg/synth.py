@@ -177,8 +177,9 @@ def save_dataset(path, scenes, cfg: SynthConfig):
 
 def load_dataset(path):
     """Returns (scenes, SynthConfig). A file that does not parse as a
-    dataset, or holds another number of scenes than its header says,
-    raises FormatError (SchemaVersionError for a foreign header)."""
+    dataset, holds another number of scenes than its header says, or
+    gives a scene a negative or repeated index raises FormatError
+    (SchemaVersionError for a foreign header)."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data and not data.endswith(b"\n"):
@@ -203,7 +204,7 @@ def _parse_dataset(path, lines):
     count, cfg_json = rest.split(" ", 1)
     count = int(count)
     cfg = SynthConfig.from_json(cfg_json)
-    scenes = []
+    scenes, indices = [], set()
     for line in lines[1:]:
         if not line.strip():
             continue
@@ -211,6 +212,11 @@ def _parse_dataset(path, lines):
         if fields[0] != "scene":
             raise ValueError(f"bad scene line {line[:40]!r}")
         index = int(fields[1])
+        # features are seeded by the index, and training keys them by it
+        if index < 0 or index in indices:
+            raise FormatError(f"{path}: scene index {index} is "
+                              f"{'negative' if index < 0 else 'repeated'}")
+        indices.add(index)
         if len(fields) < 3:  # generate_scene places at least one instance
             raise ValueError(f"scene {index} has no instances")
         cats, masks = [], []

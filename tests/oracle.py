@@ -1,7 +1,8 @@
 """The tests' oracles, which the model itself never runs: primitive ops,
 one small tape node each, that the tests compose as the oracle of
-mpseg.tensor's fused ops; and one-mask point noise and nearest resizing,
-the oracles of mp._flip_points and masks.to_attention_blocks."""
+mpseg.tensor's fused ops; one-mask point noise and nearest resizing,
+the oracles of mp._flip_points and masks.to_attention_blocks; and a scan
+over every candidate threshold, the oracle of metrics._threshold_exists."""
 
 import numpy as np
 
@@ -164,3 +165,13 @@ def point_noise(m: np.ndarray, lambda_p: float, seed) -> np.ndarray:
         rr, cc = point_flips(c_max, bbox, seed)
         out[rr, cc] = ~out[rr, cc]
     return out
+
+
+def scan_for_threshold(scores: np.ndarray, categories: np.ndarray) -> bool:
+    """Any threshold with all C0 scores >= t and all C1 scores < t?"""
+    c0 = scores[categories == 0]
+    c1 = scores[categories == 1]
+    for t in np.sort(np.unique(scores)):
+        if (c0 >= t).all() and (c1 < t).all():
+            return True
+    return False

@@ -244,6 +244,25 @@ def test_scene_without_instances_exits_io_with_one_line(artifacts, tmp_path, cap
     assert_one_line(capsys, "format error: ")
 
 
+@pytest.mark.parametrize("verb", ["train", "eval", "analyze"])
+@pytest.mark.parametrize("index,what", [("-1", "negative"), ("0", "repeated")])
+def test_scene_index_negative_or_repeated_exits_io_with_one_line(artifacts, tmp_path, capsys,
+                                                                  verb, index, what):
+    """Features are seeded by the scene index and training keys them by it."""
+    ckpt, data = artifacts
+    lines = data.read_text().splitlines()
+    assert lines[1].startswith("scene 0 ")
+    lines[-1] = " ".join(["scene", index] + lines[-1].split(" ")[2:])
+    data.write_text("\n".join(lines) + "\n")
+    if verb == "train":
+        config = write_config(tmp_path, {**SMALL_RUN, "dataset_path": str(data)})
+        argv = ["--config", config, "--out", str(tmp_path / "run")]
+    else:
+        argv = ["--checkpoint", str(ckpt), "--dataset", str(data)]
+    assert cli.main([verb, *argv]) == cli.EXIT_IO
+    assert_one_line(capsys, f"format error: {data}: scene index {index} is {what}")
+
+
 def test_train_on_a_dataset_without_scenes_exits_compat(tmp_path, capsys):
     data = tmp_path / "empty.txt"
     save_dataset(data, [], SynthConfig())

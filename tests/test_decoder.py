@@ -380,7 +380,7 @@ def mp_spec(pyramid, params, group_id=(0, 0, 0), overrides=None):
     rows = Tensor(np.random.default_rng(18).uniform(-1, 1, size=(group_id.size, params.dim)))
     zeros = np.zeros(group_id.size, dtype=np.intp)
     part = MPPart(n_groups=int(group_id.max()) + 1, group_id=group_id,
-                  instance_index=zeros, gt_categories=zeros, query_categories=zeros,
+                  instance_index=zeros, query_categories=zeros,
                   queries=rows, overrides=overrides or {})
     return ForwardSpec(pyramid, params.query_embed, part)
 

@@ -3,12 +3,13 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from mpseg.decoder import LayerOutputs, binarize_masks
-from mpseg.losses import (DICE_EPS, Assignment, LossWeights, cost_matrix, hungarian,
-                          layer_losses)
-from mpseg.mp import MPPart
-from mpseg.synth import Scene
+from mpseg.decoder import LayerOutputs, binarize_masks, full_forward, init_params, plain_spec
+from mpseg.losses import DICE_EPS, LossWeights, cost_matrix, hungarian, layer_losses
+from mpseg.metrics import compute_matching_vectors
+from mpseg.mp import MPConfig, MPPart
+from mpseg.synth import Scene, SynthConfig, generate_scene, synth_features
 from mpseg.tensor import Tensor, _sigmoid, cross_entropy_rows, mask_loss_rows
+from mpseg.trainer import layer_scale_table, mp_forward_spec
 from oracle import (bce_with_logits, gather_cols, logsumexp_lastdim, reshape, sigmoid,
                     sum_lastdim)
 
@@ -21,23 +22,37 @@ def brute_force_min_cost(cost: np.ndarray) -> float:
                for p in permutations(range(m), n))
 
 
+def matching_cost(cost: np.ndarray, vec: np.ndarray) -> float:
+    """Total cost of a row -> column vector (-1 = unmatched), checked to be
+    an intp one-to-one matching of min(n, m) pairs."""
+    n, m = cost.shape
+    assert vec.dtype == np.intp and vec.shape == (n,)
+    assert ((vec >= -1) & (vec < m)).all()
+    rows = np.flatnonzero(vec >= 0)
+    assert len(rows) == min(n, m)
+    assert len(set(vec[rows].tolist())) == len(rows)
+    return float(cost[rows, vec[rows]].sum())
+
+
 def test_hungarian_zero_diagonal():
-    a = hungarian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert list(a.query_to_gt) == [0, 1]
-    assert a.total_cost == 0.0
+    c = np.array([[0.0, 1.0], [1.0, 0.0]])
+    a = hungarian(c)
+    assert list(a) == [0, 1]
+    assert matching_cost(c, a) == 0.0
 
 
 def test_hungarian_two_permutations():
-    a = hungarian(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert list(a.query_to_gt) == [0, 1]
-    assert a.total_cost == 2.0
+    c = np.array([[1.0, 2.0], [2.0, 1.0]])
+    a = hungarian(c)
+    assert list(a) == [0, 1]
+    assert matching_cost(c, a) == 2.0
 
 
 def test_hungarian_three_by_three():
     c = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
     a = hungarian(c)
-    assert a.total_cost == 5.0
-    assert list(a.query_to_gt) == [1, 0, 2]
+    assert matching_cost(c, a) == 5.0
+    assert list(a) == [1, 0, 2]
 
 
 def test_hungarian_nonfinite_error():
@@ -55,11 +70,7 @@ def test_hungarian_matches_brute_force():
         cost = rng.uniform(-5, 5, size=(n, m))
         a = hungarian(cost)
         expected = brute_force_min_cost(cost)
-        assert abs(a.total_cost - expected) < 1e-9, (trial, n, m)
-        # structural checks: one-to-one, min(n, m) pairs
-        matched = a.query_to_gt[a.query_to_gt >= 0]
-        assert len(matched) == min(n, m)
-        assert len(set(matched)) == len(matched)
+        assert abs(matching_cost(cost, a) - expected) < 1e-9, (trial, n, m)
 
 
 def one_query_scene(h=4, w=4):
@@ -158,7 +169,7 @@ def test_layer_losses_perfect_prediction():
     total, assigns = layer_losses(out, scene, mp_part=None,
                                   mode="per-layer-bipartite", weights=LossWeights())
     assert float(total.values) < 1e-3 * (n_layers + 1)
-    assert all(list(a.query_to_gt) == [0] for a in assigns)
+    assert assigns.tolist() == [[0]] * (n_layers + 1)
 
 
 def test_layer_losses_fixed_matching_identical_assignments():
@@ -169,8 +180,7 @@ def test_layer_losses_fixed_matching_identical_assignments():
     out = LayerOutputs(mask_logits=mask_logits, class_logits=class_logits, n_match=3)
     _, assigns = layer_losses(out, scene, mp_part=None, mode="fixed-last-layer",
                               weights=LossWeights())
-    first = list(assigns[0].query_to_gt)
-    assert all(list(a.query_to_gt) == first for a in assigns)
+    assert (assigns == assigns[-1]).all()
 
 
 def test_layer_losses_consistency_aux_floor():
@@ -223,13 +233,6 @@ def test_mode_validation():
         layer_losses(out, scene, None, "bogus-mode", LossWeights())
 
 
-def test_assignment_matched_helper():
-    a = Assignment(query_to_gt=np.array([2, -1, 0]), total_cost=1.0)
-    rows, gts = a.matched()
-    assert list(rows) == [0, 2]
-    assert list(gts) == [2, 0]
-
-
 # ----------------------------------------------------------------------
 # the fused loss nodes against their compositions of primitives
 
@@ -262,13 +265,14 @@ def composed_layer_losses(outputs, scene, mp_part, mode, w):
         fixed = hungarian(cost_matrix(outputs.mask_logits[-1].values[:n_match],
                                       outputs.class_logits[-1].values[:n_match], scene, w))
     total = Tensor(0.0)
-    assignments = []
+    vectors = []
     for i, (ml, cl) in enumerate(zip(outputs.mask_logits, outputs.class_logits)):
         flat = reshape(ml, ml.values.shape[0], -1)
-        assign = fixed or hungarian(cost_matrix(ml.values[:n_match], cl.values[:n_match],
-                                                scene, w))
-        assignments.append(assign)
-        rows, gt_idx = assign.matched()
+        vec = fixed if fixed is not None else hungarian(
+            cost_matrix(ml.values[:n_match], cl.values[:n_match], scene, w))
+        vectors.append(vec)
+        rows = np.flatnonzero(vec >= 0)
+        gt_idx = vec[rows]
         targets = np.full(n_match, num_categories, dtype=np.intp)
         targets[rows] = cats[gt_idx]
         total = total + w.cls * composed_class_loss(cl.take_rows(match_rows), targets,
@@ -279,7 +283,8 @@ def composed_layer_losses(outputs, scene, mp_part, mode, w):
         if mp_part is not None:
             mp_rows = n_match + np.arange(mp_part.num_queries)
             total = total + w.cls * composed_class_loss(
-                cl.take_rows(mp_rows), mp_part.gt_categories, num_categories, w.no_object)
+                cl.take_rows(mp_rows), cats[mp_part.instance_index], num_categories,
+                w.no_object)
             bce, dice = composed_mask_loss(flat.take_rows(mp_rows),
                                            gt_flat[mp_part.instance_index])
             total = total + w.bce * bce + w.dice * dice
@@ -288,7 +293,7 @@ def composed_layer_losses(outputs, scene, mp_part, mode, w):
             bce, dice = composed_mask_loss(flat.take_rows(match_rows),
                                            prev.reshape(n_match, -1).astype(np.float64))
             total = total + w.bce * bce + w.dice * dice
-    return total, assignments
+    return total, vectors
 
 
 def two_instance_scene():
@@ -362,7 +367,6 @@ def test_layer_losses_match_composition_of_primitives(mode, with_mp):
         instance_index = np.array([0, 1, 0, 1])
         mp_part = MPPart(n_groups=2, group_id=np.array([0, 0, 1, 1]),
                          instance_index=instance_index,
-                         gt_categories=np.array([2, 0, 2, 0]),
                          query_categories=np.array([2, 0, 1, 0]),
                          queries=Tensor(np.zeros((n_mp, 4))))
     runs = []
@@ -372,11 +376,11 @@ def test_layer_losses_match_composition_of_primitives(mode, with_mp):
         out = LayerOutputs(mask_logits=mls, class_logits=cls, n_match=n_match)
         total, assigns = f(out, scene, mp_part, mode, LossWeights())
         total.backward()
-        runs.append((float(total.values), [a.query_to_gt for a in assigns],
+        runs.append((float(total.values), np.stack(assigns),
                      [t.grad for t in mls + cls]))
     (loss, assigns, grads), (ref_loss, ref_assigns, ref_grads) = runs
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
-    assert all(np.array_equal(a, b) for a, b in zip(assigns, ref_assigns))
+    assert np.array_equal(assigns, ref_assigns)
     assert_grads_close(grads, ref_grads)
 
 
@@ -387,3 +391,37 @@ def test_cost_matrix_with_given_probabilities_is_bitwise_equal():
     scene = two_instance_scene()
     assert np.array_equal(cost_matrix(ml, cl, scene, LossWeights(), _sigmoid(ml)),
                           cost_matrix(ml, cl, scene, LossWeights()))
+
+
+def small_forward(with_mp: bool):
+    """(outputs, scene, MP part or None) of a small decoder on one
+    synthetic scene."""
+    cfg = SynthConfig(height=8, width=8, feat_dim=8, instance_range=(2, 3),
+                      size_range=(2, 3), seed=9)
+    scene = generate_scene(cfg, 0)
+    params = init_params(seed=10, n_queries=4, n_layers=3, dim=8, ffn_hidden=8)
+    pyramid = synth_features(scene, cfg)
+    if not with_mp:
+        return full_forward(plain_spec(pyramid, params), params), scene, None
+    spec, part = mp_forward_spec(pyramid, scene, params, MPConfig(n_q=6),
+                                 layer_scale_table(8, 8, params.num_layers), [11])
+    assert part is not None
+    return full_forward(spec, params), scene, part
+
+
+@pytest.mark.parametrize("mode,with_mp", [("per-layer-bipartite", False),
+                                          ("per-layer-bipartite", True),
+                                          ("consistency-aux", False),
+                                          ("fixed-last-layer", False)],
+                         ids=["plain", "mp", "consistency-aux", "fixed-last-layer"])
+def test_layer_losses_vectors_are_the_matching_vectors(mode, with_mp):
+    """layer_losses' vectors are compute_matching_vectors' on the same
+    outputs; fixed-last-layer repeats the last layer's in every row."""
+    outputs, scene, part = small_forward(with_mp)
+    _, vectors = layer_losses(outputs, scene, part, mode, LossWeights())
+    expected = compute_matching_vectors(outputs, scene, LossWeights())
+    if mode == "fixed-last-layer":
+        expected = np.repeat(expected[-1:], len(expected), axis=0)
+    assert vectors.dtype == np.intp
+    assert vectors.shape == (len(outputs.mask_logits), outputs.n_match)
+    assert np.array_equal(vectors, expected)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from mpseg.decoder import LayerOutputs
-from mpseg.metrics import (MetricsReport, ap_lite, extract_predictions, miou_layerwise,
-                           refinement_bounds, sample_refinement_instance, util_layerwise)
+from mpseg.metrics import (MetricsReport, _threshold_exists, ap_lite, extract_predictions,
+                           miou_layerwise, refinement_bounds, sample_refinement_instance,
+                           util_layerwise)
 from mpseg.synth import Scene
 from mpseg.tensor import Tensor
+from oracle import scan_for_threshold
 
 
 def outputs_from_bits(layer_bits, num_categories=2):
@@ -185,6 +187,23 @@ def test_refinement_requires_both_categories():
     in_m0 = np.array([True, True, False, False])
     with pytest.raises(ValueError):
         refinement_bounds(feats, cats, in_m0, np.ones(4))
+
+
+def test_threshold_closed_form_matches_the_scan():
+    """Integer scores in [0, 5), the C0 ones shifted by 3, 4 or 5: by 3
+    the categories overlap and tie, by 4 the lowest C0 score ties with
+    the highest C1 score or clears it, by 5 it always clears it."""
+    rng = np.random.default_rng(31)
+    outcomes = []
+    for trial in range(300):
+        n = int(rng.integers(2, 12))
+        cats = rng.permutation(np.arange(n) % 2)
+        scores = rng.integers(0, 5, size=n) + np.where(cats == 0, trial % 3 + 3, 0)
+        scores = scores.astype(np.float64)
+        got = _threshold_exists(scores, cats)
+        assert got == scan_for_threshold(scores, cats), (trial, scores, cats)
+        outcomes.append(got)
+    assert 50 < sum(outcomes) < 250
 
 
 def test_refinement_implication_monte_carlo():

@@ -44,7 +44,6 @@ def test_build_mp_part_noiseless_exact_gt():
     # queries are exactly the class embeddings of the true categories
     for row in range(part.num_queries):
         cat = scene.categories[part.instance_index[row]]
-        assert part.gt_categories[row] == cat
         assert part.query_categories[row] == cat
         assert np.array_equal(part.queries.values[row], params.class_embed.values[cat])
     # overrides equal the resized exact GT converted to blocking grids
@@ -66,7 +65,7 @@ def test_build_mp_part_forced_label_flip():
     part = build_mp_part(scene, params.class_embed, mp_cfg,
                          layer_scale_table(32, 32, 9), seed=6)
     for row in range(part.num_queries):
-        true_cat = part.gt_categories[row]
+        true_cat = scene.categories[part.instance_index[row]]
         assert part.query_categories[row] == 1 - true_cat
         assert np.array_equal(part.queries.values[row],
                               params.class_embed.values[1 - true_cat])
@@ -143,7 +142,7 @@ def test_label_flip_draws_are_pinned():
     mp_cfg = MPConfig(n_q=10, lambda_label=0.5, noise_kind="none")
     part = build_mp_part(scene, params.class_embed, mp_cfg,
                          layer_scale_table(32, 32, 9), seed=[4, 2, 1])
-    assert part.gt_categories.tolist() == [1, 2, 0, 1, 2, 0, 1, 2, 0]
+    assert scene.categories[part.instance_index].tolist() == [1, 2, 0, 1, 2, 0, 1, 2, 0]
     assert part.query_categories.tolist() == [1, 2, 2, 2, 0, 0, 2, 2, 3]
     assert part.group_id.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
     assert part.instance_index.tolist() == [0, 1, 2, 0, 1, 2, 0, 1, 2]

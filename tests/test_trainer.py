@@ -53,9 +53,9 @@ def test_epoch_losses_include_a_final_partial_epoch(monkeypatch):
     real = trainer.layer_losses
 
     def recording(*args):
-        loss, assignments = real(*args)
+        loss, vectors = real(*args)
         step_losses.append(float(loss.values))
-        return loss, assignments
+        return loss, vectors
 
     monkeypatch.setattr(trainer, "layer_losses", recording)
     # 5 scenes, holdout 0.2: 4 training scenes, so 10 steps are 4 + 4 + 2
