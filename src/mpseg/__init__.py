@@ -1,7 +1,7 @@
 """Desk-scale mask-piloted training for a masked-attention segmentation decoder."""
 
 from .masks import iou, scale_noise, shift_noise, to_attention_blocks
-from .synth import FeaturePyramid, Scene, SynthConfig, generate_scene, synth_features
+from .synth import Scene, SynthConfig, generate_scene, synth_features
 from .tensor import Tensor
 from .decoder import DecoderParams, ForwardSpec, LayerOutputs, binarize_masks, \
     full_forward, init_params

@@ -23,9 +23,9 @@ from .metrics import (config_hash, sample_refinement_instance, save_layer_csv, s
                       util_mp_bipartite)
 from .masks import FormatError, seeded_rng
 from .mp import MPConfig
-from .synth import GenerationError, generate_scene, save_dataset, synth_features
-from .trainer import (CompatibilityError, detach_params, evaluate,
-                      layer_scale_table, load_scenes, mp_forward_spec, run_training)
+from .synth import generate_scene, save_dataset, synth_features
+from .trainer import (CompatibilityError, detach_params, evaluate, load_scenes,
+                      mp_forward_spec, run_training)
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -130,12 +130,11 @@ def analyze_dataset(params, scenes, synth_cfg, seed: int = 0):
     report = evaluate(params, scenes, synth_cfg, weights)
     frozen = detach_params(params)
     mp_cfg = MPConfig(n_q=params.n_queries)
-    scale_table = layer_scale_table(synth_cfg.height, synth_cfg.width,
-                                    params.num_layers)
+    layers = range(1, params.num_layers + 1)
     mp_bi_rows = []
     for scene in scenes:
         spec, mp_part = mp_forward_spec(synth_features(scene, synth_cfg), scene, frozen,
-                                        mp_cfg, scale_table, [seed, 3, scene.index])
+                                        mp_cfg, layers, [seed, 3, scene.index])
         if mp_part is not None:
             mp_bi_rows.append(util_mp_bipartite(full_forward(spec, frozen), scene,
                                                 weights))
@@ -258,7 +257,7 @@ def main(argv=None) -> int:
         # a non-finite value ends the verb with its own one-line message
         with np.errstate(all="ignore"):
             return HANDLERS[args.command](args)
-    except (ConfigError, GenerationError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FormatError as exc:

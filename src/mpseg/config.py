@@ -80,7 +80,8 @@ class RunConfig(Checked):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.model.dim != self.synth.feat_dim:
+        # a dataset's own feat_dim is checked when training loads it
+        if not self.dataset_path and self.model.dim != self.synth.feat_dim:
             raise ConfigError(f"model.dim ({self.model.dim}) must equal "
                               f"synth.feat_dim ({self.synth.feat_dim})")
         if any(l > self.model.num_layers for l in self.mp.mp_layers or ()):

@@ -8,12 +8,14 @@ parts), and each layer's masks, binarized by binarize_masks and resized
 by masks.to_attention_blocks, become the next layer's cross-attention
 blocking grids. Single attention head, no positional encodings.
 
-full_forward is the only forward path. Its queries form one part (the
-matching queries) or two: the matching queries, then the mask-piloted
-(MP) part's queries, handed over as the MPPart that the loss reads too.
-A plain forward is the one-part case, with no extra work or tape nodes.
-The matching part's self-attention reads only its own rows; the MP
-rows read the matching rows and their own group.
+full_forward is the only forward path and the one place a mask becomes
+a blocking grid. Its queries form one part (the matching queries) or
+two: the matching queries, then the mask-piloted (MP) part's queries,
+handed over as the MPPart that the loss reads too; at the layers it
+pilots, its noised GT masks stand in for its rows' predictions. A plain
+forward is the one-part case, with no extra work or tape nodes. The
+matching part's self-attention reads only its own rows; the MP rows read
+the matching rows and their own group.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class LayerOutputs:
 
 @dataclass
 class ForwardSpec:
-    pyramid: object       # FeaturePyramid
+    pyramid: list         # scales, coarse to fine; the finest is the embedding grid
     queries: Tensor       # (n_match, d) matching queries
     mp: object = None     # MPPart or None
 
@@ -201,14 +203,13 @@ def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
     """Run all layers; layer i attends to pyramid scale layer_scale(i).
 
     The queries form one part, the matching queries, or two when the
-    spec carries an MP part. Matching-part cross-attention blocking grids
-    always come from the previous layer's own predictions; the MP part
-    takes its override table's grids where a layer has an entry and falls
-    back to its own predictions elsewhere. The MP rows' self-attention
+    spec carries an MP part. A row's cross-attention grid blocks outside
+    its mask at that scale: its previous prediction, or at a layer in
+    mp.overrides, the MP row's noised GT mask. The MP rows' self-attention
     grid blocks every row of another MP group and nothing else.
     """
-    feats = [Tensor(grid.reshape(-1, grid.shape[-1])) for grid in spec.pyramid.scales]
-    embed = spec.pyramid.embed
+    feats = [Tensor(grid.reshape(-1, grid.shape[-1])) for grid in spec.pyramid]
+    embed = spec.pyramid[-1]
     mp = spec.mp
     n_match = spec.queries.values.shape[0]
     parts, self_blocks = [spec.queries], [None]
@@ -221,17 +222,12 @@ def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
     mask_logits, class_logits = [masks], [classes]
     for i in range(1, params.num_layers + 1):
         s = layer_scale(i, len(feats))
-        h, w = spec.pyramid.scales[s].shape[:2]
-        own = to_attention_blocks(binarize_masks(mask_logits[-1].values), h, w)
-        cross_blocks = [own[:n_match]]
-        if mp is not None:
-            block = mp.overrides.get(i)
-            if block is None:
-                block = own[n_match:]
-            elif block.shape != (mp.num_queries, h * w):
-                raise ValueError(f"override for layer {i} has shape {block.shape}, "
-                                 f"expected {(mp.num_queries, h * w)}")
-            cross_blocks.append(block)
+        h, w = spec.pyramid[s].shape[:2]
+        bits = binarize_masks(mask_logits[-1].values)
+        if mp is not None and i in mp.overrides:
+            bits = np.concatenate([bits[:n_match], mp.overrides[i]])
+        blocks = to_attention_blocks(bits, h, w)
+        cross_blocks = [blocks[:n_match], blocks[n_match:]][:len(parts)]
         parts = decoder_layer(parts, feats[s], cross_blocks, self_blocks,
                               params.layers[i - 1], params.dim)
         masks, classes = heads(params, parts, embed)

@@ -142,7 +142,7 @@ def _end_to_end_check(seed: int, with_mp: bool):
     from .losses import LossWeights, layer_losses
     from .mp import MPConfig
     from .synth import SynthConfig, generate_scene, synth_features
-    from .trainer import layer_scale_table, mp_forward_spec
+    from .trainer import mp_forward_spec
 
     cfg = SynthConfig(height=8, width=8, num_categories=2, feat_dim=8,
                       instance_range=(2, 2), size_range=(2, 3), noise_sigma=0.1, seed=seed)
@@ -154,11 +154,11 @@ def _end_to_end_check(seed: int, with_mp: bool):
     weights = LossWeights()
 
     mp_cfg = MPConfig(n_q=4)
-    scale_table = layer_scale_table(8, 8, params.num_layers)
+    layers = range(1, params.num_layers + 1)
 
     def loss_tensor():
         if with_mp:  # rebuilt per call: the MP queries are rows of class_embed
-            spec, mp_part = mp_forward_spec(pyramid, scene, params, mp_cfg, scale_table,
+            spec, mp_part = mp_forward_spec(pyramid, scene, params, mp_cfg, layers,
                                             [seed, 2, 0])
         else:
             spec, mp_part = plain_spec(pyramid, params), None

@@ -2,11 +2,11 @@
 
 MP queries are GT class embeddings (optionally flipped to a wrong class
 with probability lambda_label), repeated over dynamically-sized groups so
-the query budget is filled. Each configured layer gets an independently
-noised copy of every instance's GT mask, resized to that layer's
-attention scale and converted to a blocking grid. Point noise computes
-each instance's flip budget and region once per scene. The part reaches
-the decoder as its own query part (decoder.ForwardSpec.mp): the matching
+the query budget is filled. Each piloted layer gets an independently
+noised copy of every instance's GT mask, at the scene's resolution; the
+decoder grids it as it grids a predicted mask. Point noise computes each
+instance's flip budget and region once per scene. The part reaches the
+decoder as its own query part (decoder.ForwardSpec.mp): the matching
 queries never read it, and its group ids keep the MP groups from reading
 each other.
 """
@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import MAX_LAYERS, MAX_SIZE, Checked, setting
-from .masks import (apply_noise, point_flips, point_noise_region, seeded_rng,
-                    to_attention_blocks)
+from .masks import apply_noise, point_flips, point_noise_region, seeded_rng
 from .tensor import Tensor
 
 
@@ -45,7 +44,7 @@ class MPPart:
     instance_index: np.ndarray    # (M,) GT instance hard-assigned to each MP query
     query_categories: np.ndarray  # (M,) category whose embedding seeds the query (post flip)
     queries: Tensor               # (M, d), rows of the class-embedding table
-    overrides: dict = field(default_factory=dict)  # layer -> (M, h*w) bool blocks
+    overrides: dict = field(default_factory=dict)  # layer -> (M, H, W) bool noised GT masks
 
     @property
     def num_queries(self) -> int:
@@ -69,14 +68,13 @@ def _subseed(seed, *tags) -> list:
     return [int(s) for s in base] + [int(t) for t in tags]
 
 
-def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layer_scales,
-                  seed: int):
+def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layers, seed: int):
     """Build the MP part for one scene, or None when there is nothing to pilot.
 
-    layer_scales maps layer index (1-based) to that layer's (h, w)
-    attention extents. Fresh noise sub-seeds are drawn per (layer, group,
-    instance) so every layer sees independently corrupted masks.
-    Deterministic in `seed`.
+    layers, the decoder's 1-based layer indices (any iterable, so a dict
+    keyed by layer works), are piloted when cfg.mp_layers is None. Fresh
+    noise sub-seeds are drawn per (layer, group, instance) so every layer
+    sees independently corrupted masks. Deterministic in `seed`.
     """
     if not cfg.enabled:
         raise ValueError("build_mp_part called with MP disabled")
@@ -100,15 +98,14 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layer_scales,
             query_cats[k] = others[rng.integers(0, len(others))]
     queries = class_embed.take_rows(query_cats)
 
-    mp_layer_set = cfg.mp_layers
-    if mp_layer_set is None:
-        mp_layer_set = tuple(layer_scales.keys())
+    if cfg.mp_layers is not None:
+        layers = cfg.mp_layers
     # each layer's stack holds the MP part's rows in the same order
     regions = None
     if cfg.noise_kind == "point":
         regions = [point_noise_region(mask, cfg.lambda_point) for mask in gt_masks]
     overrides = {}
-    for layer in sorted(mp_layer_set):
+    for layer in sorted(layers):
         if cfg.noise_kind in ("shift", "scale"):
             noised = np.stack([apply_noise(mask, cfg.noise_kind, cfg.scale_range,
                                            _subseed(seed, 1, layer, g, j))
@@ -117,7 +114,7 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layer_scales,
             noised = np.tile(gt_masks, (n_g, 1, 1))  # a copy, so no flip reaches the scene
             if regions is not None:
                 _flip_points(noised, regions, layer, seed)
-        overrides[layer] = to_attention_blocks(noised, *layer_scales[layer])
+        overrides[layer] = noised
     return MPPart(n_groups=n_g, group_id=group_id, instance_index=instance_index,
                   query_categories=query_cats,
                   queries=queries, overrides=overrides)

@@ -5,10 +5,10 @@ arrays: their category ids, (n,) intp, and their masks, one (n, H, W)
 bool stack in the same order. Every reader (matching cost, losses, MP
 part, metrics) takes the arrays as they are and writes into neither.
 Base features are the one-hot vector of the pixel's category (index
-num_categories is background) plus Gaussian noise; coarser pyramid
-scales are 2x2 mean pools. Datasets store only geometry (config, scene
-count and RLE masks); features are regenerated deterministically from
-(config seed, scene index).
+num_categories is background) plus Gaussian noise; the feature pyramid
+is a list of scales, coarse to fine, of 2x2 mean pools and then the base.
+Datasets store only geometry (config, scene count and RLE masks);
+features are regenerated deterministically from (config seed, scene index).
 """
 
 from __future__ import annotations
@@ -25,14 +25,6 @@ from .masks import FormatError, rle_decode, rle_encode, seeded_rng
 DATASET_MAGIC = "mpseg-dataset"
 DATASET_VERSION = 2
 SHAPE_KINDS = ("rectangle", "disk")
-
-
-class SchemaVersionError(FormatError):
-    pass
-
-
-class GenerationError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -93,12 +85,6 @@ class Scene:
                 and np.array_equal(self.masks, other.masks))
 
 
-@dataclass
-class FeaturePyramid:
-    scales: list          # coarse -> fine, each (H_s, W_s, d) float64
-    embed: np.ndarray     # (H, W, d) per-pixel embedding grid (base scale)
-
-
 def _shape_mask(rng, kind: str, h: int, w: int, size_range) -> np.ndarray:
     lo, hi = size_range
     if kind == "rectangle":
@@ -132,8 +118,8 @@ def generate_scene(cfg: SynthConfig, index: int) -> Scene:
             if bits.any() and not (bits & occupied).any():
                 break
         else:
-            raise GenerationError(f"could not place instance after 1000 attempts "
-                                  f"(scene index {index})")
+            raise ConfigError(f"could not place instance after 1000 attempts "
+                              f"(scene index {index})")
         occupied |= bits
         cats.append(cat)
         masks.append(bits)
@@ -150,16 +136,17 @@ def pyramid_extents(height: int, width: int) -> list:
     return [(height // 4, width // 4), (height // 2, width // 2), (height, width)]
 
 
-def synth_features(scene: Scene, cfg: SynthConfig) -> FeaturePyramid:
-    """Base features = one-hot(category at pixel) + N(0, sigma^2 I);
-    coarser scales by successive 2x2 mean pooling; embedding grid = base."""
+def synth_features(scene: Scene, cfg: SynthConfig) -> list:
+    """Scales (H_s, W_s, d), coarse to fine, at pyramid_extents: 2x2 mean
+    pools, then base = one-hot(category at pixel) + N(0, sigma^2 I), which
+    is also the decoder's embedding grid."""
     rng = seeded_rng([cfg.seed, scene.index, 1])
     base = np.eye(cfg.feat_dim)[scene.category_grid(background_id=cfg.num_categories)]
     if cfg.noise_sigma > 0:
         base = base + cfg.noise_sigma * rng.standard_normal(base.shape)
     half = _pool2x2(base)
     quarter = _pool2x2(half)
-    return FeaturePyramid(scales=[quarter, half, base], embed=base)
+    return [quarter, half, base]
 
 
 def save_dataset(path, scenes, cfg: SynthConfig):
@@ -178,8 +165,7 @@ def save_dataset(path, scenes, cfg: SynthConfig):
 def load_dataset(path):
     """Returns (scenes, SynthConfig). A file that does not parse as a
     dataset, holds another number of scenes than its header says, or
-    gives a scene a negative or repeated index raises FormatError
-    (SchemaVersionError for a foreign header)."""
+    gives a scene a negative or repeated index raises FormatError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data and not data.endswith(b"\n"):
@@ -194,13 +180,13 @@ def load_dataset(path):
 
 def _parse_dataset(path, lines):
     if not lines:
-        raise SchemaVersionError(f"{path}: empty dataset file")
+        raise FormatError(f"{path}: empty dataset file")
     magic, version, rest = lines[0].split(" ", 2)
     if magic != DATASET_MAGIC:
-        raise SchemaVersionError(f"{path}: not a dataset file (header {magic!r})")
+        raise FormatError(f"{path}: not a dataset file (header {magic!r})")
     if int(version) != DATASET_VERSION:
-        raise SchemaVersionError(f"{path}: schema version {version} "
-                                 f"(supported: {DATASET_VERSION})")
+        raise FormatError(f"{path}: schema version {version} "
+                          f"(supported: {DATASET_VERSION})")
     count, cfg_json = rest.split(" ", 1)
     count = int(count)
     cfg = SynthConfig.from_json(cfg_json)

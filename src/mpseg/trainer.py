@@ -150,10 +150,12 @@ def split_scenes(scenes, holdout_frac: float):
     return scenes[:-n_hold], scenes[-n_hold:]
 
 
-def mp_forward_spec(pyramid, scene, params: DecoderParams, mp_cfg, scale_table,
+def mp_forward_spec(pyramid, scene, params: DecoderParams, mp_cfg, layers,
                     seed) -> tuple:
-    """(ForwardSpec, MPPart-or-None) with the MP part attached when possible."""
-    mp_part = build_mp_part(scene, params.class_embed, mp_cfg, scale_table, seed)
+    """(ForwardSpec, MPPart-or-None) with the MP part attached when possible.
+    layers is build_mp_part's: layer indices, or a dict keyed by them (a
+    layer_scale_table), which iterates as its keys."""
+    mp_part = build_mp_part(scene, params.class_embed, mp_cfg, layers, seed)
     return ForwardSpec(pyramid, params.query_embed, mp_part), mp_part
 
 
@@ -169,8 +171,7 @@ def run_training(cfg: RunConfig, log=None):
                          ffn_hidden=cfg.model.ffn_hidden)
     pairs = named_parameters(params)
     opt = AdamW(pairs, lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
-    scale_table = layer_scale_table(synth_cfg.height, synth_cfg.width,
-                                    cfg.model.num_layers)
+    layers = range(1, cfg.model.num_layers + 1)
 
     n_train = len(train_scenes)
     epoch_losses = []
@@ -182,8 +183,8 @@ def run_training(cfg: RunConfig, log=None):
         scene = train_scenes[step % n_train]
         pyramid = pyramids[scene.index]
         if cfg.mp.enabled:
-            spec, mp_part = mp_forward_spec(pyramid, scene, params, cfg.mp,
-                                            scale_table, seed=[cfg.seed, 2, step])
+            spec, mp_part = mp_forward_spec(pyramid, scene, params, cfg.mp, layers,
+                                            seed=[cfg.seed, 2, step])
         else:
             spec, mp_part = plain_spec(pyramid, params), None
         outputs = full_forward(spec, params)

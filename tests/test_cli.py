@@ -280,6 +280,16 @@ def test_train_on_a_dataset_of_another_feature_dim_exits_compat(tmp_path, capsys
     assert_one_line(capsys, "compatibility error: model dim 32 != dataset feature dim 16")
 
 
+def test_train_on_a_dataset_reads_its_dim_not_the_unused_synth_section(tmp_path):
+    cfg = SynthConfig(height=16, width=16, feat_dim=16)
+    data = tmp_path / "data.txt"
+    save_dataset(data, [generate_scene(cfg, i) for i in range(2)], cfg)
+    config = write_config(tmp_path, {"dataset_path": str(data),
+                                     "model": {**SMALL_RUN["model"], "dim": 16},
+                                     "train": {"steps": 2}})
+    assert run_train(config, tmp_path / "run") == cli.EXIT_OK
+
+
 @pytest.mark.parametrize("verb", list(cli.HANDLERS))
 def test_negative_seed_exits_config_with_one_line_on_every_verb(artifacts, tmp_path, capsys,
                                                                 verb):

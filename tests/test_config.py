@@ -105,6 +105,13 @@ def test_rejected(raw):
         parse_run_config(raw)
 
 
+def test_model_dim_must_equal_synth_feat_dim_only_without_a_dataset():
+    with pytest.raises(ConfigError, match=r"model.dim \(16\) must equal synth.feat_dim \(32\)"):
+        parse_run_config({"model": {"dim": 16}})
+    # the dataset's own synth config sets the feature dim; training checks it
+    assert parse_run_config({"dataset_path": "data.txt", "model": {"dim": 16}}).model.dim == 16
+
+
 WRONG_TYPES = {
     "holdout_frac-str": ({"train": {"holdout_frac": "x"}}, "train.holdout_frac must be a number"),
     "decay_points-str": ({"train": {"decay_points": [1, "a"]}},

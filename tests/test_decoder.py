@@ -412,10 +412,38 @@ def test_mp_self_block_is_the_mp_rows_of_the_group_grid(monkeypatch, group_id, e
 
 
 def test_mp_spec_override_of_wrong_shape_rejected():
+    """An override is the MP part's 3 masks at the scene's 8x8 extents: a
+    grid, masks of other extents and another row count are rejected."""
     pyramid, params = small_pyramid_and_params()
-    spec = mp_spec(pyramid, params, overrides={2: np.zeros((3, 5), dtype=bool)})
-    with pytest.raises(ValueError, match="override for layer 2"):
-        full_forward(spec, params)
+    for shape in ((3, 5), (3, 5, 5), (4, 8, 8)):
+        spec = mp_spec(pyramid, params, overrides={2: np.zeros(shape, dtype=bool)})
+        with pytest.raises(ValueError):
+            full_forward(spec, params)
+
+
+def test_cross_blocks_are_the_override_where_given_else_the_predictions(monkeypatch):
+    """At layer 2 the MP rows' cross grid blocks outside their override
+    masks; at layer 1 it comes from their own layer-0 predictions, by the
+    same rule. The matching rows' grids are a plain forward's."""
+    pyramid, params = small_pyramid_and_params(n_queries=2)
+    override = np.random.default_rng(21).uniform(size=(3, 8, 8)) < 0.5
+    seen = []
+
+    def recording(parts, feats, cross_blocks, self_blocks, lp, dim):
+        seen.append(cross_blocks)
+        return decoder_layer(parts, feats, cross_blocks, self_blocks, lp, dim)
+
+    monkeypatch.setattr(decoder, "decoder_layer", recording)
+    plain = full_forward(plain_spec(pyramid, params), params)
+    piloted = full_forward(mp_spec(pyramid, params, overrides={2: override}), params)
+    (plain1,), (plain2,) = seen[:2]
+    (match1, mp1), (match2, mp2) = seen[2:]
+    assert np.array_equal(match1, plain1) and np.array_equal(match2, plain2)
+    predicted = [blocks_of_logits(piloted.mask_logits[i].values[2:], *hw)
+                 for i, hw in ((0, (2, 2)), (1, (4, 4)))]
+    assert np.array_equal(mp1, predicted[0])
+    assert np.array_equal(mp2, to_attention_blocks(override, 4, 4))
+    assert not np.array_equal(mp2, predicted[1])
 
 
 @pytest.mark.parametrize("height,width", [(32, 32), (16, 8)])

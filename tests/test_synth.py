@@ -6,8 +6,7 @@ import pytest
 
 from mpseg.fields import ConfigError
 from mpseg.masks import FormatError
-from mpseg.synth import (GenerationError, SchemaVersionError, Scene, SynthConfig,
-                         generate_scene, load_dataset, save_dataset, synth_features)
+from mpseg.synth import SynthConfig, generate_scene, load_dataset, save_dataset, synth_features
 
 
 def small_cfg(**kw):
@@ -53,7 +52,7 @@ def test_features_sigma_zero_exact_prototypes():
     scene = generate_scene(cfg, 0)
     pyr = synth_features(scene, cfg)
     grid = scene.category_grid(background_id=cfg.num_categories)
-    assert np.array_equal(pyr.embed, np.eye(cfg.feat_dim)[grid])
+    assert np.array_equal(pyr[-1], np.eye(cfg.feat_dim)[grid])
 
 
 def test_features_orthonormal_dots():
@@ -61,7 +60,7 @@ def test_features_orthonormal_dots():
     scene = generate_scene(cfg, 1)
     pyr = synth_features(scene, cfg)
     grid = scene.category_grid(background_id=cfg.num_categories)
-    flat = pyr.embed.reshape(-1, cfg.feat_dim)
+    flat = pyr[-1].reshape(-1, cfg.feat_dim)
     labels = grid.reshape(-1)
     dots = flat @ flat.T
     same = labels[:, None] == labels[None, :]
@@ -76,7 +75,7 @@ def test_features_noisy_intra_beats_inter():
         scene = generate_scene(cfg, i)
         pyr = synth_features(scene, cfg)
         labels = scene.category_grid(background_id=cfg.num_categories).reshape(-1)
-        flat = pyr.embed.reshape(-1, cfg.feat_dim)
+        flat = pyr[-1].reshape(-1, cfg.feat_dim)
         dots = flat @ flat.T
         same = labels[:, None] == labels[None, :]
         off = ~np.eye(len(labels), dtype=bool)
@@ -89,10 +88,10 @@ def test_pyramid_shapes_and_pooling():
     cfg = SynthConfig(seed=1)
     scene = generate_scene(cfg, 0)
     pyr = synth_features(scene, cfg)
-    assert [g.shape for g in pyr.scales] == [(8, 8, 32), (16, 16, 32), (32, 32, 32)]
-    base = pyr.scales[2]
+    assert [g.shape for g in pyr] == [(8, 8, 32), (16, 16, 32), (32, 32, 32)]
+    base = pyr[2]
     pooled = base.reshape(16, 2, 16, 2, 32).mean(axis=(1, 3))
-    assert np.array_equal(pyr.scales[1], pooled)
+    assert np.array_equal(pyr[1], pooled)
 
 
 def test_dataset_roundtrip(tmp_path):
@@ -113,7 +112,7 @@ def test_dataset_wrong_version(tmp_path):
     save_dataset(path, [generate_scene(cfg, 0)], cfg)
     text = path.read_text()
     path.write_text(text.replace("mpseg-dataset 2", "mpseg-dataset 99", 1))
-    with pytest.raises(SchemaVersionError):
+    with pytest.raises(FormatError, match="schema version 99"):
         load_dataset(path)
 
 
@@ -171,7 +170,7 @@ def test_dataset_bytes_pure_function_of_config(tmp_path):
 
 def test_generation_error_names_index():
     cfg = small_cfg(height=8, width=8, instance_range=(30, 30), size_range=(4, 6))
-    with pytest.raises(GenerationError) as exc:
+    with pytest.raises(ConfigError) as exc:
         generate_scene(cfg, 17)
     assert "17" in str(exc.value)
 
