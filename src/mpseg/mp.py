@@ -5,10 +5,12 @@ with probability lambda_label), repeated over dynamically-sized groups so
 the query budget is filled. Each piloted layer gets an independently
 noised copy of every instance's GT mask, at the scene's resolution; the
 decoder grids it as it grids a predicted mask. Point noise computes each
-instance's flip budget and region once per scene. The part reaches the
-decoder as its own query part (decoder.ForwardSpec.mp): the matching
-queries never read it, and its group ids keep the MP groups from reading
-each other.
+instance's flip budget and region once per scene, and the random
+streams of a scene's part come from two masks.seeded_rngs calls: one for
+the label flips, one for the point noise of every layer. The part
+reaches the decoder as its own query part (decoder.ForwardSpec.mp): the
+matching queries never read it, and its group ids keep the MP groups
+from reading each other.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import MAX_LAYERS, MAX_SIZE, Checked, setting
-from .masks import apply_noise, point_flips, point_noise_region, seeded_rng
+from .masks import apply_noise, point_flips, point_noise_region, seeded_rngs
 from .tensor import Tensor
 
 
@@ -74,7 +76,9 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layers, seed: int):
     layers, the decoder's 1-based layer indices (any iterable, so a dict
     keyed by layer works), are piloted when cfg.mp_layers is None. Fresh
     noise sub-seeds are drawn per (layer, group, instance) so every layer
-    sees independently corrupted masks. Deterministic in `seed`.
+    sees independently corrupted masks. Deterministic in `seed`. The
+    label-flip streams come from one masks.seeded_rngs call, and the
+    point-noise streams of every layer from one more.
     """
     if not cfg.enabled:
         raise ValueError("build_mp_part called with MP disabled")
@@ -91,8 +95,8 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layers, seed: int):
     gt_cats = scene.categories[instance_index]
     query_cats = gt_cats.copy()
     num_categories = class_embed.values.shape[0]
-    for k, (g, j, cat) in enumerate(zip(group_id, instance_index, gt_cats)):
-        rng = seeded_rng(_subseed(seed, 0, g, j))
+    rngs = seeded_rngs([_subseed(seed, 0, g, j) for g, j in zip(group_id, instance_index)])
+    for k, (rng, cat) in enumerate(zip(rngs, gt_cats)):
         if rng.uniform() < cfg.lambda_label and num_categories > 1:
             others = [c for c in range(num_categories) if c != cat]
             query_cats[k] = others[rng.integers(0, len(others))]
@@ -101,9 +105,6 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layers, seed: int):
     if cfg.mp_layers is not None:
         layers = cfg.mp_layers
     # each layer's stack holds the MP part's rows in the same order
-    regions = None
-    if cfg.noise_kind == "point":
-        regions = [point_noise_region(mask, cfg.lambda_point) for mask in gt_masks]
     overrides = {}
     for layer in sorted(layers):
         if cfg.noise_kind in ("shift", "scale"):
@@ -112,22 +113,26 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layers, seed: int):
                                for g in range(n_g) for j, mask in enumerate(gt_masks)])
         else:
             noised = np.tile(gt_masks, (n_g, 1, 1))  # a copy, so no flip reaches the scene
-            if regions is not None:
-                _flip_points(noised, regions, layer, seed)
         overrides[layer] = noised
+    if cfg.noise_kind == "point":
+        _flip_points(overrides, [point_noise_region(mask, cfg.lambda_point)
+                                 for mask in gt_masks], seed)
     return MPPart(n_groups=n_g, group_id=group_id, instance_index=instance_index,
                   query_categories=query_cats,
                   queries=queries, overrides=overrides)
 
 
-def _flip_points(noised: np.ndarray, regions, layer: int, seed):
-    """Point noise, in place, on a stack of tiled GT masks whose row
-    g * len(regions) + j is group g's copy of instance j: the flips
+def _flip_points(overrides: dict, regions, seed):
+    """Point noise, in place, on each layer's stack of tiled GT masks, whose
+    row g * len(regions) + j is group g's copy of instance j: the flips
     tests/oracle.py's point_noise makes with the (layer, group, instance)
-    seed."""
-    for k in range(noised.shape[0]):
-        g, j = divmod(k, len(regions))
-        c_max, bbox = regions[j]
-        if c_max:
-            rr, cc = point_flips(c_max, bbox, _subseed(seed, 1, layer, g, j))
-            noised[k, rr, cc] = ~noised[k, rr, cc]
+    seed. Each instance's (budget, bbox) region is computed once per scene,
+    and every row that can flip draws its stream from one seeded_rngs call."""
+    n = len(regions)
+    rows = [(layer, k) for layer, noised in overrides.items()
+            for k in range(noised.shape[0]) if regions[k % n][0]]
+    rngs = seeded_rngs([_subseed(seed, 1, layer, *divmod(k, n)) for layer, k in rows])
+    for (layer, k), rng in zip(rows, rngs):
+        rr, cc = point_flips(*regions[k % n], rng)
+        noised = overrides[layer]
+        noised[k, rr, cc] = ~noised[k, rr, cc]

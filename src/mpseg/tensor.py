@@ -31,6 +31,15 @@ into the rows they read, by assignment.
 No array is written in place once it is stored as a gradient, so a
 backward hands _accumulate any array as it is: one it just allocated, a
 view, the incoming g, or one it also hands to another input.
+
+Two fused ops save numpy temporaries by writing in place, but only into
+arrays the op itself just allocated and has not yet handed to
+_accumulate or stored: fused_attention's logits (scaled, blocked,
+shifted, exponentiated and normalized in one buffer, which becomes the
+stored softmax) and its backward's logit gradient; mask_loss_rows' BCE
+terms and its backward's row gradient before it is assigned into the
+fresh accumulator. The ufuncs and their order are those of the
+out-of-place expressions, so every value is bitwise the same.
 """
 
 from __future__ import annotations
@@ -254,14 +263,16 @@ def fused_attention(x: Tensor, keys: Tensor, values: Tensor, block, wq: Tensor,
     """
     q = x.values @ wq.values
     kv = keys.values
-    logits = (q @ kv.T) * scale
+    logits = q @ kv.T
+    logits *= scale
     if block is not None:
         block = np.asarray(block, dtype=bool)
         if block.shape != logits.shape:
             raise ValueError(f"attention block shape {block.shape} != logits {logits.shape}")
-        logits = np.where(block, NEG_BIG, logits)
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+        np.putmask(logits, block, NEG_BIG)
+    logits -= logits.max(axis=-1, keepdims=True)
+    p = np.exp(logits, out=logits)
+    p /= p.sum(axis=-1, keepdims=True)
     ctx = p @ values.values
     out = _make(ctx @ wo.values, (x, keys, values, wq, wo))
     if out.requires_grad:
@@ -273,11 +284,12 @@ def fused_attention(x: Tensor, keys: Tensor, values: Tensor, block, wq: Tensor,
                 values._accumulate(p.T @ g_ctx)
             if not (x.requires_grad or keys.requires_grad or wq.requires_grad):
                 return
-            g_p = g_ctx @ values.values.T
-            g_logits = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True))
+            g_logits = g_ctx @ values.values.T  # g_p, then p * (g_p - sum(g_p * p))
+            g_logits -= (g_logits * p).sum(axis=-1, keepdims=True)
+            g_logits *= p
             if block is not None:
-                g_logits = np.where(block, 0.0, g_logits)
-            g_logits = g_logits * scale
+                np.putmask(g_logits, block, 0.0)
+            g_logits *= scale
             if keys.requires_grad:
                 keys._accumulate((q.T @ g_logits).T)
             g_q = g_logits @ kv
@@ -427,7 +439,13 @@ def mask_loss_rows(logits: Tensor, probs: np.ndarray, rows, targets, w_bce: floa
     v = logits.values.reshape(n, -1)[rows]
     p = probs.reshape(n, -1)[rows]
     t = targets
-    bce = _mean_all(np.maximum(v, 0.0) - v * t + np.log1p(np.exp(-np.abs(v))))
+    terms = np.maximum(v, 0.0)
+    terms -= v * t
+    softplus = np.abs(v)  # then log1p(exp(-|v|))
+    np.negative(softplus, out=softplus)
+    np.exp(softplus, out=softplus)
+    terms += np.log1p(softplus, out=softplus)
+    bce = _mean_all(terms)
     num = 2.0 * (p * t).sum(axis=-1) + dice_eps
     den = p.sum(axis=-1) + (t.sum(axis=1) + dice_eps)
     dice = _mean_all(1.0 - num / den)
@@ -438,7 +456,12 @@ def mask_loss_rows(logits: Tensor, probs: np.ndarray, rows, targets, w_bce: floa
             g_num = -(float(g) * w_dice) / rows.size / den
             g_p = (2.0 * g_num)[:, None] * t - (g_num * num / den)[:, None]
             acc = np.zeros_like(logits.values)
-            acc.reshape(n, -1)[rows] = g_bce * (p - t) + g_p * p * (1.0 - p)
+            g_v = p - t  # then g_bce * (p - t) + (g_p * p) * (1 - p)
+            g_v *= g_bce
+            g_p *= p
+            g_p *= 1.0 - p
+            g_v += g_p
+            acc.reshape(n, -1)[rows] = g_v
             logits._accumulate(acc)
         out._backward = bw
     return out

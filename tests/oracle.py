@@ -1,12 +1,14 @@
 """The tests' oracles, which the model itself never runs: primitive ops,
 one small tape node each, that the tests compose as the oracle of
 mpseg.tensor's fused ops; one-mask point noise and nearest resizing,
-the oracles of mp._flip_points and masks.to_attention_blocks; and a scan
-over every candidate threshold, the oracle of metrics._threshold_exists."""
+the oracles of mp._flip_points and masks.to_attention_blocks; the
+Hungarian solve as numpy array ops, the oracle of
+losses._solve_rows_leq_cols; and a scan over every candidate threshold,
+the oracle of metrics._threshold_exists."""
 
 import numpy as np
 
-from mpseg.masks import _nearest_indices, point_flips, point_noise_region
+from mpseg.masks import _nearest_indices, point_noise_region, seeded_rng
 from mpseg.tensor import Tensor, _make, _sigmoid
 
 
@@ -157,14 +159,62 @@ def point_noise(m: np.ndarray, lambda_p: float, seed) -> np.ndarray:
 
     The flip count is uniform on the integers [0, floor(lambda_p * area)];
     flip positions are distinct and uniform over the noise region, and
-    each chosen pixel is inverted (1->0 or 0->1).
+    each chosen pixel is inverted (1->0 or 0->1). The draws come from the
+    seed's own SeedSequence stream, the count and then the positions, so
+    this checks masks.seeded_rngs and mp._flip_points independently.
     """
     c_max, bbox = point_noise_region(m, lambda_p)
     out = m.copy()
     if c_max:
-        rr, cc = point_flips(c_max, bbox, seed)
+        rng = seeded_rng(seed)
+        count = int(rng.integers(0, c_max + 1))
+        r0, r1, c0, c1 = bbox
+        region_w = c1 - c0 + 1
+        picks = rng.choice((r1 - r0 + 1) * region_w, size=count, replace=False)
+        rr, cc = r0 + picks // region_w, c0 + picks % region_w
         out[rr, cc] = ~out[rr, cc]
     return out
+
+
+def solve_rows_leq_cols(cost: np.ndarray) -> np.ndarray:
+    """Potential-based Hungarian for n <= m as numpy array ops; returns col
+    -> row (-1 = unmatched). The oracle of losses._solve_rows_leq_cols."""
+    n, m = cost.shape
+    INF = np.inf
+    u = np.zeros(n + 1)
+    v = np.zeros(m + 1)
+    p = np.zeros(m + 1, dtype=np.intp)   # p[j]: row assigned to column j (1-based, 0=none)
+    way = np.zeros(m + 1, dtype=np.intp)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(m + 1, INF)
+        used = np.zeros(m + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = INF
+            j1 = 0
+            cur = cost[i0 - 1] - u[i0] - v[1:]
+            better = ~used[1:] & (cur < minv[1:])
+            minv[1:][better] = cur[better]
+            way[1:][better] = j0
+            free = ~used[1:]
+            if free.any():
+                idx = np.argmin(np.where(free, minv[1:], INF))
+                delta = minv[idx + 1]
+                j1 = idx + 1
+            u[p[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    return p[1:] - 1
 
 
 def scan_for_threshold(scores: np.ndarray, categories: np.ndarray) -> bool:

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from mpseg.decoder import LayerOutputs, binarize_masks, full_forward, init_params, plain_spec
-from mpseg.losses import DICE_EPS, LossWeights, cost_matrix, hungarian, layer_losses
+from mpseg.losses import (DICE_EPS, LossWeights, _solve_rows_leq_cols, cost_matrix, hungarian,
+                          layer_losses)
 from mpseg.metrics import compute_matching_vectors
 from mpseg.mp import MPConfig, MPPart
 from mpseg.synth import Scene, SynthConfig, generate_scene, synth_features
 from mpseg.tensor import Tensor, _sigmoid, cross_entropy_rows, mask_loss_rows
 from mpseg.trainer import layer_scale_table, mp_forward_spec
 from oracle import (bce_with_logits, gather_cols, logsumexp_lastdim, reshape, sigmoid,
-                    sum_lastdim)
+                    solve_rows_leq_cols, sum_lastdim)
 
 
 def brute_force_min_cost(cost: np.ndarray) -> float:
@@ -71,6 +72,35 @@ def test_hungarian_matches_brute_force():
         a = hungarian(cost)
         expected = brute_force_min_cost(cost)
         assert abs(matching_cost(cost, a) - expected) < 1e-9, (trial, n, m)
+
+
+def solver_problems(count, rng):
+    """Cost matrices of up to 12 x 30, in turn random, small integers (many
+    ties) and one row repeated (every row tied)."""
+    for trial in range(count):
+        n = int(rng.integers(1, 13))
+        m = int(rng.integers(1, 31))
+        if trial % 3 == 0:
+            yield rng.normal(size=(n, m))
+        elif trial % 3 == 1:
+            yield rng.integers(0, 4, size=(n, m)).astype(np.float64)
+        else:
+            yield np.tile(rng.uniform(-1, 1, size=m), (n, 1))
+
+
+def test_the_list_solver_returns_the_oracle_numpy_loop_vectors():
+    rng = np.random.default_rng(5)
+    for cost in solver_problems(2700, rng):
+        n, m = cost.shape
+        if n <= m:
+            col_to_row = solve_rows_leq_cols(cost)
+            assert np.array_equal(_solve_rows_leq_cols(cost), col_to_row)
+            expected = np.full(n, -1, dtype=np.intp)
+            expected[col_to_row[col_to_row >= 0]] = np.flatnonzero(col_to_row >= 0)
+        else:
+            expected = solve_rows_leq_cols(cost.T)
+        vec = hungarian(cost)
+        assert vec.dtype == np.intp and np.array_equal(vec, expected), cost
 
 
 def one_query_scene(h=4, w=4):

@@ -99,6 +99,31 @@ def test_point_noise_overrides_are_the_oracle_row_by_row(lambda_point):
             assert np.array_equal(masks, noised)
 
 
+def count_seed_sequences(monkeypatch) -> list:
+    """Counts every SeedSequence built through numpy.random's name for it."""
+    calls = []
+    real = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    return calls
+
+
+def test_a_point_noise_mp_part_builds_no_seed_sequence(monkeypatch):
+    """Its label-flip and point-noise streams come from masks.seeded_rngs;
+    the shift-noise part shows that the counter sees seeded_rng's."""
+    cfg, scene = scene_setup(seed=4)
+    params = init_params(seed=4, num_categories=4)
+    calls = count_seed_sequences(monkeypatch)
+    part = build_mp_part(scene, params.class_embed, MPConfig(), LAYERS, seed=[3, 2, 1])
+    assert part.n_groups > 1 and not calls
+    build_mp_part(scene, params.class_embed, MPConfig(noise_kind="shift"), LAYERS, seed=3)
+    assert len(calls) == len(LAYERS) * part.num_queries
+
+
 def test_build_mp_part_deterministic():
     cfg, scene = scene_setup(seed=4)
     params = init_params(seed=4, num_categories=4)
