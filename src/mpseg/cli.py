@@ -133,16 +133,13 @@ def analyze_dataset(params, scenes, synth_cfg, seed: int = 0):
     layers = range(1, params.num_layers + 1)
     mp_bi_rows = []
     for scene in scenes:
-        spec, mp_part = mp_forward_spec(synth_features(scene, synth_cfg), scene, frozen,
-                                        mp_cfg, layers, [seed, 3, scene.index])
-        if mp_part is not None:
-            mp_bi_rows.append(util_mp_bipartite(full_forward(spec, frozen), scene,
-                                                weights))
+        spec, _ = mp_forward_spec(synth_features(scene, synth_cfg), scene, frozen, mp_cfg,
+                                  layers, [seed, 3, scene.index])
+        mp_bi_rows.append(util_mp_bipartite(full_forward(spec, frozen), scene, weights))
     return {
         "miou_l": report.miou_l,
         "util": report.util,
-        "mp_util_bipartite": (np.mean(mp_bi_rows, axis=0) if mp_bi_rows
-                              else np.full(1, np.nan)),
+        "mp_util_bipartite": np.mean(mp_bi_rows, axis=0),
     }
 
 
@@ -161,10 +158,9 @@ def format_analysis(rows: dict, num_layers: int):
 
     csv_lines = ["layer,miou_l,util,mp_util_bipartite"]
     for i in range(1, num_layers + 1):
-        bi_v = rows["mp_util_bipartite"][i] if i < len(rows["mp_util_bipartite"]) \
-            else float("nan")
         csv_lines.append(f"{i},{100 * rows['miou_l'][i - 1]:.6f},"
-                         f"{100 * rows['util'][i]:.6f},{100 * bi_v:.6f}")
+                         f"{100 * rows['util'][i]:.6f},"
+                         f"{100 * rows['mp_util_bipartite'][i]:.6f}")
     return text, "\n".join(csv_lines) + "\n"
 
 

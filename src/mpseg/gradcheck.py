@@ -21,37 +21,41 @@ TOL = 1e-4               # a check passes below this error
 COORDS_PER_PARAM = 6     # coordinates probed per parameter by the end-to-end rows
 
 
-def check_gradient(f, inputs) -> float:
-    """Return the worst finite-difference error for scalar f over every
-    coordinate of `inputs`; f takes the list of Tensors and returns a
-    scalar Tensor."""
+def check_gradient(f, inputs, weight=None) -> float:
+    """Return the worst finite-difference error over every coordinate of
+    `inputs` of the scalar sum(weight * f(xs).values), or of a scalar
+    f(xs) with no weight. f takes the list of Tensors and returns a
+    Tensor; the tape's gradient is f's backward seeded with weight."""
     # C-contiguous copies so the flat perturbation view below aliases the values,
     # and only them: f may also read the caller's arrays as constants
     tensors = [Tensor(np.array(x.values if isinstance(x, Tensor) else x,
                                dtype=np.float64, order="C"), requires_grad=True)
                for x in inputs]
-    loss = f(tensors)
-    loss.backward()
+    f(tensors).backward(weight)
+
+    def value():
+        out = f(tensors).values
+        return float(out if weight is None else (weight * out).sum())
+
     worst = 0.0
     for t in tensors:
         analytic = t.grad if t.grad is not None else np.zeros_like(t.values)
         flat = t.values.reshape(-1)
-        worst = max(worst, _probe(lambda: f(tensors), flat, analytic.reshape(-1),
-                                  range(flat.size)))
+        worst = max(worst, _probe(value, flat, analytic.reshape(-1), range(flat.size)))
     return worst
 
 
-def _probe(loss, flat, analytic, coords) -> float:
+def _probe(value, flat, analytic, coords) -> float:
     """Worst error of analytic[c] against the central difference of the
-    scalar loss() over flat[c] +/- EPS, for c in coords; flat, a view of
-    the values loss() reads, is restored after each probe."""
+    float value() over flat[c] +/- EPS, for c in coords; flat, a view of
+    the values value() reads, is restored after each probe."""
     worst = 0.0
     for c in coords:
         orig = flat[c]
         flat[c] = orig + EPS
-        hi = float(loss().values)
+        hi = value()
         flat[c] = orig - EPS
-        lo = float(loss().values)
+        lo = value()
         flat[c] = orig
         numeric = (hi - lo) / (2.0 * EPS)
         err = abs(analytic[c] - numeric) / max(abs(analytic[c]), abs(numeric), 1e-3)
@@ -62,8 +66,8 @@ def _probe(loss, flat, analytic, coords) -> float:
 
 
 def run_gradient_suite(seed: int = 0):
-    """Check the arithmetic operators, every op the model records and a
-    small end-to-end decoder loss.
+    """Check every op the model records, with a non-scalar output weighted
+    by a random array of its shape, and a small end-to-end decoder loss.
 
     Returns a list of (name, worst_error, passed) rows; the suite passes
     when every row passes.
@@ -73,20 +77,22 @@ def run_gradient_suite(seed: int = 0):
     rng = np.random.default_rng(seed)
     results = []
 
-    def check(name, f, inputs):
-        err = check_gradient(f, inputs)
+    def check(name, f, inputs, weight=None):
+        err = check_gradient(f, inputs, weight)
         results.append((name, err, err < TOL))
+
+    def weight(*shape):
+        return rng.uniform(-2.0, 2.0, size=shape)
 
     u = rng.uniform(-2.0, 2.0, size=(3, 4))
     v = rng.uniform(-2.0, 2.0, size=(4, 2))
-    w = rng.uniform(-2.0, 2.0, size=(3, 4))
-    check("matmul", lambda xs: (xs[0] @ xs[1]).sum(), [u, v])
-    check("add_broadcast", lambda xs: (xs[0] + xs[1]).sum(), [u, rng.uniform(-2, 2, size=(4,))])
-    check("mul_broadcast", lambda xs: (xs[0] * xs[1]).mean(), [u, rng.uniform(-2, 2, size=(4,))])
-    check("sub", lambda xs: (xs[0] - xs[1]).sum(), [u, w])
-    check("div", lambda xs: (xs[0] / xs[1]).sum(), [u, rng.uniform(1.0, 2.0, size=(3, 4))])
-    check("take_rows", lambda xs: xs[0].take_rows([2, 0, 0]).sum(), [u])
-    check("concat_rows", lambda xs: T.concat_rows(xs).mean(), [u, v.T])
+    w = weight(3, 4)
+    check("matmul", lambda xs: xs[0] @ xs[1], [u, v], weight(3, 2))
+    check("take_rows", lambda xs: xs[0].take_rows([2, 0, 0]), [u], w)
+    check("concat_rows", T.concat_rows, [u, v.T], weight(5, 4))
+    # the first term twice: its gradient is the sum of both slots'
+    check("sum_scalars", lambda xs: T.sum_scalars([xs[0], xs[1], xs[0]]),
+          [rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)])
 
     # fused ops; the attention's row 1 is fully blocked, row 0 partly
     att_in = [rng.uniform(-1.0, 1.0, size=s) for s in
@@ -95,14 +101,14 @@ def run_gradient_suite(seed: int = 0):
     att_block[0, [1, 3]] = True
     att_block[1] = True
     for name, blk in (("fused_attention", att_block), ("fused_attention_unblocked", None)):
-        check(name, lambda xs, blk=blk: (T.fused_attention(xs[0], xs[1], xs[2], blk, xs[3],
-                                                            xs[4], 0.5) * w).sum(), att_in)
-    check("add_norm_affine", lambda xs: (T.add_norm_affine(*xs) * w).sum(),
+        check(name, lambda xs, blk=blk: T.fused_attention(xs[0], xs[1], xs[2], blk, xs[3],
+                                                          xs[4], 0.5), att_in, w)
+    check("add_norm_affine", lambda xs: T.add_norm_affine(*xs),
           [u, rng.uniform(-2.0, 2.0, size=(3, 4)), rng.uniform(0.5, 1.5, size=(4,)),
-           rng.uniform(-1, 1, size=(4,))])
+           rng.uniform(-1, 1, size=(4,))], w)
     mlp_in = [u, rng.uniform(-1, 1, size=(4, 5)), rng.uniform(-1, 1, size=(5,)),
               rng.uniform(-1, 1, size=(5, 4)), rng.uniform(-1, 1, size=(4,))]
-    check("mlp2", lambda xs: (T.mlp2(*xs) * w).sum(), mlp_in)
+    check("mlp2", lambda xs: T.mlp2(*xs), mlp_in, w)
     ce_targets = np.array([3, 0, 3])
     ce_weights = np.where(ce_targets == 3, 0.1, 1.0)
     check("cross_entropy_rows",
@@ -112,17 +118,15 @@ def run_gradient_suite(seed: int = 0):
     check("mask_loss_rows",
           lambda xs: T.mask_loss_rows(xs[0], T._sigmoid(xs[0].values), [3, 0, 2], mask_tgt,
                                       5.0, 5.0, 1.0), [mask_in])
-    # the heads over two query parts of 2 and 3 rows: 4-d queries, 5 hidden, 3 classes
+    # the heads over two query parts of 2 and 3 rows: 4-d queries, 5 hidden, 3 classes;
+    # one row per output, as a seed weights one output
     head_in = [rng.uniform(-1, 1, size=s) for s in
                ((2, 4), (3, 4), (4, 5), (5,), (5, 4), (4,), (4, 3), (3,))]
     head_embed = rng.uniform(-1, 1, size=(2, 3, 4))
-    head_w = [rng.uniform(-1, 1, size=(5, 2, 3)), rng.uniform(-1, 1, size=(5, 3))]
-
-    def heads_loss(xs):
-        masks, classes = T.fused_heads(xs[:2], head_embed, *xs[2:])
-        return (masks * head_w[0]).sum() + (classes * head_w[1]).sum()
-
-    check("fused_heads_two_parts", heads_loss, head_in)
+    for out, name, shape in ((0, "fused_heads_masks", (5, 2, 3)),
+                             (1, "fused_heads_classes", (5, 3))):
+        check(name, lambda xs, out=out: T.fused_heads(xs[:2], head_embed, *xs[2:])[out],
+              head_in, weight(*shape))
 
     results.append(_end_to_end_check(seed, with_mp=False))
     results.append(_end_to_end_check(seed, with_mp=True))
@@ -167,6 +171,9 @@ def _end_to_end_check(seed: int, with_mp: bool):
                                 mode="per-layer-bipartite", weights=weights)
         return total
 
+    def value():
+        return float(loss_tensor().values)
+
     for _, p in pairs:
         p.requires_grad = True
         p.grad = None
@@ -181,5 +188,5 @@ def _end_to_end_check(seed: int, with_mp: bool):
     for name, p in pairs:
         flat = p.values.reshape(-1)
         coords = rng.choice(flat.size, size=min(COORDS_PER_PARAM, flat.size), replace=False)
-        worst = max(worst, _probe(loss_tensor, flat, grads[name].reshape(-1), coords))
+        worst = max(worst, _probe(value, flat, grads[name].reshape(-1), coords))
     return "decoder_end_to_end" + ("_mp" if with_mp else ""), worst, worst < TOL

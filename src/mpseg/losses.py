@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Checked, setting
-from .tensor import Tensor, cross_entropy_rows, mask_loss_rows, _sigmoid
+from .tensor import Tensor, cross_entropy_rows, mask_loss_rows, sum_scalars, _sigmoid
 from .decoder import LayerOutputs, binarize_masks
 
 DICE_EPS = 1.0
@@ -169,7 +169,8 @@ def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: Loss
     shared by the dice terms of the matching cost and of every mask loss
     of that layer; the consistency target is binarize_masks of the
     earlier layer's logits. Each (layer, part) adds one class-loss node
-    and at most one mask-loss node to the tape.
+    and at most one mask-loss node to the tape, and the total is one
+    sum_scalars node over those terms, in the order they are made.
     """
     if mode not in MODES:
         raise ValueError(f"unknown loss mode {mode!r} (choose from {MODES})")
@@ -192,24 +193,23 @@ def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: Loss
     vectors = ([match(-1)] * len(layers) if mode == "fixed-last-layer"
                else [match(i) for i in layers])
 
-    def score(total, i, rows, vec):
+    terms = []
+
+    def score(i, rows, vec):
         hit = vec >= 0
         targets = np.where(hit, cats[vec], num_categories)
-        total = total + _class_loss(outputs.class_logits[i], rows, targets, weights)
+        terms.append(_class_loss(outputs.class_logits[i], rows, targets, weights))
         if hit.any():
-            total = total + _mask_loss(outputs.mask_logits[i], probs[i], rows[hit],
-                                       gt_flat[vec[hit]], weights)
-        return total
+            terms.append(_mask_loss(outputs.mask_logits[i], probs[i], rows[hit],
+                                    gt_flat[vec[hit]], weights))
 
-    total = Tensor(0.0)
     for i, vec in enumerate(vectors):
-        total = score(total, i, match_rows, vec)
+        score(i, match_rows, vec)
         if mp_part is not None:
-            total = score(total, i, n_match + np.arange(mp_part.num_queries),
-                          mp_part.instance_index)
+            score(i, n_match + np.arange(mp_part.num_queries), mp_part.instance_index)
         if mode == "consistency-aux" and i >= 1:
             prev = binarize_masks(outputs.mask_logits[i - 1].values[:n_match])
             prev = prev.reshape(n_match, -1).astype(np.float64)
-            total = total + _mask_loss(outputs.mask_logits[i], probs[i], match_rows, prev,
-                                       weights)
-    return total, np.stack(vectors)
+            terms.append(_mask_loss(outputs.mask_logits[i], probs[i], match_rows, prev,
+                                    weights))
+    return sum_scalars(terms), np.stack(vectors)

@@ -1,17 +1,19 @@
 """Dense float64 tensor with reverse-mode automatic differentiation.
 
 The graph is a dynamic tape: every op returns a fresh Tensor holding its
-inputs and a backward closure. Calling backward() on a scalar walks the
-tape in reverse topological order and accumulates gradients into every
-reachable Tensor that has requires_grad set. Values are never mutated by
-forward ops; the only sanctioned in-place write is an optimizer updating
-parameter .values between training steps.
+inputs and a backward closure. Calling backward() on a scalar, or with
+a seed gradient of the output's shape, walks the tape in reverse
+topological order and accumulates gradients into every reachable Tensor
+that has requires_grad set. Values are never mutated by forward ops; the
+only sanctioned in-place write is an optimizer updating parameter .values
+between training steps.
 
-Besides the arithmetic operators, sum and mean, the ops here are the ones
-the model records: matmul, take_rows, concat_rows and the fused ops. A
-fused op records one node for a whole block of the decoder or the loss,
-with a hand-written backward, because at this size the cost of a step is
-Python overhead per node, not arithmetic:
+The ops here are only the ones the model records: matmul, take_rows,
+concat_rows, sum_scalars (the loss total) and the fused ops. Tensor has
+no elementwise operator or reduction; the tests' compositions take theirs
+from tests/oracle.py. A fused op records one node for a whole block of
+the decoder or the loss, with a hand-written backward, because at this
+size the cost of a step is Python overhead per node, not arithmetic:
 
 - fused_attention: softmax(mask((x@wq)@keys.T * scale)) @ values @ wo;
 - add_norm_affine: layernorm(x + update) * gain + bias;
@@ -68,10 +70,20 @@ class Tensor:
         makes a new sum, and no stored gradient is written into."""
         self.grad = g if self.grad is None else self.grad + g
 
-    def backward(self):
-        """Populate .grad on every requires_grad ancestor of this scalar."""
-        if self.values.ndim != 0 and self.values.size != 1:
-            raise ValueError(f"backward() needs a scalar loss, got shape {self.values.shape}")
+    def backward(self, grad=None):
+        """Populate .grad on every requires_grad ancestor of this Tensor,
+        seeded with `grad`, an array of its shape. With no seed, the
+        Tensor must be a scalar and the seed is 1."""
+        if grad is None:
+            if self.values.ndim != 0 and self.values.size != 1:
+                raise ValueError(f"backward() needs a scalar loss or a seed, got shape "
+                                 f"{self.values.shape}")
+            grad = np.ones_like(self.values)
+        else:
+            grad = np.asarray(grad, dtype=np.float64)
+            if grad.shape != self.values.shape:
+                raise ValueError(f"backward() seed shape {grad.shape} != output shape "
+                                 f"{self.values.shape}")
         topo = []
         visited = set()
         stack = [(self, False)]
@@ -87,71 +99,15 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.values))
+        self._accumulate(grad)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
     # ------------------------------------------------------------------
-    # elementwise arithmetic (numpy broadcasting for add/mul family)
-
-    def __add__(self, other):
-        other = _as_tensor(other)
-        out = _make(self.values + other.values, (self, other))
-        if out.requires_grad:
-            def bw(g):
-                for t in (self, other):
-                    if t.requires_grad:
-                        t._accumulate(_unbroadcast(g, t.values.shape))
-            out._backward = bw
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = _make(-self.values, (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(-g)
-        return out
-
-    def __sub__(self, other):
-        return self + (-_as_tensor(other))
-
-    def __rsub__(self, other):
-        return _as_tensor(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_tensor(other)
-        out = _make(self.values * other.values, (self, other))
-        if out.requires_grad:
-            def bw(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g * other.values, self.values.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(g * self.values, other.values.shape))
-            out._backward = bw
-        return out
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_tensor(other)
-        out = _make(self.values / other.values, (self, other))
-        if out.requires_grad:
-            def bw(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g / other.values, self.values.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(-g * self.values / other.values ** 2,
-                                                   other.values.shape))
-            out._backward = bw
-        return out
-
-    # ------------------------------------------------------------------
-    # structural ops and reductions
+    # structural ops
 
     def matmul(self, other: "Tensor") -> "Tensor":
-        other = _as_tensor(other)
         a, b = self.values, other.values
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ValueError(f"matmul shape mismatch: {a.shape} vs {b.shape}")
@@ -177,23 +133,6 @@ class Tensor:
                 self._accumulate(acc)
             out._backward = bw
         return out
-
-    def sum(self) -> "Tensor":
-        out = _make(self.values.sum(), (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(np.full_like(self.values, float(g)))
-        return out
-
-    def mean(self) -> "Tensor":
-        n = self.values.size
-        out = _make(self.values.mean(), (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(np.full_like(self.values, float(g) / n))
-        return out
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
 def _make(values, parents) -> Tensor:
@@ -245,6 +184,23 @@ def concat_rows(tensors) -> Tensor:
             for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
                 if t.requires_grad:
                     t._accumulate(g[a:b])
+        out._backward = bw
+    return out
+
+
+def sum_scalars(terms) -> Tensor:
+    """The sum of scalar Tensors, added left to right starting from 0.0:
+    one node, whose backward hands its g to every term."""
+    terms = tuple(terms)
+    total = 0.0
+    for t in terms:
+        total = total + t.values
+    out = _make(total, terms)
+    if out.requires_grad:
+        def bw(g):
+            for t in terms:
+                if t.requires_grad:
+                    t._accumulate(g)
         out._backward = bw
     return out
 

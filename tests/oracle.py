@@ -1,15 +1,66 @@
 """The tests' oracles, which the model itself never runs: primitive ops,
 one small tape node each, that the tests compose as the oracle of
-mpseg.tensor's fused ops; one-mask point noise and nearest resizing,
-the oracles of mp._flip_points and masks.to_attention_blocks; the
-Hungarian solve as numpy array ops, the oracle of
-losses._solve_rows_leq_cols; and a scan over every candidate threshold,
-the oracle of metrics._threshold_exists."""
+mpseg.tensor's fused ops, among them the elementwise arithmetic and the
+reductions that Tensor itself does not define; one-mask point noise and
+nearest resizing, the oracles of mp._flip_points and
+masks.to_attention_blocks; the Hungarian solve as numpy array ops, the
+oracle of losses._solve_rows_leq_cols; and a scan over every candidate
+threshold, the oracle of metrics._threshold_exists."""
 
 import numpy as np
 
 from mpseg.masks import _nearest_indices, point_noise_region, seeded_rng
-from mpseg.tensor import Tensor, _make, _sigmoid
+from mpseg.tensor import Tensor, _make, _sigmoid, _unbroadcast
+
+
+def _as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _binary(a, b, value, grad_a, grad_b) -> Tensor:
+    """One node for an elementwise op of a and b, either of which may be a
+    constant, with numpy broadcasting: value(a, b) and the gradients
+    grad_a(g, a, b), grad_b(g, a, b) of the broadcast shape."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    out = _make(value(a.values, b.values), (a, b))
+    if out.requires_grad:
+        def bw(g):
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(grad_a(g, a.values, b.values), a.values.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(grad_b(g, a.values, b.values), b.values.shape))
+        out._backward = bw
+    return out
+
+
+def add(a, b) -> Tensor:
+    return _binary(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
+
+
+def sub(a, b) -> Tensor:
+    return _binary(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
+
+
+def mul(a, b) -> Tensor:
+    return _binary(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
+
+
+def div(a, b) -> Tensor:
+    return _binary(a, b, np.divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / y ** 2)
+
+
+def sum_all(x: Tensor) -> Tensor:
+    out = _make(x.values.sum(), (x,))
+    if out.requires_grad:
+        out._backward = lambda g: x._accumulate(np.full_like(x.values, float(g)))
+    return out
+
+
+def mean_all(x: Tensor) -> Tensor:
+    out = _make(x.values.mean(), (x,))
+    if out.requires_grad:
+        out._backward = lambda g: x._accumulate(np.full_like(x.values, float(g) / x.values.size))
+    return out
 
 
 def transpose(x: Tensor) -> Tensor:

@@ -15,7 +15,7 @@ from mpseg.mp import MPPart
 from mpseg.synth import SynthConfig, generate_scene, synth_features
 from mpseg.tensor import Tensor, _sigmoid, concat_rows, mlp2
 from mpseg.trainer import detach_params, layer_scale_table
-from oracle import reshape
+from oracle import add, mul, reshape, sum_all
 
 BENCH_CHECKPOINT = Path(__file__).resolve().parent.parent / "bench" / "data" / "checkpoint.bin"
 
@@ -40,7 +40,7 @@ def mask_head(params, queries: Tensor, embed_grid) -> Tensor:
 
 def class_head(params, queries: Tensor) -> Tensor:
     """The oracle of heads' class logits, one part at a time."""
-    return queries @ params.cls_w + params.cls_b
+    return add(queries @ params.cls_w, params.cls_b)
 
 
 def mask_logits(params, queries, embed):
@@ -77,9 +77,9 @@ def test_mask_head_gradient():
 
     def f(xs):
         p.mask_w1 = xs[1]
-        return (mask_logits(p, xs[0], embed) * w).sum()
+        return mask_logits(p, xs[0], embed)
 
-    err = check_gradient(f, [rng.uniform(-1, 1, size=(2, 4)), p.mask_w1.values.copy()])
+    err = check_gradient(f, [rng.uniform(-1, 1, size=(2, 4)), p.mask_w1.values.copy()], w)
     assert err < 1e-4
 
 
@@ -97,7 +97,7 @@ def test_heads_match_the_per_part_oracle(part_rows):
                         ffn_hidden=4)
         parts = [Tensor(q, requires_grad=True) for q in queries]
         outs = forward(p, parts)
-        ((outs[0] * weights[0]).sum() + (outs[1] * weights[1]).sum()).backward()
+        add(sum_all(mul(outs[0], weights[0])), sum_all(mul(outs[1], weights[1]))).backward()
         grads = [x.grad for x in parts] + [t.grad for _, t in named_parameters(p)
                                            if t.grad is not None]
         return [o.values for o in outs], grads
@@ -204,10 +204,10 @@ def test_decoder_layer_gradient():
         lp.ffn_w1 = xs[2]
         lp.ln1_g = xs[3]
         [out] = decoder_layer([xs[0]], Tensor(feats_v), [block], [None], lp, d)
-        return (out * w).sum()
+        return out
 
     err = check_gradient(f, [rng.uniform(-1, 1, size=(2, d)), lp.wq.values.copy(),
-                             lp.ffn_w1.values.copy(), lp.ln1_g.values.copy()])
+                             lp.ffn_w1.values.copy(), lp.ln1_g.values.copy()], w)
     assert err < 1e-4
 
 
@@ -229,10 +229,10 @@ def test_decoder_layer_two_part_gradient():
         lp.sk = xs[2]
         parts = decoder_layer([xs[0], xs[1]], Tensor(feats_v), cross, [None, mp_self],
                               lp, d)
-        return (concat_rows(parts) * w).sum()
+        return concat_rows(parts)
 
     err = check_gradient(f, [rng.uniform(-1, 1, size=(2, d)),
-                             rng.uniform(-1, 1, size=(3, d)), lp.sk.values.copy()])
+                             rng.uniform(-1, 1, size=(3, d)), lp.sk.values.copy()], w)
     assert err < 1e-4
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mpseg.decoder import LayerOutputs, binarize_masks, full_forward, init_params, plain_spec
+from mpseg import losses
 from mpseg.losses import (DICE_EPS, LossWeights, _solve_rows_leq_cols, cost_matrix, hungarian,
                           layer_losses)
 from mpseg.metrics import compute_matching_vectors
@@ -11,8 +12,8 @@ from mpseg.mp import MPConfig, MPPart
 from mpseg.synth import Scene, SynthConfig, generate_scene, synth_features
 from mpseg.tensor import Tensor, _sigmoid, cross_entropy_rows, mask_loss_rows
 from mpseg.trainer import layer_scale_table, mp_forward_spec
-from oracle import (bce_with_logits, gather_cols, logsumexp_lastdim, reshape, sigmoid,
-                    solve_rows_leq_cols, sum_lastdim)
+from oracle import (add, bce_with_logits, div, gather_cols, logsumexp_lastdim, mean_all, mul,
+                    reshape, sigmoid, solve_rows_leq_cols, sub, sum_all, sum_lastdim)
 
 
 def brute_force_min_cost(cost: np.ndarray) -> float:
@@ -268,19 +269,20 @@ def test_mode_validation():
 
 
 def composed_class_loss(cls_rows, targets, num_categories, no_object):
-    ce_each = logsumexp_lastdim(cls_rows) - gather_cols(cls_rows, targets)
+    ce_each = sub(logsumexp_lastdim(cls_rows), gather_cols(cls_rows, targets))
     wts = np.where(targets == num_categories, no_object, 1.0)
-    return (ce_each * wts).sum() / float(wts.sum())
+    return div(sum_all(mul(ce_each, wts)), float(wts.sum()))
 
 
-def composed_mask_loss(rows, targets):
-    """(mean BCE, mean dice) of row-aligned predictions and targets."""
-    bce = bce_with_logits(rows, targets).mean()
+def composed_mask_loss(rows, targets, w):
+    """w.bce * mean BCE + w.dice * mean dice of row-aligned predictions
+    and targets."""
+    bce = mean_all(bce_with_logits(rows, targets))
     p = sigmoid(rows)
-    inter = sum_lastdim(p * targets)
-    dice_each = 1.0 - (2.0 * inter + DICE_EPS) / (sum_lastdim(p)
-                                                  + Tensor(targets.sum(axis=1) + DICE_EPS))
-    return bce, dice_each.mean()
+    inter = sum_lastdim(mul(p, targets))
+    dice_each = sub(1.0, div(add(mul(2.0, inter), DICE_EPS),
+                             add(sum_lastdim(p), Tensor(targets.sum(axis=1) + DICE_EPS))))
+    return add(mul(w.bce, bce), mul(w.dice, mean_all(dice_each)))
 
 
 def composed_layer_losses(outputs, scene, mp_part, mode, w):
@@ -294,7 +296,7 @@ def composed_layer_losses(outputs, scene, mp_part, mode, w):
     if mode == "fixed-last-layer":
         fixed = hungarian(cost_matrix(outputs.mask_logits[-1].values[:n_match],
                                       outputs.class_logits[-1].values[:n_match], scene, w))
-    total = Tensor(0.0)
+    terms = []
     vectors = []
     for i, (ml, cl) in enumerate(zip(outputs.mask_logits, outputs.class_logits)):
         flat = reshape(ml, ml.values.shape[0], -1)
@@ -305,24 +307,24 @@ def composed_layer_losses(outputs, scene, mp_part, mode, w):
         gt_idx = vec[rows]
         targets = np.full(n_match, num_categories, dtype=np.intp)
         targets[rows] = cats[gt_idx]
-        total = total + w.cls * composed_class_loss(cl.take_rows(match_rows), targets,
-                                                    num_categories, w.no_object)
+        terms.append(mul(w.cls, composed_class_loss(cl.take_rows(match_rows), targets,
+                                                    num_categories, w.no_object)))
         if rows.size:
-            bce, dice = composed_mask_loss(flat.take_rows(rows), gt_flat[gt_idx])
-            total = total + w.bce * bce + w.dice * dice
+            terms.append(composed_mask_loss(flat.take_rows(rows), gt_flat[gt_idx], w))
         if mp_part is not None:
             mp_rows = n_match + np.arange(mp_part.num_queries)
-            total = total + w.cls * composed_class_loss(
+            terms.append(mul(w.cls, composed_class_loss(
                 cl.take_rows(mp_rows), cats[mp_part.instance_index], num_categories,
-                w.no_object)
-            bce, dice = composed_mask_loss(flat.take_rows(mp_rows),
-                                           gt_flat[mp_part.instance_index])
-            total = total + w.bce * bce + w.dice * dice
+                w.no_object)))
+            terms.append(composed_mask_loss(flat.take_rows(mp_rows),
+                                            gt_flat[mp_part.instance_index], w))
         if mode == "consistency-aux" and i >= 1:
             prev = binarize_masks(outputs.mask_logits[i - 1].values[:n_match])
-            bce, dice = composed_mask_loss(flat.take_rows(match_rows),
-                                           prev.reshape(n_match, -1).astype(np.float64))
-            total = total + w.bce * bce + w.dice * dice
+            terms.append(composed_mask_loss(flat.take_rows(match_rows),
+                                            prev.reshape(n_match, -1).astype(np.float64), w))
+    total = Tensor(0.0)
+    for term in terms:
+        total = add(total, term)
     return total, vectors
 
 
@@ -352,8 +354,8 @@ def test_cross_entropy_node_matches_composition(rows):
             wts = np.where(targets == 3, w.no_object, 1.0)
             out = cross_entropy_rows(cl, rows, targets, wts, w.cls)
         else:
-            out = w.cls * composed_class_loss(cl.take_rows(rows), targets, 3, w.no_object)
-        (out * 1.7).backward()
+            out = mul(w.cls, composed_class_loss(cl.take_rows(rows), targets, 3, w.no_object))
+        out.backward(1.7)
         runs.append((out.values, cl.grad))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert not runs[0][1][[r for r in range(7) if r not in rows]].any()
@@ -373,21 +375,23 @@ def test_mask_node_matches_composition(rows):
             out = mask_loss_rows(ml, _sigmoid(ml.values), rows, targets, w.bce, w.dice,
                                  DICE_EPS)
         else:
-            bce, dice = composed_mask_loss(reshape(ml, 7, -1).take_rows(rows), targets)
-            out = w.bce * bce + w.dice * dice
-        (out * 0.6).backward()
+            out = composed_mask_loss(reshape(ml, 7, -1).take_rows(rows), targets, w)
+        out.backward(0.6)
         runs.append((out.values, ml.grad))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert_grads_close([runs[0][1]], [runs[1][1]])
 
 
-@pytest.mark.parametrize("mode,with_mp", [("per-layer-bipartite", True),
-                                          ("consistency-aux", False),
-                                          ("fixed-last-layer", False)],
-                         ids=["matching+mp", "consistency-aux", "fixed-last-layer"])
-def test_layer_losses_match_composition_of_primitives(mode, with_mp):
+LOSS_MODES = pytest.mark.parametrize(
+    "mode,with_mp", [("per-layer-bipartite", True), ("consistency-aux", False),
+                     ("fixed-last-layer", False)],
+    ids=["matching+mp", "consistency-aux", "fixed-last-layer"])
+
+
+def random_layer_outputs(with_mp):
+    """A maker of fresh LayerOutputs over 3 layers of fixed random logits
+    that require grad, and the MP part of 4 rows when with_mp."""
     rng = np.random.default_rng(22)
-    scene = two_instance_scene()
     n_match, n_mp, n_layers = 3, 4, 3
     n = n_match + (n_mp if with_mp else 0)
     mask_values = [rng.uniform(-3, 3, size=(n, 4, 4)) for _ in range(n_layers)]
@@ -399,19 +403,49 @@ def test_layer_losses_match_composition_of_primitives(mode, with_mp):
                          instance_index=instance_index,
                          query_categories=np.array([2, 0, 1, 0]),
                          queries=Tensor(np.zeros((n_mp, 4))))
+
+    def outputs():
+        return LayerOutputs(mask_logits=[Tensor(v.copy(), requires_grad=True)
+                                         for v in mask_values],
+                            class_logits=[Tensor(v.copy(), requires_grad=True)
+                                          for v in class_values],
+                            n_match=n_match)
+    return outputs, mp_part
+
+
+@LOSS_MODES
+def test_layer_losses_match_composition_of_primitives(mode, with_mp):
+    make_outputs, mp_part = random_layer_outputs(with_mp)
+    scene = two_instance_scene()
     runs = []
     for f in (layer_losses, composed_layer_losses):
-        mls = [Tensor(v.copy(), requires_grad=True) for v in mask_values]
-        cls = [Tensor(v.copy(), requires_grad=True) for v in class_values]
-        out = LayerOutputs(mask_logits=mls, class_logits=cls, n_match=n_match)
+        out = make_outputs()
         total, assigns = f(out, scene, mp_part, mode, LossWeights())
         total.backward()
         runs.append((float(total.values), np.stack(assigns),
-                     [t.grad for t in mls + cls]))
+                     [t.grad for t in out.mask_logits + out.class_logits]))
     (loss, assigns, grads), (ref_loss, ref_assigns, ref_grads) = runs
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
     assert np.array_equal(assigns, ref_assigns)
     assert_grads_close(grads, ref_grads)
+
+
+@LOSS_MODES
+def test_layer_losses_total_is_one_node_over_every_term(monkeypatch, mode, with_mp):
+    made = []
+    for name in ("cross_entropy_rows", "mask_loss_rows"):
+        def recording(*args, real=getattr(losses, name)):
+            made.append(real(*args))
+            return made[-1]
+        monkeypatch.setattr(losses, name, recording)
+    make_outputs, mp_part = random_layer_outputs(with_mp)
+    total, _ = layer_losses(make_outputs(), two_instance_scene(), mp_part, mode,
+                            LossWeights())
+    assert made and total._parents == tuple(made)
+    fold = 0.0
+    for term in made:
+        fold = fold + term.values
+    assert total.values.tobytes() == np.float64(fold).tobytes()
 
 
 def test_cost_matrix_with_given_probabilities_is_bitwise_equal():

@@ -208,7 +208,7 @@ def test_mp_queries_backprop_to_class_embeddings():
     mp_cfg = MPConfig(n_q=8, lambda_label=0.0, noise_kind="none")
     part = build_mp_part(scene, params.class_embed, mp_cfg, LAYERS, seed=11)
     joined = concat_rows([params.query_embed, part.queries])
-    joined.sum().backward()
+    joined.backward(np.ones_like(joined.values))
     assert params.class_embed.grad is not None
     counts = np.bincount(part.query_categories, minlength=4)
     expected = np.repeat(counts[:, None].astype(float),

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from mpseg.gradcheck import check_gradient
-from mpseg.tensor import NEG_BIG, Tensor, add_norm_affine, concat_rows, fused_attention, mlp2
-from oracle import (bce_with_logits, gather_cols, layernorm_lastdim, log, logsumexp_lastdim,
-                    masked_fill, relu, reshape, sigmoid, softmax_lastdim, sum_lastdim,
-                    transpose)
+from mpseg.tensor import (NEG_BIG, Tensor, add_norm_affine, concat_rows, fused_attention, mlp2,
+                          sum_scalars)
+from oracle import (add, bce_with_logits, div, gather_cols, layernorm_lastdim, log,
+                    logsumexp_lastdim, masked_fill, mean_all, mul, relu, reshape, sigmoid,
+                    softmax_lastdim, sub, sum_all, sum_lastdim, transpose)
 
 
 def test_matmul_identity():
@@ -31,14 +32,14 @@ def test_matmul_gradient_vs_finite_differences():
     a = rng.uniform(-2, 2, size=(3, 4))
     b = rng.uniform(-2, 2, size=(4, 2))
     w = rng.uniform(-1, 1, size=(3, 2))
-    err = check_gradient(lambda xs: ((xs[0] @ xs[1]) * w).sum(), [a, b])
+    err = check_gradient(lambda xs: xs[0] @ xs[1], [a, b], w)
     assert err < 1e-6
 
 
 def test_check_gradient_perturbs_copies_of_its_inputs():
     w = np.random.default_rng(9).uniform(-2, 2, size=(3, 4))
     # w is both the input and a constant of f: d/dx sum(x * w) = w
-    assert check_gradient(lambda xs: (xs[0] * w).sum(), [w]) < 1e-6
+    assert check_gradient(lambda xs: sum_all(mul(xs[0], w)), [w]) < 1e-6
 
 
 def test_softmax_symmetry():
@@ -62,7 +63,7 @@ def test_softmax_jacobian_vs_finite_differences():
     rng = np.random.default_rng(4)
     x = rng.uniform(-2, 2, size=(5,))
     w = rng.uniform(-1, 1, size=(5,))
-    err = check_gradient(lambda xs: (softmax_lastdim(xs[0]) * w).sum(), [x])
+    err = check_gradient(lambda xs: softmax_lastdim(xs[0]), [x], w)
     assert err < 1e-6
 
 
@@ -81,7 +82,7 @@ def test_layernorm_hand_case():
 
 def test_broadcast_incompatibility_raises():
     with pytest.raises(ValueError):
-        Tensor(np.zeros((2, 3))) + Tensor(np.zeros((4, 5)))
+        add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
 
 
 def test_masked_fill_allfalse_is_identity():
@@ -94,18 +95,18 @@ def test_masked_fill_alltrue_blocks_gradient():
     x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
     out = masked_fill(x, np.ones((2, 2), dtype=bool), -1e9)
     assert (out.values == -1e9).all()
-    out.sum().backward()
+    out.backward(np.ones((2, 2)))
     assert np.array_equal(x.grad, np.zeros((2, 2)))
 
 
 def test_masked_fill_mixed_gradient():
     block = np.array([[True, False], [False, True]])
     x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
-    masked_fill(x, block, -7.0).sum().backward()
+    masked_fill(x, block, -7.0).backward(np.ones((2, 2)))
     assert np.array_equal(x.grad, np.where(block, 0.0, 1.0))
     rng = np.random.default_rng(5)
-    err = check_gradient(lambda xs: sigmoid(masked_fill(xs[0], block, -7.0)).sum(),
-                         [rng.uniform(-2, 2, size=(2, 2))])
+    err = check_gradient(lambda xs: sigmoid(masked_fill(xs[0], block, -7.0)),
+                         [rng.uniform(-2, 2, size=(2, 2))], np.ones((2, 2)))
     assert err < 1e-6
 
 
@@ -116,35 +117,43 @@ def test_masked_fill_shape_mismatch():
 
 def test_backward_sum_of_squares():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    (x * x).sum().backward()
+    sum_all(mul(x, x)).backward()
     assert np.array_equal(x.grad, [2.0, 4.0])
 
 
 def test_backward_detached_constant_gives_zero_grads():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    loss = (Tensor(x.values) * Tensor(x.values)).sum() + Tensor(0.0)
+    loss = sum_scalars([sum_all(mul(Tensor(x.values), Tensor(x.values))), Tensor(0.0)])
     loss.backward()
     assert x.grad is None
 
 
 def test_backward_requires_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    with pytest.raises(ValueError):
-        (x * x).backward()
+    with pytest.raises(ValueError, match=r"scalar loss or a seed, got shape \(2,\)"):
+        mul(x, x).backward()
+
+
+def test_backward_seed_of_the_wrong_shape_names_both_shapes():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    with pytest.raises(ValueError) as exc:
+        (x @ Tensor(np.ones((3, 4)))).backward(np.ones((4, 2)))
+    assert "(4, 2)" in str(exc.value) and "(2, 4)" in str(exc.value)
+    assert x.grad is None
 
 
 def test_backward_accumulates_without_reset():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    (x * x).sum().backward()
+    sum_all(mul(x, x)).backward()
     first = x.grad.copy()
-    (x * x).sum().backward()
+    sum_all(mul(x, x)).backward()
     assert np.array_equal(x.grad, 2 * first)
 
 
 def test_a_later_gradient_leaves_a_shared_first_gradient_unchanged():
     x = Tensor([1.0, 2.0], requires_grad=True)
     y = Tensor([3.0, 4.0], requires_grad=True)
-    (x + y).sum().backward()
+    sum_all(add(x, y)).backward()
     assert x.grad is y.grad
     x._accumulate(np.array([10.0, 20.0]))
     assert np.array_equal(x.grad, [11.0, 21.0])
@@ -157,7 +166,7 @@ def test_forward_bit_identical_across_evaluations():
     w = Tensor(rng.uniform(-2, 2, size=(6, 3)), requires_grad=True)
 
     def run():
-        return sigmoid(softmax_lastdim(layernorm_lastdim(x @ w))).sum().values.copy()
+        return sum_all(sigmoid(softmax_lastdim(layernorm_lastdim(x @ w)))).values.copy()
 
     assert np.array_equal(run(), run())
 
@@ -178,7 +187,7 @@ def test_concat_rows_and_take_rows_roundtrip():
     cat = concat_rows([a, b])
     assert cat.values.shape == (5, 3)
     picked = cat.take_rows([0, 3])
-    (picked * picked).sum().backward()
+    sum_all(mul(picked, picked)).backward()
     assert np.array_equal(a.grad[0], 2 * a.values[0])
     assert np.array_equal(a.grad[1], np.zeros(3))
     assert np.array_equal(b.grad[1], 2 * b.values[1])
@@ -193,33 +202,42 @@ def test_logsumexp_matches_numpy():
 
 
 def oracle_gradient_rows(rng) -> dict:
-    """name -> (f, inputs): a finite-difference row for each oracle primitive."""
+    """name -> (f, inputs, weight): a finite-difference row for each
+    oracle primitive, its output weighted by an array of its shape."""
     u = rng.uniform(-2.0, 2.0, size=(3, 4))
     w = rng.uniform(-2.0, 2.0, size=(3, 4))
     relu_in = rng.uniform(-2.0, 2.0, size=(3, 4))
     relu_in[np.abs(relu_in) < 0.1] = 0.5  # keep probes away from the kink
     block = rng.uniform(size=(3, 4)) < 0.5
     tgt = (rng.uniform(size=(3, 4)) < 0.5).astype(float)
+    row = rng.uniform(-2.0, 2.0, size=(4,))
+    positive = rng.uniform(1.0, 2.0, size=(3, 4))
+    w3 = np.array([1.0, -2.0, 0.5])
     return {
-        "relu": (lambda xs: relu(xs[0]).sum(), [relu_in]),
-        "sigmoid": (lambda xs: sigmoid(xs[0]).sum(), [u]),
-        "log": (lambda xs: log(xs[0]).sum(), [rng.uniform(0.5, 2.0, size=(3, 4))]),
-        "softmax": (lambda xs: (softmax_lastdim(xs[0]) * w).sum(), [u]),
-        "logsumexp": (lambda xs: logsumexp_lastdim(xs[0]).sum(), [u]),
-        "layernorm": (lambda xs: (layernorm_lastdim(xs[0]) * w).sum(), [u]),
-        "masked_fill": (lambda xs: masked_fill(xs[0], block, -5.0).sum(), [u]),
-        "bce_with_logits": (lambda xs: bce_with_logits(xs[0], tgt).mean(), [u]),
-        "gather_cols": (lambda xs: gather_cols(xs[0], [1, 3, 0]).sum(), [u]),
-        "transpose_reshape": (lambda xs: (reshape(transpose(xs[0]), 2, 6) * 1.5).sum(), [u]),
-        "sum_lastdim": (lambda xs: (sum_lastdim(xs[0]) * np.array([1.0, -2.0, 0.5])).sum(),
-                        [u]),
+        "relu": (lambda xs: relu(xs[0]), [relu_in], w),
+        "sigmoid": (lambda xs: sigmoid(xs[0]), [u], w),
+        "log": (lambda xs: log(xs[0]), [rng.uniform(0.5, 2.0, size=(3, 4))], w),
+        "softmax": (lambda xs: softmax_lastdim(xs[0]), [u], w),
+        "logsumexp": (lambda xs: logsumexp_lastdim(xs[0]), [u], w3),
+        "layernorm": (lambda xs: layernorm_lastdim(xs[0]), [u], w),
+        "masked_fill": (lambda xs: masked_fill(xs[0], block, -5.0), [u], w),
+        "bce_with_logits": (lambda xs: bce_with_logits(xs[0], tgt), [u], w),
+        "gather_cols": (lambda xs: gather_cols(xs[0], [1, 3, 0]), [u], w3),
+        "transpose_reshape": (lambda xs: reshape(transpose(xs[0]), 2, 6), [u], w.reshape(2, 6)),
+        "sum_lastdim": (lambda xs: sum_lastdim(xs[0]), [u], w3),
+        "add_broadcast": (lambda xs: add(xs[0], xs[1]), [u, row], w),
+        "sub": (lambda xs: sub(xs[0], xs[1]), [u, relu_in], w),
+        "mul_broadcast": (lambda xs: mul(xs[0], xs[1]), [u, row], w),
+        "div": (lambda xs: div(xs[0], xs[1]), [u, positive], w),
+        "sum_all": (lambda xs: sum_all(xs[0]), [u], None),
+        "mean_all": (lambda xs: mean_all(xs[0]), [u], None),
     }
 
 
 @pytest.mark.parametrize("name", list(oracle_gradient_rows(np.random.default_rng(0))))
 def test_oracle_primitive_gradient(name):
-    f, inputs = oracle_gradient_rows(np.random.default_rng(0))[name]
-    assert check_gradient(f, inputs) < 1e-4
+    f, inputs, weight = oracle_gradient_rows(np.random.default_rng(0))[name]
+    assert check_gradient(f, inputs, weight) < 1e-4
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +258,7 @@ def assert_same_as_composition(fused, composed, arrays, seed):
             value = out.values
         else:
             assert np.array_equal(out.values, value)
-        (out * weight).sum().backward()
+        out.backward(weight)
         grads.append([x.grad for x in xs])
     for g_fused, g_composed in zip(*grads):
         scale = np.abs(g_composed).max()
@@ -249,7 +267,7 @@ def assert_same_as_composition(fused, composed, arrays, seed):
 
 
 def composed_attention(x, keys, values, block, wq, wo, scale):
-    logits = ((x @ wq) @ transpose(keys)) * scale
+    logits = mul((x @ wq) @ transpose(keys), scale)
     if block is not None:
         logits = masked_fill(logits, block, NEG_BIG)
     return softmax_lastdim(logits) @ values @ wo
@@ -282,7 +300,7 @@ def test_fused_attention_fully_blocked_row_is_uniform_and_passes_no_logit_gradie
     block[1] = True
     out = fused_attention(x, keys, values, block, eye, eye, 1.0)
     np.testing.assert_allclose(out.values[1], values.values.mean(axis=0), rtol=0, atol=1e-15)
-    (out * np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])).sum().backward()
+    out.backward(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
     assert x.grad is not None and not x.grad[1].any()
     assert not keys.grad.any()
 
@@ -300,7 +318,7 @@ def test_add_norm_affine_matches_composition():
               rng.uniform(0.5, 1.5, size=(8,)), rng.uniform(-1, 1, size=(8,))]
     assert_same_as_composition(
         lambda xs: add_norm_affine(*xs),
-        lambda xs: layernorm_lastdim(xs[0] + xs[1]) * xs[2] + xs[3],
+        lambda xs: add(mul(layernorm_lastdim(add(xs[0], xs[1])), xs[2]), xs[3]),
         arrays, seed=2)
 
 
@@ -311,7 +329,7 @@ def test_mlp2_matches_composition():
               rng.uniform(-1, 1, size=(8,))]
     assert_same_as_composition(
         lambda xs: mlp2(*xs),
-        lambda xs: relu(xs[0] @ xs[1] + xs[2]) @ xs[3] + xs[4],
+        lambda xs: add(relu(add(xs[0] @ xs[1], xs[2])) @ xs[3], xs[4]),
         arrays, seed=3)
 
 
@@ -337,7 +355,7 @@ def test_add_norm_affine_of_a_tensor_with_itself_matches_composition():
               rng.uniform(-1, 1, size=(8,))]
     assert_same_as_composition(
         lambda xs: add_norm_affine(xs[0], xs[0], xs[1], xs[2]),
-        lambda xs: layernorm_lastdim(xs[0] + xs[0]) * xs[1] + xs[2],
+        lambda xs: add(mul(layernorm_lastdim(add(xs[0], xs[0])), xs[1]), xs[2]),
         arrays, seed=4)
 
 
@@ -361,14 +379,14 @@ def test_a_tensor_read_by_two_fused_ops_matches_composition():
               rng.uniform(-1, 1, size=(8,))]
     assert_same_as_composition(
         lambda xs: add_norm_affine(xs[0], mlp2(*xs[:5]), xs[5], xs[6]),
-        lambda xs: layernorm_lastdim(
-            xs[0] + (relu(xs[0] @ xs[1] + xs[2]) @ xs[3] + xs[4])) * xs[5] + xs[6],
+        lambda xs: add(mul(layernorm_lastdim(
+            add(xs[0], add(relu(add(xs[0] @ xs[1], xs[2])) @ xs[3], xs[4]))), xs[5]), xs[6]),
         arrays, seed=6)
 
 
 def test_check_gradient_fails_a_nan_error():
     # log(-1) is NaN: the finite difference is NaN while the tape says -1
     with np.errstate(invalid="ignore"):
-        err = check_gradient(lambda xs: log(xs[0]).sum(), [[-1.0, 2.0]])
+        err = check_gradient(lambda xs: log(xs[0]), [[-1.0, 2.0]], np.ones(2))
     assert not err < 1e-4
     assert err == np.inf
