@@ -19,8 +19,9 @@ from .config import (ConfigError, GenDataConfig, RefineStudyConfig, VARIANTS, bu
                      load_config_json, parse_run_config)
 from .decoder import full_forward, load_checkpoint, save_checkpoint
 from .losses import LossWeights, NonFiniteError
-from .metrics import (config_hash, sample_refinement_instance, save_layer_csv, save_report,
-                      util_mp_bipartite)
+from .metrics import (compute_matching_vectors, config_hash, miou_layerwise,
+                      sample_refinement_instance, save_layer_csv, save_report,
+                      util_layerwise, util_mp_bipartite)
 from .masks import FormatError, seeded_rng
 from .mp import MPConfig
 from .synth import generate_scene, save_dataset, synth_features
@@ -113,7 +114,7 @@ def cmd_analyze(args) -> int:
     params, _meta, scenes, synth_cfg = _load_compatible(args.checkpoint, args.dataset)
     seed = args.seed if args.seed is not None else 0
     rows = analyze_dataset(params, scenes, synth_cfg, seed=seed)
-    text, csv_text = format_analysis(rows, params.num_layers)
+    text, csv_text = format_analysis(rows)
     sys.stdout.write(text)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -122,45 +123,42 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def analyze_dataset(params, scenes, synth_cfg, seed: int = 0):
-    """Per-layer diagnostics: the matching part's mIoU-L and util (MP
-    disabled, as evaluate scores them) plus MP-part utilization under
-    bipartite matching."""
+def analyze_dataset(params, scenes, synth_cfg, seed: int = 0) -> dict:
+    """Per-layer diagnostics, {row name: (L,) array} in table order, read
+    off one MP forward per scene: the matching part's mIoU-L and util
+    (bitwise evaluate's, since the matching rows never read the MP part)
+    and MP-part utilization under bipartite matching."""
     weights = LossWeights()
-    report = evaluate(params, scenes, synth_cfg, weights)
     frozen = detach_params(params)
     mp_cfg = MPConfig(n_q=params.n_queries)
     layers = range(1, params.num_layers + 1)
-    mp_bi_rows = []
+    mious, utils, mp_utils = [], [], []
     for scene in scenes:
         spec, _ = mp_forward_spec(synth_features(scene, synth_cfg), scene, frozen, mp_cfg,
                                   layers, [seed, 3, scene.index])
-        mp_bi_rows.append(util_mp_bipartite(full_forward(spec, frozen), scene, weights))
-    return {
-        "miou_l": report.miou_l,
-        "util": report.util,
-        "mp_util_bipartite": np.mean(mp_bi_rows, axis=0),
-    }
+        outputs = full_forward(spec, frozen)
+        mious.append(miou_layerwise(outputs))
+        vectors = compute_matching_vectors(outputs, scene, weights)
+        utils.append(util_layerwise(vectors, scene.num_instances))
+        mp_utils.append(util_mp_bipartite(outputs, scene, weights))
+    # the util rows hold layers 0..L; the table starts at layer 1
+    return {"miou_l": np.mean(mious, axis=0), "util": np.mean(utils, axis=0)[1:],
+            "mp_util_bipartite": np.mean(mp_utils, axis=0)[1:]}
 
 
-def format_analysis(rows: dict, num_layers: int):
-    header = ["layer"] + [str(i) for i in range(1, num_layers + 1)]
-    miou = ["miou_l(%)"] + [f"{100 * v:.1f}" for v in rows["miou_l"]]
-    util = ["util(%)"] + [f"{100 * v:.1f}" for v in rows["util"][1:]]
-    bi = ["mp_util_bipartite(%)"] + [f"{100 * v:.1f}"
-                                     for v in rows["mp_util_bipartite"][1:]]
-    widths = [max(len(r[i]) for r in (header, miou, util, bi))
-              for i in range(len(header))]
-    lines = []
-    for r in (header, miou, util, bi):
-        lines.append("  ".join(s.rjust(w) for s, w in zip(r, widths)))
-    text = "\n".join(lines) + "\n"
+def format_analysis(rows: dict):
+    """(text table, CSV) of analyze_dataset's rows, in percent: one line
+    per row in the text and one column per row in the CSV."""
+    num_layers = len(next(iter(rows.values())))
+    table = [["layer"] + [str(i) for i in range(1, num_layers + 1)]]
+    table += [[f"{name}(%)"] + [f"{100 * v:.1f}" for v in row] for name, row in rows.items()]
+    widths = [max(len(r[i]) for r in table) for i in range(len(table[0]))]
+    text = "".join("  ".join(s.rjust(w) for s, w in zip(r, widths)) + "\n" for r in table)
 
-    csv_lines = ["layer,miou_l,util,mp_util_bipartite"]
-    for i in range(1, num_layers + 1):
-        csv_lines.append(f"{i},{100 * rows['miou_l'][i - 1]:.6f},"
-                         f"{100 * rows['util'][i]:.6f},"
-                         f"{100 * rows['mp_util_bipartite'][i]:.6f}")
+    csv_lines = [",".join(["layer", *rows])]
+    for i in range(num_layers):
+        csv_lines.append(",".join([str(i + 1)] + [f"{100 * row[i]:.6f}"
+                                                 for row in rows.values()]))
     return text, "\n".join(csv_lines) + "\n"
 
 

@@ -11,9 +11,10 @@ sections, gen-data and refine-study configs and dataset headers.
 A variant is a preset: VARIANTS maps it to whether the MP part is on, the
 loss mode, and the MP keys it changes. parse_run_config puts the file's
 explicit mp keys on top of the preset, so an explicit key wins. The
-variant owns loss_mode and mp.enabled; a file may repeat them with the
-variant's values (config-resolved.json does) and any other value is a
-ConfigError.
+variant owns loss_mode and mp.enabled: RunConfig's __post_init__ holds
+both to the variant's values, so a config built in Python obeys the same
+rule as a file, which may repeat them (config-resolved.json does).
+RunConfig() is the baseline, with MP off.
 
 Every command echoes its fully-resolved configuration into the output
 directory so runs can be reproduced from artifacts alone.
@@ -72,7 +73,7 @@ class RunConfig(Checked):
     model: ModelSettings = setting(kind=ModelSettings, factory=ModelSettings)
     loss: LossWeights = setting(kind=LossWeights, factory=LossWeights)
     loss_mode: str = setting("per-layer-bipartite", str, MODES)
-    mp: MPConfig = setting(kind=MPConfig, factory=MPConfig)
+    mp: MPConfig = setting(kind=MPConfig, factory=lambda: MPConfig(enabled=False))
     train: TrainSettings = setting(kind=TrainSettings, factory=TrainSettings)
     variant: str = setting("baseline", str, tuple(VARIANTS))
     seed: int = setting(0, int, "[0, inf)")
@@ -87,6 +88,12 @@ class RunConfig(Checked):
         if any(l > self.model.num_layers for l in self.mp.mp_layers or ()):
             raise ConfigError(f"mp.mp_layers {list(self.mp.mp_layers)} must lie in "
                               f"[1, model.num_layers = {self.model.num_layers}]")
+        mp_on, loss_mode, _ = VARIANTS[self.variant]
+        if self.loss_mode != loss_mode or self.mp.enabled is not mp_on:
+            raise ConfigError(
+                f"variant {self.variant!r} sets loss_mode {loss_mode!r} and mp.enabled "
+                f"{json.dumps(mp_on)}; the config gives {self.loss_mode!r} and "
+                f"{json.dumps(self.mp.enabled)}")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=1)
@@ -115,14 +122,7 @@ def parse_run_config(raw: dict) -> RunConfig:
     mp = raw.get("mp", {})
     if isinstance(mp, dict):
         mp = {**preset, "enabled": mp_on, **mp}
-    cfg = build(RunConfig, {**raw, "loss_mode": loss_mode, "mp": mp})
-    given_mode = raw.get("loss_mode", loss_mode)
-    if given_mode != loss_mode or cfg.mp.enabled is not mp_on:
-        raise ConfigError(
-            f"variant {variant!r} sets loss_mode {loss_mode!r} and mp.enabled "
-            f"{json.dumps(mp_on)}; the config gives {given_mode!r} and "
-            f"{json.dumps(cfg.mp.enabled)}")
-    return cfg
+    return build(RunConfig, {"loss_mode": loss_mode, **raw, "mp": mp})
 
 
 def apply_variant(cfg: RunConfig) -> RunConfig:

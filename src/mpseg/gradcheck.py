@@ -138,11 +138,11 @@ def _end_to_end_check(seed: int, with_mp: bool):
 
     Every parameter tensor is probed at COORDS_PER_PARAM random coordinates;
     the forward is the real pipeline (masked attention, heads, matching,
-    classification + mask losses). With with_mp, the queries are the
-    matching part plus a two-group MP part built by mp_forward_spec, so
-    the MP rows of the loss are checked too.
+    classification + mask losses). The spec comes from mp_forward_spec;
+    with with_mp, MP is on and the queries are the matching part plus a
+    two-group MP part, so the MP rows of the loss are checked too.
     """
-    from .decoder import full_forward, init_params, named_parameters, plain_spec
+    from .decoder import full_forward, init_params, named_parameters
     from .losses import LossWeights, layer_losses
     from .mp import MPConfig
     from .synth import SynthConfig, generate_scene, synth_features
@@ -157,15 +157,12 @@ def _end_to_end_check(seed: int, with_mp: bool):
     pairs = named_parameters(params)
     weights = LossWeights()
 
-    mp_cfg = MPConfig(n_q=4)
+    mp_cfg = MPConfig(n_q=4, enabled=with_mp)
     layers = range(1, params.num_layers + 1)
 
     def loss_tensor():
-        if with_mp:  # rebuilt per call: the MP queries are rows of class_embed
-            spec, mp_part = mp_forward_spec(pyramid, scene, params, mp_cfg, layers,
-                                            [seed, 2, 0])
-        else:
-            spec, mp_part = plain_spec(pyramid, params), None
+        # rebuilt per call: the MP queries are rows of class_embed
+        spec, mp_part = mp_forward_spec(pyramid, scene, params, mp_cfg, layers, [seed, 2, 0])
         outputs = full_forward(spec, params)
         total, _ = layer_losses(outputs, scene, mp_part=mp_part,
                                 mode="per-layer-bipartite", weights=weights)

@@ -108,7 +108,8 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     return row_to_col
 
 
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
+def softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Softmax of each row of x: the class probabilities of class logits."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -126,7 +127,7 @@ def cost_matrix(mask_logit_values: np.ndarray, class_logit_values: np.ndarray,
     if gt.shape[1] != npix:
         raise ValueError(f"prediction has {npix} pixels, GT has {gt.shape[1]}")
 
-    cls_term = -_softmax_rows(class_logit_values)[:, scene.categories]
+    cls_term = -softmax_rows(class_logit_values)[:, scene.categories]
 
     softplus_mean = (np.maximum(pred, 0.0) + np.log1p(np.exp(-np.abs(pred)))).mean(axis=1)
     bce = softplus_mean[:, None] - (pred @ gt.T) / npix

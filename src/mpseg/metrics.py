@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decoder import LayerOutputs, binarize_masks
-from .losses import LossWeights, cost_matrix, hungarian
+from .losses import LossWeights, cost_matrix, hungarian, softmax_rows
 from .masks import iou
 
 
@@ -120,10 +120,7 @@ def extract_predictions(outputs: LayerOutputs):
     """Final-layer (categories, scores, masks) arrays, one row per
     matching query."""
     n = outputs.n_match
-    cls = outputs.class_logits[-1].values[:n]
-    e = np.exp(cls - cls.max(axis=1, keepdims=True))
-    probs = e / e.sum(axis=1, keepdims=True)
-    real = probs[:, :-1]
+    real = softmax_rows(outputs.class_logits[-1].values[:n])[:, :-1]
     cats = real.argmax(axis=1)
     scores = real[np.arange(n), cats]
     return cats, scores, binarize_masks(outputs.mask_logits[-1].values[:n])

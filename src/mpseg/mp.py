@@ -70,21 +70,20 @@ def _subseed(seed, *tags) -> list:
     return [int(s) for s in base] + [int(t) for t in tags]
 
 
-def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layers, seed: int):
-    """Build the MP part for one scene, or None when there is nothing to pilot.
+def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layers, seed: list):
+    """Build the MP part for one scene, or None when MP is off
+    (cfg.enabled false) or there is nothing to pilot.
 
     layers, the decoder's 1-based layer indices (any iterable, so a dict
     keyed by layer works), are piloted when cfg.mp_layers is None. Fresh
     noise sub-seeds are drawn per (layer, group, instance) so every layer
-    sees independently corrupted masks. Deterministic in `seed`. The
-    label-flip streams come from one masks.seeded_rngs call, and the
-    point-noise streams of every layer from one more.
+    sees independently corrupted masks. Deterministic in `seed`, a list of
+    ints (a bare int is taken as a list of one). The label-flip streams
+    come from one masks.seeded_rngs call, and the point-noise streams of
+    every layer from one more.
     """
-    if not cfg.enabled:
-        raise ValueError("build_mp_part called with MP disabled")
-    n_o = scene.num_instances
-    n_g = dynamic_groups(cfg.n_q, n_o)
-    if n_g == 0:
+    n_g = dynamic_groups(cfg.n_q, scene.num_instances)
+    if not cfg.enabled or n_g == 0:
         return None
     gt_masks = scene.masks[:cfg.n_q]  # the first n_q instances when there are more
     per_group = len(gt_masks)

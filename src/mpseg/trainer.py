@@ -152,8 +152,10 @@ def split_scenes(scenes, holdout_frac: float):
 
 def mp_forward_spec(pyramid, scene, params: DecoderParams, mp_cfg, layers,
                     seed) -> tuple:
-    """(ForwardSpec, MPPart-or-None) with the MP part attached when possible.
-    layers is build_mp_part's: layer indices, or a dict keyed by them (a
+    """(ForwardSpec, MPPart or None): the spec of every forward that may
+    carry MP. With no MP part (mp_cfg.enabled false, or a scene with no
+    instance) the spec is plain_spec's. layers and seed go to
+    build_mp_part: layers is the layer indices, or a dict keyed by them (a
     layer_scale_table), which iterates as its keys."""
     mp_part = build_mp_part(scene, params.class_embed, mp_cfg, layers, seed)
     return ForwardSpec(pyramid, params.query_embed, mp_part), mp_part
@@ -182,11 +184,8 @@ def run_training(cfg: RunConfig, log=None):
             lr *= cfg.train.decay_factor
         scene = train_scenes[step % n_train]
         pyramid = pyramids[scene.index]
-        if cfg.mp.enabled:
-            spec, mp_part = mp_forward_spec(pyramid, scene, params, cfg.mp, layers,
-                                            seed=[cfg.seed, 2, step])
-        else:
-            spec, mp_part = plain_spec(pyramid, params), None
+        spec, mp_part = mp_forward_spec(pyramid, scene, params, cfg.mp, layers,
+                                        seed=[cfg.seed, 2, step])
         outputs = full_forward(spec, params)
         loss, _ = layer_losses(outputs, scene, mp_part, cfg.loss_mode, cfg.loss)
         loss_val = float(loss.values)

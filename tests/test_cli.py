@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpseg import cli, gradcheck, mp, trainer
-from mpseg.decoder import init_params, save_checkpoint
+from mpseg import cli, decoder, gradcheck, mp, trainer
+from mpseg.decoder import init_params, load_checkpoint, save_checkpoint
+from mpseg.losses import LossWeights
 from mpseg.synth import SynthConfig, generate_scene, save_dataset
 from mpseg.tensor import Tensor
 
@@ -354,6 +355,42 @@ def test_analyze_on_the_bench_checkpoint(tmp_path, capsys):
     csv_lines = (tmp_path / "out" / "analysis.csv").read_text().splitlines()
     assert csv_lines[0] == "layer,miou_l,util,mp_util_bipartite"
     assert len(csv_lines) == 1 + 9
+
+
+def test_analyze_rows_are_evaluates_rows():
+    params, _meta = load_checkpoint(BENCH_CHECKPOINT)
+    cfg = SynthConfig(seed=5)
+    scenes = [generate_scene(cfg, i) for i in range(3)]
+    rows = cli.analyze_dataset(params, scenes, cfg)
+    assert list(rows) == ["miou_l", "util", "mp_util_bipartite"]
+    assert all(row.shape == (params.num_layers,) for row in rows.values())
+    report = trainer.evaluate(params, scenes, cfg, LossWeights())
+    assert np.array_equal(rows["miou_l"], report.miou_l)
+    assert np.array_equal(rows["util"], report.util[1:])
+
+
+def test_analyze_runs_one_forward_per_scene(artifacts, monkeypatch):
+    ckpt, data = artifacts
+    params, _meta, scenes, synth_cfg = cli._load_compatible(ckpt, data)
+    calls = []
+
+    def counting(spec, params):
+        calls.append(spec.mp is not None)
+        return decoder.full_forward(spec, params)
+
+    for module in (cli, trainer):
+        monkeypatch.setattr(module, "full_forward", counting)
+    cli.analyze_dataset(params, scenes, synth_cfg)
+    assert calls == [True] * len(scenes)
+
+
+def test_format_analysis_gives_each_row_a_line_and_a_column():
+    text, csv_text = cli.format_analysis({"a": np.array([0.5, 0.25]),
+                                          "bb_long": np.array([1.0, 0.125])})
+    assert text == ("     layer      1     2\n"
+                    "      a(%)   50.0  25.0\n"
+                    "bb_long(%)  100.0  12.5\n")
+    assert csv_text == "layer,a,bb_long\n1,50.000000,100.000000\n2,25.000000,12.500000\n"
 
 
 def test_grad_check_exits_check_when_a_row_fails(monkeypatch, capsys):

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from mpseg.config import VARIANTS, ConfigError, parse_run_config
+from mpseg.config import VARIANTS, ConfigError, RunConfig, parse_run_config
 from mpseg.metrics import config_hash
 from mpseg.mp import MPConfig
 from mpseg.synth import SynthConfig
@@ -153,3 +153,25 @@ def test_to_json_round_trips(variant):
 def test_a_config_built_in_python_is_checked_as_one_from_a_file(make):
     with pytest.raises(ConfigError):
         make()
+
+
+def test_the_default_run_config_is_the_baseline_with_mp_off():
+    cfg = RunConfig()
+    assert (cfg.variant, cfg.mp.enabled) == ("baseline", False)
+    assert cfg.to_json() == parse_run_config({}).to_json()
+
+
+@pytest.mark.parametrize("variant", [v for v in sorted(VARIANTS) if v != "baseline"])
+def test_a_python_config_without_its_variants_preset_is_rejected(variant):
+    mp_on, loss_mode, _ = VARIANTS[variant]
+    message = (f"variant {variant!r} sets loss_mode {loss_mode!r} and mp.enabled "
+               f"{json.dumps(mp_on)}; the config gives 'per-layer-bipartite' and false")
+    with pytest.raises(ConfigError) as info:
+        RunConfig(variant=variant)
+    assert str(info.value) == message
+    # a file config that contradicts its variant the same way prints the same line
+    with pytest.raises(ConfigError) as info:
+        parse_run_config({"variant": variant, "loss_mode": "per-layer-bipartite",
+                          "mp": {"enabled": False}})
+    assert str(info.value) == message
+    RunConfig(variant=variant, loss_mode=loss_mode, mp=MPConfig(enabled=mp_on))

@@ -198,8 +198,15 @@ def test_mp_disabled_spec_is_plain():
     pyramid = synth_features(scene, cfg)
     params = init_params(seed=7, num_categories=4)
     mp_cfg = MPConfig(enabled=False)
-    with pytest.raises(ValueError):
-        build_mp_part(scene, params.class_embed, mp_cfg, LAYERS, seed=0)
+    assert build_mp_part(scene, params.class_embed, mp_cfg, LAYERS, seed=0) is None
+    spec, part = mp_forward_spec(pyramid, scene, params, mp_cfg, LAYERS, seed=[0, 2, 0])
+    assert part is None and spec.mp is None
+    off = full_forward(spec, params)
+    plain = full_forward(plain_spec(pyramid, params), params)
+    assert off.n_match == plain.n_match
+    for a, b in zip(off.mask_logits + off.class_logits, plain.mask_logits + plain.class_logits,
+                    strict=True):
+        assert np.array_equal(a.values, b.values)
 
 
 def test_mp_queries_backprop_to_class_embeddings():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpseg import gradcheck, tensor, trainer
-from mpseg.config import VARIANTS, parse_run_config
+from mpseg.config import VARIANTS, RunConfig, TrainSettings, parse_run_config
 from mpseg.decoder import full_forward, init_params, named_parameters, plain_spec
 from mpseg.gradcheck import run_gradient_suite
 from mpseg.losses import LossWeights, layer_losses
@@ -62,6 +62,19 @@ def test_epoch_losses_include_a_final_partial_epoch(monkeypatch):
     _, report, _ = trainer.run_training(small_config(steps=10))
     assert report.losses == [float(np.mean(step_losses[a:b]))
                              for a, b in ((0, 4), (4, 8), (8, 10))]
+
+
+def test_a_default_run_config_trains_with_no_mp_part(monkeypatch):
+    mp_parts = []
+    real = trainer.layer_losses
+
+    def recording(outputs, scene, mp_part, *rest):
+        mp_parts.append(mp_part)
+        return real(outputs, scene, mp_part, *rest)
+
+    monkeypatch.setattr(trainer, "layer_losses", recording)
+    trainer.run_training(RunConfig(num_scenes=2, train=TrainSettings(steps=2)))
+    assert mp_parts == [None, None]
 
 
 def test_non_finite_loss_raises_numeric_error(monkeypatch):
