@@ -1,6 +1,15 @@
 """Command-line entry points.
 
-Verbs: gen-data, train, eval, analyze, grad-check, refine-study.
+Verbs and the files they write:
+- gen-data: the dataset file (--out or the config's "out");
+- train: config-resolved.json, checkpoint.bin, report.txt and layers.csv
+  in the run's out_dir;
+- eval: report.txt and layers.csv in --out, when given;
+- analyze: analysis.csv in --out, when given;
+- grad-check: nothing;
+- refine-study: the study CSV (--out or the config's "out").
+Every per-layer CSV (layers.csv, analysis.csv) comes from
+metrics.layer_table.
 Exit codes: 0 ok, 1 check failure, 2 config error, 3 I/O error or a
 malformed checkpoint or dataset, 4 numeric failure (a non-finite loss,
 parameter or matching cost), 5 compatibility mismatch.
@@ -19,9 +28,8 @@ from .config import (ConfigError, GenDataConfig, RefineStudyConfig, VARIANTS, bu
                      load_config_json, parse_run_config)
 from .decoder import full_forward, load_checkpoint, save_checkpoint
 from .losses import LossWeights, NonFiniteError
-from .metrics import (compute_matching_vectors, config_hash, miou_layerwise,
-                      sample_refinement_instance, save_layer_csv, save_report,
-                      util_layerwise, util_mp_bipartite)
+from .metrics import (compute_matching_vectors, config_hash, layer_table, miou_layerwise,
+                      sample_refinement_instance, util_layerwise, util_mp_bipartite)
 from .masks import FormatError, seeded_rng
 from .mp import MPConfig
 from .synth import generate_scene, save_dataset, synth_features
@@ -67,18 +75,21 @@ def _resolved_run_config(args):
     return cfg
 
 
+def _write(path, text: str):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
+
+
 def cmd_train(args) -> int:
     cfg = _resolved_run_config(args)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "config-resolved.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(cfg.to_json() + "\n")
+    _write(os.path.join(cfg.out_dir, "config-resolved.json"), cfg.to_json() + "\n")
     params, report, synth_cfg = run_training(cfg, log=print)
     save_checkpoint(os.path.join(cfg.out_dir, "checkpoint.bin"), params,
                     extra_meta={"feat_dim": synth_cfg.feat_dim,
                                 "variant": cfg.variant, "seed": cfg.seed})
-    save_report(os.path.join(cfg.out_dir, "report.txt"), report)
-    save_layer_csv(os.path.join(cfg.out_dir, "layers.csv"), report)
+    _write(os.path.join(cfg.out_dir, "report.txt"), report.to_text())
+    _write(os.path.join(cfg.out_dir, "layers.csv"), report.to_csv())
     print(f"done; artifacts in {cfg.out_dir}")
     return EXIT_OK
 
@@ -100,13 +111,12 @@ def cmd_eval(args) -> int:
     params, _meta, scenes, synth_cfg = _load_compatible(args.checkpoint, args.dataset)
     report = evaluate(params, scenes, synth_cfg, LossWeights())
     report.config_hash = config_hash(synth_cfg.to_json())
-    report.seed = args.seed if args.seed is not None else 0
     text = report.to_text()
     sys.stdout.write(text)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        save_report(os.path.join(args.out, "report.txt"), report)
-        save_layer_csv(os.path.join(args.out, "layers.csv"), report)
+        _write(os.path.join(args.out, "report.txt"), text)
+        _write(os.path.join(args.out, "layers.csv"), report.to_csv())
     return EXIT_OK
 
 
@@ -114,12 +124,11 @@ def cmd_analyze(args) -> int:
     params, _meta, scenes, synth_cfg = _load_compatible(args.checkpoint, args.dataset)
     seed = args.seed if args.seed is not None else 0
     rows = analyze_dataset(params, scenes, synth_cfg, seed=seed)
-    text, csv_text = format_analysis(rows)
+    text, csv_text = layer_table(rows)
     sys.stdout.write(text)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "analysis.csv"), "w", encoding="ascii") as fh:
-            fh.write(csv_text)
+        _write(os.path.join(args.out, "analysis.csv"), csv_text)
     return EXIT_OK
 
 
@@ -144,22 +153,6 @@ def analyze_dataset(params, scenes, synth_cfg, seed: int = 0) -> dict:
     # the util rows hold layers 0..L; the table starts at layer 1
     return {"miou_l": np.mean(mious, axis=0), "util": np.mean(utils, axis=0)[1:],
             "mp_util_bipartite": np.mean(mp_utils, axis=0)[1:]}
-
-
-def format_analysis(rows: dict):
-    """(text table, CSV) of analyze_dataset's rows, in percent: one line
-    per row in the text and one column per row in the CSV."""
-    num_layers = len(next(iter(rows.values())))
-    table = [["layer"] + [str(i) for i in range(1, num_layers + 1)]]
-    table += [[f"{name}(%)"] + [f"{100 * v:.1f}" for v in row] for name, row in rows.items()]
-    widths = [max(len(r[i]) for r in table) for i in range(len(table[0]))]
-    text = "".join("  ".join(s.rjust(w) for s, w in zip(r, widths)) + "\n" for r in table)
-
-    csv_lines = [",".join(["layer", *rows])]
-    for i in range(num_layers):
-        csv_lines.append(",".join([str(i + 1)] + [f"{100 * row[i]:.6f}"
-                                                 for row in rows.values()]))
-    return text, "\n".join(csv_lines) + "\n"
 
 
 def cmd_grad_check(args) -> int:
@@ -198,8 +191,7 @@ def cmd_refine_study(args) -> int:
                 f"{int(b.threshold_exists)},{b.separation}")
             n_guaranteed += b.condition_holds
             n_exists += b.threshold_exists
-    with open(out, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(out, "\n".join(lines) + "\n")
     total = len(cfg.sigmas) * cfg.instances_per_sigma
     print(f"{total} instances: condition held on {n_guaranteed}, "
           f"threshold found on {n_exists}; csv at {out}")
@@ -211,13 +203,14 @@ def build_parser():
                                 description="Mask-piloted segmentation testbed")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config=False, ckpt=False):
+    def common(sp, config=False, ckpt=False, seed=True):
         if config:
             sp.add_argument("--config", required=True, help="JSON config path")
         if ckpt:
             sp.add_argument("--checkpoint", required=True)
             sp.add_argument("--dataset", required=True)
-        sp.add_argument("--seed", type=int, default=None, help="override config seed")
+        if seed:  # eval, the verb without it, draws no random numbers
+            sp.add_argument("--seed", type=int, default=None, help="override config seed")
         if config or ckpt:  # grad-check, the verb with neither, writes no file
             sp.add_argument("--out", default=None, help="override output path")
 
@@ -225,7 +218,7 @@ def build_parser():
     tr = sub.add_parser("train", help="train a decoder")
     common(tr, config=True)
     tr.add_argument("--variant", choices=VARIANTS, default=None)
-    common(sub.add_parser("eval", help="evaluate a checkpoint"), ckpt=True)
+    common(sub.add_parser("eval", help="evaluate a checkpoint"), ckpt=True, seed=False)
     common(sub.add_parser("analyze", help="layer-wise diagnostics table"), ckpt=True)
     common(sub.add_parser("grad-check", help="finite-difference gradient suite"))
     common(sub.add_parser("refine-study", help="threshold-separation study"),
@@ -246,8 +239,9 @@ HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
         # a non-finite value ends the verb with its own one-line message
         with np.errstate(all="ignore"):
             return HANDLERS[args.command](args)

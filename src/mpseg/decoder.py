@@ -157,14 +157,6 @@ def binarize_masks(mask_logit_values: np.ndarray) -> np.ndarray:
     return mask_logit_values > 0
 
 
-def attention(x: Tensor, keys: Tensor, values: Tensor, block, wq: Tensor, wo: Tensor,
-              dim: int) -> Tensor:
-    """Pre-residual single-head attention of the rows of x over projected
-    keys and values; softmax over the entries `block` leaves unblocked
-    (None blocks nothing). One tape node."""
-    return fused_attention(x, keys, values, block, wq, wo, 1.0 / np.sqrt(dim))
-
-
 def decoder_layer(parts, feats: Tensor, cross_blocks, self_blocks, lp: LayerParams,
                   dim: int) -> list:
     """One decoder layer over the query parts, [matching] or [matching, MP]:
@@ -178,15 +170,16 @@ def decoder_layer(parts, feats: Tensor, cross_blocks, self_blocks, lp: LayerPara
     all, which makes the isolation guarantee bitwise, not just
     mathematical.
     """
+    scale = 1.0 / np.sqrt(dim)
     k = feats @ lp.wk
     v = feats @ lp.wv
-    parts = [add_norm_affine(x, attention(x, k, v, block, lp.wq, lp.wo, dim),
+    parts = [add_norm_affine(x, fused_attention(x, k, v, block, lp.wq, lp.wo, scale),
                              lp.ln1_g, lp.ln1_b)
              for x, block in zip(parts, cross_blocks)]
     out = []
     for j, (x, block) in enumerate(zip(parts, self_blocks)):
         ctx = concat_rows(parts[:j + 1]) if j else x
-        update = attention(x, ctx @ lp.sk, ctx @ lp.sv, block, lp.sq, lp.so, dim)
+        update = fused_attention(x, ctx @ lp.sk, ctx @ lp.sv, block, lp.sq, lp.so, scale)
         x = add_norm_affine(x, update, lp.ln2_g, lp.ln2_b)
         ffn = mlp2(x, lp.ffn_w1, lp.ffn_b1, lp.ffn_w2, lp.ffn_b2)
         out.append(add_norm_affine(x, ffn, lp.ln3_g, lp.ln3_b))

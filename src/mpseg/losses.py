@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Checked, setting
-from .tensor import Tensor, cross_entropy_rows, mask_loss_rows, sum_scalars, _sigmoid
+from .tensor import cross_entropy_rows, mask_loss_rows, sum_scalars, _sigmoid
 from .decoder import LayerOutputs, binarize_masks
 
 DICE_EPS = 1.0
@@ -139,21 +139,6 @@ def cost_matrix(mask_logit_values: np.ndarray, class_logit_values: np.ndarray,
     return w.cls * cls_term + w.bce * bce + w.dice * dice
 
 
-def _mask_loss(logits: Tensor, probs: np.ndarray, rows, targets: np.ndarray,
-               w: LossWeights) -> Tensor:
-    """w.bce * mean BCE + w.dice * mean dice of logits[rows] against the
-    row-aligned (M, pixels) targets; one tape node."""
-    return mask_loss_rows(logits, probs, rows, targets, w.bce, w.dice, DICE_EPS)
-
-
-def _class_loss(logits: Tensor, rows, targets: np.ndarray, w: LossWeights) -> Tensor:
-    """w.cls * cross-entropy of logits[rows] with the no-object class
-    (the last one) down-weighted; one tape node."""
-    num_categories = logits.values.shape[1] - 1
-    row_weights = np.where(targets == num_categories, w.no_object, 1.0)
-    return cross_entropy_rows(logits, rows, targets, row_weights, w.cls)
-
-
 def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: LossWeights):
     """Total loss over layers 0..L for both query parts.
 
@@ -199,10 +184,12 @@ def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: Loss
     def score(i, rows, vec):
         hit = vec >= 0
         targets = np.where(hit, cats[vec], num_categories)
-        terms.append(_class_loss(outputs.class_logits[i], rows, targets, weights))
+        row_weights = np.where(targets == num_categories, weights.no_object, 1.0)
+        terms.append(cross_entropy_rows(outputs.class_logits[i], rows, targets, row_weights,
+                                        weights.cls))
         if hit.any():
-            terms.append(_mask_loss(outputs.mask_logits[i], probs[i], rows[hit],
-                                    gt_flat[vec[hit]], weights))
+            terms.append(mask_loss_rows(outputs.mask_logits[i], probs[i], rows[hit],
+                                        gt_flat[vec[hit]], weights.bce, weights.dice, DICE_EPS))
 
     for i, vec in enumerate(vectors):
         score(i, match_rows, vec)
@@ -211,6 +198,6 @@ def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: Loss
         if mode == "consistency-aux" and i >= 1:
             prev = binarize_masks(outputs.mask_logits[i - 1].values[:n_match])
             prev = prev.reshape(n_match, -1).astype(np.float64)
-            terms.append(_mask_loss(outputs.mask_logits[i], probs[i], match_rows, prev,
-                                    weights))
+            terms.append(mask_loss_rows(outputs.mask_logits[i], probs[i], match_rows, prev,
+                                        weights.bce, weights.dice, DICE_EPS))
     return sum_scalars(terms), np.stack(vectors)

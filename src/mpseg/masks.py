@@ -236,15 +236,6 @@ def scale_noise(m: np.ndarray, ratio_range=(0.8, 1.2), seed=0) -> np.ndarray:
     return out
 
 
-def apply_noise(m: np.ndarray, kind: str, ratio_range, seed) -> np.ndarray:
-    """Mask m noised by the "shift" or "scale" kind."""
-    if kind == "shift":
-        return shift_noise(m, seed)
-    if kind == "scale":
-        return scale_noise(m, ratio_range, seed)
-    raise ValueError(f"unknown noise kind {kind!r}")
-
-
 def to_attention_blocks(bits: np.ndarray, h2: int, w2: int) -> np.ndarray:
     """Cross-attention blocking grids of a stack of (n, h, w) masks at the
     target scale, flattened to (n, h2*w2): each mask is nearest-resized,
@@ -276,8 +267,10 @@ def rle_decode(runs, height: int, width: int) -> np.ndarray:
     pos = 0
     val = False
     for run in runs:
-        if run:
+        if run > 0:
             flat[pos:pos + run] = val
+        elif run < 0:
+            raise ValueError(f"negative run length {run}")
         pos += run
         val = not val
     if pos != total:

@@ -1,5 +1,6 @@
-"""Layer-consistency diagnostics, a small AP evaluator, and the
-refinement-threshold analysis.
+"""Layer-consistency diagnostics, a small AP evaluator, the
+refinement-threshold analysis, and the report and per-layer table
+(layer_table) that every verb writes.
 
 The two consistency diagnostics: per-layer mean IoU between a query's
 masks in adjacent layers, and per-layer utilization (fraction of GT
@@ -258,21 +259,25 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["layer,miou_l,util"]
-        for i in range(1, len(self.miou_l) + 1):
-            lines.append(f"{i},{100.0 * self.miou_l[i - 1]:.6f},{100.0 * self.util[i]:.6f}")
-        return "\n".join(lines) + "\n"
+        return layer_table({"miou_l": self.miou_l, "util": self.util[1:]})[1]
 
 
 def config_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def save_report(path, report: MetricsReport):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(report.to_text())
+def layer_table(rows: dict):
+    """(text table, CSV) of a per-layer table, {row name: (L,) fractions
+    for layers 1..L} in table order, in percent: one line per row in the
+    text and one column per row in the CSV."""
+    num_layers = len(next(iter(rows.values())))
+    table = [["layer"] + [str(i) for i in range(1, num_layers + 1)]]
+    table += [[f"{name}(%)"] + [f"{100 * v:.1f}" for v in row] for name, row in rows.items()]
+    widths = [max(len(r[i]) for r in table) for i in range(len(table[0]))]
+    text = "".join("  ".join(s.rjust(w) for s, w in zip(r, widths)) + "\n" for r in table)
 
-
-def save_layer_csv(path, report: MetricsReport):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(report.to_csv())
+    csv_lines = [",".join(["layer", *rows])]
+    for i in range(num_layers):
+        csv_lines.append(",".join([str(i + 1)] + [f"{100 * row[i]:.6f}"
+                                                 for row in rows.values()]))
+    return text, "\n".join(csv_lines) + "\n"

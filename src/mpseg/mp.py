@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import MAX_LAYERS, MAX_SIZE, Checked, setting
-from .masks import apply_noise, point_flips, point_noise_region, seeded_rngs
+from .masks import point_flips, point_noise_region, scale_noise, seeded_rngs, shift_noise
 from .tensor import Tensor
 
 
@@ -106,9 +106,11 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layers, seed: list)
     # each layer's stack holds the MP part's rows in the same order
     overrides = {}
     for layer in sorted(layers):
-        if cfg.noise_kind in ("shift", "scale"):
-            noised = np.stack([apply_noise(mask, cfg.noise_kind, cfg.scale_range,
-                                           _subseed(seed, 1, layer, g, j))
+        if cfg.noise_kind == "shift":
+            noised = np.stack([shift_noise(mask, _subseed(seed, 1, layer, g, j))
+                               for g in range(n_g) for j, mask in enumerate(gt_masks)])
+        elif cfg.noise_kind == "scale":
+            noised = np.stack([scale_noise(mask, cfg.scale_range, _subseed(seed, 1, layer, g, j))
                                for g in range(n_g) for j, mask in enumerate(gt_masks)])
         else:
             noised = np.tile(gt_masks, (n_g, 1, 1))  # a copy, so no flip reaches the scene

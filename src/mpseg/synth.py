@@ -164,8 +164,9 @@ def save_dataset(path, scenes, cfg: SynthConfig):
 
 def load_dataset(path):
     """Returns (scenes, SynthConfig). A file that does not parse as a
-    dataset, holds another number of scenes than its header says, or
-    gives a scene a negative or repeated index raises FormatError."""
+    dataset (an empty instance mask among them), holds another number of
+    scenes than its header says, or gives a scene a negative or repeated
+    index raises FormatError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data and not data.endswith(b"\n"):
@@ -206,14 +207,18 @@ def _parse_dataset(path, lines):
         if len(fields) < 3:  # generate_scene places at least one instance
             raise ValueError(f"scene {index} has no instances")
         cats, masks = [], []
-        for part in fields[2:]:
+        for k, part in enumerate(fields[2:]):
             cat_s, runs_s = part.split(":")
             cat = int(cat_s)
             if not 0 <= cat < cfg.num_categories:
                 raise ValueError(f"scene {index}: category {cat} out of range")
             runs = [int(x) for x in runs_s.split(",")]
-            cats.append(cat)
             masks.append(rle_decode(runs, cfg.height, cfg.width))
+            # MP's mask noise needs a pixel (generate_scene places one in each
+            # instance); the runs decoded, so the odd, set runs are not negative
+            if not any(runs[1::2]):
+                raise ValueError(f"scene {index}: instance {k} has an empty mask")
+            cats.append(cat)
         scenes.append(Scene(index=index, categories=cats, masks=np.stack(masks)))
     if len(scenes) != count:
         raise FormatError(f"{path}: header says {count} scenes, the file holds "

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpseg import cli, decoder, gradcheck, mp, trainer
+from mpseg import cli, decoder, gradcheck, metrics, mp, trainer
 from mpseg.decoder import init_params, load_checkpoint, save_checkpoint
 from mpseg.losses import LossWeights
 from mpseg.synth import SynthConfig, generate_scene, save_dataset
@@ -87,13 +87,12 @@ def test_train_variant_flag_applies_its_preset_under_explicit_keys(tmp_path):
 @pytest.mark.parametrize("kind", ["shift", "scale"])
 def test_train_noises_masks_with_the_configured_kind(tmp_path, monkeypatch, kind):
     kinds = set()
-    real = mp.apply_noise
+    for noise_kind in ("shift", "scale"):
+        def recording(*args, noise_kind=noise_kind, real=getattr(mp, f"{noise_kind}_noise")):
+            kinds.add(noise_kind)
+            return real(*args)
 
-    def recording(mask, noise_kind, *args):
-        kinds.add(noise_kind)
-        return real(mask, noise_kind, *args)
-
-    monkeypatch.setattr(mp, "apply_noise", recording)
+        monkeypatch.setattr(mp, f"{noise_kind}_noise", recording)
     config = write_config(tmp_path, {**SMALL_RUN, "variant": "mp-all+noises",
                                      "mp": {"noise_kind": kind}})
     assert run_train(config, tmp_path / "run") == cli.EXIT_OK
@@ -230,19 +229,41 @@ def test_eval_on_a_dataset_header_with_a_nan_exits_io(artifacts, capsys):
     assert_one_line(capsys, "format error: ")
 
 
-@pytest.mark.parametrize("verb", ["train", "eval", "analyze"])
-def test_scene_without_instances_exits_io_with_one_line(artifacts, tmp_path, capsys, verb):
+def run_on_last_scene_line(artifacts, tmp_path, verb, fields, raw=SMALL_RUN):
+    """Run verb on the artifacts' dataset with its last scene line's fields
+    replaced by fields(old fields)."""
     ckpt, data = artifacts
     lines = data.read_text().splitlines()
-    lines[-1] = " ".join(lines[-1].split(" ")[:2])  # "scene <index>" and nothing else
+    lines[-1] = " ".join(fields(lines[-1].split(" ")))
     data.write_text("\n".join(lines) + "\n")
     if verb == "train":
-        config = write_config(tmp_path, {**SMALL_RUN, "dataset_path": str(data)})
+        config = write_config(tmp_path, {**raw, "dataset_path": str(data)})
         argv = ["--config", config, "--out", str(tmp_path / "run")]
     else:
         argv = ["--checkpoint", str(ckpt), "--dataset", str(data)]
-    assert cli.main([verb, *argv]) == cli.EXIT_IO
+    return cli.main([verb, *argv])
+
+
+@pytest.mark.parametrize("verb", ["train", "eval", "analyze"])
+def test_scene_without_instances_exits_io_with_one_line(artifacts, tmp_path, capsys, verb):
+    # "scene <index>" and nothing else
+    assert run_on_last_scene_line(artifacts, tmp_path, verb, lambda f: f[:2]) == cli.EXIT_IO
     assert_one_line(capsys, "format error: ")
+
+
+@pytest.mark.parametrize("verb", ["train", "eval", "analyze"])
+@pytest.mark.parametrize("runs,message", [("64", "scene 1: instance 0 has an empty mask"),
+                                          ("70,-6", "negative run length -6")],
+                         ids=["empty", "negative-run"])
+def test_instance_mask_empty_or_with_a_negative_run_exits_io_with_one_line(
+        artifacts, tmp_path, capsys, verb, runs, message):
+    """MP's shift and scale noise need a pixel to move, so the loader
+    rejects such a mask before the verb runs."""
+    raw = {**SMALL_RUN, "variant": "mp-all+noises", "mp": {"noise_kind": "shift"}}
+    code = run_on_last_scene_line(artifacts, tmp_path, verb, lambda f: f[:2] + [f"1:{runs}"],
+                                  raw)
+    assert code == cli.EXIT_IO
+    assert_one_line(capsys, f"format error: {artifacts[1]}: malformed dataset ({message})")
 
 
 @pytest.mark.parametrize("verb", ["train", "eval", "analyze"])
@@ -250,18 +271,11 @@ def test_scene_without_instances_exits_io_with_one_line(artifacts, tmp_path, cap
 def test_scene_index_negative_or_repeated_exits_io_with_one_line(artifacts, tmp_path, capsys,
                                                                   verb, index, what):
     """Features are seeded by the scene index and training keys them by it."""
-    ckpt, data = artifacts
-    lines = data.read_text().splitlines()
-    assert lines[1].startswith("scene 0 ")
-    lines[-1] = " ".join(["scene", index] + lines[-1].split(" ")[2:])
-    data.write_text("\n".join(lines) + "\n")
-    if verb == "train":
-        config = write_config(tmp_path, {**SMALL_RUN, "dataset_path": str(data)})
-        argv = ["--config", config, "--out", str(tmp_path / "run")]
-    else:
-        argv = ["--checkpoint", str(ckpt), "--dataset", str(data)]
-    assert cli.main([verb, *argv]) == cli.EXIT_IO
-    assert_one_line(capsys, f"format error: {data}: scene index {index} is {what}")
+    assert artifacts[1].read_text().splitlines()[1].startswith("scene 0 ")
+    code = run_on_last_scene_line(artifacts, tmp_path, verb,
+                                  lambda f: ["scene", index] + f[2:])
+    assert code == cli.EXIT_IO
+    assert_one_line(capsys, f"format error: {artifacts[1]}: scene index {index} is {what}")
 
 
 def test_train_on_a_dataset_without_scenes_exits_compat(tmp_path, capsys):
@@ -291,18 +305,25 @@ def test_train_on_a_dataset_reads_its_dim_not_the_unused_synth_section(tmp_path)
     assert run_train(config, tmp_path / "run") == cli.EXIT_OK
 
 
-@pytest.mark.parametrize("verb", list(cli.HANDLERS))
+@pytest.mark.parametrize("verb", [verb for verb in cli.HANDLERS if verb != "eval"])
 def test_negative_seed_exits_config_with_one_line_on_every_verb(artifacts, tmp_path, capsys,
                                                                 verb):
     ckpt, data = (str(path) for path in artifacts)
-    inputs = {"eval": ["--checkpoint", ckpt, "--dataset", data],
-              "analyze": ["--checkpoint", ckpt, "--dataset", data],
+    inputs = {"analyze": ["--checkpoint", ckpt, "--dataset", data],
               "grad-check": []}.get(verb, ["--config", write_config(tmp_path, {})])
     out = tmp_path / "out"
     out_flag = [] if verb == "grad-check" else ["--out", str(out)]  # grad-check writes no file
     assert cli.main([verb, *inputs, "--seed", "-1", *out_flag]) == cli.EXIT_CONFIG
     assert_one_line(capsys, "config error: --seed must be a non-negative integer, got -1")
     assert not out.exists()
+
+
+def test_eval_takes_no_seed(artifacts, capsys):
+    """evaluate draws no random numbers, so a seed would change nothing."""
+    with pytest.raises(SystemExit):
+        cli.main(["eval", "--checkpoint", str(artifacts[0]), "--dataset", str(artifacts[1]),
+                  "--seed", "0"])
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("raw", [{"train": {"holdout_frac": "x"}},
@@ -384,8 +405,38 @@ def test_analyze_runs_one_forward_per_scene(artifacts, monkeypatch):
     assert calls == [True] * len(scenes)
 
 
-def test_format_analysis_gives_each_row_a_line_and_a_column():
-    text, csv_text = cli.format_analysis({"a": np.array([0.5, 0.25]),
+def test_every_verb_writes_its_layer_csv_through_layer_table(tmp_path, monkeypatch):
+    """train's layers.csv is layer_table of its report's rows, and analyze's
+    first three columns are eval's layers.csv, on one checkpoint and dataset."""
+    reports = []
+
+    def recording(cfg, log=None):
+        result = trainer.run_training(cfg, log=log)
+        reports.append(result[1])
+        return result
+
+    monkeypatch.setattr(cli, "run_training", recording)
+    data = tmp_path / "data.txt"
+    gen = write_config(tmp_path, {"synth": SMALL_RUN["synth"], "count": 3})
+    assert cli.main(["gen-data", "--config", gen, "--out", str(data)]) == cli.EXIT_OK
+    raw = {**SMALL_RUN, "dataset_path": str(data), "variant": "mp-all+noises"}
+    assert run_train(write_config(tmp_path, raw), tmp_path / "run") == cli.EXIT_OK
+    (report,) = reports
+    assert (tmp_path / "run" / "layers.csv").read_text() == metrics.layer_table(
+        {"miou_l": report.miou_l, "util": report.util[1:]})[1]
+
+    ckpt = tmp_path / "run" / "checkpoint.bin"
+    for verb in ("eval", "analyze"):
+        assert cli.main([verb, "--checkpoint", str(ckpt), "--dataset", str(data),
+                         "--out", str(tmp_path / verb)]) == cli.EXIT_OK
+    analysis = (tmp_path / "analyze" / "analysis.csv").read_bytes().splitlines()
+    assert analysis[0] == b"layer,miou_l,util,mp_util_bipartite"
+    assert b"".join(b",".join(line.split(b",")[:3]) + b"\n" for line in analysis) \
+        == (tmp_path / "eval" / "layers.csv").read_bytes()
+
+
+def test_layer_table_gives_each_row_a_line_and_a_column():
+    text, csv_text = metrics.layer_table({"a": np.array([0.5, 0.25]),
                                           "bb_long": np.array([1.0, 0.125])})
     assert text == ("     layer      1     2\n"
                     "      a(%)   50.0  25.0\n"

@@ -6,14 +6,14 @@ import pytest
 
 from mpseg import decoder
 from mpseg.fields import MAX_HIDDEN, MAX_LAYERS, MAX_SIZE
-from mpseg.decoder import (ForwardSpec, attention, binarize_masks, decoder_layer,
+from mpseg.decoder import (ForwardSpec, binarize_masks, decoder_layer,
                            full_forward, heads, init_params, load_checkpoint,
                            named_parameters, plain_spec, save_checkpoint)
 from mpseg.gradcheck import check_gradient
 from mpseg.masks import FormatError, to_attention_blocks
 from mpseg.mp import MPPart
 from mpseg.synth import SynthConfig, generate_scene, synth_features
-from mpseg.tensor import Tensor, _sigmoid, concat_rows, mlp2
+from mpseg.tensor import Tensor, _sigmoid, concat_rows, fused_attention, mlp2
 from mpseg.trainer import detach_params, layer_scale_table
 from oracle import add, mul, reshape, sum_all
 
@@ -173,7 +173,8 @@ def test_cross_attention_single_pixel_support():
     block = np.ones((1, 6), dtype=bool)
     block[0, 2] = False
     x = Tensor(rng.uniform(-1, 1, size=(1, d)))
-    out = attention(x, feats @ lp.wk, feats @ lp.wv, block, lp.wq, lp.wo, d)
+    out = fused_attention(x, feats @ lp.wk, feats @ lp.wv, block, lp.wq, lp.wo,
+                          1.0 / np.sqrt(d))
     expected = feats.values[2] @ lp.wv.values
     assert np.allclose(out.values[0], expected, atol=1e-12)
 
@@ -185,7 +186,8 @@ def test_self_attention_single_query_identity():
     lp = p.layers[0]
     lp.so.values = np.eye(d)
     x = Tensor(np.random.default_rng(6).uniform(-1, 1, size=(1, d)))
-    out = attention(x, x @ lp.sk, x @ lp.sv, np.zeros((1, 1), dtype=bool), lp.sq, lp.so, d)
+    out = fused_attention(x, x @ lp.sk, x @ lp.sv, np.zeros((1, 1), dtype=bool), lp.sq, lp.so,
+                          1.0 / np.sqrt(d))
     assert np.allclose(out.values[0], x.values[0] @ lp.sv.values, atol=1e-12)
 
 

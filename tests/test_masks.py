@@ -267,6 +267,14 @@ def test_rle_bad_length():
         rle_decode([3, 3], 2, 2)
 
 
+@pytest.mark.parametrize("runs", [[70, -6], [10, 5, -5, 54]], ids=["past-the-end", "back-over"])
+def test_rle_negative_run_raises(runs):
+    """Both lists sum to 64; read as runs, the second would give a 54-pixel
+    mask that no run describes."""
+    with pytest.raises(ValueError, match="negative run length -"):
+        rle_decode(runs, 8, 8)
+
+
 @pytest.mark.parametrize("seed", [[0], [7, 1, 3, 0, 2], [2**32 - 1, 5], [2**32, 1],
                                   [2**40, 0, 9]],
                          ids=["zero", "small", "largest-word", "two-words", "wide"])
