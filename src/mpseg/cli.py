@@ -95,7 +95,7 @@ def cmd_train(args) -> int:
 
 
 def _load_compatible(checkpoint_path, dataset_path):
-    params, meta = load_checkpoint(checkpoint_path)
+    params, _meta = load_checkpoint(checkpoint_path)
     scenes, synth_cfg = load_scenes(dataset_path)
     if synth_cfg.feat_dim != params.dim:
         raise CompatibilityError(
@@ -104,11 +104,11 @@ def _load_compatible(checkpoint_path, dataset_path):
         raise CompatibilityError(
             f"checkpoint has {params.num_categories} categories, dataset has "
             f"{synth_cfg.num_categories}")
-    return params, meta, scenes, synth_cfg
+    return params, scenes, synth_cfg
 
 
 def cmd_eval(args) -> int:
-    params, _meta, scenes, synth_cfg = _load_compatible(args.checkpoint, args.dataset)
+    params, scenes, synth_cfg = _load_compatible(args.checkpoint, args.dataset)
     report = evaluate(params, scenes, synth_cfg, LossWeights())
     report.config_hash = config_hash(synth_cfg.to_json())
     text = report.to_text()
@@ -121,7 +121,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    params, _meta, scenes, synth_cfg = _load_compatible(args.checkpoint, args.dataset)
+    params, scenes, synth_cfg = _load_compatible(args.checkpoint, args.dataset)
     seed = args.seed if args.seed is not None else 0
     rows = analyze_dataset(params, scenes, synth_cfg, seed=seed)
     text, csv_text = layer_table(rows)

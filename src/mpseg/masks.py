@@ -1,13 +1,14 @@
 """Masks as numpy bool arrays: an (H, W) array is one mask, an (n, H, W)
 array a stack of them. IoU, the shift and scale GT-mask noise, the flip
 budget and flips of point noise (its whole procedure is
-tests/oracle.py's point_noise; mp._flip_points applies it to a stack),
+tests/oracle.py's point_noise; mp.build_mp_part applies it to a stack),
 attention blocking grids, and run-length serialization.
 
-All noise procedures are pure functions of (mask, parameters, seed); the
-same seed always yields the same output. A seed is a list of ints, and
-its stream is that of numpy's SeedSequence of the list (seeded_rng). The
-MP part draws many short streams per scene, so it takes them all from one
+All noise procedures are pure functions of (mask, parameters, rng): they
+draw from the np.random.Generator they are given, and the same stream
+always yields the same output. A seed is a list of ints, and its stream
+is that of numpy's SeedSequence of the list (seeded_rng). The MP part
+draws many short streams per scene, so it takes them all from one
 seeded_rngs call, which runs SeedSequence's hash over every list at once.
 """
 
@@ -39,7 +40,8 @@ def seeded_rng(seed) -> np.random.Generator:
     """PCG64 generator of SeedSequence(seed). A list of ints in [0, 2**32)
     goes in as a uint32 array: SeedSequence makes the same entropy words of
     both, and builds itself from the array about 5x faster. The MP part's
-    label-flip and point-noise streams come from seeded_rngs instead."""
+    streams, its label flips and every noised row, come from seeded_rngs
+    instead."""
     if isinstance(seed, list) and all(type(s) is int and 0 <= s < 2**32 for s in seed):
         seed = np.array(seed, dtype=np.uint32)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -134,11 +136,11 @@ class _HashedSeed(np.random.bit_generator.ISeedSequence):
 
 
 def seeded_rngs(seeds) -> list:
-    """[seeded_rng(seed) for seed in seeds], the same streams, for lists of
-    non-negative ints: one seed_states call hashes them all, and each PCG64
-    seeds itself from its row, with no SeedSequence. For the 180 streams
-    of one scene's point noise that is ~0.9 ms, against ~2.9 ms for
-    seeded_rng one list at a time (2-core x86 VM)."""
+    """One generator per list of non-negative ints in seeds, drawing the
+    stream seeded_rng gives that list: one seed_states call hashes them
+    all, and each PCG64 seeds itself from its row, with no SeedSequence.
+    For the 180 streams of one scene's point noise that is ~0.9 ms,
+    against ~2.9 ms for seeded_rng one list at a time (2-core x86 VM)."""
     return [np.random.Generator(np.random.PCG64(_HashedSeed(state)))
             for state in seed_states(seeds)]
 
@@ -191,12 +193,12 @@ def point_flips(c_max: int, bbox, rng: np.random.Generator):
     return r0 + picks // region_w, c0 + picks % region_w
 
 
-def shift_noise(m: np.ndarray, seed) -> np.ndarray:
-    """Translate by a uniform integer offset keeping the centroid strictly
-    inside the original GT bbox; pixels pushed off the image are dropped."""
+def shift_noise(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Translate by a uniform integer offset, drawn from rng, keeping the
+    centroid strictly inside the original GT bbox; pixels pushed off the
+    image are dropped."""
     if not m.any():
         raise ValueError("shift_noise on empty mask")
-    rng = seeded_rng(seed)
     r0, r1, c0, c1 = _bbox(m)
     cy, cx = _centroid(m)
     # legal offsets: bbox covers [r0, r1+1) in continuous coords
@@ -216,13 +218,12 @@ def shift_noise(m: np.ndarray, seed) -> np.ndarray:
     return out
 
 
-def scale_noise(m: np.ndarray, ratio_range=(0.8, 1.2), seed=0) -> np.ndarray:
-    """Rescale about the centroid by a uniform ratio, nearest-neighbor resampled."""
+def scale_noise(m: np.ndarray, ratio_range, rng: np.random.Generator) -> np.ndarray:
+    """Rescale about the centroid by a ratio drawn from rng, uniform on
+    ratio_range, nearest-neighbor resampled."""
     if not m.any():
         raise ValueError("scale_noise on empty mask")
-    lo, hi = ratio_range
-    rng = seeded_rng(seed)
-    ratio = float(rng.uniform(lo, hi))
+    ratio = float(rng.uniform(*ratio_range))
     cy, cx = _centroid(m)
     h, w = m.shape
     r = np.arange(h) + 0.5

@@ -7,10 +7,10 @@ noised copy of every instance's GT mask, at the scene's resolution; the
 decoder grids it as it grids a predicted mask. Point noise computes each
 instance's flip budget and region once per scene, and the random
 streams of a scene's part come from two masks.seeded_rngs calls: one for
-the label flips, one for the point noise of every layer. The part
-reaches the decoder as its own query part (decoder.ForwardSpec.mp): the
-matching queries never read it, and its group ids keep the MP groups
-from reading each other.
+the label flips, one for every noised row of every layer, whatever the
+noise kind. The part reaches the decoder as its own query part
+(decoder.ForwardSpec.mp): the matching queries never read it, and its
+group ids keep the MP groups from reading each other.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layers, seed: list)
     noise sub-seeds are drawn per (layer, group, instance) so every layer
     sees independently corrupted masks. Deterministic in `seed`, a list of
     ints (a bare int is taken as a list of one). The label-flip streams
-    come from one masks.seeded_rngs call, and the point-noise streams of
-    every layer from one more.
+    come from one masks.seeded_rngs call, and those of every noised row of
+    every layer, whatever the noise kind, from one more.
     """
     n_g = dynamic_groups(cfg.n_q, scene.num_instances)
     if not cfg.enabled or n_g == 0:
@@ -103,37 +103,23 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layers, seed: list)
 
     if cfg.mp_layers is not None:
         layers = cfg.mp_layers
-    # each layer's stack holds the MP part's rows in the same order
-    overrides = {}
-    for layer in sorted(layers):
-        if cfg.noise_kind == "shift":
-            noised = np.stack([shift_noise(mask, _subseed(seed, 1, layer, g, j))
-                               for g in range(n_g) for j, mask in enumerate(gt_masks)])
-        elif cfg.noise_kind == "scale":
-            noised = np.stack([scale_noise(mask, cfg.scale_range, _subseed(seed, 1, layer, g, j))
-                               for g in range(n_g) for j, mask in enumerate(gt_masks)])
-        else:
-            noised = np.tile(gt_masks, (n_g, 1, 1))  # a copy, so no flip reaches the scene
-        overrides[layer] = noised
+    # each layer's stack is a tiled copy in row order: no noise reaches the scene
+    overrides = {layer: np.tile(gt_masks, (n_g, 1, 1)) for layer in sorted(layers)}
     if cfg.noise_kind == "point":
-        _flip_points(overrides, [point_noise_region(mask, cfg.lambda_point)
-                                 for mask in gt_masks], seed)
+        regions = [point_noise_region(mask, cfg.lambda_point) for mask in gt_masks]
+        noisy = [j for j, (c_max, _) in enumerate(regions) if c_max]  # instances that can flip
+    else:
+        noisy = [] if cfg.noise_kind == "none" else range(per_group)
+    rows = [(layer, g, j) for layer in overrides for g in range(n_g) for j in noisy]
+    rngs = seeded_rngs([_subseed(seed, 1, *row) for row in rows])
+    for (layer, g, j), rng in zip(rows, rngs):
+        mask = overrides[layer][g * per_group + j]
+        if cfg.noise_kind == "point":
+            rr, cc = point_flips(*regions[j], rng)
+            mask[rr, cc] = ~mask[rr, cc]
+        elif cfg.noise_kind == "shift":
+            mask[...] = shift_noise(gt_masks[j], rng)
+        else:
+            mask[...] = scale_noise(gt_masks[j], cfg.scale_range, rng)
     return MPPart(n_groups=n_g, group_id=group_id, instance_index=instance_index,
-                  query_categories=query_cats,
-                  queries=queries, overrides=overrides)
-
-
-def _flip_points(overrides: dict, regions, seed):
-    """Point noise, in place, on each layer's stack of tiled GT masks, whose
-    row g * len(regions) + j is group g's copy of instance j: the flips
-    tests/oracle.py's point_noise makes with the (layer, group, instance)
-    seed. Each instance's (budget, bbox) region is computed once per scene,
-    and every row that can flip draws its stream from one seeded_rngs call."""
-    n = len(regions)
-    rows = [(layer, k) for layer, noised in overrides.items()
-            for k in range(noised.shape[0]) if regions[k % n][0]]
-    rngs = seeded_rngs([_subseed(seed, 1, layer, *divmod(k, n)) for layer, k in rows])
-    for (layer, k), rng in zip(rows, rngs):
-        rr, cc = point_flips(*regions[k % n], rng)
-        noised = overrides[layer]
-        noised[k, rr, cc] = ~noised[k, rr, cc]
+                  query_categories=query_cats, queries=queries, overrides=overrides)

@@ -2,7 +2,7 @@
 one small tape node each, that the tests compose as the oracle of
 mpseg.tensor's fused ops, among them the elementwise arithmetic and the
 reductions that Tensor itself does not define; one-mask point noise and
-nearest resizing, the oracles of mp._flip_points and
+nearest resizing, the oracles of mp.build_mp_part's point noise and
 masks.to_attention_blocks; the Hungarian solve as numpy array ops, the
 oracle of losses._solve_rows_leq_cols; and a scan over every candidate
 threshold, the oracle of metrics._threshold_exists."""
@@ -212,7 +212,7 @@ def point_noise(m: np.ndarray, lambda_p: float, seed) -> np.ndarray:
     flip positions are distinct and uniform over the noise region, and
     each chosen pixel is inverted (1->0 or 0->1). The draws come from the
     seed's own SeedSequence stream, the count and then the positions, so
-    this checks masks.seeded_rngs and mp._flip_points independently.
+    this checks masks.seeded_rngs and mp.build_mp_part independently.
     """
     c_max, bbox = point_noise_region(m, lambda_p)
     out = m.copy()

@@ -392,7 +392,7 @@ def test_analyze_rows_are_evaluates_rows():
 
 def test_analyze_runs_one_forward_per_scene(artifacts, monkeypatch):
     ckpt, data = artifacts
-    params, _meta, scenes, synth_cfg = cli._load_compatible(ckpt, data)
+    params, scenes, synth_cfg = cli._load_compatible(ckpt, data)
     calls = []
 
     def counting(spec, params):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpseg.decoder import full_forward, init_params, plain_spec
-from mpseg.masks import to_attention_blocks
+from mpseg.masks import scale_noise, seeded_rng, shift_noise, to_attention_blocks
 from mpseg.mp import MPConfig, _subseed, build_mp_part, dynamic_groups
 from mpseg.synth import SynthConfig, generate_scene, synth_features
 from mpseg.tensor import Tensor, concat_rows
@@ -99,6 +99,29 @@ def test_point_noise_overrides_are_the_oracle_row_by_row(lambda_point):
             assert np.array_equal(masks, noised)
 
 
+@pytest.mark.parametrize("kind", ["shift", "scale"])
+def test_shift_and_scale_overrides_are_the_noise_of_the_subseed_row_by_row(kind):
+    """Every layer's row for group g's copy of instance j is shift_noise or
+    scale_noise of that GT mask with the stream of the (layer, g, j) sub-seed."""
+    cfg = SynthConfig(num_categories=4, seed=9)
+    params = init_params(seed=4, num_categories=4)
+    mp_cfg = MPConfig(n_q=20, lambda_label=0.0, noise_kind=kind, scale_range=(0.7, 1.3))
+
+    def noise(mask, rng):
+        return shift_noise(mask, rng) if kind == "shift" else scale_noise(
+            mask, mp_cfg.scale_range, rng)
+
+    for index in range(3):
+        scene = generate_scene(cfg, index)
+        seed = [12, index]
+        part = build_mp_part(scene, params.class_embed, mp_cfg, LAYERS, seed)
+        assert part.n_groups > 1 and sorted(part.overrides) == list(range(1, 10))
+        for layer, masks in part.overrides.items():
+            noised = np.stack([noise(scene.masks[j], seeded_rng(_subseed(seed, 1, layer, g, j)))
+                               for g, j in zip(part.group_id, part.instance_index)])
+            assert np.array_equal(masks, noised)
+
+
 def count_seed_sequences(monkeypatch) -> list:
     """Counts every SeedSequence built through numpy.random's name for it."""
     calls = []
@@ -112,16 +135,19 @@ def count_seed_sequences(monkeypatch) -> list:
     return calls
 
 
-def test_a_point_noise_mp_part_builds_no_seed_sequence(monkeypatch):
-    """Its label-flip and point-noise streams come from masks.seeded_rngs;
-    the shift-noise part shows that the counter sees seeded_rng's."""
+def test_no_mp_part_builds_a_seed_sequence(monkeypatch):
+    """Its label-flip and noise streams come from masks.seeded_rngs, for
+    every noise kind; one seeded_rng call shows that the counter sees
+    the SeedSequence it builds."""
     cfg, scene = scene_setup(seed=4)
     params = init_params(seed=4, num_categories=4)
     calls = count_seed_sequences(monkeypatch)
-    part = build_mp_part(scene, params.class_embed, MPConfig(), LAYERS, seed=[3, 2, 1])
-    assert part.n_groups > 1 and not calls
-    build_mp_part(scene, params.class_embed, MPConfig(noise_kind="shift"), LAYERS, seed=3)
-    assert len(calls) == len(LAYERS) * part.num_queries
+    for kind in ("point", "shift", "scale", "none"):
+        part = build_mp_part(scene, params.class_embed, MPConfig(noise_kind=kind), LAYERS,
+                             seed=[3, 2, 1])
+        assert part.n_groups > 1 and not calls
+    seeded_rng([3])
+    assert len(calls) == 1
 
 
 def test_build_mp_part_deterministic():

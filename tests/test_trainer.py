@@ -311,8 +311,9 @@ def test_training_steps_never_write_into_a_stored_gradient(monkeypatch):
 
 def test_training_and_evaluation_never_write_into_the_scene_arrays(monkeypatch):
     """layer_losses, cost_matrix and build_mp_part read scene.masks and
-    scene.categories as they are; _flip_points flips in place, so it must
-    only ever get a copy, also when the MP part has a single group."""
+    scene.categories as they are; build_mp_part noises its rows in place,
+    so they must only ever be a copy, also when the MP part has a single
+    group."""
     synth_cfg = SynthConfig(seed=5)
     scenes = [generate_scene(synth_cfg, i) for i in range(3)]
     before = [(s.categories.copy(), s.masks.copy()) for s in scenes]
