@@ -1,4 +1,14 @@
-"""Desk-scale mask-piloted training for a masked-attention segmentation decoder."""
+"""Desk-scale mask-piloted training for a masked-attention segmentation decoder.
+
+Importing the package sets the OpenBLAS that numpy bundles to one thread
+for the whole process (see ``_blas``). Every matrix here is small, so a
+second BLAS thread only spins on a core between calls, which doubles a
+training step's CPU time and leaves its wall time level.
+"""
+
+from . import _blas
+
+_blas.set_threads(1)
 
 from .masks import iou, scale_noise, shift_noise, to_attention_blocks
 from .synth import Scene, SynthConfig, generate_scene, synth_features

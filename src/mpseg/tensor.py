@@ -25,6 +25,10 @@ size the cost of a step is Python overhead per node, not arithmetic:
 - mask_loss_rows: weighted mean BCE plus mean dice of some rows of mask
   logits, reading the sigmoid the caller computed once for the layer.
 
+For the same reason importing mpseg holds numpy's OpenBLAS to one thread
+(mpseg._blas): a second thread has no product large enough to share and
+only spins on a core between calls.
+
 Each fused forward runs the same numpy calls in the same order as its
 composition of primitives (tests/oracle.py, the tests' oracle), so its
 value is bitwise equal to theirs. The two loss ops write their gradient

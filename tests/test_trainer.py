@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from mpseg import gradcheck, tensor, trainer
+from mpseg import _blas, gradcheck, tensor, trainer
 from mpseg.config import VARIANTS, RunConfig, TrainSettings, parse_run_config
 from mpseg.decoder import full_forward, init_params, named_parameters, plain_spec
 from mpseg.gradcheck import run_gradient_suite
@@ -62,6 +62,21 @@ def test_epoch_losses_include_a_final_partial_epoch(monkeypatch):
     _, report, _ = trainer.run_training(small_config(steps=10))
     assert report.losses == [float(np.mean(step_losses[a:b]))
                              for a, b in ((0, 4), (4, 8), (8, 10))]
+
+
+def run_bytes(variant: str) -> tuple:
+    params, report, _ = trainer.run_training(small_config(variant, steps=3))
+    return [v.values.tobytes() for _, v in named_parameters(params)], report.to_text()
+
+
+def test_training_outputs_do_not_depend_on_the_openblas_thread_count():
+    for variant in ("baseline", "mp-all+noises"):
+        try:
+            _blas.set_threads(2)
+            two = run_bytes(variant)
+        finally:
+            _blas.set_threads(1)
+        assert run_bytes(variant) == two
 
 
 def test_a_default_run_config_trains_with_no_mp_part(monkeypatch):
