@@ -2,13 +2,14 @@
 
 MP queries are GT class embeddings (optionally flipped to a wrong class
 with probability lambda_label), repeated over dynamically-sized groups so
-the query budget is filled. Each piloted layer gets an independently
-noised copy of every instance's GT mask, at the scene's resolution; the
-decoder grids it as it grids a predicted mask. Point noise computes each
-instance's flip budget and region once per scene, and the random
-streams of a scene's part come from two masks.seeded_rngs calls: one for
-the label flips, one for every noised row of every layer, whatever the
-noise kind. The part reaches the decoder as its own query part
+the query budget is filled. Each piloted layer gets its own noised copy of
+every instance's GT mask, at the scene's resolution; the decoder grids it
+as it grids a predicted mask. Every random number of a part comes from one
+masks.seeded_rng(seed) stream, in the order build_mp_part documents. So a
+row's noise depends on which other rows are drawn before it (on mp_layers,
+the group count and the noise kind, for example), not on its own (layer,
+group, instance) alone; the label flips come first and depend on none of
+them. The part reaches the decoder as its own query part
 (decoder.ForwardSpec.mp): the matching queries never read it, and its
 group ids keep the MP groups from reading each other.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import MAX_LAYERS, MAX_SIZE, Checked, setting
-from .masks import point_flips, point_noise_region, scale_noise, seeded_rngs, shift_noise
+from .masks import point_noise_region, scale_noise, seeded_rng, shift_noise
 from .tensor import Tensor
 
 
@@ -65,28 +66,42 @@ def dynamic_groups(n_q: int, n_o: int) -> int:
     return n_q // n_o
 
 
-def _subseed(seed, *tags) -> list:
-    base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    return [int(s) for s in base] + [int(t) for t in tags]
-
-
 def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layers, seed: list):
     """Build the MP part for one scene, or None when MP is off
     (cfg.enabled false) or there is nothing to pilot.
 
     layers, the decoder's 1-based layer indices (any iterable, so a dict
-    keyed by layer works), are piloted when cfg.mp_layers is None. Fresh
-    noise sub-seeds are drawn per (layer, group, instance) so every layer
-    sees independently corrupted masks. Deterministic in `seed`, a list of
-    ints (a bare int is taken as a list of one). The label-flip streams
-    come from one masks.seeded_rngs call, and those of every noised row of
-    every layer, whatever the noise kind, from one more.
+    keyed by layer works), are piloted when cfg.mp_layers is None. Row
+    g * P + j of the part is group g's copy of instance j, for the first
+    P = min(n_q, instances) instances; each piloted layer gets its own
+    noised stack of the M rows. Every random number comes from one
+    masks.seeded_rng(seed) stream (seed is a list of ints, or an int),
+    drawn in this order, K being the number of categories:
+
+    1. Label flips, when K > 1: one random(M) call; row k flips when its
+       value is below lambda_label. Then one integers(0, K - 1) call, one
+       draw o per flipped row, whose wrong class is o + (o >= true class):
+       uniform over the other K - 1.
+    2. Point noise: instances j in order, skipping those whose flip budget
+       c_max is 0. Instance j's R rows are its copies over (layer, group),
+       in that order. One integers(0, c_max + 1, size=R) call draws the
+       counts, then one random((R, bbox area)) call the keys over the
+       dilated bbox; each row flips the count pixels with the lowest keys
+       (those whose key ranks below the count).
+    3. Shift or scale noise: rows in (layer, group, instance) order, each
+       one shift_noise or scale_noise call.
+
+    So a row's noise depends on which rows are drawn before it: changing
+    mp_layers, the group count or the noise kind changes the noise of rows
+    that stay. The label flips depend only on the seed and the rows'
+    categories.
     """
     n_g = dynamic_groups(cfg.n_q, scene.num_instances)
     if not cfg.enabled or n_g == 0:
         return None
     gt_masks = scene.masks[:cfg.n_q]  # the first n_q instances when there are more
-    per_group = len(gt_masks)
+    per_group, h, w = gt_masks.shape
+    rng = seeded_rng(seed)
 
     # row g * per_group + j is group g's copy of instance j
     group_id = np.repeat(np.arange(n_g, dtype=np.intp), per_group)
@@ -94,32 +109,30 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layers, seed: list)
     gt_cats = scene.categories[instance_index]
     query_cats = gt_cats.copy()
     num_categories = class_embed.values.shape[0]
-    rngs = seeded_rngs([_subseed(seed, 0, g, j) for g, j in zip(group_id, instance_index)])
-    for k, (rng, cat) in enumerate(zip(rngs, gt_cats)):
-        if rng.uniform() < cfg.lambda_label and num_categories > 1:
-            others = [c for c in range(num_categories) if c != cat]
-            query_cats[k] = others[rng.integers(0, len(others))]
+    if num_categories > 1:
+        flip = rng.random(len(gt_cats)) < cfg.lambda_label
+        other = rng.integers(0, num_categories - 1, size=int(flip.sum()))
+        query_cats[flip] = other + (other >= gt_cats[flip])
     queries = class_embed.take_rows(query_cats)
 
-    if cfg.mp_layers is not None:
-        layers = cfg.mp_layers
-    # each layer's stack is a tiled copy in row order: no noise reaches the scene
-    overrides = {layer: np.tile(gt_masks, (n_g, 1, 1)) for layer in sorted(layers)}
+    layers = sorted(set(layers if cfg.mp_layers is None else cfg.mp_layers))
+    # axes (layer, group, instance, H, W): tiled copies, so no noise reaches the scene
+    noised = np.tile(gt_masks, (len(layers), n_g, 1, 1, 1))
     if cfg.noise_kind == "point":
-        regions = [point_noise_region(mask, cfg.lambda_point) for mask in gt_masks]
-        noisy = [j for j, (c_max, _) in enumerate(regions) if c_max]  # instances that can flip
-    else:
-        noisy = [] if cfg.noise_kind == "none" else range(per_group)
-    rows = [(layer, g, j) for layer in overrides for g in range(n_g) for j in noisy]
-    rngs = seeded_rngs([_subseed(seed, 1, *row) for row in rows])
-    for (layer, g, j), rng in zip(rows, rngs):
-        mask = overrides[layer][g * per_group + j]
-        if cfg.noise_kind == "point":
-            rr, cc = point_flips(*regions[j], rng)
-            mask[rr, cc] = ~mask[rr, cc]
-        elif cfg.noise_kind == "shift":
-            mask[...] = shift_noise(gt_masks[j], rng)
-        else:
-            mask[...] = scale_noise(gt_masks[j], cfg.scale_range, rng)
+        for j, mask in enumerate(gt_masks):
+            c_max, bbox = point_noise_region(mask, cfg.lambda_point)
+            if not c_max:
+                continue
+            r0, r1, c0, c1 = bbox
+            box = noised[:, :, j, r0:r1 + 1, c0:c1 + 1]  # a view, axes (layer, group, y, x)
+            counts = rng.integers(0, c_max + 1, size=len(layers) * n_g)
+            keys = rng.random((len(counts), (r1 - r0 + 1) * (c1 - c0 + 1)))
+            box ^= (keys.argsort(axis=1).argsort(axis=1) < counts[:, None]).reshape(box.shape)
+    elif cfg.noise_kind != "none":
+        for k, row in enumerate(noised.reshape(-1, h, w)):
+            mask = gt_masks[k % per_group]
+            row[...] = (shift_noise(mask, rng) if cfg.noise_kind == "shift"
+                        else scale_noise(mask, cfg.scale_range, rng))
+    overrides = {layer: stack.reshape(-1, h, w) for layer, stack in zip(layers, noised)}
     return MPPart(n_groups=n_g, group_id=group_id, instance_index=instance_index,
                   query_categories=query_cats, queries=queries, overrides=overrides)

@@ -1,15 +1,18 @@
 """The tests' oracles, which the model itself never runs: primitive ops,
 one small tape node each, that the tests compose as the oracle of
 mpseg.tensor's fused ops, among them the elementwise arithmetic and the
-reductions that Tensor itself does not define; one-mask point noise and
-nearest resizing, the oracles of mp.build_mp_part's point noise and
+reductions that Tensor itself does not define; an MP part's label flips
+and noised masks drawn one row at a time, the oracle of
+mp.build_mp_part; nearest resizing, the oracle of
 masks.to_attention_blocks; the Hungarian solve as numpy array ops, the
 oracle of losses._solve_rows_leq_cols; and a scan over every candidate
 threshold, the oracle of metrics._threshold_exists."""
 
 import numpy as np
 
-from mpseg.masks import _nearest_indices, point_noise_region, seeded_rng
+from mpseg.masks import (_nearest_indices, point_noise_region, scale_noise, seeded_rng,
+                         shift_noise)
+from mpseg.mp import dynamic_groups
 from mpseg.tensor import Tensor, _make, _sigmoid, _unbroadcast
 
 
@@ -205,26 +208,66 @@ def resize_nearest(m: np.ndarray, h2: int, w2: int) -> np.ndarray:
     return m[np.ix_(ri, ci)]
 
 
-def point_noise(m: np.ndarray, lambda_p: float, seed) -> np.ndarray:
-    """Flip a random number of pixels of an (h, w) mask inside its dilated bbox.
+def point_noise_rows(m: np.ndarray, lambda_p: float, n_rows: int, rng) -> np.ndarray:
+    """n_rows point-noised copies of an (h, w) mask, drawn from rng as
+    mp.build_mp_part draws one instance's rows.
 
-    The flip count is uniform on the integers [0, floor(lambda_p * area)];
-    flip positions are distinct and uniform over the noise region, and
-    each chosen pixel is inverted (1->0 or 0->1). The draws come from the
-    seed's own SeedSequence stream, the count and then the positions, so
-    this checks masks.seeded_rngs and mp.build_mp_part independently.
+    Nothing is drawn when the flip budget c_max = floor(lambda_p * area)
+    is 0. Otherwise one integers call draws every row's flip count, uniform
+    on the integers [0, c_max], and one random call every row's keys over
+    the dilated bbox. Row r inverts (1->0 or 0->1) the counts[r] bbox
+    pixels with the lowest keys: distinct positions, uniform over the box.
     """
+    out = np.repeat(m[None], n_rows, axis=0)
     c_max, bbox = point_noise_region(m, lambda_p)
-    out = m.copy()
     if c_max:
-        rng = seeded_rng(seed)
-        count = int(rng.integers(0, c_max + 1))
         r0, r1, c0, c1 = bbox
         region_w = c1 - c0 + 1
-        picks = rng.choice((r1 - r0 + 1) * region_w, size=count, replace=False)
-        rr, cc = r0 + picks // region_w, c0 + picks % region_w
-        out[rr, cc] = ~out[rr, cc]
+        counts = rng.integers(0, c_max + 1, size=n_rows)
+        keys = rng.random((n_rows, (r1 - r0 + 1) * region_w))
+        for row, count, keys_row in zip(out, counts, keys):
+            picks = np.argsort(keys_row)[:count]
+            rr, cc = r0 + picks // region_w, c0 + picks % region_w
+            row[rr, cc] = ~row[rr, cc]
     return out
+
+
+def point_noise(m: np.ndarray, lambda_p: float, seed) -> np.ndarray:
+    """One point-noised copy of an (h, w) mask from the seed's own stream."""
+    return point_noise_rows(m, lambda_p, 1, seeded_rng(seed))[0]
+
+
+def mp_part_draws(scene, num_categories: int, cfg, layers, seed):
+    """(query categories, {layer: (M, H, W) noised masks}) of
+    mp.build_mp_part, drawn one row at a time from one seeded_rng(seed)
+    stream in the order its docstring fixes: the label flips, then point
+    noise instance by instance over (layer, group), or shift and scale
+    noise row by row in (layer, group, instance) order."""
+    n_g = dynamic_groups(cfg.n_q, scene.num_instances)
+    gt_masks = scene.masks[:cfg.n_q]
+    rows = [(g, j) for g in range(n_g) for j in range(len(gt_masks))]
+    rng = seeded_rng(seed)
+    cats = [int(scene.categories[j]) for _, j in rows]
+    if num_categories > 1:
+        draws = rng.random(len(rows))
+        flipped = [k for k in range(len(rows)) if draws[k] < cfg.lambda_label]
+        for k, pick in zip(flipped, rng.integers(0, num_categories - 1, size=len(flipped))):
+            cats[k] = [c for c in range(num_categories) if c != cats[k]][pick]
+    layers = sorted(set(layers if cfg.mp_layers is None else cfg.mp_layers))
+    noised = {(layer, g, j): gt_masks[j] for layer in layers for g, j in rows}
+    if cfg.noise_kind == "point":
+        for j, mask in enumerate(gt_masks):
+            copies = [(layer, g) for layer in layers for g in range(n_g)]
+            for (layer, g), row in zip(copies, point_noise_rows(mask, cfg.lambda_point,
+                                                                len(copies), rng)):
+                noised[layer, g, j] = row
+    elif cfg.noise_kind == "shift":
+        for layer, g, j in noised:
+            noised[layer, g, j] = shift_noise(gt_masks[j], rng)
+    elif cfg.noise_kind == "scale":
+        for layer, g, j in noised:
+            noised[layer, g, j] = scale_noise(gt_masks[j], cfg.scale_range, rng)
+    return cats, {layer: np.stack([noised[layer, g, j] for g, j in rows]) for layer in layers}
 
 
 def solve_rows_leq_cols(cost: np.ndarray) -> np.ndarray:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from mpseg.masks import (_bbox, _centroid, iou, rle_decode, rle_encode, scale_noise,
-                         seed_states, seeded_rng, seeded_rngs, shift_noise,
-                         to_attention_blocks)
+                         seeded_rng, shift_noise, to_attention_blocks)
 from oracle import point_noise, resize_nearest
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -282,37 +281,3 @@ def test_seeded_rng_draws_the_stream_of_the_seed_sequence_of_the_list(seed):
     expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     assert np.array_equal(seeded_rng(list(seed)).integers(0, 2**62, size=8),
                           expected.integers(0, 2**62, size=8))
-
-
-# the 6- and 7-word lists build_mp_part hashes for a training step's seed,
-# lists of one to nine words, and ints of one, two and three words
-HASHED_SEEDS = [[5, 2, 40, 0, 3, 1], [5, 2, 40, 1, 9, 3, 1], [0], [7, 1, 3, 0, 2],
-                [2**32 - 1, 5], [2**32, 1], [2**64 + 5, 0, 9], [3, 2**32 - 1, 2**32, 2**64 + 5],
-                [1, 2, 3, 4, 5, 6, 7, 8, 9], [2**64 + 5] * 3]
-
-
-def test_seed_states_are_the_seed_sequence_states_of_every_list():
-    with np.errstate(all="raise"):
-        states = seed_states(HASHED_SEEDS)
-    assert states.dtype == np.uint64 and states.shape == (len(HASHED_SEEDS), 4)
-    for seed, state in zip(HASHED_SEEDS, states):
-        assert np.array_equal(state, np.random.SeedSequence(seed).generate_state(4, np.uint64))
-
-
-def test_seeded_rngs_are_the_streams_of_seeded_rng():
-    with np.errstate(all="raise"):
-        rngs = seeded_rngs(HASHED_SEEDS)
-    for seed, rng in zip(HASHED_SEEDS, rngs):
-        expected = np.random.PCG64(np.random.SeedSequence(seed))
-        assert rng.bit_generator.state == expected.state
-        expected = np.random.Generator(expected)
-        assert rng.integers(0, 100) == expected.integers(0, 100)
-        assert np.array_equal(rng.choice(200, size=9, replace=False),
-                              expected.choice(200, size=9, replace=False))
-        assert rng.uniform() == expected.uniform()
-
-
-def test_seed_states_of_no_lists_and_of_a_negative_int():
-    assert seed_states([]).shape == (0, 4) and seeded_rngs([]) == []
-    with pytest.raises(ValueError):
-        seed_states([[1, -1]])

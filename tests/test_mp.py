@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from mpseg.decoder import full_forward, init_params, plain_spec
-from mpseg.masks import scale_noise, seeded_rng, shift_noise, to_attention_blocks
-from mpseg.mp import MPConfig, _subseed, build_mp_part, dynamic_groups
-from mpseg.synth import SynthConfig, generate_scene, synth_features
+from mpseg.masks import _centroid, _dilated_bbox, scale_noise, seeded_rng, to_attention_blocks
+from mpseg.mp import MPConfig, build_mp_part, dynamic_groups
+from mpseg.synth import Scene, SynthConfig, generate_scene, synth_features
 from mpseg.tensor import Tensor, concat_rows
 from mpseg.trainer import layer_scale_table, mp_forward_spec
-from oracle import point_noise
+from oracle import mp_part_draws
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 LAYERS = range(1, 10)  # the default decoder's layer indices
@@ -80,46 +80,34 @@ def test_build_mp_part_independent_layer_noise_golden():
         assert fh.read() == text
 
 
-@pytest.mark.parametrize("lambda_point", [0.2, 0.5])
-def test_point_noise_overrides_are_the_oracle_row_by_row(lambda_point):
-    """Every layer's row for group g's copy of instance j is
-    oracle.point_noise on that GT mask with the (layer, g, j) sub-seed."""
+def assert_parts_are_the_oracle(mp_cfg):
+    """build_mp_part's label flips and every layer's stack are
+    oracle.mp_part_draws's, row by row, on three scenes."""
     cfg = SynthConfig(num_categories=4, seed=9)
     params = init_params(seed=4, num_categories=4)
-    mp_cfg = MPConfig(n_q=20, lambda_point=lambda_point, lambda_label=0.0)
     for index in range(3):
         scene = generate_scene(cfg, index)
         seed = [12, index]
         part = build_mp_part(scene, params.class_embed, mp_cfg, LAYERS, seed)
-        assert part.n_groups > 1 and sorted(part.overrides) == list(range(1, 10))
-        for layer, masks in part.overrides.items():
-            noised = np.stack([point_noise(scene.masks[j], lambda_point,
-                                           _subseed(seed, 1, layer, g, j))
-                               for g, j in zip(part.group_id, part.instance_index)])
-            assert np.array_equal(masks, noised)
+        cats, overrides = mp_part_draws(scene, 4, mp_cfg, LAYERS, seed)
+        assert part.n_groups > 1 and sorted(part.overrides) == sorted(overrides)
+        assert part.query_categories.tolist() == cats
+        for layer, masks in overrides.items():
+            assert np.array_equal(part.overrides[layer], masks)
+
+
+@pytest.mark.parametrize("lambda_point", [0.2, 0.5])
+def test_point_noise_overrides_are_the_oracle_row_by_row(lambda_point):
+    assert_parts_are_the_oracle(MPConfig(n_q=20, lambda_point=lambda_point))
 
 
 @pytest.mark.parametrize("kind", ["shift", "scale"])
-def test_shift_and_scale_overrides_are_the_noise_of_the_subseed_row_by_row(kind):
-    """Every layer's row for group g's copy of instance j is shift_noise or
-    scale_noise of that GT mask with the stream of the (layer, g, j) sub-seed."""
-    cfg = SynthConfig(num_categories=4, seed=9)
-    params = init_params(seed=4, num_categories=4)
-    mp_cfg = MPConfig(n_q=20, lambda_label=0.0, noise_kind=kind, scale_range=(0.7, 1.3))
+def test_shift_and_scale_overrides_are_the_oracle_row_by_row(kind):
+    assert_parts_are_the_oracle(MPConfig(n_q=20, noise_kind=kind, scale_range=(0.7, 1.3)))
 
-    def noise(mask, rng):
-        return shift_noise(mask, rng) if kind == "shift" else scale_noise(
-            mask, mp_cfg.scale_range, rng)
 
-    for index in range(3):
-        scene = generate_scene(cfg, index)
-        seed = [12, index]
-        part = build_mp_part(scene, params.class_embed, mp_cfg, LAYERS, seed)
-        assert part.n_groups > 1 and sorted(part.overrides) == list(range(1, 10))
-        for layer, masks in part.overrides.items():
-            noised = np.stack([noise(scene.masks[j], seeded_rng(_subseed(seed, 1, layer, g, j)))
-                               for g, j in zip(part.group_id, part.instance_index)])
-            assert np.array_equal(masks, noised)
+def test_a_subset_of_layers_named_twice_is_the_oracle():
+    assert_parts_are_the_oracle(MPConfig(n_q=20, mp_layers=(5, 2, 5)))
 
 
 def count_seed_sequences(monkeypatch) -> list:
@@ -135,19 +123,35 @@ def count_seed_sequences(monkeypatch) -> list:
     return calls
 
 
-def test_no_mp_part_builds_a_seed_sequence(monkeypatch):
-    """Its label-flip and noise streams come from masks.seeded_rngs, for
-    every noise kind; one seeded_rng call shows that the counter sees
-    the SeedSequence it builds."""
+def test_each_mp_part_builds_one_seed_sequence(monkeypatch):
+    """Every random number of a part, for every noise kind, comes from one
+    seeded_rng stream."""
     cfg, scene = scene_setup(seed=4)
     params = init_params(seed=4, num_categories=4)
     calls = count_seed_sequences(monkeypatch)
     for kind in ("point", "shift", "scale", "none"):
+        calls.clear()
         part = build_mp_part(scene, params.class_embed, MPConfig(noise_kind=kind), LAYERS,
                              seed=[3, 2, 1])
-        assert part.n_groups > 1 and not calls
-    seeded_rng([3])
-    assert len(calls) == 1
+        assert part.n_groups > 1 and len(calls) == 1
+
+
+def test_label_flips_depend_on_the_seed_alone():
+    """The label flips come first in the part's stream, so the noise kind,
+    the piloted layers and the point budget drawn after them leave them
+    as they are."""
+    cfg, scene = scene_setup(seed=5)
+    params = init_params(seed=4, num_categories=4)
+    flips = set()
+    for kind in ("point", "shift", "scale", "none"):
+        for mp_layers in (None, (2,), ()):
+            for lambda_point in (0.0, 0.2, 0.9):
+                mp_cfg = MPConfig(noise_kind=kind, mp_layers=mp_layers,
+                                  lambda_point=lambda_point, lambda_label=0.5)
+                part = build_mp_part(scene, params.class_embed, mp_cfg, LAYERS, seed=[8, 2, 3])
+                flips.add(tuple(part.query_categories.tolist()))
+    (cats,) = flips
+    assert cats != tuple(scene.categories[part.instance_index].tolist())
 
 
 def test_build_mp_part_deterministic():
@@ -178,14 +182,14 @@ def test_build_mp_part_more_objects_than_budget():
 
 def test_label_flip_draws_are_pinned():
     """Label flips of a fixed scene and seed, recorded as literals: a
-    changed draw order or sub-seed changes them."""
+    changed draw order changes them."""
     cfg = SynthConfig(num_categories=4, seed=21, instance_range=(3, 3))
     scene = generate_scene(cfg, 0)
     params = init_params(seed=2, num_categories=4)
     mp_cfg = MPConfig(n_q=10, lambda_label=0.5, noise_kind="none")
     part = build_mp_part(scene, params.class_embed, mp_cfg, LAYERS, seed=[4, 2, 1])
     assert scene.categories[part.instance_index].tolist() == [1, 2, 0, 1, 2, 0, 1, 2, 0]
-    assert part.query_categories.tolist() == [1, 2, 2, 2, 0, 0, 2, 2, 3]
+    assert part.query_categories.tolist() == [0, 1, 0, 0, 1, 0, 1, 3, 3]
     assert part.group_id.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
     assert part.instance_index.tolist() == [0, 1, 2, 0, 1, 2, 0, 1, 2]
 
@@ -247,3 +251,122 @@ def test_mp_queries_backprop_to_class_embeddings():
     expected = np.repeat(counts[:, None].astype(float),
                          params.class_embed.values.shape[1], axis=1)
     assert np.array_equal(params.class_embed.grad, expected)
+
+
+# The distribution tests below draw thousands of rows from seeded MP parts
+# and compare their counts with the expected ones by a chi-squared
+# statistic. Each bound is the 0.999 quantile of the chi-squared law with
+# the test's degrees of freedom, so a correct sampler fails one seed in a
+# thousand; the seeds are fixed, so the tests are deterministic.
+
+
+def one_instance_part(mask, mp_cfg, seed, category=0, num_categories=1):
+    """The MP part of a scene holding the one instance mask."""
+    scene = Scene(index=0, categories=[category], masks=mask[None])
+    return build_mp_part(scene, Tensor(np.zeros((num_categories, 2))), mp_cfg, LAYERS, seed)
+
+
+def chi_squared(observed, expected) -> float:
+    observed, expected = np.asarray(observed, float), np.asarray(expected, float)
+    return float(((observed - expected) ** 2 / expected).sum())
+
+
+def test_point_flips_are_uniform_in_count_and_position():
+    """With one category no label is drawn, so the part's stream opens
+    with the flip counts of its R = 450 rows: each row flips exactly its
+    count of distinct pixels, all inside the dilated bbox; the counts are
+    uniform on [0, c_max], and every bbox pixel is flipped equally often."""
+    mask = np.zeros((16, 16), dtype=bool)
+    mask[6:12, 5:11] = True  # area 36; c_max = 9; dilated bbox 8x8
+    mp_cfg = MPConfig(n_q=50, lambda_point=0.25, noise_kind="point")
+    r0, r1, c0, c1 = _dilated_bbox(mask)
+    inside = np.zeros_like(mask)
+    inside[r0:r1 + 1, c0:c1 + 1] = True
+    counts, flipped = [], np.zeros(mask.shape)
+    for seed in range(20):
+        part = one_instance_part(mask, mp_cfg, [seed])
+        flips = np.concatenate(list(part.overrides.values())) ^ mask
+        drawn = seeded_rng([seed]).integers(0, 10, size=len(flips))
+        assert np.array_equal(flips.sum(axis=(1, 2)), drawn)
+        assert not (flips & ~inside).any()
+        counts.append(drawn)
+        flipped += flips.sum(axis=0)
+    counts = np.concatenate(counts)
+    assert chi_squared(np.bincount(counts, minlength=10), [len(counts) / 10] * 10) < 27.88  # df 9
+    # Rows flip without replacement, so a pixel's count varies less than
+    # under the multinomial law the bound assumes: the test is conservative.
+    cells = flipped[inside]
+    assert chi_squared(cells, [cells.sum() / cells.size] * cells.size) < 103.44  # df 63
+
+
+def test_label_flips_are_at_the_rate_and_uniform_over_the_wrong_classes():
+    """The part's stream opens with one uniform per row: a row flips when
+    it is below lambda_label, and a flipped row takes one of the K - 1
+    wrong classes, each equally often."""
+    cfg = SynthConfig(num_categories=5, seed=2, instance_range=(2, 2))
+    scene = generate_scene(cfg, 0)
+    gt_cats = scene.categories
+    mp_cfg = MPConfig(n_q=100, lambda_label=0.3, noise_kind="none")
+    n_rows = n_flips = 0
+    wrong = {int(c): np.zeros(5, int) for c in gt_cats}
+    for seed in range(50):
+        part = build_mp_part(scene, Tensor(np.zeros((5, 2))), mp_cfg, LAYERS, [seed])
+        true = gt_cats[part.instance_index]
+        flip = seeded_rng([seed]).random(part.num_queries) < 0.3
+        assert np.array_equal(part.query_categories != true, flip)
+        for t, q in zip(true[flip], part.query_categories[flip]):
+            wrong[int(t)][q] += 1
+        n_rows += part.num_queries
+        n_flips += int(flip.sum())
+    # 5000 rows: the binomial sd of the rate is 0.0065, and the bound 5 sd
+    assert abs(n_flips / n_rows - 0.3) < 0.033
+    for t, seen in wrong.items():
+        others = np.delete(seen, t)
+        assert chi_squared(others, [others.sum() / 4] * 4) < 16.27  # df 3
+
+
+def test_shift_offsets_are_uniform_on_the_legal_range():
+    """The legal offsets, enumerated, are those that keep the centroid
+    strictly inside the GT bbox; every row is the mask moved by one of
+    them, and each is drawn equally often. The mask sits far from the
+    image border, so no pixel is dropped."""
+    mask = np.zeros((32, 32), dtype=bool)
+    mask[14:17, 12:18] = True  # bbox rows [14, 17), cols [12, 18) in continuous coords
+    cy, cx = _centroid(mask)
+    legal = [(dy, dx) for dy in range(-8, 9) for dx in range(-8, 9)
+             if 14 < cy + dy < 17 and 12 < cx + dx < 18]
+    assert len(legal) == 15  # dy in [-1, 1], dx in [-2, 2]
+    seen = dict.fromkeys(legal, 0)
+    for seed in range(10):
+        part = one_instance_part(mask, MPConfig(n_q=50, noise_kind="shift"), [seed])
+        for row in np.concatenate(list(part.overrides.values())):
+            oy, ox = _centroid(row)
+            offset = (round(oy - cy), round(ox - cx))
+            assert np.array_equal(np.roll(mask, offset, axis=(0, 1)), row)
+            seen[offset] += 1
+    n = sum(seen.values())
+    assert len(seen) == 15 and chi_squared(list(seen.values()), [n / 15] * 15) < 36.12  # df 14
+
+
+def test_scale_ratios_are_uniform_on_the_scale_range():
+    """Exact enumeration: scale_noise at each of 10000 evenly spaced ratios
+    of scale_range gives the masks a ratio can give, and the share of
+    ratios giving each is its chance under a uniform ratio (to 1e-4). The
+    rows of seeded parts give those masks at those rates."""
+    mask = np.zeros((16, 16), dtype=bool)
+    mask[6:9, 5:10] = True
+    lo, hi = 0.5, 2.0
+    chance, rng = {}, np.random.default_rng(0)  # uniform(r, r) draws r
+    for ratio in lo + (hi - lo) * (np.arange(10000) + 0.5) / 10000:
+        out = scale_noise(mask, (ratio, ratio), rng).tobytes()
+        chance[out] = chance.get(out, 0) + 1 / 10000
+    assert len(chance) == 6
+    seen = dict.fromkeys(chance, 0)
+    for seed in range(10):
+        part = one_instance_part(mask, MPConfig(n_q=50, noise_kind="scale",
+                                                scale_range=(lo, hi)), [seed])
+        for row in np.concatenate(list(part.overrides.values())):
+            seen[row.tobytes()] += 1
+    n = sum(seen.values())
+    assert len(seen) == 6
+    assert chi_squared(list(seen.values()), [n * chance[k] for k in seen]) < 20.52  # df 5
