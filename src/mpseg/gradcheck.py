@@ -116,8 +116,8 @@ def run_gradient_suite(seed: int = 0):
     mask_in = rng.uniform(-2.0, 2.0, size=(4, 2, 3))
     mask_tgt = (rng.uniform(size=(3, 6)) < 0.5).astype(float)
     check("mask_loss_rows",
-          lambda xs: T.mask_loss_rows(xs[0], T._sigmoid(xs[0].values), [3, 0, 2], mask_tgt,
-                                      5.0, 5.0, 1.0), [mask_in])
+          lambda xs: T.mask_loss_rows(xs[0], *T.sigmoid_softplus(xs[0].values), [3, 0, 2],
+                                      mask_tgt, 5.0, 5.0, 1.0), [mask_in])
     # the heads over two query parts of 2 and 3 rows: 4-d queries, 5 hidden, 3 classes;
     # one row per output, as a seed weights one output
     head_in = [rng.uniform(-1, 1, size=s) for s in

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Checked, setting
-from .tensor import cross_entropy_rows, mask_loss_rows, sum_scalars, _sigmoid
+from .tensor import cross_entropy_rows, mask_loss_rows, sigmoid_softplus, sum_scalars
 from .decoder import LayerOutputs, binarize_masks
 
 DICE_EPS = 1.0
@@ -115,10 +115,14 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def cost_matrix(mask_logit_values: np.ndarray, class_logit_values: np.ndarray,
-                scene, w: LossWeights, probs: np.ndarray = None) -> np.ndarray:
+                scene, w: LossWeights, acts: tuple = None) -> np.ndarray:
     """(queries x GT) matching cost: -class prob + BCE + dice, dense.
 
-    `probs` is sigmoid(mask_logit_values) when the caller has it already.
+    `acts` is the pair (probs, softplus) that sigmoid_softplus makes of
+    mask_logit_values, when the caller has it already; without it the
+    pass runs here. A query's BCE against a GT mask is the pixel mean of
+    its max(x, 0) + softplus, less the sum of its logits inside the mask
+    over the pixel count.
     """
     n = mask_logit_values.shape[0]
     pred = mask_logit_values.reshape(n, -1)
@@ -126,13 +130,15 @@ def cost_matrix(mask_logit_values: np.ndarray, class_logit_values: np.ndarray,
     gt = scene.masks.reshape(scene.num_instances, -1).astype(np.float64)
     if gt.shape[1] != npix:
         raise ValueError(f"prediction has {npix} pixels, GT has {gt.shape[1]}")
+    probs, softplus = sigmoid_softplus(pred) if acts is None else acts
 
     cls_term = -softmax_rows(class_logit_values)[:, scene.categories]
 
-    softplus_mean = (np.maximum(pred, 0.0) + np.log1p(np.exp(-np.abs(pred)))).mean(axis=1)
-    bce = softplus_mean[:, None] - (pred @ gt.T) / npix
+    sp = np.maximum(pred, 0.0)
+    sp += softplus.reshape(n, -1)
+    bce = sp.mean(axis=1)[:, None] - (pred @ gt.T) / npix
 
-    p = _sigmoid(pred) if probs is None else probs.reshape(n, -1)
+    p = probs.reshape(n, -1)
     inter = p @ gt.T
     dice = 1.0 - (2.0 * inter + DICE_EPS) / (p.sum(axis=1)[:, None]
                                              + gt.sum(axis=1)[None, :] + DICE_EPS)
@@ -151,12 +157,14 @@ def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: Loss
     Both parts are scored by one rule against a GT index per row (the
     matching vector; the MP part's instance_index): class loss over all
     rows, no-object where the index is -1, and mask loss over the rows
-    with an index. Each layer's mask-logit sigmoid is computed once and
-    shared by the dice terms of the matching cost and of every mask loss
-    of that layer; the consistency target is binarize_masks of the
-    earlier layer's logits. Each (layer, part) adds one class-loss node
-    and at most one mask-loss node to the tape, and the total is one
-    sum_scalars node over those terms, in the order they are made.
+    with an index. Each layer's mask logits take one sigmoid_softplus
+    pass over all their rows: the matching cost and every mask loss of
+    that layer read their rows of its sigmoid and softplus, so each
+    layer computes one exp over its logits. The consistency target is
+    binarize_masks of the earlier layer's logits. Each (layer, part) adds
+    one class-loss node and at most one mask-loss node to the tape, and
+    the total is one sum_scalars node over those terms, in the order they
+    are made.
     """
     if mode not in MODES:
         raise ValueError(f"unknown loss mode {mode!r} (choose from {MODES})")
@@ -168,12 +176,12 @@ def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: Loss
     cats = scene.categories
     gt_flat = scene.masks.reshape(scene.num_instances, -1).astype(np.float64)
     match_rows = np.arange(n_match)
-    probs = [_sigmoid(ml.values) for ml in outputs.mask_logits]
+    acts = [sigmoid_softplus(ml.values) for ml in outputs.mask_logits]
 
     def match(i):
         return hungarian(cost_matrix(outputs.mask_logits[i].values[:n_match],
                                      outputs.class_logits[i].values[:n_match],
-                                     scene, weights, probs[i][:n_match]))
+                                     scene, weights, [a[:n_match] for a in acts[i]]))
 
     layers = range(len(outputs.mask_logits))
     vectors = ([match(-1)] * len(layers) if mode == "fixed-last-layer"
@@ -188,7 +196,7 @@ def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: Loss
         terms.append(cross_entropy_rows(outputs.class_logits[i], rows, targets, row_weights,
                                         weights.cls))
         if hit.any():
-            terms.append(mask_loss_rows(outputs.mask_logits[i], probs[i], rows[hit],
+            terms.append(mask_loss_rows(outputs.mask_logits[i], *acts[i], rows[hit],
                                         gt_flat[vec[hit]], weights.bce, weights.dice, DICE_EPS))
 
     for i, vec in enumerate(vectors):
@@ -198,6 +206,6 @@ def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: Loss
         if mode == "consistency-aux" and i >= 1:
             prev = binarize_masks(outputs.mask_logits[i - 1].values[:n_match])
             prev = prev.reshape(n_match, -1).astype(np.float64)
-            terms.append(mask_loss_rows(outputs.mask_logits[i], probs[i], match_rows, prev,
+            terms.append(mask_loss_rows(outputs.mask_logits[i], *acts[i], match_rows, prev,
                                         weights.bce, weights.dice, DICE_EPS))
     return sum_scalars(terms), np.stack(vectors)

@@ -23,7 +23,8 @@ size the cost of a step is Python overhead per node, not arithmetic:
   own matrices;
 - cross_entropy_rows: weighted cross-entropy of some rows of class logits;
 - mask_loss_rows: weighted mean BCE plus mean dice of some rows of mask
-  logits, reading the sigmoid the caller computed once for the layer.
+  logits, reading the rows of the sigmoid and softplus arrays that the
+  caller's one sigmoid_softplus pass made for the layer.
 
 For the same reason importing mpseg holds numpy's OpenBLAS to one thread
 (mpseg._blas): a second thread has no product large enough to share and
@@ -38,14 +39,16 @@ No array is written in place once it is stored as a gradient, so a
 backward hands _accumulate any array as it is: one it just allocated, a
 view, the incoming g, or one it also hands to another input.
 
-Two fused ops save numpy temporaries by writing in place, but only into
-arrays the op itself just allocated and has not yet handed to
-_accumulate or stored: fused_attention's logits (scaled, blocked,
-shifted, exponentiated and normalized in one buffer, which becomes the
-stored softmax) and its backward's logit gradient; mask_loss_rows' BCE
-terms and its backward's row gradient before it is assigned into the
-fresh accumulator. The ufuncs and their order are those of the
-out-of-place expressions, so every value is bitwise the same.
+Three functions save numpy temporaries by writing in place, but only
+into arrays they just allocated and have not yet handed to _accumulate,
+stored or returned: fused_attention's logits (scaled, blocked, shifted,
+exponentiated and normalized in one buffer, which becomes the stored
+softmax) and its backward's logit gradient; mask_loss_rows' BCE terms
+and its backward's row gradient before it is assigned into the fresh
+accumulator; and sigmoid_softplus's exp(-|x|) buffer, which turns into
+the sigmoid's denominator, and the sigmoid's numerator, which it divides
+in place. The ufuncs and their order are those of the out-of-place
+expressions, so every value is bitwise the same.
 """
 
 from __future__ import annotations
@@ -170,10 +173,24 @@ def _mean_all(a):
     return np.add.reduce(a, axis=None) / a.size
 
 
-def _sigmoid(x):
-    ex = np.exp(-np.abs(x))
-    d = 1.0 + ex
-    return np.where(x >= 0, 1.0 / d, ex / d)
+def sigmoid_softplus(x):
+    """(sigmoid(x), log1p(exp(-|x|))) from one exp: the mask-logit
+    activations every consumer of a layer reads.
+
+    softplus(x) is max(x, 0) plus the second array. The sigmoid is
+    1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, for e = exp(-|x|);
+    since 0 <= e <= 1, max(e, x >= 0) is that numerator, so the values
+    are bitwise those of the np.where form tests/oracle.py keeps, NaN
+    included.
+    """
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    sp = np.log1p(e)
+    p = np.maximum(e, x >= 0)
+    e += 1.0
+    p /= e
+    return p, sp
 
 
 def concat_rows(tensors) -> Tensor:
@@ -386,12 +403,13 @@ def cross_entropy_rows(logits: Tensor, rows, targets, row_weights, scale: float)
     return out
 
 
-def mask_loss_rows(logits: Tensor, probs: np.ndarray, rows, targets, w_bce: float,
-                   w_dice: float, dice_eps: float) -> Tensor:
+def mask_loss_rows(logits: Tensor, probs: np.ndarray, softplus: np.ndarray, rows, targets,
+                   w_bce: float, w_dice: float, dice_eps: float) -> Tensor:
     """w_bce * mean sigmoid BCE + w_dice * mean smooth dice of the rows
     `rows` of (n, ...) mask logits against (len(rows), pixels) targets.
 
-    `probs` is sigmoid(logits.values), computed once by the caller.
+    `probs, softplus` is sigmoid_softplus(logits.values), computed once by
+    the caller; the BCE of logit v is max(v, 0) - v * t + softplus.
     `rows` must be unique: the gradient is written into them by assignment.
     """
     rows = np.asarray(rows, dtype=np.intp)
@@ -401,10 +419,7 @@ def mask_loss_rows(logits: Tensor, probs: np.ndarray, rows, targets, w_bce: floa
     t = targets
     terms = np.maximum(v, 0.0)
     terms -= v * t
-    softplus = np.abs(v)  # then log1p(exp(-|v|))
-    np.negative(softplus, out=softplus)
-    np.exp(softplus, out=softplus)
-    terms += np.log1p(softplus, out=softplus)
+    terms += softplus.reshape(n, -1)[rows]
     bce = _mean_all(terms)
     num = 2.0 * (p * t).sum(axis=-1) + dice_eps
     den = p.sum(axis=-1) + (t.sum(axis=1) + dice_eps)

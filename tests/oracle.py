@@ -5,15 +5,30 @@ reductions that Tensor itself does not define; an MP part's label flips
 and noised masks drawn one row at a time, the oracle of
 mp.build_mp_part; nearest resizing, the oracle of
 masks.to_attention_blocks; the Hungarian solve as numpy array ops, the
-oracle of losses._solve_rows_leq_cols; and a scan over every candidate
-threshold, the oracle of metrics._threshold_exists."""
+oracle of losses._solve_rows_leq_cols; a scan over every candidate
+threshold, the oracle of metrics._threshold_exists; and the np.where
+sigmoid with log1p(exp(-|x|)) as two expressions, the oracle of
+tensor.sigmoid_softplus."""
 
 import numpy as np
 
 from mpseg.masks import (_nearest_indices, point_noise_region, scale_noise, seeded_rng,
                          shift_noise)
 from mpseg.mp import dynamic_groups
-from mpseg.tensor import Tensor, _make, _sigmoid, _unbroadcast
+from mpseg.tensor import Tensor, _make, _unbroadcast
+
+
+def sigmoid_where(x: np.ndarray) -> np.ndarray:
+    """sigmoid(x) as 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere,
+    for e = exp(-|x|)."""
+    ex = np.exp(-np.abs(x))
+    d = 1.0 + ex
+    return np.where(x >= 0, 1.0 / d, ex / d)
+
+
+def log1p_exp_neg_abs(x: np.ndarray) -> np.ndarray:
+    """log1p(exp(-|x|)): softplus(x) less max(x, 0)."""
+    return np.log1p(np.exp(-np.abs(x)))
 
 
 def _as_tensor(x) -> Tensor:
@@ -103,7 +118,7 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    y = _sigmoid(x.values)
+    y = sigmoid_where(x.values)
     out = _make(y, (x,))
     if out.requires_grad:
         out._backward = lambda g: x._accumulate(g * y * (1.0 - y))
@@ -189,10 +204,10 @@ def bce_with_logits(x: Tensor, target) -> Tensor:
     """
     t = np.asarray(target, dtype=np.float64)
     v = x.values
-    loss = np.maximum(v, 0.0) - v * t + np.log1p(np.exp(-np.abs(v)))
+    loss = np.maximum(v, 0.0) - v * t + log1p_exp_neg_abs(v)
     out = _make(loss, (x,))
     if out.requires_grad:
-        out._backward = lambda g: x._accumulate(g * (_sigmoid(v) - t))
+        out._backward = lambda g: x._accumulate(g * (sigmoid_where(v) - t))
     return out
 
 

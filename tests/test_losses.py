@@ -10,10 +10,11 @@ from mpseg.losses import (DICE_EPS, LossWeights, _solve_rows_leq_cols, cost_matr
 from mpseg.metrics import compute_matching_vectors
 from mpseg.mp import MPConfig, MPPart
 from mpseg.synth import Scene, SynthConfig, generate_scene, synth_features
-from mpseg.tensor import Tensor, _sigmoid, cross_entropy_rows, mask_loss_rows
+from mpseg.tensor import Tensor, cross_entropy_rows, mask_loss_rows, sigmoid_softplus
 from mpseg.trainer import layer_scale_table, mp_forward_spec
-from oracle import (add, bce_with_logits, div, gather_cols, logsumexp_lastdim, mean_all, mul,
-                    reshape, sigmoid, solve_rows_leq_cols, sub, sum_all, sum_lastdim)
+from oracle import (add, bce_with_logits, div, gather_cols, log1p_exp_neg_abs, logsumexp_lastdim,
+                    mean_all, mul, reshape, sigmoid, sigmoid_where, solve_rows_leq_cols, sub,
+                    sum_all, sum_lastdim)
 
 
 def brute_force_min_cost(cost: np.ndarray) -> float:
@@ -168,7 +169,8 @@ def bce_and_dice(logits: np.ndarray, gt: np.ndarray) -> tuple:
     """(BCE, dice): mask_loss_rows of (1, H, W) logits, weights (1, 0) and (0, 1)."""
     ml = Tensor(logits[None])
     t = gt.reshape(1, -1).astype(np.float64)
-    return tuple(mask_loss_rows(ml, _sigmoid(ml.values), [0], t, w_bce, w_dice, DICE_EPS)
+    return tuple(mask_loss_rows(ml, *sigmoid_softplus(ml.values), [0], t, w_bce, w_dice,
+                                DICE_EPS)
                  for w_bce, w_dice in ((1.0, 0.0), (0.0, 1.0)))
 
 
@@ -372,8 +374,8 @@ def test_mask_node_matches_composition(rows):
     for fused in (True, False):
         ml = Tensor(values.copy(), requires_grad=True)
         if fused:
-            out = mask_loss_rows(ml, _sigmoid(ml.values), rows, targets, w.bce, w.dice,
-                                 DICE_EPS)
+            out = mask_loss_rows(ml, *sigmoid_softplus(ml.values), rows, targets, w.bce,
+                                 w.dice, DICE_EPS)
         else:
             out = composed_mask_loss(reshape(ml, 7, -1).take_rows(rows), targets, w)
         out.backward(0.6)
@@ -449,12 +451,17 @@ def test_layer_losses_total_is_one_node_over_every_term(monkeypatch, mode, with_
 
 
 def test_cost_matrix_with_given_probabilities_is_bitwise_equal():
+    """The given pair and the pass cost_matrix runs itself give the same
+    cost, and both are the cost of the oracle's sigmoid and softplus."""
     rng = np.random.default_rng(23)
     ml = rng.uniform(-3, 3, size=(5, 4, 4))
     cl = rng.uniform(-3, 3, size=(5, 4))
     scene = two_instance_scene()
-    assert np.array_equal(cost_matrix(ml, cl, scene, LossWeights(), _sigmoid(ml)),
-                          cost_matrix(ml, cl, scene, LossWeights()))
+    own = cost_matrix(ml, cl, scene, LossWeights())
+    given = cost_matrix(ml, cl, scene, LossWeights(), sigmoid_softplus(ml))
+    oracle = cost_matrix(ml, cl, scene, LossWeights(),
+                         (sigmoid_where(ml), log1p_exp_neg_abs(ml)))
+    assert own.tobytes() == given.tobytes() == oracle.tobytes()
 
 
 def small_forward(with_mp: bool):

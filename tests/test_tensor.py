@@ -3,10 +3,11 @@ import pytest
 
 from mpseg.gradcheck import check_gradient
 from mpseg.tensor import (NEG_BIG, Tensor, add_norm_affine, concat_rows, fused_attention, mlp2,
-                          sum_scalars)
+                          sigmoid_softplus, sum_scalars)
 from oracle import (add, bce_with_logits, div, gather_cols, layernorm_lastdim, log,
-                    logsumexp_lastdim, masked_fill, mean_all, mul, relu, reshape, sigmoid,
-                    softmax_lastdim, sub, sum_all, sum_lastdim, transpose)
+                    log1p_exp_neg_abs, logsumexp_lastdim, masked_fill, mean_all, mul, relu,
+                    reshape, sigmoid, sigmoid_where, softmax_lastdim, sub, sum_all, sum_lastdim,
+                    transpose)
 
 
 def test_matmul_identity():
@@ -71,6 +72,29 @@ def test_sigmoid_relu_values():
     assert sigmoid(Tensor([0.0])).values[0] == 0.5
     assert relu(Tensor([-3.0])).values[0] == 0.0
     assert relu(Tensor([3.0])).values[0] == 3.0
+
+
+EDGE_LOGITS = [0.0, 5e-324, 1.57e-16, 36.8, 709.0, 746.0, np.inf]
+
+
+@pytest.mark.parametrize("x", [
+    np.array([s * v for v in EDGE_LOGITS for s in (1.0, -1.0)]),
+    np.random.default_rng(24).normal(scale=8.0, size=(40, 32, 32)),
+], ids=["edges", "random"])
+def test_sigmoid_softplus_is_bitwise_the_oracle(x):
+    """One exp, a max select and in-place ops give the bits of the np.where
+    sigmoid and of log1p(exp(-|x|)), signed zeros and infinities included."""
+    kept = x.copy()
+    probs, softplus = sigmoid_softplus(x)
+    assert probs.shape == softplus.shape == x.shape
+    assert np.array_equal(probs.view(np.int64), sigmoid_where(x).view(np.int64))
+    assert np.array_equal(softplus.view(np.int64), log1p_exp_neg_abs(x).view(np.int64))
+    assert np.array_equal(x.view(np.int64), kept.view(np.int64))
+
+
+def test_sigmoid_softplus_keeps_nan():
+    probs, softplus = sigmoid_softplus(np.array([np.nan, -np.nan]))
+    assert np.isnan(probs).all() and np.isnan(softplus).all()
 
 
 def test_layernorm_hand_case():

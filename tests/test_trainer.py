@@ -137,18 +137,18 @@ def test_grad_check_rows_cover_every_op_a_training_step_records(monkeypatch):
 
 
 def count_sigmoid_calls(monkeypatch) -> list:
-    """Counts every call of tensor._sigmoid, under whatever name an mpseg
-    module imported it."""
+    """Counts every call of tensor.sigmoid_softplus, the one sigmoid pass,
+    under whatever name an mpseg module imported it."""
     calls = []
-    real = tensor._sigmoid
+    real = tensor.sigmoid_softplus
 
     def counting(x):
         calls.append(None)
         return real(x)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("mpseg") and getattr(module, "_sigmoid", None) is real:
-            monkeypatch.setattr(module, "_sigmoid", counting)
+        if name.startswith("mpseg") and getattr(module, "sigmoid_softplus", None) is real:
+            monkeypatch.setattr(module, "sigmoid_softplus", counting)
     return calls
 
 
@@ -165,16 +165,26 @@ def test_an_evaluated_scene_computes_one_sigmoid_per_layer(monkeypatch):
     assert len(calls) == params.num_layers + 1
 
 
+def step_sigmoid_calls(monkeypatch, spec, scene, mp_part, params) -> int:
+    calls = count_sigmoid_calls(monkeypatch)
+    outputs = full_forward(spec, params)
+    layer_losses(outputs, scene, mp_part, "per-layer-bipartite", LossWeights())
+    return len(calls)
+
+
+def test_a_plain_step_computes_one_sigmoid_per_layer(monkeypatch):
+    cfg, scene, params = default_scene_and_params()
+    spec = plain_spec(synth_features(scene, cfg), params)
+    assert step_sigmoid_calls(monkeypatch, spec, scene, None, params) == params.num_layers + 1
+
+
 def test_an_mp_step_computes_one_sigmoid_per_layer(monkeypatch):
     cfg, scene, params = default_scene_and_params()
     table = trainer.layer_scale_table(cfg.height, cfg.width, params.num_layers)
     spec, mp_part = trainer.mp_forward_spec(synth_features(scene, cfg), scene, params,
                                             MPConfig(), table, [0, 2, 0])
     assert mp_part is not None
-    calls = count_sigmoid_calls(monkeypatch)
-    outputs = full_forward(spec, params)
-    layer_losses(outputs, scene, mp_part, "per-layer-bipartite", LossWeights())
-    assert len(calls) == params.num_layers + 1
+    assert step_sigmoid_calls(monkeypatch, spec, scene, mp_part, params) == params.num_layers + 1
 
 
 def reference_adamw_step(state, pairs, lr, b1=0.9, b2=0.999, eps=1e-8, weight_decay=0.05,
