@@ -8,14 +8,15 @@ parts), and each layer's masks, binarized by binarize_masks and resized
 by masks.to_attention_blocks, become the next layer's cross-attention
 blocking grids. Single attention head, no positional encodings.
 
-full_forward is the only forward path and the one place a mask becomes
-a blocking grid. Its queries form one part (the matching queries) or
-two: the matching queries, then the mask-piloted (MP) part's queries,
-handed over as the MPPart that the loss reads too; at the layers it
-pilots, its noised GT masks stand in for its rows' predictions. A plain
-forward is the one-part case, with no extra work or tape nodes. The
-matching part's self-attention reads only its own rows; the MP rows read
-the matching rows and their own group.
+full_forward is the only forward path, the one place a mask becomes a
+blocking grid, and the one place data becomes query Tensors. Its queries
+form one part (the matching queries, query_embed) or two: the matching
+queries, then the mask-piloted (MP) part's, the class_embed rows of the
+categories of the MPPart that the loss reads too (the part itself is
+plain data); at the layers it pilots, its noised GT masks stand in for
+its rows' predictions. A plain forward is the one-part case, with no
+extra work or tape nodes. The matching part's self-attention reads only
+its own rows; the MP rows read the matching rows and their own group.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ class LayerOutputs:
 @dataclass
 class ForwardSpec:
     pyramid: list         # scales, coarse to fine; the finest is the embedding grid
-    queries: Tensor       # (n_match, d) matching queries
     mp: object = None     # MPPart or None
 
 
@@ -195,20 +195,22 @@ def layer_scale(layer: int, num_scales: int) -> int:
 def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
     """Run all layers; layer i attends to pyramid scale layer_scale(i).
 
-    The queries form one part, the matching queries, or two when the
-    spec carries an MP part. A row's cross-attention grid blocks outside
-    its mask at that scale: its previous prediction, or at a layer in
-    mp.overrides, the MP row's noised GT mask. The MP rows' self-attention
-    grid blocks every row of another MP group and nothing else.
+    The queries form one part, the matching queries params.query_embed,
+    or two when the spec carries an MP part, whose queries are the
+    params.class_embed rows of its query_categories. A row's
+    cross-attention grid blocks outside its mask at that scale: its
+    previous prediction, or at a layer in mp.overrides, the MP row's
+    noised GT mask. The MP rows' self-attention grid blocks every row of
+    another MP group and nothing else.
     """
     feats = [Tensor(grid.reshape(-1, grid.shape[-1])) for grid in spec.pyramid]
     embed = spec.pyramid[-1]
     mp = spec.mp
-    n_match = spec.queries.values.shape[0]
-    parts, self_blocks = [spec.queries], [None]
+    n_match = params.query_embed.values.shape[0]
+    parts, self_blocks = [params.query_embed], [None]
     if mp is not None:
         gid = mp.group_id
-        parts.append(mp.queries)
+        parts.append(params.class_embed.take_rows(mp.query_categories))
         self_blocks.append(np.hstack([np.zeros((gid.size, n_match), dtype=bool),
                                       gid[:, None] != gid[None, :]]))
     masks, classes = heads(params, parts, embed)
@@ -231,8 +233,9 @@ def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
 
 
 def plain_spec(pyramid, params: DecoderParams) -> ForwardSpec:
-    """Matching part only: the learnable queries, no MP part."""
-    return ForwardSpec(pyramid, params.query_embed)
+    """Matching part only, no MP part: ForwardSpec(pyramid). params is
+    unused; the benchmark's workloads call plain_spec(pyramid, params)."""
+    return ForwardSpec(pyramid)
 
 
 def _array_header(name: str, shape) -> bytes:

@@ -157,12 +157,10 @@ def _end_to_end_check(seed: int, with_mp: bool):
     pairs = named_parameters(params)
     weights = LossWeights()
 
-    mp_cfg = MPConfig(n_q=4, enabled=with_mp)
-    layers = range(1, params.num_layers + 1)
+    spec, mp_part = mp_forward_spec(pyramid, scene, params, MPConfig(n_q=4, enabled=with_mp),
+                                    range(1, params.num_layers + 1), [seed, 2, 0])
 
     def loss_tensor():
-        # rebuilt per call: the MP queries are rows of class_embed
-        spec, mp_part = mp_forward_spec(pyramid, scene, params, mp_cfg, layers, [seed, 2, 0])
         outputs = full_forward(spec, params)
         total, _ = layer_losses(outputs, scene, mp_part=mp_part,
                                 mode="per-layer-bipartite", weights=weights)

@@ -1,17 +1,20 @@
-"""Construction of the mask-piloted (MP) query part.
+"""Construction of the mask-piloted (MP) query part, as plain data.
 
 MP queries are GT class embeddings (optionally flipped to a wrong class
 with probability lambda_label), repeated over dynamically-sized groups so
-the query budget is filled. Each piloted layer gets its own noised copy of
-every instance's GT mask, at the scene's resolution; the decoder grids it
-as it grids a predicted mask. Every random number of a part comes from one
-masks.seeded_rng(seed) stream, in the order build_mp_part documents. So a
-row's noise depends on which other rows are drawn before it (on mp_layers,
-the group count and the noise kind, for example), not on its own (layer,
-group, instance) alone; the label flips come first and depend on none of
-them. The part reaches the decoder as its own query part
-(decoder.ForwardSpec.mp): the matching queries never read it, and its
-group ids keep the MP groups from reading each other.
+the query budget is filled. A part holds each row's category, not its
+embedding: decoder.full_forward looks the rows up in the class-embedding
+table, as it makes the matching queries, so a part is built, compared
+and tested without parameters. Each piloted layer gets its own noised
+copy of every instance's GT mask, at the scene's resolution; the decoder
+grids it as it grids a predicted mask. Every random number of a part
+comes from one masks.seeded_rng(seed) stream, in the order build_mp_part
+documents. So a row's noise depends on which other rows are drawn before
+it (on mp_layers, the group count and the noise kind, for example), not
+on its own (layer, group, instance) alone; the label flips come first and
+depend on none of them. The part reaches the decoder as its own query
+part (decoder.ForwardSpec.mp): the matching queries never read it, and
+its group ids keep the MP groups from reading each other.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import numpy as np
 
 from .fields import MAX_LAYERS, MAX_SIZE, Checked, setting
 from .masks import point_noise_region, scale_noise, seeded_rng, shift_noise
-from .tensor import Tensor
 
 
 @dataclass
@@ -41,12 +43,11 @@ class MPConfig(Checked):
 @dataclass
 class MPPart:
     """One scene's MP queries. Row k pilots GT instance instance_index[k]
-    and is scored against it: that is its matching, with no solve."""
-    n_groups: int
+    and is scored against it: that is its matching, with no solve. Its
+    query is the class embedding of query_categories[k]."""
     group_id: np.ndarray          # (M,) group of each MP query
     instance_index: np.ndarray    # (M,) GT instance hard-assigned to each MP query
-    query_categories: np.ndarray  # (M,) category whose embedding seeds the query (post flip)
-    queries: Tensor               # (M, d), rows of the class-embedding table
+    query_categories: np.ndarray  # (M,) category whose embedding is the query (post flip)
     overrides: dict = field(default_factory=dict)  # layer -> (M, H, W) bool noised GT masks
 
     @property
@@ -66,7 +67,7 @@ def dynamic_groups(n_q: int, n_o: int) -> int:
     return n_q // n_o
 
 
-def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layers, seed: list):
+def build_mp_part(scene, num_categories: int, cfg: MPConfig, layers, seed: list):
     """Build the MP part for one scene, or None when MP is off
     (cfg.enabled false) or there is nothing to pilot.
 
@@ -76,7 +77,7 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layers, seed: list)
     P = min(n_q, instances) instances; each piloted layer gets its own
     noised stack of the M rows. Every random number comes from one
     masks.seeded_rng(seed) stream (seed is a list of ints, or an int),
-    drawn in this order, K being the number of categories:
+    drawn in this order, K = num_categories:
 
     1. Label flips, when K > 1: one random(M) call; row k flips when its
        value is below lambda_label. Then one integers(0, K - 1) call, one
@@ -108,12 +109,10 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layers, seed: list)
     instance_index = np.tile(np.arange(per_group, dtype=np.intp), n_g)
     gt_cats = scene.categories[instance_index]
     query_cats = gt_cats.copy()
-    num_categories = class_embed.values.shape[0]
     if num_categories > 1:
         flip = rng.random(len(gt_cats)) < cfg.lambda_label
         other = rng.integers(0, num_categories - 1, size=int(flip.sum()))
         query_cats[flip] = other + (other >= gt_cats[flip])
-    queries = class_embed.take_rows(query_cats)
 
     layers = sorted(set(layers if cfg.mp_layers is None else cfg.mp_layers))
     # axes (layer, group, instance, H, W): tiled copies, so no noise reaches the scene
@@ -134,5 +133,5 @@ def build_mp_part(scene, class_embed: Tensor, cfg: MPConfig, layers, seed: list)
             row[...] = (shift_noise(mask, rng) if cfg.noise_kind == "shift"
                         else scale_noise(mask, cfg.scale_range, rng))
     overrides = {layer: stack.reshape(-1, h, w) for layer, stack in zip(layers, noised)}
-    return MPPart(n_groups=n_g, group_id=group_id, instance_index=instance_index,
-                  query_categories=query_cats, queries=queries, overrides=overrides)
+    return MPPart(group_id=group_id, instance_index=instance_index,
+                  query_categories=query_cats, overrides=overrides)

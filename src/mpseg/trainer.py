@@ -155,10 +155,10 @@ def mp_forward_spec(pyramid, scene, params: DecoderParams, mp_cfg, layers,
     """(ForwardSpec, MPPart or None): the spec of every forward that may
     carry MP. With no MP part (mp_cfg.enabled false, or a scene with no
     instance) the spec is plain_spec's. layers and seed go to
-    build_mp_part: layers is the layer indices, or a dict keyed by them (a
-    layer_scale_table), which iterates as its keys."""
-    mp_part = build_mp_part(scene, params.class_embed, mp_cfg, layers, seed)
-    return ForwardSpec(pyramid, params.query_embed, mp_part), mp_part
+    build_mp_part: layers is the layer indices, or any iterable of them,
+    a dict keyed by them among them."""
+    mp_part = build_mp_part(scene, params.num_categories, mp_cfg, layers, seed)
+    return ForwardSpec(pyramid, mp_part), mp_part
 
 
 def run_training(cfg: RunConfig, log=None):

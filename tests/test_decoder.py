@@ -381,14 +381,12 @@ def small_pyramid_and_params(n_queries=2):
 
 
 def mp_spec(pyramid, params, group_id=(0, 0, 0), overrides=None):
-    """A spec whose MP part is random query rows in the given groups."""
+    """A spec whose MP part is rows of random categories in the given groups."""
     group_id = np.array(group_id, dtype=np.intp)
-    rows = Tensor(np.random.default_rng(18).uniform(-1, 1, size=(group_id.size, params.dim)))
-    zeros = np.zeros(group_id.size, dtype=np.intp)
-    part = MPPart(n_groups=int(group_id.max()) + 1, group_id=group_id,
-                  instance_index=zeros, query_categories=zeros,
-                  queries=rows, overrides=overrides or {})
-    return ForwardSpec(pyramid, params.query_embed, part)
+    cats = np.random.default_rng(18).integers(0, params.num_categories, size=group_id.size)
+    part = MPPart(group_id=group_id, instance_index=np.zeros(group_id.size, dtype=np.intp),
+                  query_categories=cats, overrides=overrides or {})
+    return ForwardSpec(pyramid, part)
 
 
 @pytest.mark.parametrize("group_id,expected", [

@@ -401,10 +401,8 @@ def random_layer_outputs(with_mp):
     mp_part = None
     if with_mp:
         instance_index = np.array([0, 1, 0, 1])
-        mp_part = MPPart(n_groups=2, group_id=np.array([0, 0, 1, 1]),
-                         instance_index=instance_index,
-                         query_categories=np.array([2, 0, 1, 0]),
-                         queries=Tensor(np.zeros((n_mp, 4))))
+        mp_part = MPPart(group_id=np.array([0, 0, 1, 1]), instance_index=instance_index,
+                         query_categories=np.array([2, 0, 1, 0]))
 
     def outputs():
         return LayerOutputs(mask_logits=[Tensor(v.copy(), requires_grad=True)

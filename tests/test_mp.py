@@ -3,11 +3,12 @@ import os
 import numpy as np
 import pytest
 
-from mpseg.decoder import full_forward, init_params, plain_spec
+from mpseg import decoder
+from mpseg.decoder import ForwardSpec, full_forward, init_params, plain_spec
 from mpseg.masks import _centroid, _dilated_bbox, scale_noise, seeded_rng, to_attention_blocks
 from mpseg.mp import MPConfig, build_mp_part, dynamic_groups
 from mpseg.synth import Scene, SynthConfig, generate_scene, synth_features
-from mpseg.tensor import Tensor, concat_rows
+from mpseg.tensor import concat_rows, fused_heads
 from mpseg.trainer import layer_scale_table, mp_forward_spec
 from oracle import mp_part_draws
 
@@ -33,43 +34,57 @@ def scene_setup(seed=0, **cfg_kw):
     return cfg, scene
 
 
-def test_build_mp_part_noiseless_exact_gt():
+def layer0_mp_queries(monkeypatch, part, cfg, scene, params):
+    """The MP query part the decoder's heads receive at layer 0 of a
+    forward carrying part."""
+    seen = []
+
+    def recording(parts, *args):
+        seen.append(parts)
+        return fused_heads(parts, *args)
+
+    monkeypatch.setattr(decoder, "fused_heads", recording)
+    full_forward(ForwardSpec(synth_features(scene, cfg), part), params)
+    return seen[0][1]
+
+
+def test_build_mp_part_noiseless_exact_gt(monkeypatch):
     cfg, scene = scene_setup()
     params = init_params(seed=1, num_categories=4)
     mp_cfg = MPConfig(n_q=20, lambda_point=0.0, lambda_label=0.0, noise_kind="none")
-    part = build_mp_part(scene, params.class_embed, mp_cfg, LAYERS, seed=5)
+    part = build_mp_part(scene, 4, mp_cfg, LAYERS, seed=5)
     n_o = scene.num_instances
-    assert part.n_groups == 20 // n_o
-    assert part.num_queries == part.n_groups * n_o
+    assert part.group_id.max() + 1 == 20 // n_o
+    assert part.num_queries == (part.group_id.max() + 1) * n_o
     # queries are exactly the class embeddings of the true categories
+    queries = layer0_mp_queries(monkeypatch, part, cfg, scene, params)
     for row in range(part.num_queries):
         cat = scene.categories[part.instance_index[row]]
         assert part.query_categories[row] == cat
-        assert np.array_equal(part.queries.values[row], params.class_embed.values[cat])
+        assert np.array_equal(queries.values[row], params.class_embed.values[cat])
     # overrides equal the exact GT, tiled over the groups
     assert sorted(part.overrides.keys()) == list(range(1, 10))
     for masks in part.overrides.values():
         assert np.array_equal(masks, scene.masks[part.instance_index])
 
 
-def test_build_mp_part_forced_label_flip():
+def test_build_mp_part_forced_label_flip(monkeypatch):
     cfg, scene = scene_setup(num_categories=2)
     params = init_params(seed=2, num_categories=2)
     mp_cfg = MPConfig(n_q=8, lambda_point=0.0, lambda_label=1.0, noise_kind="none")
-    part = build_mp_part(scene, params.class_embed, mp_cfg, LAYERS, seed=6)
+    part = build_mp_part(scene, 2, mp_cfg, LAYERS, seed=6)
+    queries = layer0_mp_queries(monkeypatch, part, cfg, scene, params)
     for row in range(part.num_queries):
         true_cat = scene.categories[part.instance_index[row]]
         assert part.query_categories[row] == 1 - true_cat
-        assert np.array_equal(part.queries.values[row],
-                              params.class_embed.values[1 - true_cat])
+        assert np.array_equal(queries.values[row], params.class_embed.values[1 - true_cat])
 
 
 def test_build_mp_part_independent_layer_noise_golden():
     cfg, scene = scene_setup(seed=3, instance_range=(2, 2))
-    params = init_params(seed=3, num_categories=4)
     mp_cfg = MPConfig(n_q=4, lambda_point=0.2, lambda_label=0.0,
                       mp_layers=(1, 2), noise_kind="point")
-    part = build_mp_part(scene, params.class_embed, mp_cfg, LAYERS, seed=7)
+    part = build_mp_part(scene, 4, mp_cfg, LAYERS, seed=7)
     assert not np.array_equal(part.overrides[1], part.overrides[2])
     lines = []
     for layer in (1, 2):
@@ -84,13 +99,12 @@ def assert_parts_are_the_oracle(mp_cfg):
     """build_mp_part's label flips and every layer's stack are
     oracle.mp_part_draws's, row by row, on three scenes."""
     cfg = SynthConfig(num_categories=4, seed=9)
-    params = init_params(seed=4, num_categories=4)
     for index in range(3):
         scene = generate_scene(cfg, index)
         seed = [12, index]
-        part = build_mp_part(scene, params.class_embed, mp_cfg, LAYERS, seed)
+        part = build_mp_part(scene, 4, mp_cfg, LAYERS, seed)
         cats, overrides = mp_part_draws(scene, 4, mp_cfg, LAYERS, seed)
-        assert part.n_groups > 1 and sorted(part.overrides) == sorted(overrides)
+        assert part.group_id.max() + 1 > 1 and sorted(part.overrides) == sorted(overrides)
         assert part.query_categories.tolist() == cats
         for layer, masks in overrides.items():
             assert np.array_equal(part.overrides[layer], masks)
@@ -127,13 +141,12 @@ def test_each_mp_part_builds_one_seed_sequence(monkeypatch):
     """Every random number of a part, for every noise kind, comes from one
     seeded_rng stream."""
     cfg, scene = scene_setup(seed=4)
-    params = init_params(seed=4, num_categories=4)
     calls = count_seed_sequences(monkeypatch)
     for kind in ("point", "shift", "scale", "none"):
         calls.clear()
-        part = build_mp_part(scene, params.class_embed, MPConfig(noise_kind=kind), LAYERS,
+        part = build_mp_part(scene, 4, MPConfig(noise_kind=kind), LAYERS,
                              seed=[3, 2, 1])
-        assert part.n_groups > 1 and len(calls) == 1
+        assert part.group_id.max() + 1 > 1 and len(calls) == 1
 
 
 def test_label_flips_depend_on_the_seed_alone():
@@ -141,14 +154,13 @@ def test_label_flips_depend_on_the_seed_alone():
     the piloted layers and the point budget drawn after them leave them
     as they are."""
     cfg, scene = scene_setup(seed=5)
-    params = init_params(seed=4, num_categories=4)
     flips = set()
     for kind in ("point", "shift", "scale", "none"):
         for mp_layers in (None, (2,), ()):
             for lambda_point in (0.0, 0.2, 0.9):
                 mp_cfg = MPConfig(noise_kind=kind, mp_layers=mp_layers,
                                   lambda_point=lambda_point, lambda_label=0.5)
-                part = build_mp_part(scene, params.class_embed, mp_cfg, LAYERS, seed=[8, 2, 3])
+                part = build_mp_part(scene, 4, mp_cfg, LAYERS, seed=[8, 2, 3])
                 flips.add(tuple(part.query_categories.tolist()))
     (cats,) = flips
     assert cats != tuple(scene.categories[part.instance_index].tolist())
@@ -156,13 +168,11 @@ def test_label_flips_depend_on_the_seed_alone():
 
 def test_build_mp_part_deterministic():
     cfg, scene = scene_setup(seed=4)
-    params = init_params(seed=4, num_categories=4)
     mp_cfg = MPConfig(n_q=12)
-    a = build_mp_part(scene, params.class_embed, mp_cfg, LAYERS, seed=9)
+    a = build_mp_part(scene, 4, mp_cfg, LAYERS, seed=9)
     # a dict keyed by layer, as the benchmark passes, iterates as its layers
-    b = build_mp_part(scene, params.class_embed, mp_cfg, layer_scale_table(32, 32, 9),
-                      seed=9)
-    assert np.array_equal(a.queries.values, b.queries.values)
+    b = build_mp_part(scene, 4, mp_cfg, layer_scale_table(32, 32, 9), seed=9)
+    assert np.array_equal(a.query_categories, b.query_categories)
     assert sorted(a.overrides) == sorted(b.overrides) == list(LAYERS)
     for layer in a.overrides:
         assert np.array_equal(a.overrides[layer], b.overrides[layer])
@@ -172,10 +182,9 @@ def test_build_mp_part_more_objects_than_budget():
     cfg = SynthConfig(num_categories=4, seed=8, instance_range=(5, 5),
                       size_range=(3, 5))
     scene = generate_scene(cfg, 0)
-    params = init_params(seed=5, num_categories=4)
     mp_cfg = MPConfig(n_q=3, lambda_label=0.0, noise_kind="none")
-    part = build_mp_part(scene, params.class_embed, mp_cfg, LAYERS, seed=10)
-    assert part.n_groups == 1
+    part = build_mp_part(scene, 4, mp_cfg, LAYERS, seed=10)
+    assert part.group_id.max() + 1 == 1
     assert part.num_queries == 3
     assert list(part.instance_index) == [0, 1, 2]
 
@@ -185,9 +194,8 @@ def test_label_flip_draws_are_pinned():
     changed draw order changes them."""
     cfg = SynthConfig(num_categories=4, seed=21, instance_range=(3, 3))
     scene = generate_scene(cfg, 0)
-    params = init_params(seed=2, num_categories=4)
     mp_cfg = MPConfig(n_q=10, lambda_label=0.5, noise_kind="none")
-    part = build_mp_part(scene, params.class_embed, mp_cfg, LAYERS, seed=[4, 2, 1])
+    part = build_mp_part(scene, 4, mp_cfg, LAYERS, seed=[4, 2, 1])
     assert scene.categories[part.instance_index].tolist() == [1, 2, 0, 1, 2, 0, 1, 2, 0]
     assert part.query_categories.tolist() == [0, 1, 0, 0, 1, 0, 1, 3, 3]
     assert part.group_id.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
@@ -196,9 +204,8 @@ def test_label_flip_draws_are_pinned():
 
 def test_seeds_past_64_bits_draw_their_own_mp_part():
     cfg, scene = scene_setup(seed=3)
-    params = init_params(seed=4, num_categories=4)
     mp_cfg = MPConfig(n_q=20, lambda_label=0.5)
-    big, small = (build_mp_part(scene, params.class_embed, mp_cfg, LAYERS, seed=[s, 3, 0])
+    big, small = (build_mp_part(scene, 4, mp_cfg, LAYERS, seed=[s, 3, 0])
                   for s in (2**64, 0))
     assert not np.array_equal(big.query_categories, small.query_categories)
     assert not all(np.array_equal(big.overrides[l], small.overrides[l])
@@ -228,7 +235,7 @@ def test_mp_disabled_spec_is_plain():
     pyramid = synth_features(scene, cfg)
     params = init_params(seed=7, num_categories=4)
     mp_cfg = MPConfig(enabled=False)
-    assert build_mp_part(scene, params.class_embed, mp_cfg, LAYERS, seed=0) is None
+    assert build_mp_part(scene, 4, mp_cfg, LAYERS, seed=0) is None
     spec, part = mp_forward_spec(pyramid, scene, params, mp_cfg, LAYERS, seed=[0, 2, 0])
     assert part is None and spec.mp is None
     off = full_forward(spec, params)
@@ -239,12 +246,13 @@ def test_mp_disabled_spec_is_plain():
         assert np.array_equal(a.values, b.values)
 
 
-def test_mp_queries_backprop_to_class_embeddings():
+def test_mp_queries_backprop_to_class_embeddings(monkeypatch):
     cfg, scene = scene_setup(seed=13)
     params = init_params(seed=8, num_categories=4)
     mp_cfg = MPConfig(n_q=8, lambda_label=0.0, noise_kind="none")
-    part = build_mp_part(scene, params.class_embed, mp_cfg, LAYERS, seed=11)
-    joined = concat_rows([params.query_embed, part.queries])
+    part = build_mp_part(scene, 4, mp_cfg, LAYERS, seed=11)
+    queries = layer0_mp_queries(monkeypatch, part, cfg, scene, params)
+    joined = concat_rows([params.query_embed, queries])
     joined.backward(np.ones_like(joined.values))
     assert params.class_embed.grad is not None
     counts = np.bincount(part.query_categories, minlength=4)
@@ -263,7 +271,7 @@ def test_mp_queries_backprop_to_class_embeddings():
 def one_instance_part(mask, mp_cfg, seed, category=0, num_categories=1):
     """The MP part of a scene holding the one instance mask."""
     scene = Scene(index=0, categories=[category], masks=mask[None])
-    return build_mp_part(scene, Tensor(np.zeros((num_categories, 2))), mp_cfg, LAYERS, seed)
+    return build_mp_part(scene, num_categories, mp_cfg, LAYERS, seed)
 
 
 def chi_squared(observed, expected) -> float:
@@ -310,7 +318,7 @@ def test_label_flips_are_at_the_rate_and_uniform_over_the_wrong_classes():
     n_rows = n_flips = 0
     wrong = {int(c): np.zeros(5, int) for c in gt_cats}
     for seed in range(50):
-        part = build_mp_part(scene, Tensor(np.zeros((5, 2))), mp_cfg, LAYERS, [seed])
+        part = build_mp_part(scene, 5, mp_cfg, LAYERS, [seed])
         true = gt_cats[part.instance_index]
         flip = seeded_rng([seed]).random(part.num_queries) < 0.3
         assert np.array_equal(part.query_categories != true, flip)
