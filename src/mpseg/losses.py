@@ -115,14 +115,13 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def cost_matrix(mask_logit_values: np.ndarray, class_logit_values: np.ndarray,
-                scene, w: LossWeights, acts: tuple = None) -> np.ndarray:
+                scene, w: LossWeights, acts: tuple) -> np.ndarray:
     """(queries x GT) matching cost: -class prob + BCE + dice, dense.
 
     `acts` is the pair (probs, softplus) that sigmoid_softplus makes of
-    mask_logit_values, when the caller has it already; without it the
-    pass runs here. A query's BCE against a GT mask is the pixel mean of
-    its max(x, 0) + softplus, less the sum of its logits inside the mask
-    over the pixel count.
+    mask_logit_values; every caller has it already. A query's BCE against
+    a GT mask is the pixel mean of its max(x, 0) + softplus, less the sum
+    of its logits inside the mask over the pixel count.
     """
     n = mask_logit_values.shape[0]
     pred = mask_logit_values.reshape(n, -1)
@@ -130,7 +129,7 @@ def cost_matrix(mask_logit_values: np.ndarray, class_logit_values: np.ndarray,
     gt = scene.masks.reshape(scene.num_instances, -1).astype(np.float64)
     if gt.shape[1] != npix:
         raise ValueError(f"prediction has {npix} pixels, GT has {gt.shape[1]}")
-    probs, softplus = sigmoid_softplus(pred) if acts is None else acts
+    probs, softplus = acts
 
     cls_term = -softmax_rows(class_logit_values)[:, scene.categories]
 

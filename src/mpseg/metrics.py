@@ -18,6 +18,7 @@ import numpy as np
 from .decoder import LayerOutputs, binarize_masks
 from .losses import LossWeights, cost_matrix, hungarian, softmax_rows
 from .masks import iou
+from .tensor import sigmoid_softplus
 
 
 def miou_layerwise(outputs: LayerOutputs) -> np.ndarray:
@@ -34,8 +35,12 @@ def _matching_vectors(outputs: LayerOutputs, rows: slice, scene,
                       weights: LossWeights) -> np.ndarray:
     """(L+1, len(rows)) GT index that bipartite matching gives each of the
     query rows, per layer (-1 = unmatched)."""
-    return np.stack([hungarian(cost_matrix(ml.values[rows], cl.values[rows], scene, weights))
-                     for ml, cl in zip(outputs.mask_logits, outputs.class_logits)])
+    vectors = []
+    for ml, cl in zip(outputs.mask_logits, outputs.class_logits):
+        logits = ml.values[rows]
+        vectors.append(hungarian(cost_matrix(logits, cl.values[rows], scene, weights,
+                                             sigmoid_softplus(logits))))
+    return np.stack(vectors)
 
 
 def compute_matching_vectors(outputs: LayerOutputs, scene,

@@ -131,15 +131,10 @@ def _pool2x2(grid: np.ndarray) -> np.ndarray:
     return grid.reshape(h // 2, 2, w // 2, 2, d).mean(axis=(1, 3))
 
 
-def pyramid_extents(height: int, width: int) -> list:
-    """(h, w) of each scale synth_features builds, coarse to fine."""
-    return [(height // 4, width // 4), (height // 2, width // 2), (height, width)]
-
-
 def synth_features(scene: Scene, cfg: SynthConfig) -> list:
-    """Scales (H_s, W_s, d), coarse to fine, at pyramid_extents: 2x2 mean
-    pools, then base = one-hot(category at pixel) + N(0, sigma^2 I), which
-    is also the decoder's embedding grid."""
+    """Scales (H_s, W_s, d), coarse to fine, at 1/4, 1/2 and full size:
+    2x2 mean pools, then base = one-hot(category at pixel) + N(0, sigma^2 I),
+    which is also the decoder's embedding grid."""
     rng = seeded_rng([cfg.seed, scene.index, 1])
     base = np.eye(cfg.feat_dim)[scene.category_grid(background_id=cfg.num_categories)]
     if cfg.noise_sigma > 0:

@@ -259,8 +259,6 @@ def fused_attention(x: Tensor, keys: Tensor, values: Tensor, block, wq: Tensor,
             g_ctx = g @ wo.values.T
             if values.requires_grad:
                 values._accumulate(p.T @ g_ctx)
-            if not (x.requires_grad or keys.requires_grad or wq.requires_grad):
-                return
             g_logits = g_ctx @ values.values.T  # g_p, then p * (g_p - sum(g_p * p))
             g_logits -= (g_logits * p).sum(axis=-1, keepdims=True)
             g_logits *= p
@@ -309,8 +307,6 @@ def _mlp2_backward(g, x: Tensor, h, r, w1: Tensor, b1: Tensor, w2: Tensor, b2: T
         b2._accumulate(_unbroadcast(g, b2.values.shape))
     if w2.requires_grad:
         w2._accumulate(r.T @ g)
-    if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
-        return
     g_h = (g @ w2.values.T) * (h > 0.0)
     if b1.requires_grad:
         b1._accumulate(_unbroadcast(g_h, b1.values.shape))

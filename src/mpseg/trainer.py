@@ -15,7 +15,7 @@ from .losses import NonFiniteError, layer_losses
 from .metrics import (MetricsReport, compute_matching_vectors, config_hash,
                       extract_predictions, ap_lite, miou_layerwise, util_layerwise)
 from .mp import build_mp_part
-from .synth import generate_scene, load_dataset, pyramid_extents, synth_features
+from .synth import generate_scene, load_dataset, synth_features
 from .tensor import Tensor
 
 
@@ -110,8 +110,9 @@ class AdamW:
 
 def layer_scale_table(height: int, width: int, num_layers: int) -> dict:
     """Layer index (1-based) -> the (h, w) extents of the pyramid scale
-    that full_forward attends to at that layer."""
-    extents = pyramid_extents(height, width)
+    that full_forward attends to at that layer: synth_features' scales,
+    coarse to fine, are the image at 1/4, 1/2 and full size."""
+    extents = [(height // 4, width // 4), (height // 2, width // 2), (height, width)]
     return {i: extents[layer_scale(i, len(extents))] for i in range(1, num_layers + 1)}
 
 

@@ -130,7 +130,8 @@ def test_cost_matrix_perfect_prediction():
     scene = one_query_scene()
     out = saturated_outputs(scene)
     w = LossWeights()
-    cm = cost_matrix(out.mask_logits[0].values, out.class_logits[0].values, scene, w)
+    ml = out.mask_logits[0].values
+    cm = cost_matrix(ml, out.class_logits[0].values, scene, w, sigmoid_softplus(ml))
     assert cm.shape == (1, 1)
     assert abs(cm[0, 0] - (-w.cls)) < 1e-3
 
@@ -141,7 +142,7 @@ def test_cost_matrix_uniform_closed_form():
     num_categories = 3
     ml = np.zeros((1, 4, 4))
     cl = np.zeros((1, num_categories + 1))
-    cm = cost_matrix(ml, cl, scene, w)
+    cm = cost_matrix(ml, cl, scene, w, sigmoid_softplus(ml))
     cls_term = -1.0 / (num_categories + 1)
     bce_term = np.log(2.0)
     area = scene.masks[0].sum()
@@ -160,8 +161,8 @@ def test_cost_matrix_permutation_equivariant():
     swapped = Scene(index=0, categories=[2, 0], masks=np.stack([bits2, bits1]))
     ml = rng.uniform(-2, 2, size=(3, 4, 4))
     cl = rng.uniform(-2, 2, size=(3, 4))
-    a = cost_matrix(ml, cl, scene, LossWeights())
-    b = cost_matrix(ml, cl, swapped, LossWeights())
+    a = cost_matrix(ml, cl, scene, LossWeights(), sigmoid_softplus(ml))
+    b = cost_matrix(ml, cl, swapped, LossWeights(), sigmoid_softplus(ml))
     assert np.array_equal(a, b[:, [1, 0]])
 
 
@@ -287,6 +288,11 @@ def composed_mask_loss(rows, targets, w):
     return add(mul(w.bce, bce), mul(w.dice, mean_all(dice_each)))
 
 
+def oracle_cost(ml, cl, scene, w):
+    """cost_matrix of the oracle's sigmoid and softplus of ml."""
+    return cost_matrix(ml, cl, scene, w, (sigmoid_where(ml), log1p_exp_neg_abs(ml)))
+
+
 def composed_layer_losses(outputs, scene, mp_part, mode, w):
     """layer_losses written with one primitive per step."""
     n_match = outputs.n_match
@@ -296,14 +302,14 @@ def composed_layer_losses(outputs, scene, mp_part, mode, w):
     match_rows = np.arange(n_match)
     fixed = None
     if mode == "fixed-last-layer":
-        fixed = hungarian(cost_matrix(outputs.mask_logits[-1].values[:n_match],
+        fixed = hungarian(oracle_cost(outputs.mask_logits[-1].values[:n_match],
                                       outputs.class_logits[-1].values[:n_match], scene, w))
     terms = []
     vectors = []
     for i, (ml, cl) in enumerate(zip(outputs.mask_logits, outputs.class_logits)):
         flat = reshape(ml, ml.values.shape[0], -1)
         vec = fixed if fixed is not None else hungarian(
-            cost_matrix(ml.values[:n_match], cl.values[:n_match], scene, w))
+            oracle_cost(ml.values[:n_match], cl.values[:n_match], scene, w))
         vectors.append(vec)
         rows = np.flatnonzero(vec >= 0)
         gt_idx = vec[rows]
@@ -449,17 +455,14 @@ def test_layer_losses_total_is_one_node_over_every_term(monkeypatch, mode, with_
 
 
 def test_cost_matrix_with_given_probabilities_is_bitwise_equal():
-    """The given pair and the pass cost_matrix runs itself give the same
-    cost, and both are the cost of the oracle's sigmoid and softplus."""
+    """The pair sigmoid_softplus makes gives the cost of the oracle's
+    sigmoid and softplus, bitwise."""
     rng = np.random.default_rng(23)
     ml = rng.uniform(-3, 3, size=(5, 4, 4))
     cl = rng.uniform(-3, 3, size=(5, 4))
     scene = two_instance_scene()
-    own = cost_matrix(ml, cl, scene, LossWeights())
     given = cost_matrix(ml, cl, scene, LossWeights(), sigmoid_softplus(ml))
-    oracle = cost_matrix(ml, cl, scene, LossWeights(),
-                         (sigmoid_where(ml), log1p_exp_neg_abs(ml)))
-    assert own.tobytes() == given.tobytes() == oracle.tobytes()
+    assert given.tobytes() == oracle_cost(ml, cl, scene, LossWeights()).tobytes()
 
 
 def small_forward(with_mp: bool):
