@@ -335,10 +335,10 @@ def test_train_value_of_the_wrong_type_exits_config_with_one_line(tmp_path, caps
     assert_one_line(capsys, "config error: ")
 
 
-def run_refine_study(tmp_path, raw):
+def run_refine_study(tmp_path, raw, *extra):
     out = tmp_path / "study.csv"
     return cli.main(["refine-study", "--config", write_config(tmp_path, raw),
-                     "--out", str(out)]), out
+                     "--out", str(out), *extra]), out
 
 
 def test_refine_study_ok(tmp_path, capsys):
@@ -451,3 +451,97 @@ def test_grad_check_exits_check_when_a_row_fails(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL broken max_rel_err=5.000e-01" in out
     assert out.endswith("gradient suite: FAIL\n")
+
+
+def checkpoint_of(tmp_path, dim=8, num_categories=2):
+    path = tmp_path / f"checkpoint-{dim}-{num_categories}.bin"
+    save_checkpoint(path, init_params(seed=0, n_queries=2, n_layers=1, dim=dim,
+                                      num_categories=num_categories, ffn_hidden=4))
+    return path
+
+
+@pytest.mark.parametrize("verb", ["eval", "analyze"])
+@pytest.mark.parametrize("dim,num_categories,message", [
+    (16, 2, "checkpoint dim 16 != dataset feature dim 8"),
+    (8, 3, "checkpoint has 3 categories, dataset has 2")], ids=["dim", "categories"])
+def test_checkpoint_that_does_not_fit_the_dataset_exits_compat_with_one_line(
+        artifacts, tmp_path, capsys, verb, dim, num_categories, message):
+    ckpt = checkpoint_of(tmp_path, dim, num_categories)
+    assert cli.main([verb, "--checkpoint", str(ckpt), "--dataset", str(artifacts[1])]) \
+        == cli.EXIT_COMPAT
+    assert_one_line(capsys, f"compatibility error: {message}\n")
+
+
+@pytest.mark.parametrize("verb,raw", [("gen-data", {"count": 1}),
+                                      ("refine-study", {"instances_per_sigma": 1})])
+def test_no_output_path_exits_config_with_one_line(tmp_path, capsys, verb, raw):
+    assert cli.main([verb, "--config", write_config(tmp_path, raw)]) == cli.EXIT_CONFIG
+    assert_one_line(capsys, "config error: no output path (set 'out' in the config or "
+                            "pass --out)\n")
+
+
+def test_checkpoint_of_another_version_exits_io_with_one_line(artifacts, capsys):
+    ckpt = artifacts[0]
+    ckpt.write_bytes(ckpt.read_bytes().replace(b"mpseg-checkpoint 1 ", b"mpseg-checkpoint 2 ",
+                                               1))
+    assert run_eval(*artifacts) == cli.EXIT_IO
+    assert_one_line(capsys, f"format error: {ckpt}: malformed checkpoint (version 2 "
+                            f"unsupported)\n")
+
+
+def test_dataset_with_another_magic_word_exits_io_with_one_line(artifacts, capsys):
+    data = artifacts[1]
+    data.write_text(data.read_text().replace("mpseg-dataset ", "other-dataset ", 1))
+    assert run_eval(*artifacts) == cli.EXIT_IO
+    assert_one_line(capsys, f"format error: {data}: not a dataset file (header "
+                            f"'other-dataset')\n")
+
+
+def test_dataset_line_that_is_no_scene_exits_io_with_one_line(artifacts, tmp_path, capsys):
+    code = run_on_last_scene_line(artifacts, tmp_path, "eval", lambda f: ["shape"] + f[1:])
+    assert code == cli.EXIT_IO
+    assert_one_line(capsys, f"format error: {artifacts[1]}: malformed dataset (bad scene "
+                            f"line 'shape 1 ")
+
+
+def test_gen_data_height_that_is_no_multiple_of_4_exits_config_with_one_line(tmp_path,
+                                                                             capsys):
+    config = write_config(tmp_path, {"synth": {"height": 10}, "count": 1})
+    out = tmp_path / "data.txt"
+    assert cli.main(["gen-data", "--config", config, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert_one_line(capsys, "config error: synth.height and width must be multiples of 4 for "
+                            "the 3-scale pyramid, got 10x32\n")
+    assert not out.exists()
+
+
+def test_seed_flag_reaches_every_verbs_seed(tmp_path, capsys):
+    """--seed sets gen-data's synth.seed, train's seed (as
+    config-resolved.json records it) and refine-study's seed."""
+    data = tmp_path / "data.txt"
+    gen = write_config(tmp_path, {"synth": SMALL_RUN["synth"], "count": 1})
+    assert cli.main(["gen-data", "--config", gen, "--out", str(data), "--seed", "5"]) \
+        == cli.EXIT_OK
+    header = data.read_text().splitlines()[0].split(" ", 3)[3]
+    assert SynthConfig.from_json(header).seed == 5
+
+    run = tmp_path / "run"
+    assert run_train(write_config(tmp_path, SMALL_RUN), run, "--seed", "7") == cli.EXIT_OK
+    assert json.loads((run / "config-resolved.json").read_text())["seed"] == 7
+
+    def study(raw, *flags):
+        code, out = run_refine_study(tmp_path, {"dim": 4, "sigmas": [0.2],
+                                                "instances_per_sigma": 3, **raw}, *flags)
+        assert code == cli.EXIT_OK
+        return out.read_text()
+
+    assert study({"seed": 3}) == study({}, "--seed", "3") != study({})
+
+
+def test_dataset_with_a_blank_line_loads(artifacts, capsys):
+    assert run_eval(*artifacts) == cli.EXIT_OK
+    plain = capsys.readouterr().out
+    data = artifacts[1]
+    lines = data.read_text().splitlines()
+    data.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+    assert run_eval(*artifacts) == cli.EXIT_OK
+    assert capsys.readouterr().out == plain
