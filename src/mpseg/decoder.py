@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import MAX_HIDDEN, MAX_LAYERS, MAX_SIZE
-from .masks import FormatError, seeded_rng, to_attention_blocks
+from .masks import INIT_KEY, FormatError, seeded_rng, to_attention_blocks
 from .tensor import Tensor, add_norm_affine, concat_rows, fused_attention, fused_heads, mlp2
 
 CHECKPOINT_MAGIC = "mpseg-checkpoint"
@@ -91,7 +91,7 @@ class ForwardSpec:
 
 def init_params(seed: int, n_queries: int = 20, n_layers: int = 9, dim: int = 32,
                 num_categories: int = 4, ffn_hidden: int = 64) -> DecoderParams:
-    rng = seeded_rng([seed])
+    rng = seeded_rng([seed], INIT_KEY)
 
     def xavier(n_in, n_out):
         limit = np.sqrt(6.0 / (n_in + n_out))

@@ -7,9 +7,14 @@ attention blocking grids, and run-length serialization.
 All noise procedures are pure functions of (mask, parameters, rng): they
 draw from the np.random.Generator they are given, and the same stream
 always yields the same output. A seed is a list of ints, and its stream
-is that of numpy's SeedSequence of the list (seeded_rng). An MP part
-draws every noised row from one such stream, so a row's noise depends on
-the rows drawn before it, not on its own seed.
+is that of numpy's SeedSequence of the list (seeded_rng). numpy pads a
+list with zero words to 4, so two lists that differ only in trailing
+zeros give one stream: a scene's [seed, index] stream is the list
+[seed, index, 0]'s. The streams whose lists could meet a scene's, the
+initial weights' and the MP parts', take a keyed child of their list
+(INIT_KEY, MP_KEY). An MP part draws every noised row from one such
+stream, so a row's noise depends on the rows drawn before it, not on its
+own seed.
 """
 
 from __future__ import annotations
@@ -36,10 +41,21 @@ def _nearest_indices(n_src: int, n_dst: int) -> np.ndarray:
     return np.minimum((np.arange(n_dst) + 0.5) * (n_src / n_dst), n_src - 1).astype(np.intp)
 
 
-def seeded_rng(seed) -> np.random.Generator:
+# spawn keys, one per purpose whose plain seed list could give a scene's
+# stream: the initial weights ([run seed]) and the MP parts
+INIT_KEY, MP_KEY = 1, 2
+
+
+def seeded_rng(seed, key: int | None = None) -> np.random.Generator:
     """PCG64 generator of SeedSequence(seed), seed being an int or a list of
-    ints."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    ints, or with a key, of its child SeedSequence(seed, spawn_key=(key,)).
+
+    numpy pads a seed list with zero words to the 4 words of its pool, so
+    [0] and [0, 0] give one stream, and so do [0, 2, 0] and [0, 2]. It pads
+    before it appends the spawn key, so no plain list of up to 4 words
+    gives a keyed stream (a longer list is not padded, and can)."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed, spawn_key=() if key is None else (key,))))
 
 
 def _bbox(m: np.ndarray):

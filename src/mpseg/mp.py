@@ -8,7 +8,9 @@ table, as it makes the matching queries, so a part is built, compared
 and tested without parameters. Each piloted layer gets its own noised
 copy of every instance's GT mask, at the scene's resolution; the decoder
 grids it as it grids a predicted mask. Every random number of a part
-comes from one masks.seeded_rng(seed) stream, in the order build_mp_part
+comes from one masks.seeded_rng(seed, MP_KEY) stream, the MP child of
+the seed list (numpy pads a list with zero words, so the plain stream of
+a step's [seed, 2, step] could be a scene's), in the order build_mp_part
 documents. So a row's noise depends on which other rows are drawn before
 it (on mp_layers, the group count and the noise kind, for example), not
 on its own (layer, group, instance) alone; the label flips come first and
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import MAX_LAYERS, MAX_SIZE, Checked, setting
-from .masks import point_noise_region, scale_noise, seeded_rng, shift_noise
+from .masks import MP_KEY, point_noise_region, scale_noise, seeded_rng, shift_noise
 
 
 @dataclass
@@ -76,8 +78,8 @@ def build_mp_part(scene, num_categories: int, cfg: MPConfig, layers, seed: list)
     g * P + j of the part is group g's copy of instance j, for the first
     P = min(n_q, instances) instances; each piloted layer gets its own
     noised stack of the M rows. Every random number comes from one
-    masks.seeded_rng(seed) stream (seed is a list of ints, or an int),
-    drawn in this order, K = num_categories:
+    masks.seeded_rng(seed, MP_KEY) stream (seed is a list of ints, or an
+    int), drawn in this order, K = num_categories:
 
     1. Label flips, when K > 1: one random(M) call; row k flips when its
        value is below lambda_label. Then one integers(0, K - 1) call, one
@@ -102,7 +104,7 @@ def build_mp_part(scene, num_categories: int, cfg: MPConfig, layers, seed: list)
         return None
     gt_masks = scene.masks[:cfg.n_q]  # the first n_q instances when there are more
     per_group, h, w = gt_masks.shape
-    rng = seeded_rng(seed)
+    rng = seeded_rng(seed, MP_KEY)
 
     # row g * per_group + j is group g's copy of instance j
     group_id = np.repeat(np.arange(n_g, dtype=np.intp), per_group)

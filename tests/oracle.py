@@ -12,8 +12,8 @@ tensor.sigmoid_softplus."""
 
 import numpy as np
 
-from mpseg.masks import (_nearest_indices, point_noise_region, scale_noise, seeded_rng,
-                         shift_noise)
+from mpseg.masks import (MP_KEY, _nearest_indices, point_noise_region, scale_noise,
+                         seeded_rng, shift_noise)
 from mpseg.mp import dynamic_groups
 from mpseg.tensor import Tensor, _make, _unbroadcast
 
@@ -254,14 +254,14 @@ def point_noise(m: np.ndarray, lambda_p: float, seed) -> np.ndarray:
 
 def mp_part_draws(scene, num_categories: int, cfg, layers, seed):
     """(query categories, {layer: (M, H, W) noised masks}) of
-    mp.build_mp_part, drawn one row at a time from one seeded_rng(seed)
-    stream in the order its docstring fixes: the label flips, then point
+    mp.build_mp_part, drawn one row at a time from one seeded_rng(seed,
+    MP_KEY) stream in the order its docstring fixes: the label flips, then point
     noise instance by instance over (layer, group), or shift and scale
     noise row by row in (layer, group, instance) order."""
     n_g = dynamic_groups(cfg.n_q, scene.num_instances)
     gt_masks = scene.masks[:cfg.n_q]
     rows = [(g, j) for g in range(n_g) for j in range(len(gt_masks))]
-    rng = seeded_rng(seed)
+    rng = seeded_rng(seed, MP_KEY)
     cats = [int(scene.categories[j]) for _, j in rows]
     if num_categories > 1:
         draws = rng.random(len(rows))

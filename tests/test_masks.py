@@ -3,8 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from mpseg.masks import (_bbox, _centroid, iou, rle_decode, rle_encode, scale_noise,
-                         seeded_rng, shift_noise, to_attention_blocks)
+from mpseg.masks import (INIT_KEY, MP_KEY, _bbox, _centroid, iou, rle_decode, rle_encode,
+                         scale_noise, seeded_rng, shift_noise, to_attention_blocks)
 from oracle import point_noise, resize_nearest
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -281,3 +281,24 @@ def test_seeded_rng_draws_the_stream_of_the_seed_sequence_of_the_list(seed):
     expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     assert np.array_equal(seeded_rng(list(seed)).integers(0, 2**62, size=8),
                           expected.integers(0, 2**62, size=8))
+
+
+def draws(rng):
+    return rng.integers(0, 2**62, size=8).tolist()
+
+
+def test_a_keyed_stream_is_the_spawn_key_child_and_no_padded_plain_list():
+    """numpy pads a seed list with zero words to 4, so a plain list and
+    the list with trailing zeros give one stream; it pads before it
+    appends a spawn key, so a keyed stream is none of them."""
+    child = np.random.SeedSequence([0, 2], spawn_key=(MP_KEY,))
+    assert draws(seeded_rng([0, 2], MP_KEY)) == draws(np.random.Generator(
+        np.random.PCG64(child)))
+    plain = [draws(seeded_rng(seed)) for seed in ([0, 2], [0, 2, 0], [0, 2, 0, 0])]
+    assert plain[0] == plain[1] == plain[2]
+    keyed = [draws(seeded_rng(seed, key)) for seed in ([0, 2], [0, 2, 0])
+             for key in (INIT_KEY, MP_KEY)]
+    assert keyed[0] == keyed[2] != keyed[1] == keyed[3]
+    assert plain[0] not in keyed
+    # a list of 5 words or more is not padded, so it can meet a keyed stream
+    assert draws(seeded_rng([0, 2, 0, 0, MP_KEY])) == keyed[1]

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -353,3 +354,34 @@ def test_training_and_evaluation_never_write_into_the_scene_arrays(monkeypatch):
     for scene, (categories, masks) in zip(scenes, before):
         assert np.array_equal(scene.categories, categories)
         assert np.array_equal(scene.masks, masks)
+
+
+def test_no_two_random_streams_of_a_run_and_its_analysis_coincide(monkeypatch):
+    """Records every SeedSequence that a small MP run_training and one
+    analyze pass build, keyed by the function that asks for it (its
+    purpose), its seed list and its spawn key: no two keys share a
+    stream. numpy pads a seed list with zero words to 4, so [0] and
+    [0, 0] are one stream, and so are [0, 2, 0] and [0, 2]."""
+    from mpseg.cli import analyze_dataset
+
+    real = np.random.SeedSequence
+    states = {}
+
+    def recording(entropy=None, *, spawn_key=(), **kwargs):
+        seq = real(entropy, spawn_key=spawn_key, **kwargs)
+        frame = sys._getframe(1)
+        while frame.f_code.co_name == "seeded_rng":
+            frame = frame.f_back
+        states[frame.f_code.co_name, repr(entropy), tuple(spawn_key)] = \
+            tuple(seq.generate_state(4))
+        return seq
+
+    monkeypatch.setattr(np.random, "SeedSequence", recording)
+    cfg = dataclasses.replace(small_config("mp-all+noises", steps=3), num_scenes=10)
+    params, _, synth_cfg = trainer.run_training(cfg)
+    scenes, _ = trainer.load_or_generate_scenes(cfg)
+    analyze_dataset(params, scenes, synth_cfg, seed=cfg.seed)
+    purposes = {key[0] for key in states}
+    assert purposes == {"init_params", "generate_scene", "synth_features", "build_mp_part"}
+    assert len(states) == 1 + 10 + 10 + 3 + 10
+    assert len(set(states.values())) == len(states)
