@@ -1,0 +1,71 @@
+"""scripts/trace.py at its tiny size against tests/golden/trace.json.
+
+The numbers are compared, not the parameter hashes: other numpy and
+OpenBLAS builds may differ in the last bit. A change that moves the
+numbers on purpose re-pins the file:
+
+    python3 scripts/trace.py --tiny --out tests/golden/trace.json
+"""
+
+import importlib.util
+import json
+import math
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REL_TOL = 1e-6
+ABS_TOL = 1e-6      # the last decimal report.txt prints
+DECIMAL = re.compile(r"-?\d+\.\d+(?:e[-+]?\d+)?")
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("trace_script", ROOT / "scripts" / "trace.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def close(a: float, b: float) -> bool:
+    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+
+
+def mismatches(golden, fresh, path=""):
+    """Paths where fresh differs from golden: text exactly, save its
+    decimal numbers, which are compared at REL_TOL."""
+    if isinstance(golden, dict):
+        assert set(golden) == set(fresh), path
+        return [m for k in golden if not k.endswith("sha256")
+                for m in mismatches(golden[k], fresh[k], f"{path}/{k}")]
+    if isinstance(golden, list):
+        assert len(golden) == len(fresh), path
+        return [m for i, (g, f) in enumerate(zip(golden, fresh))
+                for m in mismatches(g, f, f"{path}[{i}]")]
+    if isinstance(golden, float):
+        return [] if close(golden, fresh) else [f"{path}: {golden!r} != {fresh!r}"]
+    numbers = [DECIMAL.findall(text) for text in (golden, fresh)]
+    same_text = DECIMAL.split(golden) == DECIMAL.split(fresh)
+    if same_text and all(close(float(g), float(f)) for g, f in zip(*numbers)):
+        return []
+    return [f"{path}: {golden!r} != {fresh!r}"]
+
+
+def test_tiny_trace_is_the_golden_trace():
+    with open(ROOT / "tests" / "golden" / "trace.json", encoding="utf-8") as fh:
+        golden = json.load(fh)
+    fresh = json.loads(json.dumps(load_script().trace(tiny=True)))
+    assert sorted(golden["train"]) == ["baseline", "mp-all+noises", "mp-all+noises/scale",
+                                       "mp-all+noises/shift"]
+    assert mismatches(golden, fresh) == []
+
+
+def test_a_moved_number_is_a_mismatch():
+    """The comparison sees a change in the sixth digit of a report line
+    or an epoch loss, and in the text around the numbers."""
+    golden = {"report": "miou_l[1] = 38.095238\n", "loss": [27.99279175]}
+    assert mismatches(golden, {"report": "miou_l[1] = 38.095238\n",
+                               "loss": [27.99279176]}) == []
+    assert len(mismatches(golden, {"report": "miou_l[1] = 38.095538\n",
+                                   "loss": [27.99299175]})) == 2
+    assert mismatches(golden, {"report": "miou_l[2] = 38.095238\n",
+                               "loss": [27.99279175]}) != []
