@@ -10,10 +10,10 @@ blocking grids. Single attention head, no positional encodings.
 
 full_forward is the only forward path, the one place a mask becomes a
 blocking grid, and the one place data becomes query Tensors. Its queries
-form one part (the matching queries, query_embed) or two: the matching
-queries, then the mask-piloted (MP) part's, the class_embed rows of the
-categories of the MPPart that the loss reads too (the part itself is
-plain data); at the layers it pilots, its noised GT masks stand in for
+form one part, the matching queries (query_embed), or two: the matching
+queries, then the mask-piloted (MP) part's. The MPPart, which the loss
+reads too, is plain data: its queries are the class_embed rows of its
+categories, and at the layers it pilots, its noised GT masks stand in for
 its rows' predictions. A plain forward is the one-part case, with no
 extra work or tape nodes. The matching part's self-attention reads only
 its own rows; the MP rows read the matching rows and their own group.

@@ -8,15 +8,14 @@ table, as it makes the matching queries, so a part is built, compared
 and tested without parameters. Each piloted layer gets its own noised
 copy of every instance's GT mask, at the scene's resolution; the decoder
 grids it as it grids a predicted mask. Every random number of a part
-comes from one masks.seeded_rng(seed, MP_KEY) stream, the MP child of
-the seed list (numpy pads a list with zero words, so the plain stream of
-a step's [seed, 2, step] could be a scene's), in the order build_mp_part
-documents. So a row's noise depends on which other rows are drawn before
-it (on mp_layers, the group count and the noise kind, for example), not
-on its own (layer, group, instance) alone; the label flips come first and
-depend on none of them. The part reaches the decoder as its own query
-part (decoder.ForwardSpec.mp): the matching queries never read it, and
-its group ids keep the MP groups from reading each other.
+comes from one masks.seeded_rng(seed, MP_KEY) stream, keyed so that it
+is never a scene's, in the order build_mp_part documents. So a row's
+noise depends on which other rows are drawn before it (on mp_layers, the
+group count and the noise kind, for example), not on its own (layer,
+group, instance) alone; the label flips come first and depend on none of
+them. The part reaches the decoder as its own query part
+(decoder.ForwardSpec.mp): the matching queries never read it, and its
+group ids keep the MP groups from reading each other.
 """
 
 from __future__ import annotations
