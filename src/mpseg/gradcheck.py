@@ -73,6 +73,7 @@ def run_gradient_suite(seed: int = 0):
     when every row passes.
     """
     from . import tensor as T
+    from .losses import LossWeights, layer_loss, mask_stats
 
     rng = np.random.default_rng(seed)
     results = []
@@ -109,15 +110,18 @@ def run_gradient_suite(seed: int = 0):
     mlp_in = [u, rng.uniform(-1, 1, size=(4, 5)), rng.uniform(-1, 1, size=(5,)),
               rng.uniform(-1, 1, size=(5, 4)), rng.uniform(-1, 1, size=(4,))]
     check("mlp2", lambda xs: T.mlp2(*xs), mlp_in, w)
-    ce_targets = np.array([3, 0, 3])
-    ce_weights = np.where(ce_targets == 3, 0.1, 1.0)
-    check("cross_entropy_rows",
-          lambda xs: T.cross_entropy_rows(xs[0], [2, 0, 1], ce_targets, ce_weights, 2.0), [u])
-    mask_in = rng.uniform(-2.0, 2.0, size=(4, 2, 3))
-    mask_tgt = (rng.uniform(size=(3, 6)) < 0.5).astype(float)
-    check("mask_loss_rows",
-          lambda xs: T.mask_loss_rows(xs[0], *T.sigmoid_softplus(xs[0].values), [3, 0, 2],
-                                      mask_tgt, 5.0, 5.0, 1.0), [mask_in])
+    # one layer's loss over a matching part of 3 rows, row 1 unmatched, and an
+    # MP part of 2, against 2 GT masks of 2x3 pixels, with a consistency target
+    # over the matching rows
+    loss_in = [rng.uniform(-2.0, 2.0, size=(5, 2, 3)), rng.uniform(-2.0, 2.0, size=(5, 4))]
+    loss_gt = (rng.uniform(size=(2, 6)) < 0.5).astype(float)
+    loss_cons = (rng.uniform(size=(3, 6)) < 0.5).astype(float)
+    loss_index = [np.array([1, -1, 0]), np.array([0, 1])]
+    loss_parts = [slice(0, 3), slice(3, None)]
+    check("fused_loss",
+          lambda xs: layer_loss(xs[0], xs[1], mask_stats(xs[0].values, loss_gt, loss_parts),
+                                loss_gt, np.array([2, 0]), loss_index, LossWeights(), loss_cons),
+          loss_in)
     # the heads over two query parts of 2 and 3 rows: 4-d queries, 5 hidden, 3 classes;
     # one row per output, as a seed weights one output
     head_in = [rng.uniform(-1, 1, size=s) for s in

@@ -5,6 +5,13 @@ Losses are dense (no point sampling): weighted cross-entropy over K+1
 classes with a down-weighted no-object class, plus sigmoid BCE and
 smooth dice on the assigned masks. Auxiliary-query predictions skip
 matching entirely and are scored against their assigned instances.
+
+The pixels of a layer's mask logits are read once, into per-row
+statistics (mask_stats): each row's mean BCE and probability mass inside
+every GT mask, and its probability sum. The matching cost is built from
+them, and so is the mask loss, which picks their [row, assigned GT]
+entries. Each layer's loss is one node over all its query parts
+(layer_loss).
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Checked, setting
-from .tensor import cross_entropy_rows, mask_loss_rows, sigmoid_softplus, sum_scalars
+from .tensor import Tensor, fused_loss, sigmoid_softplus, sum_scalars
 from .decoder import LayerOutputs, binarize_masks
 
 DICE_EPS = 1.0
@@ -114,34 +121,95 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cost_matrix(mask_logit_values: np.ndarray, class_logit_values: np.ndarray,
-                scene, w: LossWeights, acts: tuple) -> np.ndarray:
-    """(queries x GT) matching cost: -class prob + BCE + dice, dense.
+@dataclass
+class MaskStats:
+    """All that the matching cost and the mask loss read of some query
+    rows' mask logits against a scene's GT masks."""
+    bce: np.ndarray    # (rows, GT) each row's mean sigmoid BCE against each mask
+    inter: np.ndarray  # (rows, GT) the sum of each row's probabilities inside each mask
+    psum: np.ndarray   # (rows,) the sum of each row's probabilities
+    area: np.ndarray   # (GT,) each mask's pixel count
 
-    `acts` is the pair (probs, softplus) that sigmoid_softplus makes of
-    mask_logit_values; every caller has it already. A query's BCE against
-    a GT mask is the pixel mean of its max(x, 0) + softplus, less the sum
-    of its logits inside the mask over the pixel count.
+
+def gt_pixels(scene) -> np.ndarray:
+    """The scene's GT masks as (GT, pixels) float64 rows."""
+    return scene.masks.reshape(scene.num_instances, -1).astype(np.float64)
+
+
+def mask_stats(mask_logit_values: np.ndarray, gt: np.ndarray, parts) -> tuple:
+    """(probs, softplus means, [MaskStats of each part]) of one layer's
+    (n, h, w) mask logits against (GT, pixels) masks, where each part is
+    a slice of the rows.
+
+    One sigmoid_softplus pass covers every row; probs is its (n, pixels)
+    sigmoid. Its softplus becomes at once each row's mean of
+    max(x, 0) + log1p(exp(-|x|)) and is dropped: a row's mean BCE
+    against a mask is that mean less the sum of its logits inside the
+    mask over the pixel count. Each part's matrices are products of its
+    own rows, so a part's statistics do not depend on the other parts',
+    bit for bit.
     """
     n = mask_logit_values.shape[0]
-    pred = mask_logit_values.reshape(n, -1)
-    npix = pred.shape[1]
-    gt = scene.masks.reshape(scene.num_instances, -1).astype(np.float64)
+    x = mask_logit_values.reshape(n, -1)
+    npix = x.shape[1]
     if gt.shape[1] != npix:
         raise ValueError(f"prediction has {npix} pixels, GT has {gt.shape[1]}")
-    probs, softplus = acts
+    probs, softplus = sigmoid_softplus(x)
+    softplus += np.maximum(x, 0.0)
+    means = softplus.mean(axis=1)
+    area = gt.sum(axis=1)
+    return probs, means, [MaskStats(means[s, None] - (x[s] @ gt.T) / npix, probs[s] @ gt.T,
+                                    probs[s].sum(axis=1), area) for s in parts]
 
-    cls_term = -softmax_rows(class_logit_values)[:, scene.categories]
 
-    sp = np.maximum(pred, 0.0)
-    sp += softplus.reshape(n, -1)
-    bce = sp.mean(axis=1)[:, None] - (pred @ gt.T) / npix
+def cost_matrix(stats: MaskStats, class_logit_values: np.ndarray, categories,
+                w: LossWeights) -> np.ndarray:
+    """(queries x GT) matching cost: -class prob + BCE + dice, from the
+    rows' statistics."""
+    cls_term = -softmax_rows(class_logit_values)[:, categories]
+    dice = 1.0 - (2.0 * stats.inter + DICE_EPS) / (stats.psum[:, None] + stats.area[None, :]
+                                                   + DICE_EPS)
+    return w.cls * cls_term + w.bce * stats.bce + w.dice * dice
 
-    p = probs.reshape(n, -1)
-    inter = p @ gt.T
-    dice = 1.0 - (2.0 * inter + DICE_EPS) / (p.sum(axis=1)[:, None]
-                                             + gt.sum(axis=1)[None, :] + DICE_EPS)
-    return w.cls * cls_term + w.bce * bce + w.dice * dice
+
+def layer_loss(mask_logits: Tensor, class_logits: Tensor, layer_stats: tuple, gt: np.ndarray,
+               categories, indices, w: LossWeights, consistency=None) -> Tensor:
+    """One layer's loss, one fused_loss node over its query parts.
+
+    layer_stats is mask_stats of the layer's mask logits over its parts,
+    and indices holds each part's GT index per row (-1 = no object), the
+    parts in row order. Each part gets a class term over all its rows,
+    no-object where the index is -1, and a mask term over the rows with an
+    index, whose statistics are the [row, index] entries of its own. A
+    consistency target, (rows of the first part, pixels), adds a mask term
+    over the first part's rows, whose statistics come from row-wise dot
+    products.
+    """
+    probs, means, stats = layer_stats
+    num_categories = class_logits.values.shape[1] - 1
+    class_terms, mask_terms = [], []
+    start = 0
+    for st, index in zip(stats, indices):
+        hit = index >= 0
+        targets = np.where(hit, categories[index], num_categories)
+        class_terms.append((slice(start, start + index.size), targets,
+                            np.where(targets == num_categories, w.no_object, 1.0)))
+        if hit.any():
+            rows = np.flatnonzero(hit)
+            cols = index[hit]
+            at = slice(start, start + index.size) if hit.all() else start + rows
+            mask_terms.append((at, gt[cols], st.bce[rows, cols], st.inter[rows, cols],
+                               st.psum[rows], st.area[cols]))
+        start += index.size
+    if consistency is not None:
+        k, npix = consistency.shape
+        x = mask_logits.values.reshape(probs.shape)[:k]
+        mask_terms.append((slice(0, k), consistency,
+                           means[:k] - np.einsum("ij,ij->i", x, consistency) / npix,
+                           np.einsum("ij,ij->i", probs[:k], consistency), stats[0].psum,
+                           consistency.sum(axis=1)))
+    return fused_loss(mask_logits, class_logits, probs, class_terms, mask_terms, w.cls, w.bce,
+                      w.dice, DICE_EPS)
 
 
 def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: LossWeights):
@@ -154,16 +222,12 @@ def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: Loss
     adjacent-layer mask consistency term with the earlier layer detached.
 
     Both parts are scored by one rule against a GT index per row (the
-    matching vector; the MP part's instance_index): class loss over all
-    rows, no-object where the index is -1, and mask loss over the rows
-    with an index. Each layer's mask logits take one sigmoid_softplus
-    pass over all their rows: the matching cost and every mask loss of
-    that layer read their rows of its sigmoid and softplus, so each
-    layer computes one exp over its logits. The consistency target is
-    binarize_masks of the earlier layer's logits. Each (layer, part) adds
-    one class-loss node and at most one mask-loss node to the tape, and
-    the total is one sum_scalars node over those terms, in the order they
-    are made.
+    matching vector; the MP part's instance_index), layer_loss's. Each
+    layer's mask_stats, one sigmoid_softplus pass over all its rows, are
+    the one source of the matching cost and of every mask loss of that
+    layer. The consistency target is binarize_masks of the earlier
+    layer's logits. Each layer adds one node to the tape, and the total is
+    one sum_scalars node over them.
     """
     if mode not in MODES:
         raise ValueError(f"unknown loss mode {mode!r} (choose from {MODES})")
@@ -171,40 +235,24 @@ def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: Loss
         raise ValueError(f"mode {mode!r} is a baseline ablation; it cannot be "
                          f"combined with an auxiliary query part")
     n_match = outputs.n_match
-    num_categories = outputs.class_logits[0].values.shape[1] - 1
-    cats = scene.categories
-    gt_flat = scene.masks.reshape(scene.num_instances, -1).astype(np.float64)
-    match_rows = np.arange(n_match)
-    acts = [sigmoid_softplus(ml.values) for ml in outputs.mask_logits]
+    gt = gt_pixels(scene)
+    parts = [slice(0, n_match)] + ([slice(n_match, None)] if mp_part is not None else [])
+    stats = [mask_stats(ml.values, gt, parts) for ml in outputs.mask_logits]
 
     def match(i):
-        return hungarian(cost_matrix(outputs.mask_logits[i].values[:n_match],
-                                     outputs.class_logits[i].values[:n_match],
-                                     scene, weights, [a[:n_match] for a in acts[i]]))
+        return hungarian(cost_matrix(stats[i][2][0], outputs.class_logits[i].values[:n_match],
+                                     scene.categories, weights))
 
     layers = range(len(outputs.mask_logits))
     vectors = ([match(-1)] * len(layers) if mode == "fixed-last-layer"
                else [match(i) for i in layers])
-
     terms = []
-
-    def score(i, rows, vec):
-        hit = vec >= 0
-        targets = np.where(hit, cats[vec], num_categories)
-        row_weights = np.where(targets == num_categories, weights.no_object, 1.0)
-        terms.append(cross_entropy_rows(outputs.class_logits[i], rows, targets, row_weights,
-                                        weights.cls))
-        if hit.any():
-            terms.append(mask_loss_rows(outputs.mask_logits[i], *acts[i], rows[hit],
-                                        gt_flat[vec[hit]], weights.bce, weights.dice, DICE_EPS))
-
     for i, vec in enumerate(vectors):
-        score(i, match_rows, vec)
-        if mp_part is not None:
-            score(i, n_match + np.arange(mp_part.num_queries), mp_part.instance_index)
+        indices = [vec] + ([mp_part.instance_index] if mp_part is not None else [])
+        consistency = None
         if mode == "consistency-aux" and i >= 1:
             prev = binarize_masks(outputs.mask_logits[i - 1].values[:n_match])
-            prev = prev.reshape(n_match, -1).astype(np.float64)
-            terms.append(mask_loss_rows(outputs.mask_logits[i], *acts[i], match_rows, prev,
-                                        weights.bce, weights.dice, DICE_EPS))
+            consistency = prev.reshape(n_match, -1).astype(np.float64)
+        terms.append(layer_loss(outputs.mask_logits[i], outputs.class_logits[i], stats[i], gt,
+                                scene.categories, indices, weights, consistency))
     return sum_scalars(terms), np.stack(vectors)

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decoder import LayerOutputs, binarize_masks
-from .losses import LossWeights, cost_matrix, hungarian, softmax_rows
+from .losses import LossWeights, cost_matrix, gt_pixels, hungarian, mask_stats, softmax_rows
 from .masks import iou
-from .tensor import sigmoid_softplus
 
 
 def miou_layerwise(outputs: LayerOutputs) -> np.ndarray:
@@ -35,11 +34,11 @@ def _matching_vectors(outputs: LayerOutputs, rows: slice, scene,
                       weights: LossWeights) -> np.ndarray:
     """(L+1, len(rows)) GT index that bipartite matching gives each of the
     query rows, per layer (-1 = unmatched)."""
+    gt = gt_pixels(scene)
     vectors = []
     for ml, cl in zip(outputs.mask_logits, outputs.class_logits):
-        logits = ml.values[rows]
-        vectors.append(hungarian(cost_matrix(logits, cl.values[rows], scene, weights,
-                                             sigmoid_softplus(logits))))
+        _, _, (stats,) = mask_stats(ml.values[rows], gt, [slice(None)])
+        vectors.append(hungarian(cost_matrix(stats, cl.values[rows], scene.categories, weights)))
     return np.stack(vectors)
 
 

@@ -21,19 +21,21 @@ size the cost of a step is Python overhead per node, not arithmetic:
 - fused_heads: the decoder's mask and class heads over all query parts,
   one mask-logit node and one class-logit node, each part computed as its
   own matrices;
-- cross_entropy_rows: weighted cross-entropy of some rows of class logits;
-- mask_loss_rows: weighted mean BCE plus mean dice of some rows of mask
-  logits, reading the rows of the sigmoid and softplus arrays that the
-  caller's one sigmoid_softplus pass made for the layer.
+- fused_loss: one decoder layer's loss over all its query parts, weighted
+  cross-entropy of rows of its class logits plus mean BCE and dice of
+  rows of its mask logits, from per-row statistics that the caller read
+  off the layer's one sigmoid_softplus pass (losses.mask_stats).
 
 For the same reason importing mpseg holds numpy's OpenBLAS to one thread
 (mpseg._blas): a second thread has no product large enough to share and
 only spins on a core between calls.
 
-Each fused forward runs the same numpy calls in the same order as its
-composition of primitives (tests/oracle.py, the tests' oracle), so its
-value is bitwise equal to theirs. The two loss ops write their gradient
-into the rows they read, by assignment.
+Each fused forward but fused_loss runs the same numpy calls in the same
+order as its composition of primitives (tests/oracle.py, the tests'
+oracle), so its value is bitwise equal to theirs. fused_loss reads no
+pixel: its oracle is a class-loss and a mask-loss node per term over the
+pixels, which it matches within a tolerance that a test checks. Its
+backward writes every term's rows into one fresh gradient per input.
 
 No array is written in place once it is stored as a gradient, so a
 backward hands _accumulate any array as it is: one it just allocated, a
@@ -43,12 +45,13 @@ Three functions save numpy temporaries by writing in place, but only
 into arrays they just allocated and have not yet handed to _accumulate,
 stored or returned: fused_attention's logits (scaled, blocked, shifted,
 exponentiated and normalized in one buffer, which becomes the stored
-softmax) and its backward's logit gradient; mask_loss_rows' BCE terms
-and its backward's row gradient before it is assigned into the fresh
-accumulator; and sigmoid_softplus's exp(-|x|) buffer, which turns into
-the sigmoid's denominator, and the sigmoid's numerator, which it divides
-in place. The ufuncs and their order are those of the out-of-place
-expressions, so every value is bitwise the same.
+softmax) and its backward's logit gradient; fused_loss's backward row
+gradients, and the uninitialized gradients they are written into, whose
+rows that no term reads it zeros; and sigmoid_softplus's exp(-|x|)
+buffer, which turns into the sigmoid's denominator, and the sigmoid's
+numerator, which it divides in place. The ufuncs and their order are
+those of the out-of-place expressions, so every value is bitwise the
+same.
 """
 
 from __future__ import annotations
@@ -372,67 +375,90 @@ def fused_heads(parts, embed: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2
     return mask_out, class_out
 
 
-def cross_entropy_rows(logits: Tensor, rows, targets, row_weights, scale: float) -> Tensor:
-    """scale * sum_i w_i * CE(logits[rows[i]], targets[i]) / sum_i w_i.
+def _write_rows(acc, written, rows, g):
+    """Put g into acc's rows `rows` (a slice or unique indices): assigned
+    into a row that no earlier call wrote, added to one that one did."""
+    new = ~written[rows]
+    if new.all():
+        acc[rows] = g
+    else:
+        rows = np.arange(written.size)[rows]
+        acc[rows[new]] = g[new]
+        acc[rows[~new]] += g[~new]
+    written[rows] = True
 
-    `rows` must be unique: the gradient is written into them by assignment.
+
+def fused_loss(mask_logits: Tensor, class_logits: Tensor, probs: np.ndarray, class_terms,
+               mask_terms, w_cls: float, w_bce: float, w_dice: float,
+               dice_eps: float) -> Tensor:
+    """The sum, from 0.0, of the class terms and then the mask terms of
+    one decoder layer, one node:
+
+    - a class term (rows, targets, row_weights) is
+      w_cls * sum_i w_i * CE(class_logits[rows][i], targets[i]) / sum_i w_i;
+    - a mask term (rows, targets, bce, inter, psum, area) is
+      w_bce * mean(bce) + w_dice * mean(1 - (2 inter + eps) / (psum + (area + eps))),
+      the mean sigmoid BCE and smooth dice of the rows `rows` of the
+      (n, ...) mask logits against their (len(rows), pixels) targets.
+      bce, inter, psum and area hold each row's mean BCE, sum of p * t,
+      sum of p and sum of t, which the caller has (losses.mask_stats), so
+      the forward reads no pixel. probs, the (n, pixels) sigmoid of every
+      row, and the targets serve the backward.
+
+    The backward writes each term's rows into one class gradient and one
+    mask gradient, added where terms share a row, and zeros the rows that
+    no term reads.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    targets = np.asarray(targets, dtype=np.intp)
-    v = logits.values[rows]
-    m = v.max(axis=-1, keepdims=True)
-    e = np.exp(v - m)
-    s = e.sum(axis=-1, keepdims=True)
-    lse = (np.log(s) + m).squeeze(-1)
-    picked = v[np.arange(rows.size), targets]
-    wsum = float(row_weights.sum())
-    out = _make((((lse - picked) * row_weights).sum() / wsum) * scale, (logits,))
+    total = 0.0
+    saved = []
+    for rows, targets, row_weights in class_terms:
+        v = class_logits.values[rows]
+        m = v.max(axis=-1, keepdims=True)
+        e = np.exp(v - m)
+        s = e.sum(axis=-1, keepdims=True)
+        lse = (np.log(s) + m).squeeze(-1)
+        picked = v[np.arange(targets.size), targets]
+        wsum = float(row_weights.sum())
+        total = total + (((lse - picked) * row_weights).sum() / wsum) * w_cls
+        saved.append((e, s, wsum))
+    fractions = []
+    for rows, targets, bce, inter, psum, area in mask_terms:
+        num = 2.0 * inter + dice_eps
+        den = psum + (area + dice_eps)
+        total = total + (w_bce * _mean_all(bce) + w_dice * _mean_all(1.0 - num / den))
+        fractions.append((num, den))
+    out = _make(total, (mask_logits, class_logits))
     if out.requires_grad:
         def bw(g):
-            coef = (float(g) * scale) / wsum * row_weights
-            g_rows = coef[:, None] * (e / s)
-            g_rows[np.arange(rows.size), targets] -= coef
-            acc = np.zeros_like(logits.values)
-            acc[rows] = g_rows
-            logits._accumulate(acc)
-        out._backward = bw
-    return out
-
-
-def mask_loss_rows(logits: Tensor, probs: np.ndarray, softplus: np.ndarray, rows, targets,
-                   w_bce: float, w_dice: float, dice_eps: float) -> Tensor:
-    """w_bce * mean sigmoid BCE + w_dice * mean smooth dice of the rows
-    `rows` of (n, ...) mask logits against (len(rows), pixels) targets.
-
-    `probs, softplus` is sigmoid_softplus(logits.values), computed once by
-    the caller; the BCE of logit v is max(v, 0) - v * t + softplus.
-    `rows` must be unique: the gradient is written into them by assignment.
-    """
-    rows = np.asarray(rows, dtype=np.intp)
-    n = logits.values.shape[0]
-    v = logits.values.reshape(n, -1)[rows]
-    p = probs.reshape(n, -1)[rows]
-    t = targets
-    terms = np.maximum(v, 0.0)
-    terms -= v * t
-    terms += softplus.reshape(n, -1)[rows]
-    bce = _mean_all(terms)
-    num = 2.0 * (p * t).sum(axis=-1) + dice_eps
-    den = p.sum(axis=-1) + (t.sum(axis=1) + dice_eps)
-    dice = _mean_all(1.0 - num / den)
-    out = _make(w_bce * bce + w_dice * dice, (logits,))
-    if out.requires_grad:
-        def bw(g):
-            g_bce = float(g) * w_bce / v.size
-            g_num = -(float(g) * w_dice) / rows.size / den
-            g_p = (2.0 * g_num)[:, None] * t - (g_num * num / den)[:, None]
-            acc = np.zeros_like(logits.values)
-            g_v = p - t  # then g_bce * (p - t) + (g_p * p) * (1 - p)
-            g_v *= g_bce
-            g_p *= p
-            g_p *= 1.0 - p
-            g_v += g_p
-            acc.reshape(n, -1)[rows] = g_v
-            logits._accumulate(acc)
+            g = float(g)
+            if class_logits.requires_grad:
+                acc = np.empty_like(class_logits.values)
+                written = np.zeros(acc.shape[0], dtype=bool)
+                for (rows, targets, row_weights), (e, s, wsum) in zip(class_terms, saved):
+                    coef = (g * w_cls) / wsum * row_weights
+                    g_rows = coef[:, None] * (e / s)
+                    g_rows[np.arange(targets.size), targets] -= coef
+                    _write_rows(acc, written, rows, g_rows)
+                acc[~written] = 0.0
+                class_logits._accumulate(acc)
+            if mask_logits.requires_grad:
+                n = probs.shape[0]
+                acc = np.empty_like(mask_logits.values)
+                flat = acc.reshape(n, -1)
+                written = np.zeros(n, dtype=bool)
+                for (rows, t, *_), (num, den) in zip(mask_terms, fractions):
+                    p = probs[rows]
+                    g_bce = g * w_bce / p.size
+                    g_num = -(g * w_dice) / den.size / den
+                    g_p = t * (2.0 * g_num)[:, None]
+                    g_p -= (g_num * num / den)[:, None]
+                    g_v = p - t  # then g_bce * (p - t) + (g_p * p) * (1 - p)
+                    g_v *= g_bce
+                    g_p *= p
+                    g_p *= 1.0 - p
+                    g_v += g_p
+                    _write_rows(flat, written, rows, g_v)
+                flat[~written] = 0.0
+                mask_logits._accumulate(acc)
         out._backward = bw
     return out

@@ -6,16 +6,20 @@ and noised masks drawn one row at a time, the oracle of
 mp.build_mp_part; nearest resizing, the oracle of
 masks.to_attention_blocks; the Hungarian solve as numpy array ops, the
 oracle of losses._solve_rows_leq_cols; a scan over every candidate
-threshold, the oracle of metrics._threshold_exists; and the np.where
+threshold, the oracle of metrics._threshold_exists; the np.where
 sigmoid with log1p(exp(-|x|)) as two expressions, the oracle of
-tensor.sigmoid_softplus."""
+tensor.sigmoid_softplus; the matching cost from the pixels, the oracle
+of losses.mask_stats with losses.cost_matrix; and a class-loss and a
+mask-loss node per term, computed from the pixels, the oracle of
+tensor.fused_loss."""
 
 import numpy as np
 
+from mpseg.losses import DICE_EPS
 from mpseg.masks import (MP_KEY, _nearest_indices, point_noise_region, scale_noise,
                          seeded_rng, shift_noise)
 from mpseg.mp import dynamic_groups
-from mpseg.tensor import Tensor, _make, _unbroadcast
+from mpseg.tensor import Tensor, _make, _mean_all, _unbroadcast
 
 
 def sigmoid_where(x: np.ndarray) -> np.ndarray:
@@ -334,3 +338,89 @@ def scan_for_threshold(scores: np.ndarray, categories: np.ndarray) -> bool:
         if (c0 >= t).all() and (c1 < t).all():
             return True
     return False
+
+
+def dense_cost(ml: np.ndarray, cl: np.ndarray, scene, w) -> np.ndarray:
+    """(queries x GT) matching cost of (n, h, w) mask logits and class
+    logits, -class prob + BCE + dice, from the oracle's sigmoid and
+    softplus of every pixel."""
+    n = ml.shape[0]
+    pred = ml.reshape(n, -1)
+    npix = pred.shape[1]
+    gt = scene.masks.reshape(scene.num_instances, -1).astype(np.float64)
+    e = np.exp(cl - cl.max(axis=-1, keepdims=True))
+    cls_term = -(e / e.sum(axis=-1, keepdims=True))[:, scene.categories]
+    sp = np.maximum(pred, 0.0)
+    sp += log1p_exp_neg_abs(pred)
+    bce = sp.mean(axis=1)[:, None] - (pred @ gt.T) / npix
+    p = sigmoid_where(pred)
+    inter = p @ gt.T
+    dice = 1.0 - (2.0 * inter + DICE_EPS) / (p.sum(axis=1)[:, None]
+                                             + gt.sum(axis=1)[None, :] + DICE_EPS)
+    return w.cls * cls_term + w.bce * bce + w.dice * dice
+
+
+def cross_entropy_rows(logits: Tensor, rows, targets, row_weights, scale: float) -> Tensor:
+    """scale * sum_i w_i * CE(logits[rows[i]], targets[i]) / sum_i w_i.
+
+    `rows` must be unique: the gradient is written into them by assignment.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    targets = np.asarray(targets, dtype=np.intp)
+    v = logits.values[rows]
+    m = v.max(axis=-1, keepdims=True)
+    e = np.exp(v - m)
+    s = e.sum(axis=-1, keepdims=True)
+    lse = (np.log(s) + m).squeeze(-1)
+    picked = v[np.arange(rows.size), targets]
+    wsum = float(row_weights.sum())
+    out = _make((((lse - picked) * row_weights).sum() / wsum) * scale, (logits,))
+    if out.requires_grad:
+        def bw(g):
+            coef = (float(g) * scale) / wsum * row_weights
+            g_rows = coef[:, None] * (e / s)
+            g_rows[np.arange(rows.size), targets] -= coef
+            acc = np.zeros_like(logits.values)
+            acc[rows] = g_rows
+            logits._accumulate(acc)
+        out._backward = bw
+    return out
+
+
+def mask_loss_rows(logits: Tensor, probs: np.ndarray, softplus: np.ndarray, rows, targets,
+                   w_bce: float, w_dice: float, dice_eps: float) -> Tensor:
+    """w_bce * mean sigmoid BCE + w_dice * mean smooth dice of the rows
+    `rows` of (n, ...) mask logits against (len(rows), pixels) targets.
+
+    `probs, softplus` is sigmoid_softplus(logits.values), computed once by
+    the caller; the BCE of logit v is max(v, 0) - v * t + softplus.
+    `rows` must be unique: the gradient is written into them by assignment.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    n = logits.values.shape[0]
+    v = logits.values.reshape(n, -1)[rows]
+    p = probs.reshape(n, -1)[rows]
+    t = targets
+    terms = np.maximum(v, 0.0)
+    terms -= v * t
+    terms += softplus.reshape(n, -1)[rows]
+    bce = _mean_all(terms)
+    num = 2.0 * (p * t).sum(axis=-1) + dice_eps
+    den = p.sum(axis=-1) + (t.sum(axis=1) + dice_eps)
+    dice = _mean_all(1.0 - num / den)
+    out = _make(w_bce * bce + w_dice * dice, (logits,))
+    if out.requires_grad:
+        def bw(g):
+            g_bce = float(g) * w_bce / v.size
+            g_num = -(float(g) * w_dice) / rows.size / den
+            g_p = (2.0 * g_num)[:, None] * t - (g_num * num / den)[:, None]
+            acc = np.zeros_like(logits.values)
+            g_v = p - t  # then g_bce * (p - t) + (g_p * p) * (1 - p)
+            g_v *= g_bce
+            g_p *= p
+            g_p *= 1.0 - p
+            g_v += g_p
+            acc.reshape(n, -1)[rows] = g_v
+            logits._accumulate(acc)
+        out._backward = bw
+    return out

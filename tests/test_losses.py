@@ -5,16 +5,17 @@ import pytest
 
 from mpseg.decoder import LayerOutputs, binarize_masks, full_forward, init_params, plain_spec
 from mpseg import losses
-from mpseg.losses import (DICE_EPS, LossWeights, _solve_rows_leq_cols, cost_matrix, hungarian,
-                          layer_losses)
+from mpseg.losses import (LossWeights, _solve_rows_leq_cols, cost_matrix, gt_pixels, hungarian,
+                          layer_loss, layer_losses, mask_stats)
 from mpseg.metrics import compute_matching_vectors
 from mpseg.mp import MPConfig, MPPart
 from mpseg.synth import Scene, SynthConfig, generate_scene, synth_features
-from mpseg.tensor import Tensor, cross_entropy_rows, mask_loss_rows, sigmoid_softplus
+from mpseg.tensor import Tensor, sum_scalars
 from mpseg.trainer import layer_scale_table, mp_forward_spec
-from oracle import (add, bce_with_logits, div, gather_cols, log1p_exp_neg_abs, logsumexp_lastdim,
-                    mean_all, mul, reshape, sigmoid, sigmoid_where, solve_rows_leq_cols, sub,
-                    sum_all, sum_lastdim)
+from oracle import (DICE_EPS, add, bce_with_logits, cross_entropy_rows, dense_cost, div,
+                    gather_cols, log1p_exp_neg_abs, logsumexp_lastdim, mask_loss_rows, mean_all,
+                    mul, reshape, sigmoid, sigmoid_where, solve_rows_leq_cols, sub, sum_all,
+                    sum_lastdim)
 
 
 def brute_force_min_cost(cost: np.ndarray) -> float:
@@ -126,12 +127,19 @@ def saturated_outputs(scene, n_queries=1, n_layers=2, num_categories=3):
                         n_match=n_queries)
 
 
+def cost(ml, cl, scene, w):
+    """cost_matrix of (n, h, w) mask logits and class logits, from their
+    mask_stats as one part."""
+    _, _, (stats,) = mask_stats(ml, gt_pixels(scene), [slice(None)])
+    return cost_matrix(stats, cl, scene.categories, w)
+
+
 def test_cost_matrix_perfect_prediction():
     scene = one_query_scene()
     out = saturated_outputs(scene)
     w = LossWeights()
     ml = out.mask_logits[0].values
-    cm = cost_matrix(ml, out.class_logits[0].values, scene, w, sigmoid_softplus(ml))
+    cm = cost(ml, out.class_logits[0].values, scene, w)
     assert cm.shape == (1, 1)
     assert abs(cm[0, 0] - (-w.cls)) < 1e-3
 
@@ -142,7 +150,7 @@ def test_cost_matrix_uniform_closed_form():
     num_categories = 3
     ml = np.zeros((1, 4, 4))
     cl = np.zeros((1, num_categories + 1))
-    cm = cost_matrix(ml, cl, scene, w, sigmoid_softplus(ml))
+    cm = cost(ml, cl, scene, w)
     cls_term = -1.0 / (num_categories + 1)
     bce_term = np.log(2.0)
     area = scene.masks[0].sum()
@@ -161,17 +169,19 @@ def test_cost_matrix_permutation_equivariant():
     swapped = Scene(index=0, categories=[2, 0], masks=np.stack([bits2, bits1]))
     ml = rng.uniform(-2, 2, size=(3, 4, 4))
     cl = rng.uniform(-2, 2, size=(3, 4))
-    a = cost_matrix(ml, cl, scene, LossWeights(), sigmoid_softplus(ml))
-    b = cost_matrix(ml, cl, swapped, LossWeights(), sigmoid_softplus(ml))
+    a = cost(ml, cl, scene, LossWeights())
+    b = cost(ml, cl, swapped, LossWeights())
     assert np.array_equal(a, b[:, [1, 0]])
 
 
 def bce_and_dice(logits: np.ndarray, gt: np.ndarray) -> tuple:
-    """(BCE, dice): mask_loss_rows of (1, H, W) logits, weights (1, 0) and (0, 1)."""
-    ml = Tensor(logits[None])
-    t = gt.reshape(1, -1).astype(np.float64)
-    return tuple(mask_loss_rows(ml, *sigmoid_softplus(ml.values), [0], t, w_bce, w_dice,
-                                DICE_EPS)
+    """(BCE, dice): layer_loss of (1, H, W) logits matched to the one GT
+    mask, with no class weight and the weights (bce, dice) (1, 0) and (0, 1)."""
+    scene = Scene(index=0, categories=[0], masks=gt[None])
+    ml, cl = Tensor(logits[None]), Tensor(np.zeros((1, 2)))
+    stats = mask_stats(ml.values, gt_pixels(scene), [slice(None)])
+    return tuple(layer_loss(ml, cl, stats, gt_pixels(scene), scene.categories, [np.array([0])],
+                            LossWeights(cls=0.0, bce=w_bce, dice=w_dice))
                  for w_bce, w_dice in ((1.0, 0.0), (0.0, 1.0)))
 
 
@@ -288,11 +298,6 @@ def composed_mask_loss(rows, targets, w):
     return add(mul(w.bce, bce), mul(w.dice, mean_all(dice_each)))
 
 
-def oracle_cost(ml, cl, scene, w):
-    """cost_matrix of the oracle's sigmoid and softplus of ml."""
-    return cost_matrix(ml, cl, scene, w, (sigmoid_where(ml), log1p_exp_neg_abs(ml)))
-
-
 def composed_layer_losses(outputs, scene, mp_part, mode, w):
     """layer_losses written with one primitive per step."""
     n_match = outputs.n_match
@@ -302,14 +307,14 @@ def composed_layer_losses(outputs, scene, mp_part, mode, w):
     match_rows = np.arange(n_match)
     fixed = None
     if mode == "fixed-last-layer":
-        fixed = hungarian(oracle_cost(outputs.mask_logits[-1].values[:n_match],
+        fixed = hungarian(dense_cost(outputs.mask_logits[-1].values[:n_match],
                                       outputs.class_logits[-1].values[:n_match], scene, w))
     terms = []
     vectors = []
     for i, (ml, cl) in enumerate(zip(outputs.mask_logits, outputs.class_logits)):
         flat = reshape(ml, ml.values.shape[0], -1)
         vec = fixed if fixed is not None else hungarian(
-            oracle_cost(ml.values[:n_match], cl.values[:n_match], scene, w))
+            dense_cost(ml.values[:n_match], cl.values[:n_match], scene, w))
         vectors.append(vec)
         rows = np.flatnonzero(vec >= 0)
         gt_idx = vec[rows]
@@ -380,7 +385,7 @@ def test_mask_node_matches_composition(rows):
     for fused in (True, False):
         ml = Tensor(values.copy(), requires_grad=True)
         if fused:
-            out = mask_loss_rows(ml, *sigmoid_softplus(ml.values), rows, targets, w.bce,
+            out = mask_loss_rows(ml, *oracle_acts(ml.values), rows, targets, w.bce,
                                  w.dice, DICE_EPS)
         else:
             out = composed_mask_loss(reshape(ml, 7, -1).take_rows(rows), targets, w)
@@ -439,15 +444,16 @@ def test_layer_losses_match_composition_of_primitives(mode, with_mp):
 @LOSS_MODES
 def test_layer_losses_total_is_one_node_over_every_term(monkeypatch, mode, with_mp):
     made = []
-    for name in ("cross_entropy_rows", "mask_loss_rows"):
-        def recording(*args, real=getattr(losses, name)):
-            made.append(real(*args))
-            return made[-1]
-        monkeypatch.setattr(losses, name, recording)
+
+    def recording(*args, real=losses.fused_loss):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(losses, "fused_loss", recording)
     make_outputs, mp_part = random_layer_outputs(with_mp)
-    total, _ = layer_losses(make_outputs(), two_instance_scene(), mp_part, mode,
-                            LossWeights())
-    assert made and total._parents == tuple(made)
+    outputs = make_outputs()
+    total, _ = layer_losses(outputs, two_instance_scene(), mp_part, mode, LossWeights())
+    assert len(made) == len(outputs.mask_logits) and total._parents == tuple(made)
     fold = 0.0
     for term in made:
         fold = fold + term.values
@@ -455,14 +461,88 @@ def test_layer_losses_total_is_one_node_over_every_term(monkeypatch, mode, with_
 
 
 def test_cost_matrix_with_given_probabilities_is_bitwise_equal():
-    """The pair sigmoid_softplus makes gives the cost of the oracle's
-    sigmoid and softplus, bitwise."""
+    """The cost of mask_stats' statistics is the oracle's cost from the
+    pixels, bitwise, for a whole layer and for each part of it."""
     rng = np.random.default_rng(23)
     ml = rng.uniform(-3, 3, size=(5, 4, 4))
     cl = rng.uniform(-3, 3, size=(5, 4))
     scene = two_instance_scene()
-    given = cost_matrix(ml, cl, scene, LossWeights(), sigmoid_softplus(ml))
-    assert given.tobytes() == oracle_cost(ml, cl, scene, LossWeights()).tobytes()
+    w = LossWeights()
+    assert cost(ml, cl, scene, w).tobytes() == dense_cost(ml, cl, scene, w).tobytes()
+    parts = [slice(0, 2), slice(2, None)]
+    _, _, stats = mask_stats(ml, gt_pixels(scene), parts)
+    for st, rows in zip(stats, parts):
+        given = cost_matrix(st, cl[rows], scene.categories, w)
+        assert given.tobytes() == dense_cost(ml[rows], cl[rows], scene, w).tobytes()
+
+
+def oracle_acts(values):
+    """The oracle's (sigmoid, log1p(exp(-|x|))) pair of mask logits."""
+    return sigmoid_where(values), log1p_exp_neg_abs(values)
+
+
+def oracle_layer_loss(ml, cl, gt, categories, indices, w, consistency=None):
+    """layer_loss as one oracle node per term: a class-loss node per part,
+    a mask-loss node per part with a hit row, and one for the consistency
+    target, from the pixels; their sum_scalars."""
+    num_categories = cl.values.shape[1] - 1
+    acts = oracle_acts(ml.values)
+    terms, start = [], 0
+    for index in indices:
+        rows = start + np.arange(index.size)
+        hit = index >= 0
+        targets = np.where(hit, categories[index], num_categories)
+        terms.append(cross_entropy_rows(cl, rows, targets,
+                                        np.where(hit, 1.0, w.no_object), w.cls))
+        if hit.any():
+            terms.append(mask_loss_rows(ml, *acts, rows[hit], gt[index[hit]], w.bce, w.dice,
+                                        DICE_EPS))
+        start += index.size
+    if consistency is not None:
+        terms.append(mask_loss_rows(ml, *acts, np.arange(len(consistency)), consistency,
+                                    w.bce, w.dice, DICE_EPS))
+    return sum_scalars(terms)
+
+
+@pytest.mark.parametrize("indices,consistency", [
+    ([[1, -1, 0]], False), ([[1, -1, 0], [0, 1, 1, 0]], False),
+    ([[-1, -1, -1], [1, 0, 0, 1]], False), ([[0, -1, 1]], True),
+    ([[-1, 1, 0], [1, 1, 0, 0]], True)],
+    ids=["matching", "matching+mp", "no-hit-part", "consistency", "mp+consistency"])
+def test_layer_loss_node_matches_the_oracle_pair(indices, consistency):
+    """One fused_loss node per layer against the oracle's class-loss and
+    mask-loss nodes per term: values within 1e-14 relative, and each
+    gradient within 1e-13 of its largest entry."""
+    rng = np.random.default_rng(24)
+    indices = [np.array(index) for index in indices]
+    n = sum(index.size for index in indices)
+    values = [rng.uniform(-4, 4, size=(n, 4, 4)), rng.uniform(-3, 3, size=(n, 4))]
+    scene = two_instance_scene()
+    gt = gt_pixels(scene)
+    target = (rng.uniform(size=(3, 16)) < 0.4).astype(np.float64) if consistency else None
+    parts, start = [], 0
+    for index in indices:
+        parts.append(slice(start, start + index.size))
+        start += index.size
+    runs = []
+    for fused in (True, False):
+        ml, cl = (Tensor(v.copy(), requires_grad=True) for v in values)
+        if fused:
+            out = layer_loss(ml, cl, mask_stats(ml.values, gt, parts), gt, scene.categories,
+                             indices, LossWeights(), target)
+            assert out._parents == (ml, cl)
+        else:
+            out = oracle_layer_loss(ml, cl, gt, scene.categories, indices, LossWeights(), target)
+        out.backward(1.3)
+        runs.append((float(out.values), ml.grad, cl.grad))
+    (value, *grads), (ref_value, *ref_grads) = runs
+    assert abs(value - ref_value) <= 1e-14 * abs(ref_value)
+    for g, r in zip(grads, ref_grads):
+        assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
+    unread = np.concatenate(indices) < 0  # the rows of no mask term
+    if target is not None:
+        unread[:3] = False
+    assert not grads[0][unread].any()
 
 
 def small_forward(with_mp: bool):

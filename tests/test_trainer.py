@@ -297,9 +297,9 @@ def default_step_losses():
 
 def test_tape_nodes_per_step_at_the_default_model_size():
     mp_loss, plain_loss = default_step_losses()
-    # the loss total is one sum_scalars node, not one add per loss term:
-    # 272 - 40 + 1 and 150 - 20 + 1
-    assert (len(recorded_nodes(mp_loss)), len(recorded_nodes(plain_loss))) == (233, 131)
+    # the decoder's 192 and 110 nodes, then one fused_loss node per layer
+    # (10) and one sum_scalars node over them
+    assert (len(recorded_nodes(mp_loss)), len(recorded_nodes(plain_loss))) == (203, 121)
 
 
 def params_after_an_mp_and_a_plain_step() -> list:
