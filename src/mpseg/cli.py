@@ -27,6 +27,7 @@ import numpy as np
 from .config import (ConfigError, GenDataConfig, RefineStudyConfig, VARIANTS, build,
                      load_config_json, parse_run_config)
 from .decoder import full_forward, load_checkpoint, save_checkpoint
+from .fields import MAX_SEED
 from .losses import LossWeights, NonFiniteError
 from .metrics import (compute_matching_vectors, config_hash, layer_table, miou_layerwise,
                       sample_refinement_instance, util_layerwise, util_mp_bipartite)
@@ -240,8 +241,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         seed = getattr(args, "seed", None)
-        if seed is not None and seed < 0:
-            raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
+        if seed is not None and not 0 <= seed <= MAX_SEED:
+            raise ConfigError(f"--seed must be an integer in [0, {MAX_SEED}], got {seed}")
         # a non-finite value ends the verb with its own one-line message
         with np.errstate(all="ignore"):
             return HANDLERS[args.command](args)

@@ -27,7 +27,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .fields import MAX_HIDDEN, MAX_LAYERS, MAX_SIZE, Checked, ConfigError, build, setting
+from .fields import (MAX_HIDDEN, MAX_LAYERS, MAX_SEED, MAX_SIZE, Checked, ConfigError, build,
+                     setting)
 from .losses import MODES, LossWeights
 from .mp import MPConfig
 from .synth import SynthConfig
@@ -76,7 +77,7 @@ class RunConfig(Checked):
     mp: MPConfig = setting(kind=MPConfig, factory=lambda: MPConfig(enabled=False))
     train: TrainSettings = setting(kind=TrainSettings, factory=TrainSettings)
     variant: str = setting("baseline", str, tuple(VARIANTS))
-    seed: int = setting(0, int, "[0, inf)")
+    seed: int = setting(0, int, f"[0, {MAX_SEED}]")
     out_dir: str = setting("run-out", str)
 
     def __post_init__(self):
@@ -111,7 +112,7 @@ class RefineStudyConfig(Checked):
     dim: int = setting(8, int, f"[1, {MAX_SIZE}]")
     sigmas: tuple = setting((0.0, 0.1, 0.25, 0.5), float, "[0, inf)", many=True)
     instances_per_sigma: int = setting(250, int, "[1, inf)")
-    seed: int = setting(0, int, "[0, inf)")
+    seed: int = setting(0, int, f"[0, {MAX_SEED}]")
     out: str = setting(None, str, nullable=True)
 
 

@@ -13,6 +13,10 @@ import operator
 MAX_SIZE = 256      # extents, feature dims, category and query counts
 MAX_LAYERS = 64
 MAX_HIDDEN = 1024
+# Seeds are one 32-bit word. A larger one widens a seed list past the 4 words
+# that numpy pads it to, and a plain list can then give a keyed stream
+# (masks.seeded_rng).
+MAX_SEED = 2**32 - 1
 
 
 class ConfigError(ValueError):
@@ -109,7 +113,8 @@ class Checked:
 def build(cls, obj, prefix: str = "", require_all: bool = False):
     """cls from the JSON object `obj`, nested sections built the same way
     and lists turned into tuples. An unknown key (with require_all, also a
-    missing one) is an error; `prefix`, the section's path, starts any."""
+    missing one) is an error. `prefix`, the section's path, starts any
+    error message of cls that does not start with it already."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{prefix[:-1] or 'the config'} must be a JSON object")
     kinds = {f.name: f.metadata["domain"].kind for f in dataclasses.fields(cls)}
@@ -124,4 +129,5 @@ def build(cls, obj, prefix: str = "", require_all: bool = False):
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{prefix}{exc}") from exc
+        message = str(exc)
+        raise ConfigError(message if message.startswith(prefix) else prefix + message) from exc

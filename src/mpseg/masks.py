@@ -53,7 +53,8 @@ def seeded_rng(seed, key: int | None = None) -> np.random.Generator:
     numpy pads a seed list with zero words to the 4 words of its pool, so
     [0] and [0, 0] give one stream, and so do [0, 2, 0] and [0, 2]. It pads
     before it appends the spawn key, so no plain list of up to 4 words
-    gives a keyed stream (a longer list is not padded, and can)."""
+    gives a keyed stream (a longer list is not padded, and can). A seed
+    the program accepts is one word (fields.MAX_SEED)."""
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(seed, spawn_key=() if key is None else (key,))))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import MAX_SIZE, Checked, ConfigError, build, setting
+from .fields import MAX_SEED, MAX_SIZE, Checked, ConfigError, build, setting
 from .masks import FormatError, rle_decode, rle_encode, seeded_rng
 
 DATASET_MAGIC = "mpseg-dataset"
@@ -39,13 +39,14 @@ class SynthConfig(Checked):
     size_range: tuple = setting((4, 10), int, f"[1, {MAX_SIZE}]", many=True,
                                 length="[2, 2]", order="<=")
     noise_sigma: float = setting(0.25, float, "[0, inf)")
-    seed: int = setting(0, int, "[0, inf)")
+    seed: int = setting(0, int, f"[0, {MAX_SEED}]")
 
     def __post_init__(self):
         super().__post_init__()
         if self.height % 4 or self.width % 4:
-            raise ConfigError(f"height and width must be multiples of 4 for the 3-scale "
-                              f"pyramid, got {self.height}x{self.width}")
+            # a rule over two fields names both in full; build adds no prefix to it
+            raise ConfigError(f"synth.height and synth.width must be multiples of 4 for the "
+                              f"3-scale pyramid, got {self.height}x{self.width}")
         if self.feat_dim < self.num_categories + 1:
             raise ConfigError(f"feat_dim {self.feat_dim} is too small for "
                               f"{self.num_categories} categories + background")

@@ -314,8 +314,26 @@ def test_negative_seed_exits_config_with_one_line_on_every_verb(artifacts, tmp_p
     out = tmp_path / "out"
     out_flag = [] if verb == "grad-check" else ["--out", str(out)]  # grad-check writes no file
     assert cli.main([verb, *inputs, "--seed", "-1", *out_flag]) == cli.EXIT_CONFIG
-    assert_one_line(capsys, "config error: --seed must be a non-negative integer, got -1")
+    assert_one_line(capsys, "config error: --seed must be an integer in [0, 4294967295], "
+                            "got -1")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", [verb for verb in cli.HANDLERS if verb != "eval"])
+def test_seed_flag_is_one_32_bit_word_on_every_verb(artifacts, tmp_path, capsys, verb):
+    """--seed 2**32 exits config with one line and writes nothing; 2**32 - 1 runs."""
+    ckpt, data = (str(path) for path in artifacts)
+    configs = {"gen-data": {"synth": SMALL_RUN["synth"], "count": 1}, "train": SMALL_RUN,
+               "refine-study": {"dim": 4, "sigmas": [0.2], "instances_per_sigma": 3}}
+    inputs = {"analyze": ["--checkpoint", ckpt, "--dataset", data],
+              "grad-check": []}.get(verb, ["--config", write_config(tmp_path, configs.get(verb))])
+    out = tmp_path / "out"
+    out_flag = [] if verb == "grad-check" else ["--out", str(out)]
+    assert cli.main([verb, *inputs, "--seed", str(2**32), *out_flag]) == cli.EXIT_CONFIG
+    assert_one_line(capsys, "config error: --seed must be an integer in [0, 4294967295], "
+                            "got 4294967296\n")
+    assert not out.exists()
+    assert cli.main([verb, *inputs, "--seed", str(2**32 - 1), *out_flag]) == cli.EXIT_OK
 
 
 def test_eval_takes_no_seed(artifacts, capsys):
@@ -509,8 +527,8 @@ def test_gen_data_height_that_is_no_multiple_of_4_exits_config_with_one_line(tmp
     config = write_config(tmp_path, {"synth": {"height": 10}, "count": 1})
     out = tmp_path / "data.txt"
     assert cli.main(["gen-data", "--config", config, "--out", str(out)]) == cli.EXIT_CONFIG
-    assert_one_line(capsys, "config error: synth.height and width must be multiples of 4 for "
-                            "the 3-scale pyramid, got 10x32\n")
+    assert_one_line(capsys, "config error: synth.height and synth.width must be multiples of 4 "
+                            "for the 3-scale pyramid, got 10x32\n")
     assert not out.exists()
 
 

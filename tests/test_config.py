@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from mpseg.config import VARIANTS, ConfigError, RunConfig, parse_run_config
+from mpseg.config import (VARIANTS, ConfigError, GenDataConfig, RefineStudyConfig, RunConfig,
+                          build, parse_run_config)
 from mpseg.metrics import config_hash
 from mpseg.mp import MPConfig
 from mpseg.synth import SynthConfig
@@ -175,3 +176,16 @@ def test_a_python_config_without_its_variants_preset_is_rejected(variant):
                           "mp": {"enabled": False}})
     assert str(info.value) == message
     RunConfig(variant=variant, loss_mode=loss_mode, mp=MPConfig(enabled=mp_on))
+
+
+@pytest.mark.parametrize("make", [
+    lambda seed: parse_run_config({"seed": seed}),
+    lambda seed: parse_run_config({"synth": {"seed": seed}}),
+    lambda seed: build(GenDataConfig, {"synth": {"seed": seed}}),
+    lambda seed: build(RefineStudyConfig, {"seed": seed})],
+    ids=["seed", "synth.seed", "gen-data-synth.seed", "refine-study-seed"])
+def test_every_config_seed_is_one_32_bit_word(make):
+    make(2**32 - 1)
+    with pytest.raises(ConfigError, match=re.escape("seed must be an integer in "
+                                                    "[0, 4294967295], got 4294967296")):
+        make(2**32)
