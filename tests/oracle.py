@@ -392,8 +392,8 @@ def mask_loss_rows(logits: Tensor, probs: np.ndarray, softplus: np.ndarray, rows
     """w_bce * mean sigmoid BCE + w_dice * mean smooth dice of the rows
     `rows` of (n, ...) mask logits against (len(rows), pixels) targets.
 
-    `probs, softplus` is sigmoid_softplus(logits.values), computed once by
-    the caller; the BCE of logit v is max(v, 0) - v * t + softplus.
+    `probs, softplus` is the pair (sigmoid, log1p(exp(-|x|))) of
+    logits.values; the BCE of logit v is max(v, 0) - v * t + softplus.
     `rows` must be unique: the gradient is written into them by assignment.
     """
     rows = np.asarray(rows, dtype=np.intp)

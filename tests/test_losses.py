@@ -5,17 +5,16 @@ import pytest
 
 from mpseg.decoder import LayerOutputs, binarize_masks, full_forward, init_params, plain_spec
 from mpseg import losses
-from mpseg.losses import (LossWeights, _solve_rows_leq_cols, cost_matrix, gt_pixels, hungarian,
-                          layer_loss, layer_losses, mask_stats)
+from mpseg.losses import (DICE_EPS, LossWeights, _solve_rows_leq_cols, cost_matrix, gt_pixels,
+                          hungarian, layer_loss, layer_losses, mask_stats)
 from mpseg.metrics import compute_matching_vectors
 from mpseg.mp import MPConfig, MPPart
 from mpseg.synth import Scene, SynthConfig, generate_scene, synth_features
 from mpseg.tensor import Tensor, sum_scalars
 from mpseg.trainer import layer_scale_table, mp_forward_spec
-from oracle import (DICE_EPS, add, bce_with_logits, cross_entropy_rows, dense_cost, div,
-                    gather_cols, log1p_exp_neg_abs, logsumexp_lastdim, mask_loss_rows, mean_all,
-                    mul, reshape, sigmoid, sigmoid_where, solve_rows_leq_cols, sub, sum_all,
-                    sum_lastdim)
+from oracle import (add, bce_with_logits, cross_entropy_rows, dense_cost, div, gather_cols,
+                    log1p_exp_neg_abs, logsumexp_lastdim, mask_loss_rows, mean_all, mul, reshape,
+                    sigmoid, sigmoid_where, solve_rows_leq_cols, sub, sum_all, sum_lastdim)
 
 
 def brute_force_min_cost(cost: np.ndarray) -> float:
