@@ -163,6 +163,11 @@ def decoder_layer(parts, feats: Tensor, cross_blocks, self_blocks, lp: LayerPara
     masked cross-attention, self-attention and FFN, each with residual
     connection and layer normalization. Returns the updated parts.
 
+    Each attention is one fused_attention node that projects its own
+    keys and values. Part j's cross-attention projects only the pixels
+    that some row of part j reads: the union of its rows' masks at that
+    scale, or every pixel when a row's mask is empty.
+
     Part j's self-attention reads the pre-self-attention rows of parts
     0..j under self_blocks[j], so the matching part never reads the MP
     part. Computing each part as its own matrices keeps the matching
@@ -171,15 +176,14 @@ def decoder_layer(parts, feats: Tensor, cross_blocks, self_blocks, lp: LayerPara
     mathematical.
     """
     scale = 1.0 / np.sqrt(dim)
-    k = feats @ lp.wk
-    v = feats @ lp.wv
-    parts = [add_norm_affine(x, fused_attention(x, k, v, block, lp.wq, lp.wo, scale),
-                             lp.ln1_g, lp.ln1_b)
+    parts = [add_norm_affine(
+                 x, fused_attention(x, feats, block, lp.wq, lp.wk, lp.wv, lp.wo, scale),
+                 lp.ln1_g, lp.ln1_b)
              for x, block in zip(parts, cross_blocks)]
     out = []
     for j, (x, block) in enumerate(zip(parts, self_blocks)):
         ctx = concat_rows(parts[:j + 1]) if j else x
-        update = fused_attention(x, ctx @ lp.sk, ctx @ lp.sv, block, lp.sq, lp.so, scale)
+        update = fused_attention(x, ctx, block, lp.sq, lp.sk, lp.sv, lp.so, scale)
         x = add_norm_affine(x, update, lp.ln2_g, lp.ln2_b)
         ffn = mlp2(x, lp.ffn_w1, lp.ffn_b1, lp.ffn_w2, lp.ffn_b2)
         out.append(add_norm_affine(x, ffn, lp.ln3_g, lp.ln3_b))

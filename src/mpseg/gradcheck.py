@@ -88,22 +88,32 @@ def run_gradient_suite(seed: int = 0):
     u = rng.uniform(-2.0, 2.0, size=(3, 4))
     v = rng.uniform(-2.0, 2.0, size=(4, 2))
     w = weight(3, 4)
-    check("matmul", lambda xs: xs[0] @ xs[1], [u, v], weight(3, 2))
     check("take_rows", lambda xs: xs[0].take_rows([2, 0, 0]), [u], w)
     check("concat_rows", T.concat_rows, [u, v.T], weight(5, 4))
     # the first term twice: its gradient is the sum of both slots'
     check("sum_scalars", lambda xs: T.sum_scalars([xs[0], xs[1], xs[0]]),
           [rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)])
 
-    # fused ops; the attention's row 1 is fully blocked, row 0 partly
-    att_in = [rng.uniform(-1.0, 1.0, size=s) for s in
-              ((3, 4), (5, 4), (5, 4), (4, 4), (4, 4))]
+    # fused ops. Attention of 3 query rows over 5 source rows: in the first
+    # grid row 1 is fully blocked, so every column is read; the compacted
+    # grid closes columns 1 and 4 for every row and blocks no row fully.
+    # check tracks every input, so src is tracked, as self-attention's is;
+    # the last row holds it constant, as cross-attention's features are
+    att_in = [rng.uniform(-1.0, 1.0, size=s) for s in ((3, 4), (5, 4), (4, 4), (4, 4), (4, 4),
+                                                       (4, 4))]
     att_block = np.zeros((3, 5), dtype=bool)
     att_block[0, [1, 3]] = True
     att_block[1] = True
-    for name, blk in (("fused_attention", att_block), ("fused_attention_unblocked", None)):
-        check(name, lambda xs, blk=blk: T.fused_attention(xs[0], xs[1], xs[2], blk, xs[3],
-                                                          xs[4], 0.5), att_in, w)
+    compact_block = np.zeros((3, 5), dtype=bool)
+    compact_block[:, [1, 4]] = True
+    compact_block[0, 0] = compact_block[2, 3] = True
+    for name, blk in (("fused_attention", att_block), ("fused_attention_unblocked", None),
+                      ("fused_attention_compacted", compact_block)):
+        check(name, lambda xs, blk=blk: T.fused_attention(xs[0], xs[1], blk, *xs[2:], 0.5),
+              att_in, w)
+    check("fused_attention_compacted_constant_src",
+          lambda xs: T.fused_attention(xs[0], Tensor(att_in[1]), compact_block, *xs[1:], 0.5),
+          att_in[:1] + att_in[2:], w)
     check("add_norm_affine", lambda xs: T.add_norm_affine(*xs),
           [u, rng.uniform(-2.0, 2.0, size=(3, 4)), rng.uniform(0.5, 1.5, size=(4,)),
            rng.uniform(-1, 1, size=(4,))], w)

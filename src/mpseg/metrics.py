@@ -58,7 +58,11 @@ def util_layerwise(vectors: np.ndarray, num_gt: int) -> np.ndarray:
 
 
 def util_mp_bipartite(outputs: LayerOutputs, scene, weights: LossWeights) -> np.ndarray:
-    """Utilization of the MP rows when re-assigned by bipartite matching."""
+    """Utilization of the MP rows when re-assigned by bipartite matching.
+
+    The row is tie-sensitive: MP rows of different groups that pilot one
+    instance can reach costs within an ulp of each other, so a change in
+    the last bits of the logits can move which of them is matched."""
     vectors = _matching_vectors(outputs, slice(outputs.n_match, None), scene, weights)
     return util_layerwise(vectors, scene.num_instances)
 

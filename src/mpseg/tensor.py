@@ -8,14 +8,16 @@ that has requires_grad set. Values are never mutated by forward ops; the
 only sanctioned in-place write is an optimizer updating parameter .values
 between training steps.
 
-The ops here are only the ones the model records: matmul, take_rows,
+The ops here are only the ones the model records: take_rows,
 concat_rows, sum_scalars (the loss total) and the fused ops. Tensor has
-no elementwise operator or reduction; the tests' compositions take theirs
-from tests/oracle.py. A fused op records one node for a whole block of
-the decoder or the loss, with a hand-written backward, because at this
-size the cost of a step is Python overhead per node, not arithmetic:
+no matmul, elementwise operator or reduction; the tests' compositions
+take theirs from tests/oracle.py. A fused op records one node for a
+whole block of the decoder or the loss, with a hand-written backward,
+because at this size the cost of a step is Python overhead per node,
+not arithmetic:
 
-- fused_attention: softmax(mask((x@wq)@keys.T * scale)) @ values @ wo;
+- fused_attention: softmax(mask((x@wq) @ (src@wk).T * scale)) @ (src@wv) @ wo,
+  projecting only the rows of src that some query row may read;
 - add_norm_affine: layernorm(x + update) * gain + bias;
 - mlp2: relu(x@w1 + b1) @ w2 + b2;
 - fused_heads: the decoder's mask and class heads over all query parts,
@@ -32,10 +34,14 @@ only spins on a core between calls.
 
 Each fused forward but fused_loss runs the same numpy calls in the same
 order as its composition of primitives (tests/oracle.py, the tests'
-oracle), so its value is bitwise equal to theirs. fused_loss reads no
-pixel: its oracle is a class-loss and a mask-loss node per term over the
-pixels, which it matches within a tolerance that a test checks. Its
-backward writes every term's rows into one fresh gradient per input.
+oracle), so its value is bitwise equal to theirs; fused_attention does
+so when its rows read every column of src. When every row blocks some
+column, it computes on fewer columns, and its oracle is the dense op
+over all of them (oracle.dense_attention), which it matches within a
+tolerance that a test checks. fused_loss reads no pixel: its oracle is
+a class-loss and a mask-loss node per term over the pixels, which it
+matches within a tolerance that a test checks. Its backward writes
+every term's rows into one fresh gradient per input.
 
 No array is written in place once it is stored as a gradient, so a
 backward hands _accumulate any array as it is: one it just allocated, a
@@ -116,22 +122,6 @@ class Tensor:
 
     # ------------------------------------------------------------------
     # structural ops
-
-    def matmul(self, other: "Tensor") -> "Tensor":
-        a, b = self.values, other.values
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ValueError(f"matmul shape mismatch: {a.shape} vs {b.shape}")
-        out = _make(a @ b, (self, other))
-        if out.requires_grad:
-            def bw(g):
-                if self.requires_grad:
-                    self._accumulate(g @ b.T)
-                if other.requires_grad:
-                    other._accumulate(a.T @ g)
-            out._backward = bw
-        return out
-
-    __matmul__ = matmul
 
     def take_rows(self, idx) -> "Tensor":
         idx = np.asarray(idx, dtype=np.intp)
@@ -233,48 +223,73 @@ def sum_scalars(terms) -> Tensor:
 # fused ops: one tape node each, hand-written backward
 
 
-def fused_attention(x: Tensor, keys: Tensor, values: Tensor, block, wq: Tensor,
+def fused_attention(x: Tensor, src: Tensor, block, wq: Tensor, wk: Tensor, wv: Tensor,
                     wo: Tensor, scale: float) -> Tensor:
-    """softmax(masked_fill((x@wq) @ keys.T * scale, block, NEG_BIG)) @ values @ wo.
+    """softmax(masked_fill((x@wq) @ (src@wk).T * scale, block, NEG_BIG)) @ (src@wv) @ wo.
 
-    `block` is a (rows of x, rows of keys) bool grid, or None to block
+    `block` is a (rows of x, rows of src) bool grid, or None to block
     nothing. A fully blocked row attends uniformly and passes no gradient
     to its logits.
+
+    The keys and values are computed only on the columns of src that
+    some row reads, cols: a blocked logit's weight underflows to 0, so a
+    column that every row blocks adds nothing. A fully blocked row reads
+    every column. When every column is read, cols is a slice and src is
+    not copied. The backward hands wk and wv src[cols].T times their
+    gradient, and scatters a gradient into src only when src is tracked.
     """
-    q = x.values @ wq.values
-    kv = keys.values
-    logits = q @ kv.T
-    logits *= scale
+    cols = slice(None)
     if block is not None:
         block = np.asarray(block, dtype=bool)
-        if block.shape != logits.shape:
-            raise ValueError(f"attention block shape {block.shape} != logits {logits.shape}")
+        if block.shape != (x.values.shape[0], src.values.shape[0]):
+            raise ValueError(f"attention block shape {block.shape} != logits "
+                             f"{(x.values.shape[0], src.values.shape[0])}")
+        closed = block.all(axis=0)
+        if closed.any() and not block.all(axis=1).any():
+            cols = np.flatnonzero(~closed)
+            block = block[:, cols]
+    s = src.values[cols]
+    k = s @ wk.values
+    v = s @ wv.values
+    q = x.values @ wq.values
+    logits = q @ k.T
+    logits *= scale
+    if block is not None:
         np.putmask(logits, block, NEG_BIG)
     logits -= logits.max(axis=-1, keepdims=True)
     p = np.exp(logits, out=logits)
     p /= p.sum(axis=-1, keepdims=True)
-    ctx = p @ values.values
-    out = _make(ctx @ wo.values, (x, keys, values, wq, wo))
+    ctx = p @ v
+    out = _make(ctx @ wo.values, (x, src, wq, wk, wv, wo))
     if out.requires_grad:
         def bw(g):
             if wo.requires_grad:
                 wo._accumulate(ctx.T @ g)
             g_ctx = g @ wo.values.T
-            if values.requires_grad:
-                values._accumulate(p.T @ g_ctx)
-            g_logits = g_ctx @ values.values.T  # g_p, then p * (g_p - sum(g_p * p))
+            g_v = p.T @ g_ctx
+            g_logits = g_ctx @ v.T  # g_p, then p * (g_p - sum(g_p * p))
             g_logits -= (g_logits * p).sum(axis=-1, keepdims=True)
             g_logits *= p
             if block is not None:
                 np.putmask(g_logits, block, 0.0)
             g_logits *= scale
-            if keys.requires_grad:
-                keys._accumulate((q.T @ g_logits).T)
-            g_q = g_logits @ kv
+            g_k = (q.T @ g_logits).T
+            g_q = g_logits @ k
             if wq.requires_grad:
                 wq._accumulate(x.values.T @ g_q)
             if x.requires_grad:
                 x._accumulate(g_q @ wq.values.T)
+            if wk.requires_grad:
+                wk._accumulate(s.T @ g_k)
+            if wv.requires_grad:
+                wv._accumulate(s.T @ g_v)
+            if src.requires_grad:
+                g_s = g_k @ wk.values.T + g_v @ wv.values.T
+                if not isinstance(cols, slice):
+                    acc = np.zeros_like(src.values)
+                    acc[cols] = g_s
+                    g_s = acc
+                src._accumulate(g_s)
         out._backward = bw
     return out
 

@@ -1,9 +1,10 @@
 """The tests' oracles, which the model itself never runs: primitive ops,
 one small tape node each, that the tests compose as the oracle of
-mpseg.tensor's fused ops, among them the elementwise arithmetic and the
-reductions that Tensor itself does not define; an MP part's label flips
-and noised masks drawn one row at a time, the oracle of
-mp.build_mp_part; nearest resizing, the oracle of
+mpseg.tensor's fused ops, among them the matrix product, the elementwise
+arithmetic and the reductions that Tensor itself does not define;
+attention over every key column, the oracle of tensor.fused_attention
+where it computes on fewer; an MP part's label flips and noised masks
+drawn one row at a time, the oracle of mp.build_mp_part; nearest resizing, the oracle of
 masks.to_attention_blocks; the Hungarian solve as numpy array ops, the
 oracle of losses._solve_rows_leq_cols; a scan over every candidate
 threshold, the oracle of metrics._threshold_exists; the np.where
@@ -19,7 +20,7 @@ from mpseg.losses import DICE_EPS
 from mpseg.masks import (MP_KEY, _nearest_indices, point_noise_region, scale_noise,
                          seeded_rng, shift_noise)
 from mpseg.mp import dynamic_groups
-from mpseg.tensor import Tensor, _make, _mean_all, _unbroadcast
+from mpseg.tensor import NEG_BIG, Tensor, _make, _mean_all, _unbroadcast
 
 
 def sigmoid_where(x: np.ndarray) -> np.ndarray:
@@ -82,6 +83,22 @@ def mean_all(x: Tensor) -> Tensor:
     out = _make(x.values.mean(), (x,))
     if out.requires_grad:
         out._backward = lambda g: x._accumulate(np.full_like(x.values, float(g) / x.values.size))
+    return out
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b of 2-D tensors."""
+    av, bv = a.values, b.values
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+        raise ValueError(f"matmul shape mismatch: {av.shape} vs {bv.shape}")
+    out = _make(av @ bv, (a, b))
+    if out.requires_grad:
+        def bw(g):
+            if a.requires_grad:
+                a._accumulate(g @ bv.T)
+            if b.requires_grad:
+                b._accumulate(av.T @ g)
+        out._backward = bw
     return out
 
 
@@ -198,6 +215,50 @@ def masked_fill(x: Tensor, block, fill: float) -> Tensor:
     out = _make(np.where(block, fill, x.values), (x,))
     if out.requires_grad:
         out._backward = lambda g: x._accumulate(np.where(block, 0.0, g))
+    return out
+
+
+def dense_attention(x: Tensor, keys: Tensor, values: Tensor, block, wq: Tensor, wo: Tensor,
+                    scale: float) -> Tensor:
+    """softmax(masked_fill((x@wq) @ keys.T * scale, block, NEG_BIG)) @ values @ wo
+    over every key column, one node, with the keys and values given:
+    tensor.fused_attention as it was before it projected its own keys
+    and values, on only the columns its rows read."""
+    q = x.values @ wq.values
+    kv = keys.values
+    logits = q @ kv.T
+    logits *= scale
+    if block is not None:
+        block = np.asarray(block, dtype=bool)
+        if block.shape != logits.shape:
+            raise ValueError(f"attention block shape {block.shape} != logits {logits.shape}")
+        np.putmask(logits, block, NEG_BIG)
+    logits -= logits.max(axis=-1, keepdims=True)
+    p = np.exp(logits, out=logits)
+    p /= p.sum(axis=-1, keepdims=True)
+    ctx = p @ values.values
+    out = _make(ctx @ wo.values, (x, keys, values, wq, wo))
+    if out.requires_grad:
+        def bw(g):
+            if wo.requires_grad:
+                wo._accumulate(ctx.T @ g)
+            g_ctx = g @ wo.values.T
+            if values.requires_grad:
+                values._accumulate(p.T @ g_ctx)
+            g_logits = g_ctx @ values.values.T  # g_p, then p * (g_p - sum(g_p * p))
+            g_logits -= (g_logits * p).sum(axis=-1, keepdims=True)
+            g_logits *= p
+            if block is not None:
+                np.putmask(g_logits, block, 0.0)
+            g_logits *= scale
+            if keys.requires_grad:
+                keys._accumulate((q.T @ g_logits).T)
+            g_q = g_logits @ kv
+            if wq.requires_grad:
+                wq._accumulate(x.values.T @ g_q)
+            if x.requires_grad:
+                x._accumulate(g_q @ wq.values.T)
+        out._backward = bw
     return out
 
 

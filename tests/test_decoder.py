@@ -15,7 +15,7 @@ from mpseg.mp import MPPart
 from mpseg.synth import SynthConfig, generate_scene, synth_features
 from mpseg.tensor import Tensor, concat_rows, fused_attention, mlp2, sigmoid_softplus
 from mpseg.trainer import detach_params, layer_scale_table
-from oracle import add, mul, reshape, sum_all
+from oracle import add, matmul, mul, reshape, sum_all
 
 BENCH_CHECKPOINT = Path(__file__).resolve().parent.parent / "bench" / "data" / "checkpoint.bin"
 
@@ -35,12 +35,12 @@ def mask_head(params, queries: Tensor, embed_grid) -> Tensor:
     logits[n, y, x] = MLP(query_n) . embed[y, x]."""
     h, w, d = embed_grid.shape
     e = mlp2(queries, params.mask_w1, params.mask_b1, params.mask_w2, params.mask_b2)
-    return reshape(e @ Tensor(embed_grid.reshape(h * w, d).T), -1, h, w)
+    return reshape(matmul(e, Tensor(embed_grid.reshape(h * w, d).T)), -1, h, w)
 
 
 def class_head(params, queries: Tensor) -> Tensor:
     """The oracle of heads' class logits, one part at a time."""
-    return add(queries @ params.cls_w, params.cls_b)
+    return add(matmul(queries, params.cls_w), params.cls_b)
 
 
 def mask_logits(params, queries, embed):
@@ -177,8 +177,7 @@ def test_cross_attention_single_pixel_support():
     block = np.ones((1, 6), dtype=bool)
     block[0, 2] = False
     x = Tensor(rng.uniform(-1, 1, size=(1, d)))
-    out = fused_attention(x, feats @ lp.wk, feats @ lp.wv, block, lp.wq, lp.wo,
-                          1.0 / np.sqrt(d))
+    out = fused_attention(x, feats, block, lp.wq, lp.wk, lp.wv, lp.wo, 1.0 / np.sqrt(d))
     expected = feats.values[2] @ lp.wv.values
     assert np.allclose(out.values[0], expected, atol=1e-12)
 
@@ -190,7 +189,7 @@ def test_self_attention_single_query_identity():
     lp = p.layers[0]
     lp.so.values = np.eye(d)
     x = Tensor(np.random.default_rng(6).uniform(-1, 1, size=(1, d)))
-    out = fused_attention(x, x @ lp.sk, x @ lp.sv, np.zeros((1, 1), dtype=bool), lp.sq, lp.so,
+    out = fused_attention(x, x, np.zeros((1, 1), dtype=bool), lp.sq, lp.sk, lp.sv, lp.so,
                           1.0 / np.sqrt(d))
     assert np.allclose(out.values[0], x.values[0] @ lp.sv.values, atol=1e-12)
 

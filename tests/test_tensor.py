@@ -4,27 +4,27 @@ import pytest
 from mpseg.gradcheck import check_gradient
 from mpseg.tensor import (NEG_BIG, Tensor, add_norm_affine, concat_rows, fused_attention, mlp2,
                           sigmoid_softplus, sum_scalars)
-from oracle import (add, bce_with_logits, div, gather_cols, layernorm_lastdim, log,
-                    log1p_exp_neg_abs, logsumexp_lastdim, masked_fill, mean_all, mul, relu,
-                    reshape, sigmoid, sigmoid_where, softmax_lastdim, sub, sum_all, sum_lastdim,
-                    transpose)
+from oracle import (add, bce_with_logits, dense_attention, div, gather_cols, layernorm_lastdim,
+                    log, log1p_exp_neg_abs, logsumexp_lastdim, masked_fill, matmul, mean_all,
+                    mul, relu, reshape, sigmoid, sigmoid_where, softmax_lastdim, sub, sum_all,
+                    sum_lastdim, transpose)
 
 
 def test_matmul_identity():
     a = Tensor(np.eye(2))
     b = Tensor([[3.0, 4.0], [5.0, 6.0]])
-    assert np.array_equal((a @ b).values, b.values)
+    assert np.array_equal(matmul(a, b).values, b.values)
 
 
 def test_matmul_hand_case():
-    out = Tensor([[1.0, 2.0]]) @ Tensor([[3.0], [4.0]])
+    out = matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
     assert out.values.shape == (1, 1)
     assert out.values[0, 0] == 11.0
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ValueError) as exc:
-        Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
+        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
     assert "(2, 3)" in str(exc.value)
 
 
@@ -33,7 +33,7 @@ def test_matmul_gradient_vs_finite_differences():
     a = rng.uniform(-2, 2, size=(3, 4))
     b = rng.uniform(-2, 2, size=(4, 2))
     w = rng.uniform(-1, 1, size=(3, 2))
-    err = check_gradient(lambda xs: xs[0] @ xs[1], [a, b], w)
+    err = check_gradient(lambda xs: matmul(xs[0], xs[1]), [a, b], w)
     assert err < 1e-6
 
 
@@ -161,7 +161,7 @@ def test_backward_requires_scalar():
 def test_backward_seed_of_the_wrong_shape_names_both_shapes():
     x = Tensor(np.ones((2, 3)), requires_grad=True)
     with pytest.raises(ValueError) as exc:
-        (x @ Tensor(np.ones((3, 4)))).backward(np.ones((4, 2)))
+        matmul(x, Tensor(np.ones((3, 4)))).backward(np.ones((4, 2)))
     assert "(4, 2)" in str(exc.value) and "(2, 4)" in str(exc.value)
     assert x.grad is None
 
@@ -190,7 +190,7 @@ def test_forward_bit_identical_across_evaluations():
     w = Tensor(rng.uniform(-2, 2, size=(6, 3)), requires_grad=True)
 
     def run():
-        return sum_all(sigmoid(softmax_lastdim(layernorm_lastdim(x @ w)))).values.copy()
+        return sum_all(sigmoid(softmax_lastdim(layernorm_lastdim(matmul(x, w))))).values.copy()
 
     assert np.array_equal(run(), run())
 
@@ -290,50 +290,113 @@ def assert_same_as_composition(fused, composed, arrays, seed):
         assert np.abs(g_fused - g_composed).max() <= 1e-12 * scale
 
 
-def composed_attention(x, keys, values, block, wq, wo, scale):
-    logits = mul((x @ wq) @ transpose(keys), scale)
+def composed_attention(x, src, block, wq, wk, wv, wo, scale):
+    logits = mul(matmul(matmul(x, wq), transpose(matmul(src, wk))), scale)
     if block is not None:
         logits = masked_fill(logits, block, NEG_BIG)
-    return softmax_lastdim(logits) @ values @ wo
+    return matmul(matmul(softmax_lastdim(logits), matmul(src, wv)), wo)
 
 
 @pytest.mark.parametrize("blocking", ["none", "partial", "full-row"])
 def test_fused_attention_matches_composition(blocking):
+    # every grid here leaves each column open to some row or blocks a whole
+    # row, so the op reads every column, as the composition does
     rng = np.random.default_rng(11)
-    arrays = [rng.uniform(-1, 1, size=s) for s in ((4, 6), (7, 6), (7, 6), (6, 6), (6, 6))]
+    arrays = [rng.uniform(-1, 1, size=s) for s in ((4, 6), (7, 6), (6, 6), (6, 6), (6, 6),
+                                                   (6, 6))]
     block = None
     if blocking != "none":
         block = rng.uniform(size=(4, 7)) < 0.4
         block[:, 0] = False
+        assert not block.all(axis=0).any()
         if blocking == "full-row":
             block[2] = True
     scale = 1.0 / np.sqrt(6)
     assert_same_as_composition(
-        lambda xs: fused_attention(xs[0], xs[1], xs[2], block, xs[3], xs[4], scale),
-        lambda xs: composed_attention(xs[0], xs[1], xs[2], block, xs[3], xs[4], scale),
+        lambda xs: fused_attention(xs[0], xs[1], block, *xs[2:], scale),
+        lambda xs: composed_attention(xs[0], xs[1], block, *xs[2:], scale),
         arrays, seed=1)
+
+
+def dense_oracle_attention(xs, block, scale):
+    x, src, wq, wk, wv, wo = xs
+    return dense_attention(x, matmul(src, wk), matmul(src, wv), block, wq, wo, scale)
+
+
+@pytest.mark.parametrize("blocking", ["closed-columns", "fully-blocked-row", "fully-open-row",
+                                      "none"])
+def test_fused_attention_matches_the_dense_oracle(blocking):
+    """Over a grid that closes columns 0-15 for every row, the op
+    computes on the columns its rows read; a fully blocked row, a fully
+    open row or no grid makes it read every column. Values agree within
+    1e-14 relative, and every gradient, src's included, within 1e-13 of
+    its largest entry."""
+    rng = np.random.default_rng(19)
+    arrays = [rng.uniform(-1, 1, size=s) for s in ((5, 8), (48, 8), (8, 8), (8, 8), (8, 8),
+                                                   (8, 8))]
+    block = rng.uniform(size=(5, 48)) < 0.6
+    block[:, :16] = True
+    block[:, 16] = False
+    if blocking == "fully-blocked-row":
+        block[2] = True
+    elif blocking == "fully-open-row":
+        block[3] = False
+    elif blocking == "none":
+        block = None
+    weight = rng.uniform(-1, 1, size=(5, 8))
+    scale = 1.0 / np.sqrt(8)
+    runs = []
+    for f in (lambda xs: fused_attention(xs[0], xs[1], block, *xs[2:], scale),
+              lambda xs: dense_oracle_attention(xs, block, scale)):
+        xs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = f(xs)
+        out.backward(weight)
+        runs.append((out.values, [x.grad for x in xs]))
+    (value, grads), (expected, expected_grads) = runs
+    np.testing.assert_allclose(value, expected, rtol=1e-14, atol=0)
+    for g, g_expected in zip(grads, expected_grads):
+        scale_g = np.abs(g_expected).max()
+        assert scale_g > 0
+        assert np.abs(g - g_expected).max() <= 1e-13 * scale_g
+
+
+def test_fused_attention_reads_no_column_that_every_row_blocks():
+    # NaN in a column that every row blocks would reach every row's output
+    # through the dense op's values; the op never projects it
+    rng = np.random.default_rng(20)
+    x, src = Tensor(rng.uniform(-1, 1, size=(3, 4))), rng.uniform(-1, 1, size=(6, 4))
+    w = [Tensor(rng.uniform(-1, 1, size=(4, 4))) for _ in range(4)]
+    block = rng.uniform(size=(3, 6)) < 0.3
+    block[:, 2] = True
+    block[:, 0] = False
+    src[2] = np.nan
+    with np.errstate(invalid="ignore"):
+        dense = dense_oracle_attention([x, Tensor(src), *w], block, 0.5)
+    assert np.isnan(dense.values).all()
+    out = fused_attention(x, Tensor(src), block, *w, 0.5)
+    assert np.isfinite(out.values).all()
 
 
 def test_fused_attention_fully_blocked_row_is_uniform_and_passes_no_logit_gradient():
     rng = np.random.default_rng(12)
     x = Tensor(rng.uniform(-1, 1, size=(2, 3)), requires_grad=True)
-    keys = Tensor(rng.uniform(-1, 1, size=(4, 3)), requires_grad=True)
-    values = Tensor(rng.uniform(-1, 1, size=(4, 3)))
+    src = Tensor(rng.uniform(-1, 1, size=(4, 3)))
+    wk = Tensor(np.eye(3), requires_grad=True)
     eye = Tensor(np.eye(3))
     block = np.zeros((2, 4), dtype=bool)
     block[1] = True
-    out = fused_attention(x, keys, values, block, eye, eye, 1.0)
-    np.testing.assert_allclose(out.values[1], values.values.mean(axis=0), rtol=0, atol=1e-15)
+    out = fused_attention(x, src, block, eye, wk, eye, eye, 1.0)
+    np.testing.assert_allclose(out.values[1], src.values.mean(axis=0), rtol=0, atol=1e-15)
     out.backward(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
     assert x.grad is not None and not x.grad[1].any()
-    assert not keys.grad.any()
+    assert not wk.grad.any()
 
 
 def test_fused_attention_block_shape_mismatch():
     t = Tensor(np.zeros((2, 3)))
+    eye = Tensor(np.eye(3))
     with pytest.raises(ValueError):
-        fused_attention(t, t, t, np.zeros((2, 3), dtype=bool), Tensor(np.eye(3)),
-                        Tensor(np.eye(3)), 1.0)
+        fused_attention(t, t, np.zeros((2, 3), dtype=bool), eye, eye, eye, eye, 1.0)
 
 
 def test_add_norm_affine_matches_composition():
@@ -353,7 +416,7 @@ def test_mlp2_matches_composition():
               rng.uniform(-1, 1, size=(8,))]
     assert_same_as_composition(
         lambda xs: mlp2(*xs),
-        lambda xs: add(relu(add(xs[0] @ xs[1], xs[2])) @ xs[3], xs[4]),
+        lambda xs: add(matmul(relu(add(matmul(xs[0], xs[1]), xs[2])), xs[3]), xs[4]),
         arrays, seed=3)
 
 
@@ -362,7 +425,7 @@ def test_fused_ops_record_one_node_and_none_without_grad():
     x = Tensor(rng.uniform(size=(3, 4)), requires_grad=True)
     w = Tensor(rng.uniform(size=(4, 4)))
     b = Tensor(np.zeros(4))
-    for out in (fused_attention(x, x, x, None, w, w, 0.5), add_norm_affine(x, x, b, b),
+    for out in (fused_attention(x, x, None, w, w, w, w, 0.5), add_norm_affine(x, x, b, b),
                 mlp2(x, w, b, w, b)):
         assert out._parents and all(not p._parents for p in out._parents)
     frozen = Tensor(x.values)
@@ -385,13 +448,14 @@ def test_add_norm_affine_of_a_tensor_with_itself_matches_composition():
 
 def test_fused_attention_of_a_tensor_over_itself_matches_composition():
     rng = np.random.default_rng(17)
-    arrays = [rng.uniform(-1, 1, size=(5, 6)), rng.uniform(-1, 1, size=(6, 6)),
-              rng.uniform(-1, 1, size=(6, 6))]
+    arrays = [rng.uniform(-1, 1, size=(5, 6))] + [rng.uniform(-1, 1, size=(6, 6))
+                                                  for _ in range(4)]
     block = rng.uniform(size=(5, 5)) < 0.4
     block[:, 0] = False
+    assert not block.all(axis=0).any()
     assert_same_as_composition(
-        lambda xs: fused_attention(xs[0], xs[0], xs[0], block, xs[1], xs[2], 0.5),
-        lambda xs: composed_attention(xs[0], xs[0], xs[0], block, xs[1], xs[2], 0.5),
+        lambda xs: fused_attention(xs[0], xs[0], block, *xs[1:], 0.5),
+        lambda xs: composed_attention(xs[0], xs[0], block, *xs[1:], 0.5),
         arrays, seed=5)
 
 
@@ -404,7 +468,8 @@ def test_a_tensor_read_by_two_fused_ops_matches_composition():
     assert_same_as_composition(
         lambda xs: add_norm_affine(xs[0], mlp2(*xs[:5]), xs[5], xs[6]),
         lambda xs: add(mul(layernorm_lastdim(
-            add(xs[0], add(relu(add(xs[0] @ xs[1], xs[2])) @ xs[3], xs[4]))), xs[5]), xs[6]),
+            add(xs[0], add(matmul(relu(add(matmul(xs[0], xs[1]), xs[2])), xs[3]), xs[4]))),
+            xs[5]), xs[6]),
         arrays, seed=6)
 
 

@@ -119,7 +119,7 @@ def test_grad_check_rows_cover_every_op_a_training_step_records(monkeypatch):
     real = Tensor.backward
 
     def recording(self, grad=None):
-        # an op's kind is the function that defines its backward, e.g. Tensor.matmul
+        # an op's kind is the function that defines its backward, e.g. Tensor.take_rows
         kinds.update(node._backward.__qualname__.split(".<locals>")[0]
                      for node in recorded_nodes(self))
         real(self, grad)
@@ -297,9 +297,14 @@ def default_step_losses():
 
 def test_tape_nodes_per_step_at_the_default_model_size():
     mp_loss, plain_loss = default_step_losses()
-    # the decoder's 192 and 110 nodes, then one fused_loss node per layer
-    # (10) and one sum_scalars node over them
-    assert (len(recorded_nodes(mp_loss)), len(recorded_nodes(plain_loss))) == (203, 121)
+    # the decoder's 138 and 74 nodes, then one fused_loss node per layer
+    # (10) and one sum_scalars node over them. The decoder records 2 head
+    # nodes for layer 0 and for each of the 9 layers; per layer and query
+    # part a cross-attention, a self-attention, an mlp2 and their 3
+    # add_norm_affine nodes; and with MP the MP part's concat_rows per
+    # layer and its queries' take_rows once: 20 + 54 = 74 and
+    # 20 + 108 + 9 + 1 = 138
+    assert (len(recorded_nodes(mp_loss)), len(recorded_nodes(plain_loss))) == (149, 85)
 
 
 def params_after_an_mp_and_a_plain_step() -> list:
