@@ -1,8 +1,10 @@
 """An equality trace of mpseg's outputs: the check that a refactor keeps
-every output as it was, and the map of where a change moves them.
+every output as it was, and the map of where a change moves them; and a
+step comparison, the check that a change keeps them within a tolerance.
 
     python3 scripts/trace.py [--tiny] [--out FILE]
     python3 scripts/trace.py [--tiny] --against DIR
+    python3 scripts/trace.py [--tiny] --steps --against DIR
 
 The trace is one JSON object:
 - train: for each variant, and for mp-all+noises with shift and with
@@ -23,6 +25,19 @@ no number to compare (under 1 s).
 tree's src/ and DIR's src/, each in its own subprocess, and prints the
 first difference of each entry that differs, then exits 1; with no
 difference it prints so and exits 0.
+
+--steps compares training steps instead. For each of STEP_VARIANTS,
+each tree runs STEPS steps of the default configuration (at --tiny, the
+tiny size with a third layer, which mp-first-3 needs) from a fresh init:
+step s runs the forward, the loss and the backward of training scene s
+with step s's MP part, all at the init parameters, so that both trees
+compute every step from the same parameters. Each tree's subprocess
+writes its matching vectors, losses, logits and every gradient to an
+.npz (--steps --out FILE). One line per variant then gives whether the
+matching vectors are equal, the largest relative loss difference, the
+largest logit difference, and the largest gradient difference over its
+array's largest entry, naming the array; the exit code is 0 when every
+line is within BOUNDS, else 1.
 """
 
 from __future__ import annotations
@@ -38,6 +53,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 CHECKPOINT = ROOT / "bench" / "data" / "checkpoint.bin"
 VARIANTS = ("baseline", "mp-first-layer", "mp-first-3", "mp-all-layers", "mp-all+noises",
@@ -52,6 +69,16 @@ TINY = (4, {"num_scenes": 10,
         {"count": 4, "synth": {"height": 8, "width": 8, "instance_range": [1, 2],
                                "size_range": [2, 3]}},
         range(0))
+STEP_VARIANTS = ("baseline", "mp-all+noises", "mp-first-3", "naive-fixed-matching",
+                 "naive-aux-loss")
+STEPS = 4
+# The step comparison's bounds: the decade above the largest difference
+# that the two earlier changes to this code's rounding (per-row loss
+# statistics; attention on the key columns read) gave: losses 3.5e-16
+# relative, logits 1.4e-14 (6.4e-15 in this comparison) and gradients
+# 6.4e-13 of their array's largest entry (a late layer's self-attention
+# weights, whose entries are small).
+BOUNDS = {"loss": 1e-15, "logits": 1e-13, "grad": 1e-12}
 
 
 def runs(tiny: bool) -> dict:
@@ -107,6 +134,104 @@ def trace(tiny: bool = False) -> dict:
     return result
 
 
+def step_arrays(tiny: bool = False) -> dict:
+    """"variant/step/what" -> array, for each of STEP_VARIANTS and STEPS
+    steps from a fresh init at the init parameters: the matching vectors,
+    the loss, every layer's mask and class logits in one flat array, and
+    each parameter's gradient ("grad/<name>", zeros where it has none)."""
+    from mpseg.config import parse_run_config
+    from mpseg.decoder import full_forward, init_params, named_parameters
+    from mpseg.losses import layer_losses
+    from mpseg.synth import generate_scene, synth_features
+    from mpseg.trainer import mp_forward_spec
+
+    size = {**TINY[1], "model": {**TINY[1]["model"], "num_layers": 3}} if tiny else {}
+    out = {}
+    for variant in STEP_VARIANTS:
+        cfg = parse_run_config({**size, "variant": variant})
+        params = init_params(seed=cfg.seed, n_queries=cfg.model.n_queries,
+                             n_layers=cfg.model.num_layers, dim=cfg.model.dim,
+                             num_categories=cfg.synth.num_categories,
+                             ffn_hidden=cfg.model.ffn_hidden)
+        pairs = named_parameters(params)
+        for step in range(STEPS):
+            scene = generate_scene(cfg.synth, step)
+            spec, mp_part = mp_forward_spec(synth_features(scene, cfg.synth), scene, params,
+                                            cfg.mp, range(1, cfg.model.num_layers + 1),
+                                            seed=[cfg.seed, 2, step])
+            outputs = full_forward(spec, params)
+            loss, vectors = layer_losses(outputs, scene, mp_part, cfg.loss_mode, cfg.loss)
+            for _, p in pairs:
+                p.grad = None
+            loss.backward()
+            key = f"{variant}/{step}/"
+            out[key + "vectors"] = vectors
+            out[key + "loss"] = loss.values
+            out[key + "logits"] = np.concatenate([t.values.ravel() for t in
+                                                  outputs.mask_logits + outputs.class_logits])
+            for name, p in pairs:
+                out[key + "grad/" + name] = np.zeros_like(p.values) if p.grad is None else p.grad
+    return out
+
+
+def step_differences(a: dict, b: dict) -> list:
+    """(variant, vectors equal, largest relative loss difference, largest
+    logit difference, (largest gradient difference over its array's
+    largest entry, "name at step s"), within BOUNDS) per variant of two
+    step_arrays, b against a."""
+    def worst(x, y):
+        if x.shape != y.shape:
+            return float("inf")
+        scale = np.abs(x).max(initial=0.0)
+        diff = np.abs(x - y).max(initial=0.0)
+        if diff == 0.0:
+            return 0.0
+        return diff / scale if scale > 0.0 else float("inf")
+
+    rows = []
+    for variant in STEP_VARIANTS:
+        equal, loss, logits, grad = True, 0.0, 0.0, (0.0, "-")
+        for step in range(STEPS):
+            key = f"{variant}/{step}/"
+            x, y = a[key + "vectors"], b[key + "vectors"]
+            equal = equal and x.shape == y.shape and bool((x == y).all())
+            loss = max(loss, worst(a[key + "loss"], b[key + "loss"]))
+            x, y = a[key + "logits"], b[key + "logits"]
+            logits = max(logits, float(np.abs(x - y).max()) if x.shape == y.shape
+                         else float("inf"))
+            for name in sorted(k for k in a if k.startswith(key + "grad/")):
+                err = worst(a[name], b[name]) if name in b else float("inf")
+                if not err <= grad[0]:  # a NaN too
+                    grad = (err, f"{name[len(key) + 5:]} at step {step}")
+        ok = (equal and loss <= BOUNDS["loss"] and logits <= BOUNDS["logits"]
+              and grad[0] <= BOUNDS["grad"])
+        rows.append((variant, equal, loss, logits, grad, ok))
+    return rows
+
+
+def steps_in_subprocess(src: Path, tiny: bool, out: Path) -> dict:
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--src", str(src), "--steps",
+           "--out", str(out)]
+    subprocess.run(cmd + (["--tiny"] if tiny else []), check=True)
+    with np.load(out) as arrays:
+        return dict(arrays)
+
+
+def compare_steps(against: Path, tiny: bool) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        here = steps_in_subprocess(ROOT / "src", tiny, Path(tmp) / "here.npz")
+        there = steps_in_subprocess(against / "src", tiny, Path(tmp) / "there.npz")
+    rows = step_differences(there, here)
+    print(f"bounds: matching vectors equal, loss {BOUNDS['loss']:.0e} relative, "
+          f"logits {BOUNDS['logits']:.0e}, gradient {BOUNDS['grad']:.0e} of its array's "
+          f"largest entry")
+    for variant, equal, loss, logits, (grad, name), ok in rows:
+        print(f"{variant}: vectors {'equal' if equal else 'DIFFER'}, loss {loss:.1e}, "
+              f"logits {logits:.1e}, gradient {grad:.1e} ({name}): "
+              f"{'within bounds' if ok else 'OUT OF BOUNDS'}")
+    return 0 if all(row[-1] for row in rows) else 1
+
+
 def differences(a, b, path="") -> list:
     """(path, first difference) of each leaf of two traces that differs."""
     if isinstance(a, dict) and isinstance(b, dict):
@@ -139,8 +264,14 @@ def main(argv=None) -> int:
     p.add_argument("--tiny", action="store_true", help="the few-second size")
     p.add_argument("--out", help="write the JSON here, not to stdout")
     p.add_argument("--against", help="a tree to compare with, traced from its src/")
+    p.add_argument("--steps", action="store_true",
+                   help="compare (with --against) or write (with --out) training steps")
     p.add_argument("--src", default=str(ROOT / "src"), help="the mpseg sources to trace")
     args = p.parse_args(argv)
+    if args.steps and args.against:
+        return compare_steps(Path(args.against), args.tiny)
+    if args.steps and not args.out:
+        p.error("--steps needs --against DIR or --out FILE")
     if args.against:
         here = traced_in_subprocess(ROOT / "src", args.tiny)
         there = traced_in_subprocess(Path(args.against) / "src", args.tiny)
@@ -150,6 +281,9 @@ def main(argv=None) -> int:
         print(f"{len(diffs)} entries differ" if diffs else "no difference")
         return 1 if diffs else 0
     sys.path.insert(0, args.src)
+    if args.steps:
+        np.savez(args.out, **step_arrays(args.tiny))
+        return 0
     text = json.dumps(trace(args.tiny), indent=1, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

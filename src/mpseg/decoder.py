@@ -3,10 +3,10 @@
 Each layer runs masked cross-attention over one pyramid scale (coarse to
 fine, cycling), self-attention, and a feed-forward block, each with
 residual + layer norm. Shared mask and classification heads produce
-per-layer predictions (one tape node each per layer, over all query
-parts), and each layer's masks, binarized by binarize_masks and resized
-by masks.to_attention_blocks, become the next layer's cross-attention
-blocking grids. Single attention head, no positional encodings.
+per-layer predictions, and each layer's masks, binarized by
+binarize_masks and resized by masks.to_attention_blocks, become the next
+layer's cross-attention blocking grids. Single attention head, no
+positional encodings.
 
 full_forward is the only forward path, the one place a mask becomes a
 blocking grid, and the one place data becomes query Tensors. Its queries
@@ -14,9 +14,16 @@ form one part, the matching queries (query_embed), or two: the matching
 queries, then the mask-piloted (MP) part's. The MPPart, which the loss
 reads too, is plain data: its queries are the class_embed rows of its
 categories, and at the layers it pilots, its noised GT masks stand in for
-its rows' predictions. A plain forward is the one-part case, with no
-extra work or tape nodes. The matching part's self-attention reads only
-its own rows; the MP rows read the matching rows and their own group.
+its rows' predictions. The matching part's self-attention reads only its
+own rows; the MP rows read the matching rows and their own group.
+
+The parts are row slices of one query Tensor, and every op of a layer and
+of the heads is one tape node over all of them: an MP part adds two
+nodes to a forward (its queries' take_rows and concat_rows) and none per
+layer. A plain forward is the one-part case of the same ops. Each part's
+forward products are its own BLAS calls, so the matching rows are
+bitwise those of a plain forward; the backward's products run once over
+all rows, so gradients match a part-by-part backward within a tolerance.
 """
 
 from __future__ import annotations
@@ -142,12 +149,15 @@ def named_parameters(params: DecoderParams):
     return pairs
 
 
-def heads(params: DecoderParams, parts, embed: np.ndarray) -> tuple:
-    """(mask logits (n, H, W), class logits (n, K+1)) of the query parts,
-    rows in part order, from the shared heads: mask logit [n, y, x] =
-    MLP(query_n) . embed[y, x], class logits = query_n @ cls_w + cls_b.
-    One tape node each."""
-    return fused_heads(parts, embed, params.mask_w1, params.mask_b1, params.mask_w2,
+def heads(params: DecoderParams, x: Tensor, spans, embed: np.ndarray) -> tuple:
+    """(mask logits (n, H, W), class logits (n, K+1)) of the query rows x,
+    whose parts' rows the slices `spans` give, from the shared heads:
+    mask logit [n, y, x] = MLP(query_n) . embed[y, x], class logits =
+    query_n @ cls_w + cls_b. One tape node each over all parts; each
+    part's forward products are its own, so its rows are bitwise those of
+    a forward of that part alone, and the backward's products run over
+    all rows."""
+    return fused_heads(x, spans, embed, params.mask_w1, params.mask_b1, params.mask_w2,
                        params.mask_b2, params.cls_w, params.cls_b)
 
 
@@ -157,37 +167,36 @@ def binarize_masks(mask_logit_values: np.ndarray) -> np.ndarray:
     return mask_logit_values > 0
 
 
-def decoder_layer(parts, feats: Tensor, cross_blocks, self_blocks, lp: LayerParams,
-                  dim: int) -> list:
-    """One decoder layer over the query parts, [matching] or [matching, MP]:
-    masked cross-attention, self-attention and FFN, each with residual
-    connection and layer normalization. Returns the updated parts.
+def decoder_layer(x: Tensor, spans, feats: Tensor, cross_blocks, self_blocks, lp: LayerParams,
+                  dim: int) -> Tensor:
+    """One decoder layer over the query rows x, whose parts, [matching] or
+    [matching, MP], are the rows the slices `spans` give: masked
+    cross-attention, self-attention and FFN, each with residual
+    connection and layer normalization, one tape node each over all
+    parts. Returns the updated rows.
 
-    Each attention is one fused_attention node that projects its own
-    keys and values. Part j's cross-attention projects only the pixels
-    that some row of part j reads: the union of its rows' masks at that
-    scale, or every pixel when a row's mask is empty.
+    Each attention projects its own keys and values per part. Part j's
+    cross-attention projects only the pixels that some row of part j
+    reads: the union of its rows' masks at that scale, or every pixel
+    when a row's mask is empty.
 
-    Part j's self-attention reads the pre-self-attention rows of parts
-    0..j under self_blocks[j], so the matching part never reads the MP
-    part. Computing each part as its own matrices keeps the matching
-    part's float operations identical to a forward with no MP part at
-    all, which makes the isolation guarantee bitwise, not just
-    mathematical.
+    Part j's self-attention reads the rows [0, end of part j) of x under
+    self_blocks[j], so the matching part never reads the MP part. Every
+    forward product is the part's own, which keeps the matching part's
+    float operations identical to a forward with no MP part at all: the
+    isolation guarantee is bitwise, not just mathematical. What is
+    row-wise (bias adds, relu, add-norm) and every backward product runs
+    once over all rows.
     """
     scale = 1.0 / np.sqrt(dim)
-    parts = [add_norm_affine(
-                 x, fused_attention(x, feats, block, lp.wq, lp.wk, lp.wv, lp.wo, scale),
-                 lp.ln1_g, lp.ln1_b)
-             for x, block in zip(parts, cross_blocks)]
-    out = []
-    for j, (x, block) in enumerate(zip(parts, self_blocks)):
-        ctx = concat_rows(parts[:j + 1]) if j else x
-        update = fused_attention(x, ctx, block, lp.sq, lp.sk, lp.sv, lp.so, scale)
-        x = add_norm_affine(x, update, lp.ln2_g, lp.ln2_b)
-        ffn = mlp2(x, lp.ffn_w1, lp.ffn_b1, lp.ffn_w2, lp.ffn_b2)
-        out.append(add_norm_affine(x, ffn, lp.ln3_g, lp.ln3_b))
-    return out
+    cross = [(rows, slice(None), block) for rows, block in zip(spans, cross_blocks)]
+    own = [(rows, slice(0, rows.stop), block) for rows, block in zip(spans, self_blocks)]
+    x = add_norm_affine(x, fused_attention(x, feats, cross, lp.wq, lp.wk, lp.wv, lp.wo, scale),
+                        lp.ln1_g, lp.ln1_b)
+    x = add_norm_affine(x, fused_attention(x, x, own, lp.sq, lp.sk, lp.sv, lp.so, scale),
+                        lp.ln2_g, lp.ln2_b)
+    return add_norm_affine(x, mlp2(x, spans, lp.ffn_w1, lp.ffn_b1, lp.ffn_w2, lp.ffn_b2),
+                           lp.ln3_g, lp.ln3_b)
 
 
 def layer_scale(layer: int, num_scales: int) -> int:
@@ -210,14 +219,16 @@ def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
     feats = [Tensor(grid.reshape(-1, grid.shape[-1])) for grid in spec.pyramid]
     embed = spec.pyramid[-1]
     mp = spec.mp
-    n_match = params.query_embed.values.shape[0]
-    parts, self_blocks = [params.query_embed], [None]
+    x = params.query_embed
+    n_match = x.values.shape[0]
+    spans, self_blocks = [slice(0, n_match)], [None]
     if mp is not None:
         gid = mp.group_id
-        parts.append(params.class_embed.take_rows(mp.query_categories))
+        x = concat_rows([x, params.class_embed.take_rows(mp.query_categories)])
+        spans.append(slice(n_match, x.values.shape[0]))
         self_blocks.append(np.hstack([np.zeros((gid.size, n_match), dtype=bool),
                                       gid[:, None] != gid[None, :]]))
-    masks, classes = heads(params, parts, embed)
+    masks, classes = heads(params, x, spans, embed)
     mask_logits, class_logits = [masks], [classes]
     for i in range(1, params.num_layers + 1):
         s = layer_scale(i, len(feats))
@@ -226,10 +237,10 @@ def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
         if mp is not None and i in mp.overrides:
             bits = np.concatenate([bits[:n_match], mp.overrides[i]])
         blocks = to_attention_blocks(bits, h, w)
-        cross_blocks = [blocks[:n_match], blocks[n_match:]][:len(parts)]
-        parts = decoder_layer(parts, feats[s], cross_blocks, self_blocks,
-                              params.layers[i - 1], params.dim)
-        masks, classes = heads(params, parts, embed)
+        cross_blocks = [blocks[:n_match], blocks[n_match:]][:len(spans)]
+        x = decoder_layer(x, spans, feats[s], cross_blocks, self_blocks,
+                          params.layers[i - 1], params.dim)
+        masks, classes = heads(params, x, spans, embed)
         mask_logits.append(masks)
         class_logits.append(classes)
     return LayerOutputs(mask_logits=mask_logits, class_logits=class_logits,

@@ -107,19 +107,22 @@ def run_gradient_suite(seed: int = 0):
     compact_block = np.zeros((3, 5), dtype=bool)
     compact_block[:, [1, 4]] = True
     compact_block[0, 0] = compact_block[2, 3] = True
+    every = slice(None)
     for name, blk in (("fused_attention", att_block), ("fused_attention_unblocked", None),
                       ("fused_attention_compacted", compact_block)):
-        check(name, lambda xs, blk=blk: T.fused_attention(xs[0], xs[1], blk, *xs[2:], 0.5),
+        check(name, lambda xs, blk=blk: T.fused_attention(xs[0], xs[1], [(every, every, blk)],
+                                                          *xs[2:], 0.5),
               att_in, w)
     check("fused_attention_compacted_constant_src",
-          lambda xs: T.fused_attention(xs[0], Tensor(att_in[1]), compact_block, *xs[1:], 0.5),
+          lambda xs: T.fused_attention(xs[0], Tensor(att_in[1]), [(every, every, compact_block)],
+                                       *xs[1:], 0.5),
           att_in[:1] + att_in[2:], w)
     check("add_norm_affine", lambda xs: T.add_norm_affine(*xs),
           [u, rng.uniform(-2.0, 2.0, size=(3, 4)), rng.uniform(0.5, 1.5, size=(4,)),
            rng.uniform(-1, 1, size=(4,))], w)
     mlp_in = [u, rng.uniform(-1, 1, size=(4, 5)), rng.uniform(-1, 1, size=(5,)),
               rng.uniform(-1, 1, size=(5, 4)), rng.uniform(-1, 1, size=(4,))]
-    check("mlp2", lambda xs: T.mlp2(*xs), mlp_in, w)
+    check("mlp2", lambda xs: T.mlp2(xs[0], [every], *xs[1:]), mlp_in, w)
     # one layer's loss over a matching part of 3 rows, row 1 unmatched, and an
     # MP part of 2, against 2 GT masks of 2x3 pixels, with a consistency target
     # over the matching rows
@@ -135,12 +138,43 @@ def run_gradient_suite(seed: int = 0):
     # the heads over two query parts of 2 and 3 rows: 4-d queries, 5 hidden, 3 classes;
     # one row per output, as a seed weights one output
     head_in = [rng.uniform(-1, 1, size=s) for s in
-               ((2, 4), (3, 4), (4, 5), (5,), (5, 4), (4,), (4, 3), (3,))]
+               ((5, 4), (4, 5), (5,), (5, 4), (4,), (4, 3), (3,))]
     head_embed = rng.uniform(-1, 1, size=(2, 3, 4))
+    two_parts = [slice(0, 2), slice(2, 5)]
     for out, name, shape in ((0, "fused_heads_masks", (5, 2, 3)),
                              (1, "fused_heads_classes", (5, 3))):
-        check(name, lambda xs, out=out: T.fused_heads(xs[:2], head_embed, *xs[2:])[out],
+        check(name, lambda xs, out=out: T.fused_heads(xs[0], two_parts, head_embed,
+                                                      *xs[1:])[out],
               head_in, weight(*shape))
+    # two query parts of 2 and 3 rows, as the decoder's matching and MP parts.
+    # Cross-attention over 6 constant source rows: the first part's grid
+    # closes columns 0 and 5 for both its rows, and the second's blocks its
+    # row 1 fully. Self-attention over x itself, part j reading the rows up
+    # to its end: the first part's row 0 is fully blocked, and the second's
+    # grid closes columns 1 and 3 for all its rows.
+    two_in = [rng.uniform(-1.0, 1.0, size=s) for s in ((5, 4), (4, 4), (4, 4), (4, 4), (4, 4))]
+    cross_src = Tensor(rng.uniform(-1.0, 1.0, size=(6, 4)))
+    cross = [np.zeros((2, 6), dtype=bool), np.zeros((3, 6), dtype=bool)]
+    cross[0][:, [0, 5]] = True
+    cross[0][1, 2] = True
+    cross[1][1] = True
+    cross[1][0, 4] = True
+    self_ = [np.zeros((2, 2), dtype=bool), np.zeros((3, 5), dtype=bool)]
+    self_[0][0] = True
+    self_[1][:, [1, 3]] = True
+    self_[1][2, 4] = True
+    check("fused_attention_two_part_cross",
+          lambda xs: T.fused_attention(xs[0], cross_src,
+                                       [(rows, every, b) for rows, b in zip(two_parts, cross)],
+                                       *xs[1:], 0.5),
+          two_in, weight(5, 4))
+    check("fused_attention_two_part_self",
+          lambda xs: T.fused_attention(xs[0], xs[0], [(rows, slice(0, rows.stop), b)
+                                                      for rows, b in zip(two_parts, self_)],
+                                       *xs[1:], 0.5),
+          two_in, weight(5, 4))
+    check("mlp2_two_part", lambda xs: T.mlp2(xs[0], two_parts, *xs[1:]),
+          [two_in[0]] + mlp_in[1:], weight(5, 4))
 
     results.append(_end_to_end_check(seed, with_mp=False))
     results.append(_end_to_end_check(seed, with_mp=True))

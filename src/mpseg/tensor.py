@@ -12,17 +12,17 @@ The ops here are only the ones the model records: take_rows,
 concat_rows, sum_scalars (the loss total) and the fused ops. Tensor has
 no matmul, elementwise operator or reduction; the tests' compositions
 take theirs from tests/oracle.py. A fused op records one node for a
-whole block of the decoder or the loss, with a hand-written backward,
-because at this size the cost of a step is Python overhead per node,
-not arithmetic:
+whole block of the decoder or the loss, over all its query parts, with
+a hand-written backward, because at this size the cost of a step is
+Python overhead per node, not arithmetic:
 
-- fused_attention: softmax(mask((x@wq) @ (src@wk).T * scale)) @ (src@wv) @ wo,
-  projecting only the rows of src that some query row may read;
+- fused_attention: per query part, softmax(mask((x@wq) @ (s@wk).T * scale)) @ (s@wv) @ wo
+  for the part's rows of x and its rows s of src, projecting only the
+  rows of s that some row of the part may read;
 - add_norm_affine: layernorm(x + update) * gain + bias;
-- mlp2: relu(x@w1 + b1) @ w2 + b2;
-- fused_heads: the decoder's mask and class heads over all query parts,
-  one mask-logit node and one class-logit node, each part computed as its
-  own matrices;
+- mlp2: relu(x@w1 + b1) @ w2 + b2 over the query parts;
+- fused_heads: the decoder's mask and class heads over the query parts,
+  one mask-logit node and one class-logit node;
 - fused_loss: one decoder layer's loss over all its query parts, weighted
   cross-entropy of rows of its class logits plus mean BCE and dice of
   rows of its mask logits, from per-row statistics that the caller read
@@ -32,26 +32,38 @@ For the same reason importing mpseg holds numpy's OpenBLAS to one thread
 (mpseg._blas): a second thread has no product large enough to share and
 only spins on a core between calls.
 
+The query parts are the decoder's matching and MP rows: slices that tile
+the rows of one Tensor. In fused_attention, mlp2 and fused_heads each
+part's forward products are its own BLAS calls, so a part's rows are
+bitwise those of a call on that part alone. What is row-wise (bias
+adds, relu) runs once over all rows, and so does every backward
+product. Those products regroup sums that a part-by-part backward
+makes, so the gradients match a part-by-part composition within a
+tolerance that a test checks (tests/oracle.py keeps the decoder layer
+with nodes of its own per part).
+
 Each fused forward but fused_loss runs the same numpy calls in the same
-order as its composition of primitives (tests/oracle.py, the tests'
-oracle), so its value is bitwise equal to theirs; fused_attention does
-so when its rows read every column of src. When every row blocks some
-column, it computes on fewer columns, and its oracle is the dense op
-over all of them (oracle.dense_attention), which it matches within a
-tolerance that a test checks. fused_loss reads no pixel: its oracle is
-a class-loss and a mask-loss node per term over the pixels, which it
-matches within a tolerance that a test checks. Its backward writes
-every term's rows into one fresh gradient per input.
+order as its composition of primitives on each part (tests/oracle.py,
+the tests' oracle), so its value is bitwise equal to theirs;
+fused_attention does so when a part's rows read every row of its s.
+When every row of a part blocks some row of s, it computes on fewer, and
+its oracle is the dense op over all of them (oracle.dense_attention),
+which it matches within a tolerance that a test checks. fused_loss reads
+no pixel: its oracle is a class-loss and a mask-loss node per term over
+the pixels, which it matches within a tolerance that a test checks. Its
+backward writes every term's rows into one fresh gradient per input.
 
 No array is written in place once it is stored as a gradient, so a
 backward hands _accumulate any array as it is: one it just allocated, a
 view, the incoming g, or one it also hands to another input.
 
-Three functions save numpy temporaries by writing in place, but only
+Some functions save numpy temporaries by writing in place, but only
 into arrays they just allocated and have not yet handed to _accumulate,
-stored or returned: fused_attention's logits (scaled, blocked, shifted,
-exponentiated and normalized in one buffer, which becomes the stored
-softmax) and its backward's logit gradient; fused_loss's backward row
+stored or returned: the per-part products that fill one array of all
+rows, and the bias added into it; fused_attention's logits (scaled,
+blocked, shifted, exponentiated and normalized in one buffer, which
+becomes the stored softmax), its backward's logit gradient and the
+src gradient its parts are added into; fused_loss's backward row
 gradients, and the uninitialized gradients they are written into, whose
 rows that no term reads it zeros; and sigmoid_softplus's exp(-|x|)
 buffer, which turns into the sigmoid's denominator, and the sigmoid's
@@ -223,73 +235,121 @@ def sum_scalars(terms) -> Tensor:
 # fused ops: one tape node each, hand-written backward
 
 
-def fused_attention(x: Tensor, src: Tensor, block, wq: Tensor, wk: Tensor, wv: Tensor,
-                    wo: Tensor, scale: float) -> Tensor:
-    """softmax(masked_fill((x@wq) @ (src@wk).T * scale, block, NEG_BIG)) @ (src@wv) @ wo.
+def _tiling(spans, n) -> list:
+    """The slices `spans` as slice(start, stop); raises unless they tile
+    the rows [0, n) in order."""
+    out, at = [], 0
+    for rows in spans:
+        start, stop, step = rows.indices(n)
+        if start != at or step != 1 or stop < start:
+            break
+        out.append(slice(start, stop))
+        at = stop
+    if at != n or len(out) != len(spans):
+        raise ValueError(f"row spans {list(spans)} do not tile {n} rows in order")
+    return out
 
-    `block` is a (rows of x, rows of src) bool grid, or None to block
+
+def _products(a, spans, w):
+    """a @ w as one BLAS product per part: each span's rows of a times w,
+    written into the same rows of one array, so a part's rows are bitwise
+    those of a product over that part alone."""
+    out = np.empty((a.shape[0], w.shape[1]))
+    for rows in spans:
+        np.matmul(a[rows], w, out=out[rows])
+    return out
+
+
+def _stack(arrays):
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def fused_attention(x: Tensor, src: Tensor, parts, wq: Tensor, wk: Tensor, wv: Tensor,
+                    wo: Tensor, scale: float) -> Tensor:
+    """Masked attention of the query parts, one node. For each part
+    (rows, keys, block), with s = src[keys], the output's rows `rows` are
+    softmax(masked_fill((x[rows]@wq) @ (s@wk).T * scale, block, NEG_BIG)) @ (s@wv) @ wo.
+
+    rows and keys are slices, and the parts' rows tile x's rows in order.
+    `block` is a (len(rows), len(keys)) bool grid, or None to block
     nothing. A fully blocked row attends uniformly and passes no gradient
     to its logits.
 
-    The keys and values are computed only on the columns of src that
-    some row reads, cols: a blocked logit's weight underflows to 0, so a
-    column that every row blocks adds nothing. A fully blocked row reads
-    every column. When every column is read, cols is a slice and src is
-    not copied. The backward hands wk and wv src[cols].T times their
-    gradient, and scatters a gradient into src only when src is tracked.
+    A part's keys and values are computed only on the rows of s that
+    some row of the part reads, cols: a blocked logit's weight underflows
+    to 0, so a row of s that every row blocks adds nothing. A fully
+    blocked row reads every row of s. When every row is read, cols is a
+    slice and s is not copied.
+
+    Every forward product is the part's own, so a part's output rows are
+    bitwise those of a call on that part alone. The backward's products
+    run once over all parts' rows; src gets a gradient only when it is
+    tracked.
     """
-    cols = slice(None)
-    if block is not None:
-        block = np.asarray(block, dtype=bool)
-        if block.shape != (x.values.shape[0], src.values.shape[0]):
-            raise ValueError(f"attention block shape {block.shape} != logits "
-                             f"{(x.values.shape[0], src.values.shape[0])}")
-        closed = block.all(axis=0)
-        if closed.any() and not block.all(axis=1).any():
-            cols = np.flatnonzero(~closed)
-            block = block[:, cols]
-    s = src.values[cols]
-    k = s @ wk.values
-    v = s @ wv.values
-    q = x.values @ wq.values
-    logits = q @ k.T
-    logits *= scale
-    if block is not None:
-        np.putmask(logits, block, NEG_BIG)
-    logits -= logits.max(axis=-1, keepdims=True)
-    p = np.exp(logits, out=logits)
-    p /= p.sum(axis=-1, keepdims=True)
-    ctx = p @ v
-    out = _make(ctx @ wo.values, (x, src, wq, wk, wv, wo))
+    n = x.values.shape[0]
+    q = np.empty((n, wq.values.shape[1]))
+    ctx = np.empty((n, wv.values.shape[1]))
+    out_v = np.empty((n, wo.values.shape[1]))
+    saved = []  # per part: rows, keys, cols, block, s, k, v, p
+    for rows, (_, keys, block) in zip(_tiling([r for r, _, _ in parts], n), parts):
+        s = src.values[keys]
+        cols = slice(None)
+        if block is not None:
+            block = np.asarray(block, dtype=bool)
+            if block.shape != (rows.stop - rows.start, s.shape[0]):
+                raise ValueError(f"attention block shape {block.shape} != logits "
+                                 f"{(rows.stop - rows.start, s.shape[0])}")
+            closed = block.all(axis=0)
+            if closed.any() and not block.all(axis=1).any():
+                cols = np.flatnonzero(~closed)
+                block = block[:, cols]
+                s = s[cols]
+        k = s @ wk.values
+        v = s @ wv.values
+        logits = np.matmul(x.values[rows], wq.values, out=q[rows]) @ k.T
+        logits *= scale
+        if block is not None:
+            np.putmask(logits, block, NEG_BIG)
+        logits -= logits.max(axis=-1, keepdims=True)
+        p = np.exp(logits, out=logits)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(np.matmul(p, v, out=ctx[rows]), wo.values, out=out_v[rows])
+        saved.append((rows, keys, cols, block, s, k, v, p))
+    out = _make(out_v, (x, src, wq, wk, wv, wo))
     if out.requires_grad:
         def bw(g):
             if wo.requires_grad:
                 wo._accumulate(ctx.T @ g)
             g_ctx = g @ wo.values.T
-            g_v = p.T @ g_ctx
-            g_logits = g_ctx @ v.T  # g_p, then p * (g_p - sum(g_p * p))
-            g_logits -= (g_logits * p).sum(axis=-1, keepdims=True)
-            g_logits *= p
-            if block is not None:
-                np.putmask(g_logits, block, 0.0)
-            g_logits *= scale
-            g_k = (q.T @ g_logits).T
-            g_q = g_logits @ k
+            g_q = np.empty_like(q)
+            g_k, g_v = [], []
+            for rows, _, _, block, _, k, v, p in saved:
+                g_v.append(p.T @ g_ctx[rows])
+                g_logits = g_ctx[rows] @ v.T  # g_p, then p * (g_p - sum(g_p * p))
+                g_logits -= (g_logits * p).sum(axis=-1, keepdims=True)
+                g_logits *= p
+                if block is not None:
+                    np.putmask(g_logits, block, 0.0)
+                g_logits *= scale
+                g_k.append((q[rows].T @ g_logits).T)
+                np.matmul(g_logits, k, out=g_q[rows])
             if wq.requires_grad:
                 wq._accumulate(x.values.T @ g_q)
             if x.requires_grad:
                 x._accumulate(g_q @ wq.values.T)
+            s_all, g_k, g_v = _stack([part[4] for part in saved]), _stack(g_k), _stack(g_v)
             if wk.requires_grad:
-                wk._accumulate(s.T @ g_k)
+                wk._accumulate(s_all.T @ g_k)
             if wv.requires_grad:
-                wv._accumulate(s.T @ g_v)
+                wv._accumulate(s_all.T @ g_v)
             if src.requires_grad:
                 g_s = g_k @ wk.values.T + g_v @ wv.values.T
-                if not isinstance(cols, slice):
-                    acc = np.zeros_like(src.values)
-                    acc[cols] = g_s
-                    g_s = acc
-                src._accumulate(g_s)
+                acc = np.zeros_like(src.values)
+                at = 0
+                for _, keys, cols, _, s, *_ in saved:
+                    acc[keys][cols] += g_s[at:at + s.shape[0]]
+                    at += s.shape[0]
+                src._accumulate(acc)
         out._backward = bw
     return out
 
@@ -334,58 +394,63 @@ def _mlp2_backward(g, x: Tensor, h, r, w1: Tensor, b1: Tensor, w2: Tensor, b2: T
         x._accumulate(g_h @ w1.values.T)
 
 
-def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """relu(x@w1 + b1) @ w2 + b2."""
-    h = x.values @ w1.values + b1.values
+def mlp2(x: Tensor, spans, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """relu(x@w1 + b1) @ w2 + b2 over the query parts whose rows the
+    slices `spans` give (they tile x's rows in order), one node. Each
+    part's products are its own; the bias adds and the relu run once
+    over all rows."""
+    spans = _tiling(spans, x.values.shape[0])
+    h = _products(x.values, spans, w1.values)
+    h += b1.values
     r = np.maximum(h, 0.0)
-    out = _make(r @ w2.values + b2.values, (x, w1, b1, w2, b2))
+    y = _products(r, spans, w2.values)
+    y += b2.values
+    out = _make(y, (x, w1, b1, w2, b2))
     if out.requires_grad:
         out._backward = lambda g: _mlp2_backward(g, x, h, r, w1, b1, w2, b2)
     return out
 
 
-def fused_heads(parts, embed: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-                cls_w: Tensor, cls_b: Tensor) -> tuple:
-    """(mask logits (n, h, w), class logits (n, K+1)) of the query parts,
-    one node each, with the parts' rows in order, for an (h, w, d) embed:
+def fused_heads(x: Tensor, spans, embed: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor,
+                b2: Tensor, cls_w: Tensor, cls_b: Tensor) -> tuple:
+    """(mask logits (n, h, w), class logits (n, K+1)) of the query rows x,
+    one node each, for an (h, w, d) embed:
 
     - mask[n, y, x] = mlp2(x_n, w1, b1, w2, b2) . embed[y, x];
     - class[n] = x_n @ cls_w + cls_b.
 
-    Each part is computed as its own matrices, so a part's rows do not
-    depend on the other parts, bit for bit.
+    The slices `spans` give the query parts' rows, which tile x's rows in
+    order. Each part's products are its own, so a part's rows do not
+    depend on the other parts, bit for bit; the bias adds and the relu
+    run once over all rows, and so does each backward product.
     """
     h, w, d = embed.shape
     if w2.values.shape[1] != d:
         raise ValueError(f"mask head output dim {w2.values.shape[1]} != embedding dim {d}")
+    spans = _tiling(spans, x.values.shape[0])
     flat = embed.reshape(h * w, d).T
-    pre, relus, masks, classes = [], [], [], []
-    for x in parts:
-        pre.append(x.values @ w1.values + b1.values)
-        relus.append(np.maximum(pre[-1], 0.0))
-        masks.append((relus[-1] @ w2.values + b2.values) @ flat)
-        classes.append(x.values @ cls_w.values + cls_b.values)
-    joined = [np.concatenate(a) if len(a) > 1 else a[0] for a in (masks, classes)]
-    mask_out = _make(joined[0].reshape(-1, h, w), (*parts, w1, b1, w2, b2))
-    class_out = _make(joined[1], (*parts, cls_w, cls_b))
-    offsets = np.cumsum([0] + [x.values.shape[0] for x in parts])
-    spans = list(zip(parts, offsets[:-1], offsets[1:]))
+    pre = _products(x.values, spans, w1.values)
+    pre += b1.values
+    r = np.maximum(pre, 0.0)
+    e = _products(r, spans, w2.values)
+    e += b2.values
+    classes = _products(x.values, spans, cls_w.values)
+    classes += cls_b.values
+    mask_out = _make(_products(e, spans, flat).reshape(-1, h, w), (x, w1, b1, w2, b2))
+    class_out = _make(classes, (x, cls_w, cls_b))
     if mask_out.requires_grad:
         def mask_bw(g):
-            g = g.reshape(g.shape[0], h * w)
-            for (x, a, b), hp, r in zip(spans, pre, relus):
-                _mlp2_backward(g[a:b] @ flat.T, x, hp, r, w1, b1, w2, b2)
+            g_e = g.reshape(g.shape[0], h * w) @ flat.T
+            _mlp2_backward(g_e, x, pre, r, w1, b1, w2, b2)
         mask_out._backward = mask_bw
     if class_out.requires_grad:
         def class_bw(g):
-            for x, a, b in spans:
-                g_c = g[a:b]
-                if cls_b.requires_grad:
-                    cls_b._accumulate(_unbroadcast(g_c, cls_b.values.shape))
-                if x.requires_grad:
-                    x._accumulate(g_c @ cls_w.values.T)
-                if cls_w.requires_grad:
-                    cls_w._accumulate(x.values.T @ g_c)
+            if cls_b.requires_grad:
+                cls_b._accumulate(_unbroadcast(g, cls_b.values.shape))
+            if x.requires_grad:
+                x._accumulate(g @ cls_w.values.T)
+            if cls_w.requires_grad:
+                cls_w._accumulate(x.values.T @ g)
         class_out._backward = class_bw
     return mask_out, class_out
 

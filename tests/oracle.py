@@ -10,9 +10,10 @@ oracle of losses._solve_rows_leq_cols; a scan over every candidate
 threshold, the oracle of metrics._threshold_exists; the np.where
 sigmoid with log1p(exp(-|x|)) as two expressions, the oracle of
 tensor.sigmoid_softplus; the matching cost from the pixels, the oracle
-of losses.mask_stats with losses.cost_matrix; and a class-loss and a
+of losses.mask_stats with losses.cost_matrix; a class-loss and a
 mask-loss node per term, computed from the pixels, the oracle of
-tensor.fused_loss."""
+tensor.fused_loss; and a decoder layer with nodes of its own for each
+query part, the oracle of decoder.decoder_layer."""
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from mpseg.losses import DICE_EPS
 from mpseg.masks import (MP_KEY, _nearest_indices, point_noise_region, scale_noise,
                          seeded_rng, shift_noise)
 from mpseg.mp import dynamic_groups
-from mpseg.tensor import NEG_BIG, Tensor, _make, _mean_all, _unbroadcast
+from mpseg.tensor import (NEG_BIG, Tensor, _make, _mean_all, _unbroadcast, add_norm_affine,
+                          concat_rows, fused_attention, mlp2)
 
 
 def sigmoid_where(x: np.ndarray) -> np.ndarray:
@@ -484,4 +486,27 @@ def mask_loss_rows(logits: Tensor, probs: np.ndarray, softplus: np.ndarray, rows
             acc.reshape(n, -1)[rows] = g_v
             logits._accumulate(acc)
         out._backward = bw
+    return out
+
+
+def per_part_decoder_layer(parts, feats: Tensor, cross_blocks, self_blocks, lp,
+                           dim: int) -> list:
+    """decoder.decoder_layer with every op one node per query part: the
+    parts, [matching] or [matching, MP], are Tensors of their own, and
+    part j's self-attention reads a concat_rows of parts 0..j. Returns the
+    updated parts."""
+    scale = 1.0 / np.sqrt(dim)
+    every = slice(None)
+    parts = [add_norm_affine(x, fused_attention(x, feats, [(every, every, block)], lp.wq,
+                                                lp.wk, lp.wv, lp.wo, scale),
+                             lp.ln1_g, lp.ln1_b)
+             for x, block in zip(parts, cross_blocks)]
+    out = []
+    for j, (x, block) in enumerate(zip(parts, self_blocks)):
+        ctx = concat_rows(parts[:j + 1]) if j else x
+        update = fused_attention(x, ctx, [(every, every, block)], lp.sq, lp.sk, lp.sv, lp.so,
+                                 scale)
+        x = add_norm_affine(x, update, lp.ln2_g, lp.ln2_b)
+        ffn = mlp2(x, [every], lp.ffn_w1, lp.ffn_b1, lp.ffn_w2, lp.ffn_b2)
+        out.append(add_norm_affine(x, ffn, lp.ln3_g, lp.ln3_b))
     return out

@@ -15,7 +15,7 @@ from mpseg.mp import MPPart
 from mpseg.synth import SynthConfig, generate_scene, synth_features
 from mpseg.tensor import Tensor, concat_rows, fused_attention, mlp2, sigmoid_softplus
 from mpseg.trainer import detach_params, layer_scale_table
-from oracle import add, matmul, mul, reshape, sum_all
+from oracle import add, matmul, mul, per_part_decoder_layer, reshape, sum_all
 
 BENCH_CHECKPOINT = Path(__file__).resolve().parent.parent / "bench" / "data" / "checkpoint.bin"
 
@@ -34,8 +34,15 @@ def mask_head(params, queries: Tensor, embed_grid) -> Tensor:
     """The oracle of heads' mask logits, one part at a time:
     logits[n, y, x] = MLP(query_n) . embed[y, x]."""
     h, w, d = embed_grid.shape
-    e = mlp2(queries, params.mask_w1, params.mask_b1, params.mask_w2, params.mask_b2)
+    e = mlp2(queries, [slice(None)], params.mask_w1, params.mask_b1, params.mask_w2,
+             params.mask_b2)
     return reshape(matmul(e, Tensor(embed_grid.reshape(h * w, d).T)), -1, h, w)
+
+
+def spans_of(part_rows) -> list:
+    """The row slices of consecutive parts of the given row counts."""
+    ends = np.cumsum(part_rows)
+    return [slice(int(end - n), int(end)) for n, end in zip(part_rows, ends)]
 
 
 def class_head(params, queries: Tensor) -> Tensor:
@@ -44,7 +51,7 @@ def class_head(params, queries: Tensor) -> Tensor:
 
 
 def mask_logits(params, queries, embed):
-    return heads(params, [queries], embed)[0]
+    return heads(params, queries, [slice(None)], embed)[0]
 
 
 def test_mask_head_basis_case():
@@ -102,7 +109,7 @@ def test_heads_match_the_per_part_oracle(part_rows):
                                            if t.grad is not None]
         return [o.values for o in outs], grads
 
-    values, grads = run(lambda p, parts: heads(p, parts, embed))
+    values, grads = run(lambda p, parts: heads(p, concat_rows(parts), spans_of(part_rows), embed))
     oracle_values, oracle_grads = run(lambda p, parts: (
         concat_rows([mask_head(p, x, embed) for x in parts]),
         concat_rows([class_head(p, x) for x in parts])))
@@ -116,11 +123,10 @@ def test_heads_match_the_per_part_oracle(part_rows):
 def test_heads_record_one_mask_and_one_class_node():
     p = init_params(seed=5, n_queries=1, n_layers=1, dim=2, num_categories=2,
                     ffn_hidden=4)
-    parts = [Tensor(np.ones((1, 2)), requires_grad=True),
-             Tensor(np.ones((2, 2)), requires_grad=True)]
-    masks, classes = heads(p, parts, np.ones((3, 3, 2)))
-    assert masks._parents == (*parts, p.mask_w1, p.mask_b1, p.mask_w2, p.mask_b2)
-    assert classes._parents == (*parts, p.cls_w, p.cls_b)
+    x = Tensor(np.ones((3, 2)), requires_grad=True)
+    masks, classes = heads(p, x, [slice(0, 1), slice(1, 3)], np.ones((3, 3, 2)))
+    assert masks._parents == (x, p.mask_w1, p.mask_b1, p.mask_w2, p.mask_b2)
+    assert classes._parents == (x, p.cls_w, p.cls_b)
 
 
 def blocks_of_logits(logits, h, w):
@@ -177,7 +183,8 @@ def test_cross_attention_single_pixel_support():
     block = np.ones((1, 6), dtype=bool)
     block[0, 2] = False
     x = Tensor(rng.uniform(-1, 1, size=(1, d)))
-    out = fused_attention(x, feats, block, lp.wq, lp.wk, lp.wv, lp.wo, 1.0 / np.sqrt(d))
+    out = fused_attention(x, feats, [(slice(None), slice(None), block)], lp.wq, lp.wk, lp.wv,
+                          lp.wo, 1.0 / np.sqrt(d))
     expected = feats.values[2] @ lp.wv.values
     assert np.allclose(out.values[0], expected, atol=1e-12)
 
@@ -189,7 +196,8 @@ def test_self_attention_single_query_identity():
     lp = p.layers[0]
     lp.so.values = np.eye(d)
     x = Tensor(np.random.default_rng(6).uniform(-1, 1, size=(1, d)))
-    out = fused_attention(x, x, np.zeros((1, 1), dtype=bool), lp.sq, lp.sk, lp.sv, lp.so,
+    out = fused_attention(x, x, [(slice(None), slice(None), np.zeros((1, 1), dtype=bool))],
+                          lp.sq, lp.sk, lp.sv, lp.so,
                           1.0 / np.sqrt(d))
     assert np.allclose(out.values[0], x.values[0] @ lp.sv.values, atol=1e-12)
 
@@ -208,8 +216,7 @@ def test_decoder_layer_gradient():
         lp.wq = xs[1]
         lp.ffn_w1 = xs[2]
         lp.ln1_g = xs[3]
-        [out] = decoder_layer([xs[0]], Tensor(feats_v), [block], [None], lp, d)
-        return out
+        return decoder_layer(xs[0], [slice(0, 2)], Tensor(feats_v), [block], [None], lp, d)
 
     err = check_gradient(f, [rng.uniform(-1, 1, size=(2, d)), lp.wq.values.copy(),
                              lp.ffn_w1.values.copy(), lp.ln1_g.values.copy()], w)
@@ -232,13 +239,51 @@ def test_decoder_layer_two_part_gradient():
 
     def f(xs):
         lp.sk = xs[2]
-        parts = decoder_layer([xs[0], xs[1]], Tensor(feats_v), cross, [None, mp_self],
-                              lp, d)
-        return concat_rows(parts)
+        return decoder_layer(concat_rows([xs[0], xs[1]]), [slice(0, 2), slice(2, 5)],
+                             Tensor(feats_v), cross, [None, mp_self], lp, d)
 
     err = check_gradient(f, [rng.uniform(-1, 1, size=(2, d)),
                              rng.uniform(-1, 1, size=(3, d)), lp.sk.values.copy()], w)
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("part_rows", [[5], [5, 7]], ids=["one-part", "two-parts"])
+def test_decoder_layer_matches_the_per_part_oracle(part_rows):
+    """Rows bitwise those of the layer with nodes of its own per part;
+    every gradient, the parts' and each layer parameter's, within 1e-13
+    of its largest entry. The matching part's cross grid closes columns
+    0-9 for every row; the MP part's blocks its row 2 fully, and its
+    self grid lets each row read the matching rows and its own group."""
+    d = 8
+    rng = np.random.default_rng(22)
+    feats = Tensor(rng.uniform(-1, 1, size=(48, d)))
+    queries = [rng.uniform(-1, 1, size=(n, d)) for n in part_rows]
+    cross = [rng.uniform(size=(n, 48)) < 0.5 for n in part_rows]
+    cross[0][:, :10] = True
+    cross[0][:, 10] = False
+    gid = np.array([0, 0, 0, 1, 1, 2, 2])
+    self_blocks = [None, np.hstack([np.zeros((7, 5), dtype=bool), gid[:, None] != gid])]
+    if len(part_rows) == 2:
+        cross[1][2] = True
+    weight = rng.uniform(-1, 1, size=(sum(part_rows), d))
+
+    def run(layer):
+        p = init_params(seed=23, n_queries=1, n_layers=1, dim=d, num_categories=2,
+                        ffn_hidden=16)
+        parts = [Tensor(q, requires_grad=True) for q in queries]
+        out = layer(parts, p.layers[0])
+        out.backward(weight)
+        return out.values, [x.grad for x in parts] + [t.grad for _, t in
+                                                       named_parameters(p)[-18:]]
+
+    value, grads = run(lambda parts, lp: decoder_layer(
+        concat_rows(parts), spans_of(part_rows), feats, cross, self_blocks, lp, d))
+    expected, expected_grads = run(lambda parts, lp: concat_rows(per_part_decoder_layer(
+        parts, feats, cross, self_blocks, lp, d)))
+    assert np.array_equal(value, expected)
+    assert len(grads) == len(part_rows) + 18
+    for g, o in zip(grads, expected_grads):
+        assert np.abs(g - o).max() <= 1e-13 * np.abs(o).max()
 
 
 def scene_and_pyramid(seed=0, n_cat=4):
@@ -401,9 +446,9 @@ def test_mp_self_block_is_the_mp_rows_of_the_group_grid(monkeypatch, group_id, e
     pyramid, params = small_pyramid_and_params(n_queries=2)
     seen = []
 
-    def recording(parts, feats, cross_blocks, self_blocks, lp, dim):
+    def recording(x, spans, feats, cross_blocks, self_blocks, lp, dim):
         seen.append(self_blocks)
-        return decoder_layer(parts, feats, cross_blocks, self_blocks, lp, dim)
+        return decoder_layer(x, spans, feats, cross_blocks, self_blocks, lp, dim)
 
     monkeypatch.setattr(decoder, "decoder_layer", recording)
     full_forward(mp_spec(pyramid, params, group_id), params)
@@ -432,9 +477,9 @@ def test_cross_blocks_are_the_override_where_given_else_the_predictions(monkeypa
     override = np.random.default_rng(21).uniform(size=(3, 8, 8)) < 0.5
     seen = []
 
-    def recording(parts, feats, cross_blocks, self_blocks, lp, dim):
+    def recording(x, spans, feats, cross_blocks, self_blocks, lp, dim):
         seen.append(cross_blocks)
-        return decoder_layer(parts, feats, cross_blocks, self_blocks, lp, dim)
+        return decoder_layer(x, spans, feats, cross_blocks, self_blocks, lp, dim)
 
     monkeypatch.setattr(decoder, "decoder_layer", recording)
     plain = full_forward(plain_spec(pyramid, params), params)

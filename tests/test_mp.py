@@ -40,13 +40,14 @@ def layer0_mp_queries(monkeypatch, part, cfg, scene, params):
     forward carrying part."""
     seen = []
 
-    def recording(parts, *args):
-        seen.append(parts)
-        return fused_heads(parts, *args)
+    def recording(x, spans, *args):
+        seen.append((x, spans))
+        return fused_heads(x, spans, *args)
 
     monkeypatch.setattr(decoder, "fused_heads", recording)
     full_forward(ForwardSpec(synth_features(scene, cfg), part), params)
-    return seen[0][1]
+    x, spans = seen[0]
+    return x.take_rows(np.arange(x.values.shape[0])[spans[1]])
 
 
 def test_build_mp_part_noiseless_exact_gt(monkeypatch):

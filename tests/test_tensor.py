@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mpseg.gradcheck import check_gradient
-from mpseg.tensor import (NEG_BIG, Tensor, add_norm_affine, concat_rows, fused_attention, mlp2,
-                          sigmoid_softplus, sum_scalars)
+from mpseg.tensor import (NEG_BIG, Tensor, add_norm_affine, concat_rows, fused_attention,
+                          fused_heads, mlp2, sigmoid_softplus, sum_scalars)
 from oracle import (add, bce_with_logits, dense_attention, div, gather_cols, layernorm_lastdim,
                     log, log1p_exp_neg_abs, logsumexp_lastdim, masked_fill, matmul, mean_all,
                     mul, relu, reshape, sigmoid, sigmoid_where, softmax_lastdim, sub, sum_all,
@@ -290,6 +290,12 @@ def assert_same_as_composition(fused, composed, arrays, seed):
         assert np.abs(g_fused - g_composed).max() <= 1e-12 * scale
 
 
+def one_part(block):
+    """The parts argument of a fused_attention call whose rows read every
+    row of src under one grid."""
+    return [(slice(None), slice(None), block)]
+
+
 def composed_attention(x, src, block, wq, wk, wv, wo, scale):
     logits = mul(matmul(matmul(x, wq), transpose(matmul(src, wk))), scale)
     if block is not None:
@@ -313,7 +319,7 @@ def test_fused_attention_matches_composition(blocking):
             block[2] = True
     scale = 1.0 / np.sqrt(6)
     assert_same_as_composition(
-        lambda xs: fused_attention(xs[0], xs[1], block, *xs[2:], scale),
+        lambda xs: fused_attention(xs[0], xs[1], one_part(block), *xs[2:], scale),
         lambda xs: composed_attention(xs[0], xs[1], block, *xs[2:], scale),
         arrays, seed=1)
 
@@ -346,7 +352,7 @@ def test_fused_attention_matches_the_dense_oracle(blocking):
     weight = rng.uniform(-1, 1, size=(5, 8))
     scale = 1.0 / np.sqrt(8)
     runs = []
-    for f in (lambda xs: fused_attention(xs[0], xs[1], block, *xs[2:], scale),
+    for f in (lambda xs: fused_attention(xs[0], xs[1], one_part(block), *xs[2:], scale),
               lambda xs: dense_oracle_attention(xs, block, scale)):
         xs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
         out = f(xs)
@@ -373,7 +379,7 @@ def test_fused_attention_reads_no_column_that_every_row_blocks():
     with np.errstate(invalid="ignore"):
         dense = dense_oracle_attention([x, Tensor(src), *w], block, 0.5)
     assert np.isnan(dense.values).all()
-    out = fused_attention(x, Tensor(src), block, *w, 0.5)
+    out = fused_attention(x, Tensor(src), one_part(block), *w, 0.5)
     assert np.isfinite(out.values).all()
 
 
@@ -385,7 +391,7 @@ def test_fused_attention_fully_blocked_row_is_uniform_and_passes_no_logit_gradie
     eye = Tensor(np.eye(3))
     block = np.zeros((2, 4), dtype=bool)
     block[1] = True
-    out = fused_attention(x, src, block, eye, wk, eye, eye, 1.0)
+    out = fused_attention(x, src, one_part(block), eye, wk, eye, eye, 1.0)
     np.testing.assert_allclose(out.values[1], src.values.mean(axis=0), rtol=0, atol=1e-15)
     out.backward(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
     assert x.grad is not None and not x.grad[1].any()
@@ -396,7 +402,7 @@ def test_fused_attention_block_shape_mismatch():
     t = Tensor(np.zeros((2, 3)))
     eye = Tensor(np.eye(3))
     with pytest.raises(ValueError):
-        fused_attention(t, t, np.zeros((2, 3), dtype=bool), eye, eye, eye, eye, 1.0)
+        fused_attention(t, t, one_part(np.zeros((2, 3), dtype=bool)), eye, eye, eye, eye, 1.0)
 
 
 def test_add_norm_affine_matches_composition():
@@ -415,7 +421,7 @@ def test_mlp2_matches_composition():
               rng.uniform(-1, 1, size=(16,)), rng.uniform(-1, 1, size=(16, 8)),
               rng.uniform(-1, 1, size=(8,))]
     assert_same_as_composition(
-        lambda xs: mlp2(*xs),
+        lambda xs: mlp2(xs[0], [slice(None)], *xs[1:]),
         lambda xs: add(matmul(relu(add(matmul(xs[0], xs[1]), xs[2])), xs[3]), xs[4]),
         arrays, seed=3)
 
@@ -425,11 +431,11 @@ def test_fused_ops_record_one_node_and_none_without_grad():
     x = Tensor(rng.uniform(size=(3, 4)), requires_grad=True)
     w = Tensor(rng.uniform(size=(4, 4)))
     b = Tensor(np.zeros(4))
-    for out in (fused_attention(x, x, None, w, w, w, w, 0.5), add_norm_affine(x, x, b, b),
-                mlp2(x, w, b, w, b)):
+    for out in (fused_attention(x, x, one_part(None), w, w, w, w, 0.5),
+                add_norm_affine(x, x, b, b), mlp2(x, [slice(None)], w, b, w, b)):
         assert out._parents and all(not p._parents for p in out._parents)
     frozen = Tensor(x.values)
-    out = mlp2(frozen, w, b, w, b)
+    out = mlp2(frozen, [slice(None)], w, b, w, b)
     assert out._parents == () and out._backward is None
 
 
@@ -454,7 +460,7 @@ def test_fused_attention_of_a_tensor_over_itself_matches_composition():
     block[:, 0] = False
     assert not block.all(axis=0).any()
     assert_same_as_composition(
-        lambda xs: fused_attention(xs[0], xs[0], block, *xs[1:], 0.5),
+        lambda xs: fused_attention(xs[0], xs[0], one_part(block), *xs[1:], 0.5),
         lambda xs: composed_attention(xs[0], xs[0], block, *xs[1:], 0.5),
         arrays, seed=5)
 
@@ -466,7 +472,7 @@ def test_a_tensor_read_by_two_fused_ops_matches_composition():
               rng.uniform(-1, 1, size=(8,)), rng.uniform(0.5, 1.5, size=(8,)),
               rng.uniform(-1, 1, size=(8,))]
     assert_same_as_composition(
-        lambda xs: add_norm_affine(xs[0], mlp2(*xs[:5]), xs[5], xs[6]),
+        lambda xs: add_norm_affine(xs[0], mlp2(xs[0], [slice(None)], *xs[1:5]), xs[5], xs[6]),
         lambda xs: add(mul(layernorm_lastdim(
             add(xs[0], add(matmul(relu(add(matmul(xs[0], xs[1]), xs[2])), xs[3]), xs[4]))),
             xs[5]), xs[6]),
@@ -479,3 +485,89 @@ def test_check_gradient_fails_a_nan_error():
         err = check_gradient(lambda xs: log(xs[0]), [[-1.0, 2.0]], np.ones(2))
     assert not err < 1e-4
     assert err == np.inf
+
+
+# ----------------------------------------------------------------------
+# the query parts of one call against calls on each part alone
+
+
+PARTS = [slice(0, 4), slice(4, 9)]
+
+
+def two_part_inputs(rng):
+    """Queries of two parts of 4 and 5 rows, 48 source rows, and weights."""
+    return (rng.uniform(-1, 1, size=(9, 8)), rng.uniform(-1, 1, size=(48, 8)),
+            [Tensor(rng.uniform(-1, 1, size=(8, 8))) for _ in range(4)])
+
+
+def test_each_part_of_a_cross_attention_is_bitwise_a_call_on_it_alone():
+    """The first part's grid closes columns 0-15 for every row, so its
+    keys are compacted; the second part blocks its row 1 fully."""
+    rng = np.random.default_rng(25)
+    x, src, w = two_part_inputs(rng)
+    blocks = [rng.uniform(size=(4, 48)) < 0.5, rng.uniform(size=(5, 48)) < 0.5]
+    blocks[0][:, :16] = True
+    blocks[0][:, 16] = False
+    blocks[1][1] = True
+    out = fused_attention(Tensor(x), Tensor(src),
+                          [(rows, slice(None), b) for rows, b in zip(PARTS, blocks)], *w, 0.5)
+    for rows, b in zip(PARTS, blocks):
+        alone = fused_attention(Tensor(x[rows]), Tensor(src), one_part(b), *w, 0.5)
+        assert np.array_equal(out.values[rows], alone.values)
+
+
+def test_each_part_of_a_self_attention_is_bitwise_a_call_on_it_alone():
+    """Part j reads the rows up to its end: the first part under no grid,
+    the second under a grid that closes rows 1 and 3 of x for all its rows."""
+    rng = np.random.default_rng(26)
+    x, _, w = two_part_inputs(rng)
+    blocks = [None, rng.uniform(size=(5, 9)) < 0.3]
+    blocks[1][:, [1, 3]] = True
+    out = fused_attention(Tensor(x), Tensor(x),
+                          [(rows, slice(0, rows.stop), b) for rows, b in zip(PARTS, blocks)],
+                          *w, 0.5)
+    for rows, b in zip(PARTS, blocks):
+        alone = fused_attention(Tensor(x[rows]), Tensor(x[:rows.stop]), one_part(b), *w, 0.5)
+        assert np.array_equal(out.values[rows], alone.values)
+
+
+def test_each_part_of_an_mlp2_is_bitwise_a_call_on_it_alone():
+    rng = np.random.default_rng(27)
+    x = rng.uniform(-2, 2, size=(9, 8))
+    w = [Tensor(rng.uniform(-1, 1, size=s)) for s in ((8, 16), (16,), (16, 8), (8,))]
+    out = mlp2(Tensor(x), PARTS, *w)
+    for rows in PARTS:
+        assert np.array_equal(out.values[rows], mlp2(Tensor(x[rows]), [slice(None)], *w).values)
+
+
+def test_each_part_of_the_heads_is_bitwise_a_call_on_it_alone():
+    rng = np.random.default_rng(28)
+    x = rng.uniform(-1, 1, size=(9, 8))
+    embed = rng.uniform(-1, 1, size=(4, 6, 8))
+    w = [Tensor(rng.uniform(-1, 1, size=s)) for s in ((8, 8), (8,), (8, 8), (8,), (8, 3), (3,))]
+    masks, classes = fused_heads(Tensor(x), PARTS, embed, *w)
+    for rows in PARTS:
+        alone = fused_heads(Tensor(x[rows]), [slice(None)], embed, *w)
+        assert np.array_equal(masks.values[rows], alone[0].values)
+        assert np.array_equal(classes.values[rows], alone[1].values)
+
+
+@pytest.mark.parametrize("spans", [[slice(0, 4), slice(5, 9)], [slice(0, 4)],
+                                   [slice(4, 9), slice(0, 4)], [slice(0, 9, 2)]],
+                         ids=["gap", "short", "out-of-order", "strided"])
+def test_spans_that_do_not_tile_the_rows_are_rejected(spans):
+    x = Tensor(np.zeros((9, 2)))
+    w = Tensor(np.eye(2))
+    with pytest.raises(ValueError, match="do not tile"):
+        mlp2(x, spans, w, Tensor(np.zeros(2)), w, Tensor(np.zeros(2)))
+    with pytest.raises(ValueError, match="do not tile"):
+        fused_attention(x, x, [(rows, slice(None), None) for rows in spans], w, w, w, w, 1.0)
+
+
+def test_a_block_of_the_wrong_shape_for_its_part_is_rejected():
+    x = Tensor(np.zeros((5, 2)))
+    w = Tensor(np.eye(2))
+    blocks = [np.zeros((2, 5), dtype=bool), np.zeros((2, 5), dtype=bool)]
+    with pytest.raises(ValueError, match=r"\(2, 5\) != logits \(3, 5\)"):
+        fused_attention(x, x, [(slice(0, 2), slice(None), blocks[0]),
+                               (slice(2, 5), slice(None), blocks[1])], w, w, w, w, 1.0)

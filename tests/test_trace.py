@@ -13,6 +13,8 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 REL_TOL = 1e-6
 ABS_TOL = 1e-6      # the last decimal report.txt prints
@@ -69,3 +71,28 @@ def test_a_moved_number_is_a_mismatch():
                                    "loss": [27.99299175]})) == 2
     assert mismatches(golden, {"report": "miou_l[2] = 38.095238\n",
                                "loss": [27.99279175]}) != []
+
+
+def test_the_step_comparison_of_a_tree_with_itself_finds_no_difference(capsys):
+    assert load_script().main(["--tiny", "--steps", "--against", str(ROOT)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("bounds: ")
+    variants = load_script().STEP_VARIANTS
+    assert lines[1:] == [f"{v}: vectors equal, loss 0.0e+00, logits 0.0e+00, gradient 0.0e+00 "
+                         f"(-): within bounds" for v in variants]
+
+
+def test_the_step_comparison_flags_each_kind_of_difference():
+    """A gradient, a logit or a loss past its bound, or a matching vector
+    that moved, puts its variant out of bounds, and only that variant."""
+    script = load_script()
+    base = {f"{v}/{s}/{what}": np.array(value) for v in script.STEP_VARIANTS
+            for s in range(script.STEPS)
+            for what, value in (("vectors", [[0, -1]]), ("loss", 2.0), ("logits", [1.0, -3.0]),
+                                ("grad/w", [0.5, -2.0]), ("grad/b", [0.0, 0.0]))}
+    assert all(row[-1] for row in script.step_differences(base, base))
+    moved = {"vectors": [[-1, 0]], "loss": 2.0 * (1 + 1e-14), "logits": [1.0, -3.0 + 1e-12],
+             "grad/w": [0.5, -2.0 + 1e-11], "grad/b": [0.0, 1e-300]}
+    for variant, (what, value) in zip(script.STEP_VARIANTS, moved.items()):
+        rows = script.step_differences(base, {**base, f"{variant}/3/{what}": np.array(value)})
+        assert [row[0] for row in rows if not row[-1]] == [variant], what

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -280,9 +281,11 @@ def recorded_nodes(loss) -> list:
     return recorded
 
 
-def default_step_losses():
-    """(MP loss, plain loss) of one training step at the default model size."""
-    cfg, scene, params = default_scene_and_params()
+def step_losses(num_layers=9):
+    """(MP loss, plain loss) of one training step at the default model
+    size, or with num_layers decoder layers."""
+    cfg, scene, _ = default_scene_and_params()
+    params = init_params(seed=4, n_layers=num_layers, num_categories=cfg.num_categories)
     pyramid = synth_features(scene, cfg)
     table = trainer.layer_scale_table(cfg.height, cfg.width, params.num_layers)
     spec, mp_part = trainer.mp_forward_spec(pyramid, scene, params, MPConfig(), table,
@@ -295,16 +298,31 @@ def default_step_losses():
     return mp_loss, plain_loss
 
 
+def node_kinds(loss) -> Counter:
+    """How many nodes of each kind the loss's tape holds, a kind being the
+    function that defines the node's backward, e.g. Tensor.take_rows."""
+    return Counter(node._backward.__qualname__.split(".<locals>")[0]
+                   for node in recorded_nodes(loss))
+
+
 def test_tape_nodes_per_step_at_the_default_model_size():
-    mp_loss, plain_loss = default_step_losses()
-    # the decoder's 138 and 74 nodes, then one fused_loss node per layer
+    mp_loss, plain_loss = step_losses()
+    # the decoder's 76 and 74 nodes, then one fused_loss node per layer
     # (10) and one sum_scalars node over them. The decoder records 2 head
-    # nodes for layer 0 and for each of the 9 layers; per layer and query
-    # part a cross-attention, a self-attention, an mlp2 and their 3
-    # add_norm_affine nodes; and with MP the MP part's concat_rows per
-    # layer and its queries' take_rows once: 20 + 54 = 74 and
-    # 20 + 108 + 9 + 1 = 138
-    assert (len(recorded_nodes(mp_loss)), len(recorded_nodes(plain_loss))) == (149, 85)
+    # nodes for layer 0 and for each of the 9 layers, and per layer a
+    # cross-attention, a self-attention, an mlp2 and their 3
+    # add_norm_affine nodes, each over all query parts: 20 + 54 = 74.
+    # With MP the queries add a take_rows and a concat_rows node once:
+    # 74 + 2 = 76
+    assert (len(recorded_nodes(mp_loss)), len(recorded_nodes(plain_loss))) == (87, 85)
+
+
+def test_the_mp_part_adds_no_per_layer_node():
+    mp_loss, plain_loss = step_losses(num_layers=3)
+    extra = node_kinds(mp_loss)
+    extra.subtract(node_kinds(plain_loss))
+    assert +extra == Counter({"Tensor.take_rows": 1, "concat_rows": 1})
+    assert -extra == Counter()
 
 
 def params_after_an_mp_and_a_plain_step() -> list:
