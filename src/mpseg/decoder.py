@@ -8,6 +8,13 @@ binarize_masks and resized by masks.to_attention_blocks, become the next
 layer's cross-attention blocking grids. Single attention head, no
 positional encodings.
 
+The mask head records each query's embedding (an mlp2 node); its mask
+logits, that embedding times the scene's embedding grid, are constant
+Tensors. The loss is differentiated at the embeddings
+(losses.layer_losses), which is why a forward that tracks gradients
+hands the grid on in its LayerOutputs, and one that does not keeps no
+view of the scene's features.
+
 full_forward is the only forward path, the one place a mask becomes a
 blocking grid, and the one place data becomes query Tensors. Its queries
 form one part, the matching queries (query_embed), or two: the matching
@@ -18,25 +25,28 @@ its rows' predictions. The matching part's self-attention reads only its
 own rows; the MP rows read the matching rows and their own group.
 
 The parts are row slices of one query Tensor, and every op of a layer and
-of the heads is one tape node over all of them: an MP part adds two
-nodes to a forward (its queries' take_rows and concat_rows) and none per
-layer. A plain forward is the one-part case of the same ops. Each part's
-forward products are its own BLAS calls, so the matching rows are
-bitwise those of a plain forward; the backward's products run once over
-all rows, so gradients match a part-by-part backward within a tolerance.
+of the heads is one tape node over all of them, as is the loss over every
+layer: an MP part adds two nodes to a training step (its queries'
+take_rows and concat_rows), none per layer, and otherwise only rows to
+the other nodes' arrays. A plain forward is the one-part case of the
+same ops. Each part's forward products are its own BLAS calls, so the
+matching rows are bitwise those of a plain forward; the backward's
+products run once over all rows, so gradients match a part-by-part
+backward within a tolerance.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fields import MAX_HIDDEN, MAX_LAYERS, MAX_SIZE
 from .masks import INIT_KEY, FormatError, seeded_rng, to_attention_blocks
-from .tensor import Tensor, add_norm_affine, concat_rows, fused_attention, fused_heads, mlp2
+from .tensor import (Tensor, add_norm_affine, concat_rows, fused_attention, linear, mlp2,
+                     part_products)
 
 CHECKPOINT_MAGIC = "mpseg-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -84,10 +94,18 @@ class DecoderParams:
 
 @dataclass
 class LayerOutputs:
-    """Predictions for layers 0..L; index 0 is the pre-decoder prediction."""
-    mask_logits: list     # each (n_q, H, W) Tensor
+    """Predictions for layers 0..L; index 0 is the pre-decoder prediction.
+
+    Each layer's mask logits are its mask embeddings times the embedding
+    grid, a constant Tensor: gradients reach the mask head through the
+    embeddings. grid is that (H*W, d) grid when the embeddings are
+    tracked and None otherwise, so that a no-grad forward keeps no array
+    alive past its own scene."""
+    mask_logits: list     # each (n_q, H, W) constant Tensor
     class_logits: list    # each (n_q, K+1) Tensor
     n_match: int
+    mask_embeds: list = field(default_factory=list)  # each (n_q, d) Tensor
+    grid: np.ndarray | None = None
 
 
 @dataclass
@@ -150,15 +168,24 @@ def named_parameters(params: DecoderParams):
 
 
 def heads(params: DecoderParams, x: Tensor, spans, embed: np.ndarray) -> tuple:
-    """(mask logits (n, H, W), class logits (n, K+1)) of the query rows x,
-    whose parts' rows the slices `spans` give, from the shared heads:
-    mask logit [n, y, x] = MLP(query_n) . embed[y, x], class logits =
-    query_n @ cls_w + cls_b. One tape node each over all parts; each
-    part's forward products are its own, so its rows are bitwise those of
-    a forward of that part alone, and the backward's products run over
-    all rows."""
-    return fused_heads(x, spans, embed, params.mask_w1, params.mask_b1, params.mask_w2,
-                       params.mask_b2, params.cls_w, params.cls_b)
+    """(mask embeddings (n, d), mask logits (n, H, W), class logits
+    (n, K+1)) of the query rows x, whose parts' rows the slices `spans`
+    give, from the shared heads, for an (H, W, d) embed grid:
+
+    - embedding_n = MLP(query_n), one mlp2 node over all parts;
+    - mask logit [n, y, x] = embedding_n . embed[y, x], a constant Tensor;
+    - class logits = query_n @ cls_w + cls_b, one linear node.
+
+    Each part's forward products are its own, so its rows are bitwise
+    those of a forward of that part alone; the backward's products run
+    over all rows."""
+    h, w, d = embed.shape
+    if params.mask_w2.values.shape[1] != d:
+        raise ValueError(f"mask head output dim {params.mask_w2.values.shape[1]} != "
+                         f"embedding dim {d}")
+    e = mlp2(x, spans, params.mask_w1, params.mask_b1, params.mask_w2, params.mask_b2)
+    masks = Tensor(part_products(e.values, spans, embed.reshape(h * w, d).T).reshape(-1, h, w))
+    return e, masks, linear(x, spans, params.cls_w, params.cls_b)
 
 
 def binarize_masks(mask_logit_values: np.ndarray) -> np.ndarray:
@@ -214,7 +241,8 @@ def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
     cross-attention grid blocks outside its mask at that scale: its
     previous prediction, or at a layer in mp.overrides, the MP row's
     noised GT mask. The MP rows' self-attention grid blocks every row of
-    another MP group and nothing else.
+    another MP group and nothing else. The outputs hold the embedding
+    grid only when the mask embeddings are tracked.
     """
     feats = [Tensor(grid.reshape(-1, grid.shape[-1])) for grid in spec.pyramid]
     embed = spec.pyramid[-1]
@@ -228,8 +256,8 @@ def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
         spans.append(slice(n_match, x.values.shape[0]))
         self_blocks.append(np.hstack([np.zeros((gid.size, n_match), dtype=bool),
                                       gid[:, None] != gid[None, :]]))
-    masks, classes = heads(params, x, spans, embed)
-    mask_logits, class_logits = [masks], [classes]
+    e, masks, classes = heads(params, x, spans, embed)
+    mask_embeds, mask_logits, class_logits = [e], [masks], [classes]
     for i in range(1, params.num_layers + 1):
         s = layer_scale(i, len(feats))
         h, w = spec.pyramid[s].shape[:2]
@@ -240,11 +268,13 @@ def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
         cross_blocks = [blocks[:n_match], blocks[n_match:]][:len(spans)]
         x = decoder_layer(x, spans, feats[s], cross_blocks, self_blocks,
                           params.layers[i - 1], params.dim)
-        masks, classes = heads(params, x, spans, embed)
+        e, masks, classes = heads(params, x, spans, embed)
+        mask_embeds.append(e)
         mask_logits.append(masks)
         class_logits.append(classes)
-    return LayerOutputs(mask_logits=mask_logits, class_logits=class_logits,
-                        n_match=n_match)
+    grid = embed.reshape(-1, embed.shape[-1]) if e.requires_grad else None
+    return LayerOutputs(mask_logits=mask_logits, class_logits=class_logits, n_match=n_match,
+                        mask_embeds=mask_embeds, grid=grid)
 
 
 def plain_spec(pyramid, params: DecoderParams) -> ForwardSpec:

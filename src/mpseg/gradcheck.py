@@ -73,7 +73,8 @@ def run_gradient_suite(seed: int = 0):
     when every row passes.
     """
     from . import tensor as T
-    from .losses import LossWeights, layer_loss, mask_stats
+    from .decoder import LayerOutputs
+    from .losses import LossWeights, layer_stats, loss_over_layers
 
     rng = np.random.default_rng(seed)
     results = []
@@ -90,9 +91,6 @@ def run_gradient_suite(seed: int = 0):
     w = weight(3, 4)
     check("take_rows", lambda xs: xs[0].take_rows([2, 0, 0]), [u], w)
     check("concat_rows", T.concat_rows, [u, v.T], weight(5, 4))
-    # the first term twice: its gradient is the sum of both slots'
-    check("sum_scalars", lambda xs: T.sum_scalars([xs[0], xs[1], xs[0]]),
-          [rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)])
 
     # fused ops. Attention of 3 query rows over 5 source rows: in the first
     # grid row 1 is fully blocked, so every column is read; the compacted
@@ -123,29 +121,34 @@ def run_gradient_suite(seed: int = 0):
     mlp_in = [u, rng.uniform(-1, 1, size=(4, 5)), rng.uniform(-1, 1, size=(5,)),
               rng.uniform(-1, 1, size=(5, 4)), rng.uniform(-1, 1, size=(4,))]
     check("mlp2", lambda xs: T.mlp2(xs[0], [every], *xs[1:]), mlp_in, w)
-    # one layer's loss over a matching part of 3 rows, row 1 unmatched, and an
-    # MP part of 2, against 2 GT masks of 2x3 pixels, with a consistency target
-    # over the matching rows
-    loss_in = [rng.uniform(-2.0, 2.0, size=(5, 2, 3)), rng.uniform(-2.0, 2.0, size=(5, 4))]
+    # the loss of 3 layers over a matching part of 3 rows and an MP part of
+    # 2, against 2 GT masks of 2x3 pixels, at a fixed matching: row 1 is
+    # unmatched at layer 0, rows 0 and 2 at layers 1 and 2; a consistency
+    # target over the matching rows at layers 1 and 2. The mask logits are
+    # the (5, 4) embeddings times a constant grid, recomputed at each probe
+    loss_layers = 3
+    loss_in = ([rng.uniform(-1.0, 1.0, size=(5, 4)) for _ in range(loss_layers)]
+               + [rng.uniform(-2.0, 2.0, size=(5, 4)) for _ in range(loss_layers)])
+    loss_grid = rng.uniform(-1.0, 1.0, size=(6, 4))
     loss_gt = (rng.uniform(size=(2, 6)) < 0.5).astype(float)
-    loss_cons = (rng.uniform(size=(3, 6)) < 0.5).astype(float)
-    loss_index = [np.array([1, -1, 0]), np.array([0, 1])]
-    loss_parts = [slice(0, 3), slice(3, None)]
-    check("fused_loss",
-          lambda xs: layer_loss(xs[0], xs[1], mask_stats(xs[0].values, loss_gt, loss_parts),
-                                loss_gt, np.array([2, 0]), loss_index, LossWeights(), loss_cons),
-          loss_in)
-    # the heads over two query parts of 2 and 3 rows: 4-d queries, 5 hidden, 3 classes;
-    # one row per output, as a seed weights one output
-    head_in = [rng.uniform(-1, 1, size=s) for s in
-               ((5, 4), (4, 5), (5,), (5, 4), (4,), (4, 3), (3,))]
-    head_embed = rng.uniform(-1, 1, size=(2, 3, 4))
+    loss_index = np.array([[1, -1, 0, 0, 1], [-1, 0, -1, 0, 1], [-1, 1, -1, 1, 0]])
+    loss_cons = [None] + [(rng.uniform(size=(3, 6)) < 0.5).astype(float)
+                          for _ in range(loss_layers - 1)]
+
+    def layers_loss(xs):
+        embeds, classes = xs[:loss_layers], xs[loss_layers:]
+        logits = [Tensor((e.values @ loss_grid.T).reshape(5, 2, 3)) for e in embeds]
+        outputs = LayerOutputs(logits, classes, 3, embeds, loss_grid)
+        probs, means, stats = layer_stats([ml.values for ml in logits], loss_gt,
+                                          [slice(0, 3), slice(3, 5)])
+        return loss_over_layers(outputs, probs, means, stats, loss_gt, np.array([2, 0]),
+                                loss_index, loss_cons, LossWeights())
+
+    check("loss_over_layers", layers_loss, loss_in)
+    # the class head over two query parts of 2 and 3 rows: 4-d queries, 3 classes
     two_parts = [slice(0, 2), slice(2, 5)]
-    for out, name, shape in ((0, "fused_heads_masks", (5, 2, 3)),
-                             (1, "fused_heads_classes", (5, 3))):
-        check(name, lambda xs, out=out: T.fused_heads(xs[0], two_parts, head_embed,
-                                                      *xs[1:])[out],
-              head_in, weight(*shape))
+    check("linear", lambda xs: T.linear(xs[0], two_parts, *xs[1:]),
+          [rng.uniform(-1, 1, size=s) for s in ((5, 4), (4, 3), (3,))], weight(5, 3))
     # two query parts of 2 and 3 rows, as the decoder's matching and MP parts.
     # Cross-attention over 6 constant source rows: the first part's grid
     # closes columns 0 and 5 for both its rows, and the second's blocks its

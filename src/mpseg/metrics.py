@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decoder import LayerOutputs, binarize_masks
-from .losses import LossWeights, cost_matrix, gt_pixels, hungarian, mask_stats, softmax_rows
+from .losses import (LossWeights, cost_matrix, gt_pixels, hungarian, mask_stats, softmax_rows,
+                     stack_stats)
 from .masks import iou
 
 
@@ -33,13 +34,15 @@ def miou_layerwise(outputs: LayerOutputs) -> np.ndarray:
 def _matching_vectors(outputs: LayerOutputs, rows: slice, scene,
                       weights: LossWeights) -> np.ndarray:
     """(L+1, len(rows)) GT index that bipartite matching gives each of the
-    query rows, per layer (-1 = unmatched)."""
+    query rows, per layer (-1 = unmatched): the statistics and cost that
+    losses.layer_losses matches by. Each layer's probabilities are dropped
+    once its statistics are read."""
     gt = gt_pixels(scene)
-    vectors = []
-    for ml, cl in zip(outputs.mask_logits, outputs.class_logits):
-        _, _, (stats,) = mask_stats(ml.values[rows], gt, [slice(None)])
-        vectors.append(hungarian(cost_matrix(stats, cl.values[rows], scene.categories, weights)))
-    return np.stack(vectors)
+    stats = stack_stats(mask_stats(ml.values[rows], gt, [slice(None)])[2]
+                        for ml in outputs.mask_logits)
+    costs = cost_matrix(stats, np.stack([cl.values[rows] for cl in outputs.class_logits]),
+                        scene.categories, weights)
+    return np.stack([hungarian(cost) for cost in costs])
 
 
 def compute_matching_vectors(outputs: LayerOutputs, scene,

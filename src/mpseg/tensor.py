@@ -8,50 +8,51 @@ that has requires_grad set. Values are never mutated by forward ops; the
 only sanctioned in-place write is an optimizer updating parameter .values
 between training steps.
 
-The ops here are only the ones the model records: take_rows,
-concat_rows, sum_scalars (the loss total) and the fused ops. Tensor has
-no matmul, elementwise operator or reduction; the tests' compositions
-take theirs from tests/oracle.py. A fused op records one node for a
-whole block of the decoder or the loss, over all its query parts, with
-a hand-written backward, because at this size the cost of a step is
-Python overhead per node, not arithmetic:
+The ops here are only the ones the model's decoder records: take_rows,
+concat_rows and the fused ops. Tensor has no matmul, elementwise
+operator or reduction; the tests' compositions take theirs from
+tests/oracle.py. A fused op records one node for a whole block of the
+decoder, over all its query parts, with a hand-written backward, because
+at this size the cost of a step is Python overhead per node, not
+arithmetic:
 
 - fused_attention: per query part, softmax(mask((x@wq) @ (s@wk).T * scale)) @ (s@wv) @ wo
   for the part's rows of x and its rows s of src, projecting only the
   rows of s that some row of the part may read;
 - add_norm_affine: layernorm(x + update) * gain + bias;
-- mlp2: relu(x@w1 + b1) @ w2 + b2 over the query parts;
-- fused_heads: the decoder's mask and class heads over the query parts,
-  one mask-logit node and one class-logit node;
-- fused_loss: one decoder layer's loss over all its query parts, weighted
-  cross-entropy of rows of its class logits plus mean BCE and dice of
-  rows of its mask logits, from per-row statistics that the caller read
-  off the layer's one sigmoid_softplus pass (losses.mask_stats).
+- mlp2: relu(x@w1 + b1) @ w2 + b2 over the query parts, among them the
+  mask head's embedding of each query;
+- linear: x@w + b over the query parts, the class head.
+
+The loss is one more node, over every decoder layer (losses.py). No
+pixel array enters the tape: the mask logits, each query's embedding
+times the scene's embedding grid, are constant Tensors, and the loss
+node is differentiated at the (n, d) embeddings. Its backward forms,
+layer by layer, the per-pixel gradient of only the rows that a mask term
+reads and multiplies it by the grid, so no (rows x pixels) array is ever
+stored as a gradient.
 
 For the same reason importing mpseg holds numpy's OpenBLAS to one thread
 (mpseg._blas): a second thread has no product large enough to share and
 only spins on a core between calls.
 
 The query parts are the decoder's matching and MP rows: slices that tile
-the rows of one Tensor. In fused_attention, mlp2 and fused_heads each
-part's forward products are its own BLAS calls, so a part's rows are
-bitwise those of a call on that part alone. What is row-wise (bias
-adds, relu) runs once over all rows, and so does every backward
+the rows of one Tensor. In fused_attention, mlp2 and linear each part's
+forward products are its own BLAS calls (part_products), so a part's
+rows are bitwise those of a call on that part alone. What is row-wise
+(bias adds, relu) runs once over all rows, and so does every backward
 product. Those products regroup sums that a part-by-part backward
 makes, so the gradients match a part-by-part composition within a
 tolerance that a test checks (tests/oracle.py keeps the decoder layer
 with nodes of its own per part).
 
-Each fused forward but fused_loss runs the same numpy calls in the same
-order as its composition of primitives on each part (tests/oracle.py,
-the tests' oracle), so its value is bitwise equal to theirs;
-fused_attention does so when a part's rows read every row of its s.
-When every row of a part blocks some row of s, it computes on fewer, and
-its oracle is the dense op over all of them (oracle.dense_attention),
-which it matches within a tolerance that a test checks. fused_loss reads
-no pixel: its oracle is a class-loss and a mask-loss node per term over
-the pixels, which it matches within a tolerance that a test checks. Its
-backward writes every term's rows into one fresh gradient per input.
+Each fused forward runs the same numpy calls in the same order as its
+composition of primitives on each part (tests/oracle.py, the tests'
+oracle), so its value is bitwise equal to theirs; fused_attention does
+so when a part's rows read every row of its s. When every row of a part
+blocks some row of s, it computes on fewer, and its oracle is the dense
+op over all of them (oracle.dense_attention), which it matches within a
+tolerance that a test checks.
 
 No array is written in place once it is stored as a gradient, so a
 backward hands _accumulate any array as it is: one it just allocated, a
@@ -63,9 +64,7 @@ stored or returned: the per-part products that fill one array of all
 rows, and the bias added into it; fused_attention's logits (scaled,
 blocked, shifted, exponentiated and normalized in one buffer, which
 becomes the stored softmax), its backward's logit gradient and the
-src gradient its parts are added into; fused_loss's backward row
-gradients, and the uninitialized gradients they are written into, whose
-rows that no term reads it zeros; and sigmoid_softplus's exp(-|x|)
+src gradient its parts are added into; and sigmoid_softplus's exp(-|x|)
 buffer, which turns into the sigmoid's denominator, and the sigmoid's
 numerator, which it divides in place. The ufuncs and their order are
 those of the out-of-place expressions, so every value is bitwise the
@@ -166,16 +165,12 @@ def _unbroadcast(g, shape):
     return g
 
 
-# ndarray.mean and .var with the Python wrapper taken out: the same reductions
-# and divisions in the same order, so bitwise the same values
+# ndarray.mean with the Python wrapper taken out: the same reduction and
+# division in the same order, so bitwise the same values
 
 
 def _mean_lastdim(a):
     return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
-
-
-def _mean_all(a):
-    return np.add.reduce(a, axis=None) / a.size
 
 
 def sigmoid_softplus(x):
@@ -214,23 +209,6 @@ def concat_rows(tensors) -> Tensor:
     return out
 
 
-def sum_scalars(terms) -> Tensor:
-    """The sum of scalar Tensors, added left to right starting from 0.0:
-    one node, whose backward hands its g to every term."""
-    terms = tuple(terms)
-    total = 0.0
-    for t in terms:
-        total = total + t.values
-    out = _make(total, terms)
-    if out.requires_grad:
-        def bw(g):
-            for t in terms:
-                if t.requires_grad:
-                    t._accumulate(g)
-        out._backward = bw
-    return out
-
-
 # ----------------------------------------------------------------------
 # fused ops: one tape node each, hand-written backward
 
@@ -250,7 +228,7 @@ def _tiling(spans, n) -> list:
     return out
 
 
-def _products(a, spans, w):
+def part_products(a, spans, w):
     """a @ w as one BLAS product per part: each span's rows of a times w,
     written into the same rows of one array, so a part's rows are bitwise
     those of a product over that part alone."""
@@ -284,7 +262,7 @@ def fused_attention(x: Tensor, src: Tensor, parts, wq: Tensor, wk: Tensor, wv: T
     Every forward product is the part's own, so a part's output rows are
     bitwise those of a call on that part alone. The backward's products
     run once over all parts' rows; src gets a gradient only when it is
-    tracked.
+    tracked, handed over as it is when one part read every row of src.
     """
     n = x.values.shape[0]
     q = np.empty((n, wq.values.shape[1]))
@@ -344,6 +322,11 @@ def fused_attention(x: Tensor, src: Tensor, parts, wq: Tensor, wk: Tensor, wv: T
                 wv._accumulate(s_all.T @ g_v)
             if src.requires_grad:
                 g_s = g_k @ wk.values.T + g_v @ wv.values.T
+                n_src = src.values.shape[0]
+                if (len(saved) == 1 and g_s.shape[0] == n_src
+                        and saved[0][1].indices(n_src)[2] == 1):
+                    src._accumulate(g_s)  # the one part read every row of src, in order
+                    return
                 acc = np.zeros_like(src.values)
                 at = 0
                 for _, keys, cols, _, s, *_ in saved:
@@ -400,10 +383,10 @@ def mlp2(x: Tensor, spans, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
     part's products are its own; the bias adds and the relu run once
     over all rows."""
     spans = _tiling(spans, x.values.shape[0])
-    h = _products(x.values, spans, w1.values)
+    h = part_products(x.values, spans, w1.values)
     h += b1.values
     r = np.maximum(h, 0.0)
-    y = _products(r, spans, w2.values)
+    y = part_products(r, spans, w2.values)
     y += b2.values
     out = _make(y, (x, w1, b1, w2, b2))
     if out.requires_grad:
@@ -411,134 +394,21 @@ def mlp2(x: Tensor, spans, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
     return out
 
 
-def fused_heads(x: Tensor, spans, embed: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor,
-                b2: Tensor, cls_w: Tensor, cls_b: Tensor) -> tuple:
-    """(mask logits (n, h, w), class logits (n, K+1)) of the query rows x,
-    one node each, for an (h, w, d) embed:
-
-    - mask[n, y, x] = mlp2(x_n, w1, b1, w2, b2) . embed[y, x];
-    - class[n] = x_n @ cls_w + cls_b.
-
-    The slices `spans` give the query parts' rows, which tile x's rows in
-    order. Each part's products are its own, so a part's rows do not
-    depend on the other parts, bit for bit; the bias adds and the relu
-    run once over all rows, and so does each backward product.
-    """
-    h, w, d = embed.shape
-    if w2.values.shape[1] != d:
-        raise ValueError(f"mask head output dim {w2.values.shape[1]} != embedding dim {d}")
-    spans = _tiling(spans, x.values.shape[0])
-    flat = embed.reshape(h * w, d).T
-    pre = _products(x.values, spans, w1.values)
-    pre += b1.values
-    r = np.maximum(pre, 0.0)
-    e = _products(r, spans, w2.values)
-    e += b2.values
-    classes = _products(x.values, spans, cls_w.values)
-    classes += cls_b.values
-    mask_out = _make(_products(e, spans, flat).reshape(-1, h, w), (x, w1, b1, w2, b2))
-    class_out = _make(classes, (x, cls_w, cls_b))
-    if mask_out.requires_grad:
-        def mask_bw(g):
-            g_e = g.reshape(g.shape[0], h * w) @ flat.T
-            _mlp2_backward(g_e, x, pre, r, w1, b1, w2, b2)
-        mask_out._backward = mask_bw
-    if class_out.requires_grad:
-        def class_bw(g):
-            if cls_b.requires_grad:
-                cls_b._accumulate(_unbroadcast(g, cls_b.values.shape))
-            if x.requires_grad:
-                x._accumulate(g @ cls_w.values.T)
-            if cls_w.requires_grad:
-                cls_w._accumulate(x.values.T @ g)
-        class_out._backward = class_bw
-    return mask_out, class_out
-
-
-def _write_rows(acc, written, rows, g):
-    """Put g into acc's rows `rows` (a slice or unique indices): assigned
-    into a row that no earlier call wrote, added to one that one did."""
-    new = ~written[rows]
-    if new.all():
-        acc[rows] = g
-    else:
-        rows = np.arange(written.size)[rows]
-        acc[rows[new]] = g[new]
-        acc[rows[~new]] += g[~new]
-    written[rows] = True
-
-
-def fused_loss(mask_logits: Tensor, class_logits: Tensor, probs: np.ndarray, class_terms,
-               mask_terms, w_cls: float, w_bce: float, w_dice: float,
-               dice_eps: float) -> Tensor:
-    """The sum, from 0.0, of the class terms and then the mask terms of
-    one decoder layer, one node:
-
-    - a class term (rows, targets, row_weights) is
-      w_cls * sum_i w_i * CE(class_logits[rows][i], targets[i]) / sum_i w_i;
-    - a mask term (rows, targets, bce, inter, psum, area) is
-      w_bce * mean(bce) + w_dice * mean(1 - (2 inter + eps) / (psum + (area + eps))),
-      the mean sigmoid BCE and smooth dice of the rows `rows` of the
-      (n, ...) mask logits against their (len(rows), pixels) targets.
-      bce, inter, psum and area hold each row's mean BCE, sum of p * t,
-      sum of p and sum of t, which the caller has (losses.mask_stats), so
-      the forward reads no pixel. probs, the (n, pixels) sigmoid of every
-      row, and the targets serve the backward.
-
-    The backward writes each term's rows into one class gradient and one
-    mask gradient, added where terms share a row, and zeros the rows that
-    no term reads.
-    """
-    total = 0.0
-    saved = []
-    for rows, targets, row_weights in class_terms:
-        v = class_logits.values[rows]
-        m = v.max(axis=-1, keepdims=True)
-        e = np.exp(v - m)
-        s = e.sum(axis=-1, keepdims=True)
-        lse = (np.log(s) + m).squeeze(-1)
-        picked = v[np.arange(targets.size), targets]
-        wsum = float(row_weights.sum())
-        total = total + (((lse - picked) * row_weights).sum() / wsum) * w_cls
-        saved.append((e, s, wsum))
-    fractions = []
-    for rows, targets, bce, inter, psum, area in mask_terms:
-        num = 2.0 * inter + dice_eps
-        den = psum + (area + dice_eps)
-        total = total + (w_bce * _mean_all(bce) + w_dice * _mean_all(1.0 - num / den))
-        fractions.append((num, den))
-    out = _make(total, (mask_logits, class_logits))
+def linear(x: Tensor, spans, w: Tensor, b: Tensor) -> Tensor:
+    """x@w + b over the query parts whose rows the slices `spans` give
+    (they tile x's rows in order), one node: the decoder's class head.
+    Each part's product is its own; the bias add and every backward
+    product run once over all rows."""
+    y = part_products(x.values, _tiling(spans, x.values.shape[0]), w.values)
+    y += b.values
+    out = _make(y, (x, w, b))
     if out.requires_grad:
         def bw(g):
-            g = float(g)
-            if class_logits.requires_grad:
-                acc = np.empty_like(class_logits.values)
-                written = np.zeros(acc.shape[0], dtype=bool)
-                for (rows, targets, row_weights), (e, s, wsum) in zip(class_terms, saved):
-                    coef = (g * w_cls) / wsum * row_weights
-                    g_rows = coef[:, None] * (e / s)
-                    g_rows[np.arange(targets.size), targets] -= coef
-                    _write_rows(acc, written, rows, g_rows)
-                acc[~written] = 0.0
-                class_logits._accumulate(acc)
-            if mask_logits.requires_grad:
-                n = probs.shape[0]
-                acc = np.empty_like(mask_logits.values)
-                flat = acc.reshape(n, -1)
-                written = np.zeros(n, dtype=bool)
-                for (rows, t, *_), (num, den) in zip(mask_terms, fractions):
-                    p = probs[rows]
-                    g_bce = g * w_bce / p.size
-                    g_num = -(g * w_dice) / den.size / den
-                    g_p = t * (2.0 * g_num)[:, None]
-                    g_p -= (g_num * num / den)[:, None]
-                    g_v = p - t  # then g_bce * (p - t) + (g_p * p) * (1 - p)
-                    g_v *= g_bce
-                    g_p *= p
-                    g_p *= 1.0 - p
-                    g_v += g_p
-                    _write_rows(flat, written, rows, g_v)
-                flat[~written] = 0.0
-                mask_logits._accumulate(acc)
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(g, b.values.shape))
+            if x.requires_grad:
+                x._accumulate(g @ w.values.T)
+            if w.requires_grad:
+                w._accumulate(x.values.T @ g)
         out._backward = bw
     return out

@@ -10,19 +10,24 @@ oracle of losses._solve_rows_leq_cols; a scan over every candidate
 threshold, the oracle of metrics._threshold_exists; the np.where
 sigmoid with log1p(exp(-|x|)) as two expressions, the oracle of
 tensor.sigmoid_softplus; the matching cost from the pixels, the oracle
-of losses.mask_stats with losses.cost_matrix; a class-loss and a
-mask-loss node per term, computed from the pixels, the oracle of
-tensor.fused_loss; and a decoder layer with nodes of its own for each
-query part, the oracle of decoder.decoder_layer."""
+of losses.mask_stats with losses.cost_matrix; a decoder layer with nodes
+of its own for each query part, the oracle of decoder.decoder_layer; and
+the loss with nodes of its own for each layer, the oracle of
+losses.loss_over_layers: a mask-logit node over each layer's mask
+embeddings (mask_head), a fused_loss node per layer over its mask
+logits, and sum_scalars over the layers (layer_losses), with a
+class-loss and a mask-loss node per term, computed from the pixels, as
+the oracle of fused_loss."""
 
 import numpy as np
 
-from mpseg.losses import DICE_EPS
+from mpseg.decoder import binarize_masks
+from mpseg.losses import DICE_EPS, MODES, cost_matrix, gt_pixels, hungarian, mask_stats
 from mpseg.masks import (MP_KEY, _nearest_indices, point_noise_region, scale_noise,
                          seeded_rng, shift_noise)
 from mpseg.mp import dynamic_groups
-from mpseg.tensor import (NEG_BIG, Tensor, _make, _mean_all, _unbroadcast, add_norm_affine,
-                          concat_rows, fused_attention, mlp2)
+from mpseg.tensor import (NEG_BIG, Tensor, _make, _unbroadcast, add_norm_affine, concat_rows,
+                          fused_attention, mlp2, part_products)
 
 
 def sigmoid_where(x: np.ndarray) -> np.ndarray:
@@ -36,6 +41,12 @@ def sigmoid_where(x: np.ndarray) -> np.ndarray:
 def log1p_exp_neg_abs(x: np.ndarray) -> np.ndarray:
     """log1p(exp(-|x|)): softplus(x) less max(x, 0)."""
     return np.log1p(np.exp(-np.abs(x)))
+
+
+def _mean_all(a):
+    """ndarray.mean with the Python wrapper taken out: the same reduction
+    and division, so bitwise the same value."""
+    return np.add.reduce(a, axis=None) / a.size
 
 
 def _as_tensor(x) -> Tensor:
@@ -510,3 +521,192 @@ def per_part_decoder_layer(parts, feats: Tensor, cross_blocks, self_blocks, lp,
         ffn = mlp2(x, [every], lp.ffn_w1, lp.ffn_b1, lp.ffn_w2, lp.ffn_b2)
         out.append(add_norm_affine(x, ffn, lp.ln3_g, lp.ln3_b))
     return out
+
+
+def sum_scalars(terms) -> Tensor:
+    """The sum of scalar Tensors, added left to right starting from 0.0:
+    one node, whose backward hands its g to every term."""
+    terms = tuple(terms)
+    total = 0.0
+    for t in terms:
+        total = total + t.values
+    out = _make(total, terms)
+    if out.requires_grad:
+        def bw(g):
+            for t in terms:
+                if t.requires_grad:
+                    t._accumulate(g)
+        out._backward = bw
+    return out
+
+
+def mask_head(e: Tensor, spans, embed: np.ndarray) -> Tensor:
+    """The (n, h, w) mask logits of (n, d) mask embeddings e against an
+    (h, w, d) embed grid as one node, each part's product its own (so the
+    values are bitwise decoder.heads'), whose backward multiplies the
+    whole (n, h, w) logit gradient by the grid."""
+    h, w, d = embed.shape
+    grid = embed.reshape(h * w, d)
+    out = _make(part_products(e.values, spans, grid.T).reshape(-1, h, w), (e,))
+    if out.requires_grad:
+        out._backward = lambda g: e._accumulate(g.reshape(g.shape[0], h * w) @ grid)
+    return out
+
+
+def _write_rows(acc, written, rows, g):
+    """Put g into acc's rows `rows` (a slice or unique indices): assigned
+    into a row that no earlier call wrote, added to one that one did."""
+    new = ~written[rows]
+    if new.all():
+        acc[rows] = g
+    else:
+        rows = np.arange(written.size)[rows]
+        acc[rows[new]] = g[new]
+        acc[rows[~new]] += g[~new]
+    written[rows] = True
+
+
+def fused_loss(mask_logits: Tensor, class_logits: Tensor, probs: np.ndarray, class_terms,
+               mask_terms, w_cls: float, w_bce: float, w_dice: float,
+               dice_eps: float) -> Tensor:
+    """The sum, from 0.0, of the class terms and then the mask terms of
+    one decoder layer, one node:
+
+    - a class term (rows, targets, row_weights) is
+      w_cls * sum_i w_i * CE(class_logits[rows][i], targets[i]) / sum_i w_i;
+    - a mask term (rows, targets, bce, inter, psum, area) is
+      w_bce * mean(bce) + w_dice * mean(1 - (2 inter + eps) / (psum + (area + eps))),
+      the mean sigmoid BCE and smooth dice of the rows `rows` of the
+      (n, ...) mask logits against their (len(rows), pixels) targets,
+      from each row's mean BCE, sum of p * t, sum of p and sum of t.
+      probs, the (n, pixels) sigmoid of every row, and the targets serve
+      the backward.
+
+    The backward writes each term's rows into one class gradient and one
+    (n, ...) mask gradient, added where terms share a row, and zeros the
+    rows that no term reads.
+    """
+    total = 0.0
+    saved = []
+    for rows, targets, row_weights in class_terms:
+        v = class_logits.values[rows]
+        m = v.max(axis=-1, keepdims=True)
+        e = np.exp(v - m)
+        s = e.sum(axis=-1, keepdims=True)
+        lse = (np.log(s) + m).squeeze(-1)
+        picked = v[np.arange(targets.size), targets]
+        wsum = float(row_weights.sum())
+        total = total + (((lse - picked) * row_weights).sum() / wsum) * w_cls
+        saved.append((e, s, wsum))
+    fractions = []
+    for rows, targets, bce, inter, psum, area in mask_terms:
+        num = 2.0 * inter + dice_eps
+        den = psum + (area + dice_eps)
+        total = total + (w_bce * _mean_all(bce) + w_dice * _mean_all(1.0 - num / den))
+        fractions.append((num, den))
+    out = _make(total, (mask_logits, class_logits))
+    if out.requires_grad:
+        def bw(g):
+            g = float(g)
+            if class_logits.requires_grad:
+                acc = np.empty_like(class_logits.values)
+                written = np.zeros(acc.shape[0], dtype=bool)
+                for (rows, targets, row_weights), (e, s, wsum) in zip(class_terms, saved):
+                    coef = (g * w_cls) / wsum * row_weights
+                    g_rows = coef[:, None] * (e / s)
+                    g_rows[np.arange(targets.size), targets] -= coef
+                    _write_rows(acc, written, rows, g_rows)
+                acc[~written] = 0.0
+                class_logits._accumulate(acc)
+            if mask_logits.requires_grad:
+                n = probs.shape[0]
+                acc = np.empty_like(mask_logits.values)
+                flat = acc.reshape(n, -1)
+                written = np.zeros(n, dtype=bool)
+                for (rows, t, *_), (num, den) in zip(mask_terms, fractions):
+                    p = probs[rows]
+                    g_bce = g * w_bce / p.size
+                    g_num = -(g * w_dice) / den.size / den
+                    g_p = t * (2.0 * g_num)[:, None]
+                    g_p -= (g_num * num / den)[:, None]
+                    g_v = p - t  # then g_bce * (p - t) + (g_p * p) * (1 - p)
+                    g_v *= g_bce
+                    g_p *= p
+                    g_p *= 1.0 - p
+                    g_v += g_p
+                    _write_rows(flat, written, rows, g_v)
+                flat[~written] = 0.0
+                mask_logits._accumulate(acc)
+        out._backward = bw
+    return out
+
+
+def layer_loss(mask_logits: Tensor, class_logits: Tensor, layer_stats: tuple, gt: np.ndarray,
+               categories, indices, w, consistency=None) -> Tensor:
+    """One layer's loss, one fused_loss node over its query parts.
+
+    layer_stats is losses.mask_stats of the layer's mask logits over its
+    parts, and indices holds each part's GT index per row (-1 = no
+    object), the parts in row order. Each part gets a class term over all
+    its rows, no-object where the index is -1, and a mask term over the
+    rows with an index, whose statistics are the [row, index] entries. A
+    consistency target, (rows of the first part, pixels), adds a mask term
+    over the first part's rows, whose statistics come from row-wise dot
+    products.
+    """
+    probs, means, st = layer_stats
+    num_categories = class_logits.values.shape[1] - 1
+    class_terms, mask_terms = [], []
+    start = 0
+    for index in indices:
+        hit = index >= 0
+        targets = np.where(hit, categories[index], num_categories)
+        class_terms.append((slice(start, start + index.size), targets,
+                            np.where(targets == num_categories, w.no_object, 1.0)))
+        if hit.any():
+            rows = start + np.flatnonzero(hit)
+            cols = index[hit]
+            at = slice(start, start + index.size) if hit.all() else rows
+            mask_terms.append((at, gt[cols], st.bce[rows, cols], st.inter[rows, cols],
+                               st.psum[rows], st.area[cols]))
+        start += index.size
+    if consistency is not None:
+        k, npix = consistency.shape
+        x = mask_logits.values.reshape(probs.shape)[:k]
+        mask_terms.append((slice(0, k), consistency,
+                           means[:k] - np.einsum("ij,ij->i", x, consistency) / npix,
+                           np.einsum("ij,ij->i", probs[:k], consistency), st.psum[:k],
+                           consistency.sum(axis=1)))
+    return fused_loss(mask_logits, class_logits, probs, class_terms, mask_terms, w.cls, w.bce,
+                      w.dice, DICE_EPS)
+
+
+def layer_losses(outputs, scene, mp_part, mode: str, weights):
+    """losses.layer_losses as one layer_loss node per layer and
+    sum_scalars over them, each layer's mask logits a Tensor of its own:
+    (total, (L+1, n_match) matching vectors)."""
+    if mode not in MODES:
+        raise ValueError(f"unknown loss mode {mode!r}")
+    n_match = outputs.n_match
+    gt = gt_pixels(scene)
+    parts = [slice(0, n_match)] + ([slice(n_match, None)] if mp_part is not None else [])
+    stats = [mask_stats(ml.values, gt, parts) for ml in outputs.mask_logits]
+
+    def match(i):
+        return hungarian(cost_matrix(stats[i][2].rows(parts[0]),
+                                     outputs.class_logits[i].values[:n_match],
+                                     scene.categories, weights))
+
+    layers = range(len(outputs.mask_logits))
+    vectors = ([match(-1)] * len(layers) if mode == "fixed-last-layer"
+               else [match(i) for i in layers])
+    terms = []
+    for i, vec in enumerate(vectors):
+        indices = [vec] + ([mp_part.instance_index] if mp_part is not None else [])
+        consistency = None
+        if mode == "consistency-aux" and i >= 1:
+            prev = binarize_masks(outputs.mask_logits[i - 1].values[:n_match])
+            consistency = prev.reshape(n_match, -1).astype(np.float64)
+        terms.append(layer_loss(outputs.mask_logits[i], outputs.class_logits[i], stats[i], gt,
+                                scene.categories, indices, weights, consistency))
+    return sum_scalars(terms), np.stack(vectors)

@@ -1,4 +1,5 @@
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,10 @@ from mpseg.decoder import (ForwardSpec, binarize_masks, decoder_layer,
                            full_forward, heads, init_params, load_checkpoint,
                            named_parameters, plain_spec, save_checkpoint)
 from mpseg.gradcheck import check_gradient
+from mpseg.losses import LossWeights, gt_pixels, layer_stats, loss_over_layers
 from mpseg.masks import FormatError, to_attention_blocks
 from mpseg.mp import MPPart
-from mpseg.synth import SynthConfig, generate_scene, synth_features
+from mpseg.synth import Scene, SynthConfig, generate_scene, synth_features
 from mpseg.tensor import Tensor, concat_rows, fused_attention, mlp2, sigmoid_softplus
 from mpseg.trainer import detach_params, layer_scale_table
 from oracle import add, matmul, mul, per_part_decoder_layer, reshape, sum_all
@@ -51,7 +53,7 @@ def class_head(params, queries: Tensor) -> Tensor:
 
 
 def mask_logits(params, queries, embed):
-    return heads(params, queries, [slice(None)], embed)[0]
+    return heads(params, queries, [slice(None)], embed)[1]
 
 
 def test_mask_head_basis_case():
@@ -76,26 +78,38 @@ def test_mask_head_dimension_mismatch():
 
 
 def test_mask_head_gradient():
+    """The mask logits are constants, so the mask head's gradient reaches
+    the queries and its weights through the loss node's gradient at the
+    embeddings: the loss of one layer whose two rows are matched to the
+    two GT masks, against its central differences."""
     p = init_params(seed=1, n_queries=2, n_layers=1, dim=4, num_categories=2,
                     ffn_hidden=8)
     rng = np.random.default_rng(2)
     embed = rng.uniform(-1, 1, size=(3, 3, 4))
-    w = rng.uniform(-1, 1, size=(2, 3, 3))
+    scene = Scene(index=0, categories=[1, 0], masks=rng.uniform(size=(2, 3, 3)) < 0.5)
+    gt = gt_pixels(scene)
 
     def f(xs):
         p.mask_w1 = xs[1]
-        return mask_logits(p, xs[0], embed)
+        e, masks, classes = heads(p, xs[0], [slice(None)], embed)
+        assert not masks.requires_grad
+        outputs = decoder.LayerOutputs([masks], [classes], 2, [e], embed.reshape(9, 4))
+        probs, means, stats = layer_stats([masks.values], gt, [slice(None)])
+        return loss_over_layers(outputs, probs, means, stats, gt, scene.categories,
+                                np.array([[1, 0]]), [None], LossWeights())
 
-    err = check_gradient(f, [rng.uniform(-1, 1, size=(2, 4)), p.mask_w1.values.copy()], w)
+    err = check_gradient(f, [rng.uniform(-1, 1, size=(2, 4)), p.mask_w1.values.copy()])
     assert err < 1e-4
 
 
 @pytest.mark.parametrize("part_rows", [[3], [3, 4]], ids=["one-part", "two-parts"])
 def test_heads_match_the_per_part_oracle(part_rows):
-    """Forward bitwise; every gradient within 1e-12 of its largest entry."""
+    """The mask embeddings, mask logits and class logits bitwise the
+    per-part oracle's; every gradient of the embedding and class nodes
+    within 1e-12 of its largest entry."""
     rng = np.random.default_rng(3)
     embed = rng.uniform(-1, 1, size=(4, 5, 6))
-    weights = [rng.uniform(-1, 1, size=(sum(part_rows), 4, 5)),
+    weights = [rng.uniform(-1, 1, size=(sum(part_rows), 6)),
                rng.uniform(-1, 1, size=(sum(part_rows), 3))]
     queries = [rng.uniform(-1, 1, size=(n, 6)) for n in part_rows]
 
@@ -103,14 +117,16 @@ def test_heads_match_the_per_part_oracle(part_rows):
         p = init_params(seed=5, n_queries=1, n_layers=1, dim=6, num_categories=2,
                         ffn_hidden=4)
         parts = [Tensor(q, requires_grad=True) for q in queries]
-        outs = forward(p, parts)
-        add(sum_all(mul(outs[0], weights[0])), sum_all(mul(outs[1], weights[1]))).backward()
+        embeddings, masks, classes = forward(p, parts)
+        add(sum_all(mul(embeddings, weights[0])), sum_all(mul(classes, weights[1]))).backward()
         grads = [x.grad for x in parts] + [t.grad for _, t in named_parameters(p)
                                            if t.grad is not None]
-        return [o.values for o in outs], grads
+        return [o.values for o in (embeddings, masks, classes)], grads
 
     values, grads = run(lambda p, parts: heads(p, concat_rows(parts), spans_of(part_rows), embed))
     oracle_values, oracle_grads = run(lambda p, parts: (
+        concat_rows([mlp2(x, [slice(None)], p.mask_w1, p.mask_b1, p.mask_w2, p.mask_b2)
+                     for x in parts]),
         concat_rows([mask_head(p, x, embed) for x in parts]),
         concat_rows([class_head(p, x) for x in parts])))
     for v, o in zip(values, oracle_values):
@@ -121,12 +137,24 @@ def test_heads_match_the_per_part_oracle(part_rows):
 
 
 def test_heads_record_one_mask_and_one_class_node():
+    """The mask head records one mlp2 node, the embeddings; the class head
+    one linear node; the mask logits are constants. So does every layer
+    of a forward that tracks gradients, whose outputs hold the embedding
+    grid."""
     p = init_params(seed=5, n_queries=1, n_layers=1, dim=2, num_categories=2,
                     ffn_hidden=4)
     x = Tensor(np.ones((3, 2)), requires_grad=True)
-    masks, classes = heads(p, x, [slice(0, 1), slice(1, 3)], np.ones((3, 3, 2)))
-    assert masks._parents == (x, p.mask_w1, p.mask_b1, p.mask_w2, p.mask_b2)
+    embeddings, masks, classes = heads(p, x, [slice(0, 1), slice(1, 3)], np.ones((3, 3, 2)))
+    assert embeddings._parents == (x, p.mask_w1, p.mask_b1, p.mask_w2, p.mask_b2)
     assert classes._parents == (x, p.cls_w, p.cls_b)
+    assert not masks.requires_grad and masks._parents == ()
+    pyramid, params = small_pyramid_and_params()
+    out = full_forward(ForwardSpec(pyramid), params)
+    kinds = [(e._backward.__qualname__.split(".")[0], c._backward.__qualname__.split(".")[0])
+             for e, c in zip(out.mask_embeds, out.class_logits)]
+    assert kinds == [("mlp2", "linear")] * (params.num_layers + 1)
+    assert not any(ml.requires_grad for ml in out.mask_logits)
+    assert out.grid.base is pyramid[-1]
 
 
 def blocks_of_logits(logits, h, w):
@@ -457,6 +485,21 @@ def test_mp_self_block_is_the_mp_rows_of_the_group_grid(monkeypatch, group_id, e
         assert matching_block is None
         assert mp_block.dtype == bool
         assert np.array_equal(mp_block, np.array(expected, dtype=bool))
+
+
+def test_a_no_grad_forward_keeps_no_array_of_the_scene_alive():
+    """The outputs of a forward whose parameters track nothing hold no
+    embedding grid: once the spec is dropped, the pyramid's finest level
+    is freed while the LayerOutputs lives on, as when evaluation moves on
+    to its next scene."""
+    pyramid, params = small_pyramid_and_params()
+    finest = weakref.ref(pyramid[-1])
+    spec = ForwardSpec(pyramid)
+    del pyramid
+    outputs = full_forward(spec, detach_params(params))
+    del spec
+    assert outputs.grid is None and len(outputs.mask_logits) == params.num_layers + 1
+    assert finest() is None
 
 
 def test_mp_spec_override_of_wrong_shape_rejected():

@@ -3,18 +3,19 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+import oracle
 from mpseg.decoder import LayerOutputs, binarize_masks, full_forward, init_params, plain_spec
-from mpseg import losses
 from mpseg.losses import (DICE_EPS, LossWeights, _solve_rows_leq_cols, cost_matrix, gt_pixels,
-                          hungarian, layer_loss, layer_losses, mask_stats)
+                          hungarian, layer_losses, layer_stats, loss_over_layers, mask_stats)
 from mpseg.metrics import compute_matching_vectors
 from mpseg.mp import MPConfig, MPPart
 from mpseg.synth import Scene, SynthConfig, generate_scene, synth_features
-from mpseg.tensor import Tensor, sum_scalars
+from mpseg.tensor import Tensor
 from mpseg.trainer import layer_scale_table, mp_forward_spec
 from oracle import (add, bce_with_logits, cross_entropy_rows, dense_cost, div, gather_cols,
-                    log1p_exp_neg_abs, logsumexp_lastdim, mask_loss_rows, mean_all, mul, reshape,
-                    sigmoid, sigmoid_where, solve_rows_leq_cols, sub, sum_all, sum_lastdim)
+                    log1p_exp_neg_abs, logsumexp_lastdim, mask_loss_rows, matmul, mean_all, mul,
+                    reshape, sigmoid, sigmoid_where, solve_rows_leq_cols, sub, sum_all,
+                    sum_lastdim, sum_scalars)
 
 
 def brute_force_min_cost(cost: np.ndarray) -> float:
@@ -129,7 +130,7 @@ def saturated_outputs(scene, n_queries=1, n_layers=2, num_categories=3):
 def cost(ml, cl, scene, w):
     """cost_matrix of (n, h, w) mask logits and class logits, from their
     mask_stats as one part."""
-    _, _, (stats,) = mask_stats(ml, gt_pixels(scene), [slice(None)])
+    _, _, stats = mask_stats(ml, gt_pixels(scene), [slice(None)])
     return cost_matrix(stats, cl, scene.categories, w)
 
 
@@ -173,14 +174,23 @@ def test_cost_matrix_permutation_equivariant():
     assert np.array_equal(a, b[:, [1, 0]])
 
 
+def scored(outputs, gt, categories, index, consistency, w):
+    """loss_over_layers of the outputs' layers over their parts: the
+    matching rows and any rows after them."""
+    n, n_match = outputs.class_logits[0].values.shape[0], outputs.n_match
+    parts = [slice(0, n_match)] + ([slice(n_match, n)] if n > n_match else [])
+    probs, means, stats = layer_stats([ml.values for ml in outputs.mask_logits], gt, parts)
+    return loss_over_layers(outputs, probs, means, stats, gt, categories, np.asarray(index),
+                            consistency, w)
+
+
 def bce_and_dice(logits: np.ndarray, gt: np.ndarray) -> tuple:
-    """(BCE, dice): layer_loss of (1, H, W) logits matched to the one GT
+    """(BCE, dice): the loss of (1, H, W) logits matched to the one GT
     mask, with no class weight and the weights (bce, dice) (1, 0) and (0, 1)."""
     scene = Scene(index=0, categories=[0], masks=gt[None])
-    ml, cl = Tensor(logits[None]), Tensor(np.zeros((1, 2)))
-    stats = mask_stats(ml.values, gt_pixels(scene), [slice(None)])
-    return tuple(layer_loss(ml, cl, stats, gt_pixels(scene), scene.categories, [np.array([0])],
-                            LossWeights(cls=0.0, bce=w_bce, dice=w_dice))
+    outputs = LayerOutputs([Tensor(logits[None])], [Tensor(np.zeros((1, 2)))], 1)
+    return tuple(scored(outputs, gt_pixels(scene), scene.categories, [[0]], [None],
+                        LossWeights(cls=0.0, bce=w_bce, dice=w_dice))
                  for w_bce, w_dice in ((1.0, 0.0), (0.0, 1.0)))
 
 
@@ -252,20 +262,31 @@ def test_layer_losses_gt_permutation_invariant():
     assert abs(float(a.values) - float(b.values)) < 1e-9
 
 
+def embedded_outputs(embeds, class_values, n_match, grid, h, w) -> LayerOutputs:
+    """LayerOutputs of fresh leaf Tensors of the given (n, d) mask
+    embeddings and class logits, whose (n, h, w) mask logits are the
+    embeddings times the (h * w, d) grid."""
+    return LayerOutputs(mask_logits=[Tensor((e @ grid.T).reshape(-1, h, w)) for e in embeds],
+                        class_logits=[Tensor(v.copy(), requires_grad=True)
+                                      for v in class_values],
+                        n_match=n_match,
+                        mask_embeds=[Tensor(e.copy(), requires_grad=True) for e in embeds],
+                        grid=grid)
+
+
 def test_layer_losses_finite_and_bounded_below():
     rng = np.random.default_rng(4)
     scene = one_query_scene()
     w = LossWeights()
-    mask_logits = [Tensor(rng.uniform(-30, 30, size=(2, 4, 4)), requires_grad=True)
-                   for _ in range(3)]
-    class_logits = [Tensor(rng.uniform(-30, 30, size=(2, 4)), requires_grad=True)
-                    for _ in range(3)]
-    out = LayerOutputs(mask_logits=mask_logits, class_logits=class_logits, n_match=2)
+    # an identity grid: the mask logits are the embeddings
+    out = embedded_outputs([rng.uniform(-30, 30, size=(2, 16)) for _ in range(3)],
+                           [rng.uniform(-30, 30, size=(2, 4)) for _ in range(3)], 2,
+                           np.eye(16), 4, 4)
     total, _ = layer_losses(out, scene, None, "per-layer-bipartite", w)
     assert np.isfinite(total.values)
     assert float(total.values) >= -w.cls * 2
     total.backward()
-    for t in mask_logits + class_logits:
+    for t in out.mask_embeds + out.class_logits:
         assert t.grad is not None and np.isfinite(t.grad).all()
 
 
@@ -401,26 +422,29 @@ LOSS_MODES = pytest.mark.parametrize(
 
 
 def random_layer_outputs(with_mp):
-    """A maker of fresh LayerOutputs over 3 layers of fixed random logits
-    that require grad, and the MP part of 4 rows when with_mp."""
+    """A maker of fresh LayerOutputs over 3 layers of fixed random (n, 3)
+    mask embeddings and class logits that require grad, over an embedding
+    grid of 4x4 pixels, and the MP part of 4 rows when with_mp."""
     rng = np.random.default_rng(22)
     n_match, n_mp, n_layers = 3, 4, 3
     n = n_match + (n_mp if with_mp else 0)
-    mask_values = [rng.uniform(-3, 3, size=(n, 4, 4)) for _ in range(n_layers)]
+    embeds = [rng.uniform(-3, 3, size=(n, 3)) for _ in range(n_layers)]
     class_values = [rng.uniform(-3, 3, size=(n, 4)) for _ in range(n_layers)]
+    grid = rng.uniform(-1, 1, size=(16, 3))
     mp_part = None
     if with_mp:
         instance_index = np.array([0, 1, 0, 1])
         mp_part = MPPart(group_id=np.array([0, 0, 1, 1]), instance_index=instance_index,
                          query_categories=np.array([2, 0, 1, 0]))
+    return lambda: embedded_outputs(embeds, class_values, n_match, grid, 4, 4), mp_part
 
-    def outputs():
-        return LayerOutputs(mask_logits=[Tensor(v.copy(), requires_grad=True)
-                                         for v in mask_values],
-                            class_logits=[Tensor(v.copy(), requires_grad=True)
-                                          for v in class_values],
-                            n_match=n_match)
-    return outputs, mp_part
+
+def logit_nodes(outputs) -> LayerOutputs:
+    """The outputs with each layer's mask logits an oracle product node of
+    its embeddings and the grid."""
+    n, h, w = outputs.mask_logits[0].values.shape
+    return LayerOutputs([reshape(matmul(e, Tensor(outputs.grid.T)), n, h, w)
+                         for e in outputs.mask_embeds], outputs.class_logits, outputs.n_match)
 
 
 @LOSS_MODES
@@ -430,10 +454,11 @@ def test_layer_losses_match_composition_of_primitives(mode, with_mp):
     runs = []
     for f in (layer_losses, composed_layer_losses):
         out = make_outputs()
-        total, assigns = f(out, scene, mp_part, mode, LossWeights())
+        total, assigns = f(out if f is layer_losses else logit_nodes(out), scene, mp_part, mode,
+                           LossWeights())
         total.backward()
         runs.append((float(total.values), np.stack(assigns),
-                     [t.grad for t in out.mask_logits + out.class_logits]))
+                     [t.grad for t in out.mask_embeds + out.class_logits]))
     (loss, assigns, grads), (ref_loss, ref_assigns, ref_grads) = runs
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
     assert np.array_equal(assigns, ref_assigns)
@@ -441,22 +466,15 @@ def test_layer_losses_match_composition_of_primitives(mode, with_mp):
 
 
 @LOSS_MODES
-def test_layer_losses_total_is_one_node_over_every_term(monkeypatch, mode, with_mp):
-    made = []
-
-    def recording(*args, real=losses.fused_loss):
-        made.append(real(*args))
-        return made[-1]
-
-    monkeypatch.setattr(losses, "fused_loss", recording)
+def test_layer_losses_total_is_one_node_over_every_term(mode, with_mp):
+    """The loss of every layer is one node over the layers' class logits
+    and mask embeddings; the mask logits are constants."""
     make_outputs, mp_part = random_layer_outputs(with_mp)
     outputs = make_outputs()
     total, _ = layer_losses(outputs, two_instance_scene(), mp_part, mode, LossWeights())
-    assert len(made) == len(outputs.mask_logits) and total._parents == tuple(made)
-    fold = 0.0
-    for term in made:
-        fold = fold + term.values
-    assert total.values.tobytes() == np.float64(fold).tobytes()
+    assert total._parents == tuple(outputs.class_logits + outputs.mask_embeds)
+    assert not any(t._parents for t in total._parents)
+    assert not any(ml.requires_grad for ml in outputs.mask_logits)
 
 
 def test_cost_matrix_with_given_probabilities_is_bitwise_equal():
@@ -470,8 +488,8 @@ def test_cost_matrix_with_given_probabilities_is_bitwise_equal():
     assert cost(ml, cl, scene, w).tobytes() == dense_cost(ml, cl, scene, w).tobytes()
     parts = [slice(0, 2), slice(2, None)]
     _, _, stats = mask_stats(ml, gt_pixels(scene), parts)
-    for st, rows in zip(stats, parts):
-        given = cost_matrix(st, cl[rows], scene.categories, w)
+    for rows in parts:
+        given = cost_matrix(stats.rows(rows), cl[rows], scene.categories, w)
         assert given.tobytes() == dense_cost(ml[rows], cl[rows], scene, w).tobytes()
 
 
@@ -509,31 +527,33 @@ def oracle_layer_loss(ml, cl, gt, categories, indices, w, consistency=None):
     ([[-1, 1, 0], [1, 1, 0, 0]], True)],
     ids=["matching", "matching+mp", "no-hit-part", "consistency", "mp+consistency"])
 def test_layer_loss_node_matches_the_oracle_pair(indices, consistency):
-    """One fused_loss node per layer against the oracle's class-loss and
-    mask-loss nodes per term: values within 1e-14 relative, and each
-    gradient within 1e-13 of its largest entry."""
+    """The loss node at one layer against the oracle's class-loss and
+    mask-loss nodes per term over the oracle's mask-logit node of the
+    embeddings: values within 1e-14 relative, each gradient within 1e-13
+    of its largest entry, and no embedding gradient on a row that no mask
+    term reads."""
     rng = np.random.default_rng(24)
     indices = [np.array(index) for index in indices]
     n = sum(index.size for index in indices)
-    values = [rng.uniform(-4, 4, size=(n, 4, 4)), rng.uniform(-3, 3, size=(n, 4))]
+    values = [rng.uniform(-2, 2, size=(n, 3)), rng.uniform(-3, 3, size=(n, 4))]
+    grid = rng.uniform(-1, 1, size=(16, 3))
     scene = two_instance_scene()
     gt = gt_pixels(scene)
     target = (rng.uniform(size=(3, 16)) < 0.4).astype(np.float64) if consistency else None
-    parts, start = [], 0
-    for index in indices:
-        parts.append(slice(start, start + index.size))
-        start += index.size
     runs = []
     for fused in (True, False):
-        ml, cl = (Tensor(v.copy(), requires_grad=True) for v in values)
+        out = embedded_outputs(values[:1], values[1:], indices[0].size, grid, 4, 4)
+        e, cl = out.mask_embeds[0], out.class_logits[0]
         if fused:
-            out = layer_loss(ml, cl, mask_stats(ml.values, gt, parts), gt, scene.categories,
-                             indices, LossWeights(), target)
-            assert out._parents == (ml, cl)
+            total = scored(out, gt, scene.categories, [np.concatenate(indices)], [target],
+                           LossWeights())
+            assert total._parents == (cl, e)
         else:
-            out = oracle_layer_loss(ml, cl, gt, scene.categories, indices, LossWeights(), target)
-        out.backward(1.3)
-        runs.append((float(out.values), ml.grad, cl.grad))
+            ml = oracle.mask_head(e, [slice(None)], grid.reshape(4, 4, 3))
+            total = oracle_layer_loss(ml, cl, gt, scene.categories, indices, LossWeights(),
+                                      target)
+        total.backward(1.3)
+        runs.append((float(total.values), e.grad, cl.grad))
     (value, *grads), (ref_value, *ref_grads) = runs
     assert abs(value - ref_value) <= 1e-14 * abs(ref_value)
     for g, r in zip(grads, ref_grads):
@@ -576,3 +596,45 @@ def test_layer_losses_vectors_are_the_matching_vectors(mode, with_mp):
     assert vectors.dtype == np.intp
     assert vectors.shape == (len(outputs.mask_logits), outputs.n_match)
     assert np.array_equal(vectors, expected)
+
+
+@pytest.mark.parametrize("mode,with_mp", [("per-layer-bipartite", False),
+                                          ("per-layer-bipartite", True),
+                                          ("consistency-aux", False),
+                                          ("fixed-last-layer", False)],
+                         ids=["plain", "mp", "consistency-aux", "fixed-last-layer"])
+def test_the_one_loss_node_matches_the_per_layer_oracle(mode, with_mp):
+    """layer_losses, one node over every layer, against the oracle's
+    mask-logit node per layer, a fused_loss node per layer and their
+    sum_scalars, on a 3-layer forward's predictions: the loss within
+    1e-15 relative, the vectors equal, and each embedding and class
+    gradient within 1e-13 of its array's largest entry."""
+    outputs, scene, part = small_forward(with_mp)
+    n, h, w = outputs.mask_logits[0].values.shape
+    assert len(outputs.mask_logits) == 4 and outputs.grid is not None
+    spans = [slice(0, outputs.n_match)] + ([slice(outputs.n_match, n)] if with_mp else [])
+    runs = []
+    for one_node in (True, False):
+        out = LayerOutputs(outputs.mask_logits,
+                           [Tensor(c.values, requires_grad=True) for c in outputs.class_logits],
+                           outputs.n_match,
+                           [Tensor(e.values, requires_grad=True) for e in outputs.mask_embeds],
+                           outputs.grid)
+        if one_node:
+            total, vectors = layer_losses(out, scene, part, mode, LossWeights())
+        else:
+            logits = [oracle.mask_head(e, spans, outputs.grid.reshape(h, w, -1))
+                      for e in out.mask_embeds]
+            assert all(a.values.tobytes() == b.values.tobytes()
+                       for a, b in zip(logits, outputs.mask_logits))
+            total, vectors = oracle.layer_losses(
+                LayerOutputs(logits, out.class_logits, out.n_match), scene, part, mode,
+                LossWeights())
+        total.backward()
+        runs.append((float(total.values), vectors,
+                     [t.grad for t in out.mask_embeds + out.class_logits]))
+    (loss, vectors, grads), (ref_loss, ref_vectors, ref_grads) = runs
+    assert abs(loss - ref_loss) <= 1e-15 * abs(ref_loss)
+    assert np.array_equal(vectors, ref_vectors)
+    for g, r in zip(grads, ref_grads):
+        assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()

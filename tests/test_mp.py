@@ -9,7 +9,7 @@ from mpseg.masks import (MP_KEY, _centroid, _dilated_bbox, scale_noise, seeded_r
                          to_attention_blocks)
 from mpseg.mp import MPConfig, build_mp_part, dynamic_groups
 from mpseg.synth import Scene, SynthConfig, generate_scene, synth_features
-from mpseg.tensor import concat_rows, fused_heads
+from mpseg.tensor import concat_rows
 from mpseg.trainer import layer_scale_table, mp_forward_spec
 from oracle import mp_part_draws
 
@@ -40,11 +40,11 @@ def layer0_mp_queries(monkeypatch, part, cfg, scene, params):
     forward carrying part."""
     seen = []
 
-    def recording(x, spans, *args):
+    def recording(params, x, spans, embed, real=decoder.heads):
         seen.append((x, spans))
-        return fused_heads(x, spans, *args)
+        return real(params, x, spans, embed)
 
-    monkeypatch.setattr(decoder, "fused_heads", recording)
+    monkeypatch.setattr(decoder, "heads", recording)
     full_forward(ForwardSpec(synth_features(scene, cfg), part), params)
     x, spans = seen[0]
     return x.take_rows(np.arange(x.values.shape[0])[spans[1]])

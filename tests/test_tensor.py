@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from mpseg.decoder import heads, init_params
 from mpseg.gradcheck import check_gradient
-from mpseg.tensor import (NEG_BIG, Tensor, add_norm_affine, concat_rows, fused_attention,
-                          fused_heads, mlp2, sigmoid_softplus, sum_scalars)
+from mpseg.tensor import (NEG_BIG, Tensor, add_norm_affine, concat_rows, fused_attention, linear,
+                          mlp2, sigmoid_softplus)
 from oracle import (add, bce_with_logits, dense_attention, div, gather_cols, layernorm_lastdim,
                     log, log1p_exp_neg_abs, logsumexp_lastdim, masked_fill, matmul, mean_all,
                     mul, relu, reshape, sigmoid, sigmoid_where, softmax_lastdim, sub, sum_all,
-                    sum_lastdim, transpose)
+                    sum_lastdim, sum_scalars, transpose)
 
 
 def test_matmul_identity():
@@ -432,7 +433,8 @@ def test_fused_ops_record_one_node_and_none_without_grad():
     w = Tensor(rng.uniform(size=(4, 4)))
     b = Tensor(np.zeros(4))
     for out in (fused_attention(x, x, one_part(None), w, w, w, w, 0.5),
-                add_norm_affine(x, x, b, b), mlp2(x, [slice(None)], w, b, w, b)):
+                add_norm_affine(x, x, b, b), mlp2(x, [slice(None)], w, b, w, b),
+                linear(x, [slice(None)], w, b)):
         assert out._parents and all(not p._parents for p in out._parents)
     frozen = Tensor(x.values)
     out = mlp2(frozen, [slice(None)], w, b, w, b)
@@ -544,12 +546,15 @@ def test_each_part_of_the_heads_is_bitwise_a_call_on_it_alone():
     rng = np.random.default_rng(28)
     x = rng.uniform(-1, 1, size=(9, 8))
     embed = rng.uniform(-1, 1, size=(4, 6, 8))
-    w = [Tensor(rng.uniform(-1, 1, size=s)) for s in ((8, 8), (8,), (8, 8), (8,), (8, 3), (3,))]
-    masks, classes = fused_heads(Tensor(x), PARTS, embed, *w)
+    params = init_params(seed=29, n_queries=1, n_layers=1, dim=8, num_categories=2)
+    for name in ("mask_w1", "mask_b1", "mask_w2", "mask_b2", "cls_w", "cls_b"):
+        t = getattr(params, name)
+        t.values = rng.uniform(-1, 1, size=t.values.shape)
+    together = heads(params, Tensor(x), PARTS, embed)
     for rows in PARTS:
-        alone = fused_heads(Tensor(x[rows]), [slice(None)], embed, *w)
-        assert np.array_equal(masks.values[rows], alone[0].values)
-        assert np.array_equal(classes.values[rows], alone[1].values)
+        alone = heads(params, Tensor(x[rows]), [slice(None)], embed)
+        for a, b in zip(together, alone, strict=True):
+            assert np.array_equal(a.values[rows], b.values)
 
 
 @pytest.mark.parametrize("spans", [[slice(0, 4), slice(5, 9)], [slice(0, 4)],

@@ -307,14 +307,14 @@ def node_kinds(loss) -> Counter:
 
 def test_tape_nodes_per_step_at_the_default_model_size():
     mp_loss, plain_loss = step_losses()
-    # the decoder's 76 and 74 nodes, then one fused_loss node per layer
-    # (10) and one sum_scalars node over them. The decoder records 2 head
-    # nodes for layer 0 and for each of the 9 layers, and per layer a
-    # cross-attention, a self-attention, an mlp2 and their 3
+    # the decoder's 76 and 74 nodes, then one loss node over every layer.
+    # The decoder records 2 head nodes (the mask embeddings' mlp2 and the
+    # class logits' linear) for layer 0 and for each of the 9 layers, and
+    # per layer a cross-attention, a self-attention, an mlp2 and their 3
     # add_norm_affine nodes, each over all query parts: 20 + 54 = 74.
     # With MP the queries add a take_rows and a concat_rows node once:
     # 74 + 2 = 76
-    assert (len(recorded_nodes(mp_loss)), len(recorded_nodes(plain_loss))) == (87, 85)
+    assert (len(recorded_nodes(mp_loss)), len(recorded_nodes(plain_loss))) == (77, 75)
 
 
 def test_the_mp_part_adds_no_per_layer_node():
@@ -343,6 +343,24 @@ def params_after_an_mp_and_a_plain_step() -> list:
         loss.backward()
         opt.step()
     return [p.values.tobytes() for _, p in pairs]
+
+
+def test_no_gradient_a_training_step_stores_has_a_pixel_axis(monkeypatch):
+    """Every array that _accumulate stores during a default MP step and a
+    plain step is free of the scene's 32x32 pixels, a (rows, 32, 32) or
+    (rows, 1024) array: the loss is differentiated at the mask
+    embeddings. (The (32, 32) arrays are weights of the model's width.)"""
+    shapes = []
+    real = Tensor._accumulate
+
+    def recording(self, g):
+        shapes.append(np.shape(g))
+        real(self, g)
+
+    monkeypatch.setattr(Tensor, "_accumulate", recording)
+    params_after_an_mp_and_a_plain_step()
+    assert len(shapes) > 2 * 75
+    assert not [s for s in shapes if 32 * 32 in s or len(s) > 2]
 
 
 def test_training_steps_never_write_into_a_stored_gradient(monkeypatch):
