@@ -238,8 +238,8 @@ def loss_over_layers(outputs: LayerOutputs, probs, means, stats: MaskStats, gt: 
     statistics come from row-wise dot products. The value is the sum of
     every term.
 
-    The node's inputs are the class logits and, when outputs.grid is
-    held, the mask embeddings. The backward forms, layer by layer, the
+    The node's inputs are the class logits and, when they track
+    gradients, the mask embeddings, which then need outputs.grid. The backward forms, layer by layer, the
     gradient at the mask logits of only the rows that a mask term reads,
     and multiplies it by the grid into their embeddings' gradient, so
     rows of no mask term take no pixel work.
@@ -290,7 +290,10 @@ def loss_over_layers(outputs: LayerOutputs, probs, means, stats: MaskStats, gt: 
     mask_terms = w.bce * means_of(bce) + w.dice * means_of(1.0 - num / den)
     total = class_terms.sum() + mask_terms.sum()
 
-    track = outputs.grid is not None
+    track = any(e.requires_grad for e in outputs.mask_embeds)
+    if track and outputs.grid is None:
+        raise ValueError("tracked mask embeddings need the embedding grid their gradient "
+                         "goes through")
     inputs = list(outputs.class_logits) + (list(outputs.mask_embeds) if track else [])
     out = _make(total, inputs)
     if out.requires_grad:

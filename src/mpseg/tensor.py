@@ -262,7 +262,7 @@ def fused_attention(x: Tensor, src: Tensor, parts, wq: Tensor, wk: Tensor, wv: T
     Every forward product is the part's own, so a part's output rows are
     bitwise those of a call on that part alone. The backward's products
     run once over all parts' rows; src gets a gradient only when it is
-    tracked, handed over as it is when one part read every row of src.
+    tracked.
     """
     n = x.values.shape[0]
     q = np.empty((n, wq.values.shape[1]))
@@ -322,11 +322,6 @@ def fused_attention(x: Tensor, src: Tensor, parts, wq: Tensor, wk: Tensor, wv: T
                 wv._accumulate(s_all.T @ g_v)
             if src.requires_grad:
                 g_s = g_k @ wk.values.T + g_v @ wv.values.T
-                n_src = src.values.shape[0]
-                if (len(saved) == 1 and g_s.shape[0] == n_src
-                        and saved[0][1].indices(n_src)[2] == 1):
-                    src._accumulate(g_s)  # the one part read every row of src, in order
-                    return
                 acc = np.zeros_like(src.values)
                 at = 0
                 for _, keys, cols, _, s, *_ in saved:

@@ -521,22 +521,25 @@ def oracle_layer_loss(ml, cl, gt, categories, indices, w, consistency=None):
     return sum_scalars(terms)
 
 
-@pytest.mark.parametrize("indices,consistency", [
-    ([[1, -1, 0]], False), ([[1, -1, 0], [0, 1, 1, 0]], False),
-    ([[-1, -1, -1], [1, 0, 0, 1]], False), ([[0, -1, 1]], True),
-    ([[-1, 1, 0], [1, 1, 0, 0]], True)],
-    ids=["matching", "matching+mp", "no-hit-part", "consistency", "mp+consistency"])
-def test_layer_loss_node_matches_the_oracle_pair(indices, consistency):
+@pytest.mark.parametrize("indices,consistency,identity_grid", [
+    ([[1, -1, 0]], False, False), ([[1, -1, 0], [0, 1, 1, 0]], False, False),
+    ([[-1, -1, -1], [1, 0, 0, 1]], False, False), ([[0, -1, 1]], True, False),
+    ([[-1, 1, 0], [1, 1, 0, 0]], True, False), ([[-1, 1, 0], [1, 1, 0, 0]], True, True)],
+    ids=["matching", "matching+mp", "no-hit-part", "consistency", "mp+consistency",
+         "mp+consistency+identity-grid"])
+def test_layer_loss_node_matches_the_oracle_pair(indices, consistency, identity_grid):
     """The loss node at one layer against the oracle's class-loss and
     mask-loss nodes per term over the oracle's mask-logit node of the
     embeddings: values within 1e-14 relative, each gradient within 1e-13
     of its largest entry, and no embedding gradient on a row that no mask
-    term reads."""
+    term reads. With an identity grid the embeddings are the mask logits,
+    so the embedding gradient compared is the whole per-pixel gradient."""
     rng = np.random.default_rng(24)
     indices = [np.array(index) for index in indices]
     n = sum(index.size for index in indices)
-    values = [rng.uniform(-2, 2, size=(n, 3)), rng.uniform(-3, 3, size=(n, 4))]
-    grid = rng.uniform(-1, 1, size=(16, 3))
+    d = 16 if identity_grid else 3
+    values = [rng.uniform(-2, 2, size=(n, d)), rng.uniform(-3, 3, size=(n, 4))]
+    grid = np.eye(16) if identity_grid else rng.uniform(-1, 1, size=(16, 3))
     scene = two_instance_scene()
     gt = gt_pixels(scene)
     target = (rng.uniform(size=(3, 16)) < 0.4).astype(np.float64) if consistency else None
@@ -549,7 +552,7 @@ def test_layer_loss_node_matches_the_oracle_pair(indices, consistency):
                            LossWeights())
             assert total._parents == (cl, e)
         else:
-            ml = oracle.mask_head(e, [slice(None)], grid.reshape(4, 4, 3))
+            ml = oracle.mask_head(e, [slice(None)], grid.reshape(4, 4, d))
             total = oracle_layer_loss(ml, cl, gt, scene.categories, indices, LossWeights(),
                                       target)
         total.backward(1.3)
@@ -562,6 +565,17 @@ def test_layer_loss_node_matches_the_oracle_pair(indices, consistency):
     if target is not None:
         unread[:3] = False
     assert not grads[0][unread].any()
+
+
+def test_tracked_embeddings_without_a_grid_raise():
+    """A LayerOutputs whose embeddings track gradients but hold no grid
+    cannot pass the mask gradient on, so the loss raises rather than
+    count the mask terms without it."""
+    make_outputs, _ = random_layer_outputs(False)
+    outputs = make_outputs()
+    outputs.grid = None
+    with pytest.raises(ValueError, match="grid"):
+        layer_losses(outputs, two_instance_scene(), None, "per-layer-bipartite", LossWeights())
 
 
 def small_forward(with_mp: bool):
