@@ -128,7 +128,8 @@ def parse_run_config(raw: dict) -> RunConfig:
 
 def apply_variant(cfg: RunConfig) -> RunConfig:
     """Returns cfg unchanged: parse_run_config already resolves the
-    variant. Kept only for callers written against the old two-step API."""
+    variant. It serves only bench/workloads.py and bench/make_checkpoint.py,
+    which still call it, and goes with the next change to the benchmark."""
     return cfg
 
 

@@ -279,7 +279,9 @@ def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
 
 def plain_spec(pyramid, params: DecoderParams) -> ForwardSpec:
     """Matching part only, no MP part: ForwardSpec(pyramid). params is
-    unused; the benchmark's workloads call plain_spec(pyramid, params)."""
+    unused. It serves only bench/workloads.py, which calls
+    plain_spec(pyramid, params), and goes with the next change to the
+    benchmark; everything else builds ForwardSpec(pyramid)."""
     return ForwardSpec(pyramid)
 
 

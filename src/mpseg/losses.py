@@ -238,11 +238,13 @@ def loss_over_layers(outputs: LayerOutputs, probs, means, stats: MaskStats, gt: 
     statistics come from row-wise dot products. The value is the sum of
     every term.
 
-    The node's inputs are the class logits and, when they track
-    gradients, the mask embeddings, which then need outputs.grid. The backward forms, layer by layer, the
-    gradient at the mask logits of only the rows that a mask term reads,
-    and multiplies it by the grid into their embeddings' gradient, so
-    rows of no mask term take no pixel work.
+    The node's inputs are the class logits and the mask embeddings. When
+    the embeddings track gradients (the track rule) they need
+    outputs.grid, and the backward forms, layer by layer, the gradient at the
+    mask logits of only the rows that a mask term reads, and multiplies
+    it by the grid into their embeddings' gradient, so rows of no mask
+    term take no pixel work. It hands every class logit its gradient;
+    _accumulate keeps those of the tracked ones.
     """
     num_layers, n = index.shape
     n_match = outputs.n_match
@@ -294,44 +296,38 @@ def loss_over_layers(outputs: LayerOutputs, probs, means, stats: MaskStats, gt: 
     if track and outputs.grid is None:
         raise ValueError("tracked mask embeddings need the embedding grid their gradient "
                          "goes through")
-    inputs = list(outputs.class_logits) + (list(outputs.mask_embeds) if track else [])
-    out = _make(total, inputs)
-    if out.requires_grad:
-        def bw(g):
-            g = float(g)
-            if any(cl.requires_grad for cl in outputs.class_logits):
-                coef = (g * w.cls) / wsum[seg] * row_w
-                g_c = coef[..., None] * (e / s)
-                g_c[np.arange(num_layers)[:, None], np.arange(n), targets] -= coef
-                for cl, gc in zip(outputs.class_logits, g_c):
-                    if cl.requires_grad:
-                        cl._accumulate(gc)
-            if not track:
-                return
-            per = count[mseg]
-            a = g * w.bce / (per * npix)
-            g_num = -(g * w.dice) / per / den
-            b, c = 2.0 * g_num, g_num * num / den
-            g_e = np.zeros((num_layers, n, outputs.grid.shape[1]))
-            starts = np.searchsorted(layer, np.arange(num_layers + 1))
-            for i, rows in enumerate(zip(starts[:-1], starts[1:])):
-                rows = slice(*rows)
-                # indexing by arrays copies the rows
-                g_v = _pixel_gradient(probs[i][row[rows]], gt[gi[rows]], a[rows], b[rows],
-                                      c[rows])
-                g_e[i, row[rows]] = g_v @ outputs.grid
-            at = gi.size
-            for i, t in cons:
-                k = t.shape[0]
-                rows = slice(at, at + k)
-                g_v = _pixel_gradient(probs[i][:k].copy(), t.copy(), a[rows], b[rows], c[rows])
-                g_e[i, :k] += g_v @ outputs.grid
-                at += k
-            for emb, ge in zip(outputs.mask_embeds, g_e):
-                if emb.requires_grad:
-                    emb._accumulate(ge)
-        out._backward = bw
-    return out
+
+    def bw(g):
+        g = float(g)
+        coef = (g * w.cls) / wsum[seg] * row_w
+        g_c = coef[..., None] * (e / s)
+        g_c[np.arange(num_layers)[:, None], np.arange(n), targets] -= coef
+        for cl, gc in zip(outputs.class_logits, g_c):
+            cl._accumulate(gc)
+        if not track:
+            return
+        per = count[mseg]
+        a = g * w.bce / (per * npix)
+        g_num = -(g * w.dice) / per / den
+        b, c = 2.0 * g_num, g_num * num / den
+        g_e = np.zeros((num_layers, n, outputs.grid.shape[1]))
+        starts = np.searchsorted(layer, np.arange(num_layers + 1))
+        for i, rows in enumerate(zip(starts[:-1], starts[1:])):
+            rows = slice(*rows)
+            # indexing by arrays copies the rows
+            g_v = _pixel_gradient(probs[i][row[rows]], gt[gi[rows]], a[rows], b[rows],
+                                  c[rows])
+            g_e[i, row[rows]] = g_v @ outputs.grid
+        at = gi.size
+        for i, t in cons:
+            k = t.shape[0]
+            rows = slice(at, at + k)
+            g_v = _pixel_gradient(probs[i][:k].copy(), t.copy(), a[rows], b[rows], c[rows])
+            g_e[i, :k] += g_v @ outputs.grid
+            at += k
+        for emb, ge in zip(outputs.mask_embeds, g_e):
+            emb._accumulate(ge)
+    return _make(total, outputs.class_logits + outputs.mask_embeds, bw)
 
 
 def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: LossWeights):

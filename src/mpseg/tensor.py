@@ -8,6 +8,15 @@ that has requires_grad set. Values are never mutated by forward ops; the
 only sanctioned in-place write is an optimizer updating parameter .values
 between training steps.
 
+_make and _accumulate alone decide which Tensor records and keeps a
+gradient: _make records an op's parents and backward only when some
+parent tracks gradients, and _accumulate drops a gradient handed to a
+Tensor that tracks none. So each op computes its forward, defines bw(g),
+which hands every input its gradient, and returns _make(values, parents,
+bw). Only fused_attention's source and the loss node's mask embeddings
+(losses.loss_over_layers) read requires_grad, where a dropped gradient
+would cost real work.
+
 The ops here are only the ones the model's decoder records: take_rows,
 concat_rows and the fused ops. Tensor has no matmul, elementwise
 operator or reduction; the tests' compositions take theirs from
@@ -93,14 +102,17 @@ class Tensor:
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, g):
-        """Add g to .grad: the first g is stored as it is, a later one
-        makes a new sum, and no stored gradient is written into."""
-        self.grad = g if self.grad is None else self.grad + g
+        """Add g to .grad if this Tensor tracks gradients, and drop it if
+        it does not. The first g is stored as it is, a later one makes a
+        new sum, and no stored gradient is written into."""
+        if self.requires_grad:
+            self.grad = g if self.grad is None else self.grad + g
 
     def backward(self, grad=None):
         """Populate .grad on every requires_grad ancestor of this Tensor,
         seeded with `grad`, an array of its shape. With no seed, the
-        Tensor must be a scalar and the seed is 1."""
+        Tensor must be a scalar and the seed is 1. On a Tensor that
+        tracks no gradient it does nothing."""
         if grad is None:
             if self.values.ndim != 0 and self.values.size != 1:
                 raise ValueError(f"backward() needs a scalar loss or a seed, got shape "
@@ -136,21 +148,23 @@ class Tensor:
 
     def take_rows(self, idx) -> "Tensor":
         idx = np.asarray(idx, dtype=np.intp)
-        out = _make(self.values[idx], (self,))
-        if out.requires_grad:
-            def bw(g):
-                acc = np.zeros_like(self.values)
-                np.add.at(acc, idx, g)
-                self._accumulate(acc)
-            out._backward = bw
-        return out
+
+        def bw(g):
+            acc = np.zeros_like(self.values)
+            np.add.at(acc, idx, g)
+            self._accumulate(acc)
+        return _make(self.values[idx], (self,), bw)
 
 
-def _make(values, parents) -> Tensor:
+def _make(values, parents, backward) -> Tensor:
+    """An op's result: a Tensor of `values` that tracks gradients and
+    records the op's parents and backward when some parent tracks them,
+    and a constant otherwise."""
     out = Tensor(values)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
+        out._backward = backward
     return out
 
 
@@ -196,17 +210,12 @@ def sigmoid_softplus(x):
 def concat_rows(tensors) -> Tensor:
     """Concatenate 2-D tensors along axis 0."""
     tensors = list(tensors)
-    vals = np.concatenate([t.values for t in tensors], axis=0)
-    out = _make(vals, tuple(tensors))
-    if out.requires_grad:
-        sizes = [t.values.shape[0] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-        def bw(g):
-            for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    t._accumulate(g[a:b])
-        out._backward = bw
-    return out
+    offsets = np.cumsum([0] + [t.values.shape[0] for t in tensors])
+
+    def bw(g):
+        for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
+            t._accumulate(g[a:b])
+    return _make(np.concatenate([t.values for t in tensors], axis=0), tensors, bw)
 
 
 # ----------------------------------------------------------------------
@@ -261,8 +270,12 @@ def fused_attention(x: Tensor, src: Tensor, parts, wq: Tensor, wk: Tensor, wv: T
 
     Every forward product is the part's own, so a part's output rows are
     bitwise those of a call on that part alone. The backward's products
-    run once over all parts' rows; src gets a gradient only when it is
-    tracked.
+    run once over all parts' rows.
+
+    src's gradient is formed only when src tracks one. A
+    cross-attention's src is a constant pyramid level in every step (a
+    self-attention's is the tracked x), and forming its gradient would
+    zero a (pixels, d) array for _accumulate to drop.
     """
     n = x.values.shape[0]
     q = np.empty((n, wq.values.shape[1]))
@@ -293,43 +306,36 @@ def fused_attention(x: Tensor, src: Tensor, parts, wq: Tensor, wk: Tensor, wv: T
         p /= p.sum(axis=-1, keepdims=True)
         np.matmul(np.matmul(p, v, out=ctx[rows]), wo.values, out=out_v[rows])
         saved.append((rows, keys, cols, block, s, k, v, p))
-    out = _make(out_v, (x, src, wq, wk, wv, wo))
-    if out.requires_grad:
-        def bw(g):
-            if wo.requires_grad:
-                wo._accumulate(ctx.T @ g)
-            g_ctx = g @ wo.values.T
-            g_q = np.empty_like(q)
-            g_k, g_v = [], []
-            for rows, _, _, block, _, k, v, p in saved:
-                g_v.append(p.T @ g_ctx[rows])
-                g_logits = g_ctx[rows] @ v.T  # g_p, then p * (g_p - sum(g_p * p))
-                g_logits -= (g_logits * p).sum(axis=-1, keepdims=True)
-                g_logits *= p
-                if block is not None:
-                    np.putmask(g_logits, block, 0.0)
-                g_logits *= scale
-                g_k.append((q[rows].T @ g_logits).T)
-                np.matmul(g_logits, k, out=g_q[rows])
-            if wq.requires_grad:
-                wq._accumulate(x.values.T @ g_q)
-            if x.requires_grad:
-                x._accumulate(g_q @ wq.values.T)
-            s_all, g_k, g_v = _stack([part[4] for part in saved]), _stack(g_k), _stack(g_v)
-            if wk.requires_grad:
-                wk._accumulate(s_all.T @ g_k)
-            if wv.requires_grad:
-                wv._accumulate(s_all.T @ g_v)
-            if src.requires_grad:
-                g_s = g_k @ wk.values.T + g_v @ wv.values.T
-                acc = np.zeros_like(src.values)
-                at = 0
-                for _, keys, cols, _, s, *_ in saved:
-                    acc[keys][cols] += g_s[at:at + s.shape[0]]
-                    at += s.shape[0]
-                src._accumulate(acc)
-        out._backward = bw
-    return out
+
+    def bw(g):
+        wo._accumulate(ctx.T @ g)
+        g_ctx = g @ wo.values.T
+        g_q = np.empty_like(q)
+        g_k, g_v = [], []
+        for rows, _, _, block, _, k, v, p in saved:
+            g_v.append(p.T @ g_ctx[rows])
+            g_logits = g_ctx[rows] @ v.T  # g_p, then p * (g_p - sum(g_p * p))
+            g_logits -= (g_logits * p).sum(axis=-1, keepdims=True)
+            g_logits *= p
+            if block is not None:
+                np.putmask(g_logits, block, 0.0)
+            g_logits *= scale
+            g_k.append((q[rows].T @ g_logits).T)
+            np.matmul(g_logits, k, out=g_q[rows])
+        wq._accumulate(x.values.T @ g_q)
+        x._accumulate(g_q @ wq.values.T)
+        s_all, g_k, g_v = _stack([part[4] for part in saved]), _stack(g_k), _stack(g_v)
+        wk._accumulate(s_all.T @ g_k)
+        wv._accumulate(s_all.T @ g_v)
+        if src.requires_grad:
+            g_s = g_k @ wk.values.T + g_v @ wv.values.T
+            acc = np.zeros_like(src.values)
+            at = 0
+            for _, keys, cols, _, s, *_ in saved:
+                acc[keys][cols] += g_s[at:at + s.shape[0]]
+                at += s.shape[0]
+            src._accumulate(acc)
+    return _make(out_v, (x, src, wq, wk, wv, wo), bw)
 
 
 def add_norm_affine(x: Tensor, update: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -339,37 +345,15 @@ def add_norm_affine(x: Tensor, update: Tensor, gain: Tensor, bias: Tensor) -> Te
     zc = z - _mean_lastdim(z)
     inv = 1.0 / np.sqrt(_mean_lastdim(zc * zc) + LN_EPS)
     y = zc * inv
-    out = _make(y * gain.values + bias.values, (x, update, gain, bias))
-    if out.requires_grad:
-        def bw(g):
-            if bias.requires_grad:
-                bias._accumulate(_unbroadcast(g, bias.values.shape))
-            if gain.requires_grad:
-                gain._accumulate(_unbroadcast(g * y, gain.values.shape))
-            if x.requires_grad or update.requires_grad:
-                g_y = g * gain.values
-                g_z = inv * (g_y - _mean_lastdim(g_y) - y * _mean_lastdim(g_y * y))
-                if x.requires_grad:
-                    x._accumulate(g_z)
-                if update.requires_grad:
-                    update._accumulate(g_z)
-        out._backward = bw
-    return out
 
-
-def _mlp2_backward(g, x: Tensor, h, r, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
-    """Accumulate mlp2's gradients for g, given h = x@w1 + b1 and r = relu(h)."""
-    if b2.requires_grad:
-        b2._accumulate(_unbroadcast(g, b2.values.shape))
-    if w2.requires_grad:
-        w2._accumulate(r.T @ g)
-    g_h = (g @ w2.values.T) * (h > 0.0)
-    if b1.requires_grad:
-        b1._accumulate(_unbroadcast(g_h, b1.values.shape))
-    if w1.requires_grad:
-        w1._accumulate(x.values.T @ g_h)
-    if x.requires_grad:
-        x._accumulate(g_h @ w1.values.T)
+    def bw(g):
+        bias._accumulate(_unbroadcast(g, bias.values.shape))
+        gain._accumulate(_unbroadcast(g * y, gain.values.shape))
+        g_y = g * gain.values
+        g_z = inv * (g_y - _mean_lastdim(g_y) - y * _mean_lastdim(g_y * y))
+        x._accumulate(g_z)
+        update._accumulate(g_z)
+    return _make(y * gain.values + bias.values, (x, update, gain, bias), bw)
 
 
 def mlp2(x: Tensor, spans, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -383,10 +367,15 @@ def mlp2(x: Tensor, spans, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
     r = np.maximum(h, 0.0)
     y = part_products(r, spans, w2.values)
     y += b2.values
-    out = _make(y, (x, w1, b1, w2, b2))
-    if out.requires_grad:
-        out._backward = lambda g: _mlp2_backward(g, x, h, r, w1, b1, w2, b2)
-    return out
+
+    def bw(g):
+        b2._accumulate(_unbroadcast(g, b2.values.shape))
+        w2._accumulate(r.T @ g)
+        g_h = (g @ w2.values.T) * (h > 0.0)
+        b1._accumulate(_unbroadcast(g_h, b1.values.shape))
+        w1._accumulate(x.values.T @ g_h)
+        x._accumulate(g_h @ w1.values.T)
+    return _make(y, (x, w1, b1, w2, b2), bw)
 
 
 def linear(x: Tensor, spans, w: Tensor, b: Tensor) -> Tensor:
@@ -396,14 +385,9 @@ def linear(x: Tensor, spans, w: Tensor, b: Tensor) -> Tensor:
     product run once over all rows."""
     y = part_products(x.values, _tiling(spans, x.values.shape[0]), w.values)
     y += b.values
-    out = _make(y, (x, w, b))
-    if out.requires_grad:
-        def bw(g):
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.values.shape))
-            if x.requires_grad:
-                x._accumulate(g @ w.values.T)
-            if w.requires_grad:
-                w._accumulate(x.values.T @ g)
-        out._backward = bw
-    return out
+
+    def bw(g):
+        b._accumulate(_unbroadcast(g, b.values.shape))
+        x._accumulate(g @ w.values.T)
+        w._accumulate(x.values.T @ g)
+    return _make(y, (x, w, b), bw)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .config import RunConfig
 from .decoder import (DecoderParams, ForwardSpec, full_forward, init_params,
-                      layer_scale, named_parameters, plain_spec)
+                      layer_scale, named_parameters)
 from .losses import NonFiniteError, layer_losses
 from .metrics import (MetricsReport, compute_matching_vectors, config_hash,
                       extract_predictions, ap_lite, miou_layerwise, util_layerwise)
@@ -111,7 +111,11 @@ class AdamW:
 def layer_scale_table(height: int, width: int, num_layers: int) -> dict:
     """Layer index (1-based) -> the (h, w) extents of the pyramid scale
     that full_forward attends to at that layer: synth_features' scales,
-    coarse to fine, are the image at 1/4, 1/2 and full size."""
+    coarse to fine, are the image at 1/4, 1/2 and full size.
+
+    It serves only bench/workloads.py, which passes its keys as the MP
+    layers, and goes with the next change to the benchmark; everything
+    else passes range(1, num_layers + 1)."""
     extents = [(height // 4, width // 4), (height // 2, width // 2), (height, width)]
     return {i: extents[layer_scale(i, len(extents))] for i in range(1, num_layers + 1)}
 
@@ -155,7 +159,7 @@ def mp_forward_spec(pyramid, scene, params: DecoderParams, mp_cfg, layers,
                     seed) -> tuple:
     """(ForwardSpec, MPPart or None): the spec of every forward that may
     carry MP. With no MP part (mp_cfg.enabled false, or a scene with no
-    instance) the spec is plain_spec's. layers and seed go to
+    instance) the spec is ForwardSpec(pyramid). layers and seed go to
     build_mp_part: layers is the layer indices, or any iterable of them,
     a dict keyed by them among them."""
     mp_part = build_mp_part(scene, params.num_categories, mp_cfg, layers, seed)
@@ -220,7 +224,7 @@ def evaluate(params: DecoderParams, scenes, synth_cfg, weights) -> MetricsReport
     mious, utils, preds = [], [], []
     for scene in scenes:
         pyramid = synth_features(scene, synth_cfg)
-        outputs = full_forward(plain_spec(pyramid, frozen), frozen)
+        outputs = full_forward(ForwardSpec(pyramid), frozen)
         mious.append(miou_layerwise(outputs))
         vectors = compute_matching_vectors(outputs, scene, weights)
         utils.append(util_layerwise(vectors, scene.num_instances))

@@ -58,15 +58,11 @@ def _binary(a, b, value, grad_a, grad_b) -> Tensor:
     constant, with numpy broadcasting: value(a, b) and the gradients
     grad_a(g, a, b), grad_b(g, a, b) of the broadcast shape."""
     a, b = _as_tensor(a), _as_tensor(b)
-    out = _make(value(a.values, b.values), (a, b))
-    if out.requires_grad:
-        def bw(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(grad_a(g, a.values, b.values), a.values.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(grad_b(g, a.values, b.values), b.values.shape))
-        out._backward = bw
-    return out
+
+    def bw(g):
+        a._accumulate(_unbroadcast(grad_a(g, a.values, b.values), a.values.shape))
+        b._accumulate(_unbroadcast(grad_b(g, a.values, b.values), b.values.shape))
+    return _make(value(a.values, b.values), (a, b), bw)
 
 
 def add(a, b) -> Tensor:
@@ -86,17 +82,13 @@ def div(a, b) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = _make(x.values.sum(), (x,))
-    if out.requires_grad:
-        out._backward = lambda g: x._accumulate(np.full_like(x.values, float(g)))
-    return out
+    return _make(x.values.sum(), (x,),
+                 lambda g: x._accumulate(np.full_like(x.values, float(g))))
 
 
 def mean_all(x: Tensor) -> Tensor:
-    out = _make(x.values.mean(), (x,))
-    if out.requires_grad:
-        out._backward = lambda g: x._accumulate(np.full_like(x.values, float(g) / x.values.size))
-    return out
+    return _make(x.values.mean(), (x,),
+                 lambda g: x._accumulate(np.full_like(x.values, float(g) / x.values.size)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -104,74 +96,50 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ValueError(f"matmul shape mismatch: {av.shape} vs {bv.shape}")
-    out = _make(av @ bv, (a, b))
-    if out.requires_grad:
-        def bw(g):
-            if a.requires_grad:
-                a._accumulate(g @ bv.T)
-            if b.requires_grad:
-                b._accumulate(av.T @ g)
-        out._backward = bw
-    return out
+
+    def bw(g):
+        a._accumulate(g @ bv.T)
+        b._accumulate(av.T @ g)
+    return _make(av @ bv, (a, b), bw)
 
 
 def transpose(x: Tensor) -> Tensor:
-    out = _make(x.values.T, (x,))
-    if out.requires_grad:
-        out._backward = lambda g: x._accumulate(g.T)
-    return out
+    return _make(x.values.T, (x,), lambda g: x._accumulate(g.T))
 
 
 def reshape(x: Tensor, *shape) -> Tensor:
     old = x.values.shape
-    out = _make(x.values.reshape(*shape), (x,))
-    if out.requires_grad:
-        out._backward = lambda g: x._accumulate(g.reshape(old))
-    return out
+    return _make(x.values.reshape(*shape), (x,), lambda g: x._accumulate(g.reshape(old)))
 
 
 def gather_cols(x: Tensor, idx) -> Tensor:
     """out[i] = x[i, idx[i]] for a 2-D tensor."""
     idx = np.asarray(idx, dtype=np.intp)
     rows = np.arange(x.values.shape[0])
-    out = _make(x.values[rows, idx], (x,))
-    if out.requires_grad:
-        def bw(g):
-            acc = np.zeros_like(x.values)
-            np.add.at(acc, (rows, idx), g)
-            x._accumulate(acc)
-        out._backward = bw
-    return out
+
+    def bw(g):
+        acc = np.zeros_like(x.values)
+        np.add.at(acc, (rows, idx), g)
+        x._accumulate(acc)
+    return _make(x.values[rows, idx], (x,), bw)
 
 
 def relu(x: Tensor) -> Tensor:
-    out = _make(np.maximum(x.values, 0.0), (x,))
-    if out.requires_grad:
-        out._backward = lambda g: x._accumulate(g * (x.values > 0.0))
-    return out
+    return _make(np.maximum(x.values, 0.0), (x,), lambda g: x._accumulate(g * (x.values > 0.0)))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     y = sigmoid_where(x.values)
-    out = _make(y, (x,))
-    if out.requires_grad:
-        out._backward = lambda g: x._accumulate(g * y * (1.0 - y))
-    return out
+    return _make(y, (x,), lambda g: x._accumulate(g * y * (1.0 - y)))
 
 
 def log(x: Tensor) -> Tensor:
-    out = _make(np.log(x.values), (x,))
-    if out.requires_grad:
-        out._backward = lambda g: x._accumulate(g / x.values)
-    return out
+    return _make(np.log(x.values), (x,), lambda g: x._accumulate(g / x.values))
 
 
 def sum_lastdim(x: Tensor) -> Tensor:
-    out = _make(x.values.sum(axis=-1), (x,))
-    if out.requires_grad:
-        out._backward = lambda g: x._accumulate(
-            np.broadcast_to(np.expand_dims(g, -1), x.values.shape))
-    return out
+    return _make(x.values.sum(axis=-1), (x,), lambda g: x._accumulate(
+        np.broadcast_to(np.expand_dims(g, -1), x.values.shape)))
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
@@ -180,13 +148,11 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     shifted = v - v.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = _make(y, (x,))
-    if out.requires_grad:
-        def bw(g):
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            x._accumulate(y * (g - dot))
-        out._backward = bw
-    return out
+
+    def bw(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        x._accumulate(y * (g - dot))
+    return _make(y, (x,), bw)
 
 
 def logsumexp_lastdim(x: Tensor) -> Tensor:
@@ -195,12 +161,8 @@ def logsumexp_lastdim(x: Tensor) -> Tensor:
     m = v.max(axis=-1, keepdims=True)
     e = np.exp(v - m)
     s = e.sum(axis=-1, keepdims=True)
-    out = _make((np.log(s) + m).squeeze(-1), (x,))
-    if out.requires_grad:
-        def bw(g):
-            x._accumulate(np.expand_dims(g, -1) * (e / s))
-        out._backward = bw
-    return out
+    return _make((np.log(s) + m).squeeze(-1), (x,),
+                 lambda g: x._accumulate(np.expand_dims(g, -1) * (e / s)))
 
 
 def layernorm_lastdim(x: Tensor, eps: float = 1e-5) -> Tensor:
@@ -210,14 +172,12 @@ def layernorm_lastdim(x: Tensor, eps: float = 1e-5) -> Tensor:
     var = v.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = (v - mu) * inv
-    out = _make(y, (x,))
-    if out.requires_grad:
-        def bw(g):
-            gm = g.mean(axis=-1, keepdims=True)
-            gy = (g * y).mean(axis=-1, keepdims=True)
-            x._accumulate(inv * (g - gm - y * gy))
-        out._backward = bw
-    return out
+
+    def bw(g):
+        gm = g.mean(axis=-1, keepdims=True)
+        gy = (g * y).mean(axis=-1, keepdims=True)
+        x._accumulate(inv * (g - gm - y * gy))
+    return _make(y, (x,), bw)
 
 
 def masked_fill(x: Tensor, block, fill: float) -> Tensor:
@@ -225,10 +185,8 @@ def masked_fill(x: Tensor, block, fill: float) -> Tensor:
     block = np.asarray(block, dtype=bool)
     if block.shape != x.values.shape:
         raise ValueError(f"masked_fill shape mismatch: values {x.values.shape} vs block {block.shape}")
-    out = _make(np.where(block, fill, x.values), (x,))
-    if out.requires_grad:
-        out._backward = lambda g: x._accumulate(np.where(block, 0.0, g))
-    return out
+    return _make(np.where(block, fill, x.values), (x,),
+                 lambda g: x._accumulate(np.where(block, 0.0, g)))
 
 
 def dense_attention(x: Tensor, keys: Tensor, values: Tensor, block, wq: Tensor, wo: Tensor,
@@ -250,29 +208,22 @@ def dense_attention(x: Tensor, keys: Tensor, values: Tensor, block, wq: Tensor, 
     p = np.exp(logits, out=logits)
     p /= p.sum(axis=-1, keepdims=True)
     ctx = p @ values.values
-    out = _make(ctx @ wo.values, (x, keys, values, wq, wo))
-    if out.requires_grad:
-        def bw(g):
-            if wo.requires_grad:
-                wo._accumulate(ctx.T @ g)
-            g_ctx = g @ wo.values.T
-            if values.requires_grad:
-                values._accumulate(p.T @ g_ctx)
-            g_logits = g_ctx @ values.values.T  # g_p, then p * (g_p - sum(g_p * p))
-            g_logits -= (g_logits * p).sum(axis=-1, keepdims=True)
-            g_logits *= p
-            if block is not None:
-                np.putmask(g_logits, block, 0.0)
-            g_logits *= scale
-            if keys.requires_grad:
-                keys._accumulate((q.T @ g_logits).T)
-            g_q = g_logits @ kv
-            if wq.requires_grad:
-                wq._accumulate(x.values.T @ g_q)
-            if x.requires_grad:
-                x._accumulate(g_q @ wq.values.T)
-        out._backward = bw
-    return out
+
+    def bw(g):
+        wo._accumulate(ctx.T @ g)
+        g_ctx = g @ wo.values.T
+        values._accumulate(p.T @ g_ctx)
+        g_logits = g_ctx @ values.values.T  # g_p, then p * (g_p - sum(g_p * p))
+        g_logits -= (g_logits * p).sum(axis=-1, keepdims=True)
+        g_logits *= p
+        if block is not None:
+            np.putmask(g_logits, block, 0.0)
+        g_logits *= scale
+        keys._accumulate((q.T @ g_logits).T)
+        g_q = g_logits @ kv
+        wq._accumulate(x.values.T @ g_q)
+        x._accumulate(g_q @ wq.values.T)
+    return _make(ctx @ wo.values, (x, keys, values, wq, wo), bw)
 
 
 def bce_with_logits(x: Tensor, target) -> Tensor:
@@ -283,10 +234,7 @@ def bce_with_logits(x: Tensor, target) -> Tensor:
     t = np.asarray(target, dtype=np.float64)
     v = x.values
     loss = np.maximum(v, 0.0) - v * t + log1p_exp_neg_abs(v)
-    out = _make(loss, (x,))
-    if out.requires_grad:
-        out._backward = lambda g: x._accumulate(g * (sigmoid_where(v) - t))
-    return out
+    return _make(loss, (x,), lambda g: x._accumulate(g * (sigmoid_where(v) - t)))
 
 
 def resize_nearest(m: np.ndarray, h2: int, w2: int) -> np.ndarray:
@@ -448,17 +396,15 @@ def cross_entropy_rows(logits: Tensor, rows, targets, row_weights, scale: float)
     lse = (np.log(s) + m).squeeze(-1)
     picked = v[np.arange(rows.size), targets]
     wsum = float(row_weights.sum())
-    out = _make((((lse - picked) * row_weights).sum() / wsum) * scale, (logits,))
-    if out.requires_grad:
-        def bw(g):
-            coef = (float(g) * scale) / wsum * row_weights
-            g_rows = coef[:, None] * (e / s)
-            g_rows[np.arange(rows.size), targets] -= coef
-            acc = np.zeros_like(logits.values)
-            acc[rows] = g_rows
-            logits._accumulate(acc)
-        out._backward = bw
-    return out
+
+    def bw(g):
+        coef = (float(g) * scale) / wsum * row_weights
+        g_rows = coef[:, None] * (e / s)
+        g_rows[np.arange(rows.size), targets] -= coef
+        acc = np.zeros_like(logits.values)
+        acc[rows] = g_rows
+        logits._accumulate(acc)
+    return _make((((lse - picked) * row_weights).sum() / wsum) * scale, (logits,), bw)
 
 
 def mask_loss_rows(logits: Tensor, probs: np.ndarray, softplus: np.ndarray, rows, targets,
@@ -482,22 +428,20 @@ def mask_loss_rows(logits: Tensor, probs: np.ndarray, softplus: np.ndarray, rows
     num = 2.0 * (p * t).sum(axis=-1) + dice_eps
     den = p.sum(axis=-1) + (t.sum(axis=1) + dice_eps)
     dice = _mean_all(1.0 - num / den)
-    out = _make(w_bce * bce + w_dice * dice, (logits,))
-    if out.requires_grad:
-        def bw(g):
-            g_bce = float(g) * w_bce / v.size
-            g_num = -(float(g) * w_dice) / rows.size / den
-            g_p = (2.0 * g_num)[:, None] * t - (g_num * num / den)[:, None]
-            acc = np.zeros_like(logits.values)
-            g_v = p - t  # then g_bce * (p - t) + (g_p * p) * (1 - p)
-            g_v *= g_bce
-            g_p *= p
-            g_p *= 1.0 - p
-            g_v += g_p
-            acc.reshape(n, -1)[rows] = g_v
-            logits._accumulate(acc)
-        out._backward = bw
-    return out
+
+    def bw(g):
+        g_bce = float(g) * w_bce / v.size
+        g_num = -(float(g) * w_dice) / rows.size / den
+        g_p = (2.0 * g_num)[:, None] * t - (g_num * num / den)[:, None]
+        acc = np.zeros_like(logits.values)
+        g_v = p - t  # then g_bce * (p - t) + (g_p * p) * (1 - p)
+        g_v *= g_bce
+        g_p *= p
+        g_p *= 1.0 - p
+        g_v += g_p
+        acc.reshape(n, -1)[rows] = g_v
+        logits._accumulate(acc)
+    return _make(w_bce * bce + w_dice * dice, (logits,), bw)
 
 
 def per_part_decoder_layer(parts, feats: Tensor, cross_blocks, self_blocks, lp,
@@ -530,14 +474,11 @@ def sum_scalars(terms) -> Tensor:
     total = 0.0
     for t in terms:
         total = total + t.values
-    out = _make(total, terms)
-    if out.requires_grad:
-        def bw(g):
-            for t in terms:
-                if t.requires_grad:
-                    t._accumulate(g)
-        out._backward = bw
-    return out
+
+    def bw(g):
+        for t in terms:
+            t._accumulate(g)
+    return _make(total, terms, bw)
 
 
 def mask_head(e: Tensor, spans, embed: np.ndarray) -> Tensor:
@@ -547,10 +488,8 @@ def mask_head(e: Tensor, spans, embed: np.ndarray) -> Tensor:
     whole (n, h, w) logit gradient by the grid."""
     h, w, d = embed.shape
     grid = embed.reshape(h * w, d)
-    out = _make(part_products(e.values, spans, grid.T).reshape(-1, h, w), (e,))
-    if out.requires_grad:
-        out._backward = lambda g: e._accumulate(g.reshape(g.shape[0], h * w) @ grid)
-    return out
+    return _make(part_products(e.values, spans, grid.T).reshape(-1, h, w), (e,),
+                 lambda g: e._accumulate(g.reshape(g.shape[0], h * w) @ grid))
 
 
 def _write_rows(acc, written, rows, g):
@@ -604,41 +543,37 @@ def fused_loss(mask_logits: Tensor, class_logits: Tensor, probs: np.ndarray, cla
         den = psum + (area + dice_eps)
         total = total + (w_bce * _mean_all(bce) + w_dice * _mean_all(1.0 - num / den))
         fractions.append((num, den))
-    out = _make(total, (mask_logits, class_logits))
-    if out.requires_grad:
-        def bw(g):
-            g = float(g)
-            if class_logits.requires_grad:
-                acc = np.empty_like(class_logits.values)
-                written = np.zeros(acc.shape[0], dtype=bool)
-                for (rows, targets, row_weights), (e, s, wsum) in zip(class_terms, saved):
-                    coef = (g * w_cls) / wsum * row_weights
-                    g_rows = coef[:, None] * (e / s)
-                    g_rows[np.arange(targets.size), targets] -= coef
-                    _write_rows(acc, written, rows, g_rows)
-                acc[~written] = 0.0
-                class_logits._accumulate(acc)
-            if mask_logits.requires_grad:
-                n = probs.shape[0]
-                acc = np.empty_like(mask_logits.values)
-                flat = acc.reshape(n, -1)
-                written = np.zeros(n, dtype=bool)
-                for (rows, t, *_), (num, den) in zip(mask_terms, fractions):
-                    p = probs[rows]
-                    g_bce = g * w_bce / p.size
-                    g_num = -(g * w_dice) / den.size / den
-                    g_p = t * (2.0 * g_num)[:, None]
-                    g_p -= (g_num * num / den)[:, None]
-                    g_v = p - t  # then g_bce * (p - t) + (g_p * p) * (1 - p)
-                    g_v *= g_bce
-                    g_p *= p
-                    g_p *= 1.0 - p
-                    g_v += g_p
-                    _write_rows(flat, written, rows, g_v)
-                flat[~written] = 0.0
-                mask_logits._accumulate(acc)
-        out._backward = bw
-    return out
+
+    def bw(g):
+        g = float(g)
+        acc = np.empty_like(class_logits.values)
+        written = np.zeros(acc.shape[0], dtype=bool)
+        for (rows, targets, row_weights), (e, s, wsum) in zip(class_terms, saved):
+            coef = (g * w_cls) / wsum * row_weights
+            g_rows = coef[:, None] * (e / s)
+            g_rows[np.arange(targets.size), targets] -= coef
+            _write_rows(acc, written, rows, g_rows)
+        acc[~written] = 0.0
+        class_logits._accumulate(acc)
+        n = probs.shape[0]
+        acc = np.empty_like(mask_logits.values)
+        flat = acc.reshape(n, -1)
+        written = np.zeros(n, dtype=bool)
+        for (rows, t, *_), (num, den) in zip(mask_terms, fractions):
+            p = probs[rows]
+            g_bce = g * w_bce / p.size
+            g_num = -(g * w_dice) / den.size / den
+            g_p = t * (2.0 * g_num)[:, None]
+            g_p -= (g_num * num / den)[:, None]
+            g_v = p - t  # then g_bce * (p - t) + (g_p * p) * (1 - p)
+            g_v *= g_bce
+            g_p *= p
+            g_p *= 1.0 - p
+            g_v += g_p
+            _write_rows(flat, written, rows, g_v)
+        flat[~written] = 0.0
+        mask_logits._accumulate(acc)
+    return _make(total, (mask_logits, class_logits), bw)
 
 
 def layer_loss(mask_logits: Tensor, class_logits: Tensor, layer_stats: tuple, gt: np.ndarray,

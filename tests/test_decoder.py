@@ -9,7 +9,7 @@ from mpseg import decoder
 from mpseg.fields import MAX_HIDDEN, MAX_LAYERS, MAX_SIZE
 from mpseg.decoder import (ForwardSpec, binarize_masks, decoder_layer,
                            full_forward, heads, init_params, load_checkpoint,
-                           named_parameters, plain_spec, save_checkpoint)
+                           named_parameters, save_checkpoint)
 from mpseg.gradcheck import check_gradient
 from mpseg.losses import LossWeights, gt_pixels, layer_stats, loss_over_layers
 from mpseg.masks import FormatError, to_attention_blocks
@@ -324,7 +324,7 @@ def test_full_forward_shape_contract():
     _, pyramid, cfg = scene_and_pyramid()
     params = init_params(seed=9, n_queries=5, n_layers=9, dim=32,
                          num_categories=cfg.num_categories)
-    out = full_forward(plain_spec(pyramid, params), params)
+    out = full_forward(ForwardSpec(pyramid), params)
     assert len(out.mask_logits) == 10
     assert len(out.class_logits) == 10
     for ml, cl in zip(out.mask_logits, out.class_logits):
@@ -336,8 +336,8 @@ def test_full_forward_deterministic():
     _, pyramid, cfg = scene_and_pyramid(seed=1)
     params = init_params(seed=10, n_queries=4, n_layers=9, dim=32,
                          num_categories=cfg.num_categories)
-    a = full_forward(plain_spec(pyramid, params), params)
-    b = full_forward(plain_spec(pyramid, params), params)
+    a = full_forward(ForwardSpec(pyramid), params)
+    b = full_forward(ForwardSpec(pyramid), params)
     for x, y in zip(a.mask_logits, b.mask_logits):
         assert np.array_equal(x.values, y.values)
     for x, y in zip(a.class_logits, b.class_logits):
@@ -525,7 +525,7 @@ def test_cross_blocks_are_the_override_where_given_else_the_predictions(monkeypa
         return decoder_layer(x, spans, feats, cross_blocks, self_blocks, lp, dim)
 
     monkeypatch.setattr(decoder, "decoder_layer", recording)
-    plain = full_forward(plain_spec(pyramid, params), params)
+    plain = full_forward(ForwardSpec(pyramid), params)
     piloted = full_forward(mp_spec(pyramid, params, overrides={2: override}), params)
     (plain1,), (plain2,) = seen[:2]
     (match1, mp1), (match2, mp2) = seen[2:]
@@ -550,6 +550,6 @@ def test_layer_scale_table_is_the_scale_full_forward_uses(monkeypatch, height, w
         return to_attention_blocks(bits, h, w)
 
     monkeypatch.setattr(decoder, "to_attention_blocks", recording)
-    full_forward(plain_spec(pyramid, params), params)
+    full_forward(ForwardSpec(pyramid), params)
     table = layer_scale_table(height, width, params.num_layers)
     assert [table[i] for i in range(1, params.num_layers + 1)] == used

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import oracle
-from mpseg.decoder import LayerOutputs, binarize_masks, full_forward, init_params, plain_spec
+from mpseg.decoder import ForwardSpec, LayerOutputs, binarize_masks, full_forward, init_params
 from mpseg.losses import (DICE_EPS, LossWeights, _solve_rows_leq_cols, cost_matrix, gt_pixels,
                           hungarian, layer_losses, layer_stats, loss_over_layers, mask_stats)
 from mpseg.metrics import compute_matching_vectors
 from mpseg.mp import MPConfig, MPPart
 from mpseg.synth import Scene, SynthConfig, generate_scene, synth_features
 from mpseg.tensor import Tensor
-from mpseg.trainer import layer_scale_table, mp_forward_spec
+from mpseg.trainer import mp_forward_spec
 from oracle import (add, bce_with_logits, cross_entropy_rows, dense_cost, div, gather_cols,
                     log1p_exp_neg_abs, logsumexp_lastdim, mask_loss_rows, matmul, mean_all, mul,
                     reshape, sigmoid, sigmoid_where, solve_rows_leq_cols, sub, sum_all,
@@ -587,9 +587,9 @@ def small_forward(with_mp: bool):
     params = init_params(seed=10, n_queries=4, n_layers=3, dim=8, ffn_hidden=8)
     pyramid = synth_features(scene, cfg)
     if not with_mp:
-        return full_forward(plain_spec(pyramid, params), params), scene, None
+        return full_forward(ForwardSpec(pyramid), params), scene, None
     spec, part = mp_forward_spec(pyramid, scene, params, MPConfig(n_q=6),
-                                 layer_scale_table(8, 8, params.num_layers), [11])
+                                 range(1, params.num_layers + 1), [11])
     assert part is not None
     return full_forward(spec, params), scene, part
 

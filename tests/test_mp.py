@@ -219,7 +219,7 @@ def test_matching_part_isolation_bitwise():
     cfg, scene = scene_setup(seed=11)
     pyramid = synth_features(scene, cfg)
     params = init_params(seed=6, n_queries=5, num_categories=4)
-    plain = full_forward(plain_spec(pyramid, params), params)
+    plain = full_forward(ForwardSpec(pyramid), params)
 
     for mp_seed in ([0, 1], [0, 2]):  # different MP content
         spec, part = mp_forward_spec(pyramid, scene, params, MPConfig(n_q=12),

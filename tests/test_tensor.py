@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from mpseg.decoder import heads, init_params
+from mpseg.decoder import LayerOutputs, heads, init_params
 from mpseg.gradcheck import check_gradient
+from mpseg.losses import LossWeights, layer_losses
+from mpseg.synth import Scene
 from mpseg.tensor import (NEG_BIG, Tensor, add_norm_affine, concat_rows, fused_attention, linear,
                           mlp2, sigmoid_softplus)
 from oracle import (add, bce_with_logits, dense_attention, div, gather_cols, layernorm_lastdim,
@@ -439,6 +441,109 @@ def test_fused_ops_record_one_node_and_none_without_grad():
     frozen = Tensor(x.values)
     out = mlp2(frozen, [slice(None)], w, b, w, b)
     assert out._parents == () and out._backward is None
+
+
+# which Tensor records and keeps a gradient: _make and _accumulate decide
+
+
+def test_accumulate_keeps_no_gradient_on_an_untracked_tensor():
+    untracked, tracked = Tensor(np.ones(3)), Tensor(np.ones(3), requires_grad=True)
+    for t in (untracked, tracked):
+        t._accumulate(np.full(3, 2.0))
+    assert untracked.grad is None
+    assert np.array_equal(tracked.grad, [2.0, 2.0, 2.0])
+
+
+def test_backward_on_an_untracked_tensor_does_nothing():
+    x, gain, bias = Tensor(np.ones((2, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3))
+    out = add_norm_affine(x, x, gain, bias)
+    out.backward(np.ones((2, 3)))
+    scalar = Tensor(2.0)
+    scalar.backward()
+    assert all(t.grad is None for t in (x, gain, bias, out, scalar))
+
+
+def open_block(rng, shape):
+    """A random attention grid that leaves column 0 open to every row."""
+    block = rng.uniform(size=shape) < 0.4
+    block[:, 0] = False
+    return block
+
+
+LOSS_SCENE = Scene(index=0, categories=[2, 0],
+                   masks=np.stack([np.arange(16).reshape(4, 4) < 6,
+                                   np.arange(16).reshape(4, 4) >= 10]))
+
+
+def loss_node(xs, grid):
+    """layer_losses' one node over two layers of 3 queries in
+    consistency-aux mode: xs are the layers' class logits, then their
+    mask embeddings, whose mask logits are constants against the grid."""
+    outputs = LayerOutputs(mask_logits=[Tensor((e.values @ grid.T).reshape(-1, 4, 4))
+                                        for e in xs[2:]],
+                           class_logits=xs[:2], n_match=3, mask_embeds=xs[2:], grid=grid)
+    total, _ = layer_losses(outputs, LOSS_SCENE, None, "consistency-aux", LossWeights())
+    return total
+
+
+def recording_ops():
+    """Op name -> (input arrays, the op of Tensors of them), for every op
+    that records a node; the attention, mlp2 and linear over two query
+    parts."""
+    rng = np.random.default_rng(40)
+
+    def u(*shape):
+        return rng.uniform(-1, 1, size=shape)
+
+    spans = [slice(0, 2), slice(2, 5)]
+    cross = [(rows, slice(None), open_block(rng, (rows.stop - rows.start, 7)))
+             for rows in spans]
+    own = [(spans[0], slice(0, 2), None), (spans[1], slice(0, 5), open_block(rng, (3, 5)))]
+    grid = u(16, 4)
+    return {
+        "take_rows": ([u(5, 3)], lambda xs: xs[0].take_rows([2, 0, 0, 4])),
+        "concat_rows": ([u(2, 3), u(3, 3)], concat_rows),
+        "cross_attention": ([u(5, 6), u(7, 6)] + [u(6, 6) for _ in range(4)],
+                            lambda xs: fused_attention(xs[0], xs[1], cross, *xs[2:], 0.5)),
+        "self_attention": ([u(5, 6)] + [u(6, 6) for _ in range(4)],
+                           lambda xs: fused_attention(xs[0], xs[0], own, *xs[1:], 0.5)),
+        "add_norm_affine": ([u(5, 8), u(5, 8), rng.uniform(0.5, 1.5, size=8), u(8)],
+                            lambda xs: add_norm_affine(*xs)),
+        "mlp2": ([u(5, 8), u(8, 16), u(16), u(16, 8), u(8)],
+                 lambda xs: mlp2(xs[0], spans, *xs[1:])),
+        "linear": ([u(5, 8), u(8, 4), u(4)], lambda xs: linear(xs[0], spans, *xs[1:])),
+        "loss_over_layers": ([u(3, 3), u(3, 3), u(3, 4), u(3, 4)],
+                             lambda xs: loss_node(xs, grid)),
+    }
+
+
+def gradients_of(op, arrays, tracked) -> list:
+    """Each input's .grad after a backward of op over the inputs, those
+    whose index is in `tracked` tracking gradients."""
+    xs = [Tensor(a.copy(), requires_grad=i in tracked) for i, a in enumerate(arrays)]
+    out = op(xs)
+    out.backward(np.random.default_rng(41).uniform(-1, 1, size=out.values.shape))
+    return [x.grad for x in xs]
+
+
+@pytest.mark.parametrize("name", list(recording_ops()))
+def test_an_op_keeps_gradients_only_on_its_tracked_inputs(name):
+    """With one input held constant, that input gets no gradient and
+    every other input's is bitwise that of the run where all track; with
+    none tracked, the op records nothing."""
+    arrays, op = recording_ops()[name]
+    every = range(len(arrays))
+    expected = gradients_of(op, arrays, every)
+    assert all(g is not None for g in expected)
+    for held in every:
+        grads = gradients_of(op, arrays, [i for i in every if i != held])
+        assert grads[held] is None
+        for i in every:
+            if i != held:
+                assert grads[i].shape == expected[i].shape
+                assert grads[i].tobytes() == expected[i].tobytes()
+    out = op([Tensor(a) for a in arrays])
+    assert not out.requires_grad and out._parents == () and out._backward is None
 
 
 # one tensor in several input slots: every slot's gradient adds into one .grad

@@ -7,7 +7,7 @@ import pytest
 
 from mpseg import _blas, gradcheck, tensor, trainer
 from mpseg.config import VARIANTS, RunConfig, TrainSettings, parse_run_config
-from mpseg.decoder import full_forward, init_params, named_parameters, plain_spec
+from mpseg.decoder import ForwardSpec, full_forward, init_params, named_parameters
 from mpseg.gradcheck import run_gradient_suite
 from mpseg.losses import LossWeights, layer_losses
 from mpseg.mp import MPConfig
@@ -176,15 +176,15 @@ def step_sigmoid_calls(monkeypatch, spec, scene, mp_part, params) -> int:
 
 def test_a_plain_step_computes_one_sigmoid_per_layer(monkeypatch):
     cfg, scene, params = default_scene_and_params()
-    spec = plain_spec(synth_features(scene, cfg), params)
+    spec = ForwardSpec(synth_features(scene, cfg))
     assert step_sigmoid_calls(monkeypatch, spec, scene, None, params) == params.num_layers + 1
 
 
 def test_an_mp_step_computes_one_sigmoid_per_layer(monkeypatch):
     cfg, scene, params = default_scene_and_params()
-    table = trainer.layer_scale_table(cfg.height, cfg.width, params.num_layers)
+    layers = range(1, params.num_layers + 1)
     spec, mp_part = trainer.mp_forward_spec(synth_features(scene, cfg), scene, params,
-                                            MPConfig(), table, [0, 2, 0])
+                                            MPConfig(), layers, [0, 2, 0])
     assert mp_part is not None
     assert step_sigmoid_calls(monkeypatch, spec, scene, mp_part, params) == params.num_layers + 1
 
@@ -287,13 +287,13 @@ def step_losses(num_layers=9):
     cfg, scene, _ = default_scene_and_params()
     params = init_params(seed=4, n_layers=num_layers, num_categories=cfg.num_categories)
     pyramid = synth_features(scene, cfg)
-    table = trainer.layer_scale_table(cfg.height, cfg.width, params.num_layers)
-    spec, mp_part = trainer.mp_forward_spec(pyramid, scene, params, MPConfig(), table,
+    layers = range(1, params.num_layers + 1)
+    spec, mp_part = trainer.mp_forward_spec(pyramid, scene, params, MPConfig(), layers,
                                             [0, 2, 0])
     assert mp_part is not None
     mp_loss, _ = layer_losses(full_forward(spec, params), scene, mp_part,
                               "per-layer-bipartite", LossWeights())
-    plain_loss, _ = layer_losses(full_forward(plain_spec(pyramid, params), params), scene,
+    plain_loss, _ = layer_losses(full_forward(ForwardSpec(pyramid), params), scene,
                                  None, "per-layer-bipartite", LossWeights())
     return mp_loss, plain_loss
 
@@ -330,13 +330,13 @@ def params_after_an_mp_and_a_plain_step() -> list:
     the default model size: forward, layer_losses, backward, AdamW."""
     cfg, scene, params = default_scene_and_params()
     pyramid = synth_features(scene, cfg)
-    table = trainer.layer_scale_table(cfg.height, cfg.width, params.num_layers)
+    layers = range(1, params.num_layers + 1)
     pairs = named_parameters(params)
     opt = trainer.AdamW(pairs)
-    mp_spec, mp_part = trainer.mp_forward_spec(pyramid, scene, params, MPConfig(), table,
+    mp_spec, mp_part = trainer.mp_forward_spec(pyramid, scene, params, MPConfig(), layers,
                                                [0, 2, 0])
     assert mp_part is not None
-    for spec, part in ((mp_spec, mp_part), (plain_spec(pyramid, params), None)):
+    for spec, part in ((mp_spec, mp_part), (ForwardSpec(pyramid), None)):
         loss, _ = layer_losses(full_forward(spec, params), scene, part,
                                "per-layer-bipartite", LossWeights())
         opt.zero_grad()
@@ -361,6 +361,24 @@ def test_no_gradient_a_training_step_stores_has_a_pixel_axis(monkeypatch):
     params_after_an_mp_and_a_plain_step()
     assert len(shapes) > 2 * 75
     assert not [s for s in shapes if 32 * 32 in s or len(s) > 2]
+
+
+def test_a_training_step_forms_no_gradient_that_nothing_keeps(monkeypatch):
+    """Every gradient that a default MP step and a plain step hand
+    _accumulate is for a Tensor that tracks gradients, so _accumulate
+    drops none: a cross-attention's constant feature source gets no
+    gradient formed for it."""
+    tracked = []
+    real = Tensor._accumulate
+
+    def recording(self, g):
+        tracked.append(self.requires_grad)
+        real(self, g)
+
+    monkeypatch.setattr(Tensor, "_accumulate", recording)
+    params_after_an_mp_and_a_plain_step()
+    assert len(tracked) > 2 * 75
+    assert all(tracked)
 
 
 def test_training_steps_never_write_into_a_stored_gradient(monkeypatch):
