@@ -13,6 +13,9 @@ The trace is one JSON object:
 - eval, analyze: `mpseg eval` and `mpseg analyze` stdout on the kept
   benchmark checkpoint (bench/data/checkpoint.bin, which the trace only
   reads) and a `gen-data` set;
+- csv: the per-layer CSV each of those verbs writes with --out, eval's
+  layers.csv and analyze's analysis.csv, whose 6 decimals compare the
+  rows that stdout prints to one decimal of a percent;
 - grad_check: `mpseg grad-check` stdout at seeds 0-3.
 
 The full size trains 8 steps of the default configuration per run and
@@ -126,9 +129,13 @@ def trace(tiny: bool = False) -> dict:
         with open(config, "w", encoding="utf-8") as fh:
             json.dump(gen_data, fh)
         cli_stdout("gen-data", "--config", config, "--out", dataset)
-        for verb in ("eval", "analyze"):
+        result["csv"] = {}
+        for verb, csv in (("eval", "layers.csv"), ("analyze", "analysis.csv")):
+            out = os.path.join(tmp, verb)
             result[verb] = cli_stdout(verb, "--checkpoint", str(CHECKPOINT),
-                                      "--dataset", dataset)
+                                      "--dataset", dataset, "--out", out)
+            with open(os.path.join(out, csv), encoding="ascii") as fh:
+                result["csv"][csv] = fh.read()
     result["grad_check"] = {str(s): cli_stdout("grad-check", "--seed", str(s))
                             for s in grad_seeds}
     return result

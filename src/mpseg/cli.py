@@ -9,7 +9,9 @@ Verbs and the files they write:
 - grad-check: nothing;
 - refine-study: the study CSV (--out or the config's "out").
 Every per-layer CSV (layers.csv, analysis.csv) comes from
-metrics.layer_table.
+metrics.layer_table. eval's report and analyze's rows are read off one
+evaluation pass, trainer.evaluate_scenes: analyze's adds an MP part to
+each scene's forward, seeded by --seed, and its mp_util_bipartite row.
 Exit codes: 0 ok, 1 check failure, 2 config error, 3 I/O error or a
 malformed checkpoint or dataset, 4 numeric failure (a non-finite loss,
 parameter or matching cost), 5 compatibility mismatch.
@@ -26,16 +28,14 @@ import numpy as np
 
 from .config import (ConfigError, GenDataConfig, RefineStudyConfig, VARIANTS, build,
                      load_config_json, parse_run_config)
-from .decoder import full_forward, load_checkpoint, save_checkpoint
+from .decoder import load_checkpoint, save_checkpoint
 from .fields import MAX_SEED
 from .losses import LossWeights, NonFiniteError
-from .metrics import (compute_matching_vectors, config_hash, layer_table, miou_layerwise,
-                      sample_refinement_instance, util_layerwise, util_mp_bipartite)
+from .metrics import config_hash, layer_table, sample_refinement_instance
 from .masks import FormatError, seeded_rng
-from .mp import MPConfig
-from .synth import generate_scene, save_dataset, synth_features
-from .trainer import (CompatibilityError, detach_params, evaluate, load_scenes,
-                      mp_forward_spec, run_training)
+from .synth import generate_scene, save_dataset
+from .trainer import (CompatibilityError, evaluate, evaluate_scenes, load_scenes,
+                      run_training)
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -124,36 +124,14 @@ def cmd_eval(args) -> int:
 def cmd_analyze(args) -> int:
     params, scenes, synth_cfg = _load_compatible(args.checkpoint, args.dataset)
     seed = args.seed if args.seed is not None else 0
-    rows = analyze_dataset(params, scenes, synth_cfg, seed=seed)
-    text, csv_text = layer_table(rows)
+    rows, _ = evaluate_scenes(params, scenes, synth_cfg, LossWeights(), mp_seed=seed)
+    # miou_l holds layers 1..L and the util rows 0..L; the table starts at layer 1
+    text, csv_text = layer_table({name: row[-params.num_layers:] for name, row in rows.items()})
     sys.stdout.write(text)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write(os.path.join(args.out, "analysis.csv"), csv_text)
     return EXIT_OK
-
-
-def analyze_dataset(params, scenes, synth_cfg, seed: int = 0) -> dict:
-    """Per-layer diagnostics, {row name: (L,) array} in table order, read
-    off one MP forward per scene: the matching part's mIoU-L and util
-    (bitwise evaluate's, since the matching rows never read the MP part)
-    and MP-part utilization under bipartite matching."""
-    weights = LossWeights()
-    frozen = detach_params(params)
-    mp_cfg = MPConfig(n_q=params.n_queries)
-    layers = range(1, params.num_layers + 1)
-    mious, utils, mp_utils = [], [], []
-    for scene in scenes:
-        spec, _ = mp_forward_spec(synth_features(scene, synth_cfg), scene, frozen, mp_cfg,
-                                  layers, [seed, 3, scene.index])
-        outputs = full_forward(spec, frozen)
-        mious.append(miou_layerwise(outputs))
-        vectors = compute_matching_vectors(outputs, scene, weights)
-        utils.append(util_layerwise(vectors, scene.num_instances))
-        mp_utils.append(util_mp_bipartite(outputs, scene, weights))
-    # the util rows hold layers 0..L; the table starts at layer 1
-    return {"miou_l": np.mean(mious, axis=0), "util": np.mean(utils, axis=0)[1:],
-            "mp_util_bipartite": np.mean(mp_utils, axis=0)[1:]}
 
 
 def cmd_grad_check(args) -> int:

@@ -162,7 +162,8 @@ def load_dataset(path):
     """Returns (scenes, SynthConfig). A file that does not parse as a
     dataset (an empty instance mask among them), holds another number of
     scenes than its header says, or gives a scene a negative or repeated
-    index raises FormatError."""
+    index or one above MAX_SEED (the index is a seed word) raises
+    FormatError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data and not data.endswith(b"\n"):
@@ -195,10 +196,12 @@ def _parse_dataset(path, lines):
         if fields[0] != "scene":
             raise ValueError(f"bad scene line {line[:40]!r}")
         index = int(fields[1])
-        # features are seeded by the index, and training keys them by it
+        # features are seeded by the index, a seed word, and training keys them by it
         if index < 0 or index in indices:
             raise FormatError(f"{path}: scene index {index} is "
                               f"{'negative' if index < 0 else 'repeated'}")
+        if index > MAX_SEED:
+            raise FormatError(f"{path}: scene index {index} is above {MAX_SEED}")
         indices.add(index)
         if len(fields) < 3:  # generate_scene places at least one instance
             raise ValueError(f"scene {index} has no instances")

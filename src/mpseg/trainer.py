@@ -1,10 +1,14 @@
 """Training loop: one scene per step, Adam with decoupled weight decay,
 multistep learning-rate drops, deterministic per-step noise seeding.
+
+Evaluation pass: evaluate_scenes, the one loop that scores scenes. It
+serves evaluate (the report of training and `mpseg eval`) and `mpseg analyze`.
 """
 
 from __future__ import annotations
 
 import copy
+from collections import defaultdict
 
 import numpy as np
 
@@ -13,8 +17,9 @@ from .decoder import (DecoderParams, ForwardSpec, full_forward, init_params,
                       layer_scale, named_parameters)
 from .losses import NonFiniteError, layer_losses
 from .metrics import (MetricsReport, compute_matching_vectors, config_hash,
-                      extract_predictions, ap_lite, miou_layerwise, util_layerwise)
-from .mp import build_mp_part
+                      extract_predictions, ap_lite, miou_layerwise, util_layerwise,
+                      util_mp_bipartite)
+from .mp import MPConfig, build_mp_part
 from .synth import generate_scene, load_dataset, synth_features
 from .tensor import Tensor
 
@@ -216,18 +221,34 @@ def run_training(cfg: RunConfig, log=None):
     return params, report, synth_cfg
 
 
-def evaluate(params: DecoderParams, scenes, synth_cfg, weights) -> MetricsReport:
-    """MP-free evaluation over scenes; per-scene metrics averaged in order."""
+def evaluate_scenes(params: DecoderParams, scenes, synth_cfg, weights,
+                    mp_seed=None) -> tuple:
+    """The evaluation pass, one forward per scene at detached params:
+    ({row name: per-layer mean over scenes}, per-scene predictions). Rows:
+    the matching part's miou_l (layers 1..L) and util (0..L) and, with
+    mp_seed, mp_util_bipartite (0..L) of an MP part seeded [mp_seed, 3,
+    scene index], which the matching part never reads."""
     if not scenes:
         raise ValueError("empty evaluation scene set")
     frozen = detach_params(params)
-    mious, utils, preds = [], [], []
+    # without mp_seed, MP is off and build_mp_part draws no random number
+    mp_cfg = MPConfig(n_q=params.n_queries, enabled=mp_seed is not None)
+    layers = range(1, params.num_layers + 1)
+    rows, preds = defaultdict(list), []
     for scene in scenes:
-        pyramid = synth_features(scene, synth_cfg)
-        outputs = full_forward(ForwardSpec(pyramid), frozen)
-        mious.append(miou_layerwise(outputs))
+        spec, _ = mp_forward_spec(synth_features(scene, synth_cfg), scene, frozen, mp_cfg,
+                                  layers, [mp_seed, 3, scene.index])
+        outputs = full_forward(spec, frozen)
+        rows["miou_l"].append(miou_layerwise(outputs))
         vectors = compute_matching_vectors(outputs, scene, weights)
-        utils.append(util_layerwise(vectors, scene.num_instances))
+        rows["util"].append(util_layerwise(vectors, scene.num_instances))
+        if spec.mp is not None:
+            rows["mp_util_bipartite"].append(util_mp_bipartite(outputs, scene, weights))
         preds.append(extract_predictions(outputs))
-    return MetricsReport(miou_l=np.mean(mious, axis=0), util=np.mean(utils, axis=0),
-                         ap=ap_lite(preds, scenes))
+    return {name: np.mean(row, axis=0) for name, row in rows.items()}, preds
+
+
+def evaluate(params: DecoderParams, scenes, synth_cfg, weights) -> MetricsReport:
+    """MP-free evaluation over scenes: the pass's rows and AP-lite."""
+    rows, preds = evaluate_scenes(params, scenes, synth_cfg, weights)
+    return MetricsReport(miou_l=rows["miou_l"], util=rows["util"], ap=ap_lite(preds, scenes))

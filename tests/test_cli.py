@@ -6,6 +6,7 @@ import pytest
 
 from mpseg import cli, decoder, gradcheck, metrics, mp, trainer
 from mpseg.decoder import init_params, load_checkpoint, save_checkpoint
+from mpseg.fields import MAX_SEED
 from mpseg.losses import LossWeights
 from mpseg.synth import SynthConfig, generate_scene, save_dataset
 from mpseg.tensor import Tensor
@@ -267,15 +268,24 @@ def test_instance_mask_empty_or_with_a_negative_run_exits_io_with_one_line(
 
 
 @pytest.mark.parametrize("verb", ["train", "eval", "analyze"])
-@pytest.mark.parametrize("index,what", [("-1", "negative"), ("0", "repeated")])
+@pytest.mark.parametrize("index,what", [("-1", "negative"), ("0", "repeated"),
+                                        ("4294967296", "above 4294967295")])
 def test_scene_index_negative_or_repeated_exits_io_with_one_line(artifacts, tmp_path, capsys,
                                                                   verb, index, what):
-    """Features are seeded by the scene index and training keys them by it."""
+    """Features are seeded by the scene index, a seed word, and training
+    keys them by it."""
     assert artifacts[1].read_text().splitlines()[1].startswith("scene 0 ")
     code = run_on_last_scene_line(artifacts, tmp_path, verb,
                                   lambda f: ["scene", index] + f[2:])
     assert code == cli.EXIT_IO
     assert_one_line(capsys, f"format error: {artifacts[1]}: scene index {index} is {what}")
+
+
+@pytest.mark.parametrize("verb", ["train", "eval", "analyze"])
+def test_scene_index_of_the_largest_seed_word_runs(artifacts, tmp_path, verb):
+    code = run_on_last_scene_line(artifacts, tmp_path, verb,
+                                  lambda f: ["scene", str(MAX_SEED)] + f[2:])
+    assert code == cli.EXIT_OK
 
 
 def test_train_on_a_dataset_without_scenes_exits_compat(tmp_path, capsys):
@@ -397,30 +407,43 @@ def test_analyze_on_the_bench_checkpoint(tmp_path, capsys):
 
 
 def test_analyze_rows_are_evaluates_rows():
+    """The pass with mp_seed adds the mp_util_bipartite row and leaves
+    evaluate's rows and the predictions as they are."""
     params, _meta = load_checkpoint(BENCH_CHECKPOINT)
     cfg = SynthConfig(seed=5)
     scenes = [generate_scene(cfg, i) for i in range(3)]
-    rows = cli.analyze_dataset(params, scenes, cfg)
+    rows, preds = trainer.evaluate_scenes(params, scenes, cfg, LossWeights(), mp_seed=0)
     assert list(rows) == ["miou_l", "util", "mp_util_bipartite"]
-    assert all(row.shape == (params.num_layers,) for row in rows.values())
+    assert rows["miou_l"].shape == (params.num_layers,)
+    assert rows["util"].shape == rows["mp_util_bipartite"].shape == (params.num_layers + 1,)
     report = trainer.evaluate(params, scenes, cfg, LossWeights())
     assert np.array_equal(rows["miou_l"], report.miou_l)
-    assert np.array_equal(rows["util"], report.util[1:])
+    assert np.array_equal(rows["util"], report.util)
+    plain_rows, plain_preds = trainer.evaluate_scenes(params, scenes, cfg, LossWeights())
+    assert list(plain_rows) == ["miou_l", "util"]
+    assert len(preds) == len(plain_preds) == len(scenes)
+    for with_mp, without in zip(preds, plain_preds):
+        assert len(with_mp) == len(without) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(with_mp, without))
 
 
-def test_analyze_runs_one_forward_per_scene(artifacts, monkeypatch):
+def test_analyze_runs_one_forward_per_scene(artifacts, monkeypatch, capsys):
+    """analyze's pass carries an MP part in each scene's one forward and
+    eval's carries none."""
     ckpt, data = artifacts
-    params, scenes, synth_cfg = cli._load_compatible(ckpt, data)
+    _, scenes, _ = cli._load_compatible(ckpt, data)
     calls = []
 
     def counting(spec, params):
         calls.append(spec.mp is not None)
         return decoder.full_forward(spec, params)
 
-    for module in (cli, trainer):
-        monkeypatch.setattr(module, "full_forward", counting)
-    cli.analyze_dataset(params, scenes, synth_cfg)
-    assert calls == [True] * len(scenes)
+    monkeypatch.setattr(trainer, "full_forward", counting)
+    for verb, with_mp in (("analyze", True), ("eval", False)):
+        calls.clear()
+        assert cli.main([verb, "--checkpoint", str(ckpt), "--dataset", str(data)]) == cli.EXIT_OK
+        assert calls == [with_mp] * len(scenes), verb
+    assert capsys.readouterr().err == ""
 
 
 def test_every_verb_writes_its_layer_csv_through_layer_table(tmp_path, monkeypatch):

@@ -167,6 +167,13 @@ def test_an_evaluated_scene_computes_one_sigmoid_per_layer(monkeypatch):
     assert len(calls) == params.num_layers + 1
 
 
+def test_evaluating_no_scenes_raises_value_error():
+    cfg, _, params = default_scene_and_params()
+    for evaluate in (trainer.evaluate, trainer.evaluate_scenes):
+        with pytest.raises(ValueError, match="empty evaluation scene set"):
+            evaluate(params, [], cfg, LossWeights())
+
+
 def step_sigmoid_calls(monkeypatch, spec, scene, mp_part, params) -> int:
     calls = count_sigmoid_calls(monkeypatch)
     outputs = full_forward(spec, params)
@@ -421,8 +428,6 @@ def test_no_two_random_streams_of_a_run_and_its_analysis_coincide(monkeypatch):
     purpose), its seed list and its spawn key: no two keys share a
     stream. numpy pads a seed list with zero words to 4, so [0] and
     [0, 0] are one stream, and so are [0, 2, 0] and [0, 2]."""
-    from mpseg.cli import analyze_dataset
-
     real = np.random.SeedSequence
     states = {}
 
@@ -439,7 +444,7 @@ def test_no_two_random_streams_of_a_run_and_its_analysis_coincide(monkeypatch):
     cfg = dataclasses.replace(small_config("mp-all+noises", steps=3), num_scenes=10)
     params, _, synth_cfg = trainer.run_training(cfg)
     scenes, _ = trainer.load_or_generate_scenes(cfg)
-    analyze_dataset(params, scenes, synth_cfg, seed=cfg.seed)
+    trainer.evaluate_scenes(params, scenes, synth_cfg, LossWeights(), mp_seed=cfg.seed)
     purposes = {key[0] for key in states}
     assert purposes == {"init_params", "generate_scene", "synth_features", "build_mp_part"}
     assert len(states) == 1 + 10 + 10 + 3 + 10
