@@ -114,43 +114,54 @@ class ForwardSpec:
     mp: object = None     # MPPart or None
 
 
-def init_params(seed: int, n_queries: int = 20, n_layers: int = 9, dim: int = 32,
-                num_categories: int = 4, ffn_hidden: int = 64) -> DecoderParams:
-    rng = seeded_rng([seed], INIT_KEY)
-
-    def xavier(n_in, n_out):
-        limit = np.sqrt(6.0 / (n_in + n_out))
-        return Tensor(rng.uniform(-limit, limit, size=(n_in, n_out)), requires_grad=True)
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    def ones(*shape):
-        return Tensor(np.ones(shape), requires_grad=True)
+def _assemble(array, n_queries: int, n_layers: int, dim: int, num_categories: int,
+              ffn_hidden: int) -> DecoderParams:
+    """The DecoderParams whose every Tensor holds array(init, shape), init
+    being "xavier", "normal", "zeros" or "ones". array is called once per
+    Tensor, every layer's first and then the heads', in init_params' draw
+    order."""
+    def param(init, *shape):
+        return Tensor(array(init, shape), requires_grad=True)
 
     layers = []
     for _ in range(n_layers):
         layers.append(LayerParams(
-            wq=xavier(dim, dim), wk=xavier(dim, dim), wv=xavier(dim, dim),
-            wo=xavier(dim, dim),
-            sq=xavier(dim, dim), sk=xavier(dim, dim), sv=xavier(dim, dim),
-            so=xavier(dim, dim),
-            ffn_w1=xavier(dim, ffn_hidden), ffn_b1=zeros(ffn_hidden),
-            ffn_w2=xavier(ffn_hidden, dim), ffn_b2=zeros(dim),
-            ln1_g=ones(dim), ln1_b=zeros(dim),
-            ln2_g=ones(dim), ln2_b=zeros(dim),
-            ln3_g=ones(dim), ln3_b=zeros(dim)))
+            wq=param("xavier", dim, dim), wk=param("xavier", dim, dim),
+            wv=param("xavier", dim, dim), wo=param("xavier", dim, dim),
+            sq=param("xavier", dim, dim), sk=param("xavier", dim, dim),
+            sv=param("xavier", dim, dim), so=param("xavier", dim, dim),
+            ffn_w1=param("xavier", dim, ffn_hidden), ffn_b1=param("zeros", ffn_hidden),
+            ffn_w2=param("xavier", ffn_hidden, dim), ffn_b2=param("zeros", dim),
+            ln1_g=param("ones", dim), ln1_b=param("zeros", dim),
+            ln2_g=param("ones", dim), ln2_b=param("zeros", dim),
+            ln3_g=param("ones", dim), ln3_b=param("zeros", dim)))
     return DecoderParams(
         layers=layers,
-        query_embed=Tensor(rng.standard_normal((n_queries, dim)) / np.sqrt(dim),
-                           requires_grad=True),
-        class_embed=Tensor(rng.standard_normal((num_categories, dim)) / np.sqrt(dim),
-                           requires_grad=True),
-        mask_w1=xavier(dim, dim), mask_b1=zeros(dim),
-        mask_w2=xavier(dim, dim), mask_b2=zeros(dim),
-        cls_w=xavier(dim, num_categories + 1), cls_b=zeros(num_categories + 1),
+        query_embed=param("normal", n_queries, dim),
+        class_embed=param("normal", num_categories, dim),
+        mask_w1=param("xavier", dim, dim), mask_b1=param("zeros", dim),
+        mask_w2=param("xavier", dim, dim), mask_b2=param("zeros", dim),
+        cls_w=param("xavier", dim, num_categories + 1), cls_b=param("zeros", num_categories + 1),
         n_queries=n_queries, num_layers=n_layers, dim=dim,
         num_categories=num_categories, ffn_hidden=ffn_hidden)
+
+
+def init_params(seed: int, n_queries: int = 20, n_layers: int = 9, dim: int = 32,
+                num_categories: int = 4, ffn_hidden: int = 64) -> DecoderParams:
+    """Xavier-uniform weights, N(0, 1/dim) query and class embeddings,
+    zero biases and unit layer-norm gains, drawn from the run seed's
+    INIT_KEY stream."""
+    rng = seeded_rng([seed], INIT_KEY)
+
+    def draw(init, shape):
+        if init == "xavier":
+            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+            return rng.uniform(-limit, limit, size=shape)
+        if init == "normal":
+            return rng.standard_normal(shape) / np.sqrt(shape[1])
+        return np.zeros(shape) if init == "zeros" else np.ones(shape)
+
+    return _assemble(draw, n_queries, n_layers, dim, num_categories, ffn_hidden)
 
 
 def _tensor_fields(obj, prefix: str = ""):
@@ -308,9 +319,11 @@ def save_checkpoint(path, params: DecoderParams, extra_meta: dict | None = None)
 
 
 def load_checkpoint(path):
-    """Returns (DecoderParams, meta dict). Raises FormatError unless the
-    file holds the header and every parameter array, in layout order,
-    with nothing after the last one."""
+    """Returns (DecoderParams, meta dict). The parameters are laid out by
+    init_params' constructor and filled from the file, so loading draws no
+    random number. Raises FormatError unless the file holds the header and
+    every parameter array, in layout order, with nothing after the last
+    one."""
     with open(path, "rb") as fh:
         try:
             return _read_checkpoint(fh)
@@ -332,10 +345,9 @@ def _read_checkpoint(fh):
         if not (isinstance(meta[key], int) and 1 <= meta[key] <= cap):
             raise ValueError(f"{key} {meta[key]!r} is not an integer in [1, {cap}]")
     count = int(fh.readline().decode("ascii"))
-    params = init_params(seed=0, n_queries=meta["n_queries"],
-                         n_layers=meta["num_layers"], dim=meta["dim"],
-                         num_categories=meta["num_categories"],
-                         ffn_hidden=meta["ffn_hidden"])
+    params = _assemble(lambda _init, shape: np.empty(shape), meta["n_queries"],
+                       meta["num_layers"], meta["dim"], meta["num_categories"],
+                       meta["ffn_hidden"])
     pairs = named_parameters(params)
     if count != len(pairs):
         raise ValueError(f"has {count} arrays, expected {len(pairs)}")
@@ -346,7 +358,7 @@ def _read_checkpoint(fh):
         raw = fh.read(t.values.nbytes)
         if len(raw) != t.values.nbytes:
             raise ValueError(f"{name}: {len(raw)} of {t.values.nbytes} bytes")
-        t.values = np.frombuffer(raw, dtype="<f8").reshape(t.values.shape).astype(np.float64)
+        t.values[...] = np.frombuffer(raw, dtype="<f8").reshape(t.values.shape)
     if fh.read(1):
         raise ValueError("trailing bytes after the last array")
     return params, meta

@@ -158,19 +158,18 @@ def rle_encode(m: np.ndarray) -> list[int]:
     return runs
 
 
-def rle_decode(runs, height: int, width: int) -> np.ndarray:
-    """The (height, width) mask of rle_encode's run lengths."""
+def rle_decode(runs: list, height: int, width: int) -> np.ndarray:
+    """The (n, height, width) stack of n masks from their rle_encode run
+    lengths, one list of ints per mask, decoded by one np.repeat. Raises
+    ValueError at the first mask, in order, whose runs hold a negative
+    length (naming the first) or do not sum to height * width."""
     total = height * width
-    flat = np.zeros(total, dtype=bool)
-    pos = 0
-    val = False
-    for run in runs:
-        if run > 0:
-            flat[pos:pos + run] = val
-        elif run < 0:
-            raise ValueError(f"negative run length {run}")
-        pos += run
-        val = not val
-    if pos != total:
-        raise ValueError(f"run lengths sum to {pos}, expected {total}")
-    return flat.reshape(height, width)
+    flat = []
+    for r in runs:
+        if min(r, default=0) < 0:
+            raise ValueError(f"negative run length {next(x for x in r if x < 0)}")
+        if sum(r) != total:
+            raise ValueError(f"run lengths sum to {sum(r)}, expected {total}")
+        # an even number of runs per mask, so that every mask starts with a zero-run
+        flat += r + [0] * (len(r) % 2)
+    return np.repeat(np.arange(len(flat)) % 2 == 1, flat).reshape(len(runs), height, width)

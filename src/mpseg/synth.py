@@ -9,6 +9,9 @@ num_categories is background) plus Gaussian noise; the feature pyramid
 is a list of scales, coarse to fine, of 2x2 mean pools and then the base.
 Datasets store only geometry (config, scene count and RLE masks);
 features are regenerated deterministically from (config seed, scene index).
+load_dataset decodes all of a scene's masks in one masks.rle_decode call,
+and reports the fault that a reading of one instance at a time would meet
+first.
 """
 
 from __future__ import annotations
@@ -100,8 +103,7 @@ def _shape_mask(rng, kind: str, h: int, w: int, size_range) -> np.ndarray:
         radius = int(rng.integers(max(1, lo // 2), max(2, hi // 2) + 1))
         cy = int(rng.integers(radius, max(radius + 1, h - radius)))
         cx = int(rng.integers(radius, max(radius + 1, w - radius)))
-        rr, cc = np.mgrid[0:h, 0:w]
-        return (rr - cy) ** 2 + (cc - cx) ** 2 <= radius ** 2
+        return (np.arange(h)[:, None] - cy) ** 2 + (np.arange(w) - cx) ** 2 <= radius ** 2
     raise ValueError(f"unknown shape kind {kind!r}")
 
 
@@ -205,20 +207,25 @@ def _parse_dataset(path, lines):
         indices.add(index)
         if len(fields) < 3:  # generate_scene places at least one instance
             raise ValueError(f"scene {index} has no instances")
-        cats, masks = [], []
-        for k, part in enumerate(fields[2:]):
-            cat_s, runs_s = part.split(":")
-            cat = int(cat_s)
-            if not 0 <= cat < cfg.num_categories:
-                raise ValueError(f"scene {index}: category {cat} out of range")
-            runs = [int(x) for x in runs_s.split(",")]
-            masks.append(rle_decode(runs, cfg.height, cfg.width))
-            # MP's mask noise needs a pixel (generate_scene places one in each
-            # instance); the runs decoded, so the odd, set runs are not negative
-            if not any(runs[1::2]):
-                raise ValueError(f"scene {index}: instance {k} has an empty mask")
-            cats.append(cat)
-        scenes.append(Scene(index=index, categories=cats, masks=np.stack(masks)))
+        cats, runs = [], []
+        try:
+            for k, part in enumerate(fields[2:]):
+                cat_s, runs_s = part.split(":")
+                cat = int(cat_s)
+                if not 0 <= cat < cfg.num_categories:
+                    raise ValueError(f"scene {index}: category {cat} out of range")
+                cats.append(cat)
+                runs.append(list(map(int, runs_s.split(","))))
+                # MP's mask noise needs a pixel (generate_scene places one in each instance)
+                if not any(runs[-1][1::2]):
+                    raise ValueError(f"scene {index}: instance {k} has an empty mask")
+        except ValueError:
+            # faults are reported in reading order, in which an instance's
+            # run lengths come before its emptiness: check those read so far
+            rle_decode(runs, cfg.height, cfg.width)
+            raise
+        scenes.append(Scene(index=index, categories=cats,
+                            masks=rle_decode(runs, cfg.height, cfg.width)))
     if len(scenes) != count:
         raise FormatError(f"{path}: header says {count} scenes, the file holds "
                           f"{len(scenes)}")

@@ -5,7 +5,9 @@ arithmetic and the reductions that Tensor itself does not define;
 attention over every key column, the oracle of tensor.fused_attention
 where it computes on fewer; an MP part's label flips and noised masks
 drawn one row at a time, the oracle of mp.build_mp_part; nearest resizing, the oracle of
-masks.to_attention_blocks; the Hungarian solve as numpy array ops, the
+masks.to_attention_blocks; the run-length decoder that writes one run
+at a time, the oracle of masks.rle_decode; the np.mgrid disk, the oracle
+of synth._shape_mask's disks; the Hungarian solve as numpy array ops, the
 oracle of losses._solve_rows_leq_cols; a scan over every candidate
 threshold, the oracle of metrics._threshold_exists; the np.where
 sigmoid with log1p(exp(-|x|)) as two expressions, the oracle of
@@ -247,6 +249,31 @@ def resize_nearest(m: np.ndarray, h2: int, w2: int) -> np.ndarray:
     ri = _nearest_indices(m.shape[0], h2)
     ci = _nearest_indices(m.shape[1], w2)
     return m[np.ix_(ri, ci)]
+
+
+def rle_decode_runs(runs, height: int, width: int) -> np.ndarray:
+    """The (height, width) mask of one mask's run lengths, written run by
+    run. Raises ValueError as masks.rle_decode does for a one-mask stack."""
+    total = height * width
+    flat = np.zeros(total, dtype=bool)
+    pos = 0
+    val = False
+    for run in runs:
+        if run > 0:
+            flat[pos:pos + run] = val
+        elif run < 0:
+            raise ValueError(f"negative run length {run}")
+        pos += run
+        val = not val
+    if pos != total:
+        raise ValueError(f"run lengths sum to {pos}, expected {total}")
+    return flat.reshape(height, width)
+
+
+def disk_mask(h: int, w: int, cy: int, cx: int, r: int) -> np.ndarray:
+    """The (h, w) disk of radius r around (cy, cx), from np.mgrid."""
+    rr, cc = np.mgrid[0:h, 0:w]
+    return (rr - cy) ** 2 + (cc - cx) ** 2 <= r ** 2
 
 
 def point_noise_rows(m: np.ndarray, lambda_p: float, n_rows: int, rng) -> np.ndarray:

@@ -384,7 +384,8 @@ def test_checkpoint_every_prefix_is_format_error(tmp_path):
 
 def checkpoint_with_extent(tmp_path, monkeypatch, key, value):
     """A small checkpoint whose header gives `value` for `key`, with
-    init_params stubbed so that reaching it raises instead of allocating."""
+    init_params' constructor, which the loader lays the parameters out
+    with, stubbed so that reaching it raises instead of allocating."""
     params = init_params(seed=21, n_queries=2, n_layers=1, dim=4, num_categories=2,
                          ffn_hidden=4)
     path = tmp_path / "extent.bin"
@@ -394,10 +395,10 @@ def checkpoint_with_extent(tmp_path, monkeypatch, key, value):
     meta = json.dumps({**json.loads(meta), key: value})
     path.write_bytes(f"{magic} {version} {meta}\n".encode("ascii") + rest)
 
-    def reached(**kw):
+    def reached(*args):
         raise AssertionError("init_params reached")
 
-    monkeypatch.setattr(decoder, "init_params", reached)
+    monkeypatch.setattr(decoder, "_assemble", reached)
     return path
 
 
@@ -425,6 +426,29 @@ def test_committed_checkpoint_resaves_byte_identical(tmp_path):
     out = tmp_path / "resaved.bin"
     save_checkpoint(out, params, extra_meta=meta)
     assert out.read_bytes() == BENCH_CHECKPOINT.read_bytes()
+
+
+def test_loading_a_checkpoint_draws_no_random_number(tmp_path, monkeypatch):
+    tiny = init_params(seed=23, n_queries=3, n_layers=2, dim=6, num_categories=2,
+                       ffn_hidden=5)
+    path = tmp_path / "tiny.bin"
+    save_checkpoint(path, tiny)
+
+    def drawn(*args, **kw):
+        raise AssertionError("a random number was drawn")
+
+    monkeypatch.setattr(decoder, "seeded_rng", drawn)
+    loaded, _ = load_checkpoint(path)
+    for (n1, t1), (n2, t2) in zip(named_parameters(tiny), named_parameters(loaded),
+                                  strict=True):
+        assert n1 == n2
+        assert t2.values.dtype == np.float64 and t2.values.flags.c_contiguous
+        assert t2.values.tobytes() == t1.values.tobytes()
+        assert t2.requires_grad and t2.grad is None
+    # the bench checkpoint's arrays, resaved, are the file's bytes
+    params, meta = load_checkpoint(BENCH_CHECKPOINT)
+    save_checkpoint(tmp_path / "bench.bin", params, extra_meta=meta)
+    assert (tmp_path / "bench.bin").read_bytes() == BENCH_CHECKPOINT.read_bytes()
 
 
 def test_detach_params_shares_values_and_tracks_nothing():

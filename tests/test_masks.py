@@ -5,14 +5,9 @@ import pytest
 
 from mpseg.masks import (INIT_KEY, MP_KEY, _bbox, _centroid, iou, rle_decode, rle_encode,
                          scale_noise, seeded_rng, shift_noise, to_attention_blocks)
-from oracle import point_noise, resize_nearest
+from oracle import disk_mask, point_noise, resize_nearest, rle_decode_runs
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
-
-
-def disk_mask(h, w, cy, cx, r):
-    rr, cc = np.mgrid[0:h, 0:w]
-    return (rr - cy) ** 2 + (cc - cx) ** 2 <= r ** 2
 
 
 def test_iou_identity():
@@ -254,7 +249,7 @@ def test_rle_roundtrip():
     for _ in range(100):
         m = rng.uniform(size=(7, 9)) < 0.5
         runs = rle_encode(m)
-        assert np.array_equal(rle_decode(runs, 7, 9), m)
+        assert np.array_equal(rle_decode([runs], 7, 9)[0], m)
         # alternating runs starting with a zero-run
         assert sum(runs) == 63
         if m.reshape(-1)[0]:
@@ -263,7 +258,7 @@ def test_rle_roundtrip():
 
 def test_rle_bad_length():
     with pytest.raises(ValueError):
-        rle_decode([3, 3], 2, 2)
+        rle_decode([[3, 3]], 2, 2)
 
 
 @pytest.mark.parametrize("runs", [[70, -6], [10, 5, -5, 54]], ids=["past-the-end", "back-over"])
@@ -271,7 +266,48 @@ def test_rle_negative_run_raises(runs):
     """Both lists sum to 64; read as runs, the second would give a 54-pixel
     mask that no run describes."""
     with pytest.raises(ValueError, match="negative run length -"):
+        rle_decode([runs], 8, 8)
+
+
+def random_stack(rng, n, h, w):
+    """n random (h, w) masks, among them a full one, an empty one, one
+    with a set run on its last pixel, one with a leading set run, and
+    ones with empty pixel rows."""
+    m = rng.uniform(size=(n, h, w)) < rng.uniform(0.05, 0.95, size=(n, 1, 1))
+    m[0] = True
+    m[1] = False
+    m[2, -1, -1] = True
+    m[3, 0, 0] = True
+    m[4:, rng.integers(0, h, size=2)] = False
+    return m[rng.permutation(n)]
+
+
+def test_rle_decode_of_a_stack_is_the_run_by_run_decode_of_each_mask():
+    rng = np.random.default_rng(31)
+    for h, w in [(1, 1), (2, 3), (8, 8), (7, 9), (32, 32)]:
+        for n in (6, 12):
+            stack = random_stack(rng, n, h, w)
+            runs = [rle_encode(m) for m in stack]
+            decoded = rle_decode(runs, h, w)
+            assert decoded.shape == stack.shape and decoded.dtype == bool
+            assert np.array_equal(decoded, np.stack([rle_decode_runs(r, h, w) for r in runs]))
+            assert np.array_equal(decoded, stack)
+    assert rle_decode([], 4, 4).shape == (0, 4, 4)
+
+
+@pytest.mark.parametrize("bad", [[70, -6], [10, 5, -5, 54], [3, -1, -2, 64], [63], [0, 65],
+                                 [64, 0, 2**70], [64, -(2**70)]])
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_rle_decode_raises_at_the_first_bad_mask_as_the_run_by_run_decode(bad, at):
+    """A stack with a bad mask at `at` and a second one after it: the
+    message is the run-by-run decode's of the first."""
+    good = [[5, 20, 39], [0, 64], [64], [63, 1]]
+    runs = good[:at] + [bad] + [[-1, 65]] + good[at:]
+    with pytest.raises(ValueError) as oracle_error:
+        rle_decode_runs(bad, 8, 8)
+    with pytest.raises(ValueError) as error:
         rle_decode(runs, 8, 8)
+    assert str(error.value) == str(oracle_error.value)
 
 
 @pytest.mark.parametrize("seed", [[0], [7, 1, 3, 0, 2], [2**32 - 1, 5], [2**32, 1],

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from mpseg.fields import ConfigError
-from mpseg.masks import FormatError
-from mpseg.synth import SynthConfig, generate_scene, load_dataset, save_dataset, synth_features
+from mpseg.masks import FormatError, rle_encode
+from mpseg.synth import (SynthConfig, _shape_mask, generate_scene, load_dataset, save_dataset,
+                         synth_features)
+from oracle import disk_mask, rle_decode_runs
 
 
 def small_cfg(**kw):
@@ -142,6 +144,80 @@ def test_dataset_bad_category_rejected(tmp_path):
     path.write_text(head + "\n" + " ".join(fields) + "\n")
     with pytest.raises(FormatError, match="category 7"):
         load_dataset(path)
+
+
+def test_multi_instance_dataset_roundtrip_decodes_each_mask_as_the_run_by_run_decode(tmp_path):
+    cfg = small_cfg(instance_range=(3, 6), size_range=(2, 4), shape_kinds=("disk", "rectangle"))
+    scenes = [generate_scene(cfg, i) for i in range(12)]
+    assert min(s.num_instances for s in scenes) >= 3
+    path = tmp_path / "ds.txt"
+    save_dataset(path, scenes, cfg)
+    loaded, _ = load_dataset(path)
+    assert loaded == scenes
+    for scene in loaded:
+        assert scene.masks.dtype == bool and scene.masks.shape == (scene.num_instances, 16, 16)
+        for mask in scene.masks:
+            assert np.array_equal(mask, rle_decode_runs(rle_encode(mask), 16, 16))
+
+
+# (instance parts on one scene line, the message): where several faults
+# apply, the one an instance-by-instance reading meets first wins
+FIRST_FAULT = [
+    (["0:70,-6", "9:64"], "negative run length -6"),
+    (["0:30,4,30", "9:64"], "scene 0: category 9 out of range"),
+    (["0:64", "0:70,-6"], "scene 0: instance 0 has an empty mask"),
+    (["0:64,0,-1", "0:64"], "negative run length -1"),
+    (["0:30,4,30", "0:64,0"], "scene 0: instance 1 has an empty mask"),
+    (["0:30,4,29", "x:64"], "run lengths sum to 63, expected 64"),
+    (["0:30,4,30", "x:64", "0:-1"], "invalid literal for int() with base 10: 'x'"),
+    (["0:30,4,30", "0:1,x", "9:64"], "invalid literal for int() with base 10: 'x'"),
+    (["0:30,4,30", "0,64", "0:-1"], "not enough values to unpack (expected 2, got 1)"),
+    (["0:0,64,0", "1:30,4,30", "2:70,-6"], "negative run length -6"),
+]
+
+
+@pytest.mark.parametrize("parts,message", FIRST_FAULT)
+def test_dataset_reports_the_first_fault_of_a_scene_line(tmp_path, parts, message):
+    cfg = small_cfg(height=8, width=8)
+    path = tmp_path / "ds.txt"
+    text = save_dataset(path, [generate_scene(cfg, 0)], cfg)
+    path.write_text(text.split("\n")[0] + "\nscene 0 " + " ".join(parts) + "\n")
+    with pytest.raises(FormatError) as exc:
+        load_dataset(path)
+    assert str(exc.value) == f"{path}: malformed dataset ({message})"
+
+
+class ScriptedRng:
+    """Hands out the given integers in order and records the range each
+    is drawn from."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+        self.ranges = []
+
+    def integers(self, lo, hi):
+        self.ranges.append((lo, hi))
+        return next(self.values)
+
+
+@pytest.mark.parametrize("size", [8, 32])
+def test_disk_masks_are_the_mgrid_disks_for_every_radius_and_centre(size):
+    """Radii 1..size, from size_range (2, 2 * size + 1); for each radius
+    every centre generate_scene can draw."""
+    size_range = (2, 2 * size + 1)
+    count = 0
+    for radius in range(1, size + 1):
+        centres = range(radius, max(radius + 1, size - radius))
+        for cy in centres:
+            for cx in centres:
+                rng = ScriptedRng([radius, cy, cx])
+                mask = _shape_mask(rng, "disk", size, size, size_range)
+                bounds = (centres.start, centres.stop)
+                assert rng.ranges == [(1, size + 1), bounds, bounds]
+                assert mask.shape == (size, size) and mask.dtype == bool
+                assert np.array_equal(mask, disk_mask(size, size, cy, cx, radius))
+                count += 1
+    assert count == sum(max(1, size - 2 * r) ** 2 for r in range(1, size + 1))
 
 
 def test_dataset_size_bound(tmp_path):
