@@ -33,6 +33,10 @@ same ops. Each part's forward products are its own BLAS calls, so the
 matching rows are bitwise those of a plain forward; the backward's
 products run once over all rows, so gradients match a part-by-part
 backward within a tolerance.
+
+One constructor lays out the parameters: init_params fills it with
+draws from the run seed's stream, and load_checkpoint with a file's
+arrays, drawing no random number.
 """
 
 from __future__ import annotations
