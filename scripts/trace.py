@@ -174,7 +174,8 @@ def step_arrays(tiny: bool = False) -> dict:
             key = f"{variant}/{step}/"
             out[key + "vectors"] = vectors
             out[key + "loss"] = loss.values
-            out[key + "logits"] = np.concatenate([t.values.ravel() for t in
+            # an older tree's mask logits are Tensors, this one's are arrays
+            out[key + "logits"] = np.concatenate([np.ravel(getattr(t, "values", t)) for t in
                                                   outputs.mask_logits + outputs.class_logits])
             for name, p in pairs:
                 out[key + "grad/" + name] = np.zeros_like(p.values) if p.grad is None else p.grad

@@ -9,11 +9,11 @@ layer's cross-attention blocking grids. Single attention head, no
 positional encodings.
 
 The mask head records each query's embedding (an mlp2 node); its mask
-logits, that embedding times the scene's embedding grid, are constant
-Tensors. The loss is differentiated at the embeddings
-(losses.layer_losses), which is why a forward that tracks gradients
-hands the grid on in its LayerOutputs, and one that does not keeps no
-view of the scene's features.
+logits, that embedding times the scene's embedding grid, are plain
+arrays that no tape node reads. The loss is differentiated at the
+embeddings (losses.layer_losses), which is why a forward that tracks
+gradients hands the grid on in its LayerOutputs, and one that does not
+keeps no view of the scene's features.
 
 full_forward is the only forward path, the one place a mask becomes a
 blocking grid, and the one place data becomes query Tensors. Its queries
@@ -101,11 +101,11 @@ class LayerOutputs:
     """Predictions for layers 0..L; index 0 is the pre-decoder prediction.
 
     Each layer's mask logits are its mask embeddings times the embedding
-    grid, a constant Tensor: gradients reach the mask head through the
-    embeddings. grid is that (H*W, d) grid when the embeddings are
-    tracked and None otherwise, so that a no-grad forward keeps no array
-    alive past its own scene."""
-    mask_logits: list     # each (n_q, H, W) constant Tensor
+    grid, an array: gradients reach the mask head through the embeddings.
+    grid is that (H*W, d) grid when the embeddings are tracked and None
+    otherwise, so that a no-grad forward keeps no array alive past its
+    own scene."""
+    mask_logits: list     # each (n_q, H, W) float64 array
     class_logits: list    # each (n_q, K+1) Tensor
     n_match: int
     mask_embeds: list = field(default_factory=list)  # each (n_q, d) Tensor
@@ -188,7 +188,7 @@ def heads(params: DecoderParams, x: Tensor, spans, embed: np.ndarray) -> tuple:
     give, from the shared heads, for an (H, W, d) embed grid:
 
     - embedding_n = MLP(query_n), one mlp2 node over all parts;
-    - mask logit [n, y, x] = embedding_n . embed[y, x], a constant Tensor;
+    - mask logit [n, y, x] = embedding_n . embed[y, x], an array;
     - class logits = query_n @ cls_w + cls_b, one linear node.
 
     Each part's forward products are its own, so its rows are bitwise
@@ -199,7 +199,7 @@ def heads(params: DecoderParams, x: Tensor, spans, embed: np.ndarray) -> tuple:
         raise ValueError(f"mask head output dim {params.mask_w2.values.shape[1]} != "
                          f"embedding dim {d}")
     e = mlp2(x, spans, params.mask_w1, params.mask_b1, params.mask_w2, params.mask_b2)
-    masks = Tensor(part_products(e.values, spans, embed.reshape(h * w, d).T).reshape(-1, h, w))
+    masks = part_products(e.values, spans, embed.reshape(h * w, d).T).reshape(-1, h, w)
     return e, masks, linear(x, spans, params.cls_w, params.cls_b)
 
 
@@ -276,7 +276,7 @@ def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
     for i in range(1, params.num_layers + 1):
         s = layer_scale(i, len(feats))
         h, w = spec.pyramid[s].shape[:2]
-        bits = binarize_masks(mask_logits[-1].values)
+        bits = binarize_masks(mask_logits[-1])
         if mp is not None and i in mp.overrides:
             bits = np.concatenate([bits[:n_match], mp.overrides[i]])
         blocks = to_attention_blocks(bits, h, w)

@@ -137,10 +137,9 @@ def run_gradient_suite(seed: int = 0):
 
     def layers_loss(xs):
         embeds, classes = xs[:loss_layers], xs[loss_layers:]
-        logits = [Tensor((e.values @ loss_grid.T).reshape(5, 2, 3)) for e in embeds]
+        logits = [(e.values @ loss_grid.T).reshape(5, 2, 3) for e in embeds]
         outputs = LayerOutputs(logits, classes, 3, embeds, loss_grid)
-        probs, means, stats = layer_stats([ml.values for ml in logits], loss_gt,
-                                          [slice(0, 3), slice(3, 5)])
+        probs, means, stats = layer_stats(logits, loss_gt, [slice(0, 3), slice(3, 5)])
         return loss_over_layers(outputs, probs, means, stats, loss_gt, np.array([2, 0]),
                                 loss_index, loss_cons, LossWeights())
 
@@ -192,12 +191,16 @@ def _end_to_end_check(seed: int, with_mp: bool):
     classification + mask losses). The spec comes from mp_forward_spec;
     with with_mp, MP is on and the queries are the matching part plus a
     two-group MP part, so the MP rows of the loss are checked too.
+
+    The gradient is taken on the parameters as init_params makes them; the
+    probes evaluate detach_params of them, which shares their values and
+    records no tape.
     """
     from .decoder import full_forward, init_params, named_parameters
     from .losses import LossWeights, layer_losses
     from .mp import MPConfig
     from .synth import SynthConfig, generate_scene, synth_features
-    from .trainer import mp_forward_spec
+    from .trainer import detach_params, mp_forward_spec
 
     cfg = SynthConfig(height=8, width=8, num_categories=2, feat_dim=8,
                       instance_range=(2, 2), size_range=(2, 3), noise_sigma=0.1, seed=seed)
@@ -211,28 +214,22 @@ def _end_to_end_check(seed: int, with_mp: bool):
     spec, mp_part = mp_forward_spec(pyramid, scene, params, MPConfig(n_q=4, enabled=with_mp),
                                     range(1, params.num_layers + 1), [seed, 2, 0])
 
-    def loss_tensor():
-        outputs = full_forward(spec, params)
-        total, _ = layer_losses(outputs, scene, mp_part=mp_part,
+    def loss_tensor(at):
+        total, _ = layer_losses(full_forward(spec, at), scene, mp_part=mp_part,
                                 mode="per-layer-bipartite", weights=weights)
         return total
 
-    def value():
-        return float(loss_tensor().values)
+    loss_tensor(params).backward()
+    frozen = detach_params(params)
 
-    for _, p in pairs:
-        p.requires_grad = True
-        p.grad = None
-    loss_tensor().backward()
-    grads = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.values))
-             for name, p in pairs}
-    for _, p in pairs:
-        p.requires_grad = False
+    def value():
+        return float(loss_tensor(frozen).values)
 
     rng = np.random.default_rng(seed + 2)
     worst = 0.0
-    for name, p in pairs:
+    for _, p in pairs:
         flat = p.values.reshape(-1)
         coords = rng.choice(flat.size, size=min(COORDS_PER_PARAM, flat.size), replace=False)
-        worst = max(worst, _probe(value, flat, grads[name].reshape(-1), coords))
+        grad = p.grad if p.grad is not None else np.zeros_like(p.values)
+        worst = max(worst, _probe(value, flat, grad.reshape(-1), coords))
     return "decoder_end_to_end" + ("_mp" if with_mp else ""), worst, worst < TOL

@@ -276,7 +276,7 @@ def loss_over_layers(outputs: LayerOutputs, probs, means, stats: MaskStats, gt: 
     cons = [(i, t) for i, t in enumerate(consistency) if t is not None]
     for j, (i, t) in enumerate(cons):
         k = t.shape[0]
-        x = outputs.mask_logits[i].values.reshape(n, npix)[:k]
+        x = outputs.mask_logits[i].reshape(n, npix)[:k]
         entries.append((np.full(k, n_seg + j), means[i][:k] - np.einsum("ij,ij->i", x, t) / npix,
                         np.einsum("ij,ij->i", probs[i][:k], t), stats.psum[i, :k],
                         t.sum(axis=1)))
@@ -355,7 +355,7 @@ def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: Loss
     n_match = outputs.n_match
     gt = gt_pixels(scene)
     parts = [slice(0, n_match)] + ([slice(n_match, None)] if mp_part is not None else [])
-    probs, means, stats = layer_stats([ml.values for ml in outputs.mask_logits], gt, parts)
+    probs, means, stats = layer_stats(outputs.mask_logits, gt, parts)
     costs = cost_matrix(stats.rows(parts[0]),
                         np.stack([cl.values[:n_match] for cl in outputs.class_logits]),
                         scene.categories, weights)
@@ -369,7 +369,7 @@ def layer_losses(outputs: LayerOutputs, scene, mp_part, mode: str, weights: Loss
                                                     (len(vectors), mp_part.num_queries))])
     consistency = [None] * len(vectors)
     if mode == "consistency-aux":
-        consistency[1:] = [binarize_masks(ml.values[:n_match]).reshape(n_match, -1)
+        consistency[1:] = [binarize_masks(ml[:n_match]).reshape(n_match, -1)
                            .astype(np.float64) for ml in outputs.mask_logits[:-1]]
     return (loss_over_layers(outputs, probs, means, stats, gt, scene.categories, index,
                              consistency, weights), vectors)

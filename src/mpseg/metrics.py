@@ -27,7 +27,7 @@ def miou_layerwise(outputs: LayerOutputs) -> np.ndarray:
     if len(outputs.mask_logits) < 2:
         raise ValueError("need at least two layer entries")
     n = outputs.n_match
-    bits = np.stack([binarize_masks(ml.values[:n]) for ml in outputs.mask_logits])
+    bits = np.stack([binarize_masks(ml[:n]) for ml in outputs.mask_logits])
     return iou(bits[:-1], bits[1:]).mean(axis=1)
 
 
@@ -38,7 +38,7 @@ def _matching_vectors(outputs: LayerOutputs, rows: slice, scene,
     losses.layer_losses matches by. Each layer's probabilities are dropped
     once its statistics are read."""
     gt = gt_pixels(scene)
-    stats = stack_stats(mask_stats(ml.values[rows], gt, [slice(None)])[2]
+    stats = stack_stats(mask_stats(ml[rows], gt, [slice(None)])[2]
                         for ml in outputs.mask_logits)
     costs = cost_matrix(stats, np.stack([cl.values[rows] for cl in outputs.class_logits]),
                         scene.categories, weights)
@@ -135,7 +135,7 @@ def extract_predictions(outputs: LayerOutputs):
     real = softmax_rows(outputs.class_logits[-1].values[:n])[:, :-1]
     cats = real.argmax(axis=1)
     scores = real[np.arange(n), cats]
-    return cats, scores, binarize_masks(outputs.mask_logits[-1].values[:n])
+    return cats, scores, binarize_masks(outputs.mask_logits[-1][:n])
 
 
 # ----------------------------------------------------------------------

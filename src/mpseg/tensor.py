@@ -8,14 +8,18 @@ that has requires_grad set. Values are never mutated by forward ops; the
 only sanctioned in-place write is an optimizer updating parameter .values
 between training steps.
 
-_make and _accumulate alone decide which Tensor records and keeps a
-gradient: _make records an op's parents and backward only when some
-parent tracks gradients, and _accumulate drops a gradient handed to a
-Tensor that tracks none. So each op computes its forward, defines bw(g),
-which hands every input its gradient, and returns _make(values, parents,
-bw). Only fused_attention's source and the loss node's mask embeddings
-(losses.loss_over_layers) read requires_grad, where a dropped gradient
-would cost real work.
+A value is a Tensor only if some forward can differentiate it. Its
+requires_grad is set when it is made, by Tensor.__init__ or _make, and
+never changed: a forward that records nothing runs on
+trainer.detach_params' copy of the parameters. _make and _accumulate
+alone decide which Tensor records and keeps a gradient: _make records an
+op's parents and backward only when some parent tracks gradients, and
+_accumulate drops a gradient handed to a Tensor that tracks none. So
+each op computes its forward, defines bw(g), which hands every input its
+gradient, and returns _make(values, parents, bw). Besides them only
+fused_attention's source, the loss node's mask embeddings
+(losses.loss_over_layers) and full_forward's grid read requires_grad,
+where a dropped gradient would cost real work.
 
 The ops here are only the ones the model's decoder records: take_rows,
 concat_rows and the fused ops. Tensor has no matmul, elementwise
@@ -33,12 +37,15 @@ arithmetic:
   mask head's embedding of each query;
 - linear: x@w + b over the query parts, the class head.
 
+Gains and biases are 1-D, so each one's gradient is a sum over rows
+(tests/oracle.py's primitives broadcast, and reduce in general).
+
 The loss is one more node, over every decoder layer (losses.py). No
 pixel array enters the tape: the mask logits, each query's embedding
-times the scene's embedding grid, are constant Tensors, and the loss
-node is differentiated at the (n, d) embeddings. Its backward forms,
-layer by layer, the per-pixel gradient of only the rows that a mask term
-reads and multiplies it by the grid, so no (rows x pixels) array is ever
+times the scene's embedding grid, are plain arrays, and the loss node is
+differentiated at the (n, d) embeddings. Its backward forms, layer by
+layer, the per-pixel gradient of only the rows that a mask term reads
+and multiplies it by the grid, so no (rows x pixels) array is ever
 stored as a gradient.
 
 For the same reason importing mpseg holds numpy's OpenBLAS to one thread
@@ -166,17 +173,6 @@ def _make(values, parents, backward) -> Tensor:
         out._parents = tuple(parents)
         out._backward = backward
     return out
-
-
-def _unbroadcast(g, shape):
-    """Sum a broadcast gradient back down to `shape`."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
 
 
 # ndarray.mean with the Python wrapper taken out: the same reduction and
@@ -339,16 +335,16 @@ def fused_attention(x: Tensor, src: Tensor, parts, wq: Tensor, wk: Tensor, wv: T
 
 
 def add_norm_affine(x: Tensor, update: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """layernorm_lastdim(x + update) * gain + bias: a residual connection
-    followed by layer normalization with its affine."""
+    """layernorm_lastdim(x + update) * gain + bias for (d,) gain and bias:
+    a residual connection followed by layer normalization with its affine."""
     z = x.values + update.values
     zc = z - _mean_lastdim(z)
     inv = 1.0 / np.sqrt(_mean_lastdim(zc * zc) + LN_EPS)
     y = zc * inv
 
     def bw(g):
-        bias._accumulate(_unbroadcast(g, bias.values.shape))
-        gain._accumulate(_unbroadcast(g * y, gain.values.shape))
+        bias._accumulate(g.sum(axis=0))
+        gain._accumulate((g * y).sum(axis=0))
         g_y = g * gain.values
         g_z = inv * (g_y - _mean_lastdim(g_y) - y * _mean_lastdim(g_y * y))
         x._accumulate(g_z)
@@ -357,10 +353,10 @@ def add_norm_affine(x: Tensor, update: Tensor, gain: Tensor, bias: Tensor) -> Te
 
 
 def mlp2(x: Tensor, spans, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """relu(x@w1 + b1) @ w2 + b2 over the query parts whose rows the
-    slices `spans` give (they tile x's rows in order), one node. Each
-    part's products are its own; the bias adds and the relu run once
-    over all rows."""
+    """relu(x@w1 + b1) @ w2 + b2, for 1-D biases, over the query parts
+    whose rows the slices `spans` give (they tile x's rows in order), one
+    node. Each part's products are its own; the bias adds and the relu
+    run once over all rows."""
     spans = _tiling(spans, x.values.shape[0])
     h = part_products(x.values, spans, w1.values)
     h += b1.values
@@ -369,25 +365,25 @@ def mlp2(x: Tensor, spans, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
     y += b2.values
 
     def bw(g):
-        b2._accumulate(_unbroadcast(g, b2.values.shape))
+        b2._accumulate(g.sum(axis=0))
         w2._accumulate(r.T @ g)
         g_h = (g @ w2.values.T) * (h > 0.0)
-        b1._accumulate(_unbroadcast(g_h, b1.values.shape))
+        b1._accumulate(g_h.sum(axis=0))
         w1._accumulate(x.values.T @ g_h)
         x._accumulate(g_h @ w1.values.T)
     return _make(y, (x, w1, b1, w2, b2), bw)
 
 
 def linear(x: Tensor, spans, w: Tensor, b: Tensor) -> Tensor:
-    """x@w + b over the query parts whose rows the slices `spans` give
-    (they tile x's rows in order), one node: the decoder's class head.
-    Each part's product is its own; the bias add and every backward
-    product run once over all rows."""
+    """x@w + b, for a 1-D b, over the query parts whose rows the slices
+    `spans` give (they tile x's rows in order), one node: the decoder's
+    class head. Each part's product is its own; the bias add and every
+    backward product run once over all rows."""
     y = part_products(x.values, _tiling(spans, x.values.shape[0]), w.values)
     y += b.values
 
     def bw(g):
-        b._accumulate(_unbroadcast(g, b.values.shape))
+        b._accumulate(g.sum(axis=0))
         x._accumulate(g @ w.values.T)
         w._accumulate(x.values.T @ g)
     return _make(y, (x, w, b), bw)

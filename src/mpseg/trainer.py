@@ -154,6 +154,10 @@ def load_or_generate_scenes(cfg: RunConfig):
 
 
 def split_scenes(scenes, holdout_frac: float):
+    """(training scenes, held-out scenes): the last round(len(scenes) *
+    holdout_frac) are held out, rounding half to even (5 scenes at 0.5
+    hold out 2, 7 hold out 4). When that count is 0 or every scene, both
+    lists are all the scenes: the run trains and evaluates on them all."""
     n_hold = int(round(len(scenes) * holdout_frac))
     if n_hold == 0 or n_hold == len(scenes):
         return scenes, scenes

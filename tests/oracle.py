@@ -28,8 +28,8 @@ from mpseg.losses import DICE_EPS, MODES, cost_matrix, gt_pixels, hungarian, mas
 from mpseg.masks import (MP_KEY, _nearest_indices, point_noise_region, scale_noise,
                          seeded_rng, shift_noise)
 from mpseg.mp import dynamic_groups
-from mpseg.tensor import (NEG_BIG, Tensor, _make, _unbroadcast, add_norm_affine, concat_rows,
-                          fused_attention, mlp2, part_products)
+from mpseg.tensor import (NEG_BIG, Tensor, _make, add_norm_affine, concat_rows, fused_attention,
+                          mlp2, part_products)
 
 
 def sigmoid_where(x: np.ndarray) -> np.ndarray:
@@ -49,6 +49,17 @@ def _mean_all(a):
     """ndarray.mean with the Python wrapper taken out: the same reduction
     and division, so bitwise the same value."""
     return np.add.reduce(a, axis=None) / a.size
+
+
+def _unbroadcast(g, shape):
+    """Sum a broadcast gradient back down to `shape`."""
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
 
 
 def _as_tensor(x) -> Tensor:

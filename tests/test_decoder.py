@@ -60,15 +60,15 @@ def test_mask_head_basis_case():
     p = identity_mask_head_params(d=2)
     embed = np.array([[[1.0, 0.0], [0.0, 1.0]]])  # 1x2 grid of 2-vectors
     out = mask_logits(p, Tensor([[1.0, 0.0]]), embed)
-    assert out.values.shape == (1, 1, 2)
-    assert np.array_equal(out.values[0, 0], [1.0, 0.0])
+    assert out.shape == (1, 1, 2)
+    assert np.array_equal(out[0, 0], [1.0, 0.0])
 
 
 def test_mask_head_zero_query():
     p = identity_mask_head_params(d=2)
     embed = np.ones((3, 3, 2))
     out = mask_logits(p, Tensor([[0.0, 0.0]]), embed)
-    assert np.array_equal(out.values, np.zeros((1, 3, 3)))
+    assert np.array_equal(out, np.zeros((1, 3, 3)))
 
 
 def test_mask_head_dimension_mismatch():
@@ -78,7 +78,7 @@ def test_mask_head_dimension_mismatch():
 
 
 def test_mask_head_gradient():
-    """The mask logits are constants, so the mask head's gradient reaches
+    """The mask logits are arrays, so the mask head's gradient reaches
     the queries and its weights through the loss node's gradient at the
     embeddings: the loss of one layer whose two rows are matched to the
     two GT masks, against its central differences."""
@@ -92,9 +92,9 @@ def test_mask_head_gradient():
     def f(xs):
         p.mask_w1 = xs[1]
         e, masks, classes = heads(p, xs[0], [slice(None)], embed)
-        assert not masks.requires_grad
+        assert isinstance(masks, np.ndarray)
         outputs = decoder.LayerOutputs([masks], [classes], 2, [e], embed.reshape(9, 4))
-        probs, means, stats = layer_stats([masks.values], gt, [slice(None)])
+        probs, means, stats = layer_stats([masks], gt, [slice(None)])
         return loss_over_layers(outputs, probs, means, stats, gt, scene.categories,
                                 np.array([[1, 0]]), [None], LossWeights())
 
@@ -121,13 +121,13 @@ def test_heads_match_the_per_part_oracle(part_rows):
         add(sum_all(mul(embeddings, weights[0])), sum_all(mul(classes, weights[1]))).backward()
         grads = [x.grad for x in parts] + [t.grad for _, t in named_parameters(p)
                                            if t.grad is not None]
-        return [o.values for o in (embeddings, masks, classes)], grads
+        return [embeddings.values, masks, classes.values], grads
 
     values, grads = run(lambda p, parts: heads(p, concat_rows(parts), spans_of(part_rows), embed))
     oracle_values, oracle_grads = run(lambda p, parts: (
         concat_rows([mlp2(x, [slice(None)], p.mask_w1, p.mask_b1, p.mask_w2, p.mask_b2)
                      for x in parts]),
-        concat_rows([mask_head(p, x, embed) for x in parts]),
+        concat_rows([mask_head(p, x, embed) for x in parts]).values,
         concat_rows([class_head(p, x) for x in parts])))
     for v, o in zip(values, oracle_values):
         assert np.array_equal(v, o)
@@ -138,8 +138,8 @@ def test_heads_match_the_per_part_oracle(part_rows):
 
 def test_heads_record_one_mask_and_one_class_node():
     """The mask head records one mlp2 node, the embeddings; the class head
-    one linear node; the mask logits are constants. So does every layer
-    of a forward that tracks gradients, whose outputs hold the embedding
+    one linear node; the mask logits are arrays. So does every layer of a
+    forward that tracks gradients, whose outputs hold the embedding
     grid."""
     p = init_params(seed=5, n_queries=1, n_layers=1, dim=2, num_categories=2,
                     ffn_hidden=4)
@@ -147,13 +147,12 @@ def test_heads_record_one_mask_and_one_class_node():
     embeddings, masks, classes = heads(p, x, [slice(0, 1), slice(1, 3)], np.ones((3, 3, 2)))
     assert embeddings._parents == (x, p.mask_w1, p.mask_b1, p.mask_w2, p.mask_b2)
     assert classes._parents == (x, p.cls_w, p.cls_b)
-    assert not masks.requires_grad and masks._parents == ()
+    assert isinstance(masks, np.ndarray)
     pyramid, params = small_pyramid_and_params()
     out = full_forward(ForwardSpec(pyramid), params)
     kinds = [(e._backward.__qualname__.split(".")[0], c._backward.__qualname__.split(".")[0])
              for e, c in zip(out.mask_embeds, out.class_logits)]
     assert kinds == [("mlp2", "linear")] * (params.num_layers + 1)
-    assert not any(ml.requires_grad for ml in out.mask_logits)
     assert out.grid.base is pyramid[-1]
 
 
@@ -328,7 +327,7 @@ def test_full_forward_shape_contract():
     assert len(out.mask_logits) == 10
     assert len(out.class_logits) == 10
     for ml, cl in zip(out.mask_logits, out.class_logits):
-        assert ml.values.shape == (5, 32, 32)
+        assert ml.shape == (5, 32, 32)
         assert cl.values.shape == (5, cfg.num_categories + 1)
 
 
@@ -339,7 +338,7 @@ def test_full_forward_deterministic():
     a = full_forward(ForwardSpec(pyramid), params)
     b = full_forward(ForwardSpec(pyramid), params)
     for x, y in zip(a.mask_logits, b.mask_logits):
-        assert np.array_equal(x.values, y.values)
+        assert np.array_equal(x, y)
     for x, y in zip(a.class_logits, b.class_logits):
         assert np.array_equal(x.values, y.values)
 
@@ -526,6 +525,22 @@ def test_a_no_grad_forward_keeps_no_array_of_the_scene_alive():
     assert finest() is None
 
 
+@pytest.mark.parametrize("forward", ["tracked", "tracked-mp", "detached"])
+def test_only_what_the_tape_differentiates_is_a_tensor(forward):
+    """Every mask logit is an array, in a tracked forward with and without
+    an MP part and in a detached one; in a tracked forward every Tensor
+    of the outputs tracks gradients."""
+    pyramid, params = small_pyramid_and_params()
+    spec = mp_spec(pyramid, params) if forward == "tracked-mp" else ForwardSpec(pyramid)
+    out = full_forward(spec, detach_params(params) if forward == "detached" else params)
+    assert len(out.mask_logits) == params.num_layers + 1
+    assert all(type(ml) is np.ndarray for ml in out.mask_logits)
+    items = [x for v in vars(out).values() for x in (v if isinstance(v, list) else [v])]
+    tensors = [x for x in items if isinstance(x, Tensor)]
+    assert len(tensors) == 2 * (params.num_layers + 1)  # class logits and mask embeddings
+    assert {t.requires_grad for t in tensors} == {forward != "detached"}
+
+
 def test_mp_spec_override_of_wrong_shape_rejected():
     """An override is the MP part's 3 masks at the scene's 8x8 extents: a
     grid, masks of other extents and another row count are rejected."""
@@ -554,7 +569,7 @@ def test_cross_blocks_are_the_override_where_given_else_the_predictions(monkeypa
     (plain1,), (plain2,) = seen[:2]
     (match1, mp1), (match2, mp2) = seen[2:]
     assert np.array_equal(match1, plain1) and np.array_equal(match2, plain2)
-    predicted = [blocks_of_logits(piloted.mask_logits[i].values[2:], *hw)
+    predicted = [blocks_of_logits(piloted.mask_logits[i][2:], *hw)
                  for i, hw in ((0, (2, 2)), (1, (4, 4)))]
     assert np.array_equal(mp1, predicted[0])
     assert np.array_equal(mp2, to_attention_blocks(override, 4, 4))

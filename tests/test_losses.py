@@ -121,7 +121,7 @@ def saturated_outputs(scene, n_queries=1, n_layers=2, num_categories=3):
     cl = np.full((n_queries, num_categories + 1), -20.0)
     cl[:, cat] = 20.0
     for _ in range(n_layers + 1):
-        mask_logits.append(Tensor(ml.copy()))
+        mask_logits.append(ml.copy())
         class_logits.append(Tensor(cl.copy()))
     return LayerOutputs(mask_logits=mask_logits, class_logits=class_logits,
                         n_match=n_queries)
@@ -138,7 +138,7 @@ def test_cost_matrix_perfect_prediction():
     scene = one_query_scene()
     out = saturated_outputs(scene)
     w = LossWeights()
-    ml = out.mask_logits[0].values
+    ml = out.mask_logits[0]
     cm = cost(ml, out.class_logits[0].values, scene, w)
     assert cm.shape == (1, 1)
     assert abs(cm[0, 0] - (-w.cls)) < 1e-3
@@ -179,7 +179,7 @@ def scored(outputs, gt, categories, index, consistency, w):
     matching rows and any rows after them."""
     n, n_match = outputs.class_logits[0].values.shape[0], outputs.n_match
     parts = [slice(0, n_match)] + ([slice(n_match, n)] if n > n_match else [])
-    probs, means, stats = layer_stats([ml.values for ml in outputs.mask_logits], gt, parts)
+    probs, means, stats = layer_stats(outputs.mask_logits, gt, parts)
     return loss_over_layers(outputs, probs, means, stats, gt, categories, np.asarray(index),
                             consistency, w)
 
@@ -188,7 +188,7 @@ def bce_and_dice(logits: np.ndarray, gt: np.ndarray) -> tuple:
     """(BCE, dice): the loss of (1, H, W) logits matched to the one GT
     mask, with no class weight and the weights (bce, dice) (1, 0) and (0, 1)."""
     scene = Scene(index=0, categories=[0], masks=gt[None])
-    outputs = LayerOutputs([Tensor(logits[None])], [Tensor(np.zeros((1, 2)))], 1)
+    outputs = LayerOutputs([logits[None]], [Tensor(np.zeros((1, 2)))], 1)
     return tuple(scored(outputs, gt_pixels(scene), scene.categories, [[0]], [None],
                         LossWeights(cls=0.0, bce=w_bce, dice=w_dice))
                  for w_bce, w_dice in ((1.0, 0.0), (0.0, 1.0)))
@@ -228,7 +228,7 @@ def test_layer_losses_perfect_prediction():
 def test_layer_losses_fixed_matching_identical_assignments():
     rng = np.random.default_rng(2)
     scene = one_query_scene()
-    mask_logits = [Tensor(rng.uniform(-2, 2, size=(3, 4, 4))) for _ in range(4)]
+    mask_logits = [rng.uniform(-2, 2, size=(3, 4, 4)) for _ in range(4)]
     class_logits = [Tensor(rng.uniform(-2, 2, size=(3, 4))) for _ in range(4)]
     out = LayerOutputs(mask_logits=mask_logits, class_logits=class_logits, n_match=3)
     _, assigns = layer_losses(out, scene, mp_part=None, mode="fixed-last-layer",
@@ -254,7 +254,7 @@ def test_layer_losses_gt_permutation_invariant():
     bits2[2:4, 2:4] = True
     scene = Scene(index=0, categories=[0, 1], masks=np.stack([bits1, bits2]))
     swapped = Scene(index=0, categories=[1, 0], masks=np.stack([bits2, bits1]))
-    mask_logits = [Tensor(rng.uniform(-2, 2, size=(3, 4, 4))) for _ in range(3)]
+    mask_logits = [rng.uniform(-2, 2, size=(3, 4, 4)) for _ in range(3)]
     class_logits = [Tensor(rng.uniform(-2, 2, size=(3, 3))) for _ in range(3)]
     out = LayerOutputs(mask_logits=mask_logits, class_logits=class_logits, n_match=3)
     a, _ = layer_losses(out, scene, None, "per-layer-bipartite", LossWeights())
@@ -266,7 +266,7 @@ def embedded_outputs(embeds, class_values, n_match, grid, h, w) -> LayerOutputs:
     """LayerOutputs of fresh leaf Tensors of the given (n, d) mask
     embeddings and class logits, whose (n, h, w) mask logits are the
     embeddings times the (h * w, d) grid."""
-    return LayerOutputs(mask_logits=[Tensor((e @ grid.T).reshape(-1, h, w)) for e in embeds],
+    return LayerOutputs(mask_logits=[(e @ grid.T).reshape(-1, h, w) for e in embeds],
                         class_logits=[Tensor(v.copy(), requires_grad=True)
                                       for v in class_values],
                         n_match=n_match,
@@ -442,7 +442,7 @@ def random_layer_outputs(with_mp):
 def logit_nodes(outputs) -> LayerOutputs:
     """The outputs with each layer's mask logits an oracle product node of
     its embeddings and the grid."""
-    n, h, w = outputs.mask_logits[0].values.shape
+    n, h, w = outputs.mask_logits[0].shape
     return LayerOutputs([reshape(matmul(e, Tensor(outputs.grid.T)), n, h, w)
                          for e in outputs.mask_embeds], outputs.class_logits, outputs.n_match)
 
@@ -468,13 +468,13 @@ def test_layer_losses_match_composition_of_primitives(mode, with_mp):
 @LOSS_MODES
 def test_layer_losses_total_is_one_node_over_every_term(mode, with_mp):
     """The loss of every layer is one node over the layers' class logits
-    and mask embeddings; the mask logits are constants."""
+    and mask embeddings; the mask logits are arrays."""
     make_outputs, mp_part = random_layer_outputs(with_mp)
     outputs = make_outputs()
     total, _ = layer_losses(outputs, two_instance_scene(), mp_part, mode, LossWeights())
     assert total._parents == tuple(outputs.class_logits + outputs.mask_embeds)
     assert not any(t._parents for t in total._parents)
-    assert not any(ml.requires_grad for ml in outputs.mask_logits)
+    assert all(isinstance(ml, np.ndarray) for ml in outputs.mask_logits)
 
 
 def test_cost_matrix_with_given_probabilities_is_bitwise_equal():
@@ -624,7 +624,7 @@ def test_the_one_loss_node_matches_the_per_layer_oracle(mode, with_mp):
     1e-15 relative, the vectors equal, and each embedding and class
     gradient within 1e-13 of its array's largest entry."""
     outputs, scene, part = small_forward(with_mp)
-    n, h, w = outputs.mask_logits[0].values.shape
+    n, h, w = outputs.mask_logits[0].shape
     assert len(outputs.mask_logits) == 4 and outputs.grid is not None
     spans = [slice(0, outputs.n_match)] + ([slice(outputs.n_match, n)] if with_mp else [])
     runs = []
@@ -639,7 +639,7 @@ def test_the_one_loss_node_matches_the_per_layer_oracle(mode, with_mp):
         else:
             logits = [oracle.mask_head(e, spans, outputs.grid.reshape(h, w, -1))
                       for e in out.mask_embeds]
-            assert all(a.values.tobytes() == b.values.tobytes()
+            assert all(a.values.tobytes() == b.tobytes()
                        for a, b in zip(logits, outputs.mask_logits))
             total, vectors = oracle.layer_losses(
                 LayerOutputs(logits, out.class_logits, out.n_match), scene, part, mode,

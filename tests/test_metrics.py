@@ -12,7 +12,7 @@ from oracle import scan_for_threshold
 
 def outputs_from_bits(layer_bits, num_categories=2):
     """LayerOutputs whose binarized masks equal the given boolean arrays."""
-    mask_logits = [Tensor(np.where(b, 20.0, -20.0)) for b in layer_bits]
+    mask_logits = [np.where(b, 20.0, -20.0) for b in layer_bits]
     n = layer_bits[0].shape[0]
     class_logits = [Tensor(np.zeros((n, num_categories + 1)))
                     for _ in layer_bits]

@@ -478,9 +478,8 @@ LOSS_SCENE = Scene(index=0, categories=[2, 0],
 def loss_node(xs, grid):
     """layer_losses' one node over two layers of 3 queries in
     consistency-aux mode: xs are the layers' class logits, then their
-    mask embeddings, whose mask logits are constants against the grid."""
-    outputs = LayerOutputs(mask_logits=[Tensor((e.values @ grid.T).reshape(-1, 4, 4))
-                                        for e in xs[2:]],
+    mask embeddings, whose mask logits are arrays against the grid."""
+    outputs = LayerOutputs(mask_logits=[(e.values @ grid.T).reshape(-1, 4, 4) for e in xs[2:]],
                            class_logits=xs[:2], n_match=3, mask_embeds=xs[2:], grid=grid)
     total, _ = layer_losses(outputs, LOSS_SCENE, None, "consistency-aux", LossWeights())
     return total
@@ -655,11 +654,12 @@ def test_each_part_of_the_heads_is_bitwise_a_call_on_it_alone():
     for name in ("mask_w1", "mask_b1", "mask_w2", "mask_b2", "cls_w", "cls_b"):
         t = getattr(params, name)
         t.values = rng.uniform(-1, 1, size=t.values.shape)
-    together = heads(params, Tensor(x), PARTS, embed)
+    embeds, masks, classes = heads(params, Tensor(x), PARTS, embed)
     for rows in PARTS:
-        alone = heads(params, Tensor(x[rows]), [slice(None)], embed)
-        for a, b in zip(together, alone, strict=True):
-            assert np.array_equal(a.values[rows], b.values)
+        e, m, c = heads(params, Tensor(x[rows]), [slice(None)], embed)
+        assert np.array_equal(embeds.values[rows], e.values)
+        assert np.array_equal(masks[rows], m)
+        assert np.array_equal(classes.values[rows], c.values)
 
 
 @pytest.mark.parametrize("spans", [[slice(0, 4), slice(5, 9)], [slice(0, 4)],

@@ -42,6 +42,19 @@ def test_adamw_first_step_by_hand():
     np.testing.assert_allclose(idle.values, [2.0 - 0.1 * 0.05 * 2.0], rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("count,frac,held", [(1, 0.2, 0), (1, 0.5, 0), (2, 0.8, 2), (10, 0.0, 0),
+                                              (5, 0.5, 2), (7, 0.5, 4), (10, 0.2, 2)])
+def test_split_scenes_holds_out_the_rounded_count_or_uses_every_scene_twice(count, frac, held):
+    """The last round(count * frac) scenes are held out, rounding half to
+    even; a count of 0 or of every scene trains and evaluates on all."""
+    scenes = list(range(count))
+    train, hold = trainer.split_scenes(scenes, frac)
+    if held in (0, count):
+        assert train == scenes and hold == scenes
+    else:
+        assert train == scenes[:-held] and hold == scenes[-held:]
+
+
 def test_learning_rate_drops_at_each_decay_point():
     lines = []
     trainer.run_training(small_config(steps=6, decay_points=[2, 4], decay_factor=0.1,
