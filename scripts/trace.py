@@ -30,8 +30,8 @@ first difference of each entry that differs, then exits 1; with no
 difference it prints so and exits 0.
 
 --steps compares training steps instead. For each of STEP_VARIANTS,
-each tree runs STEPS steps of the default configuration (at --tiny, the
-tiny size with a third layer, which mp-first-3 needs) from a fresh init:
+each tree runs STEPS steps of the default configuration (at --tiny,
+STEP_TINY) from a fresh init:
 step s runs the forward, the loss and the backward of training scene s
 with step s's MP part, all at the init parameters, so that both trees
 compute every step from the same parameters. Each tree's subprocess
@@ -75,6 +75,8 @@ TINY = (4, {"num_scenes": 10,
 STEP_VARIANTS = ("baseline", "mp-all+noises", "mp-first-3", "naive-fixed-matching",
                  "naive-aux-loss")
 STEPS = 4
+# the step comparison's tiny size: a third layer, as mp-first-3 needs
+STEP_TINY = {**TINY[1], "model": {**TINY[1]["model"], "num_layers": 3}}
 # The step comparison's bounds: the decade above the largest difference
 # that the two earlier changes to this code's rounding (per-row loss
 # statistics; attention on the key columns read) gave: losses 3.5e-16
@@ -145,14 +147,19 @@ def step_arrays(tiny: bool = False) -> dict:
     """"variant/step/what" -> array, for each of STEP_VARIANTS and STEPS
     steps from a fresh init at the init parameters: the matching vectors,
     the loss, every layer's mask and class logits in one flat array, and
-    each parameter's gradient ("grad/<name>", zeros where it has none)."""
+    each parameter's gradient ("grad/<name>", zeros where it has none).
+
+    Its forward and loss are a copy of trainer.step_loss, which a test
+    holds it to bitwise. --steps --against runs it on another tree's
+    src/, so it calls only names that every tree it compares has; a tree
+    older than step_loss has no step_loss to call."""
     from mpseg.config import parse_run_config
     from mpseg.decoder import full_forward, init_params, named_parameters
     from mpseg.losses import layer_losses
     from mpseg.synth import generate_scene, synth_features
     from mpseg.trainer import mp_forward_spec
 
-    size = {**TINY[1], "model": {**TINY[1]["model"], "num_layers": 3}} if tiny else {}
+    size = STEP_TINY if tiny else {}
     out = {}
     for variant in STEP_VARIANTS:
         cfg = parse_run_config({**size, "variant": variant})

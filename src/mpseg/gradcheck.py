@@ -184,50 +184,41 @@ def run_gradient_suite(seed: int = 0):
 
 
 def _end_to_end_check(seed: int, with_mp: bool):
-    """Finite-difference check of a full 2-layer decoder loss on an 8x8 scene.
-
-    Every parameter tensor is probed at COORDS_PER_PARAM random coordinates;
-    the forward is the real pipeline (masked attention, heads, matching,
-    classification + mask losses). The spec comes from mp_forward_spec;
-    with with_mp, MP is on and the queries are the matching part plus a
-    two-group MP part, so the MP rows of the loss are checked too.
+    """Finite-difference check of trainer.step_loss, the training step,
+    at step 0 of a 2-layer decoder on an 8x8 scene: every parameter tensor
+    is probed at COORDS_PER_PARAM random coordinates. With with_mp the run
+    is mp-all+noises, whose two-group MP part puts the MP rows of the loss
+    under check too; else it is the baseline.
 
     The gradient is taken on the parameters as init_params makes them; the
     probes evaluate detach_params of them, which shares their values and
     records no tape.
     """
-    from .decoder import full_forward, init_params, named_parameters
-    from .losses import LossWeights, layer_losses
+    from .config import ModelSettings, RunConfig
+    from .decoder import init_params, named_parameters
     from .mp import MPConfig
     from .synth import SynthConfig, generate_scene, synth_features
-    from .trainer import detach_params, mp_forward_spec
+    from .trainer import detach_params, step_loss
 
-    cfg = SynthConfig(height=8, width=8, num_categories=2, feat_dim=8,
-                      instance_range=(2, 2), size_range=(2, 3), noise_sigma=0.1, seed=seed)
-    scene = generate_scene(cfg, 0)
-    pyramid = synth_features(scene, cfg)
+    synth = SynthConfig(height=8, width=8, num_categories=2, feat_dim=8,
+                        instance_range=(2, 2), size_range=(2, 3), noise_sigma=0.1, seed=seed)
+    model = ModelSettings(n_queries=3, num_layers=2, dim=8, ffn_hidden=16)
+    cfg = RunConfig(synth=synth, model=model, mp=MPConfig(n_q=4, enabled=with_mp),
+                    variant="mp-all+noises" if with_mp else "baseline", seed=seed)
+    scene = generate_scene(synth, 0)
+    pyramid = synth_features(scene, synth)
     params = init_params(seed=seed + 1, n_queries=3, n_layers=2, dim=8,
                          num_categories=2, ffn_hidden=16)
-    pairs = named_parameters(params)
-    weights = LossWeights()
 
-    spec, mp_part = mp_forward_spec(pyramid, scene, params, MPConfig(n_q=4, enabled=with_mp),
-                                    range(1, params.num_layers + 1), [seed, 2, 0])
-
-    def loss_tensor(at):
-        total, _ = layer_losses(full_forward(spec, at), scene, mp_part=mp_part,
-                                mode="per-layer-bipartite", weights=weights)
-        return total
-
-    loss_tensor(params).backward()
+    step_loss(cfg, params, scene, pyramid, 0)[0].backward()
     frozen = detach_params(params)
 
     def value():
-        return float(loss_tensor(frozen).values)
+        return float(step_loss(cfg, frozen, scene, pyramid, 0)[0].values)
 
     rng = np.random.default_rng(seed + 2)
     worst = 0.0
-    for _, p in pairs:
+    for _, p in named_parameters(params):
         flat = p.values.reshape(-1)
         coords = rng.choice(flat.size, size=min(COORDS_PER_PARAM, flat.size), replace=False)
         grad = p.grad if p.grad is not None else np.zeros_like(p.values)

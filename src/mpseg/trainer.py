@@ -1,6 +1,8 @@
 """Training loop: one scene per step, Adam with decoupled weight decay,
 multistep learning-rate drops, deterministic per-step noise seeding.
 
+Training step: step_loss, which run_training loops over and grad-check checks.
+
 Evaluation pass: evaluate_scenes, the one loop that scores scenes. It
 serves evaluate (the report of training and `mpseg eval`) and `mpseg analyze`.
 """
@@ -175,33 +177,41 @@ def mp_forward_spec(pyramid, scene, params: DecoderParams, mp_cfg, layers,
     return ForwardSpec(pyramid, mp_part), mp_part
 
 
+def step_loss(cfg: RunConfig, params: DecoderParams, scene, pyramid, step: int) -> tuple:
+    """Step `step`'s forward and loss on scene: (loss Tensor, (L+1,
+    n_match) matching vectors, MP part or None). cfg.mp's part pilots
+    layers 1..L from the stream [cfg.seed, 2, step]. bench/workloads.py's
+    train_step is a frozen copy, held bitwise to run_training by its check."""
+    spec, mp_part = mp_forward_spec(pyramid, scene, params, cfg.mp,
+                                    range(1, cfg.model.num_layers + 1), [cfg.seed, 2, step])
+    loss, vectors = layer_losses(full_forward(spec, params), scene, mp_part, cfg.loss_mode,
+                                 cfg.loss)
+    return loss, vectors, mp_part
+
+
 def run_training(cfg: RunConfig, log=None):
-    """Train per config; returns (params, report, synth_cfg)."""
+    """Train per config; returns (params, report, synth_cfg). report.losses
+    holds each epoch's mean step loss; the last epoch may be partial."""
     scenes, synth_cfg = load_or_generate_scenes(cfg)
     train_scenes, eval_scenes = split_scenes(scenes, cfg.train.holdout_frac)
+    if train_scenes is eval_scenes and log is not None:
+        log(f"no scene held out: the report scores the {len(scenes)} training scenes")
     pyramids = {s.index: synth_features(s, synth_cfg) for s in train_scenes}
 
     params = init_params(seed=cfg.seed, n_queries=cfg.model.n_queries,
                          n_layers=cfg.model.num_layers, dim=cfg.model.dim,
                          num_categories=synth_cfg.num_categories,
                          ffn_hidden=cfg.model.ffn_hidden)
-    pairs = named_parameters(params)
-    opt = AdamW(pairs, lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
-    layers = range(1, cfg.model.num_layers + 1)
+    opt = AdamW(named_parameters(params), lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
 
     n_train = len(train_scenes)
-    epoch_losses = []
-    epoch_acc = []
+    step_losses = []
     lr = cfg.train.lr
     for step in range(cfg.train.steps):
         if step in cfg.train.decay_points:
             lr *= cfg.train.decay_factor
         scene = train_scenes[step % n_train]
-        pyramid = pyramids[scene.index]
-        spec, mp_part = mp_forward_spec(pyramid, scene, params, cfg.mp, layers,
-                                        seed=[cfg.seed, 2, step])
-        outputs = full_forward(spec, params)
-        loss, _ = layer_losses(outputs, scene, mp_part, cfg.loss_mode, cfg.loss)
+        loss, _, _ = step_loss(cfg, params, scene, pyramids[scene.index], step)
         loss_val = float(loss.values)
         if not np.isfinite(loss_val):
             raise NumericError(step)
@@ -210,16 +220,14 @@ def run_training(cfg: RunConfig, log=None):
         opt.step(lr)
         if not opt.values_finite():
             raise NumericError(step, "parameters")
-        epoch_acc.append(loss_val)
-        if len(epoch_acc) == n_train or step == cfg.train.steps - 1:
-            epoch_losses.append(float(np.mean(epoch_acc)))
-            epoch_acc = []
+        step_losses.append(loss_val)
         if log is not None and (step % cfg.train.log_every == 0
                                 or step == cfg.train.steps - 1):
             log(f"step {step} loss {loss_val:.4f} lr {lr:.2e}")
 
     report = evaluate(params, eval_scenes, synth_cfg, cfg.loss)
-    report.losses = epoch_losses
+    report.losses = [float(np.mean(step_losses[i:i + n_train]))
+                     for i in range(0, len(step_losses), n_train)]
     report.config_hash = config_hash(cfg.to_json())
     report.seed = cfg.seed
     return params, report, synth_cfg

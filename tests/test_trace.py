@@ -96,3 +96,39 @@ def test_the_step_comparison_flags_each_kind_of_difference():
     for variant, (what, value) in zip(script.STEP_VARIANTS, moved.items()):
         rows = script.step_differences(base, {**base, f"{variant}/3/{what}": np.array(value)})
         assert [row[0] for row in rows if not row[-1]] == [variant], what
+
+
+def test_the_step_arrays_are_step_loss_at_the_init_parameters():
+    """scripts/trace.py's step harness keeps its own copy of the training
+    step, so that it runs on older trees; at the tiny size its loss,
+    matching vectors and every gradient are trainer.step_loss's, bitwise."""
+    from mpseg.config import parse_run_config
+    from mpseg.decoder import init_params, named_parameters
+    from mpseg.synth import generate_scene, synth_features
+    from mpseg.trainer import step_loss
+
+    def same(a, b):
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    script = load_script()
+    arrays = script.step_arrays(tiny=True)
+    for variant in script.STEP_VARIANTS:
+        cfg = parse_run_config({**script.STEP_TINY, "variant": variant})
+        params = init_params(seed=cfg.seed, n_queries=cfg.model.n_queries,
+                             n_layers=cfg.model.num_layers, dim=cfg.model.dim,
+                             num_categories=cfg.synth.num_categories,
+                             ffn_hidden=cfg.model.ffn_hidden)
+        pairs = named_parameters(params)
+        for step in range(script.STEPS):
+            scene = generate_scene(cfg.synth, step)
+            loss, vectors, _ = step_loss(cfg, params, scene, synth_features(scene, cfg.synth),
+                                         step)
+            for _, p in pairs:
+                p.grad = None
+            loss.backward()
+            key = f"{variant}/{step}/"
+            assert same(arrays[key + "loss"], loss.values), key
+            assert same(arrays[key + "vectors"], vectors), key
+            for name, p in pairs:
+                grad = np.zeros_like(p.values) if p.grad is None else p.grad
+                assert same(arrays[key + "grad/" + name], grad), key + name

@@ -10,7 +10,6 @@ from mpseg.config import VARIANTS, RunConfig, TrainSettings, parse_run_config
 from mpseg.decoder import ForwardSpec, full_forward, init_params, named_parameters
 from mpseg.gradcheck import run_gradient_suite
 from mpseg.losses import LossWeights, layer_losses
-from mpseg.mp import MPConfig
 from mpseg.synth import SynthConfig, generate_scene, synth_features
 from mpseg.tensor import Tensor
 
@@ -53,6 +52,17 @@ def test_split_scenes_holds_out_the_rounded_count_or_uses_every_scene_twice(coun
         assert train == scenes and hold == scenes
     else:
         assert train == scenes[:-held] and hold == scenes[-held:]
+
+
+@pytest.mark.parametrize("count,frac,logged", [(2, 0.8, True), (5, 0.2, False)])
+def test_a_run_that_holds_out_no_scene_says_so(count, frac, logged):
+    """2 scenes at 0.8 hold out round(1.6) = 2, every scene, so the
+    report scores the training scenes; 5 at 0.2 hold out 1."""
+    lines = []
+    cfg = dataclasses.replace(small_config(steps=1, holdout_frac=frac), num_scenes=count)
+    trainer.run_training(cfg, log=lines.append)
+    note = f"no scene held out: the report scores the {count} training scenes"
+    assert [line for line in lines if line.startswith("no scene")] == ([note] if logged else [])
 
 
 def test_learning_rate_drops_at_each_decay_point():
@@ -187,26 +197,68 @@ def test_evaluating_no_scenes_raises_value_error():
             evaluate(params, [], cfg, LossWeights())
 
 
-def step_sigmoid_calls(monkeypatch, spec, scene, mp_part, params) -> int:
+def step_config(variant: str, num_layers: int = 9) -> RunConfig:
+    """The default run config of variant at synth.seed 3, the scene of
+    default_scene_and_params: mp-all+noises's MP part is the default
+    MPConfig's, and step 0 seeds it [0, 2, 0]."""
+    return parse_run_config({"variant": variant, "synth": {"seed": 3},
+                             "model": {"num_layers": num_layers}})
+
+
+def default_step(variant: str, params, num_layers: int = 9) -> tuple:
+    """step_loss of step 0 of variant on the default scene at params;
+    checks that only mp-all+noises has an MP part."""
+    cfg, scene, _ = default_scene_and_params()
+    step = trainer.step_loss(step_config(variant, num_layers), params, scene,
+                             synth_features(scene, cfg), 0)
+    assert (step[2] is not None) == (variant == "mp-all+noises")
+    return step
+
+
+def step_sigmoid_calls(monkeypatch, variant: str) -> tuple:
+    """(sigmoid passes of one default training step, the layer count L)."""
+    _, _, params = default_scene_and_params()
     calls = count_sigmoid_calls(monkeypatch)
-    outputs = full_forward(spec, params)
-    layer_losses(outputs, scene, mp_part, "per-layer-bipartite", LossWeights())
-    return len(calls)
+    default_step(variant, params)
+    return len(calls), params.num_layers
 
 
 def test_a_plain_step_computes_one_sigmoid_per_layer(monkeypatch):
-    cfg, scene, params = default_scene_and_params()
-    spec = ForwardSpec(synth_features(scene, cfg))
-    assert step_sigmoid_calls(monkeypatch, spec, scene, None, params) == params.num_layers + 1
+    calls, num_layers = step_sigmoid_calls(monkeypatch, "baseline")
+    assert calls == num_layers + 1
 
 
 def test_an_mp_step_computes_one_sigmoid_per_layer(monkeypatch):
-    cfg, scene, params = default_scene_and_params()
-    layers = range(1, params.num_layers + 1)
-    spec, mp_part = trainer.mp_forward_spec(synth_features(scene, cfg), scene, params,
-                                            MPConfig(), layers, [0, 2, 0])
-    assert mp_part is not None
-    assert step_sigmoid_calls(monkeypatch, spec, scene, mp_part, params) == params.num_layers + 1
+    calls, num_layers = step_sigmoid_calls(monkeypatch, "mp-all+noises")
+    assert calls == num_layers + 1
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_loss_is_the_loss_of_the_steps_mp_stream_over_layers_1_to_l(monkeypatch, variant):
+    """step_loss asks build_mp_part for layers 1..L from the stream
+    [cfg.seed, 2, step], and its loss and vectors are bitwise layer_losses
+    of full_forward of that part's spec."""
+    cfg = dataclasses.replace(small_config(variant, num_layers=3), seed=7)
+    params = init_params(seed=1, n_queries=3, n_layers=3, dim=8, ffn_hidden=4,
+                         num_categories=cfg.synth.num_categories)
+    scene = generate_scene(cfg.synth, 2)
+    pyramid = synth_features(scene, cfg.synth)
+    asked = []
+    real = trainer.build_mp_part
+
+    def recording(scene, num_categories, mp_cfg, layers, seed):
+        asked.append((list(layers), seed))
+        return real(scene, num_categories, mp_cfg, layers, seed)
+
+    monkeypatch.setattr(trainer, "build_mp_part", recording)
+    loss, vectors, mp_part = trainer.step_loss(cfg, params, scene, pyramid, 5)
+    assert asked == [([1, 2, 3], [7, 2, 5])]
+    assert (mp_part is not None) == VARIANTS[variant][0]
+    ref_part = real(scene, params.num_categories, cfg.mp, range(1, 4), [7, 2, 5])
+    ref_loss, ref_vectors = layer_losses(full_forward(ForwardSpec(pyramid, ref_part), params),
+                                         scene, ref_part, cfg.loss_mode, cfg.loss)
+    assert loss.values.tobytes() == ref_loss.values.tobytes()
+    assert vectors.tobytes() == ref_vectors.tobytes()
 
 
 def reference_adamw_step(state, pairs, lr, b1=0.9, b2=0.999, eps=1e-8, weight_decay=0.05,
@@ -304,18 +356,10 @@ def recorded_nodes(loss) -> list:
 def step_losses(num_layers=9):
     """(MP loss, plain loss) of one training step at the default model
     size, or with num_layers decoder layers."""
-    cfg, scene, _ = default_scene_and_params()
+    cfg, _, _ = default_scene_and_params()
     params = init_params(seed=4, n_layers=num_layers, num_categories=cfg.num_categories)
-    pyramid = synth_features(scene, cfg)
-    layers = range(1, params.num_layers + 1)
-    spec, mp_part = trainer.mp_forward_spec(pyramid, scene, params, MPConfig(), layers,
-                                            [0, 2, 0])
-    assert mp_part is not None
-    mp_loss, _ = layer_losses(full_forward(spec, params), scene, mp_part,
-                              "per-layer-bipartite", LossWeights())
-    plain_loss, _ = layer_losses(full_forward(ForwardSpec(pyramid), params), scene,
-                                 None, "per-layer-bipartite", LossWeights())
-    return mp_loss, plain_loss
+    return tuple(default_step(variant, params, num_layers)[0]
+                 for variant in ("mp-all+noises", "baseline"))
 
 
 def node_kinds(loss) -> Counter:
@@ -347,18 +391,12 @@ def test_the_mp_part_adds_no_per_layer_node():
 
 def params_after_an_mp_and_a_plain_step() -> list:
     """Parameter bytes after one MP and then one plain training step at
-    the default model size: forward, layer_losses, backward, AdamW."""
-    cfg, scene, params = default_scene_and_params()
-    pyramid = synth_features(scene, cfg)
-    layers = range(1, params.num_layers + 1)
+    the default model size: step_loss, backward, AdamW."""
+    _, _, params = default_scene_and_params()
     pairs = named_parameters(params)
     opt = trainer.AdamW(pairs)
-    mp_spec, mp_part = trainer.mp_forward_spec(pyramid, scene, params, MPConfig(), layers,
-                                               [0, 2, 0])
-    assert mp_part is not None
-    for spec, part in ((mp_spec, mp_part), (ForwardSpec(pyramid), None)):
-        loss, _ = layer_losses(full_forward(spec, params), scene, part,
-                               "per-layer-bipartite", LossWeights())
+    for variant in ("mp-all+noises", "baseline"):
+        loss = default_step(variant, params)[0]
         opt.zero_grad()
         loss.backward()
         opt.step()
