@@ -5,8 +5,10 @@
 #
 # Generates a 5-scene dataset of 8x8 scenes in OUT_DIR, trains 4 steps of
 # mp-all+noises with each MP noise kind and 4 steps of every variant preset
-# on a three-layer decoder, evaluates and analyzes one run, and fails unless
-# every report was written. Exits non-zero on the first command that fails.
+# on a three-layer decoder, evaluates and analyzes one run; then generates,
+# trains 4 steps of mp-all+noises on and evaluates 4x4 scenes, whose
+# coarsest scale is 1x1. Fails unless every report was written. Exits
+# non-zero on the first command that fails.
 set -euo pipefail
 
 if [ "$#" -ne 1 ]; then
@@ -43,7 +45,16 @@ for variant in $(PYTHONPATH="$src" python -c 'from mpseg.config import VARIANTS;
 done
 mpseg eval --checkpoint "$out/run-point/checkpoint.bin" --dataset "$out/data.txt" --out "$out/eval"
 mpseg analyze --checkpoint "$out/run-point/checkpoint.bin" --dataset "$out/data.txt" --out "$out/analyze"
-for f in eval/report.txt eval/layers.csv analyze/analysis.csv; do
+# 4x4, the smallest scene: the decoder's two 2x2 pools leave a 1x1 scale
+tiny='{"height": 4, "width": 4, "feat_dim": 8, "instance_range": [1, 2], "size_range": [1, 2]}'
+printf '{"synth": %s, "count": 3}\n' "$tiny" > "$out/gen-4x4.json"
+mpseg gen-data --config "$out/gen-4x4.json" --out "$out/data-4x4.txt"
+printf '{"synth": %s, "model": %s, "dataset_path": "%s/data-4x4.txt", "variant": "mp-all+noises", "train": {"steps": 4}}\n' \
+  "$tiny" "$model" "$out" > "$out/train-4x4.json"
+mpseg train --config "$out/train-4x4.json" --out "$out/run-4x4"
+runs="$runs run-4x4"
+mpseg eval --checkpoint "$out/run-4x4/checkpoint.bin" --dataset "$out/data-4x4.txt" --out "$out/eval-4x4"
+for f in eval/report.txt eval/layers.csv analyze/analysis.csv eval-4x4/report.txt eval-4x4/layers.csv; do
   test -s "$out/$f" || { echo "missing $out/$f"; exit 1; }
 done
 for run in $runs; do

@@ -1,9 +1,13 @@
 """Masked-attention transformer decoder.
 
-Each layer runs masked cross-attention over one pyramid scale (coarse to
-fine, cycling), self-attention, and a feed-forward block, each with
-residual + layer norm. Shared mask and classification heads produce
-per-layer predictions, and each layer's masks, binarized by
+Each layer runs masked cross-attention over one scale of the scene's
+feature grid (coarse to fine, cycling), self-attention, and a
+feed-forward block, each with residual + layer norm. The decoder is the
+one place that knows the scales: the (H, W, d) grid at 1/4, 1/2 and full
+size. full_forward pools the two coarse ones from the grid on each call,
+each a 2x2 mean pool of the next finer one, and caches neither, so a
+caller keeps one grid per scene. Shared mask and classification heads
+produce per-layer predictions, and each layer's masks, binarized by
 binarize_masks and resized by masks.to_attention_blocks, become the next
 layer's cross-attention blocking grids. Single attention head, no
 positional encodings.
@@ -114,7 +118,7 @@ class LayerOutputs:
 
 @dataclass
 class ForwardSpec:
-    pyramid: list         # scales, coarse to fine; the finest is the embedding grid
+    features: np.ndarray  # the scene's (H, W, d) feature grid, also the embedding grid
     mp: object = None     # MPPart or None
 
 
@@ -241,14 +245,49 @@ def decoder_layer(x: Tensor, spans, feats: Tensor, cross_blocks, self_blocks, lp
                            lp.ln3_g, lp.ln3_b)
 
 
-def layer_scale(layer: int, num_scales: int) -> int:
-    """Index of the pyramid scale (0 = coarsest) that decoder layer
-    `layer` (1-based) attends to: coarse to fine, cycling."""
-    return (layer - 1) % num_scales
+NUM_SCALES = 3  # the feature grid at 1/4, 1/2 and full size
+
+
+def pool2x2(grid: np.ndarray) -> np.ndarray:
+    """The 2x2 mean pool of an (h, w, d) grid, h and w even: its four
+    strided views summed in row-major order into one array, then divided
+    by 4. For d >= 2 this is bitwise grid.reshape(h // 2, 2, w // 2, 2,
+    d).mean(axis=(1, 3)), which sums each block in the same order (at
+    d == 1 it sums pairwise)."""
+    pooled = grid[0::2, 0::2] + grid[0::2, 1::2]
+    pooled += grid[1::2, 0::2]
+    pooled += grid[1::2, 1::2]
+    pooled /= 4.0
+    return pooled
+
+
+def feature_scales(grid: np.ndarray) -> list:
+    """The scales the layers attend to, coarse to fine: an (H, W, d)
+    feature grid pooled 2x2 NUM_SCALES - 1 times, ..., once, and the grid
+    itself."""
+    scales = [grid]
+    for _ in range(NUM_SCALES - 1):
+        scales.insert(0, pool2x2(scales[0]))
+    return scales
+
+
+def scale_extents(height: int, width: int) -> list:
+    """The (h, w) extents of feature_scales of a (height, width) grid,
+    coarse to fine."""
+    return [(height // 2 ** k, width // 2 ** k) for k in range(NUM_SCALES - 1, -1, -1)]
+
+
+def layer_scale(layer: int) -> int:
+    """Index of the scale (0 = coarsest) that decoder layer `layer`
+    (1-based) attends to: coarse to fine, cycling."""
+    return (layer - 1) % NUM_SCALES
 
 
 def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
-    """Run all layers; layer i attends to pyramid scale layer_scale(i).
+    """Run all layers; layer i attends to scale layer_scale(i) of
+    feature_scales of the spec's feature grid. The pooled scales are made
+    on each call and kept by nothing but a tracked forward's tape, so they
+    are freed with the outputs (at once when the forward is not tracked).
 
     The queries form one part, the matching queries params.query_embed,
     or two when the spec carries an MP part, whose queries are the
@@ -259,8 +298,9 @@ def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
     another MP group and nothing else. The outputs hold the embedding
     grid only when the mask embeddings are tracked.
     """
-    feats = [Tensor(grid.reshape(-1, grid.shape[-1])) for grid in spec.pyramid]
-    embed = spec.pyramid[-1]
+    embed = spec.features
+    scales = feature_scales(embed)
+    feats = [Tensor(grid.reshape(-1, grid.shape[-1])) for grid in scales]
     mp = spec.mp
     x = params.query_embed
     n_match = x.values.shape[0]
@@ -274,8 +314,8 @@ def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
     e, masks, classes = heads(params, x, spans, embed)
     mask_embeds, mask_logits, class_logits = [e], [masks], [classes]
     for i in range(1, params.num_layers + 1):
-        s = layer_scale(i, len(feats))
-        h, w = spec.pyramid[s].shape[:2]
+        s = layer_scale(i)
+        h, w = scales[s].shape[:2]
         bits = binarize_masks(mask_logits[-1])
         if mp is not None and i in mp.overrides:
             bits = np.concatenate([bits[:n_match], mp.overrides[i]])
@@ -292,12 +332,12 @@ def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
                         mask_embeds=mask_embeds, grid=grid)
 
 
-def plain_spec(pyramid, params: DecoderParams) -> ForwardSpec:
-    """Matching part only, no MP part: ForwardSpec(pyramid). params is
+def plain_spec(features, params: DecoderParams) -> ForwardSpec:
+    """Matching part only, no MP part: ForwardSpec(features). params is
     unused. It serves only bench/workloads.py, which calls
-    plain_spec(pyramid, params), and goes with the next change to the
-    benchmark; everything else builds ForwardSpec(pyramid)."""
-    return ForwardSpec(pyramid)
+    plain_spec(features, params), and goes with the next change to the
+    benchmark; everything else builds ForwardSpec(features)."""
+    return ForwardSpec(features)
 
 
 def _array_header(name: str, shape) -> bytes:

@@ -206,15 +206,15 @@ def _end_to_end_check(seed: int, with_mp: bool):
     cfg = RunConfig(synth=synth, model=model, mp=MPConfig(n_q=4, enabled=with_mp),
                     variant="mp-all+noises" if with_mp else "baseline", seed=seed)
     scene = generate_scene(synth, 0)
-    pyramid = synth_features(scene, synth)
+    features = synth_features(scene, synth)
     params = init_params(seed=seed + 1, n_queries=3, n_layers=2, dim=8,
                          num_categories=2, ffn_hidden=16)
 
-    step_loss(cfg, params, scene, pyramid, 0)[0].backward()
+    step_loss(cfg, params, scene, features, 0)[0].backward()
     frozen = detach_params(params)
 
     def value():
-        return float(step_loss(cfg, frozen, scene, pyramid, 0)[0].values)
+        return float(step_loss(cfg, frozen, scene, features, 0)[0].values)
 
     rng = np.random.default_rng(seed + 2)
     worst = 0.0

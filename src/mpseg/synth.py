@@ -4,9 +4,10 @@ Each scene holds disjoint shape instances (rectangles / disks) as two
 arrays: their category ids, (n,) intp, and their masks, one (n, H, W)
 bool stack in the same order. Every reader (matching cost, losses, MP
 part, metrics) takes the arrays as they are and writes into neither.
-Base features are the one-hot vector of the pixel's category (index
-num_categories is background) plus Gaussian noise; the feature pyramid
-is a list of scales, coarse to fine, of 2x2 mean pools and then the base.
+A scene's features are one (H, W, d) grid: the one-hot vector of the
+pixel's category (index num_categories is background) plus Gaussian
+noise. The decoder makes its coarser scales from that grid on each
+forward (decoder.full_forward), so a training run keeps one grid a scene.
 Datasets store only geometry (config, scene count and RLE masks);
 features are regenerated deterministically from (config seed, scene index).
 load_dataset decodes all of a scene's masks in one masks.rle_decode call,
@@ -47,7 +48,8 @@ class SynthConfig(Checked):
     def __post_init__(self):
         super().__post_init__()
         if self.height % 4 or self.width % 4:
-            # a rule over two fields names both in full; build adds no prefix to it
+            # the decoder pools the feature grid 2x2 twice for its coarse scales;
+            # a rule over two fields names both in full, and build adds no prefix to it
             raise ConfigError(f"synth.height and synth.width must be multiples of 4 for the "
                               f"3-scale pyramid, got {self.height}x{self.width}")
         if self.feat_dim < self.num_categories + 1:
@@ -129,22 +131,15 @@ def generate_scene(cfg: SynthConfig, index: int) -> Scene:
     return Scene(index=index, categories=cats, masks=np.stack(masks))
 
 
-def _pool2x2(grid: np.ndarray) -> np.ndarray:
-    h, w, d = grid.shape
-    return grid.reshape(h // 2, 2, w // 2, 2, d).mean(axis=(1, 3))
-
-
-def synth_features(scene: Scene, cfg: SynthConfig) -> list:
-    """Scales (H_s, W_s, d), coarse to fine, at 1/4, 1/2 and full size:
-    2x2 mean pools, then base = one-hot(category at pixel) + N(0, sigma^2 I),
-    which is also the decoder's embedding grid."""
+def synth_features(scene: Scene, cfg: SynthConfig) -> np.ndarray:
+    """The scene's (H, W, d) float64 feature grid, C-contiguous:
+    one-hot(category at pixel) + N(0, sigma^2 I). It is the finest scale
+    the decoder attends to and its embedding grid."""
     rng = seeded_rng([cfg.seed, scene.index, 1])
-    base = np.eye(cfg.feat_dim)[scene.category_grid(background_id=cfg.num_categories)]
+    grid = np.eye(cfg.feat_dim)[scene.category_grid(background_id=cfg.num_categories)]
     if cfg.noise_sigma > 0:
-        base = base + cfg.noise_sigma * rng.standard_normal(base.shape)
-    half = _pool2x2(base)
-    quarter = _pool2x2(half)
-    return [quarter, half, base]
+        grid = grid + cfg.noise_sigma * rng.standard_normal(grid.shape)
+    return grid
 
 
 def save_dataset(path, scenes, cfg: SynthConfig):

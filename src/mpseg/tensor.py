@@ -269,7 +269,7 @@ def fused_attention(x: Tensor, src: Tensor, parts, wq: Tensor, wk: Tensor, wv: T
     run once over all parts' rows.
 
     src's gradient is formed only when src tracks one. A
-    cross-attention's src is a constant pyramid level in every step (a
+    cross-attention's src is a constant feature scale in every step (a
     self-attention's is the tracked x), and forming its gradient would
     zero a (pixels, d) array for _accumulate to drop.
     """

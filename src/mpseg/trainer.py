@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import RunConfig
 from .decoder import (DecoderParams, ForwardSpec, full_forward, init_params,
-                      layer_scale, named_parameters)
+                      layer_scale, named_parameters, scale_extents)
 from .losses import NonFiniteError, layer_losses
 from .metrics import (MetricsReport, compute_matching_vectors, config_hash,
                       extract_predictions, ap_lite, miou_layerwise, util_layerwise,
@@ -116,15 +116,15 @@ class AdamW:
 
 
 def layer_scale_table(height: int, width: int, num_layers: int) -> dict:
-    """Layer index (1-based) -> the (h, w) extents of the pyramid scale
-    that full_forward attends to at that layer: synth_features' scales,
-    coarse to fine, are the image at 1/4, 1/2 and full size.
+    """Layer index (1-based) -> the (h, w) extents of the feature scale
+    that full_forward attends to at that layer, by the decoder's rule
+    (decoder.scale_extents and decoder.layer_scale).
 
     It serves only bench/workloads.py, which passes its keys as the MP
     layers, and goes with the next change to the benchmark; everything
     else passes range(1, num_layers + 1)."""
-    extents = [(height // 4, width // 4), (height // 2, width // 2), (height, width)]
-    return {i: extents[layer_scale(i, len(extents))] for i in range(1, num_layers + 1)}
+    extents = scale_extents(height, width)
+    return {i: extents[layer_scale(i)] for i in range(1, num_layers + 1)}
 
 
 def detach_params(params: DecoderParams) -> DecoderParams:
@@ -166,23 +166,25 @@ def split_scenes(scenes, holdout_frac: float):
     return scenes[:-n_hold], scenes[-n_hold:]
 
 
-def mp_forward_spec(pyramid, scene, params: DecoderParams, mp_cfg, layers,
+def mp_forward_spec(features, scene, params: DecoderParams, mp_cfg, layers,
                     seed) -> tuple:
     """(ForwardSpec, MPPart or None): the spec of every forward that may
-    carry MP. With no MP part (mp_cfg.enabled false, or a scene with no
-    instance) the spec is ForwardSpec(pyramid). layers and seed go to
-    build_mp_part: layers is the layer indices, or any iterable of them,
-    a dict keyed by them among them."""
+    carry MP, over the scene's (H, W, d) feature grid. With no MP part
+    (mp_cfg.enabled false, or a scene with no instance) the spec is
+    ForwardSpec(features). layers and seed go to build_mp_part: layers is
+    the layer indices, or any iterable of them, a dict keyed by them
+    among them."""
     mp_part = build_mp_part(scene, params.num_categories, mp_cfg, layers, seed)
-    return ForwardSpec(pyramid, mp_part), mp_part
+    return ForwardSpec(features, mp_part), mp_part
 
 
-def step_loss(cfg: RunConfig, params: DecoderParams, scene, pyramid, step: int) -> tuple:
-    """Step `step`'s forward and loss on scene: (loss Tensor, (L+1,
-    n_match) matching vectors, MP part or None). cfg.mp's part pilots
-    layers 1..L from the stream [cfg.seed, 2, step]. bench/workloads.py's
-    train_step is a frozen copy, held bitwise to run_training by its check."""
-    spec, mp_part = mp_forward_spec(pyramid, scene, params, cfg.mp,
+def step_loss(cfg: RunConfig, params: DecoderParams, scene, features, step: int) -> tuple:
+    """Step `step`'s forward and loss on scene, whose feature grid is
+    `features`: (loss Tensor, (L+1, n_match) matching vectors, MP part or
+    None). cfg.mp's part pilots layers 1..L from the stream [cfg.seed, 2,
+    step]. bench/workloads.py's train_step is a frozen copy, held bitwise
+    to run_training by its check."""
+    spec, mp_part = mp_forward_spec(features, scene, params, cfg.mp,
                                     range(1, cfg.model.num_layers + 1), [cfg.seed, 2, step])
     loss, vectors = layer_losses(full_forward(spec, params), scene, mp_part, cfg.loss_mode,
                                  cfg.loss)
@@ -196,7 +198,7 @@ def run_training(cfg: RunConfig, log=None):
     train_scenes, eval_scenes = split_scenes(scenes, cfg.train.holdout_frac)
     if train_scenes is eval_scenes and log is not None:
         log(f"no scene held out: the report scores the {len(scenes)} training scenes")
-    pyramids = {s.index: synth_features(s, synth_cfg) for s in train_scenes}
+    features = {s.index: synth_features(s, synth_cfg) for s in train_scenes}
 
     params = init_params(seed=cfg.seed, n_queries=cfg.model.n_queries,
                          n_layers=cfg.model.num_layers, dim=cfg.model.dim,
@@ -211,7 +213,7 @@ def run_training(cfg: RunConfig, log=None):
         if step in cfg.train.decay_points:
             lr *= cfg.train.decay_factor
         scene = train_scenes[step % n_train]
-        loss, _, _ = step_loss(cfg, params, scene, pyramids[scene.index], step)
+        loss, _, _ = step_loss(cfg, params, scene, features[scene.index], step)
         loss_val = float(loss.values)
         if not np.isfinite(loss_val):
             raise NumericError(step)

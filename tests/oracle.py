@@ -5,7 +5,8 @@ arithmetic and the reductions that Tensor itself does not define;
 attention over every key column, the oracle of tensor.fused_attention
 where it computes on fewer; an MP part's label flips and noised masks
 drawn one row at a time, the oracle of mp.build_mp_part; nearest resizing, the oracle of
-masks.to_attention_blocks; the run-length decoder that writes one run
+masks.to_attention_blocks; the 2x2 pool as numpy's mean of each block,
+the oracle of decoder.pool2x2; the run-length decoder that writes one run
 at a time, the oracle of masks.rle_decode; the np.mgrid disk, the oracle
 of synth._shape_mask's disks; the Hungarian solve as numpy array ops, the
 oracle of losses._solve_rows_leq_cols; a scan over every candidate
@@ -260,6 +261,13 @@ def resize_nearest(m: np.ndarray, h2: int, w2: int) -> np.ndarray:
     ri = _nearest_indices(m.shape[0], h2)
     ci = _nearest_indices(m.shape[1], w2)
     return m[np.ix_(ri, ci)]
+
+
+def mean_pool2x2(grid: np.ndarray) -> np.ndarray:
+    """The 2x2 mean pool of an (h, w, d) grid, h and w even, as numpy's
+    mean over each block."""
+    h, w, d = grid.shape
+    return grid.reshape(h // 2, 2, w // 2, 2, d).mean(axis=(1, 3))
 
 
 def rle_decode_runs(runs, height: int, width: int) -> np.ndarray:

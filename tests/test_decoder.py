@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mpseg import decoder
+from mpseg.config import parse_run_config
 from mpseg.fields import MAX_HIDDEN, MAX_LAYERS, MAX_SIZE
 from mpseg.decoder import (ForwardSpec, binarize_masks, decoder_layer,
                            full_forward, heads, init_params, load_checkpoint,
@@ -16,8 +17,8 @@ from mpseg.masks import FormatError, to_attention_blocks
 from mpseg.mp import MPPart
 from mpseg.synth import Scene, SynthConfig, generate_scene, synth_features
 from mpseg.tensor import Tensor, concat_rows, fused_attention, mlp2, sigmoid_softplus
-from mpseg.trainer import detach_params, layer_scale_table
-from oracle import add, matmul, mul, per_part_decoder_layer, reshape, sum_all
+from mpseg.trainer import detach_params, layer_scale_table, step_loss
+from oracle import add, matmul, mean_pool2x2, mul, per_part_decoder_layer, reshape, sum_all
 
 BENCH_CHECKPOINT = Path(__file__).resolve().parent.parent / "bench" / "data" / "checkpoint.bin"
 
@@ -148,12 +149,12 @@ def test_heads_record_one_mask_and_one_class_node():
     assert embeddings._parents == (x, p.mask_w1, p.mask_b1, p.mask_w2, p.mask_b2)
     assert classes._parents == (x, p.cls_w, p.cls_b)
     assert isinstance(masks, np.ndarray)
-    pyramid, params = small_pyramid_and_params()
-    out = full_forward(ForwardSpec(pyramid), params)
+    features, params = small_features_and_params()
+    out = full_forward(ForwardSpec(features), params)
     kinds = [(e._backward.__qualname__.split(".")[0], c._backward.__qualname__.split(".")[0])
              for e, c in zip(out.mask_embeds, out.class_logits)]
     assert kinds == [("mlp2", "linear")] * (params.num_layers + 1)
-    assert out.grid.base is pyramid[-1]
+    assert out.grid.base is features
 
 
 def blocks_of_logits(logits, h, w):
@@ -313,17 +314,17 @@ def test_decoder_layer_matches_the_per_part_oracle(part_rows):
         assert np.abs(g - o).max() <= 1e-13 * np.abs(o).max()
 
 
-def scene_and_pyramid(seed=0, n_cat=4):
+def scene_and_features(seed=0, n_cat=4):
     cfg = SynthConfig(num_categories=n_cat, seed=seed)
     scene = generate_scene(cfg, 0)
     return scene, synth_features(scene, cfg), cfg
 
 
 def test_full_forward_shape_contract():
-    _, pyramid, cfg = scene_and_pyramid()
+    _, features, cfg = scene_and_features()
     params = init_params(seed=9, n_queries=5, n_layers=9, dim=32,
                          num_categories=cfg.num_categories)
-    out = full_forward(ForwardSpec(pyramid), params)
+    out = full_forward(ForwardSpec(features), params)
     assert len(out.mask_logits) == 10
     assert len(out.class_logits) == 10
     for ml, cl in zip(out.mask_logits, out.class_logits):
@@ -332,11 +333,11 @@ def test_full_forward_shape_contract():
 
 
 def test_full_forward_deterministic():
-    _, pyramid, cfg = scene_and_pyramid(seed=1)
+    _, features, cfg = scene_and_features(seed=1)
     params = init_params(seed=10, n_queries=4, n_layers=9, dim=32,
                          num_categories=cfg.num_categories)
-    a = full_forward(ForwardSpec(pyramid), params)
-    b = full_forward(ForwardSpec(pyramid), params)
+    a = full_forward(ForwardSpec(features), params)
+    b = full_forward(ForwardSpec(features), params)
     for x, y in zip(a.mask_logits, b.mask_logits):
         assert np.array_equal(x, y)
     for x, y in zip(a.class_logits, b.class_logits):
@@ -466,22 +467,22 @@ def test_detach_params_shares_values_and_tracks_nothing():
         assert np.array_equal(src.grad, np.full(src.values.shape, 7.0))
 
 
-def small_pyramid_and_params(n_queries=2):
+def small_features_and_params(n_queries=2):
     cfg = SynthConfig(height=8, width=8, num_categories=2, feat_dim=8,
                       instance_range=(1, 2), size_range=(2, 3), seed=16)
-    pyramid = synth_features(generate_scene(cfg, 0), cfg)
+    features = synth_features(generate_scene(cfg, 0), cfg)
     params = init_params(seed=17, n_queries=n_queries, n_layers=2, dim=8,
                          num_categories=2, ffn_hidden=8)
-    return pyramid, params
+    return features, params
 
 
-def mp_spec(pyramid, params, group_id=(0, 0, 0), overrides=None):
+def mp_spec(features, params, group_id=(0, 0, 0), overrides=None):
     """A spec whose MP part is rows of random categories in the given groups."""
     group_id = np.array(group_id, dtype=np.intp)
     cats = np.random.default_rng(18).integers(0, params.num_categories, size=group_id.size)
     part = MPPart(group_id=group_id, instance_index=np.zeros(group_id.size, dtype=np.intp),
                   query_categories=cats, overrides=overrides or {})
-    return ForwardSpec(pyramid, part)
+    return ForwardSpec(features, part)
 
 
 @pytest.mark.parametrize("group_id,expected", [
@@ -494,7 +495,7 @@ def mp_spec(pyramid, params, group_id=(0, 0, 0), overrides=None):
 def test_mp_self_block_is_the_mp_rows_of_the_group_grid(monkeypatch, group_id, expected):
     """`expected` is the MP rows of the full (n_match + n_mp)-square grid:
     MP rows see the 2 matching columns and their own group's columns."""
-    pyramid, params = small_pyramid_and_params(n_queries=2)
+    features, params = small_features_and_params(n_queries=2)
     seen = []
 
     def recording(x, spans, feats, cross_blocks, self_blocks, lp, dim):
@@ -502,7 +503,7 @@ def test_mp_self_block_is_the_mp_rows_of_the_group_grid(monkeypatch, group_id, e
         return decoder_layer(x, spans, feats, cross_blocks, self_blocks, lp, dim)
 
     monkeypatch.setattr(decoder, "decoder_layer", recording)
-    full_forward(mp_spec(pyramid, params, group_id), params)
+    full_forward(mp_spec(features, params, group_id), params)
     assert len(seen) == params.num_layers
     for matching_block, mp_block in seen:
         assert matching_block is None
@@ -510,19 +511,49 @@ def test_mp_self_block_is_the_mp_rows_of_the_group_grid(monkeypatch, group_id, e
         assert np.array_equal(mp_block, np.array(expected, dtype=bool))
 
 
-def test_a_no_grad_forward_keeps_no_array_of_the_scene_alive():
+def recorded_pools(monkeypatch) -> list:
+    """Weak references to every scale that decoder.pool2x2 makes from now on."""
+    pool, made = decoder.pool2x2, []
+
+    def recording(grid):
+        scale = pool(grid)
+        made.append(weakref.ref(scale))
+        return scale
+
+    monkeypatch.setattr(decoder, "pool2x2", recording)
+    return made
+
+
+def test_a_no_grad_forward_keeps_no_array_of_the_scene_alive(monkeypatch):
     """The outputs of a forward whose parameters track nothing hold no
-    embedding grid: once the spec is dropped, the pyramid's finest level
-    is freed while the LayerOutputs lives on, as when evaluation moves on
-    to its next scene."""
-    pyramid, params = small_pyramid_and_params()
-    finest = weakref.ref(pyramid[-1])
-    spec = ForwardSpec(pyramid)
-    del pyramid
+    embedding grid and no pooled scale: the scales the forward pools are
+    freed when it returns, and the feature grid once the spec is dropped,
+    while the LayerOutputs lives on, as when evaluation moves on to its
+    next scene."""
+    pooled = recorded_pools(monkeypatch)
+    features, params = small_features_and_params()
+    grid = weakref.ref(features)
+    spec = ForwardSpec(features)
+    del features
     outputs = full_forward(spec, detach_params(params))
+    assert len(pooled) == decoder.NUM_SCALES - 1
+    assert all(scale() is None for scale in pooled)
     del spec
     assert outputs.grid is None and len(outputs.mask_logits) == params.num_layers + 1
-    assert finest() is None
+    assert grid() is None
+
+
+def test_a_tracked_forward_keeps_its_pooled_scales_only_on_its_tape(monkeypatch):
+    """The cross-attention nodes of a forward that tracks gradients hold
+    the scales they read until the outputs, and with them the tape, are
+    dropped; no pooled scale is kept for the next forward."""
+    pooled = recorded_pools(monkeypatch)
+    features, params = small_features_and_params()
+    outputs = full_forward(ForwardSpec(features), params)
+    assert len(pooled) == decoder.NUM_SCALES - 1
+    assert all(scale() is not None for scale in pooled)
+    del outputs
+    assert all(scale() is None for scale in pooled)
 
 
 @pytest.mark.parametrize("forward", ["tracked", "tracked-mp", "detached"])
@@ -530,8 +561,8 @@ def test_only_what_the_tape_differentiates_is_a_tensor(forward):
     """Every mask logit is an array, in a tracked forward with and without
     an MP part and in a detached one; in a tracked forward every Tensor
     of the outputs tracks gradients."""
-    pyramid, params = small_pyramid_and_params()
-    spec = mp_spec(pyramid, params) if forward == "tracked-mp" else ForwardSpec(pyramid)
+    features, params = small_features_and_params()
+    spec = mp_spec(features, params) if forward == "tracked-mp" else ForwardSpec(features)
     out = full_forward(spec, detach_params(params) if forward == "detached" else params)
     assert len(out.mask_logits) == params.num_layers + 1
     assert all(type(ml) is np.ndarray for ml in out.mask_logits)
@@ -544,9 +575,9 @@ def test_only_what_the_tape_differentiates_is_a_tensor(forward):
 def test_mp_spec_override_of_wrong_shape_rejected():
     """An override is the MP part's 3 masks at the scene's 8x8 extents: a
     grid, masks of other extents and another row count are rejected."""
-    pyramid, params = small_pyramid_and_params()
+    features, params = small_features_and_params()
     for shape in ((3, 5), (3, 5, 5), (4, 8, 8)):
-        spec = mp_spec(pyramid, params, overrides={2: np.zeros(shape, dtype=bool)})
+        spec = mp_spec(features, params, overrides={2: np.zeros(shape, dtype=bool)})
         with pytest.raises(ValueError):
             full_forward(spec, params)
 
@@ -555,7 +586,7 @@ def test_cross_blocks_are_the_override_where_given_else_the_predictions(monkeypa
     """At layer 2 the MP rows' cross grid blocks outside their override
     masks; at layer 1 it comes from their own layer-0 predictions, by the
     same rule. The matching rows' grids are a plain forward's."""
-    pyramid, params = small_pyramid_and_params(n_queries=2)
+    features, params = small_features_and_params(n_queries=2)
     override = np.random.default_rng(21).uniform(size=(3, 8, 8)) < 0.5
     seen = []
 
@@ -564,8 +595,8 @@ def test_cross_blocks_are_the_override_where_given_else_the_predictions(monkeypa
         return decoder_layer(x, spans, feats, cross_blocks, self_blocks, lp, dim)
 
     monkeypatch.setattr(decoder, "decoder_layer", recording)
-    plain = full_forward(ForwardSpec(pyramid), params)
-    piloted = full_forward(mp_spec(pyramid, params, overrides={2: override}), params)
+    plain = full_forward(ForwardSpec(features), params)
+    piloted = full_forward(mp_spec(features, params, overrides={2: override}), params)
     (plain1,), (plain2,) = seen[:2]
     (match1, mp1), (match2, mp2) = seen[2:]
     assert np.array_equal(match1, plain1) and np.array_equal(match2, plain2)
@@ -580,7 +611,7 @@ def test_cross_blocks_are_the_override_where_given_else_the_predictions(monkeypa
 def test_layer_scale_table_is_the_scale_full_forward_uses(monkeypatch, height, width):
     cfg = SynthConfig(height=height, width=width, instance_range=(1, 2),
                       size_range=(2, 4), seed=19)
-    pyramid = synth_features(generate_scene(cfg, 0), cfg)
+    features = synth_features(generate_scene(cfg, 0), cfg)
     params = init_params(seed=20, n_queries=3, num_categories=cfg.num_categories)
     used = []
 
@@ -589,6 +620,62 @@ def test_layer_scale_table_is_the_scale_full_forward_uses(monkeypatch, height, w
         return to_attention_blocks(bits, h, w)
 
     monkeypatch.setattr(decoder, "to_attention_blocks", recording)
-    full_forward(ForwardSpec(pyramid), params)
+    full_forward(ForwardSpec(features), params)
     table = layer_scale_table(height, width, params.num_layers)
     assert [table[i] for i in range(1, params.num_layers + 1)] == used
+
+
+@pytest.mark.parametrize("height,width,dim", [(32, 32, 32), (16, 8, 8), (4, 4, 2)])
+def test_the_forwards_scales_are_the_reference_pools_bitwise(monkeypatch, height, width, dim):
+    """The scales layers 1-3 attend to are the oracle's numpy-mean pools
+    of a random feature grid, twice and once, and the grid, bit for bit;
+    at 4x4 the coarsest is 1x1."""
+    grid = np.random.default_rng(22).standard_normal((height, width, dim))
+    params = init_params(seed=23, n_queries=2, n_layers=3, dim=dim, num_categories=1,
+                         ffn_hidden=8)
+    seen = []
+
+    def recording(x, spans, feats, cross_blocks, self_blocks, lp, dim):
+        seen.append(feats.values)
+        return decoder_layer(x, spans, feats, cross_blocks, self_blocks, lp, dim)
+
+    monkeypatch.setattr(decoder, "decoder_layer", recording)
+    full_forward(ForwardSpec(grid), params)
+    half = mean_pool2x2(grid)
+    expected = [mean_pool2x2(half), half, grid]
+    assert [g.shape[:2] for g in expected] == decoder.scale_extents(height, width)
+    assert len(seen) == len(expected)
+    for got, want in zip(seen, expected):
+        assert np.array_equal(got.view(np.uint64), want.reshape(-1, dim).view(np.uint64))
+
+
+@pytest.mark.parametrize("variant", ["baseline", "mp-all+noises"])
+def test_a_4x4_scene_steps_through_a_1x1_scale(monkeypatch, variant):
+    """4x4 is the smallest scene SynthConfig allows, and its coarsest
+    scale is 1x1: a plain step's forward and an MP one's, whose noised GT
+    masks pilot every layer, attend to it, and the loss and every
+    gradient are finite."""
+    cfg = parse_run_config({"variant": variant,
+                            "synth": {"height": 4, "width": 4, "feat_dim": 8,
+                                      "instance_range": [1, 2], "size_range": [1, 2]},
+                            "model": {"n_queries": 3, "num_layers": 3, "dim": 8,
+                                      "ffn_hidden": 8}})
+    scene = generate_scene(cfg.synth, 0)
+    params = init_params(seed=24, n_queries=3, n_layers=3, dim=8,
+                         num_categories=cfg.synth.num_categories, ffn_hidden=8)
+    used = []
+
+    def recording(bits, h, w):
+        used.append((h, w))
+        return to_attention_blocks(bits, h, w)
+
+    monkeypatch.setattr(decoder, "to_attention_blocks", recording)
+    loss, _, mp_part = step_loss(cfg, params, scene, synth_features(scene, cfg.synth), 0)
+    loss.backward()
+    assert used == [(1, 1), (2, 2), (4, 4)]
+    assert (mp_part is not None) == (variant == "mp-all+noises")
+    if mp_part is not None:
+        assert sorted(mp_part.overrides) == [1, 2, 3]
+    assert np.isfinite(loss.values)
+    grads = [p.grad for _, p in named_parameters(params) if p.grad is not None]
+    assert grads and all(np.isfinite(g).all() for g in grads)

@@ -585,10 +585,10 @@ def small_forward(with_mp: bool):
                       size_range=(2, 3), seed=9)
     scene = generate_scene(cfg, 0)
     params = init_params(seed=10, n_queries=4, n_layers=3, dim=8, ffn_hidden=8)
-    pyramid = synth_features(scene, cfg)
+    features = synth_features(scene, cfg)
     if not with_mp:
-        return full_forward(ForwardSpec(pyramid), params), scene, None
-    spec, part = mp_forward_spec(pyramid, scene, params, MPConfig(n_q=6),
+        return full_forward(ForwardSpec(features), params), scene, None
+    spec, part = mp_forward_spec(features, scene, params, MPConfig(n_q=6),
                                  range(1, params.num_layers + 1), [11])
     assert part is not None
     return full_forward(spec, params), scene, part

@@ -217,12 +217,12 @@ def test_seeds_past_64_bits_draw_their_own_mp_part():
 def test_matching_part_isolation_bitwise():
     """Matching-part outputs must not change when an MP part is attached."""
     cfg, scene = scene_setup(seed=11)
-    pyramid = synth_features(scene, cfg)
+    features = synth_features(scene, cfg)
     params = init_params(seed=6, n_queries=5, num_categories=4)
-    plain = full_forward(ForwardSpec(pyramid), params)
+    plain = full_forward(ForwardSpec(features), params)
 
     for mp_seed in ([0, 1], [0, 2]):  # different MP content
-        spec, part = mp_forward_spec(pyramid, scene, params, MPConfig(n_q=12),
+        spec, part = mp_forward_spec(features, scene, params, MPConfig(n_q=12),
                                      LAYERS, seed=mp_seed)
         assert part is not None
         piloted = full_forward(spec, params)
@@ -234,14 +234,14 @@ def test_matching_part_isolation_bitwise():
 
 def test_mp_disabled_spec_is_plain():
     cfg, scene = scene_setup(seed=12)
-    pyramid = synth_features(scene, cfg)
+    features = synth_features(scene, cfg)
     params = init_params(seed=7, num_categories=4)
     mp_cfg = MPConfig(enabled=False)
     assert build_mp_part(scene, 4, mp_cfg, LAYERS, seed=0) is None
-    spec, part = mp_forward_spec(pyramid, scene, params, mp_cfg, LAYERS, seed=[0, 2, 0])
+    spec, part = mp_forward_spec(features, scene, params, mp_cfg, LAYERS, seed=[0, 2, 0])
     assert part is None and spec.mp is None
     off = full_forward(spec, params)
-    plain = full_forward(plain_spec(pyramid, params), params)
+    plain = full_forward(plain_spec(features, params), params)
     assert off.n_match == plain.n_match
     for a, b in zip(off.mask_logits, plain.mask_logits, strict=True):
         assert np.array_equal(a, b)

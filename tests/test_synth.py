@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from mpseg.decoder import feature_scales
 from mpseg.fields import ConfigError
 from mpseg.masks import FormatError, rle_encode
 from mpseg.synth import (SynthConfig, _shape_mask, generate_scene, load_dataset, save_dataset,
@@ -52,17 +53,17 @@ def test_property_scan_categories_disjoint_nonempty():
 def test_features_sigma_zero_exact_prototypes():
     cfg = small_cfg(noise_sigma=0.0)
     scene = generate_scene(cfg, 0)
-    pyr = synth_features(scene, cfg)
+    features = synth_features(scene, cfg)
     grid = scene.category_grid(background_id=cfg.num_categories)
-    assert np.array_equal(pyr[-1], np.eye(cfg.feat_dim)[grid])
+    assert np.array_equal(features, np.eye(cfg.feat_dim)[grid])
 
 
 def test_features_orthonormal_dots():
     cfg = small_cfg(noise_sigma=0.0)
     scene = generate_scene(cfg, 1)
-    pyr = synth_features(scene, cfg)
+    features = synth_features(scene, cfg)
     grid = scene.category_grid(background_id=cfg.num_categories)
-    flat = pyr[-1].reshape(-1, cfg.feat_dim)
+    flat = features.reshape(-1, cfg.feat_dim)
     labels = grid.reshape(-1)
     dots = flat @ flat.T
     same = labels[:, None] == labels[None, :]
@@ -75,9 +76,9 @@ def test_features_noisy_intra_beats_inter():
     intra, inter = [], []
     for i in range(100):
         scene = generate_scene(cfg, i)
-        pyr = synth_features(scene, cfg)
+        features = synth_features(scene, cfg)
         labels = scene.category_grid(background_id=cfg.num_categories).reshape(-1)
-        flat = pyr[-1].reshape(-1, cfg.feat_dim)
+        flat = features.reshape(-1, cfg.feat_dim)
         dots = flat @ flat.T
         same = labels[:, None] == labels[None, :]
         off = ~np.eye(len(labels), dtype=bool)
@@ -87,13 +88,25 @@ def test_features_noisy_intra_beats_inter():
 
 
 def test_pyramid_shapes_and_pooling():
+    """The decoder's scales of a scene's features: the grid at 1/4, 1/2
+    and full size, the middle one the grid's 2x2 mean pool."""
     cfg = SynthConfig(seed=1)
     scene = generate_scene(cfg, 0)
-    pyr = synth_features(scene, cfg)
+    base = synth_features(scene, cfg)
+    pyr = feature_scales(base)
     assert [g.shape for g in pyr] == [(8, 8, 32), (16, 16, 32), (32, 32, 32)]
-    base = pyr[2]
+    assert pyr[2] is base
     pooled = base.reshape(16, 2, 16, 2, 32).mean(axis=(1, 3))
     assert np.array_equal(pyr[1], pooled)
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.25])
+def test_features_are_one_c_contiguous_float64_grid(noise_sigma):
+    cfg = small_cfg(noise_sigma=noise_sigma)
+    features = synth_features(generate_scene(cfg, 2), cfg)
+    assert type(features) is np.ndarray and features.dtype == np.float64
+    assert features.shape == (cfg.height, cfg.width, cfg.feat_dim)
+    assert features.flags.c_contiguous
 
 
 def test_dataset_roundtrip(tmp_path):

@@ -242,7 +242,7 @@ def test_step_loss_is_the_loss_of_the_steps_mp_stream_over_layers_1_to_l(monkeyp
     params = init_params(seed=1, n_queries=3, n_layers=3, dim=8, ffn_hidden=4,
                          num_categories=cfg.synth.num_categories)
     scene = generate_scene(cfg.synth, 2)
-    pyramid = synth_features(scene, cfg.synth)
+    features = synth_features(scene, cfg.synth)
     asked = []
     real = trainer.build_mp_part
 
@@ -251,11 +251,11 @@ def test_step_loss_is_the_loss_of_the_steps_mp_stream_over_layers_1_to_l(monkeyp
         return real(scene, num_categories, mp_cfg, layers, seed)
 
     monkeypatch.setattr(trainer, "build_mp_part", recording)
-    loss, vectors, mp_part = trainer.step_loss(cfg, params, scene, pyramid, 5)
+    loss, vectors, mp_part = trainer.step_loss(cfg, params, scene, features, 5)
     assert asked == [([1, 2, 3], [7, 2, 5])]
     assert (mp_part is not None) == VARIANTS[variant][0]
     ref_part = real(scene, params.num_categories, cfg.mp, range(1, 4), [7, 2, 5])
-    ref_loss, ref_vectors = layer_losses(full_forward(ForwardSpec(pyramid, ref_part), params),
+    ref_loss, ref_vectors = layer_losses(full_forward(ForwardSpec(features, ref_part), params),
                                          scene, ref_part, cfg.loss_mode, cfg.loss)
     assert loss.values.tobytes() == ref_loss.values.tobytes()
     assert vectors.tobytes() == ref_vectors.tobytes()
