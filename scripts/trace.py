@@ -24,16 +24,20 @@ with a two-layer decoder, for two variants, scores 4 scenes and runs no
 grad-check, whose rows are finite-difference errors near 1e-9 that carry
 no number to compare (under 1 s).
 
---out writes the JSON (to stdout when absent). --against DIR traces this
-tree's src/ and DIR's src/, each in its own subprocess, and prints the
-first difference of each entry that differs, then exits 1; with no
-difference it prints so and exits 0.
+--out writes the JSON (to stdout when absent). --against DIR runs this
+same script on DIR's src/ and on this tree's, each in its own subprocess
+with that src/ first on sys.path, and prints the first difference of
+each entry that differs, then exits 1; with no difference it prints so
+and exits 0. A subprocess traces only the mpseg package under its src/:
+when DIR has no src/mpseg, or the mpseg it imports lies elsewhere (a
+PYTHONPATH that names this tree's src/, say), it stops with one line on
+stderr, and the run exits non-zero.
 
---steps compares training steps instead. For each of STEP_VARIANTS,
-each tree runs STEPS steps of the default configuration (at --tiny,
-STEP_TINY) from a fresh init:
-step s runs the forward, the loss and the backward of training scene s
-with step s's MP part, all at the init parameters, so that both trees
+--steps compares training steps instead, and needs trees that have
+trainer.step_loss (commit cf75da2 on). For each of STEP_VARIANTS, each
+tree runs STEPS steps of the default configuration (at --tiny,
+STEP_TINY) from a fresh init: step s is step_loss on training scene s,
+then its loss's backward, all at the init parameters, so that both trees
 compute every step from the same parameters. Each tree's subprocess
 writes its matching vectors, losses, logits and every gradient to an
 .npz (--steps --out FILE). One line per variant then gives whether the
@@ -145,19 +149,20 @@ def trace(tiny: bool = False) -> dict:
 
 def step_arrays(tiny: bool = False) -> dict:
     """"variant/step/what" -> array, for each of STEP_VARIANTS and STEPS
-    steps from a fresh init at the init parameters: the matching vectors,
-    the loss, every layer's mask and class logits in one flat array, and
-    each parameter's gradient ("grad/<name>", zeros where it has none).
+    steps from a fresh init at the init parameters: trainer.step_loss's
+    matching vectors and loss, the mask and class logits of the forward
+    it ran in one flat array, and each parameter's gradient after the
+    loss's backward ("grad/<name>", zeros where it has none)."""
+    from unittest import mock
 
-    Its forward and loss are a copy of trainer.step_loss, which a test
-    holds it to bitwise. --steps --against runs it on another tree's
-    src/, so it calls only names that every tree it compares has; a tree
-    older than step_loss has no step_loss to call."""
+    from mpseg import trainer
     from mpseg.config import parse_run_config
-    from mpseg.decoder import full_forward, init_params, named_parameters
-    from mpseg.losses import layer_losses
+    from mpseg.decoder import init_params, named_parameters
     from mpseg.synth import generate_scene, synth_features
-    from mpseg.trainer import mp_forward_spec
+
+    def recorded(*args):
+        forwards.append(forward(*args))
+        return forwards[-1]
 
     size = STEP_TINY if tiny else {}
     out = {}
@@ -170,20 +175,19 @@ def step_arrays(tiny: bool = False) -> dict:
         pairs = named_parameters(params)
         for step in range(STEPS):
             scene = generate_scene(cfg.synth, step)
-            spec, mp_part = mp_forward_spec(synth_features(scene, cfg.synth), scene, params,
-                                            cfg.mp, range(1, cfg.model.num_layers + 1),
-                                            seed=[cfg.seed, 2, step])
-            outputs = full_forward(spec, params)
-            loss, vectors = layer_losses(outputs, scene, mp_part, cfg.loss_mode, cfg.loss)
+            forward, forwards = trainer.full_forward, []
+            with mock.patch.object(trainer, "full_forward", recorded):
+                loss, vectors = trainer.step_loss(cfg, params, scene,
+                                                  synth_features(scene, cfg.synth), step)[:2]
+            (outputs,) = forwards
             for _, p in pairs:
                 p.grad = None
             loss.backward()
             key = f"{variant}/{step}/"
             out[key + "vectors"] = vectors
             out[key + "loss"] = loss.values
-            # an older tree's mask logits are Tensors, this one's are arrays
-            out[key + "logits"] = np.concatenate([np.ravel(getattr(t, "values", t)) for t in
-                                                  outputs.mask_logits + outputs.class_logits])
+            out[key + "logits"] = np.concatenate([m.ravel() for m in outputs.mask_logits] +
+                                                 [c.values.ravel() for c in outputs.class_logits])
             for name, p in pairs:
                 out[key + "grad/" + name] = np.zeros_like(p.values) if p.grad is None else p.grad
     return out
@@ -224,18 +228,7 @@ def step_differences(a: dict, b: dict) -> list:
     return rows
 
 
-def steps_in_subprocess(src: Path, tiny: bool, out: Path) -> dict:
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--src", str(src), "--steps",
-           "--out", str(out)]
-    subprocess.run(cmd + (["--tiny"] if tiny else []), check=True)
-    with np.load(out) as arrays:
-        return dict(arrays)
-
-
-def compare_steps(against: Path, tiny: bool) -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        here = steps_in_subprocess(ROOT / "src", tiny, Path(tmp) / "here.npz")
-        there = steps_in_subprocess(against / "src", tiny, Path(tmp) / "there.npz")
+def compare_steps(there: dict, here: dict) -> int:
     rows = step_differences(there, here)
     print(f"bounds: matching vectors equal, loss {BOUNDS['loss']:.0e} relative, "
           f"logits {BOUNDS['logits']:.0e}, gradient {BOUNDS['grad']:.0e} of its array's "
@@ -267,11 +260,30 @@ def differences(a, b, path="") -> list:
     return [(path, f"{a!r} != {b!r}")]
 
 
-def traced_in_subprocess(src: Path, tiny: bool) -> dict:
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--src", str(src)]
-    done = subprocess.run(cmd + (["--tiny"] if tiny else []), check=True,
-                          stdout=subprocess.PIPE, text=True)
-    return json.loads(done.stdout)
+def in_subprocess(src: Path, tiny: bool, steps: bool) -> dict:
+    """This script's trace of src's mpseg, or with steps its step_arrays,
+    run in a subprocess; a failed subprocess ends this run with its code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "steps.npz" if steps else "trace.json")
+        cmd = [sys.executable, str(Path(__file__).resolve()), "--src", str(src), "--out", out]
+        code = subprocess.run(cmd + ["--tiny"] * tiny + ["--steps"] * steps).returncode
+        if code:
+            sys.exit(code)
+        if steps:
+            with np.load(out) as arrays:
+                return dict(arrays)
+        with open(out, encoding="utf-8") as fh:
+            return json.load(fh)
+
+
+def import_mpseg(src: str) -> None:
+    """Import the mpseg package under src, or exit with one line."""
+    sys.path.insert(0, src)
+    if (Path(src) / "mpseg" / "__init__.py").is_file():
+        import mpseg
+        if Path(src).resolve() in Path(mpseg.__file__).resolve().parents:
+            return
+    sys.exit(f"trace.py: {src} holds no mpseg package that this process imports")
 
 
 def main(argv=None) -> int:
@@ -283,19 +295,19 @@ def main(argv=None) -> int:
                    help="compare (with --against) or write (with --out) training steps")
     p.add_argument("--src", default=str(ROOT / "src"), help="the mpseg sources to trace")
     args = p.parse_args(argv)
-    if args.steps and args.against:
-        return compare_steps(Path(args.against), args.tiny)
-    if args.steps and not args.out:
+    if args.steps and not (args.against or args.out):
         p.error("--steps needs --against DIR or --out FILE")
     if args.against:
-        here = traced_in_subprocess(ROOT / "src", args.tiny)
-        there = traced_in_subprocess(Path(args.against) / "src", args.tiny)
+        there = in_subprocess(Path(args.against) / "src", args.tiny, args.steps)
+        here = in_subprocess(ROOT / "src", args.tiny, args.steps)
+        if args.steps:
+            return compare_steps(there, here)
         diffs = differences(there, here)
         for path, what in diffs:
             print(f"{path}: {what}")
         print(f"{len(diffs)} entries differ" if diffs else "no difference")
         return 1 if diffs else 0
-    sys.path.insert(0, args.src)
+    import_mpseg(args.src)
     if args.steps:
         np.savez(args.out, **step_arrays(args.tiny))
         return 0

@@ -10,10 +10,14 @@ numbers on purpose re-pins the file:
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 REL_TOL = 1e-6
@@ -98,37 +102,60 @@ def test_the_step_comparison_flags_each_kind_of_difference():
         assert [row[0] for row in rows if not row[-1]] == [variant], what
 
 
-def test_the_step_arrays_are_step_loss_at_the_init_parameters():
-    """scripts/trace.py's step harness keeps its own copy of the training
-    step, so that it runs on older trees; at the tiny size its loss,
-    matching vectors and every gradient are trainer.step_loss's, bitwise."""
-    from mpseg.config import parse_run_config
-    from mpseg.decoder import init_params, named_parameters
-    from mpseg.synth import generate_scene, synth_features
-    from mpseg.trainer import step_loss
+def test_the_step_arrays_are_step_loss_and_the_forward_it_ran():
+    """step_arrays calls trainer.step_loss once per variant and step, and
+    each step's logits are, bitwise, those of the forward that call ran;
+    the full_forward it wraps is back in place when it returns."""
+    from unittest import mock
 
-    def same(a, b):
-        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    from mpseg import trainer
+
+    def recorded(*args):
+        forwards.append(forward(*args))
+        return forwards[-1]
 
     script = load_script()
-    arrays = script.step_arrays(tiny=True)
-    for variant in script.STEP_VARIANTS:
-        cfg = parse_run_config({**script.STEP_TINY, "variant": variant})
-        params = init_params(seed=cfg.seed, n_queries=cfg.model.n_queries,
-                             n_layers=cfg.model.num_layers, dim=cfg.model.dim,
-                             num_categories=cfg.synth.num_categories,
-                             ffn_hidden=cfg.model.ffn_hidden)
-        pairs = named_parameters(params)
-        for step in range(script.STEPS):
-            scene = generate_scene(cfg.synth, step)
-            loss, vectors, _ = step_loss(cfg, params, scene, synth_features(scene, cfg.synth),
-                                         step)
-            for _, p in pairs:
-                p.grad = None
-            loss.backward()
-            key = f"{variant}/{step}/"
-            assert same(arrays[key + "loss"], loss.values), key
-            assert same(arrays[key + "vectors"], vectors), key
-            for name, p in pairs:
-                grad = np.zeros_like(p.values) if p.grad is None else p.grad
-                assert same(arrays[key + "grad/" + name], grad), key + name
+    forward, forwards = trainer.full_forward, []
+    with mock.patch.object(trainer, "full_forward", recorded), \
+            mock.patch.object(trainer, "step_loss", wraps=trainer.step_loss) as step_loss:
+        arrays = script.step_arrays(tiny=True)
+        assert trainer.full_forward is recorded
+    assert step_loss.call_count == len(forwards) == len(script.STEP_VARIANTS) * script.STEPS
+    assert [c.args[4] for c in step_loss.call_args_list] == (list(range(script.STEPS))
+                                                            * len(script.STEP_VARIANTS))
+    keys = [f"{v}/{s}/logits" for v in script.STEP_VARIANTS for s in range(script.STEPS)]
+    for key, outputs in zip(keys, forwards):
+        logits = np.concatenate([m.ravel() for m in outputs.mask_logits] +
+                                [c.values.ravel() for c in outputs.class_logits])
+        assert arrays[key].dtype == logits.dtype and arrays[key].tobytes() == logits.tobytes()
+
+
+@pytest.mark.parametrize("pythonpath", [True, False], ids=["pythonpath", "no-pythonpath"])
+@pytest.mark.parametrize("steps", [False, True], ids=["trace", "steps"])
+def test_a_tree_with_no_mpseg_stops_the_comparison_with_one_line(tmp_path, steps, pythonpath):
+    """--against a tree that has no src/mpseg prints one line and exits
+    non-zero, also when PYTHONPATH names this tree's src/, whose mpseg it
+    must not trace in its stead."""
+    cmd = [sys.executable, str(ROOT / "scripts" / "trace.py"), "--tiny", "--against",
+           str(tmp_path)] + ["--steps"] * steps
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    if pythonpath:
+        env["PYTHONPATH"] = str(ROOT / "src")
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert done.returncode != 0
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and str(tmp_path / "src") in done.stderr
+
+
+def test_a_src_whose_mpseg_is_not_the_imported_one_is_refused(tmp_path, monkeypatch):
+    """In a process that has already imported this tree's mpseg, --src
+    naming another mpseg package exits with one line instead of tracing
+    the imported one."""
+    import mpseg  # noqa: F401
+
+    (tmp_path / "mpseg").mkdir()
+    (tmp_path / "mpseg" / "__init__.py").write_text("")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    with pytest.raises(SystemExit, match="holds no mpseg package"):
+        load_script().main(["--src", str(tmp_path), "--tiny", "--steps",
+                            "--out", str(tmp_path / "steps.npz")])
