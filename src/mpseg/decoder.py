@@ -5,12 +5,12 @@ feature grid (coarse to fine, cycling), self-attention, and a
 feed-forward block, each with residual + layer norm. The decoder is the
 one place that knows the scales: the (H, W, d) grid at 1/4, 1/2 and full
 size. full_forward pools the two coarse ones from the grid on each call,
-each a 2x2 mean pool of the next finer one, and caches neither, so a
-caller keeps one grid per scene. Shared mask and classification heads
-produce per-layer predictions, and each layer's masks, binarized by
-binarize_masks and resized by masks.to_attention_blocks, become the next
-layer's cross-attention blocking grids. Single attention head, no
-positional encodings.
+each a 2x2 mean pool of the next finer one, caches neither, and hands
+each scale to cross-attention as a plain (h*w, d) array. Shared mask and
+classification heads produce per-layer predictions, and each layer's
+masks, binarized by binarize_masks and sampled by stride 4, 2 or 1 at
+the next scale (masks.to_attention_blocks), become the next layer's
+cross-attention blocking grids. Single head, no positional encodings.
 
 The mask head records each query's embedding (an mlp2 node); its mask
 logits, that embedding times the scene's embedding grid, are plain
@@ -213,13 +213,13 @@ def binarize_masks(mask_logit_values: np.ndarray) -> np.ndarray:
     return mask_logit_values > 0
 
 
-def decoder_layer(x: Tensor, spans, feats: Tensor, cross_blocks, self_blocks, lp: LayerParams,
-                  dim: int) -> Tensor:
+def decoder_layer(x: Tensor, spans, feats: np.ndarray, cross_blocks, self_blocks,
+                  lp: LayerParams, dim: int) -> Tensor:
     """One decoder layer over the query rows x, whose parts, [matching] or
     [matching, MP], are the rows the slices `spans` give: masked
-    cross-attention, self-attention and FFN, each with residual
-    connection and layer normalization, one tape node each over all
-    parts. Returns the updated rows.
+    cross-attention over feats, an (h*w, d) array, self-attention and
+    FFN, each with residual connection and layer normalization, one tape
+    node each over all parts. Returns the updated rows.
 
     Each attention projects its own keys and values per part. Part j's
     cross-attention projects only the pixels that some row of part j
@@ -300,7 +300,7 @@ def full_forward(spec: ForwardSpec, params: DecoderParams) -> LayerOutputs:
     """
     embed = spec.features
     scales = feature_scales(embed)
-    feats = [Tensor(grid.reshape(-1, grid.shape[-1])) for grid in scales]
+    feats = [grid.reshape(-1, grid.shape[-1]) for grid in scales]
     mp = spec.mp
     x = params.query_embed
     n_match = x.values.shape[0]
@@ -386,7 +386,7 @@ def _read_checkpoint(fh):
     caps = {"n_queries": MAX_SIZE, "num_layers": MAX_LAYERS, "dim": MAX_SIZE,
             "num_categories": MAX_SIZE, "ffn_hidden": MAX_HIDDEN}
     for key, cap in caps.items():
-        if not (isinstance(meta[key], int) and 1 <= meta[key] <= cap):
+        if not (type(meta[key]) is int and 1 <= meta[key] <= cap):  # rejects JSON true/false
             raise ValueError(f"{key} {meta[key]!r} is not an integer in [1, {cap}]")
     count = int(fh.readline().decode("ascii"))
     params = _assemble(lambda _init, shape: np.empty(shape), meta["n_queries"],

@@ -96,7 +96,7 @@ def run_gradient_suite(seed: int = 0):
     # grid row 1 is fully blocked, so every column is read; the compacted
     # grid closes columns 1 and 4 for every row and blocks no row fully.
     # check tracks every input, so src is tracked, as self-attention's is;
-    # the last row holds it constant, as cross-attention's features are
+    # the last row passes it as an array, as the decoder passes a feature scale
     att_in = [rng.uniform(-1.0, 1.0, size=s) for s in ((3, 4), (5, 4), (4, 4), (4, 4), (4, 4),
                                                        (4, 4))]
     att_block = np.zeros((3, 5), dtype=bool)
@@ -112,7 +112,7 @@ def run_gradient_suite(seed: int = 0):
                                                           *xs[2:], 0.5),
               att_in, w)
     check("fused_attention_compacted_constant_src",
-          lambda xs: T.fused_attention(xs[0], Tensor(att_in[1]), [(every, every, compact_block)],
+          lambda xs: T.fused_attention(xs[0], att_in[1], [(every, every, compact_block)],
                                        *xs[1:], 0.5),
           att_in[:1] + att_in[2:], w)
     check("add_norm_affine", lambda xs: T.add_norm_affine(*xs),
@@ -155,7 +155,7 @@ def run_gradient_suite(seed: int = 0):
     # to its end: the first part's row 0 is fully blocked, and the second's
     # grid closes columns 1 and 3 for all its rows.
     two_in = [rng.uniform(-1.0, 1.0, size=s) for s in ((5, 4), (4, 4), (4, 4), (4, 4), (4, 4))]
-    cross_src = Tensor(rng.uniform(-1.0, 1.0, size=(6, 4)))
+    cross_src = rng.uniform(-1.0, 1.0, size=(6, 4))
     cross = [np.zeros((2, 6), dtype=bool), np.zeros((3, 6), dtype=bool)]
     cross[0][:, [0, 5]] = True
     cross[0][1, 2] = True

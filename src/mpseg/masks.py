@@ -2,7 +2,7 @@
 array a stack of them. IoU, the shift and scale GT-mask noise, the flip
 budget and region of point noise (mp.build_mp_part draws its flips for a
 whole stack; tests/oracle.py's point_noise is the one-mask reference),
-attention blocking grids, and run-length serialization.
+strided attention blocking grids, and run-length serialization.
 
 All noise procedures are pure functions of (mask, parameters, rng): they
 draw from the np.random.Generator they are given, and the same stream
@@ -34,11 +34,6 @@ def iou(a: np.ndarray, b: np.ndarray):
     union = np.logical_or(a, b).sum(axis=(-2, -1))
     inter = np.logical_and(a, b).sum(axis=(-2, -1))
     return np.divide(inter, union, out=np.ones(union.shape), where=union > 0)[()]
-
-
-def _nearest_indices(n_src: int, n_dst: int) -> np.ndarray:
-    # sample at destination cell centers
-    return np.minimum((np.arange(n_dst) + 0.5) * (n_src / n_dst), n_src - 1).astype(np.intp)
 
 
 # spawn keys, one per purpose whose plain seed list could give a scene's
@@ -136,13 +131,17 @@ def scale_noise(m: np.ndarray, ratio_range, rng: np.random.Generator) -> np.ndar
 
 def to_attention_blocks(bits: np.ndarray, h2: int, w2: int) -> np.ndarray:
     """Cross-attention blocking grids of a stack of (n, h, w) masks at the
-    target scale, flattened to (n, h2*w2): each mask is nearest-resized,
-    sampled at the target cell centers, and the grid is true outside it. A
-    mask that is empty after resizing blocks nothing, so no attention row
-    ends up fully blocked."""
+    (h2, w2) scale, flattened to (n, h2*w2): each mask is sampled at
+    every f-th row and column from f // 2, the cells that hold the target
+    cells' centres (f = h / h2 and w / w2), and the grid is true outside
+    it. A mask that is empty at the target scale blocks nothing, so no
+    attention row ends up fully blocked. Raises ValueError unless h2 and
+    w2 are positive divisors of h and w."""
     n, h, w = bits.shape
-    if (h, w) != (h2, w2):
-        bits = bits[:, _nearest_indices(h, h2)][:, :, _nearest_indices(w, w2)]
+    if min(h2, w2) < 1 or h % h2 or w % w2:
+        raise ValueError(f"{h2}x{w2} does not divide the masks' {h}x{w} extents")
+    fh, fw = h // h2, w // w2
+    bits = bits[:, fh // 2::fh, fw // 2::fw]
     block = ~bits.reshape(n, h2 * w2)
     block[~bits.any(axis=(1, 2))] = False
     return block

@@ -16,10 +16,10 @@ alone decide which Tensor records and keeps a gradient: _make records an
 op's parents and backward only when some parent tracks gradients, and
 _accumulate drops a gradient handed to a Tensor that tracks none. So
 each op computes its forward, defines bw(g), which hands every input its
-gradient, and returns _make(values, parents, bw). Besides them only
-fused_attention's source, the loss node's mask embeddings
-(losses.loss_over_layers) and full_forward's grid read requires_grad,
-where a dropped gradient would cost real work.
+gradient, and returns _make(values, parents, bw). Besides them only the
+loss node's mask embeddings (losses.loss_over_layers) and full_forward's
+grid read requires_grad, where a dropped gradient would cost real work;
+a constant, such as a cross-attention's feature scale, is a plain array.
 
 The ops here are only the ones the model's decoder records: take_rows,
 concat_rows and the fused ops. Tensor has no matmul, elementwise
@@ -247,7 +247,7 @@ def _stack(arrays):
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def fused_attention(x: Tensor, src: Tensor, parts, wq: Tensor, wk: Tensor, wv: Tensor,
+def fused_attention(x: Tensor, src, parts, wq: Tensor, wk: Tensor, wv: Tensor,
                     wo: Tensor, scale: float) -> Tensor:
     """Masked attention of the query parts, one node. For each part
     (rows, keys, block), with s = src[keys], the output's rows `rows` are
@@ -268,18 +268,19 @@ def fused_attention(x: Tensor, src: Tensor, parts, wq: Tensor, wk: Tensor, wv: T
     bitwise those of a call on that part alone. The backward's products
     run once over all parts' rows.
 
-    src's gradient is formed only when src tracks one. A
-    cross-attention's src is a constant feature scale in every step (a
-    self-attention's is the tracked x), and forming its gradient would
-    zero a (pixels, d) array for _accumulate to drop.
+    src is a Tensor, a self-attention's x, or an array, a
+    cross-attention's constant feature scale. Only a Tensor src is a
+    parent of the node and gets a gradient: for an array, forming one
+    would zero a (pixels, d) array for nothing to keep.
     """
+    src_is_tensor = isinstance(src, Tensor)
     n = x.values.shape[0]
     q = np.empty((n, wq.values.shape[1]))
     ctx = np.empty((n, wv.values.shape[1]))
     out_v = np.empty((n, wo.values.shape[1]))
     saved = []  # per part: rows, keys, cols, block, s, k, v, p
     for rows, (_, keys, block) in zip(_tiling([r for r, _, _ in parts], n), parts):
-        s = src.values[keys]
+        s = (src.values if src_is_tensor else src)[keys]
         cols = slice(None)
         if block is not None:
             block = np.asarray(block, dtype=bool)
@@ -323,7 +324,7 @@ def fused_attention(x: Tensor, src: Tensor, parts, wq: Tensor, wk: Tensor, wv: T
         s_all, g_k, g_v = _stack([part[4] for part in saved]), _stack(g_k), _stack(g_v)
         wk._accumulate(s_all.T @ g_k)
         wv._accumulate(s_all.T @ g_v)
-        if src.requires_grad:
+        if src_is_tensor:
             g_s = g_k @ wk.values.T + g_v @ wv.values.T
             acc = np.zeros_like(src.values)
             at = 0
@@ -331,7 +332,7 @@ def fused_attention(x: Tensor, src: Tensor, parts, wq: Tensor, wk: Tensor, wv: T
                 acc[keys][cols] += g_s[at:at + s.shape[0]]
                 at += s.shape[0]
             src._accumulate(acc)
-    return _make(out_v, (x, src, wq, wk, wv, wo), bw)
+    return _make(out_v, (x, src, wq, wk, wv, wo) if src_is_tensor else (x, wq, wk, wv, wo), bw)
 
 
 def add_norm_affine(x: Tensor, update: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

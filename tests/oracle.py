@@ -4,12 +4,14 @@ mpseg.tensor's fused ops, among them the matrix product, the elementwise
 arithmetic and the reductions that Tensor itself does not define;
 attention over every key column, the oracle of tensor.fused_attention
 where it computes on fewer; an MP part's label flips and noised masks
-drawn one row at a time, the oracle of mp.build_mp_part; nearest resizing, the oracle of
-masks.to_attention_blocks; the 2x2 pool as numpy's mean of each block,
-the oracle of decoder.pool2x2; the run-length decoder that writes one run
-at a time, the oracle of masks.rle_decode; the np.mgrid disk, the oracle
-of synth._shape_mask's disks; the Hungarian solve as numpy array ops, the
-oracle of losses._solve_rows_leq_cols; a scan over every candidate
+drawn one row at a time, the oracle of mp.build_mp_part; nearest resizing
+by any ratio, sampling at cell centres, the oracle of
+masks.to_attention_blocks' strided sampling; the 2x2 pool as numpy's
+mean of each block, the oracle of decoder.pool2x2; the run-length
+decoder that writes one run at a time, the oracle of masks.rle_decode;
+the np.mgrid disk, the oracle of synth._shape_mask's disks; the
+Hungarian solve as numpy array ops, the oracle of
+losses._solve_rows_leq_cols; a scan over every candidate
 threshold, the oracle of metrics._threshold_exists; the np.where
 sigmoid with log1p(exp(-|x|)) as two expressions, the oracle of
 tensor.sigmoid_softplus; the matching cost from the pixels, the oracle
@@ -26,8 +28,7 @@ import numpy as np
 
 from mpseg.decoder import binarize_masks
 from mpseg.losses import DICE_EPS, MODES, cost_matrix, gt_pixels, hungarian, mask_stats
-from mpseg.masks import (MP_KEY, _nearest_indices, point_noise_region, scale_noise,
-                         seeded_rng, shift_noise)
+from mpseg.masks import MP_KEY, point_noise_region, scale_noise, seeded_rng, shift_noise
 from mpseg.mp import dynamic_groups
 from mpseg.tensor import (NEG_BIG, Tensor, _make, add_norm_affine, concat_rows, fused_attention,
                           mlp2, part_products)
@@ -258,8 +259,9 @@ def resize_nearest(m: np.ndarray, h2: int, w2: int) -> np.ndarray:
         raise ValueError(f"target extents must be positive, got {h2}x{w2}")
     if (h2, w2) == m.shape:
         return m.copy()
-    ri = _nearest_indices(m.shape[0], h2)
-    ci = _nearest_indices(m.shape[1], w2)
+    h, w = m.shape
+    ri = np.minimum(np.floor((np.arange(h2) + 0.5) * h / h2), h - 1).astype(np.intp)
+    ci = np.minimum(np.floor((np.arange(w2) + 0.5) * w / w2), w - 1).astype(np.intp)
     return m[np.ix_(ri, ci)]
 
 
@@ -490,7 +492,7 @@ def mask_loss_rows(logits: Tensor, probs: np.ndarray, softplus: np.ndarray, rows
     return _make(w_bce * bce + w_dice * dice, (logits,), bw)
 
 
-def per_part_decoder_layer(parts, feats: Tensor, cross_blocks, self_blocks, lp,
+def per_part_decoder_layer(parts, feats: np.ndarray, cross_blocks, self_blocks, lp,
                            dim: int) -> list:
     """decoder.decoder_layer with every op one node per query part: the
     parts, [matching] or [matching, MP], are Tensors of their own, and

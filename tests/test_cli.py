@@ -530,6 +530,20 @@ def test_checkpoint_of_another_version_exits_io_with_one_line(artifacts, capsys)
                             f"unsupported)\n")
 
 
+@pytest.mark.parametrize("key", ["num_layers", "n_queries"])
+def test_checkpoint_with_a_boolean_extent_exits_io_with_one_line(artifacts, capsys, key):
+    """JSON true is a Python int too; taken as one, a num_layers of true
+    would load a 1-layer decoder whose checkpoint saves true back."""
+    ckpt = artifacts[0]
+    header, rest = ckpt.read_bytes().split(b"\n", 1)
+    magic, version, meta = header.decode("ascii").split(" ", 2)
+    meta = json.dumps({**json.loads(meta), key: True})
+    ckpt.write_bytes(f"{magic} {version} {meta}\n".encode("ascii") + rest)
+    assert run_eval(*artifacts) == cli.EXIT_IO
+    assert_one_line(capsys, f"format error: {ckpt}: malformed checkpoint ({key} True is not "
+                            f"an integer in [1, ")
+
+
 def test_dataset_with_another_magic_word_exits_io_with_one_line(artifacts, capsys):
     data = artifacts[1]
     data.write_text(data.read_text().replace("mpseg-dataset ", "other-dataset ", 1))

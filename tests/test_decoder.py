@@ -207,13 +207,13 @@ def test_cross_attention_single_pixel_support():
     lp = p.layers[0]
     lp.wo.values = np.eye(d)
     rng = np.random.default_rng(4)
-    feats = Tensor(rng.uniform(-1, 1, size=(6, d)))
+    feats = rng.uniform(-1, 1, size=(6, d))
     block = np.ones((1, 6), dtype=bool)
     block[0, 2] = False
     x = Tensor(rng.uniform(-1, 1, size=(1, d)))
     out = fused_attention(x, feats, [(slice(None), slice(None), block)], lp.wq, lp.wk, lp.wv,
                           lp.wo, 1.0 / np.sqrt(d))
-    expected = feats.values[2] @ lp.wv.values
+    expected = feats[2] @ lp.wv.values
     assert np.allclose(out.values[0], expected, atol=1e-12)
 
 
@@ -244,7 +244,7 @@ def test_decoder_layer_gradient():
         lp.wq = xs[1]
         lp.ffn_w1 = xs[2]
         lp.ln1_g = xs[3]
-        return decoder_layer(xs[0], [slice(0, 2)], Tensor(feats_v), [block], [None], lp, d)
+        return decoder_layer(xs[0], [slice(0, 2)], feats_v, [block], [None], lp, d)
 
     err = check_gradient(f, [rng.uniform(-1, 1, size=(2, d)), lp.wq.values.copy(),
                              lp.ffn_w1.values.copy(), lp.ln1_g.values.copy()], w)
@@ -268,7 +268,7 @@ def test_decoder_layer_two_part_gradient():
     def f(xs):
         lp.sk = xs[2]
         return decoder_layer(concat_rows([xs[0], xs[1]]), [slice(0, 2), slice(2, 5)],
-                             Tensor(feats_v), cross, [None, mp_self], lp, d)
+                             feats_v, cross, [None, mp_self], lp, d)
 
     err = check_gradient(f, [rng.uniform(-1, 1, size=(2, d)),
                              rng.uniform(-1, 1, size=(3, d)), lp.sk.values.copy()], w)
@@ -284,7 +284,7 @@ def test_decoder_layer_matches_the_per_part_oracle(part_rows):
     self grid lets each row read the matching rows and its own group."""
     d = 8
     rng = np.random.default_rng(22)
-    feats = Tensor(rng.uniform(-1, 1, size=(48, d)))
+    feats = rng.uniform(-1, 1, size=(48, d))
     queries = [rng.uniform(-1, 1, size=(n, d)) for n in part_rows]
     cross = [rng.uniform(size=(n, 48)) < 0.5 for n in part_rows]
     cross[0][:, :10] = True
@@ -636,7 +636,7 @@ def test_the_forwards_scales_are_the_reference_pools_bitwise(monkeypatch, height
     seen = []
 
     def recording(x, spans, feats, cross_blocks, self_blocks, lp, dim):
-        seen.append(feats.values)
+        seen.append(feats)
         return decoder_layer(x, spans, feats, cross_blocks, self_blocks, lp, dim)
 
     monkeypatch.setattr(decoder, "decoder_layer", recording)

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from mpseg.decoder import scale_extents
 from mpseg.masks import (INIT_KEY, MP_KEY, _bbox, _centroid, iou, rle_decode, rle_encode,
                          scale_noise, seeded_rng, shift_noise, to_attention_blocks)
 from oracle import disk_mask, point_noise, resize_nearest, rle_decode_runs
@@ -228,11 +229,9 @@ def per_mask_block(bits, h2, w2):
     return ~resized.reshape(-1)
 
 
-@pytest.mark.parametrize("h2,w2", [(16, 16), (4, 4), (8, 8), (2, 8), (8, 3)],
-                         ids=["up", "down", "same", "down-rows", "mixed"])
-def test_to_attention_blocks_equals_the_per_mask_oracle(h2, w2):
+def assert_blocks_are_the_per_mask_oracle(h, w, h2, w2):
     rng = np.random.default_rng(4)
-    bits = rng.uniform(size=(6, 8, 8)) < rng.uniform(0.05, 0.6, size=(6, 1, 1))
+    bits = rng.uniform(size=(6, h, w)) < rng.uniform(0.05, 0.6, size=(6, 1, 1))
     bits[0] = False                 # empty at every scale
     bits[1] = False
     bits[1, 0, 0] = True            # one pixel that downsampling drops
@@ -240,8 +239,28 @@ def test_to_attention_blocks_equals_the_per_mask_oracle(h2, w2):
     assert blocks.shape == (6, h2 * w2) and blocks.dtype == bool
     for row, mask in zip(blocks, bits):
         assert np.array_equal(row, per_mask_block(mask, h2, w2))
-    if (h2, w2) == (4, 4):
+    if (h2, w2) != (h, w):
         assert not blocks[1].any()  # vanished, so unblocked
+
+
+@pytest.mark.parametrize("h2,w2", [(4, 4), (8, 8), (2, 8)], ids=["down", "same", "down-rows"])
+def test_to_attention_blocks_equals_the_per_mask_oracle(h2, w2):
+    assert_blocks_are_the_per_mask_oracle(8, 8, h2, w2)
+
+
+@pytest.mark.parametrize("h,w", [(32, 32), (16, 8), (4, 4)])
+def test_to_attention_blocks_equals_the_oracle_at_every_scale_the_decoder_uses(h, w):
+    """Strides 4, 2 and 1 of a (h, w) scene, as decoder.scale_extents
+    gives them: 16x8 onto 4x2, 8x4 and itself, and 4x4 onto 1x1."""
+    for h2, w2 in scale_extents(h, w):
+        assert_blocks_are_the_per_mask_oracle(h, w, h2, w2)
+
+
+@pytest.mark.parametrize("h2,w2", [(8, 3), (16, 16), (16, 8), (0, 8), (8, 0)],
+                         ids=["non-divisor", "up", "up-rows", "zero-rows", "zero-cols"])
+def test_to_attention_blocks_rejects_extents_that_do_not_divide_the_masks(h2, w2):
+    with pytest.raises(ValueError, match="does not divide"):
+        to_attention_blocks(np.ones((2, 8, 8), dtype=bool), h2, w2)
 
 
 def test_rle_roundtrip():

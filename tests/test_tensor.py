@@ -408,6 +408,44 @@ def test_fused_attention_block_shape_mismatch():
         fused_attention(t, t, one_part(np.zeros((2, 3), dtype=bool)), eye, eye, eye, eye, 1.0)
 
 
+def test_a_cross_attention_over_an_array_records_and_differentiates_no_source(monkeypatch):
+    """An array source, as full_forward passes each feature scale: the
+    node's parents are (x, wq, wk, wv, wo), and its backward hands a
+    gradient to them alone. The output and those gradients are bitwise
+    those of the same call on an untracked Tensor source, to which the
+    backward hands one more, dropped."""
+    rng = np.random.default_rng(21)
+    x_v, src = rng.uniform(-1, 1, size=(3, 4)), rng.uniform(-1, 1, size=(6, 4))
+    w_v = [rng.uniform(-1, 1, size=(4, 4)) for _ in range(4)]
+    block = rng.uniform(size=(3, 6)) < 0.3
+    block[:, 2] = True   # a column that every row blocks, so the source is compacted
+    block[:, 0] = False
+    g = rng.uniform(-1, 1, size=(3, 4))
+    handed = []
+    real = Tensor._accumulate
+
+    def recording(self, grad):
+        handed.append(self)
+        real(self, grad)
+
+    monkeypatch.setattr(Tensor, "_accumulate", recording)
+    sources, runs = (src, Tensor(src)), []
+    for source in sources:
+        inputs = [Tensor(v, requires_grad=True) for v in [x_v] + w_v]
+        out = fused_attention(inputs[0], source, one_part(block), *inputs[1:], 0.5)
+        handed.clear()
+        out.backward(g)
+        runs.append((out, inputs, {id(t) for t in handed} - {id(out)}))
+    (out, inputs, handed_array), (ref, ref_inputs, handed_tensor) = runs
+    assert out._parents == tuple(inputs)
+    assert handed_array == {id(t) for t in inputs}
+    assert ref._parents == (ref_inputs[0], sources[1], *ref_inputs[1:])
+    assert handed_tensor == {id(t) for t in ref._parents} and sources[1].grad is None
+    assert np.array_equal(out.values, ref.values)
+    for t, r in zip(inputs, ref_inputs):
+        assert np.array_equal(t.grad, r.grad)
+
+
 def test_add_norm_affine_matches_composition():
     rng = np.random.default_rng(13)
     arrays = [rng.uniform(-2, 2, size=(5, 8)), rng.uniform(-2, 2, size=(5, 8)),

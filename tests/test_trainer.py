@@ -190,6 +190,42 @@ def test_an_evaluated_scene_computes_one_sigmoid_per_layer(monkeypatch):
     assert len(calls) == params.num_layers + 1
 
 
+def test_evaluation_runs_no_mp_code(monkeypatch):
+    """MP adds no computation at inference: evaluate hands full_forward
+    only specs with no MP part, every forward it runs has the n_queries
+    matching rows alone, and no SeedSequence is built for build_mp_part.
+    The same recorders see an MP part in an evaluate_scenes pass with an
+    mp_seed."""
+    cfg, scene, params = default_scene_and_params()
+    scenes = [scene, generate_scene(cfg, 1)]
+    forward, seq = trainer.full_forward, np.random.SeedSequence
+    specs, rows, askers = [], [], []
+
+    def recording_forward(spec, p):
+        out = forward(spec, p)
+        specs.append(spec)
+        rows.append({out.n_match} | {len(m) for m in out.mask_logits}
+                    | {len(c.values) for c in out.class_logits})
+        return out
+
+    def recording_seq(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name == "seeded_rng":
+            frame = frame.f_back
+        askers.append(frame.f_code.co_name)
+        return seq(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "full_forward", recording_forward)
+    monkeypatch.setattr(np.random, "SeedSequence", recording_seq)
+    trainer.evaluate(params, scenes, cfg, LossWeights())
+    assert len(specs) == len(scenes) and all(spec.mp is None for spec in specs)
+    assert rows == [{params.n_queries}] * len(scenes)
+    assert "synth_features" in askers and "build_mp_part" not in askers
+    trainer.evaluate_scenes(params, scenes, cfg, LossWeights(), mp_seed=0)
+    assert len(specs) == 2 * len(scenes) and all(s.mp is not None for s in specs[len(scenes):])
+    assert askers.count("build_mp_part") == len(scenes)
+
+
 def test_evaluating_no_scenes_raises_value_error():
     cfg, _, params = default_scene_and_params()
     for evaluate in (trainer.evaluate, trainer.evaluate_scenes):
